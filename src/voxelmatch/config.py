@@ -64,9 +64,6 @@ def _parse_value(raw: str, annotation, key: str):
         parts = [p for p in raw.replace(",", " ").split() if p]
         elem = float if "float" in text else int
         return tuple(elem(p) for p in parts)
-    if "None" in text and "tuple" in text:
-        if raw.lower() == "none":
-            return None
     raise ConfigError(f"{key}: unsupported value type {annotation!r}")
 
 
@@ -115,12 +112,12 @@ def load_config(path) -> RunConfig:
         items = parser.items(section)
         if section == "run":
             for key, raw in items:
-                if key == "seed":
-                    cfg.seed = int(raw)
-                elif key == "threads":
-                    cfg.threads = int(raw)
-                else:
+                if key not in ("seed", "threads"):
                     raise ConfigError(f"unknown key [run] {key}")
+                try:
+                    setattr(cfg, key, int(raw))
+                except ValueError as exc:
+                    raise ConfigError(f"[run] {key}: {exc}") from exc
             continue
         attr, _ = _SECTIONS[section]
         setattr(cfg, attr, _apply_section(getattr(cfg, attr), items, section))

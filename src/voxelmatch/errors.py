@@ -104,6 +104,10 @@ class EmptySet(VoxelMatchError):
     pass
 
 
+class MalformedFile(VoxelMatchError, ValueError):
+    """A landmark or radii text file line that does not parse."""
+
+
 class MissingRadii(VoxelMatchError):
     pass
 

@@ -4,6 +4,14 @@ Matching runs on half-resolution embedding grids; template points and match
 results are expressed in full-resolution voxel coordinates of the respective
 image grids (twice the embedding-grid index).  Nearest-neighbour argmaxes
 break ties toward the smallest (z, y, x) index, so results are deterministic.
+
+NN lookups take template points ``_NN_CHUNK`` (128) rows at a time through
+one row-major similarity product, so memory stays at one chunk times the
+query grid however many points are matched.  Fixed-point matching of a point
+list builds one pair matcher and iterates the seed cubes of all points
+together: every seed is a lattice point, so the forward and backward NN maps
+are memoized per lattice index and each lattice point is looked up at most
+once per direction, whichever cubes share it.
 """
 
 from __future__ import annotations
@@ -101,10 +109,29 @@ class MatchResult:
     n_fixed_points_used: int = 0
 
 
+# template rows per similarity product in NN lookups; bounds the product's
+# memory at _NN_CHUNK x n_query_voxels whatever the batch size
+_NN_CHUNK = 128
+
+
 def _as_xyz(p) -> np.ndarray:
     if isinstance(p, Point3):
         return p.to_array()
     return np.asarray(p, dtype=np.float64).reshape(3)
+
+
+def _lattice_points(s: EmbeddingSet, flat: np.ndarray) -> np.ndarray:
+    """Full-resolution (x, y, z) coordinates of flat embedding-grid indices."""
+    nx, ny, _ = s.geometry.dims
+    iz, rem = np.divmod(flat, ny * nx)
+    iy, ix = np.divmod(rem, nx)
+    return np.stack([ix, iy, iz], axis=1).astype(np.float64) * 2.0
+
+
+def _lattice_flat(s: EmbeddingSet, ijk: np.ndarray) -> np.ndarray:
+    """Flat (z, y, x)-major indices of integer embedding-grid (x, y, z) coordinates."""
+    nx, ny, _ = s.geometry.dims
+    return (ijk[..., 2] * ny + ijk[..., 1]) * nx + ijk[..., 0]
 
 
 class _PairMatcher:
@@ -127,11 +154,14 @@ class _PairMatcher:
         self.q_b = self._stack(b)
 
     def _stack(self, s: EmbeddingSet) -> np.ndarray:
-        mats = [
-            getattr(s, name).data.reshape(s.geometry.n_voxels, -1).astype(np.float64)
-            for name, _ in self.heads
-        ]
-        return np.concatenate(mats, axis=1)
+        """Float64 (n_voxels, channels) matrix of the heads in use, filled in place."""
+        mats = [getattr(s, name).data.reshape(s.geometry.n_voxels, -1) for name, _ in self.heads]
+        out = np.empty((s.geometry.n_voxels, sum(m.shape[1] for m in mats)), dtype=np.float64)
+        lo = 0
+        for m in mats:
+            out[:, lo:lo + m.shape[1]] = m
+            lo += m.shape[1]
+        return out
 
     def template_vectors(self, s: EmbeddingSet, pts_fullres: np.ndarray) -> np.ndarray:
         """Per-head trilinear samples at half coordinates, weighted and concatenated."""
@@ -146,22 +176,31 @@ class _PairMatcher:
             parts.append(weight * trilinear_sample_many(getattr(s, name), half))
         return np.concatenate(parts, axis=1)
 
-    def _nn(self, from_set, to_set, q_to, pts) -> tuple[np.ndarray, np.ndarray]:
-        v = self.template_vectors(from_set, pts)
-        sims = q_to @ v.T  # (n_query_voxels, n_points)
-        flat = np.argmax(sims, axis=0)  # first max <=> smallest (z, y, x)
-        best = sims[flat, np.arange(sims.shape[1])]
-        nx, ny, _ = to_set.geometry.dims
-        iz, rem = np.divmod(flat, ny * nx)
-        iy, ix = np.divmod(rem, nx)
-        matched = np.stack([ix, iy, iz], axis=1).astype(np.float64) * 2.0
-        return matched, best
+    def _nn(self, from_set: EmbeddingSet, q_to: np.ndarray, pts) -> tuple[np.ndarray, np.ndarray]:
+        """Flat query-voxel index and similarity of each template point's best match.
+
+        Template points are sampled and go through the product ``_NN_CHUNK``
+        at a time, row-major so each row's argmax is a contiguous scan.
+        """
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+        flat = np.empty(len(pts), dtype=np.int64)
+        best = np.empty(len(pts), dtype=np.float64)
+        for lo in range(0, len(pts), _NN_CHUNK):
+            v = self.template_vectors(from_set, pts[lo:lo + _NN_CHUNK])
+            sims = v @ q_to.T  # (chunk, n_query_voxels)
+            idx = np.argmax(sims, axis=1)  # first max <=> smallest (z, y, x)
+            flat[lo:lo + len(idx)] = idx
+            best[lo:lo + len(idx)] = sims[np.arange(len(idx)), idx]
+            del sims  # free this chunk's product before the next one is allocated
+        return flat, best
 
     def nn_a_to_b(self, pts):
-        return self._nn(self.a, self.b, self.q_b, pts)
+        flat, best = self._nn(self.a, self.q_b, pts)
+        return _lattice_points(self.b, flat), best
 
     def nn_b_to_a(self, pts):
-        return self._nn(self.b, self.a, self.q_a, pts)
+        flat, best = self._nn(self.b, self.q_a, pts)
+        return _lattice_points(self.a, flat), best
 
     def similarity_between(self, pts_a, pts_b) -> np.ndarray:
         """Weighted per-head similarity between sample points of A and of B."""
@@ -258,6 +297,101 @@ def _full_res_limits(s: EmbeddingSet) -> np.ndarray:
     return 2.0 * (np.array([nx, ny, nz], dtype=np.float64) - 1.0)
 
 
+@dataclass
+class _CubeFixedPoints:
+    """What the seed cube around one template point converged to."""
+
+    fixed: np.ndarray    # (n, 3) full-res fixed points in A, sorted by (x, y, z)
+    forward: np.ndarray  # (n, 3) their forward matches in B
+    n_fix: int           # iteration at which the centre seed converged, else max_iter
+
+
+def _converge_cubes(
+    matcher: _PairMatcher, pts: np.ndarray, cfg: FixpointConfig
+) -> list[_CubeFixedPoints]:
+    """Iterate the forward-backward map from every seed of every point's cube.
+
+    Seeds are embedding-grid lattice points, so the forward (A->B) and
+    backward (B->A) NN maps are memoized per lattice index and shared by all
+    cubes.  Each iteration advances every live seed at once and resolves
+    only the lattice points not yet in the memo, with one batched lookup per
+    direction.  A seed converges when the map sends it to itself; one that
+    has not within ``max_iter`` moves yields no fixed point.  The map is a
+    function, so a seed that revisits a point of its own trace is on a cycle
+    and can never converge: it simply runs out its budget on memo hits.  For
+    the same reason a seed's outcome depends on its start alone, and seeds
+    shared by overlapping cubes are iterated once.
+    """
+    a, b = matcher.a, matcher.b
+    lim = np.array(a.geometry.dims) - 1
+    half = (cfg.cube_side - 1) // 2
+    offs = np.arange(-half, half + 1)
+    gx, gy, gz = np.meshgrid(offs, offs, offs, indexing="ij")
+    cube = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    centers = np.clip(np.round(pts / 2.0).astype(np.int64), 0, lim)
+    seeds = np.clip(centers[:, None, :] + cube[None, :, :], 0, lim)
+    starts, start_of = np.unique(_lattice_flat(a, seeds), return_inverse=True)
+    start_of = start_of.reshape(len(pts), len(cube))
+    center_of = start_of[:, len(cube) // 2]  # offset (0, 0, 0) sits mid-cube
+
+    fwd_memo = np.full(a.geometry.n_voxels, -1, dtype=np.int64)
+    back_memo = np.full(b.geometry.n_voxels, -1, dtype=np.int64)
+    fixed_at = np.full(len(starts), -1, dtype=np.int64)
+    n_conv = np.full(len(starts), cfg.max_iter, dtype=np.int64)
+    cur = starts.copy()
+    alive = np.arange(len(starts))
+    for it in range(cfg.max_iter):
+        if alive.size == 0:
+            break
+        pos = cur[alive]
+        need = np.unique(pos[fwd_memo[pos] < 0])
+        if need.size:
+            fwd_memo[need] = matcher._nn(a, matcher.q_b, _lattice_points(a, need))[0]
+        fwd = fwd_memo[pos]
+        need = np.unique(fwd[back_memo[fwd] < 0])
+        if need.size:
+            back_memo[need] = matcher._nn(b, matcher.q_a, _lattice_points(b, need))[0]
+        nxt = back_memo[fwd]
+        conv = nxt == pos
+        fixed_at[alive[conv]] = pos[conv]
+        n_conv[alive[conv]] = it
+        cur[alive] = nxt
+        alive = alive[~conv]
+
+    out = []
+    for p in range(len(pts)):
+        flat = fixed_at[start_of[p]]
+        flat = np.unique(flat[flat >= 0])
+        fixed = _lattice_points(a, flat)
+        order = np.lexsort((fixed[:, 2], fixed[:, 1], fixed[:, 0]))
+        out.append(_CubeFixedPoints(
+            fixed[order], _lattice_points(b, fwd_memo[flat[order]]), int(n_conv[center_of[p]])
+        ))
+    return out
+
+
+def _finish_fixpoint(
+    matcher: _PairMatcher, t: np.ndarray, cube: _CubeFixedPoints, cfg: FixpointConfig
+) -> MatchResult:
+    """Local affine fit through the fixed points near ``t``, else the NN match."""
+    near = np.linalg.norm(cube.fixed - t, axis=1) <= cfg.tau_dis
+    n_near = int(np.count_nonzero(near))
+    if n_near >= cfg.min_points:
+        try:
+            aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
+        except DegenerateGeometry:
+            aff = None
+        if aff is not None:
+            q = aff.apply_array(t.reshape(1, 3))[0]
+            q = np.clip(q, 0.0, _full_res_limits(matcher.b))
+            sim = float(matcher.similarity_between(t.reshape(1, 3), q.reshape(1, 3))[0])
+            return MatchResult(Point3.from_array(q), sim, "fixpoint", cube.n_fix, n_near)
+    matched, sims = matcher.nn_a_to_b(t.reshape(1, 3))
+    return MatchResult(
+        Point3.from_array(matched[0]), float(sims[0]), "fixpoint_fallback_nn", cube.n_fix, 0,
+    )
+
+
 def fixpoint_match(
     t,
     a: EmbeddingSet,
@@ -268,77 +402,20 @@ def fixpoint_match(
     """Structural match of ``t`` through the fixed points of the forward-backward map.
 
     Every voxel of the ``cube_side``-wide cube of embedding-grid points
-    around ``t`` is iterated (batched) until it converges, cycles, or the
-    iteration budget runs out.  Converged fixed points within ``tau_dis``
-    of ``t`` are deduplicated and paired with their forward matches; if at
+    around ``t`` (clipped to the grid) is iterated until it converges or the
+    iteration budget runs out.  Converged fixed points within ``tau_dis`` of
+    ``t``, sorted by (x, y, z), are paired with their forward matches; if at
     least ``min_points`` non-coplanar pairs survive, a local affine fit maps
     ``t`` into the query volume.  Otherwise the plain NN match is returned
     with method ``fixpoint_fallback_nn``.
+
+    This is the one-point case of ``grid_match(cfg=...)``; match many points
+    with that, which shares one matcher and one lattice NN memo among them.
     """
     t_arr = _as_xyz(t)
     matcher = _PairMatcher(a, b, w)
-    nx, ny, nz = a.geometry.dims
-    half = (cfg.cube_side - 1) // 2
-    center = np.round(t_arr / 2.0).astype(np.int64)
-    center = np.clip(center, 0, np.array([nx, ny, nz]) - 1)
-    offs = np.arange(-half, half + 1)
-    gx, gy, gz = np.meshgrid(offs, offs, offs, indexing="ij")
-    cube = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) + center
-    cube = np.clip(cube, 0, np.array([nx, ny, nz]) - 1)
-    seeds = np.unique(cube, axis=0).astype(np.float64) * 2.0
-    center_seed = tuple(center.astype(np.float64) * 2.0)
-
-    cur = [tuple(s) for s in seeds]
-    center_idx = cur.index(center_seed)
-    seen = [{c} for c in cur]
-    alive = list(range(len(cur)))
-    pairs: dict[tuple, tuple] = {}
-    n_fix_center = cfg.max_iter
-    for it in range(cfg.max_iter):
-        if not alive:
-            break
-        pts = np.array([cur[i] for i in alive], dtype=np.float64)
-        fwd, _ = matcher.nn_a_to_b(pts)
-        back, _ = matcher.nn_b_to_a(fwd)
-        next_alive = []
-        for row, i in enumerate(alive):
-            nxt = tuple(back[row])
-            if nxt == cur[i]:
-                pairs.setdefault(cur[i], tuple(fwd[row]))
-                if i == center_idx:
-                    n_fix_center = it
-                continue
-            if nxt in seen[i]:
-                continue  # revisit without convergence: drop the seed
-            seen[i].add(nxt)
-            cur[i] = nxt
-            next_alive.append(i)
-        alive = next_alive
-
-    kept = [
-        (np.asarray(fp), np.asarray(fw))
-        for fp, fw in sorted(pairs.items())
-        if np.linalg.norm(np.asarray(fp) - t_arr) <= cfg.tau_dis
-    ]
-    if len(kept) >= cfg.min_points:
-        src = np.array([k[0] for k in kept])
-        dst = np.array([k[1] for k in kept])
-        try:
-            aff, _ = fit_affine(src, dst)
-        except DegenerateGeometry:
-            aff = None
-        if aff is not None:
-            q = aff.apply_array(t_arr.reshape(1, 3))[0]
-            q = np.clip(q, 0.0, _full_res_limits(b))
-            sim = float(matcher.similarity_between(t_arr.reshape(1, 3), q.reshape(1, 3))[0])
-            return MatchResult(
-                Point3.from_array(q), sim, "fixpoint", n_fix_center, len(kept)
-            )
-    matched, sims = matcher.nn_a_to_b(t_arr.reshape(1, 3))
-    return MatchResult(
-        Point3.from_array(matched[0]), float(sims[0]), "fixpoint_fallback_nn",
-        n_fix_center, 0,
-    )
+    (cube,) = _converge_cubes(matcher, t_arr.reshape(1, 3), cfg)
+    return _finish_fixpoint(matcher, t_arr, cube, cfg)
 
 
 def grid_match(
@@ -350,26 +427,31 @@ def grid_match(
 ) -> list[MatchResult | None]:
     """Match a list of template points; failed elements come back as ``None``.
 
-    With ``cfg=None`` all points go through one batched NN lookup; otherwise
-    each point runs fixed-point matching.
+    One ``_PairMatcher`` serves the whole call.  With ``cfg=None`` all points
+    go through one batched NN lookup, ``_NN_CHUNK`` rows per similarity
+    product.  Otherwise the seed cubes of all points iterate together against
+    one shared memo of lattice NN maps (see ``_converge_cubes``), and each
+    point then gets its own affine fit or NN fallback, exactly as
+    ``fixpoint_match`` would give it.
     """
     pts = [_as_xyz(p) for p in points]
     if not pts:
         return []
-    if cfg is None:
-        matcher = _PairMatcher(a, b, w)
+    matcher = _PairMatcher(a, b, w)
+    arr = np.array(pts, dtype=np.float64)
+    if cfg is not None:
+        out: list[MatchResult | None] = []
+        for t, cube in zip(pts, _converge_cubes(matcher, arr, cfg)):
+            try:
+                out.append(_finish_fixpoint(matcher, t, cube, cfg))
+            except VoxelMatchError:
+                out.append(None)
+        return out
+    try:
+        matched, sims = matcher.nn_a_to_b(arr)
+    except OutOfBounds:
+        # match per point so in-bounds elements still succeed
         results: list[MatchResult | None] = []
-        arr = np.array(pts, dtype=np.float64)
-        try:
-            matched, sims = matcher.nn_a_to_b(arr)
-        except OutOfBounds:
-            # match per point so in-bounds elements still succeed
-            matched = None
-        if matched is not None:
-            return [
-                MatchResult(Point3.from_array(matched[i]), float(sims[i]), "nn")
-                for i in range(len(pts))
-            ]
         for p in pts:
             try:
                 m, s = matcher.nn_a_to_b(p.reshape(1, 3))
@@ -377,10 +459,7 @@ def grid_match(
             except VoxelMatchError:
                 results.append(None)
         return results
-    out: list[MatchResult | None] = []
-    for p in pts:
-        try:
-            out.append(fixpoint_match(p, a, b, w, cfg))
-        except VoxelMatchError:
-            out.append(None)
-    return out
+    return [
+        MatchResult(Point3.from_array(matched[i]), float(sims[i]), "nn")
+        for i in range(len(pts))
+    ]

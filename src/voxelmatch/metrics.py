@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySet, MismatchedLengths, MissingRadii
+from .errors import EmptySet, MalformedFile, MismatchedLengths, MissingRadii
 from .geometry import Point3
 
 __all__ = [
@@ -143,9 +143,11 @@ def read_landmarks(path) -> list:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 'id x y z'")
-            out.append((parts[0], Point3(float(parts[1]), float(parts[2]), float(parts[3]))))
+            try:
+                name, x, y, z = parts
+                out.append((name, Point3(float(x), float(y), float(z))))
+            except ValueError as exc:
+                raise MalformedFile(f"{path}:{line_no}: expected 'id x y z'") from exc
     return out
 
 
@@ -158,7 +160,9 @@ def read_radii(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'id radius'")
-            out[parts[0]] = float(parts[1])
+            try:
+                name, radius = parts
+                out[name] = float(radius)
+            except ValueError as exc:
+                raise MalformedFile(f"{path}:{line_no}: expected 'id radius'") from exc
     return out

@@ -1,0 +1,99 @@
+"""Tests for the command-line surface: exit codes and the adareg weights."""
+
+import numpy as np
+import pytest
+
+from voxelmatch import alignment, cli
+from voxelmatch.geometry import Point3
+from voxelmatch.metrics import write_landmarks
+from voxelmatch.model import new_model, save_model
+from voxelmatch.phantom import PhantomSpec, gen_phantom
+from voxelmatch.volume import Box3, crop, resample, write_volume
+
+
+def write_lms(path, n=3):
+    write_landmarks(path, [(f"lm{i}", Point3(float(i), 2.0 * i, 3.0)) for i in range(n)])
+
+
+class TestEvalExitCodes:
+    def test_well_formed_files_exit_zero(self, tmp_path, capsys):
+        write_lms(tmp_path / "pred.txt")
+        write_lms(tmp_path / "true.txt")
+        assert cli.main(["eval", str(tmp_path / "pred.txt"), str(tmp_path / "true.txt")]) == 0
+        assert "med" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["lm0 1 2", "lm0 1 2 3 4", "lm0 1 two 3"])
+    def test_malformed_landmark_line_is_a_data_error(self, tmp_path, capsys, line):
+        write_lms(tmp_path / "true.txt")
+        (tmp_path / "pred.txt").write_text(f"{line}\n")
+        code = cli.main(["eval", str(tmp_path / "pred.txt"), str(tmp_path / "true.txt")])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "pred.txt:1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["lm0", "lm0 wide"])
+    def test_malformed_radii_line_is_a_data_error(self, tmp_path, capsys, line):
+        write_lms(tmp_path / "pred.txt")
+        write_lms(tmp_path / "true.txt")
+        (tmp_path / "radii.txt").write_text(f"{line}\n")
+        code = cli.main([
+            "eval", str(tmp_path / "pred.txt"), str(tmp_path / "true.txt"),
+            "--radii", str(tmp_path / "radii.txt"),
+        ])
+        assert code == cli.DATA_ERROR
+        assert "radii.txt:1" in capsys.readouterr().err
+
+
+class TestRunConfigExitCodes:
+    @pytest.mark.parametrize("line", ["seed = abc", "threads = 1.5"])
+    def test_non_integer_run_value_is_a_data_error(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"[run]\n{line}\n")
+        write_lms(tmp_path / "lms.txt")
+        code = cli.main([
+            "--config", str(conf), "eval", str(tmp_path / "lms.txt"), str(tmp_path / "lms.txt"),
+        ])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "[run]" in err
+        assert "Traceback" not in err
+
+
+class TestAdaregWeights:
+    def test_semantic_weight_without_semantic_head_is_renormalized(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        vol, _, _ = gen_phantom(PhantomSpec(dims=(64, 64, 64), seed=60))
+        fixed = resample(vol, 2.0)
+        moving = crop(fixed, Box3((4, 4, 4), (27, 27, 27)))
+        write_volume(fixed, tmp_path / "fixed.evf")
+        write_volume(moving, tmp_path / "moving.evf")
+        save_model(new_model(np.random.default_rng(3)), tmp_path / "model.uaem")
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            "[similarity]\nw_coarse = 0.3\nw_fine = 0.5\nw_semantic = 0.2\n"
+            "[align]\ngrid_spacing = 3\nsimilarity_floor = 0.4\nbody_threshold = 0.18\n"
+        )
+        seen = []
+        real = alignment.register_and_crop
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, "register_and_crop", spy)
+        code = cli.main([
+            "--config", str(conf), "adareg", str(tmp_path / "fixed.evf"),
+            str(tmp_path / "moving.evf"), str(tmp_path / "model.uaem"), str(tmp_path / "out"),
+            "--margin", "4",
+        ])
+        assert code == 0
+        (kwargs,) = seen
+        w = kwargs["weights"]
+        assert w.w_semantic == 0.0
+        np.testing.assert_allclose([w.w_coarse, w.w_fine], [0.375, 0.625], rtol=1e-12)
+        assert kwargs["moving_set"].semantic is None
+        assert kwargs["fixed_set"].semantic is None
+        assert (tmp_path / "out" / "rigid.txt").exists()
+        assert "aligned with" in capsys.readouterr().out

@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from voxelmatch.errors import OutOfBounds
+from voxelmatch.errors import DegenerateGeometry, OutOfBounds, VoxelMatchError
+from voxelmatch.geometry import Point3, fit_affine
 from voxelmatch.matching import (
     EmbeddingSet,
     FixpointConfig,
     MatchResult,
     SimilarityWeights,
+    _NN_CHUNK,
+    _PairMatcher,
+    _full_res_limits,
     _iterate_map,
+    _lattice_flat,
     fixed_point_iterate,
     fixpoint_match,
     forward_backward,
@@ -323,3 +328,289 @@ class TestGridMatch:
         out = grid_match([(4, 4, 4), (90, 0, 0)], a, a, W)
         assert out[0] is not None
         assert out[1] is None
+
+
+def per_point_fixpoint(t, a, b, w, cfg):
+    """Reference oracle: the per-point fixed-point loop that ``grid_match``
+    replaced with one batched, memoized engine.  Builds its own matcher and
+    iterates one seed cube with plain Python sets."""
+    t_arr = np.asarray(t, dtype=np.float64).reshape(3)
+    matcher = _PairMatcher(a, b, w)
+    nx, ny, nz = a.geometry.dims
+    half = (cfg.cube_side - 1) // 2
+    center = np.round(t_arr / 2.0).astype(np.int64)
+    center = np.clip(center, 0, np.array([nx, ny, nz]) - 1)
+    offs = np.arange(-half, half + 1)
+    gx, gy, gz = np.meshgrid(offs, offs, offs, indexing="ij")
+    cube = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) + center
+    cube = np.clip(cube, 0, np.array([nx, ny, nz]) - 1)
+    seeds = np.unique(cube, axis=0).astype(np.float64) * 2.0
+    center_seed = tuple(center.astype(np.float64) * 2.0)
+
+    cur = [tuple(s) for s in seeds]
+    center_idx = cur.index(center_seed)
+    seen = [{c} for c in cur]
+    alive = list(range(len(cur)))
+    pairs = {}
+    n_fix_center = cfg.max_iter
+    for it in range(cfg.max_iter):
+        if not alive:
+            break
+        pts = np.array([cur[i] for i in alive], dtype=np.float64)
+        fwd, _ = matcher.nn_a_to_b(pts)
+        back, _ = matcher.nn_b_to_a(fwd)
+        next_alive = []
+        for row, i in enumerate(alive):
+            nxt = tuple(back[row])
+            if nxt == cur[i]:
+                pairs.setdefault(cur[i], tuple(fwd[row]))
+                if i == center_idx:
+                    n_fix_center = it
+                continue
+            if nxt in seen[i]:
+                continue
+            seen[i].add(nxt)
+            cur[i] = nxt
+            next_alive.append(i)
+        alive = next_alive
+
+    kept = [
+        (np.asarray(fp), np.asarray(fw))
+        for fp, fw in sorted(pairs.items())
+        if np.linalg.norm(np.asarray(fp) - t_arr) <= cfg.tau_dis
+    ]
+    if len(kept) >= cfg.min_points:
+        src = np.array([k[0] for k in kept])
+        dst = np.array([k[1] for k in kept])
+        try:
+            aff, _ = fit_affine(src, dst)
+        except DegenerateGeometry:
+            aff = None
+        if aff is not None:
+            q = aff.apply_array(t_arr.reshape(1, 3))[0]
+            q = np.clip(q, 0.0, _full_res_limits(b))
+            sim = float(matcher.similarity_between(t_arr.reshape(1, 3), q.reshape(1, 3))[0])
+            return MatchResult(Point3.from_array(q), sim, "fixpoint", n_fix_center, len(kept))
+    matched, sims = matcher.nn_a_to_b(t_arr.reshape(1, 3))
+    return MatchResult(
+        Point3.from_array(matched[0]), float(sims[0]), "fixpoint_fallback_nn", n_fix_center, 0
+    )
+
+
+def oracle_grid(pts, a, b, w, cfg):
+    out = []
+    for p in pts:
+        try:
+            out.append(per_point_fixpoint(p, a, b, w, cfg))
+        except VoxelMatchError:
+            out.append(None)
+    return out
+
+
+def lattice_points(dims, step=1):
+    nx, ny, nz = dims
+    return [
+        (2.0 * x, 2.0 * y, 2.0 * z)
+        for x in range(0, nx, step) for y in range(0, ny, step) for z in range(0, nz, step)
+    ]
+
+
+def equivalence_cases():
+    """(a, b, points) triples: unrelated pairs, where seeds wander and cycle,
+    and translated copies, where most seeds are fixed points."""
+    cases = []
+    for seed, dims in ((30, (6, 6, 6)), (31, (7, 5, 6)), (32, (8, 8, 8))):
+        rng = np.random.default_rng(seed)
+        a = make_set(rng, dims=dims)
+        b = make_set(rng, dims=dims)
+        cases.append((a, b, lattice_points(dims, 2)))
+    for seed, shift in ((33, (1, 2, 0)), (34, (2, 1, 1))):
+        rng = np.random.default_rng(seed)
+        a = make_set(rng, dims=(9, 9, 9))
+        b = shifted_copy(a, shift, rng)
+        cases.append((a, b, lattice_points((9, 9, 9), 3)))
+    return cases
+
+
+class TestBatchedFixpointEngine:
+    CONFIGS = (
+        FixpointConfig(),
+        FixpointConfig(cube_side=3, tau_dis=6.0),
+        FixpointConfig(tau_dis=12.0, max_iter=2),
+        FixpointConfig(cube_side=7, tau_dis=9.0, min_points=6),
+    )
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_grid_match_equals_per_point_oracle(self, cfg):
+        methods = set()
+        for a, b, pts in equivalence_cases():
+            # a border point whose cube is clipped, an off-lattice point, an
+            # out-of-bounds point
+            pts = pts + [(0.0, 0.0, 0.0), (3.0, 5.0, 1.0), (90.0, 0.0, 0.0)]
+            got = grid_match(pts, a, b, W, cfg)
+            want = oracle_grid(pts, a, b, W, cfg)
+            assert len(got) == len(want)
+            for g, o in zip(got, want):
+                assert g == o
+            assert got[-1] is None
+            methods |= {r.method for r in got if r is not None}
+        assert "fixpoint" in methods
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tied_embeddings_equal_oracle(self, seed):
+        # few distinct vectors: NN ties everywhere, many degenerate local fits
+        rng = np.random.default_rng(50 + seed)
+        basis = rng.normal(size=(3, 4))
+        a = make_set(rng, data=basis[rng.integers(0, 3, size=(6, 6, 6))])
+        b = make_set(rng, data=basis[rng.integers(0, 3, size=(6, 6, 6))])
+        pts = lattice_points((6, 6, 6), 2) + [(10.0, 0.0, 10.0)]
+        assert grid_match(pts, a, b, W, FixpointConfig()) == oracle_grid(pts, a, b, W, FixpointConfig())
+
+    @pytest.mark.parametrize("max_iter", (3, 20))
+    def test_wandering_and_cycling_seeds_equal_oracle(self, monkeypatch, max_iter):
+        # exact argmax over a symmetric similarity cannot cycle, so hand NN
+        # tables stand in for the matcher: half the lattice maps back to
+        # itself, the rest follows random links that wander, cycle or exhaust
+        rng = np.random.default_rng(60)
+        a = make_set(rng, dims=(6, 6, 6))
+        b = make_set(rng, dims=(6, 6, 6))
+        n = a.geometry.n_voxels
+        fwd = rng.permutation(n)
+        back = rng.integers(0, n, n)
+        keep = rng.random(n) < 0.5
+        back[fwd[keep]] = np.flatnonzero(keep)
+
+        def table_nn(self, from_set, q_to, pts):
+            table = fwd if from_set is self.a else back
+            ijk = np.rint(np.asarray(pts, dtype=np.float64).reshape(-1, 3) / 2.0).astype(np.int64)
+            flat = table[_lattice_flat(from_set, ijk)]
+            return flat, flat / n
+
+        monkeypatch.setattr(_PairMatcher, "_nn", table_nn)
+        cfg = FixpointConfig(tau_dis=2.5, max_iter=max_iter)
+        pts = lattice_points((6, 6, 6), 1)
+        got = grid_match(pts, a, b, W, cfg)
+        assert got == oracle_grid(pts, a, b, W, cfg)
+        assert {r.method for r in got} == {"fixpoint", "fixpoint_fallback_nn"}
+        assert max(r.n_fix for r in got) == max_iter
+
+    def test_tiny_tau_falls_back_to_nn_everywhere(self):
+        cfg = FixpointConfig(tau_dis=1e-6)
+        for a, b, pts in equivalence_cases():
+            got = grid_match(pts, a, b, W, cfg)
+            assert got == oracle_grid(pts, a, b, W, cfg)
+            for p, r in zip(pts, got):
+                assert r.method == "fixpoint_fallback_nn"
+                assert r.n_fixed_points_used == 0
+                nn = nn_match(a, p, b, W)
+                assert r.point == nn.point
+                assert r.similarity == nn.similarity
+
+    def test_fixpoint_match_is_the_one_point_case(self):
+        a, b, pts = equivalence_cases()[-1]
+        cfg = FixpointConfig(cube_side=3, tau_dis=6.0)
+        for p in pts[:6]:
+            assert fixpoint_match(p, a, b, W, cfg) == grid_match([p], a, b, W, cfg)[0]
+
+    def test_out_of_bounds_fixpoint_match_raises(self):
+        a, b, _ = equivalence_cases()[0]
+        with pytest.raises(OutOfBounds):
+            fixpoint_match((90.0, 0.0, 0.0), a, b, W, FixpointConfig())
+
+
+class TestMatcherWorkCount:
+    """Counts matcher builds and NN rows, so a return to per-point rebuilding
+    or to per-point NN lookups fails without timing anything."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        counts = {"matchers": 0, "fwd_rows": 0, "fwd_distinct": set()}
+        init, nn = _PairMatcher.__init__, _PairMatcher._nn
+
+        def counted_init(self, *args, **kwargs):
+            counts["matchers"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_nn(self, from_set, q_to, pts):
+            if from_set is self.a:
+                rows = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+                counts["fwd_rows"] += len(rows)
+                counts["fwd_distinct"].update(map(tuple, rows))
+            return nn(self, from_set, q_to, pts)
+
+        monkeypatch.setattr(_PairMatcher, "__init__", counted_init)
+        monkeypatch.setattr(_PairMatcher, "_nn", counted_nn)
+        return counts
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_one_matcher_and_no_repeated_forward_rows(self, monkeypatch, case):
+        a, b, pts = equivalence_cases()[case]
+        cfg = FixpointConfig()
+        counts = self.counting(monkeypatch)
+        oracle = oracle_grid(pts, a, b, W, cfg)
+        assert counts["matchers"] == len(pts)
+        distinct = len(counts["fwd_distinct"])
+        counts.update(matchers=0, fwd_rows=0)
+
+        got = grid_match(pts, a, b, W, cfg)
+        assert got == oracle
+        assert counts["matchers"] == 1
+        n_fallback = sum(r.method == "fixpoint_fallback_nn" for r in got)
+        # every lattice point is looked up forward at most once; each
+        # fallback adds its own one-row lookup
+        assert counts["fwd_rows"] <= distinct + n_fallback
+
+    def test_nn_grid_builds_one_matcher(self, monkeypatch):
+        a, b, pts = equivalence_cases()[0]
+        counts = self.counting(monkeypatch)
+        grid_match(pts, a, b, W)
+        assert counts["matchers"] == 1
+        assert counts["fwd_rows"] == len(pts)
+
+
+class TestNNChunking:
+    def test_batched_nn_across_chunks_equals_per_point(self):
+        rng = np.random.default_rng(40)
+        a = make_set(rng, dims=(7, 7, 7))
+        b = make_set(rng, dims=(7, 6, 5))
+        pts = lattice_points((7, 7, 7))
+        assert len(pts) > 2 * _NN_CHUNK
+        got = grid_match(pts, a, b, W)
+        for p, r in zip(pts, got):
+            want = nn_match(a, p, b, W)
+            assert r.point == want.point
+            assert r.method == "nn"
+            assert abs(r.similarity - want.similarity) <= 1e-12
+
+    def test_constant_embedding_ties_break_to_smallest_zyx_in_every_chunk(self):
+        g = VolumeGeometry((7, 7, 7))
+        v = np.zeros((7, 7, 7, 3))
+        v[..., 1] = 1.0
+        vol = EmbeddingVolume(g, v, normalized=True)
+        s = EmbeddingSet(coarse=vol, fine=vol)
+        pts = lattice_points((7, 7, 7))
+        assert len(pts) > _NN_CHUNK
+        for r in grid_match(pts, s, s, W):
+            assert r.point == Point3(0.0, 0.0, 0.0)
+
+    def test_planted_tie_breaks_to_smallest_zyx_across_chunk_boundary(self):
+        rng = np.random.default_rng(41)
+        a = make_set(rng, dims=(7, 7, 7))
+        b = make_set(rng, dims=(7, 7, 7))
+        # plant the template vector of half voxel (1, 2, 3) at two query voxels
+        tv_f = a.fine.data[3, 2, 1].copy()
+        tv_c = a.coarse.data[3, 2, 1].copy()
+        fine, coarse = b.fine.data.copy(), b.coarse.data.copy()
+        for iz, iy, ix in ((5, 1, 4), (2, 6, 0)):
+            fine[iz, iy, ix] = tv_f
+            coarse[iz, iy, ix] = tv_c
+        b = EmbeddingSet(
+            coarse=EmbeddingVolume(b.coarse.geometry, coarse, normalized=True),
+            fine=EmbeddingVolume(b.fine.geometry, fine, normalized=True),
+        )
+        t = (2.0, 4.0, 6.0)
+        pts = [(0.0, 0.0, 0.0)] * (_NN_CHUNK - 1) + [t, t] + [(2.0, 2.0, 2.0)] * 3
+        got = grid_match(pts, a, b, W)
+        for k in (_NN_CHUNK - 1, _NN_CHUNK):  # last row of chunk 0, first of chunk 1
+            assert got[k].point == Point3(0.0, 12.0, 4.0)  # (z, y, x) = (2, 6, 0) wins
+            assert abs(got[k].similarity - 1.0) < 1e-6
