@@ -112,16 +112,10 @@ def _grid_points(mask: LabelVolume, spacing_half: int) -> np.ndarray:
     hy = np.arange(0, (ny + 1) // 2, spacing_half)
     hz = np.arange(0, (nz + 1) // 2, spacing_half)
     gx, gy, gz = np.meshgrid(hx, hy, hz, indexing="ij")
+    # 2h <= n - 1 on every axis, so each lattice point indexes the mask directly
     pts_full = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * 2
-    keep = []
-    data = mask.data
-    for p in pts_full:
-        ix = min(int(p[0]), nx - 1)
-        iy = min(int(p[1]), ny - 1)
-        iz = min(int(p[2]), nz - 1)
-        if data[iz, iy, ix]:
-            keep.append((ix, iy, iz))
-    return np.asarray(keep, dtype=np.float64)
+    keep = mask.data[pts_full[:, 2], pts_full[:, 1], pts_full[:, 0]] != 0
+    return pts_full[keep].astype(np.float64)
 
 
 def register_and_crop(

@@ -39,7 +39,6 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="voxelmatch", description=__doc__)
     p.add_argument("--config", help="run configuration file (key = value sections)")
     p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("--threads", type=int, default=None, help="upper bound on worker threads")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -99,8 +98,6 @@ def _load_run_config(args) -> RunConfig:
         cfg.train = replace(cfg.train, seed=args.seed)
         cfg.augment = replace(cfg.augment, seed=args.seed)
         cfg.phantom = replace(cfg.phantom, seed=args.seed)
-    if args.threads is not None:
-        cfg.threads = args.threads
     for line in resolved_lines(cfg):
         print(line, file=sys.stderr)
     return cfg
@@ -172,7 +169,7 @@ def _cmd_match(args, cfg: RunConfig) -> int:
     if args.method == "fixpoint":
         res = matching.fixpoint_match(t, template, query, w, cfg.fixpoint)
     else:
-        res = matching.nn_match(t, template, query, w)
+        res = matching.nn_match(template, t, query, w)
     p = res.point
     print(f"{p.x:.6g} {p.y:.6g} {p.z:.6g} {res.similarity:.9g} {res.method} {res.n_fix}")
     return 0

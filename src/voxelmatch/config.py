@@ -21,7 +21,6 @@ __all__ = ["RunConfig", "load_config", "resolved_lines"]
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 0  # 0 = leave BLAS threading alone; accepted as an upper-bound hint
     similarity: SimilarityWeights = field(default_factory=SimilarityWeights)
     fixpoint: FixpointConfig = field(default_factory=FixpointConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -31,7 +30,7 @@ class RunConfig:
 
 
 _SECTIONS = {
-    "run": None,  # handled separately (seed, threads)
+    "run": None,  # handled separately (seed)
     "similarity": ("similarity", SimilarityWeights),
     "fixpoint": ("fixpoint", FixpointConfig),
     "train": ("train", TrainConfig),
@@ -112,10 +111,10 @@ def load_config(path) -> RunConfig:
         items = parser.items(section)
         if section == "run":
             for key, raw in items:
-                if key not in ("seed", "threads"):
+                if key != "seed":
                     raise ConfigError(f"unknown key [run] {key}")
                 try:
-                    setattr(cfg, key, int(raw))
+                    cfg.seed = int(raw)
                 except ValueError as exc:
                     raise ConfigError(f"[run] {key}: {exc}") from exc
             continue
@@ -136,7 +135,7 @@ def load_config(path) -> RunConfig:
 
 def resolved_lines(cfg: RunConfig) -> list[str]:
     """The fully resolved configuration, one 'section.key = value' line each."""
-    out = [f"run.seed = {cfg.seed}", f"run.threads = {cfg.threads}"]
+    out = [f"run.seed = {cfg.seed}"]
     for section, spec in _SECTIONS.items():
         if spec is None:
             continue

@@ -12,6 +12,14 @@ list builds one pair matcher and iterates the seed cubes of all points
 together: every seed is a lattice point, so the forward and backward NN maps
 are memoized per lattice index and each lattice point is looked up at most
 once per direction, whichever cubes share it.
+
+One cycle policy: a seed converges when the forward-backward map sends it to
+itself; a seed that cycles or exhausts ``max_iter`` yields no fixed point.
+
+One bounds rule, for both matchers: a template point more than 0.75
+embedding voxels outside the template grid is out of bounds.  ``grid_match``
+returns ``None`` for it before any lookup; the one-point functions
+(``similarity_map``, ``nn_match``, ``fixpoint_match``) raise ``OutOfBounds``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, OutOfBounds, VoxelMatchError
+from .errors import DegenerateGeometry, OutOfBounds
 from .geometry import Point3, fit_affine
 from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many
 
@@ -31,8 +39,6 @@ __all__ = [
     "MatchResult",
     "similarity_map",
     "nn_match",
-    "forward_backward",
-    "fixed_point_iterate",
     "fixpoint_match",
     "grid_match",
 ]
@@ -120,6 +126,13 @@ def _as_xyz(p) -> np.ndarray:
     return np.asarray(p, dtype=np.float64).reshape(3)
 
 
+def _in_bounds(s: EmbeddingSet, pts_fullres: np.ndarray) -> np.ndarray:
+    """Which full-resolution points lie within 0.75 embedding voxels of ``s``'s grid."""
+    half = np.asarray(pts_fullres, dtype=np.float64).reshape(-1, 3) / 2.0
+    lims = np.array(s.geometry.dims, dtype=np.float64) - 1.0
+    return np.all((half >= -0.75) & (half <= lims + 0.75), axis=1)
+
+
 def _lattice_points(s: EmbeddingSet, flat: np.ndarray) -> np.ndarray:
     """Full-resolution (x, y, z) coordinates of flat embedding-grid indices."""
     nx, ny, _ = s.geometry.dims
@@ -165,12 +178,10 @@ class _PairMatcher:
 
     def template_vectors(self, s: EmbeddingSet, pts_fullres: np.ndarray) -> np.ndarray:
         """Per-head trilinear samples at half coordinates, weighted and concatenated."""
-        nx, ny, nz = s.geometry.dims
-        half = np.asarray(pts_fullres, dtype=np.float64).reshape(-1, 3) / 2.0
-        lims = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
-        if np.any(half < -0.75) or np.any(half > lims + 0.75):
+        pts = np.asarray(pts_fullres, dtype=np.float64).reshape(-1, 3)
+        if not _in_bounds(s, pts).all():
             raise OutOfBounds("template point outside the volume")
-        half = np.clip(half, 0.0, lims)
+        half = np.clip(pts / 2.0, 0.0, np.array(s.geometry.dims, dtype=np.float64) - 1.0)
         parts = []
         for name, weight in self.heads:
             parts.append(weight * trilinear_sample_many(getattr(s, name), half))
@@ -232,64 +243,19 @@ def similarity_map(
 def nn_match(
     template: EmbeddingSet, t, query: EmbeddingSet, w: SimilarityWeights
 ) -> MatchResult:
-    """Argmax of the similarity map, reported in full-resolution query voxels."""
-    matcher = _PairMatcher(template, query, w)
-    matched, sims = matcher.nn_a_to_b(_as_xyz(t).reshape(1, 3))
-    return MatchResult(Point3.from_array(matched[0]), float(sims[0]), "nn")
+    """Argmax of the similarity map, reported in full-resolution query voxels.
 
-
-def forward_backward(t, a: EmbeddingSet, b: EmbeddingSet, w: SimilarityWeights) -> Point3:
-    """Match ``t`` into ``b`` and the result back into ``a``."""
-    matcher = _PairMatcher(a, b, w)
-    fwd, _ = matcher.nn_a_to_b(_as_xyz(t).reshape(1, 3))
-    back, _ = matcher.nn_b_to_a(fwd)
-    return Point3.from_array(back[0])
-
-
-def _iterate_map(step, start: tuple, max_iter: int):
-    """Iterate a point-to-point map with convergence and revisit detection.
-
-    ``step`` maps a point tuple to ``(next_tuple, forward_similarity)``.
-    Returns (status, fixed_point_tuple, trace, fwd_sims, n_converge).
+    The one-point case of ``grid_match``; raises ``OutOfBounds`` for a point
+    outside the template grid.
     """
-    trace = [start]
-    sims: list[float] = []
-    seen = {start}
-    cur = start
-    for i in range(max_iter):
-        nxt, fwd = step(cur)
-        sims.append(fwd)
-        if nxt == cur:
-            return "converged", cur, trace, sims, i
-        if nxt in seen:
-            best = int(np.argmax(np.asarray(sims)))
-            return "cycled", trace[best], trace + [nxt], sims, i
-        seen.add(nxt)
-        trace.append(nxt)
-        cur = nxt
-    return "exhausted", cur, trace, sims, max_iter
+    return _single(grid_match([t], template, query, w))
 
 
-def fixed_point_iterate(
-    t0, a: EmbeddingSet, b: EmbeddingSet, w: SimilarityWeights, max_iter: int = 20
-) -> tuple[str, Point3, list[Point3]]:
-    """Iterate the forward-backward map from ``t0`` until it stops moving.
-
-    Returns ``(status, fixed_point, trace)`` where status is ``converged``
-    (the map reached a point it maps to itself), ``cycled`` (an earlier
-    point recurred; the trace point with the highest forward similarity is
-    reported), or ``exhausted``.
-    """
-    matcher = _PairMatcher(a, b, w)
-
-    def step(cur: tuple):
-        fwd, sim = matcher.nn_a_to_b(np.array([cur], dtype=np.float64))
-        back, _ = matcher.nn_b_to_a(fwd)
-        return tuple(back[0]), float(sim[0])
-
-    start = tuple(_as_xyz(t0))
-    status, fp, trace, _, _ = _iterate_map(step, start, max_iter)
-    return status, Point3.from_array(np.asarray(fp)), [Point3.from_array(np.asarray(p)) for p in trace]
+def _single(results: list[MatchResult | None]) -> MatchResult:
+    (r,) = results
+    if r is None:
+        raise OutOfBounds("template point outside the volume")
+    return r
 
 
 def _full_res_limits(s: EmbeddingSet) -> np.ndarray:
@@ -411,11 +377,9 @@ def fixpoint_match(
 
     This is the one-point case of ``grid_match(cfg=...)``; match many points
     with that, which shares one matcher and one lattice NN memo among them.
+    Raises ``OutOfBounds`` for a point outside the template grid.
     """
-    t_arr = _as_xyz(t)
-    matcher = _PairMatcher(a, b, w)
-    (cube,) = _converge_cubes(matcher, t_arr.reshape(1, 3), cfg)
-    return _finish_fixpoint(matcher, t_arr, cube, cfg)
+    return _single(grid_match([t], a, b, w, cfg))
 
 
 def grid_match(
@@ -425,41 +389,29 @@ def grid_match(
     w: SimilarityWeights,
     cfg: FixpointConfig | None = None,
 ) -> list[MatchResult | None]:
-    """Match a list of template points; failed elements come back as ``None``.
+    """Match a list of template points; out-of-bounds elements come back as ``None``.
 
-    One ``_PairMatcher`` serves the whole call.  With ``cfg=None`` all points
-    go through one batched NN lookup, ``_NN_CHUNK`` rows per similarity
-    product.  Otherwise the seed cubes of all points iterate together against
-    one shared memo of lattice NN maps (see ``_converge_cubes``), and each
-    point then gets its own affine fit or NN fallback, exactly as
-    ``fixpoint_match`` would give it.
+    A point more than 0.75 embedding voxels outside ``a``'s grid is ``None``
+    under either matcher, before any lookup.  One ``_PairMatcher`` serves the
+    whole call.  With ``cfg=None`` the in-bounds points go through one
+    batched NN lookup, ``_NN_CHUNK`` rows per similarity product.  Otherwise
+    their seed cubes iterate together against one shared memo of lattice NN
+    maps (see ``_converge_cubes``): a seed that cycles or exhausts
+    ``cfg.max_iter`` yields no fixed point.  Each point then gets its own
+    affine fit through the fixed points near it, or its NN match as the
+    fallback.
     """
-    pts = [_as_xyz(p) for p in points]
-    if not pts:
+    pts = np.array([_as_xyz(p) for p in points], dtype=np.float64).reshape(-1, 3)
+    if not len(pts):
         return []
     matcher = _PairMatcher(a, b, w)
-    arr = np.array(pts, dtype=np.float64)
-    if cfg is not None:
-        out: list[MatchResult | None] = []
-        for t, cube in zip(pts, _converge_cubes(matcher, arr, cfg)):
-            try:
-                out.append(_finish_fixpoint(matcher, t, cube, cfg))
-            except VoxelMatchError:
-                out.append(None)
-        return out
-    try:
-        matched, sims = matcher.nn_a_to_b(arr)
-    except OutOfBounds:
-        # match per point so in-bounds elements still succeed
-        results: list[MatchResult | None] = []
-        for p in pts:
-            try:
-                m, s = matcher.nn_a_to_b(p.reshape(1, 3))
-                results.append(MatchResult(Point3.from_array(m[0]), float(s[0]), "nn"))
-            except VoxelMatchError:
-                results.append(None)
-        return results
-    return [
-        MatchResult(Point3.from_array(matched[i]), float(sims[i]), "nn")
-        for i in range(len(pts))
-    ]
+    ok = np.flatnonzero(_in_bounds(a, pts))
+    out: list[MatchResult | None] = [None] * len(pts)
+    if cfg is None:
+        matched, sims = matcher.nn_a_to_b(pts[ok])
+        for i, q, sim in zip(ok, matched, sims):
+            out[i] = MatchResult(Point3.from_array(q), float(sim), "nn")
+    else:
+        for i, cube in zip(ok, _converge_cubes(matcher, pts[ok], cfg)):
+            out[i] = _finish_fixpoint(matcher, pts[i], cube, cfg)
+    return out

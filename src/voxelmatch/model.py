@@ -53,7 +53,6 @@ __all__ = [
     "DescriptorBank",
     "ProjectionModel",
     "TrainConfig",
-    "compute_descriptors",
     "embed",
     "sample_training_batch",
     "train",
@@ -170,11 +169,6 @@ class DescriptorBank:
             channels.append(np.sqrt(np.clip(sq - mean * mean, 0.0, None)))
         feats = np.stack(channels, axis=-1)[::2, ::2, ::2, :] / np.asarray(self.channel_scales)
         return np.ascontiguousarray(feats), half_geometry(vol.geometry)
-
-
-def compute_descriptors(vol: ScalarVolume, bank: DescriptorBank | None = None):
-    """Module-level convenience wrapper around :meth:`DescriptorBank.compute`."""
-    return (bank or DescriptorBank()).compute(vol)
 
 
 # ---------------------------------------------------------------------------

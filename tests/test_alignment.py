@@ -16,13 +16,13 @@ from voxelmatch.alignment import (
     register_and_crop,
     register_deformable,
 )
-from voxelmatch.errors import BackendFailure, TooFewMatches
+from voxelmatch.errors import BackendFailure, EmptyMask, TooFewMatches
 from voxelmatch.geometry import Point3, rigid_about, rotation_matrix
 from voxelmatch.matching import EmbeddingSet, SimilarityWeights
 from voxelmatch.model import TrainConfig, embed, new_model, save_model, train
 from voxelmatch.augment import AugmentSpec
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
-from voxelmatch.volume import Box3, crop, resample
+from voxelmatch.volume import Box3, ScalarVolume, VolumeGeometry, crop, resample
 
 MODEL = new_model(np.random.default_rng(3))
 CFG = AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18)
@@ -69,6 +69,15 @@ class TestRegisterAndCrop:
         cfg = AlignConfig(grid_spacing=3, similarity_floor=1.1, body_threshold=0.18)
         with pytest.raises(TooFewMatches):
             register_and_crop(fixed, moving, MODEL, cfg, margin=4)
+
+    def test_body_between_grid_points_is_empty_mask(self):
+        # a one-voxel body at odd full-res coordinates holds no grid point
+        fixed, _ = working_phantom(61)
+        data = np.zeros((12, 12, 12), np.float32)
+        data[5, 7, 3] = 1.0
+        moving = ScalarVolume(VolumeGeometry((12, 12, 12), spacing=(2.0, 2.0, 2.0)), data)
+        with pytest.raises(EmptyMask):
+            register_and_crop(fixed, moving, MODEL, CFG, margin=4)
 
     def test_rigidly_moved_remapped_phantom_recovered(self):
         spec = PhantomSpec(dims=(64, 64, 64), seed=62)

@@ -8,7 +8,15 @@ from voxelmatch.geometry import Point3
 from voxelmatch.metrics import write_landmarks
 from voxelmatch.model import new_model, save_model
 from voxelmatch.phantom import PhantomSpec, gen_phantom
-from voxelmatch.volume import Box3, crop, resample, write_volume
+from voxelmatch.volume import (
+    Box3,
+    EmbeddingVolume,
+    VolumeGeometry,
+    crop,
+    l2_normalize,
+    resample,
+    write_volume,
+)
 
 
 def write_lms(path, n=3):
@@ -57,6 +65,31 @@ class TestRunConfigExitCodes:
         assert code == cli.DATA_ERROR
         err = capsys.readouterr().err
         assert "[run]" in err
+        assert "Traceback" not in err
+
+
+class TestMatchCommand:
+    @staticmethod
+    def write_embeddings(path):
+        rng = np.random.default_rng(0)
+        path.mkdir()
+        for head in ("coarse", "fine"):
+            vol = l2_normalize(EmbeddingVolume(VolumeGeometry((6, 6, 6)), rng.normal(size=(6, 6, 6, 4))))
+            write_volume(vol, path / f"{head}.evf")
+
+    @pytest.mark.parametrize("method", ["nn", "fixpoint"])
+    def test_self_match_and_out_of_bounds_exit_codes(self, tmp_path, capsys, method):
+        emb = tmp_path / "emb"
+        self.write_embeddings(emb)
+        code = cli.main(["match", str(emb), "4,6,2", str(emb), "--method", method])
+        assert code == 0
+        x, y, z, sim, got_method, n_fix = capsys.readouterr().out.split()
+        np.testing.assert_allclose([float(x), float(y), float(z), float(sim)], [4, 6, 2, 1], atol=1e-6)
+        assert got_method == method
+        code = cli.main(["match", str(emb), "40,6,2", str(emb), "--method", method])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "outside the volume" in err
         assert "Traceback" not in err
 
 

@@ -12,12 +12,10 @@ from voxelmatch.matching import (
     SimilarityWeights,
     _NN_CHUNK,
     _PairMatcher,
+    _converge_cubes,
     _full_res_limits,
-    _iterate_map,
     _lattice_flat,
-    fixed_point_iterate,
     fixpoint_match,
-    forward_backward,
     grid_match,
     nn_match,
     similarity_map,
@@ -155,20 +153,42 @@ class TestNNMatch:
             nn_match(a, (50.0, 0.0, 0.0), a, W)
 
 
+def engine_cubes(a, b, pts, cfg=FixpointConfig()):
+    """What the fixed-point engine's seed cubes around ``pts`` converged to."""
+    return _converge_cubes(_PairMatcher(a, b, W), np.asarray(pts, dtype=np.float64).reshape(-1, 3), cfg)
+
+
+def check_true_fixed_points(a, b, pts):
+    """Every fixed point the engine reports is a mutual NN pair with its
+    forward match; returns how many were checked."""
+    cubes = engine_cubes(a, b, pts)
+    fixed = np.concatenate([c.fixed for c in cubes])
+    forward = np.concatenate([c.forward for c in cubes])
+    for f, fwd, r_fwd, r_back in zip(
+        fixed, forward, grid_match(fixed, a, b, W), grid_match(forward, b, a, W)
+    ):
+        assert r_fwd.point == Point3.from_array(fwd)
+        assert r_back.point == Point3.from_array(f)
+    return len(fixed)
+
+
 class TestForwardBackward:
     def test_identity_pair(self):
         rng = np.random.default_rng(8)
         a = make_set(rng)
-        out = forward_backward((4, 4, 6), a, a, W)
-        assert (out.x, out.y, out.z) == (4.0, 4.0, 6.0)
+        (cube,) = engine_cubes(a, a, (4, 4, 6))
+        assert len(cube.fixed) == 125  # the whole 5^3 seed cube
+        np.testing.assert_array_equal(cube.forward, cube.fixed)
 
     def test_translated_copy_returns_start(self):
         rng = np.random.default_rng(9)
         a = make_set(rng, dims=(8, 8, 8))
         b = shifted_copy(a, (2, 1, 0), rng)
         t = (4.0, 4.0, 4.0)
-        out = forward_backward(t, a, b, W)
-        assert (out.x, out.y, out.z) == t
+        (cube,) = engine_cubes(a, b, t)
+        row = np.flatnonzero((cube.fixed == t).all(axis=1))
+        assert len(row) == 1
+        assert tuple(cube.forward[row[0]]) == (8.0, 6.0, 4.0)
         fwd = nn_match(a, t, b, W)
         assert (fwd.point.x, fwd.point.y, fwd.point.z) == (8.0, 6.0, 4.0)
 
@@ -176,89 +196,49 @@ class TestForwardBackward:
         rng = np.random.default_rng(10)
         a = make_set(rng, dims=(5, 5, 5))
         b = make_set(rng, dims=(5, 5, 5))
-        t = (2, 4, 2)
-        q = nn_match(a, t, b, W).point
-        back = nn_match(b, q, a, W).point
-        out = forward_backward(t, a, b, W)
-        assert (out.x, out.y, out.z) == (back.x, back.y, back.z)
+        assert check_true_fixed_points(a, b, lattice_points((5, 5, 5), 2)) > 0
 
 
 class TestFixedPointIterate:
     def test_consistent_match_converges_immediately(self):
         rng = np.random.default_rng(11)
         a = make_set(rng)
-        status, fp, trace = fixed_point_iterate((4, 4, 4), a, a, W)
-        assert status == "converged"
-        assert (fp.x, fp.y, fp.z) == (4.0, 4.0, 4.0)
-        assert len(trace) == 1  # zero moves before convergence
+        res = fixpoint_match((4, 4, 4), a, a, W)
+        assert res.method == "fixpoint"
+        assert res.n_fix == 0  # zero moves before convergence
+        np.testing.assert_allclose([res.point.x, res.point.y, res.point.z], [4.0, 4.0, 4.0], atol=1e-9)
 
     def test_translated_copy_all_seeds_converge(self):
         rng = np.random.default_rng(12)
         a = make_set(rng, dims=(8, 8, 8))
         b = shifted_copy(a, (1, 2, 1), rng)
-        for t in [(4, 4, 4), (6, 6, 6), (4, 6, 8)]:
-            status, fp, trace = fixed_point_iterate(t, a, b, W)
-            assert status == "converged"
-            assert (fp.x, fp.y, fp.z) == tuple(float(v) for v in t)
-
-    def test_crafted_two_cycle_detected(self):
-        # hand NN table with an asymmetric similarity that cycles p0 -> p1 -> p0;
-        # exact argmax over a symmetric similarity cannot cycle, so the table
-        # stands in for the matcher to exercise the defensive path
-        table = {
-            (0.0, 0.0, 0.0): ((2.0, 0.0, 0.0), 0.9),
-            (2.0, 0.0, 0.0): ((0.0, 0.0, 0.0), 0.9),
-        }
-
-        def step(cur):
-            return table[cur]
-
-        status, fp, trace, sims, n = _iterate_map(step, (0.0, 0.0, 0.0), 20)
-        assert status == "cycled"
-        assert fp == (0.0, 0.0, 0.0)  # first trace point of the tied plateau
-        assert trace[-1] == (0.0, 0.0, 0.0)
-
-    def test_cycle_resolution_prefers_highest_forward_similarity(self):
-        table = {
-            (0.0, 0.0, 0.0): ((2.0, 0.0, 0.0), 0.2),
-            (2.0, 0.0, 0.0): ((4.0, 0.0, 0.0), 0.8),
-            (4.0, 0.0, 0.0): ((2.0, 0.0, 0.0), 0.5),
-        }
-        status, fp, trace, sims, n = _iterate_map(lambda c: table[c], (0.0, 0.0, 0.0), 20)
-        assert status == "cycled"
-        assert fp == (2.0, 0.0, 0.0)
-
-    def test_exhausted_when_walking_a_line(self):
-        def step(cur):
-            return (cur[0] + 2.0, cur[1], cur[2]), 0.5
-
-        status, fp, trace, sims, n = _iterate_map(step, (0.0, 0.0, 0.0), 5)
-        assert status == "exhausted"
-        assert fp == (10.0, 0.0, 0.0)
+        pts = [(4, 4, 4), (6, 6, 6), (4, 6, 8)]
+        for t, cube in zip(pts, engine_cubes(a, b, pts)):
+            assert cube.n_fix == 0
+            assert (cube.fixed == t).all(axis=1).any()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_forward_similarity_never_decreases(self, seed):
+        # sim(back(fwd(p)) -> B) >= sim(back(fwd(p)), fwd(p)) >= sim(p, fwd(p))
         rng = np.random.default_rng(100 + seed)
         a = make_set(rng, dims=(7, 7, 7))
         b = make_set(rng, dims=(7, 7, 7))
-        t0 = tuple(float(2 * v) for v in rng.integers(0, 7, 3))
-        status, fp, trace = fixed_point_iterate(t0, a, b, W, max_iter=15)
-        sims = []
-        for p in trace:
-            sims.append(nn_match(a, p, b, W).similarity)
-        diffs = np.diff(sims)
-        assert np.all(diffs >= -1e-6)
+        pts = lattice_points((7, 7, 7))
+        fwd = grid_match(pts, a, b, W)
+        back = grid_match([r.point for r in fwd], b, a, W)
+        again = grid_match([r.point for r in back], a, b, W)
+        for r0, r1 in zip(fwd, again):
+            assert r1.similarity >= r0.similarity - 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_converged_points_are_true_fixed_points(self, seed):
         rng = np.random.default_rng(200 + seed)
         a = make_set(rng, dims=(6, 6, 6))
         b = make_set(rng, dims=(6, 6, 6))
-        t0 = tuple(float(2 * v) for v in rng.integers(0, 6, 3))
-        status, fp, trace = fixed_point_iterate(t0, a, b, W, max_iter=30)
-        if status == "converged":
-            out = forward_backward(fp, a, b, W)
-            assert (out.x, out.y, out.z) == (fp.x, fp.y, fp.z)
+        pts = lattice_points((6, 6, 6), 2)
+        assert check_true_fixed_points(a, b, pts) > 0
+        shift = tuple(int(v) for v in rng.integers(-2, 3, 3))
+        assert check_true_fixed_points(a, shifted_copy(a, shift, rng), pts) > 0
 
 
 class TestFixpointMatch:
@@ -322,12 +302,26 @@ class TestGridMatch:
             assert r is not None
             assert (r.point.x - p[0], r.point.y - p[1], r.point.z - p[2]) == (2.0, 2.0, 2.0)
 
-    def test_failed_elements_are_none(self):
+    @pytest.mark.parametrize(
+        "cfg",
+        [None, FixpointConfig(), FixpointConfig(cube_side=3, tau_dis=6.0)],
+        ids=["nn", "fixpoint", "fixpoint-cube3"],
+    )
+    def test_failed_elements_are_none(self, cfg):
+        # one bounds rule for both matchers: up to 0.75 embedding voxels
+        # (1.5 full-res voxels) outside the grid is in bounds
         rng = np.random.default_rng(19)
         a = make_set(rng)
-        out = grid_match([(4, 4, 4), (90, 0, 0)], a, a, W)
+        pts = [(4, 4, 4), (-1.4, 4, 4), (90, 0, 0), (-1.6, 4, 4), (np.nan, 4, 4)]
+        out = grid_match(pts, a, a, W, cfg)
         assert out[0] is not None
-        assert out[1] is None
+        assert out[1] is not None
+        assert out[2:] == [None, None, None]
+        with pytest.raises(OutOfBounds):
+            if cfg is None:
+                nn_match(a, (-1.6, 4, 4), a, W)
+            else:
+                fixpoint_match((-1.6, 4, 4), a, a, W, cfg)
 
 
 def per_point_fixpoint(t, a, b, w, cfg):

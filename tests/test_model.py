@@ -24,7 +24,6 @@ from voxelmatch.model import (
     _gauss_deriv_kernel,
     _gauss_kernel,
     _gauss_second_kernel,
-    compute_descriptors,
     embed,
     load_model,
     new_model,
@@ -104,7 +103,7 @@ class TestDescriptorBank:
     def test_feature_dim(self):
         assert BANK.feature_dim == 11
         vol = ScalarVolume(VolumeGeometry((8, 8, 8)), np.zeros((8, 8, 8), np.float32))
-        feats, _ = compute_descriptors(vol)
+        feats, _ = BANK.compute(vol)
         assert feats.shape == (4, 4, 4, 11)
 
 
@@ -133,7 +132,7 @@ class TestEmbed:
         vol = scalar(rng, (10, 10, 10))
         model = new_model(rng, embedding_dim=32)
         out = embed(vol, model)
-        feats, _ = compute_descriptors(vol, model.bank)
+        feats, _ = model.bank.compute(vol)
         for idx in [(0, 0, 0), (2, 3, 4), (4, 4, 4)]:
             v = feats[idx] @ model.w_fine
             v = v / np.linalg.norm(v)
