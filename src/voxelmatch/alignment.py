@@ -181,14 +181,10 @@ def register_and_crop(
     fixed_crop = crop(fixed, box)
 
     gc = fixed_crop.geometry
-    ax = [np.arange(gc.dims[i], dtype=np.float64) for i in range(3)]
-    zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
-    vox = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
     back = moving.geometry.physical_to_voxel(
-        rigid.inverse().apply_array(gc.voxel_to_physical(vox))
+        rigid.inverse().apply_array(gc.voxel_to_physical(gc.voxel_points()))
     )
-    lim = np.asarray(moving.geometry.dims, dtype=np.float64) - 1.0
-    overlap = np.all((back >= -1e-9) & (back <= lim + 1e-9), axis=1)
+    overlap = moving.geometry.in_grid(back)
     overlap_mask = LabelVolume(gc, overlap.reshape(gc.shape_zyx).astype(np.uint16))
 
     return RegisteredPair(

@@ -40,7 +40,6 @@ class AugmentSpec:
     ``aggressive`` is set, which also enables intensity reversal).
     """
 
-    seed: int = 0
     bezier_control_points: tuple[float, float, float, float] | None = None
     reverse_probability: float = 0.5
     rotation_degrees: float = 10.0
@@ -137,10 +136,9 @@ def _source_coords(geometry: VolumeGeometry, transform: AffineTransform) -> list
     """
     inv = transform.inverse()
     shape = geometry.shape_zyx
-    ax = [np.arange(geometry.dims[i], dtype=np.float64) for i in range(3)]
-    zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    src = geometry.physical_to_voxel(inv.apply_array(geometry.voxel_to_physical(pts)))
+    src = geometry.physical_to_voxel(
+        inv.apply_array(geometry.voxel_to_physical(geometry.voxel_points()))
+    )
     for i in range(3):
         lim = geometry.dims[i] - 1.0
         c = src[:, i]
@@ -284,19 +282,9 @@ def _overlap_mask(
 ) -> np.ndarray:
     """Voxels of an augmented patch whose source is seen by both windows and
     whose image lands inside the other patch grid."""
-    ax = [np.arange(geom_self.dims[i], dtype=np.float64) for i in range(3)]
-    zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    phys = geom_self.voxel_to_physical(pts)
+    phys = geom_self.voxel_to_physical(geom_self.voxel_points())
     source = t_self.inverse().apply_array(phys)
-
-    def inside(geometry, p):
-        v = geometry.physical_to_voxel(p)
-        lim = np.asarray(geometry.dims, dtype=np.float64) - 1.0
-        return np.all((v >= -1e-9) & (v <= lim + 1e-9), axis=1)
-
-    ok = inside(win_self, source) & inside(win_other, source)
-    mapped = geom_other.physical_to_voxel(map_self_other.apply_array(phys))
-    lim = np.asarray(geom_other.dims, dtype=np.float64) - 1.0
-    ok &= np.all((mapped >= -1e-9) & (mapped <= lim + 1e-9), axis=1)
+    ok = win_self.in_grid(win_self.physical_to_voxel(source))
+    ok &= win_other.in_grid(win_other.physical_to_voxel(source))
+    ok &= geom_other.in_grid(geom_other.physical_to_voxel(map_self_other.apply_array(phys)))
     return ok.reshape(geom_self.shape_zyx)

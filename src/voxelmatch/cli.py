@@ -96,7 +96,6 @@ def _load_run_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.train = replace(cfg.train, seed=args.seed)
-        cfg.augment = replace(cfg.augment, seed=args.seed)
         cfg.phantom = replace(cfg.phantom, seed=args.seed)
     for line in resolved_lines(cfg):
         print(line, file=sys.stderr)

@@ -126,8 +126,6 @@ def load_config(path) -> RunConfig:
 
         if cfg.train.seed == TrainConfig().seed:
             cfg.train = replace(cfg.train, seed=cfg.seed)
-        if cfg.augment.seed == AugmentSpec().seed:
-            cfg.augment = replace(cfg.augment, seed=cfg.seed)
         if cfg.phantom.seed == PhantomSpec().seed:
             cfg.phantom = replace(cfg.phantom, seed=cfg.seed)
     return cfg

@@ -2,21 +2,23 @@
 
 A fixed multi-scale descriptor bank (Gaussian gradient and Laplacian
 responses plus local standard deviations, stride-2 sampled) feeds trainable
-linear projection heads.  Each head output is L2-normalized per voxel, so the
-contrastive losses and their exact gradients are exercised end to end while
-training stays a minutes-scale deterministic computation.  Because every bank
-channel scales linearly with contrast, embeddings do not change under
-v -> a * v + b with a > 0, even for an untrained model.
+linear projection heads.  The bank has no settings: its scales, box widths
+and channel scales are module constants, and it strides each axis right
+after filtering along it, so no full-resolution response is kept.  Each head
+output is L2-normalized per voxel, so the contrastive losses and their exact
+gradients are exercised end to end while training stays a minutes-scale
+deterministic computation.  Because every bank channel scales linearly with
+contrast, embeddings do not change under v -> a * v + b with a > 0, even for
+an untrained model.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,22 @@ _ZERO_EPS = 1e-12
 # descriptor bank
 # ---------------------------------------------------------------------------
 
+SIGMAS = (1.0, 2.0, 4.0)   # Gaussian scales of the gradient and Laplacian channels
+BOX_WIDTHS = (5, 9)        # box widths of the two standard-deviation channels
+FEATURE_DIM = 11
+# Each raw response is divided by a fixed channel scale so that no channel
+# dominates the cosine geometry of the projected embeddings.  The scales are
+# the per-channel standard deviations of the stride-2 responses over
+# unit-range phantoms at working resolution (2 mm) that are not used for
+# accuracy evaluation.
+CHANNEL_SCALES = (
+    0.015, 0.015, 0.015,             # gradient components
+    0.034, 0.018, 0.009,             # gradient magnitudes
+    0.033, 0.011, 0.0035,            # Laplacians
+    0.0544, 0.0538,                  # box standard deviations
+)
+
+
 def _gauss_kernel(sigma: float) -> np.ndarray:
     r = int(math.ceil(3.0 * sigma))
     x = np.arange(-r, r + 1, dtype=np.float64)
@@ -93,19 +111,36 @@ def _gauss_second_kernel(sigma: float) -> np.ndarray:
     return k - k.sum() / len(k)  # truncation leaves a DC term; constants must vanish
 
 
-def _separable(data: np.ndarray, kx: np.ndarray, ky: np.ndarray, kz: np.ndarray) -> np.ndarray:
-    out = ndimage.correlate1d(data, kx, axis=2, mode="nearest")
-    out = ndimage.correlate1d(out, ky, axis=1, mode="nearest")
-    return ndimage.correlate1d(out, kz, axis=0, mode="nearest")
+def _halve(out: np.ndarray, axis: int) -> np.ndarray:
+    """Every second sample along ``axis``, copied so that ``out`` is freed at once."""
+    return np.ascontiguousarray(out[(slice(None),) * axis + (slice(None, None, 2),)])
 
 
-@dataclass(frozen=True)
+def _filter_halve(data: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """``correlate1d`` along ``axis``, then every second sample on that axis."""
+    return _halve(ndimage.correlate1d(data, kernel, axis=axis, mode="nearest"), axis)
+
+
+def _box_std_halved(data: np.ndarray, width: int) -> np.ndarray:
+    """Standard deviation over a ``width``-voxel box, on the stride-2 grid.
+
+    The box means run along axes 0, 1, 2, the order of ``uniform_filter``,
+    and each axis is strided right after it is filtered.
+    """
+    mean, sq = data, data * data
+    for axis in (0, 1, 2):
+        mean = _halve(ndimage.uniform_filter1d(mean, width, axis=axis, mode="nearest"), axis)
+        sq = _halve(ndimage.uniform_filter1d(sq, width, axis=axis, mode="nearest"), axis)
+    return np.sqrt(np.clip(sq - mean * mean, 0.0, None))
+
+
 class DescriptorBank:
-    """Fixed (never trained) filter bank producing F = 11 channels per voxel.
+    """Fixed (never trained) filter bank producing ``FEATURE_DIM`` = 11 channels per voxel.
 
-    Channel layout: gradient components (x, y, z) at ``grad_scale``;
-    gradient magnitudes at ``scales``; Laplacians at ``scales``; box
-    standard deviation at ``stat_radius`` and at ``2 * stat_radius``.
+    Channel layout: gradient components (x, y, z) at sigma 2; gradient
+    magnitudes at ``SIGMAS``; Laplacians at ``SIGMAS``; box standard
+    deviations at ``BOX_WIDTHS``.  Every response is divided by its
+    ``CHANNEL_SCALES`` entry.
 
     Every channel is a derivative or a spread of the intensities, so it
     vanishes on constant volumes and scales linearly with contrast: under
@@ -116,59 +151,41 @@ class DescriptorBank:
     embedding.  Contrast reversal (a < 0) flips every channel but the
     magnitudes and spreads, so it is not covered.
 
-    Each raw response is divided by a fixed channel scale so that no channel
-    dominates the cosine geometry of the projected embeddings.  The scales
-    are the per-channel standard deviations of the stride-2 responses over
-    unit-range phantoms at working resolution (2 mm) that are not used for
-    accuracy evaluation.
+    Each 1-D response is computed once.  Per sigma, three x passes (Gaussian,
+    derivative, second derivative) feed the gradient and Laplacian terms, and
+    the Gaussian x and x-y smoothings are shared among them.  Every axis is
+    strided by 2 right after it is filtered: a 1-D pass treats each line on
+    its own, so the result is bitwise the full-resolution response sampled
+    at [::2, ::2, ::2].
     """
-
-    scales: tuple[float, float, float] = (1.0, 2.0, 4.0)
-    grad_scale: float = 2.0
-    stat_radius: int = 2
-    channel_scales: tuple = (
-        0.015, 0.015, 0.015,             # gradient components
-        0.034, 0.018, 0.009,             # gradient magnitudes
-        0.033, 0.011, 0.0035,            # Laplacians
-        0.0544, 0.0538,                  # box standard deviations
-    )
-
-    @property
-    def feature_dim(self) -> int:
-        return 3 + len(self.scales) * 2 + 2
 
     def compute(self, vol: ScalarVolume) -> tuple[np.ndarray, VolumeGeometry]:
         """Filter responses stride-2 sampled: returns ((nz2, ny2, nx2, F) float64, half geometry)."""
         data = vol.data.astype(np.float64)
-        gk = {s: _gauss_kernel(s) for s in self.scales}
-        dg = _gauss_deriv_kernel(self.grad_scale)
-        g0 = gk[self.grad_scale] if self.grad_scale in gk else _gauss_kernel(self.grad_scale)
-        gx = _separable(data, dg, g0, g0)
-        gy = _separable(data, g0, dg, g0)
-        gz = _separable(data, g0, g0, dg)
-        channels = [gx, gy, gz]
-        for s in self.scales:
-            d_s = _gauss_deriv_kernel(s)
-            g_s = gk[s]
-            cx = _separable(data, d_s, g_s, g_s)
-            cy = _separable(data, g_s, d_s, g_s)
-            cz = _separable(data, g_s, g_s, d_s)
-            channels.append(np.sqrt(cx * cx + cy * cy + cz * cz))
-        for s in self.scales:
-            l_s = _gauss_second_kernel(s)
-            g_s = gk[s]
-            log_resp = (
-                _separable(data, l_s, g_s, g_s)
-                + _separable(data, g_s, l_s, g_s)
-                + _separable(data, g_s, g_s, l_s)
+        mags, laps = [], []
+        for sigma in SIGMAS:
+            g = _gauss_kernel(sigma)
+            d = _gauss_deriv_kernel(sigma)
+            d2 = _gauss_second_kernel(sigma)
+            xg, xd, xl = (_filter_halve(data, k, 2) for k in (g, d, d2))
+            xg_yg = _filter_halve(xg, g, 1)
+            cx = _filter_halve(_filter_halve(xd, g, 1), g, 0)
+            cy = _filter_halve(_filter_halve(xg, d, 1), g, 0)
+            cz = _filter_halve(xg_yg, d, 0)
+            if sigma == 2.0:
+                grads = [cx, cy, cz]
+            mags.append(np.sqrt(cx * cx + cy * cy + cz * cz))
+            laps.append(
+                _filter_halve(_filter_halve(xl, g, 1), g, 0)
+                + _filter_halve(_filter_halve(xg, d2, 1), g, 0)
+                + _filter_halve(xg_yg, d2, 0)
             )
-            channels.append(log_resp)
-        for size in (2 * self.stat_radius + 1, 4 * self.stat_radius + 1):
-            mean = ndimage.uniform_filter(data, size=size, mode="nearest")
-            sq = ndimage.uniform_filter(data * data, size=size, mode="nearest")
-            channels.append(np.sqrt(np.clip(sq - mean * mean, 0.0, None)))
-        feats = np.stack(channels, axis=-1)[::2, ::2, ::2, :] / np.asarray(self.channel_scales)
-        return np.ascontiguousarray(feats), half_geometry(vol.geometry)
+        boxes = [_box_std_halved(data, w) for w in BOX_WIDTHS]
+        feats = np.stack(grads + mags + laps + boxes, axis=-1) / np.asarray(CHANNEL_SCALES)
+        return feats, half_geometry(vol.geometry)
+
+
+_BANK = DescriptorBank()
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +203,6 @@ class ProjectionModel:
     tau_semantic: float = 0.5
     tau_cross: float = 0.5
     round_index: int = 0
-    config_hash: str = ""
-    bank: DescriptorBank = field(default_factory=DescriptorBank)
 
     def __post_init__(self):
         self.w_coarse = np.ascontiguousarray(self.w_coarse, dtype=np.float64)
@@ -213,20 +228,19 @@ class ProjectionModel:
             self.w_coarse.copy(), self.w_fine.copy(),
             None if self.w_semantic is None else self.w_semantic.copy(),
             self.tau_appearance, self.tau_semantic, self.tau_cross,
-            self.round_index, self.config_hash, self.bank,
+            self.round_index,
         )
 
 
 def new_model(
     rng: np.random.Generator,
-    feature_dim: int = DescriptorBank().feature_dim,
     embedding_dim: int = 128,
     with_semantic: bool = False,
     **kwargs,
 ) -> ProjectionModel:
-    """Fresh model with N(0, 1/sqrt(F)) heads drawn from ``rng``."""
-    scale = 1.0 / math.sqrt(feature_dim)
-    shape = (feature_dim, embedding_dim)
+    """Fresh model with N(0, 1/sqrt(F)) heads drawn from ``rng``, F = ``FEATURE_DIM``."""
+    scale = 1.0 / math.sqrt(FEATURE_DIM)
+    shape = (FEATURE_DIM, embedding_dim)
     w_c = rng.normal(0.0, scale, shape)
     w_f = rng.normal(0.0, scale, shape)
     w_s = rng.normal(0.0, scale, shape) if with_semantic else None
@@ -343,7 +357,7 @@ def _smooth_coarse(feats: np.ndarray, sigma: float = 4.0) -> np.ndarray:
 
 def embed(vol: ScalarVolume, model: ProjectionModel) -> EmbeddingSet:
     """Per-voxel embeddings on the half-resolution grid (coarse, fine, optional semantic)."""
-    feats, geom = model.bank.compute(vol)
+    feats, geom = _BANK.compute(vol)
     if feats.shape[-1] != model.feature_dim:
         raise DimensionMismatch(
             f"bank produces {feats.shape[-1]} channels, heads expect {model.feature_dim}"
@@ -390,7 +404,6 @@ class TrainConfig:
     neg_min_dist_coarse: float = 16.0
     hard_negative_fraction: float = 0.25
     semantic_per_class: int = 64
-    feature_dim: int = DescriptorBank().feature_dim
     embedding_dim: int = 128
     with_semantic: bool = True
     seed: int = 0
@@ -402,10 +415,6 @@ class TrainConfig:
             raise ValueError("temperatures must be positive")
         if not 0.0 < self.hard_negative_fraction <= 1.0:
             raise ValueError("hard_negative_fraction must lie in (0, 1]")
-
-    def digest(self) -> str:
-        text = ",".join(f"{k}={v}" for k, v in sorted(vars(self).items()))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _half_lattice_points(mask_full: np.ndarray) -> np.ndarray:
@@ -622,13 +631,8 @@ def _registered_to_patch_pair(reg) -> PatchPair:
     """View a registered pair as a patch pair: moving is side A, fixed crop side B."""
     moving, fixed = reg.moving, reg.fixed_crop
     ga, gb = moving.geometry, fixed.geometry
-    ax = [np.arange(ga.dims[i], dtype=np.float64) for i in range(3)]
-    zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    mapped = gb.physical_to_voxel(reg.rigid.apply_array(ga.voxel_to_physical(pts)))
-    lim = np.asarray(gb.dims, dtype=np.float64) - 1.0
-    inside = np.all((mapped >= -1e-9) & (mapped <= lim + 1e-9), axis=1)
-    overlap_a = inside.reshape(ga.shape_zyx)
+    mapped = gb.physical_to_voxel(reg.rigid.apply_array(ga.voxel_to_physical(ga.voxel_points())))
+    overlap_a = gb.in_grid(mapped).reshape(ga.shape_zyx)
     overlap_b = reg.overlap_mask.data.astype(bool)
     return PatchPair(
         patch_a=moving, patch_b=fixed, map_ab=reg.rigid.as_affine(),
@@ -681,11 +685,10 @@ def train(
             )
     else:
         model = new_model(
-            rng, cfg.feature_dim, cfg.embedding_dim, with_semantic,
+            rng, cfg.embedding_dim, with_semantic,
             tau_appearance=cfg.tau_appearance, tau_semantic=cfg.tau_semantic,
             tau_cross=cfg.tau_cross,
         )
-    model.config_hash = cfg.digest()
 
     if augment_spec is None:
         augment_spec = AugmentSpec(aggressive=(mode != "standard"))
@@ -708,8 +711,8 @@ def train(
                 key = id(reg)
                 if key not in reg_cache:
                     pp = _registered_to_patch_pair(reg)
-                    fa, _ = model.bank.compute(pp.patch_a)
-                    fb, _ = model.bank.compute(pp.patch_b)
+                    fa, _ = _BANK.compute(pp.patch_a)
+                    fb, _ = _BANK.compute(pp.patch_b)
                     reg_cache[key] = (pp, fa, fb)
                 pp, feats_a, feats_b = reg_cache[key]
                 labels_here = False
@@ -719,8 +722,8 @@ def train(
                     vol, lab if with_semantic else None, augment_spec,
                     int(rng.integers(2**63)),
                 )
-                feats_a, _ = model.bank.compute(pp.patch_a)
-                feats_b, _ = model.bank.compute(pp.patch_b)
+                feats_a, _ = _BANK.compute(pp.patch_a)
+                feats_b, _ = _BANK.compute(pp.patch_b)
                 labels_here = with_semantic and pp.labels_a is not None
             fa_flat = feats_a.reshape(-1, model.feature_dim)
             fb_flat = feats_b.reshape(-1, model.feature_dim)

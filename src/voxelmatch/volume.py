@@ -95,6 +95,17 @@ class VolumeGeometry:
         pts = np.asarray(pts, dtype=np.float64)
         return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
 
+    def voxel_points(self) -> np.ndarray:
+        """Every voxel index as (N, 3) float64 (x, y, z) rows, in C order of the (z, y, x) data."""
+        ax = [np.arange(self.dims[i], dtype=np.float64) for i in range(3)]
+        zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
+        return np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+
+    def in_grid(self, pts) -> np.ndarray:
+        """Per (x, y, z) voxel coordinate row: inside the grid, up to 1e-9 voxel."""
+        lim = np.asarray(self.dims, dtype=np.float64) - 1.0
+        return np.all((pts >= -1e-9) & (pts <= lim + 1e-9), axis=1)
+
 
 @dataclass
 class ScalarVolume:

@@ -67,6 +67,21 @@ class TestRunConfigExitCodes:
         assert "[run]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section,line", [("train", "feature_dim = 16"), ("augment", "seed = 3")]
+    )
+    def test_removed_key_is_a_data_error(self, tmp_path, capsys, section, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"[{section}]\n{line}\n")
+        write_lms(tmp_path / "lms.txt")
+        code = cli.main([
+            "--config", str(conf), "eval", str(tmp_path / "lms.txt"), str(tmp_path / "lms.txt"),
+        ])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"unknown key [{section}]" in err
+        assert "Traceback" not in err
+
 
 class TestMatchCommand:
     @staticmethod

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from voxelmatch.augment import AugmentSpec, sample_patch_pair
 from voxelmatch.errors import (
@@ -18,6 +19,8 @@ from voxelmatch.errors import (
 from voxelmatch.losses import appearance_infonce, proto_supcon
 from voxelmatch.matching import EmbeddingSet
 from voxelmatch.model import (
+    CHANNEL_SCALES,
+    FEATURE_DIM,
     DescriptorBank,
     ProjectionModel,
     TrainConfig,
@@ -37,6 +40,31 @@ from voxelmatch.volume import ScalarVolume, VolumeGeometry, resample
 BANK = DescriptorBank()
 
 
+def full_resolution_bank(data):
+    """Reference bank: every response at full resolution, then sampled at [::2, ::2, ::2]."""
+    data = data.astype(np.float64)
+
+    def separable(kx, ky, kz):
+        out = ndimage.correlate1d(data, kx, axis=2, mode="nearest")
+        out = ndimage.correlate1d(out, ky, axis=1, mode="nearest")
+        return ndimage.correlate1d(out, kz, axis=0, mode="nearest")
+
+    g2, d2 = _gauss_kernel(2.0), _gauss_deriv_kernel(2.0)
+    channels = [separable(d2, g2, g2), separable(g2, d2, g2), separable(g2, g2, d2)]
+    for s in (1.0, 2.0, 4.0):
+        g, d = _gauss_kernel(s), _gauss_deriv_kernel(s)
+        cx, cy, cz = separable(d, g, g), separable(g, d, g), separable(g, g, d)
+        channels.append(np.sqrt(cx * cx + cy * cy + cz * cz))
+    for s in (1.0, 2.0, 4.0):
+        g, l2 = _gauss_kernel(s), _gauss_second_kernel(s)
+        channels.append(separable(l2, g, g) + separable(g, l2, g) + separable(g, g, l2))
+    for size in (5, 9):
+        mean = ndimage.uniform_filter(data, size=size, mode="nearest")
+        sq = ndimage.uniform_filter(data * data, size=size, mode="nearest")
+        channels.append(np.sqrt(np.clip(sq - mean * mean, 0.0, None)))
+    return np.stack(channels, axis=-1)[::2, ::2, ::2, :] / np.asarray(CHANNEL_SCALES)
+
+
 def scalar(rng, dims=(16, 16, 16), spacing=2.0):
     return ScalarVolume(
         VolumeGeometry(dims, (spacing,) * 3),
@@ -45,6 +73,23 @@ def scalar(rng, dims=(16, 16, 16), spacing=2.0):
 
 
 class TestDescriptorBank:
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1), (2, 3, 5), (7, 9, 11), (16, 10, 12), (17, 40, 23)],
+        ids=lambda d: "x".join(map(str, d)),
+    )
+    def test_bitwise_equal_to_full_resolution_oracle(self, dims):
+        # exact equality: a reordered sum or filter pass moves results by
+        # ~1e-14, which a tolerance would hide
+        vol = scalar(np.random.default_rng(sum(dims)), dims)
+        feats, geom = BANK.compute(vol)
+        expected = full_resolution_bank(vol.data)
+        assert feats.shape == expected.shape == (*geom.shape_zyx, FEATURE_DIM)
+        assert np.array_equal(feats, expected)
+
+    def test_bitwise_equal_to_full_resolution_oracle_on_phantom(self):
+        vol = gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=62))[0]
+        assert np.array_equal(BANK.compute(vol)[0], full_resolution_bank(vol.data))
+
     def test_constant_volume_zeroes_derivative_channels(self):
         vol = ScalarVolume(VolumeGeometry((12, 12, 12)), np.full((12, 12, 12), 0.6, np.float32))
         feats, geom = BANK.compute(vol)
@@ -60,7 +105,7 @@ class TestDescriptorBank:
         data[16, 16, 16] = 1.0
         vol = ScalarVolume(VolumeGeometry((n, n, n)), data)
         feats, _ = BANK.compute(vol)
-        raw = feats * np.asarray(BANK.channel_scales)
+        raw = feats * np.asarray(CHANNEL_SCALES)
         g1 = _gauss_kernel(1.0)
         d1 = _gauss_deriv_kernel(1.0)
         r = len(g1) // 2
@@ -74,9 +119,9 @@ class TestDescriptorBank:
             cz = sx * sy * d1[r - 2 * dz]
             expected = math.sqrt(cx * cx + cy * cy + cz * cz)
             assert abs(raw[8 + dz, 8 + dy, 8 + dx, 3] - expected) < 1e-12
-        # channel 0: x gradient at the bank's gradient scale
-        dg = _gauss_deriv_kernel(BANK.grad_scale)
-        g0 = _gauss_kernel(BANK.grad_scale)
+        # channel 0: x gradient at sigma 2
+        dg = _gauss_deriv_kernel(2.0)
+        g0 = _gauss_kernel(2.0)
         r2 = len(g0) // 2
         expected = dg[r2 - 2] * g0[r2] * g0[r2]  # two full-res voxels past the impulse
         assert abs(raw[8, 8, 9, 0] - expected) < 1e-12
@@ -101,7 +146,7 @@ class TestDescriptorBank:
         )
 
     def test_feature_dim(self):
-        assert BANK.feature_dim == 11
+        assert FEATURE_DIM == 11
         vol = ScalarVolume(VolumeGeometry((8, 8, 8)), np.zeros((8, 8, 8), np.float32))
         feats, _ = BANK.compute(vol)
         assert feats.shape == (4, 4, 4, 11)
@@ -111,7 +156,7 @@ class TestEmbed:
     def test_zero_weights_trigger_zero_vector_rule(self):
         rng = np.random.default_rng(1)
         vol = scalar(rng, (8, 8, 8))
-        model = ProjectionModel(np.zeros((BANK.feature_dim, 8)), np.zeros((BANK.feature_dim, 8)))
+        model = ProjectionModel(np.zeros((FEATURE_DIM, 8)), np.zeros((FEATURE_DIM, 8)))
         out = embed(vol, model)
         n_vox = 4 * 4 * 4
         assert out.fine.zero_substitutions == n_vox
@@ -132,7 +177,7 @@ class TestEmbed:
         vol = scalar(rng, (10, 10, 10))
         model = new_model(rng, embedding_dim=32)
         out = embed(vol, model)
-        feats, _ = model.bank.compute(vol)
+        feats, _ = BANK.compute(vol)
         for idx in [(0, 0, 0), (2, 3, 4), (4, 4, 4)]:
             v = feats[idx] @ model.w_fine
             v = v / np.linalg.norm(v)
