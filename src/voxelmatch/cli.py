@@ -147,15 +147,24 @@ def _cmd_phantom_gen(args, cfg: RunConfig) -> int:
 
 
 def _cmd_embed(args, cfg: RunConfig) -> int:
+    """Write each head's D-wide embeddings: its frame vectors times Q^T (see ``model.head_frame``)."""
     vol = volume.read_volume(args.volume)
     mdl = model_mod.load_model(args.model)
     emb = model_mod.embed(vol, mdl)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    volume.write_volume(emb.coarse, out / "coarse.evf")
-    volume.write_volume(emb.fine, out / "fine.evf")
-    if emb.semantic is not None:
-        volume.write_volume(emb.semantic, out / "semantic.evf")
+    for name, w in (("coarse", mdl.w_coarse), ("fine", mdl.w_fine), ("semantic", mdl.w_semantic)):
+        if w is None:
+            continue
+        frame = getattr(emb, name)
+        data = frame.data.reshape(-1, frame.channels) @ model_mod.head_frame(w)[1]
+        volume.write_volume(
+            volume.EmbeddingVolume(
+                frame.geometry, data.reshape(*frame.data.shape[:3], -1).astype(np.float32),
+                normalized=True, zero_substitutions=frame.zero_substitutions,
+            ),
+            out / f"{name}.evf",
+        )
     print(f"wrote embeddings to {out}")
     return 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, OutOfBounds
+from .errors import DegenerateGeometry, DimensionMismatch, OutOfBounds
 from .geometry import Point3, fit_affine
 from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many
 
@@ -160,6 +160,11 @@ class _PairMatcher:
                 continue
             if getattr(a, name) is None or getattr(b, name) is None:
                 raise ValueError(f"weight for missing head {name!r} must be zero")
+            if getattr(a, name).channels != getattr(b, name).channels:
+                raise DimensionMismatch(
+                    f"head {name!r} has {getattr(a, name).channels} channels in the template "
+                    f"and {getattr(b, name).channels} in the query"
+                )
             self.heads.append((name, weight))
         if not self.heads:
             raise ValueError("at least one head must have positive weight")

@@ -10,6 +10,20 @@ gradients are exercised end to end while training stays a minutes-scale
 deterministic computation.  Because every bank channel scales linearly with
 contrast, embeddings do not change under v -> a * v + b with a > 0, even for
 an untrained model.
+
+The head frame.  A head is a bias-free (F, D) matrix W with F = 11 bank
+channels and D = 128, so its embeddings normalize(f W) span at most
+k = min(F, D) dimensions.  Take the thin QR W^T = Q R (``head_frame``).  Then
+f W = (f R^T) Q^T, and Q^T has orthonormal rows, so it keeps lengths and
+inner products: normalize(f W) = normalize(f R^T) Q^T.  The k-wide vector
+normalize(f R^T) is the voxel's frame vector, an exact isometric copy of its
+D-wide embedding.  Matching uses only inner products and linear blends of
+embeddings of one head, and so do the losses and their gradients, so
+``embed``, ``grid_match`` and ``train`` all run on frame vectors and give
+the same similarities.  Only files written for other tools (``voxelmatch
+embed``) carry the D-wide vectors, frame @ Q^T.  The one zero-vector rule
+(``volume.unit_rows``) maps a zero row to the frame's e1, which exports as
+Q's first column.
 """
 
 from __future__ import annotations
@@ -49,12 +63,14 @@ from .volume import (
     ScalarVolume,
     VolumeGeometry,
     half_geometry,
+    unit_rows,
 )
 
 __all__ = [
     "DescriptorBank",
     "ProjectionModel",
     "TrainConfig",
+    "head_frame",
     "embed",
     "sample_training_batch",
     "train",
@@ -64,8 +80,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_ZERO_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +348,22 @@ def load_model(src) -> ProjectionModel:
 # embedding
 # ---------------------------------------------------------------------------
 
-def _project(flat_feats: np.ndarray, w: np.ndarray):
-    """Project and normalize: returns unit vectors, raw norms, and the zero mask."""
-    v = flat_feats @ w
-    norms = np.linalg.norm(v, axis=1)
-    zero = norms <= _ZERO_EPS
-    e = np.empty_like(v)
-    np.divide(v, norms[:, None], out=e, where=~zero[:, None])
-    if zero.any():
-        e[zero] = 0.0
-        e[zero, 0] = 1.0
-    return e, norms, zero
+def head_frame(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame (R^T, Q^T) of a head ``w`` (F, D), from the thin QR W^T = Q R.
+
+    R^T is (F, k) and Q^T (k, D) with orthonormal rows, k = min(F, D), and
+    W = R^T Q^T.  A voxel's frame vector is normalize(f R^T); times Q^T it is
+    its embedding normalize(f W).
+    """
+    q, r = np.linalg.qr(w.T)
+    return r.T, q.T
+
+
+def _check_feature_dim(model: ProjectionModel) -> None:
+    if model.feature_dim != FEATURE_DIM:
+        raise DimensionMismatch(
+            f"bank produces {FEATURE_DIM} channels, heads expect {model.feature_dim}"
+        )
 
 
 def _smooth_coarse(feats: np.ndarray, sigma: float = 4.0) -> np.ndarray:
@@ -356,18 +375,21 @@ def _smooth_coarse(feats: np.ndarray, sigma: float = 4.0) -> np.ndarray:
 
 
 def embed(vol: ScalarVolume, model: ProjectionModel) -> EmbeddingSet:
-    """Per-voxel embeddings on the half-resolution grid (coarse, fine, optional semantic)."""
+    """Per-voxel frame vectors on the half-resolution grid (coarse, fine, optional semantic).
+
+    Each head's volume holds normalize(f R^T), k = min(F, D) channels wide
+    (see ``head_frame``): inner products, and so every match, equal those of
+    the D-wide embeddings normalize(f W), which are these vectors times Q^T.
+    Raises ``DimensionMismatch`` when the heads' F is not ``FEATURE_DIM``.
+    """
+    _check_feature_dim(model)
     feats, geom = _BANK.compute(vol)
-    if feats.shape[-1] != model.feature_dim:
-        raise DimensionMismatch(
-            f"bank produces {feats.shape[-1]} channels, heads expect {model.feature_dim}"
-        )
-    flat = feats.reshape(-1, model.feature_dim)
-    flat_coarse = _smooth_coarse(feats).reshape(-1, model.feature_dim)
+    flat = feats.reshape(-1, FEATURE_DIM)
+    flat_coarse = _smooth_coarse(feats).reshape(-1, FEATURE_DIM)
     shape = geom.shape_zyx
 
     def head(w, source):
-        e, _, zero = _project(source, w)
+        e, _, zero = unit_rows(source @ head_frame(w)[0])
         count = int(zero.sum())
         if count:
             log.warning("embed substituted %d zero vectors", count)
@@ -580,15 +602,18 @@ def _norm_backprop(g_e, e, norms, zero):
 
 
 class _SideState:
-    """Embeddings plus normalization bookkeeping of one patch side under the current W."""
+    """Frame vectors plus normalization bookkeeping of one patch side under the current W.
 
-    def __init__(self, feats_flat, feats_coarse_flat, model, with_semantic):
+    ``r_t`` maps each trained head name to its R^T (see ``head_frame``).
+    """
+
+    def __init__(self, feats_flat, feats_coarse_flat, r_t):
         self.feats = feats_flat
         self.feats_coarse = feats_coarse_flat
-        self.e_fine, self.n_fine, self.z_fine = _project(feats_flat, model.w_fine)
-        self.e_coarse, self.n_coarse, self.z_coarse = _project(feats_coarse_flat, model.w_coarse)
-        if with_semantic and model.w_semantic is not None:
-            self.e_sem, self.n_sem, self.z_sem = _project(feats_flat, model.w_semantic)
+        self.e_fine, self.n_fine, self.z_fine = unit_rows(feats_flat @ r_t["fine"])
+        self.e_coarse, self.n_coarse, self.z_coarse = unit_rows(feats_coarse_flat @ r_t["coarse"])
+        if "semantic" in r_t:
+            self.e_sem, self.n_sem, self.z_sem = unit_rows(feats_flat @ r_t["semantic"])
         else:
             self.e_sem = None
 
@@ -656,10 +681,20 @@ def train(
     aggressive intensity augmentation, appearance heads only), ``paired``
     (alternates aggressive self-supervised batches with cross-modality
     batches drawn from ``registered_pairs``).  Deterministic given the seed;
-    returns (model, per-step loss log).
+    returns (model, per-step loss log).  Raises ``DimensionMismatch`` when
+    ``init``'s heads' F is not ``FEATURE_DIM``.
+
+    Each step works in the head frames of the current W (see ``head_frame``):
+    it embeds with R^T, samples and evaluates the losses on k-wide frame
+    vectors and backprops an (F, k) gradient G.  Every loss gradient with
+    respect to an embedding is a combination of embeddings, so it lies in
+    the row space of Q^T, and the D-wide gradient of W is exactly G Q^T.
+    The momentum update runs on W.
     """
     if mode not in ("standard", "aggressive", "paired"):
         raise ValueError(f"unknown training mode {mode!r}")
+    if init is not None:
+        _check_feature_dim(init)
     items = []
     for entry in dataset:
         if isinstance(entry, ScalarVolume):
@@ -702,7 +737,9 @@ def train(
     log_rows = []
 
     for step_i in range(cfg.steps):
-        grads = {h: np.zeros_like(w) for h, w in weights.items()}
+        frames = {h: head_frame(w) for h, w in weights.items()}
+        r_t = {h: f[0] for h, f in frames.items()}
+        grads = {h: np.zeros_like(r) for h, r in r_t.items()}
         losses_acc = {"fine": 0.0, "coarse": 0.0, "semantic": float("nan")}
         for _ in range(cfg.batch_size):
             paired_step = mode == "paired" and step_i % 2 == 1
@@ -725,12 +762,12 @@ def train(
                 feats_a, _ = _BANK.compute(pp.patch_a)
                 feats_b, _ = _BANK.compute(pp.patch_b)
                 labels_here = with_semantic and pp.labels_a is not None
-            fa_flat = feats_a.reshape(-1, model.feature_dim)
-            fb_flat = feats_b.reshape(-1, model.feature_dim)
-            fa_coarse = _smooth_coarse(feats_a).reshape(-1, model.feature_dim)
-            fb_coarse = _smooth_coarse(feats_b).reshape(-1, model.feature_dim)
-            side_a = _SideState(fa_flat, fa_coarse, model, with_semantic)
-            side_b = _SideState(fb_flat, fb_coarse, model, with_semantic)
+            fa_flat = feats_a.reshape(-1, FEATURE_DIM)
+            fb_flat = feats_b.reshape(-1, FEATURE_DIM)
+            fa_coarse = _smooth_coarse(feats_a).reshape(-1, FEATURE_DIM)
+            fb_coarse = _smooth_coarse(feats_b).reshape(-1, FEATURE_DIM)
+            side_a = _SideState(fa_flat, fa_coarse, r_t)
+            side_b = _SideState(fb_flat, fb_coarse, r_t)
             set_a = side_a.embedding_set(half_geometry(pp.patch_a.geometry))
             set_b = side_b.embedding_set(half_geometry(pp.patch_b.geometry))
             try:
@@ -763,6 +800,7 @@ def train(
                         grads, "semantic", side_a, "feats", block_idx,
                         grad_block / total, side_a.e_sem, side_a.n_sem, side_a.z_sem,
                     )
+        grads = {h: g @ frames[h][1] for h, g in grads.items()}
         if not all(np.all(np.isfinite(g)) for g in grads.values()):
             raise DivergedLoss(f"non-finite gradient at step {step_i}")
         if any(

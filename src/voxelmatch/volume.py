@@ -44,6 +44,7 @@ __all__ = [
     "resample",
     "trilinear_sample",
     "trilinear_sample_many",
+    "unit_rows",
     "l2_normalize",
     "concat_embeddings",
     "body_mask",
@@ -55,7 +56,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_ZERO_NORM_EPS = 1e-12  # below this a voxel vector counts as zero and gets the e1 substitute
+_ZERO_NORM_EPS = 1e-12  # at or below this a voxel vector counts as zero (see unit_rows)
 
 
 @dataclass(frozen=True)
@@ -332,24 +333,34 @@ def resample(vol: ScalarVolume, new_spacing) -> ScalarVolume:
     )
 
 
-def _e1(d: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.float64)
-    v[0] = 1.0
-    return v
+def unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``v`` scaled to unit length: returns (unit rows, norms, zero mask).
+
+    The one zero-vector rule: a row whose norm is at most 1e-12 becomes e1
+    of the space the rows live in.
+    """
+    norms = np.linalg.norm(v, axis=1)
+    zero = norms <= _ZERO_NORM_EPS
+    e = np.empty_like(v)
+    np.divide(v, norms[:, None], out=e, where=~zero[:, None])
+    if zero.any():
+        e[zero] = 0.0
+        e[zero, 0] = 1.0
+    return e, norms, zero
 
 
 def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
     """Trilinear samples of an embedding grid at continuous voxel coordinates.
 
     ``pts`` is (N, 3) in (x, y, z) voxel units of the embedding grid.  When
-    the volume is normalized the blended vectors are re-normalized; an
-    all-zero blend falls back to the fixed e1 substitute.
+    the volume is normalized the blended vectors are re-normalized by
+    ``unit_rows``, so an all-zero blend becomes e1.
     """
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
     nx, ny, nz = emb.geometry.dims
     d = emb.channels
     lims = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
-    if np.any(pts < -1e-9) or np.any(pts > lims + 1e-9):
+    if not emb.geometry.in_grid(pts).all():
         raise OutOfBounds("sample coordinate outside the embedding grid")
     pts = np.clip(pts, 0.0, lims)
     base = np.floor(pts).astype(np.int64)
@@ -373,10 +384,7 @@ def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
                 flat = (iz * ny + iy) * nx + ix
                 out += w[:, None] * data[flat]
     if emb.normalized:
-        norms = np.linalg.norm(out, axis=1)
-        zero = norms <= _ZERO_NORM_EPS
-        out[~zero] /= norms[~zero, None]
-        out[zero] = _e1(d)
+        out = unit_rows(out)[0]
     return out
 
 
@@ -390,13 +398,8 @@ def trilinear_sample(emb: EmbeddingVolume, p) -> np.ndarray:
 
 
 def l2_normalize(emb: EmbeddingVolume) -> EmbeddingVolume:
-    """Return a unit-norm copy; zero vectors become e1 and are tallied."""
-    flat = emb.data.reshape(-1, emb.channels).astype(np.float64)
-    norms = np.linalg.norm(flat, axis=1)
-    zero = norms <= _ZERO_NORM_EPS
-    out = np.empty_like(flat)
-    out[~zero] = flat[~zero] / norms[~zero, None]
-    out[zero] = _e1(emb.channels)
+    """Return a unit-norm copy; zero vectors become e1 (``unit_rows``) and are tallied."""
+    out, _, zero = unit_rows(emb.data.reshape(-1, emb.channels).astype(np.float64))
     count = int(zero.sum())
     if count:
         log.warning("l2_normalize substituted %d zero vectors", count)

@@ -6,7 +6,7 @@ import pytest
 from voxelmatch import alignment, cli
 from voxelmatch.geometry import Point3
 from voxelmatch.metrics import write_landmarks
-from voxelmatch.model import new_model, save_model
+from voxelmatch.model import DescriptorBank, ProjectionModel, head_frame, new_model, save_model
 from voxelmatch.phantom import PhantomSpec, gen_phantom
 from voxelmatch.volume import (
     Box3,
@@ -14,6 +14,7 @@ from voxelmatch.volume import (
     VolumeGeometry,
     crop,
     l2_normalize,
+    read_volume,
     resample,
     write_volume,
 )
@@ -105,6 +106,45 @@ class TestMatchCommand:
         assert code == cli.DATA_ERROR
         err = capsys.readouterr().err
         assert "outside the volume" in err
+        assert "Traceback" not in err
+
+
+class TestEmbedCommand:
+    @staticmethod
+    def run(tmp_path, mdl):
+        vol = resample(gen_phantom(PhantomSpec(dims=(40, 40, 40), seed=8))[0], 2.0)
+        write_volume(vol, tmp_path / "vol.evf")
+        save_model(mdl, tmp_path / "model.uaem")
+        code = cli.main(["embed", str(tmp_path / "vol.evf"), str(tmp_path / "model.uaem"), str(tmp_path / "out")])
+        return code, vol
+
+    def test_writes_each_head_as_normalized_full_width_embeddings(self, tmp_path, capsys):
+        mdl = new_model(np.random.default_rng(3), with_semantic=True)
+        mdl.w_coarse = np.zeros_like(mdl.w_coarse)  # every coarse voxel is a zero vector
+        code, vol = self.run(tmp_path, mdl)
+        assert code == 0
+        assert "wrote embeddings" in capsys.readouterr().out
+        feats, _ = DescriptorBank().compute(vol)
+        flat = feats.reshape(-1, feats.shape[-1])
+        for head in ("coarse", "fine", "semantic"):
+            out = read_volume(tmp_path / "out" / f"{head}.evf")
+            assert out.normalized and out.channels == mdl.embedding_dim
+            got = out.data.reshape(-1, mdl.embedding_dim)
+            w = getattr(mdl, f"w_{head}")
+            if head == "coarse":  # the zero-vector rule: the frame's e1, i.e. Q's first column
+                np.testing.assert_allclose(got, np.broadcast_to(head_frame(w)[1][0], got.shape), atol=1e-6)
+                continue
+            v = flat @ w
+            norms = np.linalg.norm(v, axis=1)
+            keep = norms > 1e-12
+            np.testing.assert_allclose(got[keep], v[keep] / norms[keep, None], rtol=0, atol=1e-5)
+
+    def test_heads_of_the_wrong_feature_dim_are_a_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        code, _ = self.run(tmp_path, ProjectionModel(rng.normal(size=(8, 16)), rng.normal(size=(8, 16))))
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "heads expect 8" in err
         assert "Traceback" not in err
 
 

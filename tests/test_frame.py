@@ -1,0 +1,242 @@
+"""The head frame: matching and training on k-wide frame vectors against D-wide oracles.
+
+The oracles here are the D-wide computation the frame replaces: embeddings
+normalize(f W) and gradients chained through them.  They follow the one
+zero-vector rule, under which a zero row's embedding is Q's first column
+(the frame's e1 mapped out), so frame and oracle agree everywhere.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from voxelmatch import model as model_mod
+from voxelmatch.alignment import AlignConfig, register_and_crop
+from voxelmatch.augment import AugmentSpec
+from voxelmatch.geometry import rigid_about, rotation_matrix
+from voxelmatch.losses import appearance_infonce, crossmod_infonce, proto_supcon
+from voxelmatch.matching import EmbeddingSet, FixpointConfig, SimilarityWeights, grid_match
+from voxelmatch.model import (
+    FEATURE_DIM,
+    DescriptorBank,
+    TrainConfig,
+    _smooth_coarse,
+    embed,
+    head_frame,
+    new_model,
+    sample_training_batch,
+    train,
+)
+from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
+from voxelmatch.volume import EmbeddingVolume, half_geometry, resample
+
+BANK = DescriptorBank()
+
+
+def reference_unit_rows(v, w):
+    """normalize(v) with a zero row mapped to Q's first column; also the norms and zero mask."""
+    norms = np.linalg.norm(v, axis=1)
+    zero = norms <= 1e-12
+    e = v / np.where(zero, 1.0, norms)[:, None]
+    e[zero] = head_frame(w)[1][0]
+    return e, norms, zero
+
+
+def reference_heads(feats, mdl, heads):
+    """D-wide embeddings normalize(f W) of each head: name -> (feats, e, norms, zero)."""
+    flat = feats.reshape(-1, FEATURE_DIM)
+    flat_coarse = _smooth_coarse(feats).reshape(-1, FEATURE_DIM)
+    out = {}
+    for h in heads:
+        f = flat_coarse if h == "coarse" else flat
+        w = getattr(mdl, f"w_{h}")
+        out[h] = (f, *reference_unit_rows(f @ w, w))
+    return out
+
+
+def reference_set(heads, geom, dtype):
+    vols = {
+        h: EmbeddingVolume(geom, e.reshape(*geom.shape_zyx, -1).astype(dtype), normalized=True)
+        for h, (_, e, _, _) in heads.items()
+    }
+    return EmbeddingSet(coarse=vols["coarse"], fine=vols["fine"], semantic=vols.get("semantic"))
+
+
+def reference_embed(vol, mdl):
+    """What ``embed`` returned before the frame: float32 D-wide embeddings."""
+    feats, geom = BANK.compute(vol)
+    names = ["coarse", "fine"] + (["semantic"] if mdl.w_semantic is not None else [])
+    return reference_set(reference_heads(feats, mdl, names), geom, np.float32)
+
+
+class TestHeadFrame:
+    @pytest.mark.parametrize("d", [128, 32, 11, 8])
+    def test_frame_factors_the_head(self, d):
+        w = np.random.default_rng(d).normal(size=(FEATURE_DIM, d))
+        r_t, q_t = head_frame(w)
+        k = min(FEATURE_DIM, d)
+        assert r_t.shape == (FEATURE_DIM, k) and q_t.shape == (k, d)
+        np.testing.assert_allclose(r_t @ q_t, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q_t @ q_t.T, np.eye(k), rtol=0, atol=1e-12)
+
+    def test_embed_emits_frame_vectors_that_map_to_the_embeddings(self):
+        vol = resample(gen_phantom(PhantomSpec(dims=(40, 40, 40), seed=5))[0], 2.0)
+        mdl = new_model(np.random.default_rng(3), with_semantic=True)
+        frame, ref = embed(vol, mdl), reference_embed(vol, mdl)
+        for h in ("coarse", "fine", "semantic"):
+            got = getattr(frame, h).data
+            assert got.shape[-1] == FEATURE_DIM
+            mapped = got.astype(np.float64) @ head_frame(getattr(mdl, f"w_{h}"))[1]
+            np.testing.assert_allclose(mapped, getattr(ref, h).data, rtol=0, atol=1e-6)
+
+
+def phantom_pair(seed, remap, dims=64):
+    rng = np.random.default_rng(seed)
+    centre = ((dims - 1) / 2.0,) * 3
+    rot = rotation_matrix(rng.normal(size=3), math.radians(rng.uniform(3.0, 10.0)))
+    truth = rigid_about(rot, centre, rng.uniform(-4.0, 4.0, size=3))
+    pp = gen_pair(PhantomSpec(dims=(dims,) * 3, seed=seed), truth, remap)
+    return resample(pp.volume_a, 2.0), resample(pp.volume_b, 2.0)
+
+
+class TestFrameMatching:
+    @pytest.mark.parametrize("cfg", [None, FixpointConfig()], ids=["nn", "fixpoint"])
+    @pytest.mark.parametrize("seed,remap", [(62, "identity"), (66, "gamma")])
+    def test_grid_match_equals_full_width_oracle(self, cfg, seed, remap):
+        moving, fixed = phantom_pair(seed, remap)
+        mdl = new_model(np.random.default_rng(3))
+        dims = half_geometry(moving.geometry).dims
+        axes = [np.arange(0, n, 3) for n in dims]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3) * 2.0
+        w = SimilarityWeights()
+        got = grid_match(pts, embed(moving, mdl), embed(fixed, mdl), w, cfg)
+        ref = grid_match(pts, reference_embed(moving, mdl), reference_embed(fixed, mdl), w, cfg)
+        assert len(got) == len(ref) == len(pts)
+        for g, r in zip(got, ref):
+            assert (g.point.x, g.point.y, g.point.z) == (r.point.x, r.point.y, r.point.z)
+            assert (g.method, g.n_fix, g.n_fixed_points_used) == (r.method, r.n_fix, r.n_fixed_points_used)
+            assert abs(g.similarity - r.similarity) < 1e-6
+
+
+def norm_backprop(g_e, e, norms, zero):
+    gv = (g_e - (g_e * e).sum(axis=1, keepdims=True) * e) / np.maximum(norms, 1e-30)[:, None]
+    gv[zero] = 0.0
+    return gv
+
+
+def reference_gradients(calls, mdl, cfg, heads):
+    """dL/dW of one step, chained through the D-wide embeddings of ``mdl``.
+
+    ``calls`` holds what each ``sample_training_batch`` call of the step got:
+    the patch pair, the random state, the FOV flag, and the frame batches.
+    The oracle samples again from the same state on D-wide embeddings and
+    checks that every index, hard negatives included, comes out the same.
+    """
+    grads = {h: np.zeros_like(getattr(mdl, f"w_{h}")) for h in heads}
+    losses = []
+    for pp, state, use_fov, frame_batches in calls:
+        side_a = reference_heads(BANK.compute(pp.patch_a)[0], mdl, heads)
+        side_b = reference_heads(BANK.compute(pp.patch_b)[0], mdl, heads)
+        set_a = reference_set(side_a, half_geometry(pp.patch_a.geometry), np.float64)
+        set_b = reference_set(side_b, half_geometry(pp.patch_b.geometry), np.float64)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        fine_b, coarse_b, labeled = sample_training_batch(pp, set_a, set_b, cfg, rng, use_fov)
+        for ref_b, got_b in zip((fine_b, coarse_b), frame_batches[:2]):
+            for attr in ("anchor_indices", "positive_indices", "negative_indices", "fov_indices"):
+                np.testing.assert_array_equal(getattr(ref_b, attr), getattr(got_b, attr))
+
+        def push(h, side, idx, g_e):
+            f, e, norms, zero = side[h]
+            grads[h] += f[idx].T @ norm_backprop(g_e, e[idx], norms[idx], zero[idx])
+
+        for h, batch, loss in (
+            ("fine", fine_b, crossmod_infonce if use_fov else appearance_infonce),
+            ("coarse", coarse_b, appearance_infonce),
+        ):
+            out = loss(batch)
+            scale = 1.0 / len(batch.anchor_indices)
+            losses.append(out.value * scale)
+            push(h, side_a, batch.anchor_indices, out.d_anchors * scale)
+            push(h, side_b, batch.positive_indices, out.d_positives * scale)
+            neg = batch.negative_indices.ravel()
+            push(h, side_b, neg, out.d_negatives.reshape(len(neg), -1) * scale)
+            if out.d_fov is not None:
+                fov = batch.fov_indices.ravel()
+                push(h, side_b, fov, out.d_fov.reshape(len(fov), -1) * scale)
+        if "semantic" in heads and labeled is not None:
+            got_l = frame_batches[2]
+            for ref_i, got_i in zip(labeled.class_indices, got_l.class_indices):
+                np.testing.assert_array_equal(ref_i, got_i)
+            out = proto_supcon(labeled)
+            total = sum(len(b) for b in labeled.class_embeddings)
+            for idx, g in zip(labeled.class_indices, out.d_classes):
+                push("semantic", side_a, idx, g / total)
+    return grads, losses
+
+
+def recording(monkeypatch):
+    """Record every ``sample_training_batch`` call that ``train`` makes."""
+    calls = []
+    real = model_mod.sample_training_batch
+
+    def spy(pair, emb_a, emb_b, cfg, rng, use_fov=False):
+        state = rng.bit_generator.state
+        out = real(pair, emb_a, emb_b, cfg, rng, use_fov)
+        calls.append((pair, state, use_fov, out))
+        return out
+
+    monkeypatch.setattr(model_mod, "sample_training_batch", spy)
+    return calls
+
+
+def small_cfg(steps):
+    return TrainConfig(
+        steps=steps, learning_rate=1.0, momentum=0.0, n_pos_fine=40, n_neg_fine=60,
+        n_fov_fine=20, n_pos_coarse=20, n_neg_coarse=30, neg_min_dist_fine=4.0,
+        neg_min_dist_coarse=8.0, semantic_per_class=16, seed=5,
+    )
+
+
+def relative_error(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestFrameTraining:
+    def test_standard_step_equals_full_width_gradient(self, monkeypatch):
+        vol, labels, _ = gen_phantom(PhantomSpec(dims=(32, 32, 32), spacing=2.0, seed=21))
+        init = new_model(np.random.default_rng(4), with_semantic=True)
+        cfg = small_cfg(steps=1)
+        calls = recording(monkeypatch)
+        mdl, log = train(
+            [(vol, labels)], cfg, mode="standard",
+            augment_spec=AugmentSpec(patch_size=(20, 20, 20)), init=init,
+        )
+        heads = ("fine", "coarse", "semantic")
+        assert len(calls) == 1 and calls[0][3][2] is not None
+        grads, losses = reference_gradients(calls, init, cfg, heads)
+        for h in heads:
+            step = getattr(mdl, f"w_{h}") - getattr(init, f"w_{h}")
+            assert relative_error(step, -grads[h]) < 1e-12
+        assert abs(log[0]["loss_fine"] - losses[0]) <= 1e-12 * losses[0]
+        assert abs(log[0]["loss_coarse"] - losses[1]) <= 1e-12 * losses[1]
+
+    def test_cross_modality_step_with_fov_negatives_equals_full_width_gradient(self, monkeypatch):
+        moving, fixed = phantom_pair(62, "inverted")
+        init = new_model(np.random.default_rng(3))
+        reg = register_and_crop(
+            fixed, moving, init,
+            AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18), 5,
+        )
+        cfg = small_cfg(steps=2)
+        spec = AugmentSpec(patch_size=(20, 20, 20), aggressive=True)
+        before, _ = train([moving], small_cfg(steps=1), "paired", spec, [reg], init=init)
+        calls = recording(monkeypatch)
+        after, _ = train([moving], cfg, "paired", spec, [reg], init=init)
+        paired = [c for c in calls if c[2]]
+        assert len(paired) == 1 and paired[0][3][0].fov_indices is not None
+        grads, _ = reference_gradients(paired, before, cfg, ("fine", "coarse"))
+        for h in ("fine", "coarse"):
+            step = getattr(after, f"w_{h}") - getattr(before, f"w_{h}")
+            assert relative_error(step, -grads[h]) < 1e-12

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voxelmatch.errors import DegenerateGeometry, OutOfBounds, VoxelMatchError
+from voxelmatch.errors import DegenerateGeometry, DimensionMismatch, OutOfBounds, VoxelMatchError
 from voxelmatch.geometry import Point3, fit_affine
 from voxelmatch.matching import (
     EmbeddingSet,
@@ -510,6 +510,15 @@ class TestBatchedFixpointEngine:
         a, b, _ = equivalence_cases()[0]
         with pytest.raises(OutOfBounds):
             fixpoint_match((90.0, 0.0, 0.0), a, b, W, FixpointConfig())
+
+
+class TestHeadWidths:
+    def test_head_with_different_widths_in_template_and_query(self):
+        # e.g. 11-wide frame vectors against 128-wide embeddings read from files
+        rng = np.random.default_rng(40)
+        a, b = make_set(rng, d=4), make_set(rng, d=6)
+        with pytest.raises(DimensionMismatch, match="'coarse' has 4 channels"):
+            grid_match([(2.0, 2.0, 2.0)], a, b, W)
 
 
 class TestMatcherWorkCount:

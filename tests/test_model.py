@@ -28,6 +28,7 @@ from voxelmatch.model import (
     _gauss_kernel,
     _gauss_second_kernel,
     embed,
+    head_frame,
     load_model,
     new_model,
     sample_training_batch,
@@ -38,6 +39,11 @@ from voxelmatch.phantom import PhantomSpec, gen_phantom
 from voxelmatch.volume import ScalarVolume, VolumeGeometry, resample
 
 BANK = DescriptorBank()
+
+
+def embedding_space(frame_vol, w):
+    """A head's D-wide embeddings, (nz, ny, nx, D): its frame vectors times Q^T."""
+    return frame_vol.data.astype(np.float64) @ head_frame(w)[1]
 
 
 def full_resolution_bank(data):
@@ -177,11 +183,12 @@ class TestEmbed:
         vol = scalar(rng, (10, 10, 10))
         model = new_model(rng, embedding_dim=32)
         out = embed(vol, model)
+        fine = embedding_space(out.fine, model.w_fine)
         feats, _ = BANK.compute(vol)
         for idx in [(0, 0, 0), (2, 3, 4), (4, 4, 4)]:
             v = feats[idx] @ model.w_fine
             v = v / np.linalg.norm(v)
-            np.testing.assert_allclose(out.fine.data[idx], v, atol=1e-5)
+            np.testing.assert_allclose(fine[idx], v, atol=1e-5)
 
     def test_invariant_to_positive_affine_intensity_maps(self):
         # a > 0 scales every bank channel by a, which the L2 normalization
@@ -194,8 +201,10 @@ class TestEmbed:
             remapped = ScalarVolume(vol.geometry, a * vol.data.astype(np.float64) + b)
             out = embed(remapped, model)
             for head in ("coarse", "fine"):
+                w = getattr(model, f"w_{head}")
                 np.testing.assert_allclose(
-                    getattr(out, head).data, getattr(base, head).data, rtol=0, atol=1e-5
+                    embedding_space(getattr(out, head), w),
+                    embedding_space(getattr(base, head), w), rtol=0, atol=1e-5,
                 )
 
     def test_dimension_mismatch(self):
@@ -361,6 +370,15 @@ class TestTrain:
         )
         assert log == []
         np.testing.assert_array_equal(model.w_fine, init.w_fine)
+
+    def test_init_heads_of_wrong_feature_dim(self):
+        vol, _ = phantom_working(42)
+        init = ProjectionModel(np.ones((1, 8)), np.ones((1, 8)))
+        with pytest.raises(DimensionMismatch):
+            train(
+                [vol], small_cfg(steps=1), mode="standard",
+                augment_spec=AugmentSpec(patch_size=(20, 20, 20)), init=init,
+            )
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):

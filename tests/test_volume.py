@@ -32,6 +32,7 @@ from voxelmatch.volume import (
     read_volume,
     resample,
     trilinear_sample,
+    trilinear_sample_many,
     write_volume,
 )
 
@@ -187,6 +188,11 @@ class TestTrilinear:
         emb = self.make_emb(np.zeros((2, 2, 2, 1)))
         with pytest.raises(OutOfBounds):
             trilinear_sample(emb, (2.5, 0, 0))
+
+    def test_nan_coordinate_is_out_of_bounds(self):
+        emb = self.make_emb(np.zeros((2, 2, 2, 1)))
+        with pytest.raises(OutOfBounds):
+            trilinear_sample_many(emb, [[0.5, 0.5, 0.5], [np.nan, 1.0, 1.0]])
 
 
 class TestNormalizeConcat:
