@@ -102,12 +102,22 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
+def _read_volume(path, kind):
+    """Read an EVF file that must hold a ``kind`` volume (scalar, label or embedding)."""
+    vol = volume.read_volume(path)
+    if not isinstance(vol, kind):
+        raise VoxelMatchError(f"{path}: expected {kind.__name__}, found {type(vol).__name__}")
+    return vol
+
+
 def _read_embedding_set(dir_path) -> EmbeddingSet:
     d = Path(dir_path)
-    coarse = volume.read_volume(d / "coarse.evf")
-    fine = volume.read_volume(d / "fine.evf")
+    coarse = _read_volume(d / "coarse.evf", volume.EmbeddingVolume)
+    fine = _read_volume(d / "fine.evf", volume.EmbeddingVolume)
     semantic_path = d / "semantic.evf"
-    semantic = volume.read_volume(semantic_path) if semantic_path.exists() else None
+    semantic = (
+        _read_volume(semantic_path, volume.EmbeddingVolume) if semantic_path.exists() else None
+    )
     return EmbeddingSet(coarse=coarse, fine=fine, semantic=semantic)
 
 
@@ -148,7 +158,7 @@ def _cmd_phantom_gen(args, cfg: RunConfig) -> int:
 
 def _cmd_embed(args, cfg: RunConfig) -> int:
     """Write each head's D-wide embeddings: its frame vectors times Q^T (see ``model.head_frame``)."""
-    vol = volume.read_volume(args.volume)
+    vol = _read_volume(args.volume, volume.ScalarVolume)
     mdl = model_mod.load_model(args.model)
     emb = model_mod.embed(vol, mdl)
     out = Path(args.out_dir)
@@ -211,8 +221,8 @@ def _cmd_fit_rigid(args, cfg: RunConfig) -> int:
 
 
 def _cmd_adareg(args, cfg: RunConfig) -> int:
-    fixed = volume.read_volume(args.fixed)
-    moving = volume.read_volume(args.moving)
+    fixed = _read_volume(args.fixed, volume.ScalarVolume)
+    moving = _read_volume(args.moving, volume.ScalarVolume)
     mdl = model_mod.load_model(args.model)
     margin = args.margin if args.margin is not None else cfg.align.margins[0]
     fixed_set = model_mod.embed(fixed, mdl)
@@ -269,8 +279,8 @@ def _cmd_train(args, cfg: RunConfig) -> int:
             for i, row in enumerate(rows):
                 if len(row) < 2:
                     raise VoxelMatchError("cross-iter manifest rows need fixed and moving paths")
-                fixed = volume.read_volume(row[0])
-                moving = volume.read_volume(row[1])
+                fixed = _read_volume(row[0], volume.ScalarVolume)
+                moving = _read_volume(row[1], volume.ScalarVolume)
                 flm = metrics.read_landmarks(row[2]) if len(row) > 2 else None
                 mlm = metrics.read_landmarks(row[3]) if len(row) > 3 else None
                 pairs.append(alignment.CrossPair(fixed, moving, flm, mlm, pair_id=f"p{i}"))
@@ -286,8 +296,8 @@ def _cmd_train(args, cfg: RunConfig) -> int:
             return 0
         dataset = []
         for row in rows:
-            vol = volume.read_volume(row[0])
-            lab = volume.read_volume(row[1]) if len(row) > 1 else None
+            vol = _read_volume(row[0], volume.ScalarVolume)
+            lab = _read_volume(row[1], volume.LabelVolume) if len(row) > 1 else None
             dataset.append((vol, lab))
         mode = {"single": "standard", "cross-init": "aggressive"}[args.mode]
         mdl, loss_log = model_mod.train(

@@ -85,6 +85,10 @@ class DimensionMismatch(VoxelMatchError):
     pass
 
 
+class NonFiniteWeights(VoxelMatchError):
+    pass
+
+
 # alignment
 class TooFewMatches(VoxelMatchError):
     pass

@@ -46,6 +46,7 @@ from .errors import (
     DivergedLoss,
     EmptyDataset,
     InsufficientOverlap,
+    NonFiniteWeights,
     TruncatedFile,
     UnsupportedVersion,
 )
@@ -225,7 +226,7 @@ class ProjectionModel:
             self.w_semantic = np.ascontiguousarray(self.w_semantic, dtype=np.float64)
         for w in (self.w_coarse, self.w_fine, self.w_semantic):
             if w is not None and not np.all(np.isfinite(w)):
-                raise ValueError("projection weights must be finite")
+                raise NonFiniteWeights("projection weights must be finite")
         if self.w_coarse.shape != self.w_fine.shape:
             raise DimensionMismatch("coarse and fine heads must share a shape")
 
@@ -486,28 +487,70 @@ def _sample_side(
     a_idx = _flat_index(anchors_half[pick], dims_a)
     p_idx = _flat_index(rounded[pick], dims_b)
     corr_sel = corr_full_b[pick]
+    anchors_e = emb_a_flat[a_idx]
 
+    # Negative candidates are the query lattice in x-major order, position
+    # p = (x * nyb + y) * nzb + z, less the voxels within the gate.
     nxb, nyb, nzb = dims_b
-    bx, by, bz = np.meshgrid(np.arange(nxb), np.arange(nyb), np.arange(nzb), indexing="ij")
-    all_b = np.stack([bx.ravel(), by.ravel(), bz.ravel()], axis=1)  # (Nb, 3) xyz
-    all_b_flat = _flat_index(all_b, dims_b)
-    all_b_full = all_b.astype(np.float64) * 2.0
+    n_b = nxb * nyb * nzb
+    xmajor_flat = np.arange(n_b).reshape(nzb, nyb, nxb).transpose(2, 1, 0).ravel()
+    # The gate's d2 = (dx2[x] + dy2[y]) + dz2[z] is the float that the row sum
+    # of squared (x, y, z) offsets gives.  dx2 > r2 forces d2 > r2, so each
+    # anchor's gated voxels lie in the box of its per-axis runs dx2 <= r2,
+    # and on each (x, y) line of the box they form one run along z.
+    r2 = min_dist * min_dist
+    axis_d2 = [(2.0 * np.arange(n) - corr_sel[:, k, None]) ** 2 for k, n in enumerate(dims_b)]
+    box = []
+    for d, n in zip(axis_d2, dims_b):
+        near = d <= r2
+        width = max(int(near.sum(axis=1).max()), 1)  # one line, all > r2, when none is near
+        idx = np.minimum(near.argmax(axis=1), n - width)[:, None] + np.arange(width)
+        box.append((idx, np.take_along_axis(d, idx, axis=1)))
+    (ix, dx2), (iy, dy2), (iz, dz2) = box
+    gated = (dx2[:, :, None, None] + dy2[:, None, :, None]) + dz2[:, None, None, :] <= r2
+    run_len = gated.sum(axis=3).reshape(n_pos, -1)
+    run_z = np.take_along_axis(iz, gated.argmax(axis=3).reshape(n_pos, -1), axis=1)
+    run_start = ((ix[:, :, None] * nyb + iy[:, None, :]) * nzb).reshape(n_pos, -1) + run_z
+    # gated voxels before each run, and valid positions before it: the k-th
+    # valid position is k plus the lengths of the runs with at most k valid
+    # positions before them
+    n_before = np.concatenate([np.zeros((n_pos, 1), np.int64), np.cumsum(run_len, axis=1)], axis=1)
+    valid_before = run_start - n_before[:, :-1]
 
     n_cand = max(n_neg, int(math.ceil(n_neg / hard_fraction)))
-    neg_idx = np.empty((n_pos, n_neg), dtype=np.int64)
-    anchors_e = emb_a_flat[a_idx]
+    cand = np.zeros((n_pos, n_cand), dtype=np.int64)
+    take = np.empty(n_pos, dtype=np.int64)
     for i in range(n_pos):
-        d2 = ((all_b_full - corr_sel[i]) ** 2).sum(axis=1)
-        valid = np.nonzero(d2 > min_dist * min_dist)[0]
-        if len(valid) < n_neg:
-            raise InsufficientOverlap(
-                f"negative pool of {len(valid)} below requested {n_neg}"
-            )
-        take = min(n_cand, len(valid))
-        cand = valid[rng.choice(len(valid), size=take, replace=False)]
-        sims = emb_b_flat[all_b_flat[cand]] @ anchors_e[i]
-        order = np.argsort(-sims, kind="stable")[:n_neg]
-        neg_idx[i] = all_b_flat[cand[order]]
+        pool = n_b - int(n_before[i, -1])
+        if pool < n_neg:
+            raise InsufficientOverlap(f"negative pool of {pool} below requested {n_neg}")
+        take[i] = min(n_cand, pool)
+        k = rng.choice(pool, size=take[i], replace=False)
+        cand[i, :take[i]] = k + n_before[i, np.searchsorted(valid_before[i], k, side="right")]
+    cand = xmajor_flat[cand]
+
+    # -similarity of every candidate; the padding past a row's take is +inf,
+    # so it never ranks.  The stacked product runs one matrix-vector product
+    # per anchor, the one the per-anchor ranking ran, so the similarities are
+    # bitwise the same.  Only a row whose pool is below n_cand runs over the
+    # padded width, where BLAS may round its last few products differently
+    # in the last bit, which reorders nothing but such near-ties.  Candidate
+    # vectors are gathered 2**19 floats (4 MB) at a time.
+    neg_sims = np.empty((n_pos, n_cand))
+    chunk = max(1, 2**19 // (n_cand * emb_b_flat.shape[1]))
+    for lo in range(0, n_pos, chunk):
+        sl = slice(lo, lo + chunk)
+        neg_sims[sl] = -(np.take(emb_b_flat, cand[sl], axis=0) @ anchors_e[sl, :, None])[..., 0]
+    neg_sims[np.arange(n_cand) >= take[:, None]] = np.inf
+    # hardest n_neg per row, ties broken by candidate position, in the order
+    # of a stable argsort of -similarity
+    kth = np.partition(neg_sims, n_neg - 1, axis=1)[:, n_neg - 1, None]
+    harder = neg_sims < kth
+    at_cut = neg_sims == kth
+    room = n_neg - harder.sum(axis=1, keepdims=True)
+    surv = np.nonzero(harder | (at_cut & (np.cumsum(at_cut, axis=1) <= room)))[1].reshape(n_pos, n_neg)
+    order = np.argsort(np.take_along_axis(neg_sims, surv, axis=1), axis=1, kind="stable")
+    neg_idx = np.take_along_axis(cand, np.take_along_axis(surv, order, axis=1), axis=1)
 
     fov_idx = None
     fov = None
@@ -523,7 +566,7 @@ def _sample_side(
     return PairBatch(
         anchors=anchors_e,
         positives=emb_b_flat[p_idx],
-        negatives=emb_b_flat[neg_idx],
+        negatives=np.take(emb_b_flat, neg_idx, axis=0),
         temperature=tau,
         fov_negatives=fov,
         anchor_indices=a_idx,
@@ -547,6 +590,25 @@ def sample_training_batch(
     rounded to its embedding grid); negatives keep a minimum distance to the
     anchor's true correspondent, after which only the hardest fraction by
     current similarity survives; FOV negatives come from outside the overlap.
+
+    The sampling contract, which fixes every draw from ``rng``.  The fine
+    side samples first, then the coarse side, then the semantic classes.
+    Each side:
+
+    - Anchors: one ``rng.choice`` over the usable overlap voxels.
+    - Negative candidates: the query half lattice enumerated x-major, position
+      (x * ny + y) * nz + z, less the voxels within the side's minimum
+      distance of the anchor's correspondent.  Each anchor, in anchor order,
+      draws ceil(n_neg / hard_negative_fraction) candidates (its whole pool
+      when that is smaller) with one ``rng.choice(pool, take, replace=False)``;
+      nothing else draws in between.
+    - Ranking: the n_neg hardest candidates by similarity, hardest first,
+      ties in candidate order, as a stable argsort of -similarity gives.
+    - FOV negatives (fine side, ``use_fov``): one ``rng.integers`` draw last.
+
+    The same seed therefore gives a byte-identical model across versions
+    that keep this contract; the test suite holds the sampler to the
+    per-anchor loop it replaced.
     """
     da = emb_a.fine.channels
     fine = _sample_side(

@@ -28,6 +28,7 @@ from .errors import (
     EmptyBox,
     EmptyMask,
     GeometryMismatch,
+    NonUnitInput,
     OutOfBounds,
     TruncatedFile,
     UnsupportedVersion,
@@ -159,7 +160,7 @@ class EmbeddingVolume:
             )
             keep = norms > _ZERO_NORM_EPS
             if keep.any() and np.abs(norms[keep] - 1.0).max() > 1e-4:
-                raise ValueError("normalized embedding volume has non-unit vectors")
+                raise NonUnitInput("normalized embedding volume has non-unit vectors")
 
     @property
     def channels(self) -> int:

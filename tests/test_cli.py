@@ -1,5 +1,8 @@
 """Tests for the command-line surface: exit codes and the adareg weights."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from voxelmatch.phantom import PhantomSpec, gen_phantom
 from voxelmatch.volume import (
     Box3,
     EmbeddingVolume,
+    LabelVolume,
+    ScalarVolume,
     VolumeGeometry,
     crop,
     l2_normalize,
@@ -109,6 +114,37 @@ class TestMatchCommand:
         assert "Traceback" not in err
 
 
+    def test_scalar_volumes_as_embeddings_are_a_data_error(self, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        emb.mkdir()
+        vol = ScalarVolume(VolumeGeometry((6, 6, 6)), np.random.default_rng(1).uniform(size=(6, 6, 6)))
+        for head in ("coarse", "fine"):
+            write_volume(vol, emb / f"{head}.evf")
+        assert cli.main(["match", str(emb), "2,2,2", str(emb)]) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "coarse.evf: expected EmbeddingVolume, found ScalarVolume" in err
+        assert "Traceback" not in err
+
+    def test_normalized_flag_on_non_unit_vectors_is_a_data_error(self, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        emb.mkdir()
+        for head in ("coarse", "fine"):
+            write_volume(EmbeddingVolume(VolumeGeometry((4, 4, 4)), np.full((4, 4, 4, 3), 2.0)), emb / f"{head}.evf")
+            raw = bytearray((emb / f"{head}.evf").read_bytes())
+            raw[48] = 1  # the header's normalized flag; the CRC covers the payload only
+            (emb / f"{head}.evf").write_bytes(bytes(raw))
+        assert cli.main(["match", str(emb), "2,2,2", str(emb)]) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "non-unit vectors" in err
+        assert "Traceback" not in err
+
+
+def write_embedding_evf(path):
+    """A 40^3 x 3 embedding volume: valid EVF, but not a scalar or label volume."""
+    vol = EmbeddingVolume(VolumeGeometry((40, 40, 40)), np.random.default_rng(0).normal(size=(40, 40, 40, 3)))
+    write_volume(vol, path)
+
+
 class TestEmbedCommand:
     @staticmethod
     def run(tmp_path, mdl):
@@ -138,6 +174,29 @@ class TestEmbedCommand:
             norms = np.linalg.norm(v, axis=1)
             keep = norms > 1e-12
             np.testing.assert_allclose(got[keep], v[keep] / norms[keep, None], rtol=0, atol=1e-5)
+
+    def test_non_finite_weights_are_a_data_error(self, tmp_path, capsys):
+        code, _ = self.run(tmp_path, new_model(np.random.default_rng(5)))
+        assert code == 0
+        raw = bytearray((tmp_path / "model.uaem").read_bytes())
+        raw[4 + 28:4 + 36] = struct.pack("<d", float("nan"))  # first coarse weight, after magic and header
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[4:-4])) & 0xFFFFFFFF)
+        (tmp_path / "model.uaem").write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = cli.main(["embed", str(tmp_path / "vol.evf"), str(tmp_path / "model.uaem"), str(tmp_path / "out2")])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "weights must be finite" in err
+        assert "Traceback" not in err
+
+    def test_embedding_volume_as_input_is_a_data_error(self, tmp_path, capsys):
+        write_embedding_evf(tmp_path / "emb.evf")
+        save_model(new_model(np.random.default_rng(6)), tmp_path / "model.uaem")
+        code = cli.main(["embed", str(tmp_path / "emb.evf"), str(tmp_path / "model.uaem"), str(tmp_path / "out")])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "emb.evf: expected ScalarVolume, found EmbeddingVolume" in err
+        assert "Traceback" not in err
 
     def test_heads_of_the_wrong_feature_dim_are_a_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -185,3 +244,69 @@ class TestAdaregWeights:
         assert kwargs["fixed_set"].semantic is None
         assert (tmp_path / "out" / "rigid.txt").exists()
         assert "aligned with" in capsys.readouterr().out
+
+
+class TestAdaregInputs:
+    @pytest.mark.parametrize("which", ["fixed", "moving"])
+    def test_embedding_volume_as_input_is_a_data_error(self, tmp_path, capsys, which):
+        vol = resample(gen_phantom(PhantomSpec(dims=(40, 40, 40), seed=61))[0], 2.0)
+        paths = {"fixed": tmp_path / "fixed.evf", "moving": tmp_path / "moving.evf"}
+        write_volume(vol, paths["fixed"])
+        write_volume(vol, paths["moving"])
+        write_embedding_evf(paths[which])
+        save_model(new_model(np.random.default_rng(3)), tmp_path / "model.uaem")
+        code = cli.main([
+            "adareg", str(paths["fixed"]), str(paths["moving"]),
+            str(tmp_path / "model.uaem"), str(tmp_path / "out"),
+        ])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"{which}.evf: expected ScalarVolume, found EmbeddingVolume" in err
+        assert "Traceback" not in err
+
+
+class TestTrainCommand:
+    CONF = (
+        "[train]\nsteps = 1\nn_pos_fine = 16\nn_neg_fine = 16\nn_pos_coarse = 8\n"
+        "n_neg_coarse = 8\nneg_min_dist_fine = 4\nneg_min_dist_coarse = 8\nsemantic_per_class = 8\n"
+        "[augment]\npatch_size = 20,20,20\n"
+    )
+
+    def run(self, tmp_path, manifest, *extra):
+        vol = resample(gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=63))[0], 2.0)
+        write_volume(vol, tmp_path / "vol.evf")
+        write_volume(LabelVolume(vol.geometry, (vol.data > 0.3).astype(np.uint16)), tmp_path / "labels.evf")
+        write_embedding_evf(tmp_path / "emb.evf")
+        (tmp_path / "manifest.txt").write_text(manifest + "\n")
+        (tmp_path / "run.conf").write_text(self.CONF)
+        return cli.main([
+            "--config", str(tmp_path / "run.conf"), "train",
+            str(tmp_path / "manifest.txt"), str(tmp_path / "model.uaem"), *extra,
+        ])
+
+    def test_volume_with_labels_trains(self, tmp_path, capsys):
+        assert self.run(tmp_path, "vol.evf labels.evf") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "step,loss_fine,loss_coarse,loss_semantic"
+        assert len(out) == 2 and out[1].startswith("0,")
+        assert (tmp_path / "model.uaem").exists()
+
+    @pytest.mark.parametrize("manifest,mode,message", [
+        ("emb.evf", "single", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
+        ("vol.evf emb.evf", "single", "emb.evf: expected LabelVolume, found EmbeddingVolume"),
+        ("vol.evf vol.evf", "single", "vol.evf: expected LabelVolume, found ScalarVolume"),
+        ("emb.evf vol.evf", "cross-iter", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
+        ("vol.evf emb.evf", "cross-iter", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
+    ])
+    def test_wrong_volume_kind_is_a_data_error(self, tmp_path, capsys, manifest, mode, message):
+        assert self.run(tmp_path, manifest, "--mode", mode) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.uaem").exists()
+
+    def test_unknown_mode_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, "vol.evf", "--mode", "banana")
+        assert exc.value.code == cli.USAGE_ERROR
+        assert "invalid choice" in capsys.readouterr().err

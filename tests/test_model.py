@@ -16,7 +16,7 @@ from voxelmatch.errors import (
     InsufficientOverlap,
     TruncatedFile,
 )
-from voxelmatch.losses import appearance_infonce, proto_supcon
+from voxelmatch.losses import PairBatch, appearance_infonce, proto_supcon
 from voxelmatch.matching import EmbeddingSet
 from voxelmatch.model import (
     CHANNEL_SCALES,
@@ -24,9 +24,12 @@ from voxelmatch.model import (
     DescriptorBank,
     ProjectionModel,
     TrainConfig,
+    _flat_index,
     _gauss_deriv_kernel,
     _gauss_kernel,
     _gauss_second_kernel,
+    _half_lattice_points,
+    _sample_side,
     embed,
     head_frame,
     load_model,
@@ -36,7 +39,7 @@ from voxelmatch.model import (
     train,
 )
 from voxelmatch.phantom import PhantomSpec, gen_phantom
-from voxelmatch.volume import ScalarVolume, VolumeGeometry, resample
+from voxelmatch.volume import ScalarVolume, VolumeGeometry, half_geometry, resample
 
 BANK = DescriptorBank()
 
@@ -357,6 +360,192 @@ class TestSampleTrainingBatch:
         assert labeled is not None
         assert all(len(b) > 0 for b in labeled.class_embeddings)
         assert all(c > 0 for c in labeled.class_ids)
+
+
+def per_anchor_sample_side(
+    pair, emb_a_flat, emb_b_flat, n_pos, n_neg, min_dist, hard_fraction, tau, rng,
+    n_fov=0, overlap_b=None,
+):
+    """Reference sampler: the per-anchor loop ``_sample_side`` replaced, kept verbatim."""
+    dims_a = half_geometry(pair.patch_a.geometry).dims
+    dims_b = half_geometry(pair.patch_b.geometry).dims
+    anchors_half = _half_lattice_points(pair.overlap_a)
+    if len(anchors_half) == 0:
+        raise InsufficientOverlap("no overlap voxels available for anchors")
+    full_a = anchors_half.astype(np.float64) * 2.0
+    corr_full_b = pair.a_to_b_voxels(full_a)
+    corr_half = corr_full_b / 2.0
+    rounded = np.round(corr_half).astype(np.int64)
+    lim_b = np.asarray(dims_b) - 1
+    ok = np.all((rounded >= 0) & (rounded <= lim_b), axis=1)
+    anchors_half, full_a = anchors_half[ok], full_a[ok]
+    corr_full_b, rounded = corr_full_b[ok], rounded[ok]
+    if len(anchors_half) < n_pos:
+        raise InsufficientOverlap(
+            f"only {len(anchors_half)} usable overlap voxels for {n_pos} positives"
+        )
+    pick = rng.choice(len(anchors_half), size=n_pos, replace=False)
+    a_idx = _flat_index(anchors_half[pick], dims_a)
+    p_idx = _flat_index(rounded[pick], dims_b)
+    corr_sel = corr_full_b[pick]
+
+    nxb, nyb, nzb = dims_b
+    bx, by, bz = np.meshgrid(np.arange(nxb), np.arange(nyb), np.arange(nzb), indexing="ij")
+    all_b = np.stack([bx.ravel(), by.ravel(), bz.ravel()], axis=1)  # (Nb, 3) xyz
+    all_b_flat = _flat_index(all_b, dims_b)
+    all_b_full = all_b.astype(np.float64) * 2.0
+
+    n_cand = max(n_neg, int(math.ceil(n_neg / hard_fraction)))
+    neg_idx = np.empty((n_pos, n_neg), dtype=np.int64)
+    anchors_e = emb_a_flat[a_idx]
+    for i in range(n_pos):
+        d2 = ((all_b_full - corr_sel[i]) ** 2).sum(axis=1)
+        valid = np.nonzero(d2 > min_dist * min_dist)[0]
+        if len(valid) < n_neg:
+            raise InsufficientOverlap(
+                f"negative pool of {len(valid)} below requested {n_neg}"
+            )
+        take = min(n_cand, len(valid))
+        cand = valid[rng.choice(len(valid), size=take, replace=False)]
+        sims = emb_b_flat[all_b_flat[cand]] @ anchors_e[i]
+        order = np.argsort(-sims, kind="stable")[:n_neg]
+        neg_idx[i] = all_b_flat[cand[order]]
+
+    fov_idx = None
+    fov = None
+    if n_fov > 0:
+        if overlap_b is None:
+            raise ValueError("fov negatives need the query-side overlap mask")
+        outside = _half_lattice_points(~overlap_b)
+        if len(outside):
+            flat_out = _flat_index(outside, dims_b)
+            fov_idx = flat_out[rng.integers(0, len(flat_out), size=(n_pos, n_fov))]
+            fov = emb_b_flat[fov_idx]
+
+    return PairBatch(
+        anchors=anchors_e,
+        positives=emb_b_flat[p_idx],
+        negatives=emb_b_flat[neg_idx],
+        temperature=tau,
+        fov_negatives=fov,
+        anchor_indices=a_idx,
+        positive_indices=p_idx,
+        negative_indices=neg_idx,
+        fov_indices=fov_idx,
+    )
+
+
+class TestSamplerOracle:
+    """``_sample_side`` draws the same random numbers and picks the same voxels as the loop."""
+
+    @staticmethod
+    def flat_pair(patch, model, pair_seed=2, **spec):
+        vol, _ = phantom_working(5, dims=(80, 80, 80))
+        pair = sample_patch_pair(vol, None, AugmentSpec(patch_size=(patch,) * 3, **spec), seed=pair_seed)
+        emb_a, emb_b = embed(pair.patch_a, model), embed(pair.patch_b, model)
+        return pair, emb_a, emb_b
+
+    @staticmethod
+    def run_both(pair, emb_a, emb_b, head, *args, seed=21, **kwargs):
+        flat = [getattr(e, head).data.reshape(-1, getattr(e, head).channels).astype(np.float64)
+                for e in (emb_a, emb_b)]
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_side(pair, *flat, *args, rng=rng_new, **kwargs)
+        want = per_anchor_sample_side(pair, *flat, *args, rng=rng_ref, **kwargs)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        return got, want
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in (
+            "anchors", "positives", "negatives", "fov_negatives",
+            "anchor_indices", "positive_indices", "negative_indices", "fov_indices",
+        ):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.shape == b.shape and np.array_equal(a, b), name
+        assert got.temperature == want.temperature
+
+    @pytest.mark.parametrize("head,args", [
+        ("fine", (200, 500, 8.0, 0.25, 0.5)),
+        ("coarse", (100, 200, 16.0, 0.25, 0.5)),
+    ])
+    def test_default_fine_and_coarse_settings(self, head, args):
+        pair, emb_a, emb_b = self.flat_pair(32, new_model(np.random.default_rng(6), embedding_dim=32))
+        self.assert_same(*self.run_both(pair, emb_a, emb_b, head, *args))
+
+    def test_voxels_exactly_on_the_gate_radius(self):
+        # without rotation or scaling, and with even window offsets, every
+        # correspondent is a half-lattice point, so voxels at exactly the
+        # minimum distance exist; the gate excludes them
+        pair, emb_a, emb_b = self.flat_pair(
+            32, new_model(np.random.default_rng(12)), pair_seed=27,
+            rotation_degrees=0.0, scale_range=(1.0, 1.0),
+        )
+        corr = pair.a_to_b_voxels(self.anchor_points(np.arange(10), emb_a.fine.geometry.dims))
+        assert np.array_equal(corr % 2.0, np.zeros_like(corr))
+        self.assert_same(*self.run_both(pair, emb_a, emb_b, "fine", 200, 500, 8.0, 0.25, 0.5))
+
+    def test_fov_negatives(self):
+        pair, emb_a, emb_b = self.flat_pair(32, new_model(np.random.default_rng(7)))
+        got, want = self.run_both(
+            pair, emb_a, emb_b, "fine", 120, 300, 8.0, 0.25, 0.3,
+            n_fov=100, overlap_b=pair.overlap_b,
+        )
+        assert got.fov_indices is not None
+        self.assert_same(got, want)
+
+    def test_ragged_take_when_pools_are_below_n_cand(self):
+        # a 10^3 half lattice less the gated ball leaves pools of roughly
+        # 730-960 voxels, so n_cand = 800 splits the anchors
+        pair, emb_a, emb_b = self.flat_pair(20, new_model(np.random.default_rng(8)))
+        got, want = self.run_both(pair, emb_a, emb_b, "fine", 60, 200, 8.0, 0.25, 0.5, seed=3)
+        n_b = int(np.prod(emb_b.fine.geometry.dims))
+        corr = pair.a_to_b_voxels(self.anchor_points(got.anchor_indices, emb_a.fine.geometry.dims))
+        lattice = np.stack(np.meshgrid(*(np.arange(n) for n in emb_b.fine.geometry.dims),
+                                       indexing="ij"), axis=-1).reshape(-1, 3) * 2.0
+        pools = [(np.linalg.norm(lattice - c, axis=1) > 8.0).sum() for c in corr]
+        assert min(pools) < 800 < max(pools) <= n_b
+        self.assert_same(got, want)
+
+    @staticmethod
+    def anchor_points(flat, dims):
+        nx, ny, _ = dims
+        iz, rem = np.divmod(flat, nx * ny)
+        iy, ix = np.divmod(rem, nx)
+        return np.stack([ix, iy, iz], axis=1) * 2.0
+
+    @pytest.mark.parametrize("patch", [20, 32])
+    def test_exact_ties_rank_by_candidate_position(self, patch):
+        zero = ProjectionModel(np.zeros((FEATURE_DIM, 8)), np.zeros((FEATURE_DIM, 8)))
+        pair, emb_a, emb_b = self.flat_pair(patch, zero)
+        assert np.all(emb_b.fine.data[..., 0] == 1.0)  # every row is e1, every similarity 1
+        self.assert_same(*self.run_both(pair, emb_a, emb_b, "fine", 50, 200, 8.0, 0.25, 0.5))
+
+    def test_ties_among_a_few_similarity_levels_keep_candidate_order(self):
+        # every row is one of three unit vectors, so each anchor sees three
+        # similarity values; half the candidates survive, so the survivors
+        # span two of them and tie at the cut
+        pair, emb_a, emb_b = self.flat_pair(32, new_model(np.random.default_rng(10)))
+        levels = np.linalg.qr(np.random.default_rng(11).normal(size=(FEATURE_DIM, 3)))[0].T
+        for emb in (emb_a, emb_b):
+            n = emb.fine.data[..., 0].size
+            emb.fine.data = levels[np.arange(n) % 3].reshape(emb.fine.data.shape)
+        self.assert_same(*self.run_both(pair, emb_a, emb_b, "fine", 50, 200, 8.0, 0.5, 0.5))
+
+    def test_pool_below_n_neg_raises_the_same_error(self):
+        pair, emb_a, emb_b = self.flat_pair(20, new_model(np.random.default_rng(9)))
+        flat = [e.fine.data.reshape(-1, e.fine.channels).astype(np.float64) for e in (emb_a, emb_b)]
+        errors, states = [], []
+        for sampler in (_sample_side, per_anchor_sample_side):
+            rng = np.random.default_rng(4)
+            with pytest.raises(InsufficientOverlap) as exc:  # at the third anchor
+                sampler(pair, *flat, 40, 760, 8.0, 0.25, 0.5, rng)
+            errors.append(str(exc.value))
+            states.append(rng.bit_generator.state)
+        assert errors[0] == errors[1] == "negative pool of 754 below requested 760"
+        assert states[0] == states[1]
 
 
 class TestTrain:
