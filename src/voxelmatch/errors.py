@@ -109,7 +109,7 @@ class EmptySet(VoxelMatchError):
 
 
 class MalformedFile(VoxelMatchError, ValueError):
-    """A landmark or radii text file line that does not parse."""
+    """A landmark or radii line that does not parse, or an EVF value out of range."""
 
 
 class MissingRadii(VoxelMatchError):

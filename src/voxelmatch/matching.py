@@ -5,13 +5,16 @@ results are expressed in full-resolution voxel coordinates of the respective
 image grids (twice the embedding-grid index).  Nearest-neighbour argmaxes
 break ties toward the smallest (z, y, x) index, so results are deterministic.
 
-NN lookups take template points ``_NN_CHUNK`` (128) rows at a time through
-one row-major similarity product, so memory stays at one chunk times the
-query grid however many points are matched.  Fixed-point matching of a point
-list builds one pair matcher and iterates the seed cubes of all points
-together: every seed is a lattice point, so the forward and backward NN maps
-are memoized per lattice index and each lattice point is looked up at most
-once per direction, whichever cubes share it.
+An NN lookup samples its template vectors once, then takes them
+``_NN_CHUNK`` (128) rows at a time through one row-major similarity product,
+so memory stays at one chunk times the query grid plus one vector per point.
+Fixed-point matching of a point list builds one pair matcher and iterates
+the seed cubes of all points together: every seed is a lattice point, so the
+forward and backward NN maps are memoized per lattice index and each lattice
+point is looked up at most once per direction, whichever cubes share it.
+Each point gets its own affine fit; all fitted points share one similarity
+pass.  A point that cannot be fitted keeps a one-row NN lookup, because a
+one-row product rounds differently from a batched one.
 
 One cycle policy: a seed converges when the forward-backward map sends it to
 itself; a seed that cycles or exhausts ``max_iter`` yields no fixed point.
@@ -195,15 +198,15 @@ class _PairMatcher:
     def _nn(self, from_set: EmbeddingSet, q_to: np.ndarray, pts) -> tuple[np.ndarray, np.ndarray]:
         """Flat query-voxel index and similarity of each template point's best match.
 
-        Template points are sampled and go through the product ``_NN_CHUNK``
-        at a time, row-major so each row's argmax is a contiguous scan.
+        Template vectors are sampled once for all points, then go through
+        the product ``_NN_CHUNK`` rows at a time, row-major so each row's
+        argmax is a contiguous scan.
         """
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        flat = np.empty(len(pts), dtype=np.int64)
-        best = np.empty(len(pts), dtype=np.float64)
-        for lo in range(0, len(pts), _NN_CHUNK):
-            v = self.template_vectors(from_set, pts[lo:lo + _NN_CHUNK])
-            sims = v @ q_to.T  # (chunk, n_query_voxels)
+        v = self.template_vectors(from_set, pts)
+        flat = np.empty(len(v), dtype=np.int64)
+        best = np.empty(len(v), dtype=np.float64)
+        for lo in range(0, len(v), _NN_CHUNK):
+            sims = v[lo:lo + _NN_CHUNK] @ q_to.T  # (chunk, n_query_voxels)
             idx = np.argmax(sims, axis=1)  # first max <=> smallest (z, y, x)
             flat[lo:lo + len(idx)] = idx
             best[lo:lo + len(idx)] = sims[np.arange(len(idx)), idx]
@@ -214,18 +217,12 @@ class _PairMatcher:
         flat, best = self._nn(self.a, self.q_b, pts)
         return _lattice_points(self.b, flat), best
 
-    def nn_b_to_a(self, pts):
-        flat, best = self._nn(self.b, self.q_a, pts)
-        return _lattice_points(self.a, flat), best
-
     def similarity_between(self, pts_a, pts_b) -> np.ndarray:
         """Weighted per-head similarity between sample points of A and of B."""
-        pa = np.asarray(pts_a, dtype=np.float64).reshape(-1, 3) / 2.0
-        pb = np.asarray(pts_b, dtype=np.float64).reshape(-1, 3) / 2.0
         la = np.array(self.a.geometry.dims, dtype=np.float64) - 1.0
         lb = np.array(self.b.geometry.dims, dtype=np.float64) - 1.0
-        pa = np.clip(pa, 0.0, la)
-        pb = np.clip(pb, 0.0, lb)
+        pa = np.clip(np.asarray(pts_a, dtype=np.float64).reshape(-1, 3) / 2.0, 0.0, la)
+        pb = np.clip(np.asarray(pts_b, dtype=np.float64).reshape(-1, 3) / 2.0, 0.0, lb)
         total = np.zeros(len(pa), dtype=np.float64)
         for name, weight in self.heads:
             va = trilinear_sample_many(getattr(self.a, name), pa)
@@ -342,25 +339,32 @@ def _converge_cubes(
 
 
 def _finish_fixpoint(
-    matcher: _PairMatcher, t: np.ndarray, cube: _CubeFixedPoints, cfg: FixpointConfig
-) -> MatchResult:
-    """Local affine fit through the fixed points near ``t``, else the NN match."""
-    near = np.linalg.norm(cube.fixed - t, axis=1) <= cfg.tau_dis
-    n_near = int(np.count_nonzero(near))
-    if n_near >= cfg.min_points:
-        try:
-            aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
-        except DegenerateGeometry:
-            aff = None
-        if aff is not None:
-            q = aff.apply_array(t.reshape(1, 3))[0]
-            q = np.clip(q, 0.0, _full_res_limits(matcher.b))
-            sim = float(matcher.similarity_between(t.reshape(1, 3), q.reshape(1, 3))[0])
-            return MatchResult(Point3.from_array(q), sim, "fixpoint", cube.n_fix, n_near)
-    matched, sims = matcher.nn_a_to_b(t.reshape(1, 3))
-    return MatchResult(
-        Point3.from_array(matched[0]), float(sims[0]), "fixpoint_fallback_nn", cube.n_fix, 0,
-    )
+    matcher: _PairMatcher, pts: np.ndarray, cubes: list[_CubeFixedPoints], cfg: FixpointConfig
+) -> list[MatchResult]:
+    """Affine fits through the fixed points near each point, one similarity pass
+    for all fitted points, and a one-row NN lookup per point that cannot be fitted."""
+    out: list[MatchResult | None] = [None] * len(pts)
+    fit, fit_n, fit_q = [], [], []
+    for i, (t, cube) in enumerate(zip(pts, cubes)):
+        near = np.linalg.norm(cube.fixed - t, axis=1) <= cfg.tau_dis
+        n_near = int(np.count_nonzero(near))
+        if n_near >= cfg.min_points:
+            try:
+                aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
+            except DegenerateGeometry:
+                pass
+            else:
+                fit.append(i)
+                fit_n.append(n_near)
+                fit_q.append(aff.apply_array(t.reshape(1, 3))[0])
+                continue
+        (q,), (sim,) = matcher.nn_a_to_b(t.reshape(1, 3))
+        out[i] = MatchResult(Point3.from_array(q), float(sim), "fixpoint_fallback_nn", cube.n_fix)
+    fitted = np.clip(np.array(fit_q).reshape(-1, 3), 0.0, _full_res_limits(matcher.b))
+    sims = matcher.similarity_between(pts[fit], fitted)
+    for i, n_near, qi, sim in zip(fit, fit_n, fitted, sims):
+        out[i] = MatchResult(Point3.from_array(qi), float(sim), "fixpoint", cubes[i].n_fix, n_near)
+    return out
 
 
 def fixpoint_match(
@@ -403,8 +407,9 @@ def grid_match(
     their seed cubes iterate together against one shared memo of lattice NN
     maps (see ``_converge_cubes``): a seed that cycles or exhausts
     ``cfg.max_iter`` yields no fixed point.  Each point then gets its own
-    affine fit through the fixed points near it, or its NN match as the
-    fallback.
+    affine fit through the fixed points near it, and all fitted points share
+    one similarity pass.  A point that cannot be fitted falls back to its own
+    one-row NN lookup, so it equals ``nn_match`` bit for bit.
     """
     pts = np.array([_as_xyz(p) for p in points], dtype=np.float64).reshape(-1, 3)
     if not len(pts):
@@ -414,9 +419,9 @@ def grid_match(
     out: list[MatchResult | None] = [None] * len(pts)
     if cfg is None:
         matched, sims = matcher.nn_a_to_b(pts[ok])
-        for i, q, sim in zip(ok, matched, sims):
-            out[i] = MatchResult(Point3.from_array(q), float(sim), "nn")
+        res = [MatchResult(Point3.from_array(q), float(sim), "nn") for q, sim in zip(matched, sims)]
     else:
-        for i, cube in zip(ok, _converge_cubes(matcher, pts[ok], cfg)):
-            out[i] = _finish_fixpoint(matcher, pts[i], cube, cfg)
+        res = _finish_fixpoint(matcher, pts[ok], _converge_cubes(matcher, pts[ok], cfg), cfg)
+    for i, r in zip(ok, res):
+        out[i] = r
     return out

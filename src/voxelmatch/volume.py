@@ -28,6 +28,7 @@ from .errors import (
     EmptyBox,
     EmptyMask,
     GeometryMismatch,
+    MalformedFile,
     NonUnitInput,
     OutOfBounds,
     TruncatedFile,
@@ -43,7 +44,6 @@ __all__ = [
     "read_volume",
     "write_volume",
     "resample",
-    "trilinear_sample",
     "trilinear_sample_many",
     "unit_rows",
     "l2_normalize",
@@ -286,10 +286,14 @@ def read_volume(src):
         (crc_stored,) = struct.unpack("<I", _read_exact(f, 4, "checksum"))
         if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
             raise ChecksumMismatch("payload CRC32 mismatch")
+        if not all(0.0 < s < np.inf for s in (sx, sy, sz)):
+            raise MalformedFile(f"voxel spacing {(sx, sy, sz)} is not positive and finite")
         geom = VolumeGeometry((nx, ny, nz), (sx, sy, sz), (ox, oy, oz))
         np_dtype = "<f4" if dtype_code == _DTYPE_F32 else "<u2"
         arr = np.frombuffer(payload, dtype=np_dtype)
         if kind == _KIND_SCALAR:
+            if not np.isfinite(arr).all():
+                raise MalformedFile("scalar payload holds non-finite values")
             return ScalarVolume(geom, arr.reshape(nz, ny, nx).copy())
         if kind == _KIND_LABEL:
             return LabelVolume(geom, arr.reshape(nz, ny, nx).copy())
@@ -387,15 +391,6 @@ def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
     if emb.normalized:
         out = unit_rows(out)[0]
     return out
-
-
-def trilinear_sample(emb: EmbeddingVolume, p) -> np.ndarray:
-    """Single-point variant of :func:`trilinear_sample_many`."""
-    from .geometry import Point3
-
-    if isinstance(p, Point3):
-        p = p.to_array()
-    return trilinear_sample_many(emb, np.asarray(p, dtype=np.float64).reshape(1, 3))[0]
 
 
 def l2_normalize(emb: EmbeddingVolume) -> EmbeddingVolume:

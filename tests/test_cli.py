@@ -310,3 +310,130 @@ class TestTrainCommand:
             self.run(tmp_path, "vol.evf", "--mode", "banana")
         assert exc.value.code == cli.USAGE_ERROR
         assert "invalid choice" in capsys.readouterr().err
+
+
+def rewrite_evf(path, at, value):
+    """Overwrite one f32 of an EVF file and re-stamp the payload CRC (which skips the header)."""
+    raw = bytearray(path.read_bytes())
+    raw[at:at + 4] = struct.pack("<f", value)
+    raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[56:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+
+
+class TestBadVolumeData:
+    """A CRC-valid EVF whose values are out of range is a data error."""
+
+    @staticmethod
+    def embed(tmp_path, at, value):
+        write_volume(ScalarVolume(VolumeGeometry((8, 8, 8)), np.zeros((8, 8, 8))), tmp_path / "vol.evf")
+        rewrite_evf(tmp_path / "vol.evf", at, value)
+        save_model(new_model(np.random.default_rng(7)), tmp_path / "model.uaem")
+        return cli.main(["embed", str(tmp_path / "vol.evf"), str(tmp_path / "model.uaem"), str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scalar_payload_is_a_data_error(self, tmp_path, capsys, value):
+        assert self.embed(tmp_path, 56, value) == cli.DATA_ERROR  # first voxel of the payload
+        err = capsys.readouterr().err
+        assert "scalar payload holds non-finite values" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_header_spacing_is_a_data_error(self, tmp_path, capsys, value):
+        assert self.embed(tmp_path, 28, value) == cli.DATA_ERROR  # the header's y spacing
+        err = capsys.readouterr().err
+        assert "voxel spacing" in err
+        assert "Traceback" not in err
+
+
+class TestPhantomGenCommand:
+    @staticmethod
+    def run(tmp_path, conf, *args):
+        (tmp_path / "run.conf").write_text(conf)
+        return cli.main(["--config", str(tmp_path / "run.conf"), "--seed", "5", "phantom-gen", *args])
+
+    def test_writes_each_case(self, tmp_path, capsys):
+        conf = "[phantom]\ndims = 32,32,32\nn_organs = 2\n"
+        assert self.run(tmp_path, conf, str(tmp_path / "out"), "--count", "2") == 0
+        assert "wrote 2 cases" in capsys.readouterr().out
+        for i in range(2):
+            case = tmp_path / "out" / f"case_{i:03d}"
+            vol, labels = read_volume(case / "volume.evf"), read_volume(case / "labels.evf")
+            assert isinstance(vol, ScalarVolume) and isinstance(labels, LabelVolume)
+            assert vol.geometry.dims == (32, 32, 32)
+            assert f"seed={5 + i}\n" in (case / "manifest.txt").read_text()
+            assert len((case / "landmarks.txt").read_text().splitlines()) > 0
+
+    @pytest.mark.parametrize("line", ["dims = 32,x,32", "n_organs = -1"])
+    def test_malformed_phantom_config_is_a_data_error(self, tmp_path, capsys, line):
+        assert self.run(tmp_path, f"[phantom]\n{line}\n", str(tmp_path / "out")) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "[phantom]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_count_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, "", str(tmp_path / "out"), "--count", "two")
+        assert exc.value.code == cli.USAGE_ERROR
+        assert "invalid int value" in capsys.readouterr().err
+
+
+class TestSimmapCommand:
+    def test_self_map_peaks_at_the_point(self, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        TestMatchCommand.write_embeddings(emb)
+        assert cli.main(["simmap", str(emb), "4,6,2", str(emb), str(tmp_path / "map.evf")]) == 0
+        assert "wrote similarity map" in capsys.readouterr().out
+        smap = read_volume(tmp_path / "map.evf")
+        assert isinstance(smap, ScalarVolume) and smap.geometry.dims == (6, 6, 6)
+        assert smap.data.argmax() == np.ravel_multi_index((1, 3, 2), smap.data.shape)
+        assert abs(float(smap.data.max()) - 1.0) < 1e-6
+
+    def test_truncated_embedding_file_is_a_data_error(self, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        TestMatchCommand.write_embeddings(emb)
+        (emb / "fine.evf").write_bytes((emb / "fine.evf").read_bytes()[:100])
+        assert cli.main(["simmap", str(emb), "4,6,2", str(emb), str(tmp_path / "map.evf")]) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "short read while loading payload" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "map.evf").exists()
+
+    def test_missing_output_argument_is_a_usage_error(self, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        TestMatchCommand.write_embeddings(emb)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simmap", str(emb), "4,6,2", str(emb)])
+        assert exc.value.code == cli.USAGE_ERROR
+        assert "out_volume" in capsys.readouterr().err
+
+
+class TestFitRigidCommand:
+    SRC = [(0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 8.0, 0.0), (0.0, 0.0, 6.0), (3.0, 4.0, 5.0)]
+
+    def write(self, tmp_path, shift):
+        write_landmarks(tmp_path / "src.txt", [(f"lm{i}", Point3(*p)) for i, p in enumerate(self.SRC)])
+        moved = [Point3(*(np.asarray(p) + shift)) for p in self.SRC]
+        write_landmarks(tmp_path / "dst.txt", [(f"lm{i}", p) for i, p in enumerate(moved)])
+
+    def test_recovers_a_translation(self, tmp_path, capsys):
+        self.write(tmp_path, (1.0, -2.0, 3.5))
+        assert cli.main(["fit-rigid", str(tmp_path / "src.txt"), str(tmp_path / "dst.txt")]) == 0
+        rows = np.array([line.split() for line in capsys.readouterr().out.splitlines()[:4]], dtype=float)
+        np.testing.assert_allclose(rows[:3], np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(rows[3], [1.0, -2.0, 3.5], atol=1e-9)
+
+    def test_malformed_landmark_line_is_a_data_error(self, tmp_path, capsys):
+        self.write(tmp_path, (0.0, 0.0, 0.0))
+        (tmp_path / "dst.txt").write_text("lm0 1 two 3\n")
+        assert cli.main(["fit-rigid", str(tmp_path / "src.txt"), str(tmp_path / "dst.txt")]) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "dst.txt:1" in err
+        assert "Traceback" not in err
+
+    def test_missing_landmark_file_argument_is_a_usage_error(self, tmp_path, capsys):
+        self.write(tmp_path, (0.0, 0.0, 0.0))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit-rigid", str(tmp_path / "src.txt")])
+        assert exc.value.code == cli.USAGE_ERROR
+        assert "dst_landmarks" in capsys.readouterr().err

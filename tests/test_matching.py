@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from voxelmatch import matching
 from voxelmatch.errors import DegenerateGeometry, DimensionMismatch, OutOfBounds, VoxelMatchError
 from voxelmatch.geometry import Point3, fit_affine
 from voxelmatch.matching import (
@@ -15,12 +16,13 @@ from voxelmatch.matching import (
     _converge_cubes,
     _full_res_limits,
     _lattice_flat,
+    _lattice_points,
     fixpoint_match,
     grid_match,
     nn_match,
     similarity_map,
 )
-from voxelmatch.volume import EmbeddingVolume, VolumeGeometry, l2_normalize
+from voxelmatch.volume import EmbeddingVolume, VolumeGeometry, l2_normalize, trilinear_sample_many
 
 
 def make_set(rng, dims=(6, 6, 6), d=4, data=None):
@@ -86,10 +88,8 @@ class TestSimilarityMap:
         t = (4.0, 2.0, 2.0)
         smap = similarity_map(a, t, b, W)
         # oracle: sample template heads at t/2 and dot against every voxel
-        from voxelmatch.volume import trilinear_sample
-
-        vc = trilinear_sample(a.coarse, np.asarray(t) / 2.0)
-        vf = trilinear_sample(a.fine, np.asarray(t) / 2.0)
+        vc = trilinear_sample_many(a.coarse, np.asarray(t) / 2.0)[0]
+        vf = trilinear_sample_many(a.fine, np.asarray(t) / 2.0)[0]
         for iz in range(3):
             for iy in range(4):
                 for ix in range(5):
@@ -352,7 +352,7 @@ def per_point_fixpoint(t, a, b, w, cfg):
             break
         pts = np.array([cur[i] for i in alive], dtype=np.float64)
         fwd, _ = matcher.nn_a_to_b(pts)
-        back, _ = matcher.nn_b_to_a(fwd)
+        back = _lattice_points(a, matcher._nn(b, matcher.q_a, fwd)[0])
         next_alive = []
         for row, i in enumerate(alive):
             nxt = tuple(back[row])
@@ -522,8 +522,9 @@ class TestHeadWidths:
 
 
 class TestMatcherWorkCount:
-    """Counts matcher builds and NN rows, so a return to per-point rebuilding
-    or to per-point NN lookups fails without timing anything."""
+    """Counts matcher builds, NN rows, similarity passes and template
+    samplings, so a return to per-point rebuilding, per-point NN lookups,
+    per-point finishing or per-chunk sampling fails without timing anything."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -569,6 +570,71 @@ class TestMatcherWorkCount:
         grid_match(pts, a, b, W)
         assert counts["matchers"] == 1
         assert counts["fwd_rows"] == len(pts)
+
+    @pytest.mark.parametrize("case,cfg,kind", [
+        (0, FixpointConfig(), "fitted"),
+        (1, FixpointConfig(cube_side=3, tau_dis=6.0), "mixed"),
+        (2, FixpointConfig(cube_side=3, tau_dis=6.0), "mixed"),
+        (3, FixpointConfig(tau_dis=1e-6), "fallback"),
+    ], ids=["all-fitted", "mixed-7x5x6", "mixed-8x8x8", "all-fallback"])
+    def test_one_similarity_pass_and_one_row_lookup_per_fallback(self, monkeypatch, case, cfg, kind):
+        a, b, pts = equivalence_cases()[case]
+        sim_rows, finish_rows, converged = [], [], []
+        sim, nn, converge = _PairMatcher.similarity_between, _PairMatcher._nn, matching._converge_cubes
+
+        def counted_sim(self, pts_a, pts_b):
+            sim_rows.append(len(np.asarray(pts_a).reshape(-1, 3)))
+            return sim(self, pts_a, pts_b)
+
+        def counted_nn(self, from_set, q_to, pts):
+            if converged:  # lookups after the cubes converged belong to the finish
+                assert from_set is self.a
+                finish_rows.append(len(np.asarray(pts).reshape(-1, 3)))
+            return nn(self, from_set, q_to, pts)
+
+        def counted_converge(*args):
+            out = converge(*args)
+            converged.append(True)
+            return out
+
+        monkeypatch.setattr(_PairMatcher, "similarity_between", counted_sim)
+        monkeypatch.setattr(_PairMatcher, "_nn", counted_nn)
+        monkeypatch.setattr(matching, "_converge_cubes", counted_converge)
+        got = grid_match(pts, a, b, W, cfg)
+        n_fit = sum(r.method == "fixpoint" for r in got)
+        n_fallback = sum(r.method == "fixpoint_fallback_nn" for r in got)
+        assert (n_fit > 1, n_fallback > 0) == {
+            "fitted": (True, False), "mixed": (True, True), "fallback": (False, True)
+        }[kind]
+        assert sim_rows == [n_fit]  # one pass, however many points were fitted
+        assert finish_rows == [1] * n_fallback
+
+    def test_nn_samples_template_vectors_once_per_lookup(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        a = make_set(rng, dims=(7, 7, 7))
+        b = make_set(rng, dims=(7, 6, 5))
+        pts = lattice_points((7, 7, 7))
+        assert len(pts) > 2 * _NN_CHUNK
+        rows, samples = [], []
+        nn, tv = _PairMatcher._nn, _PairMatcher.template_vectors
+
+        def counted_nn(self, from_set, q_to, pts):
+            rows.append(len(np.asarray(pts).reshape(-1, 3)))
+            return nn(self, from_set, q_to, pts)
+
+        def counted_tv(self, s, pts):
+            samples.append(len(np.asarray(pts).reshape(-1, 3)))
+            return tv(self, s, pts)
+
+        monkeypatch.setattr(_PairMatcher, "_nn", counted_nn)
+        monkeypatch.setattr(_PairMatcher, "template_vectors", counted_tv)
+        grid_match(pts, a, b, W)
+        assert rows == samples == [len(pts)]
+        rows.clear()
+        samples.clear()
+        grid_match(pts, a, b, W, FixpointConfig())
+        assert max(rows) > _NN_CHUNK
+        assert samples == rows
 
 
 class TestNNChunking:

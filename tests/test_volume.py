@@ -31,7 +31,6 @@ from voxelmatch.volume import (
     mask_bbox,
     read_volume,
     resample,
-    trilinear_sample,
     trilinear_sample_many,
     write_volume,
 )
@@ -165,14 +164,14 @@ class TestTrilinear:
         norm = data / np.linalg.norm(data, axis=3, keepdims=True)
         emb = self.make_emb(norm.astype(np.float32), normalized=True)
         for p in [(0, 0, 0), (3, 3, 3), (2, 1, 3)]:
-            out = trilinear_sample(emb, p)
+            out = trilinear_sample_many(emb, p)[0]
             np.testing.assert_allclose(out, emb.data[p[2], p[1], p[0]], atol=1e-6)
 
     def test_midpoint_of_identical_vectors(self):
         data = np.zeros((1, 1, 2, 3))
         data[..., 1] = 1.0
         emb = self.make_emb(data, normalized=True)
-        out = trilinear_sample(emb, (0.5, 0, 0))
+        out = trilinear_sample_many(emb, (0.5, 0, 0))[0]
         np.testing.assert_allclose(out, [0, 1, 0], atol=1e-12)
 
     def test_midpoint_of_orthogonal_unit_vectors(self):
@@ -181,13 +180,13 @@ class TestTrilinear:
         data[0, 0, 0, 0] = 1.0
         data[0, 0, 1, 1] = 1.0
         emb = self.make_emb(data, normalized=True)
-        out = trilinear_sample(emb, (0.5, 0, 0))
+        out = trilinear_sample_many(emb, (0.5, 0, 0))[0]
         np.testing.assert_allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-12)
 
     def test_out_of_bounds(self):
         emb = self.make_emb(np.zeros((2, 2, 2, 1)))
         with pytest.raises(OutOfBounds):
-            trilinear_sample(emb, (2.5, 0, 0))
+            trilinear_sample_many(emb, (2.5, 0, 0))[0]
 
     def test_nan_coordinate_is_out_of_bounds(self):
         emb = self.make_emb(np.zeros((2, 2, 2, 1)))
