@@ -81,12 +81,6 @@ class PatchPair:
         phys = self.patch_a.geometry.voxel_to_physical(pts_a)
         return self.patch_b.geometry.physical_to_voxel(self.map_ab.apply_array(phys))
 
-    def b_to_a_voxels(self, pts_b) -> np.ndarray:
-        phys = self.patch_b.geometry.voxel_to_physical(pts_b)
-        return self.patch_a.geometry.physical_to_voxel(
-            self.map_ab.inverse().apply_array(phys)
-        )
-
 
 def _bezier_curve(control: tuple[float, float, float, float], n: int = 1025):
     x1, y1, x2, y2 = control

@@ -39,10 +39,6 @@ class OutOfBounds(VoxelMatchError):
     pass
 
 
-class GeometryMismatch(VoxelMatchError):
-    pass
-
-
 class EmptyMask(VoxelMatchError):
     pass
 

@@ -200,17 +200,19 @@ class _PairMatcher:
 
         Template vectors are sampled once for all points, then go through
         the product ``_NN_CHUNK`` rows at a time, row-major so each row's
-        argmax is a contiguous scan.
+        argmax is a contiguous scan.  All chunks share one product buffer, so
+        a large product is not mapped and page-faulted in afresh per chunk.
         """
         v = self.template_vectors(from_set, pts)
         flat = np.empty(len(v), dtype=np.int64)
         best = np.empty(len(v), dtype=np.float64)
+        buf = np.empty((min(len(v), _NN_CHUNK), len(q_to)))
         for lo in range(0, len(v), _NN_CHUNK):
-            sims = v[lo:lo + _NN_CHUNK] @ q_to.T  # (chunk, n_query_voxels)
+            chunk = v[lo:lo + _NN_CHUNK]
+            sims = np.matmul(chunk, q_to.T, out=buf[:len(chunk)])  # (chunk, n_query_voxels)
             idx = np.argmax(sims, axis=1)  # first max <=> smallest (z, y, x)
             flat[lo:lo + len(idx)] = idx
             best[lo:lo + len(idx)] = sims[np.arange(len(idx)), idx]
-            del sims  # free this chunk's product before the next one is allocated
         return flat, best
 
     def nn_a_to_b(self, pts):

@@ -12,7 +12,6 @@ Voxel index ``i`` along an axis sits at physical position
 
 from __future__ import annotations
 
-import logging
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -27,7 +26,6 @@ from .errors import (
     DimensionOverflow,
     EmptyBox,
     EmptyMask,
-    GeometryMismatch,
     MalformedFile,
     NonUnitInput,
     OutOfBounds,
@@ -46,16 +44,12 @@ __all__ = [
     "resample",
     "trilinear_sample_many",
     "unit_rows",
-    "l2_normalize",
-    "concat_embeddings",
     "body_mask",
     "mask_bbox",
     "dilate_box",
     "crop",
     "half_geometry",
 ]
-
-log = logging.getLogger(__name__)
 
 _ZERO_NORM_EPS = 1e-12  # at or below this a voxel vector counts as zero (see unit_rows)
 
@@ -288,6 +282,8 @@ def read_volume(src):
             raise ChecksumMismatch("payload CRC32 mismatch")
         if not all(0.0 < s < np.inf for s in (sx, sy, sz)):
             raise MalformedFile(f"voxel spacing {(sx, sy, sz)} is not positive and finite")
+        if not np.isfinite((ox, oy, oz)).all():
+            raise MalformedFile(f"volume origin {(ox, oy, oz)} is not finite")
         geom = VolumeGeometry((nx, ny, nz), (sx, sy, sz), (ox, oy, oz))
         np_dtype = "<f4" if dtype_code == _DTYPE_F32 else "<u2"
         arr = np.frombuffer(payload, dtype=np_dtype)
@@ -391,34 +387,6 @@ def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
     if emb.normalized:
         out = unit_rows(out)[0]
     return out
-
-
-def l2_normalize(emb: EmbeddingVolume) -> EmbeddingVolume:
-    """Return a unit-norm copy; zero vectors become e1 (``unit_rows``) and are tallied."""
-    out, _, zero = unit_rows(emb.data.reshape(-1, emb.channels).astype(np.float64))
-    count = int(zero.sum())
-    if count:
-        log.warning("l2_normalize substituted %d zero vectors", count)
-    return EmbeddingVolume(
-        emb.geometry,
-        out.reshape(emb.data.shape).astype(np.float32),
-        normalized=True,
-        zero_substitutions=count,
-    )
-
-
-def concat_embeddings(a: EmbeddingVolume, b: EmbeddingVolume) -> EmbeddingVolume:
-    """Channel-wise concatenation of two normalized embedding volumes.
-
-    The result is not unit norm (each half is), so ``normalized`` is False;
-    dot products of concatenated vectors are the sums of the per-head dots.
-    """
-    if a.geometry != b.geometry:
-        raise GeometryMismatch("embedding volumes have different geometry")
-    if not (a.normalized and b.normalized):
-        raise ValueError("concat_embeddings expects normalized inputs")
-    data = np.concatenate([a.data, b.data], axis=3)
-    return EmbeddingVolume(a.geometry, data, normalized=False)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,8 @@ class TestPatchPair:
         pair = sample_patch_pair(vol, None, spec, seed=5)
         pts_a = np.argwhere(pair.overlap_a)[:, ::-1].astype(float)
         sel = pts_a[rng.choice(len(pts_a), size=min(50, len(pts_a)), replace=False)]
-        back = pair.b_to_a_voxels(pair.a_to_b_voxels(sel))
+        phys_b = pair.patch_b.geometry.voxel_to_physical(pair.a_to_b_voxels(sel))
+        back = pair.patch_a.geometry.physical_to_voxel(pair.map_ab.inverse().apply_array(phys_b))
         assert np.abs(back - sel).max() < 0.5
 
     def test_volume_too_small(self):

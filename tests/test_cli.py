@@ -18,9 +18,9 @@ from voxelmatch.volume import (
     ScalarVolume,
     VolumeGeometry,
     crop,
-    l2_normalize,
     read_volume,
     resample,
+    unit_rows,
     write_volume,
 )
 
@@ -95,7 +95,8 @@ class TestMatchCommand:
         rng = np.random.default_rng(0)
         path.mkdir()
         for head in ("coarse", "fine"):
-            vol = l2_normalize(EmbeddingVolume(VolumeGeometry((6, 6, 6)), rng.normal(size=(6, 6, 6, 4))))
+            rows = unit_rows(rng.normal(size=(216, 4)))[0].reshape(6, 6, 6, 4).astype(np.float32)
+            vol = EmbeddingVolume(VolumeGeometry((6, 6, 6)), rows, normalized=True)
             write_volume(vol, path / f"{head}.evf")
 
     @pytest.mark.parametrize("method", ["nn", "fixpoint"])
@@ -342,6 +343,13 @@ class TestBadVolumeData:
         assert self.embed(tmp_path, 28, value) == cli.DATA_ERROR  # the header's y spacing
         err = capsys.readouterr().err
         assert "voxel spacing" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_header_origin_is_a_data_error(self, tmp_path, capsys, value):
+        assert self.embed(tmp_path, 36, value) == cli.DATA_ERROR  # the header's x origin
+        err = capsys.readouterr().err
+        assert "volume origin" in err
         assert "Traceback" not in err
 
 

@@ -22,7 +22,13 @@ from voxelmatch.matching import (
     nn_match,
     similarity_map,
 )
-from voxelmatch.volume import EmbeddingVolume, VolumeGeometry, l2_normalize, trilinear_sample_many
+from voxelmatch.volume import EmbeddingVolume, VolumeGeometry, trilinear_sample_many, unit_rows
+
+
+def unit_volume(geom, data):
+    """Float32 normalized embedding volume of ``data``'s rows, through ``unit_rows``."""
+    rows = unit_rows(np.asarray(data, dtype=np.float64).reshape(-1, data.shape[-1]))[0]
+    return EmbeddingVolume(geom, rows.reshape(data.shape).astype(np.float32), normalized=True)
 
 
 def make_set(rng, dims=(6, 6, 6), d=4, data=None):
@@ -31,9 +37,9 @@ def make_set(rng, dims=(6, 6, 6), d=4, data=None):
     if data is None:
         data = rng.normal(size=(nz, ny, nx, d))
     g = VolumeGeometry(dims)
-    fine = l2_normalize(EmbeddingVolume(g, data))
+    fine = unit_volume(g, data)
     coarse_data = data + 0.25 * np.roll(data, 1, axis=2)
-    coarse = l2_normalize(EmbeddingVolume(g, coarse_data))
+    coarse = unit_volume(g, coarse_data)
     return EmbeddingSet(coarse=coarse, fine=fine)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from voxelmatch import model as model_mod
 from voxelmatch.augment import AugmentSpec, sample_patch_pair
 from voxelmatch.errors import (
     BadMagic,
@@ -16,14 +17,18 @@ from voxelmatch.errors import (
     InsufficientOverlap,
     TruncatedFile,
 )
+from voxelmatch.geometry import rigid_about, rotation_matrix
 from voxelmatch.losses import PairBatch, appearance_infonce, proto_supcon
-from voxelmatch.matching import EmbeddingSet
+from voxelmatch.matching import EmbeddingSet, FixpointConfig, SimilarityWeights, grid_match
 from voxelmatch.model import (
+    BOX_WIDTHS,
     CHANNEL_SCALES,
     FEATURE_DIM,
+    SIGMAS,
     DescriptorBank,
     ProjectionModel,
     TrainConfig,
+    _band,
     _flat_index,
     _gauss_deriv_kernel,
     _gauss_kernel,
@@ -38,7 +43,7 @@ from voxelmatch.model import (
     save_model,
     train,
 )
-from voxelmatch.phantom import PhantomSpec, gen_phantom
+from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
 from voxelmatch.volume import ScalarVolume, VolumeGeometry, half_geometry, resample
 
 BANK = DescriptorBank()
@@ -74,6 +79,19 @@ def full_resolution_bank(data):
     return np.stack(channels, axis=-1)[::2, ::2, ::2, :] / np.asarray(CHANNEL_SCALES)
 
 
+def assert_matches_oracle(feats, expected):
+    """The bank against ``full_resolution_bank``, in scaled units.
+
+    The banded products sum in another order than ``correlate1d`` and
+    ``uniform_filter``: the gradient and Laplacian channels move by up to
+    ~5e-15 and the box channels by up to ~1.4e-12 on these volumes.  A wrong
+    tap, axis, stride offset or border fold moves values by 1e-3 or more.
+    """
+    err = np.abs(feats - expected)
+    assert err[..., :9].max() <= 1e-12
+    assert err[..., 9:].max() <= 1e-9
+
+
 def scalar(rng, dims=(16, 16, 16), spacing=2.0):
     return ScalarVolume(
         VolumeGeometry(dims, (spacing,) * 3),
@@ -87,17 +105,39 @@ class TestDescriptorBank:
         ids=lambda d: "x".join(map(str, d)),
     )
     def test_bitwise_equal_to_full_resolution_oracle(self, dims):
-        # exact equality: a reordered sum or filter pass moves results by
-        # ~1e-14, which a tolerance would hide
+        # equal up to the rounding of the banded products (see
+        # assert_matches_oracle); the name predates those products
         vol = scalar(np.random.default_rng(sum(dims)), dims)
         feats, geom = BANK.compute(vol)
         expected = full_resolution_bank(vol.data)
         assert feats.shape == expected.shape == (*geom.shape_zyx, FEATURE_DIM)
-        assert np.array_equal(feats, expected)
+        assert_matches_oracle(feats, expected)
 
     def test_bitwise_equal_to_full_resolution_oracle_on_phantom(self):
         vol = gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=62))[0]
-        assert np.array_equal(BANK.compute(vol)[0], full_resolution_bank(vol.data))
+        assert_matches_oracle(BANK.compute(vol)[0], full_resolution_bank(vol.data))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_band_rows_are_strided_impulse_responses(self, n, step):
+        # column j of the correlated identity is the response to the unit
+        # impulse at j; B's row i is that response sampled at step * i
+        kernels = [
+            f(s) for s in SIGMAS for f in (_gauss_kernel, _gauss_deriv_kernel, _gauss_second_kernel)
+        ] + [np.full(w, 1.0 / w) for w in BOX_WIDTHS]
+        for k in kernels:
+            band = _band(tuple(k), n, step)
+            impulses = ndimage.correlate1d(np.eye(n), k, axis=0, mode="nearest")
+            assert band.shape == ((n + step - 1) // step, n)
+            # a border column sums its folded taps in another order: 1 ulp
+            np.testing.assert_allclose(band, impulses[::step], rtol=0, atol=1e-15)
+            assert not band.flags.writeable
+
+    def test_constant_volume_of_large_value_is_zero(self):
+        # the box means run on centred data; uncentred, their rounding leaves
+        # ~4e-5 in the std channels of this volume
+        vol = ScalarVolume(VolumeGeometry((16, 14, 12)), np.full((12, 14, 16), 100.0, np.float32))
+        assert np.abs(BANK.compute(vol)[0]).max() <= 1e-9
 
     def test_constant_volume_zeroes_derivative_channels(self):
         vol = ScalarVolume(VolumeGeometry((12, 12, 12)), np.full((12, 12, 12), 0.6, np.float32))
@@ -159,6 +199,43 @@ class TestDescriptorBank:
         vol = ScalarVolume(VolumeGeometry((8, 8, 8)), np.zeros((8, 8, 8), np.float32))
         feats, _ = BANK.compute(vol)
         assert feats.shape == (4, 4, 4, 11)
+
+
+class OracleBank:
+    def compute(self, vol):
+        return full_resolution_bank(vol.data), half_geometry(vol.geometry)
+
+
+def oracle_smooth_coarse(feats, sigma=4.0):
+    for axis in (0, 1, 2):
+        feats = ndimage.correlate1d(feats, _gauss_kernel(sigma), axis=axis, mode="nearest")
+    return feats
+
+
+class TestBankMatchingEquivalence:
+    """Matches from banded-product embeddings equal those from the scipy oracle's."""
+
+    @pytest.mark.parametrize("cfg", [None, FixpointConfig()], ids=["nn", "fixpoint"])
+    @pytest.mark.parametrize("seed,remap", [(62, "identity"), (66, "gamma")])
+    def test_grid_match_equals_oracle_bank(self, monkeypatch, cfg, seed, remap):
+        rng = np.random.default_rng(seed)
+        rot = rotation_matrix(rng.normal(size=3), math.radians(rng.uniform(3.0, 10.0)))
+        truth = rigid_about(rot, (31.5,) * 3, rng.uniform(-4.0, 4.0, size=3))
+        pp = gen_pair(PhantomSpec(dims=(64,) * 3, seed=seed), truth, remap)
+        moving, fixed = resample(pp.volume_a, 2.0), resample(pp.volume_b, 2.0)
+        mdl = new_model(np.random.default_rng(3))
+        axes = [np.arange(0, n, 3) for n in half_geometry(moving.geometry).dims]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3) * 2.0
+        w = SimilarityWeights()
+        got = grid_match(pts, embed(moving, mdl), embed(fixed, mdl), w, cfg)
+        monkeypatch.setattr(model_mod, "_BANK", OracleBank())
+        monkeypatch.setattr(model_mod, "_smooth_coarse", oracle_smooth_coarse)
+        ref = grid_match(pts, embed(moving, mdl), embed(fixed, mdl), w, cfg)
+        assert len(got) == len(ref) == len(pts)
+        for g, r in zip(got, ref):
+            assert (g.point.x, g.point.y, g.point.z) == (r.point.x, r.point.y, r.point.z)
+            assert (g.method, g.n_fix, g.n_fixed_points_used) == (r.method, r.n_fix, r.n_fixed_points_used)
+            assert abs(g.similarity - r.similarity) < 1e-6
 
 
 class TestEmbed:

@@ -11,7 +11,6 @@ from voxelmatch.errors import (
     DimensionOverflow,
     EmptyBox,
     EmptyMask,
-    GeometryMismatch,
     OutOfBounds,
     TruncatedFile,
     UnsupportedVersion,
@@ -23,15 +22,14 @@ from voxelmatch.volume import (
     ScalarVolume,
     VolumeGeometry,
     body_mask,
-    concat_embeddings,
     crop,
     dilate_box,
     half_geometry,
-    l2_normalize,
     mask_bbox,
     read_volume,
     resample,
     trilinear_sample_many,
+    unit_rows,
     write_volume,
 )
 
@@ -67,10 +65,10 @@ class TestEvfIO:
 
     def test_embedding_roundtrip_preserves_flags(self):
         rng = np.random.default_rng(1)
-        data = rng.normal(size=(3, 3, 3, 2))
-        emb = l2_normalize(EmbeddingVolume(
-            VolumeGeometry((3, 3, 3), (0.5, 0.5, 2.0), (0.0, 0.0, -7.0)), data
-        ))
+        data = unit_rows(rng.normal(size=(27, 2)))[0].reshape(3, 3, 3, 2).astype(np.float32)
+        emb = EmbeddingVolume(
+            VolumeGeometry((3, 3, 3), (0.5, 0.5, 2.0), (0.0, 0.0, -7.0)), data, normalized=True
+        )
         back, _ = roundtrip(emb)
         assert isinstance(back, EmbeddingVolume)
         assert back.normalized is True
@@ -195,53 +193,24 @@ class TestTrilinear:
 
 
 class TestNormalizeConcat:
+    """``unit_rows``, the one normalization and zero-vector rule."""
+
     def test_simple_normalize(self):
-        data = np.zeros((1, 1, 1, 3))
-        data[0, 0, 0] = [2.0, 0.0, 0.0]
-        out = l2_normalize(EmbeddingVolume(VolumeGeometry((1, 1, 1)), data))
-        np.testing.assert_allclose(out.data[0, 0, 0], [1, 0, 0])
-        assert out.zero_substitutions == 0
+        e, norms, zero = unit_rows(np.array([[2.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(e, [[1, 0, 0]])
+        np.testing.assert_allclose(norms, [2.0])
+        assert not zero.any()
 
     def test_zero_vector_rule(self):
-        data = np.zeros((1, 1, 2, 3))
-        data[0, 0, 1] = [0.0, 3.0, 4.0]
-        out = l2_normalize(EmbeddingVolume(VolumeGeometry((2, 1, 1)), data))
-        np.testing.assert_allclose(out.data[0, 0, 0], [1, 0, 0])
-        np.testing.assert_allclose(out.data[0, 0, 1], [0, 0.6, 0.8])
-        assert out.zero_substitutions == 1
+        e, _, zero = unit_rows(np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0]]))
+        np.testing.assert_allclose(e, [[1, 0, 0], [0, 0.6, 0.8]])
+        assert zero.tolist() == [True, False]
 
     def test_random_volume_all_unit(self):
         rng = np.random.default_rng(6)
-        out = l2_normalize(EmbeddingVolume(VolumeGeometry((5, 4, 3)), rng.normal(size=(3, 4, 5, 8))))
-        norms = np.linalg.norm(out.data.reshape(-1, 8), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-
-    def test_concat_values(self):
-        g = VolumeGeometry((1, 1, 1))
-        a = EmbeddingVolume(g, np.array([[[[1.0, 0.0]]]]), normalized=True)
-        b = EmbeddingVolume(g, np.array([[[[0.0, 1.0]]]]), normalized=True)
-        out = concat_embeddings(a, b)
-        assert out.normalized is False
-        np.testing.assert_allclose(out.data[0, 0, 0], [1, 0, 0, 1])
-
-    def test_concat_dot_additivity(self):
-        rng = np.random.default_rng(7)
-        g = VolumeGeometry((3, 3, 3))
-        a1 = l2_normalize(EmbeddingVolume(g, rng.normal(size=(3, 3, 3, 4))))
-        a2 = l2_normalize(EmbeddingVolume(g, rng.normal(size=(3, 3, 3, 4))))
-        b1 = l2_normalize(EmbeddingVolume(g, rng.normal(size=(3, 3, 3, 5))))
-        b2 = l2_normalize(EmbeddingVolume(g, rng.normal(size=(3, 3, 3, 5))))
-        c1 = concat_embeddings(a1, b1)
-        c2 = concat_embeddings(a2, b2)
-        dots = (c1.data * c2.data).sum(axis=3)
-        expected = (a1.data * a2.data).sum(axis=3) + (b1.data * b2.data).sum(axis=3)
-        np.testing.assert_allclose(dots, expected, atol=1e-6)
-
-    def test_concat_geometry_mismatch(self):
-        a = EmbeddingVolume(VolumeGeometry((2, 2, 2)), np.ones((2, 2, 2, 1)), normalized=True)
-        b = EmbeddingVolume(VolumeGeometry((2, 2, 2), (2, 2, 2)), np.ones((2, 2, 2, 1)), normalized=True)
-        with pytest.raises(GeometryMismatch):
-            concat_embeddings(a, b)
+        e, _, zero = unit_rows(rng.normal(size=(60, 8)))
+        np.testing.assert_allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-12)
+        assert not zero.any()
 
 
 class TestBodyMask:
