@@ -1,5 +1,5 @@
 """Cross-modality alignment: grid matching, trimmed rigid fit, margin-scheduled
-cropping, a pluggable deformable-refinement hook, and the outer retraining loop.
+cropping, and the outer retraining loop.
 
 One alignment step matches grid points of the small-FOV (moving) scan into the
 large-FOV (fixed) scan, fits a rigid transform to the survivors, and crops the
@@ -10,12 +10,14 @@ smaller margin.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BackendFailure, EmptyMask, TooFewMatches
+from .augment import PatchPair
+from .errors import EmptyMask, TooFewMatches
 from .geometry import Point3, RigidTransform, fit_rigid_trimmed
 from .matching import EmbeddingSet, FixpointConfig, SimilarityWeights, grid_match
 from .metrics import LandmarkPairSet, evaluate
@@ -27,6 +29,7 @@ from .volume import (
     body_mask,
     crop,
     dilate_box,
+    mapped_inside,
     mask_bbox,
 )
 
@@ -37,9 +40,6 @@ __all__ = [
     "CrossPair",
     "RoundMetrics",
     "register_and_crop",
-    "register_deformable",
-    "identity_backend",
-    "apply_displacement",
     "iterate_alignment",
     "format_metrics_table",
 ]
@@ -75,13 +75,38 @@ class AlignProvenance:
     mean_residual_mm: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegisteredPair:
+    """The moving scan registered onto a crop of the fixed scan.
+
+    Stored: ``fixed_crop``, ``moving``, ``rigid`` and ``provenance``.  Derived
+    from them, and so never out of step with them:
+
+    - ``overlap_mask``, the fixed-crop voxels whose image under the inverse
+      rigid lies inside the moving grid; computed anew on each read.
+    - ``training_view``, the pair as a ``PatchPair`` (moving is side A, the
+      fixed crop side B) with both overlaps; built on the first read and kept,
+      because training reads it on every paired step.
+    """
+
     fixed_crop: ScalarVolume
     moving: ScalarVolume
     rigid: RigidTransform          # moving -> fixed, physical mm
-    overlap_mask: LabelVolume      # on the fixed-crop grid
     provenance: AlignProvenance
+
+    @property
+    def overlap_mask(self) -> LabelVolume:
+        gc = self.fixed_crop.geometry
+        return LabelVolume(gc, mapped_inside(gc, self.rigid.inverse(), self.moving.geometry))
+
+    @functools.cached_property
+    def training_view(self) -> PatchPair:
+        ga, gb = self.moving.geometry, self.fixed_crop.geometry
+        return PatchPair(
+            patch_a=self.moving, patch_b=self.fixed_crop, map_ab=self.rigid.as_affine(),
+            overlap_a=mapped_inside(ga, self.rigid, gb),
+            overlap_b=mapped_inside(gb, self.rigid.inverse(), ga),
+        )
 
 
 @dataclass
@@ -178,57 +203,14 @@ def register_and_crop(
     lo = np.clip(lo, 0, np.asarray(fixed.geometry.dims) - 1)
     hi = np.clip(hi, 0, np.asarray(fixed.geometry.dims) - 1)
     box = dilate_box(Box3(tuple(lo), tuple(hi)), margin, fixed.geometry.dims)
-    fixed_crop = crop(fixed, box)
-
-    gc = fixed_crop.geometry
-    back = moving.geometry.physical_to_voxel(
-        rigid.inverse().apply_array(gc.voxel_to_physical(gc.voxel_points()))
-    )
-    overlap = moving.geometry.in_grid(back)
-    overlap_mask = LabelVolume(gc, overlap.reshape(gc.shape_zyx).astype(np.uint16))
-
     return RegisteredPair(
-        fixed_crop=fixed_crop,
+        fixed_crop=crop(fixed, box),
         moving=moving,
         rigid=rigid,
-        overlap_mask=overlap_mask,
         provenance=AlignProvenance(
             round_index, margin, len(pts), len(src), inliers, mean_resid
         ),
     )
-
-
-def identity_backend(pair: RegisteredPair) -> np.ndarray:
-    """Default deformable backend: the zero displacement field."""
-    return np.zeros((*pair.fixed_crop.geometry.shape_zyx, 3), dtype=np.float64)
-
-
-def register_deformable(pair: RegisteredPair, backend=None) -> np.ndarray:
-    """Run a pluggable deformable-refinement backend.
-
-    The backend receives the registered pair and must return a finite
-    (nz, ny, nx, 3) mm displacement field on the fixed-crop grid.
-    """
-    backend = backend or identity_backend
-    try:
-        fieldv = np.asarray(backend(pair), dtype=np.float64)
-    except Exception as exc:  # noqa: BLE001 - backend is third-party code
-        raise BackendFailure(f"deformable backend raised: {exc}") from exc
-    expected = (*pair.fixed_crop.geometry.shape_zyx, 3)
-    if fieldv.shape != expected:
-        raise BackendFailure(f"field shape {fieldv.shape}, expected {expected}")
-    if not np.all(np.isfinite(fieldv)):
-        raise BackendFailure("field contains non-finite values")
-    return fieldv
-
-
-def apply_displacement(points_mm: np.ndarray, fieldv: np.ndarray, geometry) -> np.ndarray:
-    """Shift physical points by the field value at their (nearest) voxel."""
-    pts = np.asarray(points_mm, dtype=np.float64).reshape(-1, 3)
-    vox = np.round(geometry.physical_to_voxel(pts)).astype(int)
-    vox = np.clip(vox, 0, np.asarray(geometry.dims) - 1)
-    shifts = fieldv[vox[:, 2], vox[:, 1], vox[:, 0]]
-    return pts + shifts
 
 
 def _pair_med(rigid: RigidTransform, pair: CrossPair) -> float | None:

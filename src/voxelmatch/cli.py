@@ -121,9 +121,11 @@ def _read_embedding_set(dir_path) -> EmbeddingSet:
     return EmbeddingSet(coarse=coarse, fine=fine, semantic=semantic)
 
 
-def _weights_for(cfg: RunConfig, emb_set: EmbeddingSet):
+def _weights_for(cfg: RunConfig, has_semantic: bool):
+    """The [similarity] weights, renormalized over the coarse and fine heads
+    when there is no semantic head."""
     w = cfg.similarity
-    if emb_set.semantic is None and w.w_semantic > 0:
+    if not has_semantic and w.w_semantic > 0:
         total = w.w_coarse + w.w_fine
         w = matching.SimilarityWeights(w.w_coarse / total, w.w_fine / total, 0.0)
     return w
@@ -183,7 +185,7 @@ def _cmd_match(args, cfg: RunConfig) -> int:
     template = _read_embedding_set(args.template_dir)
     query = _read_embedding_set(args.query_dir)
     t = _parse_point(args.point)
-    w = _weights_for(cfg, template)
+    w = _weights_for(cfg, template.semantic is not None)
     if args.method == "fixpoint":
         res = matching.fixpoint_match(t, template, query, w, cfg.fixpoint)
     else:
@@ -197,7 +199,7 @@ def _cmd_simmap(args, cfg: RunConfig) -> int:
     template = _read_embedding_set(args.template_dir)
     query = _read_embedding_set(args.query_dir)
     t = _parse_point(args.point)
-    w = _weights_for(cfg, template)
+    w = _weights_for(cfg, template.semantic is not None)
     smap = matching.similarity_map(template, t, query, w)
     volume.write_volume(smap, args.out_volume)
     print(f"wrote similarity map to {args.out_volume}")
@@ -230,7 +232,7 @@ def _cmd_adareg(args, cfg: RunConfig) -> int:
     reg = alignment.register_and_crop(
         fixed, moving, mdl, cfg.align, margin,
         fixed_set=fixed_set, moving_set=moving_set,
-        weights=_weights_for(cfg, moving_set),
+        weights=_weights_for(cfg, moving_set.semantic is not None),
         fixpoint_cfg=cfg.fixpoint,
     )
     out = Path(args.out_dir)
@@ -284,8 +286,10 @@ def _cmd_train(args, cfg: RunConfig) -> int:
                 flm = metrics.read_landmarks(row[2]) if len(row) > 2 else None
                 mlm = metrics.read_landmarks(row[3]) if len(row) > 3 else None
                 pairs.append(alignment.CrossPair(fixed, moving, flm, mlm, pair_id=f"p{i}"))
+            # cross-iter models are trained without a semantic head
             models, metr = alignment.iterate_alignment(
                 pairs, cfg.train, cfg.align, augment_spec=cfg.augment,
+                weights=_weights_for(cfg, False), fixpoint_cfg=cfg.fixpoint,
             )
             out = Path(args.out_model)
             for k, mdl in enumerate(models):

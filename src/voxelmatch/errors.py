@@ -90,10 +90,6 @@ class TooFewMatches(VoxelMatchError):
     pass
 
 
-class BackendFailure(VoxelMatchError):
-    pass
-
-
 # phantom generation
 class PlacementFailure(VoxelMatchError):
     pass

@@ -749,19 +749,6 @@ def _backprop_pair_batch(grads, head, side_a, side_b, batch, out, e_attr, n_attr
         _accumulate(grads, head, side_b, feats_name, flat_fov, d_fov, e_b, n_b, z_b)
 
 
-def _registered_to_patch_pair(reg) -> PatchPair:
-    """View a registered pair as a patch pair: moving is side A, fixed crop side B."""
-    moving, fixed = reg.moving, reg.fixed_crop
-    ga, gb = moving.geometry, fixed.geometry
-    mapped = gb.physical_to_voxel(reg.rigid.apply_array(ga.voxel_to_physical(ga.voxel_points())))
-    overlap_a = gb.in_grid(mapped).reshape(ga.shape_zyx)
-    overlap_b = reg.overlap_mask.data.astype(bool)
-    return PatchPair(
-        patch_a=moving, patch_b=fixed, map_ab=reg.rigid.as_affine(),
-        overlap_a=overlap_a, overlap_b=overlap_b,
-    )
-
-
 def train(
     dataset,
     cfg: TrainConfig,
@@ -777,7 +764,8 @@ def train(
     semantic head when labels exist), ``aggressive`` (self-supervised with
     aggressive intensity augmentation, appearance heads only), ``paired``
     (alternates aggressive self-supervised batches with cross-modality
-    batches drawn from ``registered_pairs``).  Deterministic given the seed;
+    batches drawn from the ``training_view`` of each of the
+    ``registered_pairs``).  Deterministic given the seed;
     returns (model, per-step loss log).  Raises ``DimensionMismatch`` when
     ``init``'s heads' F is not ``FEATURE_DIM``.
 
@@ -844,7 +832,7 @@ def train(
                 reg = registered_pairs[int(rng.integers(len(registered_pairs)))]
                 key = id(reg)
                 if key not in reg_cache:
-                    pp = _registered_to_patch_pair(reg)
+                    pp = reg.training_view
                     fa, _ = _BANK.compute(pp.patch_a)
                     fb, _ = _BANK.compute(pp.patch_b)
                     reg_cache[key] = (pp, fa, fb)

@@ -44,6 +44,7 @@ __all__ = [
     "resample",
     "trilinear_sample_many",
     "unit_rows",
+    "mapped_inside",
     "body_mask",
     "mask_bbox",
     "dilate_box",
@@ -393,6 +394,14 @@ def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
 # masking and cropping
 # ---------------------------------------------------------------------------
 
+def mapped_inside(geom: VolumeGeometry, transform, other: VolumeGeometry) -> np.ndarray:
+    """(nz, ny, nx) bool mask of the voxels of ``geom`` whose image under the
+    physical-mm ``transform`` (anything with ``apply_array``) lies inside ``other``."""
+    phys = geom.voxel_to_physical(geom.voxel_points())
+    inside = other.in_grid(other.physical_to_voxel(transform.apply_array(phys)))
+    return inside.reshape(geom.shape_zyx)
+
+
 def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:
     """Binary mask: threshold, keep the largest 6-connected component, fill per-slice holes."""
     above = vol.data > threshold
@@ -404,9 +413,10 @@ def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:
         counts = np.bincount(labeled.ravel())
         counts[0] = 0
         above = labeled == int(np.argmax(counts))
-    filled = np.empty_like(above)
-    for iz in range(above.shape[0]):
-        filled[iz] = ndimage.binary_fill_holes(above[iz])
+    # a structure with no z offsets fills each z slice on its own, in one call
+    in_plane = np.zeros((3, 3, 3), dtype=bool)
+    in_plane[1] = ndimage.generate_binary_structure(2, 1)
+    filled = ndimage.binary_fill_holes(above, structure=in_plane)
     return LabelVolume(vol.geometry, filled.astype(np.uint16))
 
 

@@ -1,28 +1,26 @@
 """Tests for the grid-match + rigid-fit + crop alignment step and its outer loop."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from voxelmatch import alignment
 from voxelmatch.alignment import (
     AlignConfig,
     CrossPair,
-    RegisteredPair,
-    apply_displacement,
     format_metrics_table,
-    identity_backend,
     iterate_alignment,
     register_and_crop,
-    register_deformable,
 )
-from voxelmatch.errors import BackendFailure, EmptyMask, TooFewMatches
-from voxelmatch.geometry import Point3, rigid_about, rotation_matrix
+from voxelmatch.errors import EmptyMask, TooFewMatches
+from voxelmatch.geometry import rigid_about, rotation_matrix
 from voxelmatch.matching import EmbeddingSet, SimilarityWeights
 from voxelmatch.model import TrainConfig, embed, new_model, save_model, train
 from voxelmatch.augment import AugmentSpec
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
-from voxelmatch.volume import Box3, ScalarVolume, VolumeGeometry, crop, resample
+from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, resample
 
 MODEL = new_model(np.random.default_rng(3))
 CFG = AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18)
@@ -163,56 +161,74 @@ class TestRegisterAndCrop:
         assert gap.max() < 5.0
 
 
-class TestDeformableBackend:
-    def make_pair(self):
-        fixed, _ = working_phantom(67)
-        moving = crop(fixed, Box3((4, 4, 4), (27, 27, 27)))
-        return register_and_crop(fixed, moving, MODEL, CFG, margin=4)
+def inline_overlaps(reg):
+    """Oracle: the overlap rule written out, as (moving-grid mask, fixed-crop mask)."""
+    ga, gb = reg.moving.geometry, reg.fixed_crop.geometry
+    mapped = gb.physical_to_voxel(reg.rigid.apply_array(ga.voxel_to_physical(ga.voxel_points())))
+    back = ga.physical_to_voxel(
+        reg.rigid.inverse().apply_array(gb.voxel_to_physical(gb.voxel_points()))
+    )
+    return gb.in_grid(mapped).reshape(ga.shape_zyx), ga.in_grid(back).reshape(gb.shape_zyx)
 
-    def test_identity_backend_zero_field(self):
-        reg = self.make_pair()
-        field = register_deformable(reg)
-        assert field.shape == (*reg.fixed_crop.geometry.shape_zyx, 3)
-        assert np.all(field == 0.0)
 
-    def test_backend_shape_contract(self):
-        reg = self.make_pair()
-        with pytest.raises(BackendFailure):
-            register_deformable(reg, backend=lambda pair: np.zeros((2, 2, 2, 3)))
+def rotated_registration():
+    spec = PhantomSpec(dims=(64, 64, 64), seed=68)
+    rot = rotation_matrix((0.3, 0.2, 1.0), np.deg2rad(8.0))
+    truth = rigid_about(rot, center=(31.5, 31.5, 31.5), shift=(5.0, -3.0, 4.0))
+    pair = gen_pair(spec, truth, "identity")
+    fixed = resample(pair.volume_b, 2.0)
+    moving = resample(pair.volume_a, 2.0)
+    return register_and_crop(fixed, moving, MODEL, CFG, margin=3)
 
-    def test_backend_exception_wrapped(self):
-        reg = self.make_pair()
 
-        def broken(pair):
-            raise RuntimeError("boom")
+class TestRegisteredPairOverlaps:
+    def test_masks_match_the_inline_rule(self):
+        reg = rotated_registration()
+        want_a, want_b = inline_overlaps(reg)
+        assert 0 < want_a.sum() < want_a.size and 0 < want_b.sum() < want_b.size
+        mask = reg.overlap_mask
+        assert isinstance(mask, LabelVolume) and mask.geometry == reg.fixed_crop.geometry
+        assert np.array_equal(mask.data, want_b.astype(np.uint16))
+        view = reg.training_view
+        assert view.patch_a is reg.moving and view.patch_b is reg.fixed_crop
+        assert np.array_equal(view.overlap_a, want_a)
+        assert np.array_equal(view.overlap_b, want_b)
 
-        with pytest.raises(BackendFailure):
-            register_deformable(reg, backend=broken)
+    def test_register_and_crop_maps_no_voxel_grid(self, monkeypatch):
+        calls = []
+        real = VolumeGeometry.voxel_points
 
-    def test_constant_shift_probe_moves_landmarks_exactly(self):
-        reg = self.make_pair()
-        shift = np.array([1.5, -2.0, 0.5])
+        def counting(geom):
+            calls.append(geom)
+            return real(geom)
 
-        def constant(pair):
-            f = np.zeros((*pair.fixed_crop.geometry.shape_zyx, 3))
-            f[:] = shift
-            return f
+        monkeypatch.setattr(VolumeGeometry, "voxel_points", counting)
+        reg = rotated_registration()
+        assert calls == []
+        reg.overlap_mask  # computed when read
+        assert calls == [reg.fixed_crop.geometry]
 
-        field = register_deformable(reg, backend=constant)
-        origin = np.asarray(reg.fixed_crop.geometry.origin)
-        pts = origin + np.array([[4.0, 6.0, 8.0], [10.0, 12.0, 6.0]])
-        moved = apply_displacement(pts, field, reg.fixed_crop.geometry)
-        np.testing.assert_allclose(moved - pts, np.broadcast_to(shift, pts.shape), atol=1e-12)
-        # with truth equal to the unshifted points, the MED becomes |shift|
-        from voxelmatch.metrics import LandmarkPairSet, evaluate
+    def test_paired_training_builds_each_view_once(self, monkeypatch):
+        pairs = tiny_cross_pairs(2)
+        registered = [register_and_crop(p.fixed, p.moving, MODEL, CFG, margin=5) for p in pairs]
+        calls = []
+        real = alignment.mapped_inside
 
-        med = evaluate(
-            LandmarkPairSet(
-                [Point3(*p) for p in moved], [Point3(*p) for p in pts]
-            ),
-            10.0,
-        ).med
-        assert abs(med - np.linalg.norm(shift)) < 1e-9
+        def counting(geom, transform, other):
+            calls.append(geom)
+            return real(geom, transform, other)
+
+        monkeypatch.setattr(alignment, "mapped_inside", counting)
+        vols = [v for p in pairs for v in (p.fixed, p.moving)]
+        cfg = replace(tiny_train_cfg(), steps=2, batch_size=3)
+        spec = AugmentSpec(aggressive=True, patch_size=(20, 20, 20))
+        views = []
+        for _ in range(2):
+            train(vols, cfg, mode="paired", augment_spec=spec, registered_pairs=registered, init=MODEL)
+            views.append([vars(r).get("training_view") for r in registered])
+        built = [v for v in views[0] if v is not None]
+        assert built and len(calls) == 2 * len(built)
+        assert all(a is b for a, b in zip(views[0], views[1]))
 
 
 def tiny_cross_pairs(n_pairs=2):

@@ -8,6 +8,7 @@ import pytest
 
 from voxelmatch import alignment, cli
 from voxelmatch.geometry import Point3
+from voxelmatch.matching import FixpointConfig
 from voxelmatch.metrics import write_landmarks
 from voxelmatch.model import DescriptorBank, ProjectionModel, head_frame, new_model, save_model
 from voxelmatch.phantom import PhantomSpec, gen_phantom
@@ -245,6 +246,42 @@ class TestAdaregWeights:
         assert kwargs["fixed_set"].semantic is None
         assert (tmp_path / "out" / "rigid.txt").exists()
         assert "aligned with" in capsys.readouterr().out
+
+
+class TestCrossIterSettings:
+    def test_fixpoint_and_similarity_sections_reach_registration(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        vol = resample(gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=64))[0], 2.0)
+        write_volume(vol, tmp_path / "fixed.evf")
+        write_volume(crop(vol, Box3((1, 1, 1), (22, 22, 22))), tmp_path / "moving.evf")
+        (tmp_path / "manifest.txt").write_text("fixed.evf moving.evf\n")
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            "[similarity]\nw_coarse = 0.2\nw_fine = 0.6\nw_semantic = 0.2\n"
+            "[fixpoint]\ncube_side = 3\ntau_dis = 3.0\n"
+            "[align]\ngrid_spacing = 3\nsimilarity_floor = 0.3\nbody_threshold = 0.18\nmargins = 4\n"
+            + TestTrainCommand.CONF
+        )
+        seen = []
+        real = alignment.register_and_crop
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, "register_and_crop", spy)
+        code = cli.main([
+            "--config", str(conf), "train", str(tmp_path / "manifest.txt"),
+            str(tmp_path / "model.uaem"), "--mode", "cross-iter",
+        ])
+        assert code == 0
+        (kwargs,) = seen
+        assert kwargs["fixpoint_cfg"] == FixpointConfig(cube_side=3, tau_dis=3.0)
+        w = kwargs["weights"]
+        assert w.w_semantic == 0.0
+        np.testing.assert_allclose([w.w_coarse, w.w_fine], [0.25, 0.75], rtol=1e-12)
+        assert "k pair inliers residual_mm med_mm" in capsys.readouterr().out.splitlines()
 
 
 class TestAdaregInputs:

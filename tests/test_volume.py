@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from voxelmatch.errors import (
     BadMagic,
@@ -252,6 +253,56 @@ class TestBodyMask:
         mask = body_mask(vol, 0.5)
         assert mask.data[5, 5, 4] == 1
         assert mask.data[5, 5, 15] == 0
+
+
+def body_mask_by_slice(vol, threshold):
+    """Oracle: body_mask's rule with its holes filled by one 2-D call per z slice."""
+    above = vol.data > threshold
+    labeled, n = ndimage.label(above, structure=ndimage.generate_binary_structure(3, 1))
+    if n > 1:
+        counts = np.bincount(labeled.ravel())
+        counts[0] = 0
+        above = labeled == int(np.argmax(counts))
+    filled = np.empty_like(above)
+    for iz in range(above.shape[0]):
+        filled[iz] = ndimage.binary_fill_holes(above[iz])
+    return filled.astype(np.uint16)
+
+
+def tube_block(nz, open_face):
+    """A solid block with a square tube of air from one z face to the middle."""
+    data = np.zeros((nz, 12, 12), np.float32)
+    data[:, 2:10, 2:10] = 1.0
+    tube = slice(0, nz // 2) if open_face == "first" else slice(nz // 2, nz)
+    data[tube, 5:7, 5:7] = 0.0
+    return ScalarVolume(VolumeGeometry((12, 12, nz)), data), tube
+
+
+class TestBodyMaskSliceOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_volumes(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny, nz = (int(d) for d in rng.integers(1, 15, 3))
+        data = ndimage.gaussian_filter(rng.random((nz, ny, nx)), rng.uniform(0.0, 1.5))
+        vol = ScalarVolume(VolumeGeometry((nx, ny, nz)), data.astype(np.float32))
+        threshold = float(np.quantile(vol.data, rng.uniform(0.2, 0.6)))
+        assert np.array_equal(body_mask(vol, threshold).data, body_mask_by_slice(vol, threshold))
+
+    @pytest.mark.parametrize("open_face", ["first", "last"])
+    def test_cavity_open_to_a_z_face_is_filled_in_every_slice(self, open_face):
+        vol, tube = tube_block(9, open_face)
+        mask = body_mask(vol, 0.5).data
+        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        assert mask[tube, 5:7, 5:7].all()
+
+    def test_one_slice_volume(self):
+        data = np.zeros((1, 9, 9), np.float32)
+        data[0, 1:8, 1:8] = 1.0
+        data[0, 3:6, 3:6] = 0.0
+        vol = ScalarVolume(VolumeGeometry((9, 9, 1)), data)
+        mask = body_mask(vol, 0.5).data
+        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        assert mask[0, 1:8, 1:8].all()
 
 
 class TestBoxesAndCrop:
