@@ -87,6 +87,9 @@ class RegisteredPair:
     - ``training_view``, the pair as a ``PatchPair`` (moving is side A, the
       fixed crop side B) with both overlaps; built on the first read and kept,
       because training reads it on every paired step.
+    - ``training_view.usable_anchors``, the moving-side anchors whose
+      correspondent rounds onto the crop's embedding grid; kept beside the
+      view once its first paired batch reads them, across ``train`` calls.
     """
 
     fixed_crop: ScalarVolume

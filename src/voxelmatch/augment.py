@@ -7,6 +7,7 @@ never move geometry.  Everything is deterministic given (input, spec, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -15,7 +16,7 @@ from scipy import ndimage
 
 from .errors import InsufficientOverlap, VolumeTooSmall
 from .geometry import AffineTransform, rotation_matrix
-from .volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop
+from .volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, half_geometry
 
 __all__ = [
     "AugmentSpec",
@@ -81,6 +82,35 @@ class PatchPair:
         phys = self.patch_a.geometry.voxel_to_physical(pts_a)
         return self.patch_b.geometry.physical_to_voxel(self.map_ab.apply_array(phys))
 
+    @functools.cached_property
+    def usable_anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The overlap anchors whose correspondent rounds onto B's half grid.
+
+        Returns their A half-grid indices (x, y, z), their B full-resolution
+        correspondents and those rounded to B's half grid, in the C order of
+        ``overlap_a``.  Computed on the first read and kept, so a pair must
+        not be changed after it is read.  Raises ``InsufficientOverlap`` when
+        ``overlap_a`` holds no half-grid voxel.
+        """
+        anchors_half = _half_lattice_points(self.overlap_a)
+        if len(anchors_half) == 0:
+            raise InsufficientOverlap("no overlap voxels available for anchors")
+        corr_full_b = self.a_to_b_voxels(anchors_half.astype(np.float64) * 2.0)
+        rounded = np.round(corr_full_b / 2.0).astype(np.int64)
+        lim_b = np.asarray(half_geometry(self.patch_b.geometry).dims) - 1
+        ok = np.all((rounded >= 0) & (rounded <= lim_b), axis=1)
+        kept = anchors_half[ok], corr_full_b[ok], rounded[ok]
+        for arr in kept:
+            arr.flags.writeable = False  # shared by every later read
+        return kept
+
+
+def _half_lattice_points(mask_full: np.ndarray) -> np.ndarray:
+    """Half-grid indices (ix, iy, iz) whose full-resolution voxel is inside the mask."""
+    half = mask_full[::2, ::2, ::2]
+    idx = np.argwhere(half)  # (n, 3) as (z, y, x)
+    return idx[:, ::-1].copy()
+
 
 def _bezier_curve(control: tuple[float, float, float, float], n: int = 1025):
     x1, y1, x2, y2 = control
@@ -121,24 +151,41 @@ def intensity_reverse(vol: ScalarVolume) -> ScalarVolume:
     return ScalarVolume(vol.geometry, ((lo + hi) - vol.data.astype(np.float64)).astype(np.float32))
 
 
-def _source_coords(geometry: VolumeGeometry, transform: AffineTransform) -> list[np.ndarray]:
-    """Per-axis (z, y, x) source indices of the inverse-mapped output grid.
+def _source_map(geometry: VolumeGeometry, transform: AffineTransform) -> tuple[np.ndarray, ...]:
+    """Every voxel of ``geometry`` in mm, its pre-image T^-1 in mm, and that in voxel units.
+
+    (N, 3) rows in C order of the (z, y, x) data, unsnapped.  ``warp`` reads
+    the last; ``sample_patch_pair`` shares all three between a patch's warp
+    and its overlap mask.
+    """
+    phys = geometry.voxel_to_physical(geometry.voxel_points())
+    source = transform.inverse().apply_array(phys)
+    return phys, source, geometry.physical_to_voxel(source)
+
+
+def _source_coords(geometry: VolumeGeometry, src_vox: np.ndarray) -> list[np.ndarray]:
+    """Per-axis (z, y, x) ``map_coordinates`` inputs from (N, 3) source voxel coordinates.
 
     Coordinates within 1e-6 of the valid range are snapped onto it, so exact
     grid-to-grid motions do not leak into the outside-fill path through
     rounding in the matrix entries.
     """
-    inv = transform.inverse()
-    shape = geometry.shape_zyx
-    src = geometry.physical_to_voxel(
-        inv.apply_array(geometry.voxel_to_physical(geometry.voxel_points()))
-    )
-    for i in range(3):
+    coords = []
+    for i in (2, 1, 0):
         lim = geometry.dims[i] - 1.0
-        c = src[:, i]
+        c = src_vox[:, i].copy()
         near = (c > -1e-6) & (c < lim + 1e-6)
-        src[near, i] = np.clip(c[near], 0.0, lim)
-    return [src[:, 2].reshape(shape), src[:, 1].reshape(shape), src[:, 0].reshape(shape)]
+        c[near] = np.clip(c[near], 0.0, lim)
+        coords.append(c.reshape(geometry.shape_zyx))
+    return coords
+
+
+def _resample_at(vol: ScalarVolume, coords: list[np.ndarray], order: int = 1) -> ScalarVolume:
+    out = ndimage.map_coordinates(
+        vol.data.astype(np.float64), coords, order=order,
+        mode="constant", cval=float(vol.data.min()),
+    )
+    return ScalarVolume(vol.geometry, out.astype(np.float32))
 
 
 def warp(vol: ScalarVolume, transform: AffineTransform, order: int = 1) -> ScalarVolume:
@@ -147,16 +194,11 @@ def warp(vol: ScalarVolume, transform: AffineTransform, order: int = 1) -> Scala
     Voxels whose pre-image leaves the input grid are filled with the input
     minimum.  ``order=0`` gives nearest-neighbour lookup for label data.
     """
-    coords = _source_coords(vol.geometry, transform)
-    out = ndimage.map_coordinates(
-        vol.data.astype(np.float64), coords, order=order,
-        mode="constant", cval=float(vol.data.min()),
-    )
-    return ScalarVolume(vol.geometry, out.astype(np.float32))
+    src_vox = _source_map(vol.geometry, transform)[2]
+    return _resample_at(vol, _source_coords(vol.geometry, src_vox), order)
 
 
-def _warp_labels(lab: LabelVolume, transform: AffineTransform) -> LabelVolume:
-    coords = _source_coords(lab.geometry, transform)
+def _warp_labels(lab: LabelVolume, coords: list[np.ndarray]) -> LabelVolume:
     out = ndimage.map_coordinates(lab.data, coords, order=0, mode="constant", cval=0)
     return LabelVolume(lab.geometry, out)
 
@@ -169,6 +211,11 @@ def geometric_augment(
     Returns the augmented volume and the exact physical-space transform that
     was applied, so landmark positions can be propagated.
     """
+    return _geometric_augment(vol, spec, seed)[:2]
+
+
+def _geometric_augment(vol: ScalarVolume, spec: AugmentSpec, seed: int):
+    """``geometric_augment`` plus the ``_source_map`` of the transform on the volume's grid."""
     rng = np.random.default_rng(seed)
     axis = rng.normal(size=3)
     axis /= max(np.linalg.norm(axis), 1e-12)
@@ -181,16 +228,17 @@ def geometric_augment(
     center = np.asarray(g.origin) + (np.asarray(g.dims, dtype=np.float64) - 1.0) / 2.0 * np.asarray(g.spacing)
     linear = scale * rotation_matrix(axis, angle)
     transform = AffineTransform(linear, center - linear @ center)
+    src_map = _source_map(g, transform)
     identity = (
         abs(angle) < 1e-12 and abs(scale - 1.0) < 1e-12
     )
-    out = ScalarVolume(g, vol.data.copy()) if identity else warp(vol, transform)
+    out = vol if identity else _resample_at(vol, _source_coords(g, src_map[2]))
     data = out.data.astype(np.float64)
     if blur > 1e-6:
         data = ndimage.gaussian_filter(data, sigma=blur, mode="nearest")
     if noise > 1e-12:
         data = data + rng.normal(0.0, noise, size=data.shape)
-    return ScalarVolume(g, data.astype(np.float32)), transform
+    return ScalarVolume(g, data.astype(np.float32)), transform, src_map
 
 
 def _intensity_augment(vol: ScalarVolume, spec: AugmentSpec, rng) -> ScalarVolume:
@@ -248,37 +296,36 @@ def sample_patch_pair(
 
     win_a, lab_a = window(o_a)
     win_b, lab_b = window(o_b)
-    aug_a, t_a = geometric_augment(win_a, spec, int(rng.integers(2**63)))
-    aug_b, t_b = geometric_augment(win_b, spec, int(rng.integers(2**63)))
+    aug_a, t_a, src_a = _geometric_augment(win_a, spec, int(rng.integers(2**63)))
+    aug_b, t_b, src_b = _geometric_augment(win_b, spec, int(rng.integers(2**63)))
     aug_a = _intensity_augment(aug_a, spec, rng)
     aug_b = _intensity_augment(aug_b, spec, rng)
     if lab_a is not None:
-        lab_a = _warp_labels(lab_a, t_a)
-        lab_b = _warp_labels(lab_b, t_b)
+        lab_a = _warp_labels(lab_a, _source_coords(win_a.geometry, src_a[2]))
+        lab_b = _warp_labels(lab_b, _source_coords(win_b.geometry, src_b[2]))
     map_ab = t_b.compose(t_a.inverse())
 
-    overlap_a = _overlap_mask(aug_a.geometry, t_a, win_a.geometry, win_b.geometry, aug_b.geometry, map_ab)
+    overlap_a = _overlap_mask(src_a, win_a.geometry, win_b.geometry, map_ab)
     if not overlap_a.any():
         raise InsufficientOverlap("augmented patches share no usable overlap")
-    overlap_b = _overlap_mask(
-        aug_b.geometry, t_b, win_b.geometry, win_a.geometry, aug_a.geometry, map_ab.inverse()
-    )
+    overlap_b = _overlap_mask(src_b, win_b.geometry, win_a.geometry, map_ab.inverse())
     return PatchPair(aug_a, aug_b, map_ab, overlap_a, lab_a, lab_b, overlap_b)
 
 
 def _overlap_mask(
-    geom_self: VolumeGeometry,
-    t_self: AffineTransform,
+    source_self: tuple[np.ndarray, ...],
     win_self: VolumeGeometry,
     win_other: VolumeGeometry,
-    geom_other: VolumeGeometry,
     map_self_other: AffineTransform,
 ) -> np.ndarray:
     """Voxels of an augmented patch whose source is seen by both windows and
-    whose image lands inside the other patch grid."""
-    phys = geom_self.voxel_to_physical(geom_self.voxel_points())
-    source = t_self.inverse().apply_array(phys)
-    ok = win_self.in_grid(win_self.physical_to_voxel(source))
+    whose image lands inside the other patch grid.
+
+    ``source_self`` is the patch's ``_source_map``; each patch keeps its
+    window's grid, so ``win_other`` is also the other patch grid.
+    """
+    phys, source, src_vox = source_self
+    ok = win_self.in_grid(src_vox)
     ok &= win_other.in_grid(win_other.physical_to_voxel(source))
-    ok &= geom_other.in_grid(geom_other.physical_to_voxel(map_self_other.apply_array(phys)))
-    return ok.reshape(geom_self.shape_zyx)
+    ok &= win_other.in_grid(win_other.physical_to_voxel(map_self_other.apply_array(phys)))
+    return ok.reshape(win_self.shape_zyx)

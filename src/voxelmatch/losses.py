@@ -69,7 +69,8 @@ class LossOutput:
 def _check_unit(name: str, arr: np.ndarray) -> None:
     if arr.size == 0:
         return
-    norms = np.linalg.norm(arr.reshape(-1, arr.shape[-1]), axis=1)
+    rows = arr.reshape(-1, arr.shape[-1])
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     if np.abs(norms - 1.0).max() > _UNIT_TOL:
         raise NonUnitInput(f"{name} vectors deviate from unit norm by more than {_UNIT_TOL}")
 

@@ -37,8 +37,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
-from .augment import AugmentSpec, PatchPair, sample_patch_pair
+from .augment import AugmentSpec, PatchPair, _half_lattice_points, sample_patch_pair
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -460,37 +461,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_pos_fine, self.n_pos_coarse) < 1:
-            raise ValueError("positive sample counts must be >= 1")
+        counts = (self.n_pos_fine, self.n_pos_coarse, self.n_neg_fine, self.n_neg_coarse, self.semantic_per_class)
+        if min(self.batch_size, *counts) < 1:
+            raise ValueError("batch_size and the positive, negative and per-class sample counts must be >= 1")
+        if min(self.steps, self.n_fov_fine) < 0:
+            raise ValueError("steps and n_fov_fine must be >= 0")
+        if not (self.neg_min_dist_fine >= 0 and self.neg_min_dist_coarse >= 0):
+            raise ValueError("negative minimum distances must be >= 0")
         if min(self.tau_appearance, self.tau_semantic, self.tau_cross) <= 0:
             raise ValueError("temperatures must be positive")
         if not 0.0 < self.hard_negative_fraction <= 1.0:
             raise ValueError("hard_negative_fraction must lie in (0, 1]")
 
 
-def _half_lattice_points(mask_full: np.ndarray) -> np.ndarray:
-    """Half-grid indices (ix, iy, iz) whose full-resolution voxel is inside the mask."""
-    half = mask_full[::2, ::2, ::2]
-    idx = np.argwhere(half)  # (n, 3) as (z, y, x)
-    return idx[:, ::-1].copy()
-
-
 def _flat_index(idx_xyz: np.ndarray, dims) -> np.ndarray:
     nx, ny, _ = dims
     return (idx_xyz[:, 2] * ny + idx_xyz[:, 1]) * nx + idx_xyz[:, 0]
-
-
-def _usable_anchors(pair: PatchPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Overlap anchors whose correspondent rounds onto B's half grid: their A half-grid
-    indices, their B full-resolution correspondents and those rounded to B's half grid."""
-    anchors_half = _half_lattice_points(pair.overlap_a)
-    if len(anchors_half) == 0:
-        raise InsufficientOverlap("no overlap voxels available for anchors")
-    corr_full_b = pair.a_to_b_voxels(anchors_half.astype(np.float64) * 2.0)
-    rounded = np.round(corr_full_b / 2.0).astype(np.int64)
-    lim_b = np.asarray(half_geometry(pair.patch_b.geometry).dims) - 1
-    ok = np.all((rounded >= 0) & (rounded <= lim_b), axis=1)
-    return anchors_half[ok], corr_full_b[ok], rounded[ok]
 
 
 def _sample_side(
@@ -505,12 +491,11 @@ def _sample_side(
     rng: np.random.Generator,
     n_fov: int = 0,
     overlap_b: np.ndarray | None = None,
-    anchors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> PairBatch:
-    """Sample one PairBatch from ``anchors``, ``_usable_anchors(pair)`` when not given."""
+    """Sample one PairBatch from the pair's ``usable_anchors``."""
     dims_a = half_geometry(pair.patch_a.geometry).dims
     dims_b = half_geometry(pair.patch_b.geometry).dims
-    anchors_half, corr_full_b, rounded = _usable_anchors(pair) if anchors is None else anchors
+    anchors_half, corr_full_b, rounded = pair.usable_anchors
     if len(anchors_half) < n_pos:
         raise InsufficientOverlap(
             f"only {len(anchors_half)} usable overlap voxels for {n_pos} positives"
@@ -543,22 +528,24 @@ def _sample_side(
     run_len = gated.sum(axis=3).reshape(n_pos, -1)
     run_z = np.take_along_axis(iz, gated.argmax(axis=3).reshape(n_pos, -1), axis=1)
     run_start = ((ix[:, :, None] * nyb + iy[:, None, :]) * nzb).reshape(n_pos, -1) + run_z
-    # gated voxels before each run, and valid positions before it: the k-th
-    # valid position is k plus the lengths of the runs with at most k valid
-    # positions before them
+    # The k-th valid position is k plus the gated voxels of the runs with at
+    # most k valid positions before them.  Run j has valid_before[j] valid
+    # positions before it, a non-decreasing count, so the shift n_before[j]
+    # holds for the valid_before[j + 1] - valid_before[j] positions from
+    # valid_before[j] on: one np.repeat writes each anchor's shift table.
     n_before = np.concatenate([np.zeros((n_pos, 1), np.int64), np.cumsum(run_len, axis=1)], axis=1)
+    pools = n_b - n_before[:, -1]
     valid_before = run_start - n_before[:, :-1]
+    shift_reps = np.diff(np.concatenate([np.zeros((n_pos, 1), np.int64), valid_before, pools[:, None]], axis=1))
 
     n_cand = max(n_neg, int(math.ceil(n_neg / hard_fraction)))
     cand = np.zeros((n_pos, n_cand), dtype=np.int64)
-    take = np.empty(n_pos, dtype=np.int64)
+    take = np.minimum(pools, n_cand)
     for i in range(n_pos):
-        pool = n_b - int(n_before[i, -1])
-        if pool < n_neg:
-            raise InsufficientOverlap(f"negative pool of {pool} below requested {n_neg}")
-        take[i] = min(n_cand, pool)
-        k = rng.choice(pool, size=take[i], replace=False)
-        cand[i, :take[i]] = k + n_before[i, np.searchsorted(valid_before[i], k, side="right")]
+        if pools[i] < n_neg:
+            raise InsufficientOverlap(f"negative pool of {pools[i]} below requested {n_neg}")
+        k = rng.choice(pools[i], size=take[i], replace=False)
+        cand[i, :take[i]] = k + np.repeat(n_before[i], shift_reps[i])[k]
     cand = xmajor_flat[cand]
 
     # -similarity of every candidate; the padding past a row's take is +inf,
@@ -574,15 +561,7 @@ def _sample_side(
         sl = slice(lo, lo + chunk)
         neg_sims[sl] = -(np.take(emb_b_flat, cand[sl], axis=0) @ anchors_e[sl, :, None])[..., 0]
     neg_sims[np.arange(n_cand) >= take[:, None]] = np.inf
-    # hardest n_neg per row, ties broken by candidate position, in the order
-    # of a stable argsort of -similarity
-    kth = np.partition(neg_sims, n_neg - 1, axis=1)[:, n_neg - 1, None]
-    harder = neg_sims < kth
-    at_cut = neg_sims == kth
-    room = n_neg - harder.sum(axis=1, keepdims=True)
-    surv = np.nonzero(harder | (at_cut & (np.cumsum(at_cut, axis=1) <= room)))[1].reshape(n_pos, n_neg)
-    order = np.argsort(np.take_along_axis(neg_sims, surv, axis=1), axis=1, kind="stable")
-    neg_idx = np.take_along_axis(cand, np.take_along_axis(surv, order, axis=1), axis=1)
+    neg_idx = np.take_along_axis(cand, _hardest(neg_sims, n_neg), axis=1)
 
     fov_idx = None
     fov = None
@@ -606,6 +585,31 @@ def _sample_side(
         negative_indices=neg_idx,
         fov_indices=fov_idx,
     )
+
+
+def _hardest(neg_sims: np.ndarray, n_neg: int) -> np.ndarray:
+    """Column indices of the n_neg smallest entries of each row, in the order
+    of a stable argsort: ties broken by column.
+
+    A row without exact ties among its n_neg smallest or at the cut ranks by
+    a plain partition and sort; only the rows with ties take the rule.
+    """
+    part = np.argpartition(neg_sims, n_neg - 1, axis=1)[:, :n_neg]
+    vals = np.take_along_axis(neg_sims, part, axis=1)
+    order = np.argsort(vals, axis=1)
+    surv = np.take_along_axis(part, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    kth = vals[:, -1:]
+    tied = (vals[:, 1:] == vals[:, :-1]).any(axis=1) | ((neg_sims <= kth).sum(axis=1) > n_neg)
+    if tied.any():
+        sims, kth = neg_sims[tied], kth[tied]
+        harder = sims < kth
+        at_cut = sims == kth
+        room = n_neg - harder.sum(axis=1, keepdims=True)
+        kept = np.nonzero(harder | (at_cut & (np.cumsum(at_cut, axis=1) <= room)))[1].reshape(-1, n_neg)
+        order = np.argsort(np.take_along_axis(sims, kept, axis=1), axis=1, kind="stable")
+        surv[tied] = np.take_along_axis(kept, order, axis=1)
+    return surv
 
 
 def sample_training_batch(
@@ -642,28 +646,19 @@ def sample_training_batch(
     that keep this contract; the test suite holds the sampler to the
     per-anchor loop it replaced.
     """
-    anchors = _usable_anchors(pair)
-    da = emb_a.fine.channels
+    def flat(vol):  # no copy of the float64 frame vectors that ``train`` passes
+        return np.asarray(vol.data.reshape(-1, vol.channels), dtype=np.float64)
+
+    tau = cfg.tau_cross if use_fov else cfg.tau_appearance
     fine = _sample_side(
-        pair,
-        emb_a.fine.data.reshape(-1, da).astype(np.float64),
-        emb_b.fine.data.reshape(-1, da).astype(np.float64),
-        cfg.n_pos_fine, cfg.n_neg_fine, cfg.neg_min_dist_fine,
-        cfg.hard_negative_fraction, cfg.tau_cross if use_fov else cfg.tau_appearance,
-        rng,
+        pair, flat(emb_a.fine), flat(emb_b.fine),
+        cfg.n_pos_fine, cfg.n_neg_fine, cfg.neg_min_dist_fine, cfg.hard_negative_fraction, tau, rng,
         n_fov=cfg.n_fov_fine if use_fov else 0,
         overlap_b=pair.overlap_b,
-        anchors=anchors,
     )
-    dc = emb_a.coarse.channels
     coarse = _sample_side(
-        pair,
-        emb_a.coarse.data.reshape(-1, dc).astype(np.float64),
-        emb_b.coarse.data.reshape(-1, dc).astype(np.float64),
-        cfg.n_pos_coarse, cfg.n_neg_coarse, cfg.neg_min_dist_coarse,
-        cfg.hard_negative_fraction, cfg.tau_cross if use_fov else cfg.tau_appearance,
-        rng,
-        anchors=anchors,
+        pair, flat(emb_a.coarse), flat(emb_b.coarse),
+        cfg.n_pos_coarse, cfg.n_neg_coarse, cfg.neg_min_dist_coarse, cfg.hard_negative_fraction, tau, rng,
     )
     labeled = None
     if pair.labels_a is not None and emb_a.semantic is not None:
@@ -671,15 +666,14 @@ def sample_training_batch(
         classes = np.unique(lab_half)
         classes = classes[classes > 0]
         blocks, ids, idxs = [], [], []
-        ds = emb_a.semantic.channels
-        sem_flat = emb_a.semantic.data.reshape(-1, ds).astype(np.float64)
+        sem_flat = flat(emb_a.semantic)
         for cls in classes:
-            flat = np.nonzero(lab_half == cls)[0]
-            if len(flat) > cfg.semantic_per_class:
-                flat = flat[rng.choice(len(flat), size=cfg.semantic_per_class, replace=False)]
-            blocks.append(sem_flat[flat])
+            members = np.nonzero(lab_half == cls)[0]
+            if len(members) > cfg.semantic_per_class:
+                members = members[rng.choice(len(members), size=cfg.semantic_per_class, replace=False)]
+            blocks.append(sem_flat[members])
             ids.append(int(cls))
-            idxs.append(flat)
+            idxs.append(members)
         if blocks:
             labeled = LabeledBatch(blocks, cfg.tau_semantic, ids, idxs)
     return fine, coarse, labeled
@@ -691,7 +685,7 @@ def sample_training_batch(
 
 def _norm_backprop(g_e, e, norms, zero):
     """Chain dL/d(embedding) through v -> v/|v|; zero-substituted rows get no gradient."""
-    gv = g_e - (g_e * e).sum(axis=1, keepdims=True) * e
+    gv = g_e - np.einsum("ij,ij->i", g_e, e)[:, None] * e
     gv /= np.maximum(norms, 1e-30)[:, None]
     if zero.any():
         gv[zero] = 0.0
@@ -701,52 +695,46 @@ def _norm_backprop(g_e, e, norms, zero):
 class _SideState:
     """Frame vectors plus normalization bookkeeping of one patch side under the current W.
 
-    ``r_t`` maps each trained head name to its R^T (see ``head_frame``).
+    ``r_t`` maps each trained head name to its R^T (see ``head_frame``);
+    ``heads`` maps it to (features, frame vectors, norms, zero mask).
     """
 
     def __init__(self, feats_flat, feats_coarse_flat, r_t):
-        self.feats = feats_flat
-        self.feats_coarse = feats_coarse_flat
-        self.e_fine, self.n_fine, self.z_fine = unit_rows(feats_flat @ r_t["fine"])
-        self.e_coarse, self.n_coarse, self.z_coarse = unit_rows(feats_coarse_flat @ r_t["coarse"])
-        if "semantic" in r_t:
-            self.e_sem, self.n_sem, self.z_sem = unit_rows(feats_flat @ r_t["semantic"])
-        else:
-            self.e_sem = None
+        self.heads = {}
+        for h, r in r_t.items():
+            f = feats_coarse_flat if h == "coarse" else feats_flat
+            self.heads[h] = (f, *unit_rows(f @ r))
 
     def embedding_set(self, geom) -> EmbeddingSet:
-        shape = geom.shape_zyx
+        vols = {
+            h: EmbeddingVolume(geom, e.reshape(*geom.shape_zyx, -1), normalized=True)
+            for h, (_, e, _, _) in self.heads.items()
+        }
+        return EmbeddingSet(coarse=vols["coarse"], fine=vols["fine"], semantic=vols.get("semantic"))
 
-        def vol(e):
-            return EmbeddingVolume(
-                geom, e.reshape(*shape, -1), normalized=True
-            )
+    def backprop(self, head: str, pieces) -> np.ndarray:
+        """dL/dR^T of ``head`` from (voxel indices, dL/d(frame vector) rows) pieces.
 
-        return EmbeddingSet(
-            coarse=vol(self.e_coarse), fine=vol(self.e_fine),
-            semantic=vol(self.e_sem) if self.e_sem is not None else None,
-        )
+        The rows are summed per voxel first, then each touched voxel is
+        chained once through ``_norm_backprop``.
+        """
+        feats, e, norms, zero = self.heads[head]
+        n, k = e.shape
+        idx = np.concatenate([i.ravel() for i, _ in pieces])
+        rows = np.concatenate([g.reshape(-1, k) for _, g in pieces])
+        per_row = sparse.csc_matrix((np.ones(len(idx)), idx, np.arange(len(idx) + 1)), shape=(n, len(idx)))
+        touched = np.flatnonzero(np.bincount(idx, minlength=n))
+        g_v = (per_row @ rows)[touched]
+        return feats[touched].T @ _norm_backprop(g_v, e[touched], norms[touched], zero[touched])
 
 
-def _accumulate(grads, head, side, feats_name, idx, g_e, e, norms, zero):
-    gv = _norm_backprop(g_e, e[idx], norms[idx], zero[idx])
-    feats = getattr(side, feats_name)[idx]
-    grads[head] += feats.T @ gv
-
-
-def _backprop_pair_batch(grads, head, side_a, side_b, batch, out, e_attr, n_attr, z_attr, feats_name):
-    e_a, n_a, z_a = getattr(side_a, e_attr), getattr(side_a, n_attr), getattr(side_a, z_attr)
-    e_b, n_b, z_b = getattr(side_b, e_attr), getattr(side_b, n_attr), getattr(side_b, z_attr)
-    scale = 1.0 / len(batch.anchor_indices)
-    _accumulate(grads, head, side_a, feats_name, batch.anchor_indices, out.d_anchors * scale, e_a, n_a, z_a)
-    _accumulate(grads, head, side_b, feats_name, batch.positive_indices, out.d_positives * scale, e_b, n_b, z_b)
-    flat_neg = batch.negative_indices.ravel()
-    d_neg = out.d_negatives.reshape(len(flat_neg), -1) * scale
-    _accumulate(grads, head, side_b, feats_name, flat_neg, d_neg, e_b, n_b, z_b)
+def _pair_batch_grad(head: str, side_a: _SideState, side_b: _SideState, batch: PairBatch, out) -> np.ndarray:
+    """dL/dR^T of ``head`` from one PairBatch, per anchor."""
+    pieces_b = [(batch.positive_indices, out.d_positives), (batch.negative_indices, out.d_negatives)]
     if out.d_fov is not None and batch.fov_indices is not None:
-        flat_fov = batch.fov_indices.ravel()
-        d_fov = out.d_fov.reshape(len(flat_fov), -1) * scale
-        _accumulate(grads, head, side_b, feats_name, flat_fov, d_fov, e_b, n_b, z_b)
+        pieces_b.append((batch.fov_indices, out.d_fov))
+    grad = side_a.backprop(head, [(batch.anchor_indices, out.d_anchors)]) + side_b.backprop(head, pieces_b)
+    return grad / len(batch.anchor_indices)
 
 
 def train(
@@ -775,6 +763,14 @@ def train(
     respect to an embedding is a combination of embeddings, so it lies in
     the row space of Q^T, and the D-wide gradient of W is exactly G Q^T.
     The momentum update runs on W.
+
+    Backprop runs per voxel, not per sampled row.  A voxel's hard-negative,
+    FOV-negative and positive rows all pass through the same normalization
+    Jacobian, J g = (g - (g . e) e) / |v| of that voxel, which is linear in
+    g, and G sums f^T J g over the rows.  So the rows' gradients are first
+    summed per voxel, and J and f^T run once per touched voxel: the same G
+    in exact arithmetic, summed in another order, so W may move in its last
+    bits.  A zero-substituted voxel's J is 0, so it gets exactly none.
     """
     if mode not in ("standard", "aggressive", "paired"):
         raise ValueError(f"unknown training mode {mode!r}")
@@ -840,10 +836,13 @@ def train(
                 labels_here = False
             else:
                 vol, lab = items[int(rng.integers(len(items)))]
-                pp = sample_patch_pair(
-                    vol, lab if with_semantic else None, augment_spec,
-                    int(rng.integers(2**63)),
-                )
+                try:
+                    pp = sample_patch_pair(
+                        vol, lab if with_semantic else None, augment_spec,
+                        int(rng.integers(2**63)),
+                    )
+                except InsufficientOverlap:
+                    continue  # skipped like a batch without enough overlap below
                 feats_a, _ = _BANK.compute(pp.patch_a)
                 feats_b, _ = _BANK.compute(pp.patch_b)
                 labels_here = with_semantic and pp.labels_a is not None
@@ -866,25 +865,16 @@ def train(
             out_c = appearance_infonce(_strip_fov(coarse_b))
             losses_acc["fine"] += out_f.value / len(fine_b.anchor_indices)
             losses_acc["coarse"] += out_c.value / len(coarse_b.anchor_indices)
-            _backprop_pair_batch(
-                grads, "fine", side_a, side_b, fine_b, out_f,
-                "e_fine", "n_fine", "z_fine", "feats",
-            )
-            _backprop_pair_batch(
-                grads, "coarse", side_a, side_b, coarse_b, out_c,
-                "e_coarse", "n_coarse", "z_coarse", "feats_coarse",
-            )
+            grads["fine"] += _pair_batch_grad("fine", side_a, side_b, fine_b, out_f)
+            grads["coarse"] += _pair_batch_grad("coarse", side_a, side_b, coarse_b, out_c)
             if labels_here and labeled is not None:
                 out_s = proto_supcon(labeled)
                 total = sum(len(b) for b in labeled.class_embeddings)
                 if math.isnan(losses_acc["semantic"]):
                     losses_acc["semantic"] = 0.0
                 losses_acc["semantic"] += out_s.value / max(total, 1)
-                for block_idx, grad_block in zip(labeled.class_indices, out_s.d_classes):
-                    _accumulate(
-                        grads, "semantic", side_a, "feats", block_idx,
-                        grad_block / total, side_a.e_sem, side_a.n_sem, side_a.z_sem,
-                    )
+                pieces = list(zip(labeled.class_indices, out_s.d_classes))
+                grads["semantic"] += side_a.backprop("semantic", pieces) / total
         grads = {h: g @ frames[h][1] for h, g in grads.items()}
         if not all(np.all(np.isfinite(g)) for g in grads.values()):
             raise DivergedLoss(f"non-finite gradient at step {step_i}")

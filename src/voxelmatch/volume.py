@@ -85,12 +85,14 @@ class VolumeGeometry:
 
     def voxel_to_physical(self, pts) -> np.ndarray:
         """Voxel coordinates (x, y, z order) to physical millimeters."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return pts * np.asarray(self.spacing) + np.asarray(self.origin)
+        out = np.asarray(pts, dtype=np.float64) * np.asarray(self.spacing)
+        out += np.asarray(self.origin)
+        return out
 
     def physical_to_voxel(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
+        out = np.asarray(pts, dtype=np.float64) - np.asarray(self.origin)
+        out /= np.asarray(self.spacing)
+        return out
 
     def voxel_points(self) -> np.ndarray:
         """Every voxel index as (N, 3) float64 (x, y, z) rows, in C order of the (z, y, x) data."""
@@ -101,7 +103,8 @@ class VolumeGeometry:
     def in_grid(self, pts) -> np.ndarray:
         """Per (x, y, z) voxel coordinate row: inside the grid, up to 1e-9 voxel."""
         lim = np.asarray(self.dims, dtype=np.float64) - 1.0
-        return np.all((pts >= -1e-9) & (pts <= lim + 1e-9), axis=1)
+        ok = (pts >= -1e-9) & (pts <= lim + 1e-9)
+        return ok[:, 0] & ok[:, 1] & ok[:, 2]
 
 
 @dataclass
@@ -150,9 +153,8 @@ class EmbeddingVolume:
                 f"data shape {self.data.shape} does not match dims {self.geometry.dims}"
             )
         if self.normalized:
-            norms = np.linalg.norm(
-                self.data.reshape(-1, self.data.shape[3]), axis=1
-            )
+            rows = self.data.reshape(-1, self.data.shape[3])
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
             keep = norms > _ZERO_NORM_EPS
             if keep.any() and np.abs(norms[keep] - 1.0).max() > 1e-4:
                 raise NonUnitInput("normalized embedding volume has non-unit vectors")
@@ -343,8 +345,8 @@ def unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     norms = np.linalg.norm(v, axis=1)
     zero = norms <= _ZERO_NORM_EPS
-    e = np.empty_like(v)
-    np.divide(v, norms[:, None], out=e, where=~zero[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = v / norms[:, None]
     if zero.any():
         e[zero] = 0.0
         e[zero, 0] = 1.0

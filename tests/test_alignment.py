@@ -18,7 +18,7 @@ from voxelmatch.errors import EmptyMask, TooFewMatches
 from voxelmatch.geometry import rigid_about, rotation_matrix
 from voxelmatch.matching import EmbeddingSet, SimilarityWeights
 from voxelmatch.model import TrainConfig, embed, new_model, save_model, train
-from voxelmatch.augment import AugmentSpec
+from voxelmatch.augment import AugmentSpec, PatchPair
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
 from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, resample
 
@@ -229,6 +229,28 @@ class TestRegisteredPairOverlaps:
         built = [v for v in views[0] if v is not None]
         assert built and len(calls) == 2 * len(built)
         assert all(a is b for a, b in zip(views[0], views[1]))
+
+
+    def test_paired_training_maps_each_pair_anchors_once(self, monkeypatch):
+        pairs = tiny_cross_pairs(2)
+        registered = [register_and_crop(p.fixed, p.moving, MODEL, CFG, margin=5) for p in pairs]
+        mapped = []
+        real = PatchPair.a_to_b_voxels
+
+        def counting(pair, pts):
+            mapped.append(pair)
+            return real(pair, pts)
+
+        monkeypatch.setattr(PatchPair, "a_to_b_voxels", counting)
+        vols = [v for p in pairs for v in (p.fixed, p.moving)]
+        cfg = replace(tiny_train_cfg(), steps=4, batch_size=3)
+        spec = AugmentSpec(aggressive=True, patch_size=(20, 20, 20))
+        for _ in range(2):
+            train(vols, cfg, mode="paired", augment_spec=spec, registered_pairs=registered, init=MODEL)
+        views = [vars(r)["training_view"] for r in registered if "training_view" in vars(r)]
+        assert views
+        assert [sum(m is v for m in mapped) for v in views] == [1] * len(views)
+        assert all("usable_anchors" in vars(v) for v in views)
 
 
 def tiny_cross_pairs(n_pairs=2):

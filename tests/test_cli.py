@@ -343,6 +343,18 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "model.uaem").exists()
 
+    @pytest.mark.parametrize("key,value", [("n_neg_fine", "0"), ("batch_size", "0"), ("n_neg_coarse", "-5")])
+    def test_counts_the_sampler_cannot_honour_are_a_data_error(self, tmp_path, capsys, key, value):
+        lines = [ln for ln in self.CONF.splitlines() if not ln.startswith(f"{key} =")]
+        lines.insert(lines.index("[train]") + 1, f"{key} = {value}")
+        self.CONF = "\n".join(lines) + "\n"
+        assert self.run(tmp_path, "vol.evf") == cli.DATA_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "[train]" in err and "must be >= 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.uaem").exists()
+
     def test_unknown_mode_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run(tmp_path, "vol.evf", "--mode", "banana")

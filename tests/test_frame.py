@@ -7,6 +7,7 @@ zero-vector rule, under which a zero row's embedding is Q's first column
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from voxelmatch.matching import EmbeddingSet, FixpointConfig, SimilarityWeights,
 from voxelmatch.model import (
     FEATURE_DIM,
     DescriptorBank,
+    ProjectionModel,
     TrainConfig,
     _smooth_coarse,
     embed,
@@ -240,3 +242,51 @@ class TestFrameTraining:
         for h in ("fine", "coarse"):
             step = getattr(after, f"w_{h}") - getattr(before, f"w_{h}")
             assert relative_error(step, -grads[h]) < 1e-12
+
+
+class TestPerVoxelBackprop:
+    """``train`` sums each batch's gradient rows per voxel before the normalization
+    Jacobian; the oracle chains every row on its own."""
+
+    @staticmethod
+    def paired_step(monkeypatch, init):
+        moving, fixed = phantom_pair(62, "inverted")
+        reg = register_and_crop(
+            fixed, moving, new_model(np.random.default_rng(3)),
+            AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18), 5,
+        )
+        cfg = TrainConfig(steps=2, learning_rate=1.0, momentum=0.0, seed=5)
+        spec = AugmentSpec(patch_size=(20, 20, 20), aggressive=True)
+        before, _ = train([moving], replace(cfg, steps=1), "paired", spec, [reg], init=init)
+        calls = recording(monkeypatch)
+        after, _ = train([moving], cfg, "paired", spec, [reg], init=init)
+        paired = [c for c in calls if c[2]]
+        assert len(paired) == 1 and paired[0][3][0].fov_indices is not None
+        return cfg, before, after, paired
+
+    def test_default_counts_equal_the_per_row_chain(self, monkeypatch):
+        cfg, before, after, paired = self.paired_step(monkeypatch, new_model(np.random.default_rng(3)))
+        fine = paired[0][3][0]
+        rows = np.concatenate([fine.negative_indices.ravel(), fine.fov_indices.ravel()])
+        assert fine.negative_indices.shape == (cfg.n_pos_fine, cfg.n_neg_fine)
+        assert fine.fov_indices.shape == (cfg.n_pos_fine, cfg.n_fov_fine)
+        assert len(rows) > 20 * len(np.unique(rows))  # many rows per voxel
+        grads, _ = reference_gradients(paired, before, cfg, ("fine", "coarse"))
+        for h in ("fine", "coarse"):
+            step = getattr(after, f"w_{h}") - getattr(before, f"w_{h}")
+            assert relative_error(step, -grads[h]) <= 1e-12
+
+    def test_zero_rows_get_exactly_zero_gradient(self, monkeypatch):
+        # every row of an all-zero model is substituted by e1
+        zero = ProjectionModel(np.zeros((FEATURE_DIM, 8)), np.zeros((FEATURE_DIM, 8)))
+        _, before, after, _ = self.paired_step(monkeypatch, zero)
+        for h in ("fine", "coarse"):
+            assert not np.any(getattr(before, f"w_{h}")) and not np.any(getattr(after, f"w_{h}"))
+        # there every loss gradient lies along e1, which the Jacobian removes
+        # anyway; rows off e1, on voxels whose features are not zero, must
+        # be stopped by the zero mask
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(50, FEATURE_DIM))
+        side = model_mod._SideState(feats, feats, {"fine": np.zeros((FEATURE_DIM, FEATURE_DIM))})
+        idx, g = rng.integers(0, 50, size=(20, 30)), rng.normal(size=(20, 30, FEATURE_DIM))
+        assert not np.any(side.backprop("fine", [(idx, g)]))

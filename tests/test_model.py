@@ -8,6 +8,7 @@ import pytest
 from scipy import ndimage
 
 from voxelmatch import model as model_mod
+from voxelmatch.alignment import AlignConfig, register_and_crop
 from voxelmatch.augment import AugmentSpec, sample_patch_pair
 from voxelmatch.errors import (
     BadMagic,
@@ -611,6 +612,39 @@ class TestSamplerOracle:
             emb.fine.data = levels[np.arange(n) % 3].reshape(emb.fine.data.shape)
         self.assert_same(*self.run_both(pair, emb_a, emb_b, "fine", 50, 200, 8.0, 0.5, 0.5))
 
+    def test_registered_pair_pools_above_ten_thousand(self):
+        # Generator.choice draws a pool above 10 000 by a tail shuffle, not
+        # by Floyd's method, when take > pool // 50; the paired step's pools
+        # on a registered 128^3 phantom pair are of that kind
+        rng = np.random.default_rng(4)
+        rot = rotation_matrix(rng.normal(size=3), math.radians(6.0))
+        truth = rigid_about(rot, (63.5,) * 3, rng.uniform(-6.0, 6.0, size=3))
+        pp = gen_pair(PhantomSpec(dims=(128,) * 3, seed=62), truth, "inverted")
+        fixed, moving = resample(pp.volume_b, 2.0), resample(pp.volume_a, 2.0)
+        mdl = new_model(np.random.default_rng(3))
+        reg = register_and_crop(
+            fixed, moving, mdl, AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18), 5,
+        )
+        pair = reg.training_view
+        emb_a, emb_b = embed(pair.patch_a, mdl), embed(pair.patch_b, mdl)
+        cfg = TrainConfig()
+        got, want = self.run_both(
+            pair, emb_a, emb_b, "fine", cfg.n_pos_fine, cfg.n_neg_fine, cfg.neg_min_dist_fine,
+            cfg.hard_negative_fraction, cfg.tau_cross, n_fov=cfg.n_fov_fine, overlap_b=pair.overlap_b,
+        )
+        assert got.fov_indices is not None
+        self.assert_same(got, want)
+        dims_b = emb_b.fine.geometry.dims
+        corr = pair.a_to_b_voxels(self.anchor_points(got.anchor_indices, emb_a.fine.geometry.dims))
+        lattice = np.stack(np.meshgrid(*(np.arange(n) for n in dims_b), indexing="ij"), axis=-1).reshape(-1, 3) * 2.0
+        pools = np.array([(np.linalg.norm(lattice - c, axis=1) > cfg.neg_min_dist_fine).sum() for c in corr])
+        n_cand = math.ceil(cfg.n_neg_fine / cfg.hard_negative_fraction)
+        assert pools.min() > 10_000 and n_cand > pools.max() // 50
+        self.assert_same(*self.run_both(
+            pair, emb_a, emb_b, "coarse", cfg.n_pos_coarse, cfg.n_neg_coarse, cfg.neg_min_dist_coarse,
+            cfg.hard_negative_fraction, cfg.tau_cross,
+        ))
+
     def test_pool_below_n_neg_raises_the_same_error(self):
         pair, emb_a, emb_b = self.flat_pair(20, new_model(np.random.default_rng(9)))
         flat = [e.fine.data.reshape(-1, e.fine.channels).astype(np.float64) for e in (emb_a, emb_b)]
@@ -655,6 +689,38 @@ class TestTrain:
         vol, _ = phantom_working(43)
         with pytest.raises(ValueError):
             train([vol], small_cfg(), mode="banana")
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("n_neg_fine", 0), ("n_neg_coarse", -5), ("steps", -1),
+        ("n_fov_fine", -1), ("semantic_per_class", 0), ("neg_min_dist_fine", -1.0),
+        ("neg_min_dist_coarse", float("nan")),
+    ])
+    def test_counts_the_sampler_cannot_honour_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be >= "):
+            TrainConfig(**{field: value})
+
+    def test_patch_draw_without_overlap_is_skipped(self, monkeypatch):
+        # about 6% of these wide-motion draws leave the patches no overlap
+        vol, _ = phantom_working(62, dims=(64, 64, 64))
+        spec = AugmentSpec(
+            patch_size=(16, 16, 16), min_overlap=0.05, rotation_degrees=90,
+            scale_range=(0.6, 1.6), aggressive=True,
+        )
+        raised = []
+        real = model_mod.sample_patch_pair
+
+        def spy(*args):
+            try:
+                return real(*args)
+            except InsufficientOverlap:
+                raised.append(args[3])
+                raise
+
+        monkeypatch.setattr(model_mod, "sample_patch_pair", spy)
+        _, log = train([vol], TrainConfig(steps=40, seed=1), mode="aggressive", augment_spec=spec)
+        assert raised
+        assert [r["step"] for r in log] == list(range(40))
+        assert all(math.isfinite(r["loss_fine"]) for r in log)
 
     def test_same_seed_bit_identical_models(self):
         vol, _ = phantom_working(44)
