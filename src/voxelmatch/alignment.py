@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +64,11 @@ class AlignConfig:
             raise ValueError("margins must be non-increasing")
         if self.matcher not in ("nn", "fixpoint"):
             raise ValueError(f"unknown matcher {self.matcher!r}")
+        if not 0.0 <= self.trim_fraction <= 0.5:
+            raise ValueError("trim_fraction must lie in [0, 0.5]")
+        for name in ("similarity_floor", "body_threshold"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
 
 
 @dataclass

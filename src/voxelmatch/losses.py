@@ -7,7 +7,7 @@ batch-size normalization is the trainer's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,19 +5,26 @@ results are expressed in full-resolution voxel coordinates of the respective
 image grids (twice the embedding-grid index).  Nearest-neighbour argmaxes
 break ties toward the smallest (z, y, x) index, so results are deterministic.
 
-An NN lookup samples its template vectors once, then takes them
-``_NN_CHUNK`` (128) rows at a time through one row-major similarity product,
-so memory stays at one chunk times the query grid plus one vector per point.
-Fixed-point matching of a point list builds one pair matcher and iterates
-the seed cubes of all points together: every seed is a lattice point, so the
-forward and backward NN maps are memoized per lattice index and each lattice
-point is looked up at most once per direction, whichever cubes share it.
-Each point gets its own affine fit; all fitted points share one similarity
-pass.  A point that cannot be fitted keeps a one-row NN lookup, because a
-one-row product rounds differently from a batched one.
+An NN lookup samples its template vectors once (at lattice points, a
+gather of the stored rows), then takes them ``_NN_CHUNK`` (128) rows at a
+time through one row-major similarity product, so memory stays at one chunk
+times the query grid plus one vector per point.  Fixed-point matching of a
+point list builds one pair matcher and iterates the seed cubes of all points
+together: every seed is a lattice point, so the forward and backward NN maps
+are memoized per lattice index and each lattice point is looked up at most
+once per direction, whichever cubes share it.  Each point gets its own
+affine fit; all fitted points share one similarity pass.  A point that
+cannot be fitted keeps a one-row NN lookup, because a one-row product
+rounds differently from a batched one.
 
-One cycle policy: a seed converges when the forward-backward map sends it to
-itself; a seed that cycles or exhausts ``max_iter`` yields no fixed point.
+One iteration policy, with a step budget per seed: a point's centre seed
+gets ``max_iter`` steps, as it sets ``n_fix``.  When every lattice point
+within ``tau_dis`` of the point (its ball) lies in its clipped seed cube, the
+ball seeds get one step each and the other seeds none; otherwise every seed
+gets ``max_iter``.  This finds the same fixed points for the fit: a fixed
+point within ``tau_dis`` is then a ball seed, and a fixed point converges
+from itself at step 0.  A seed converges when the forward-backward map sends
+it to itself; one that cycles or exhausts its budget yields no fixed point.
 
 One bounds rule, for both matchers: a template point more than 0.75
 embedding voxels outside the template grid is out of bounds.  ``grid_match``
@@ -27,13 +34,16 @@ returns ``None`` for it before any lookup; the one-point functions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, OutOfBounds
-from .geometry import Point3, fit_affine
-from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many
+from .geometry import Point3, _solve_affine
+# kept for benchmarks/voxbench/layers.py, which wraps matching.fit_affine by name
+from .geometry import fit_affine  # noqa: F401
+from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many, unit_rows
 
 __all__ = [
     "EmbeddingSet",
@@ -101,8 +111,8 @@ class FixpointConfig:
     def __post_init__(self):
         if self.cube_side < 3 or self.cube_side % 2 == 0:
             raise ValueError("cube_side must be an odd integer >= 3")
-        if self.tau_dis <= 0:
-            raise ValueError("tau_dis must be positive")
+        if not (math.isfinite(self.tau_dis) and self.tau_dis > 0):
+            raise ValueError("tau_dis must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.min_points < 4:
@@ -185,14 +195,28 @@ class _PairMatcher:
         return out
 
     def template_vectors(self, s: EmbeddingSet, pts_fullres: np.ndarray) -> np.ndarray:
-        """Per-head trilinear samples at half coordinates, weighted and concatenated."""
+        """Per-head samples at half coordinates, weighted and concatenated.
+
+        Points off the embedding lattice are sampled trilinearly.  When every
+        point is a lattice point the stored rows are gathered and put through
+        ``unit_rows``, bitwise what the trilinear blend gives there: one
+        weight is exactly 1, the others 0, and the blend sums from +0.0.
+        """
         pts = np.asarray(pts_fullres, dtype=np.float64).reshape(-1, 3)
         if not _in_bounds(s, pts).all():
             raise OutOfBounds("template point outside the volume")
         half = np.clip(pts / 2.0, 0.0, np.array(s.geometry.dims, dtype=np.float64) - 1.0)
+        ijk = half.astype(np.int64)
+        flat = _lattice_flat(s, ijk) if np.array_equal(ijk, half) else None
         parts = []
         for name, weight in self.heads:
-            parts.append(weight * trilinear_sample_many(getattr(s, name), half))
+            emb = getattr(s, name)
+            if flat is None:
+                v = trilinear_sample_many(emb, half)
+            else:
+                # adding 0.0 turns -0.0 into +0.0, as the blend's sum does
+                v = unit_rows(np.add(emb.data.reshape(-1, emb.channels)[flat], 0.0, dtype=np.float64))[0]
+            parts.append(weight * v)
         return np.concatenate(parts, axis=1)
 
     def _nn(self, from_set: EmbeddingSet, q_to: np.ndarray, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +295,8 @@ def _full_res_limits(s: EmbeddingSet) -> np.ndarray:
 class _CubeFixedPoints:
     """What the seed cube around one template point converged to."""
 
-    fixed: np.ndarray    # (n, 3) full-res fixed points in A, sorted by (x, y, z)
+    fixed: np.ndarray    # (n, 3) full-res fixed points in A, sorted by (x, y, z), among
+                         # them every fixed point within tau_dis of the template point
     forward: np.ndarray  # (n, 3) their forward matches in B
     n_fix: int           # iteration at which the centre seed converged, else max_iter
 
@@ -279,37 +304,63 @@ class _CubeFixedPoints:
 def _converge_cubes(
     matcher: _PairMatcher, pts: np.ndarray, cfg: FixpointConfig
 ) -> list[_CubeFixedPoints]:
-    """Iterate the forward-backward map from every seed of every point's cube.
+    """Iterate the forward-backward map from the seeds of every point's cube.
 
     Seeds are embedding-grid lattice points, so the forward (A->B) and
     backward (B->A) NN maps are memoized per lattice index and shared by all
     cubes.  Each iteration advances every live seed at once and resolves
     only the lattice points not yet in the memo, with one batched lookup per
     direction.  A seed converges when the map sends it to itself; one that
-    has not within ``max_iter`` moves yields no fixed point.  The map is a
+    has not within its step budget yields no fixed point.  The map is a
     function, so a seed that revisits a point of its own trace is on a cycle
-    and can never converge: it simply runs out its budget on memo hits.  For
-    the same reason a seed's outcome depends on its start alone, and seeds
-    shared by overlapping cubes are iterated once.
+    and can never converge, and a seed's outcome depends on its start alone:
+    seeds shared by overlapping cubes are iterated once, with the largest
+    budget any cube gives them.
+
+    The step budget: a point's centre seed gets ``max_iter`` steps, because
+    it sets ``n_fix``.  When every lattice point within ``tau_dis`` of the
+    point (its ball) lies in its clipped cube, each ball seed gets one step
+    and every other seed none; otherwise every seed gets ``max_iter``.  This
+    is exact: a fixed point within ``tau_dis`` is then a ball seed, and a
+    fixed point converges from itself at step 0, so the one-step ball seeds
+    find every fixed point the local fit can use.  The default cube (side 5,
+    ``tau_dis`` 5) contains the ball of every lattice point.
     """
     a, b = matcher.a, matcher.b
     lim = np.array(a.geometry.dims) - 1
     half = (cfg.cube_side - 1) // 2
     offs = np.arange(-half, half + 1)
     gx, gy, gz = np.meshgrid(offs, offs, offs, indexing="ij")
-    cube = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    cube = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)  # in (x, y, z) order
     centers = np.clip(np.round(pts / 2.0).astype(np.int64), 0, lim)
-    seeds = np.clip(centers[:, None, :] + cube[None, :, :], 0, lim)
+    unclipped = centers[:, None, :] + cube[None, :, :]
+    seeds = np.clip(unclipped, 0, lim)
     starts, start_of = np.unique(_lattice_flat(a, seeds), return_inverse=True)
     start_of = start_of.reshape(len(pts), len(cube))
-    center_of = start_of[:, len(cube) // 2]  # offset (0, 0, 0) sits mid-cube
+    center = len(cube) // 2  # offset (0, 0, 0) sits mid-cube
+
+    # the slack covers any rounding of the distance, so no seed that the
+    # finish's own tau_dis test keeps is left without a step
+    reach = cfg.tau_dis * (1.0 + 1e-12)
+    in_ball = np.linalg.norm(2.0 * seeds - pts[:, None, :], axis=2) <= reach
+    # the nearest lattice points outside the clipped cube on each axis are
+    # off the grid or beyond reach, and so is every point past them
+    below, above = centers - half - 1, centers + half + 1
+    contained = np.all(
+        ((below < 0) | (pts - 2.0 * below > reach)) & ((above > lim) | (2.0 * above - pts > reach)),
+        axis=1,
+    )
+    steps = np.where(contained[:, None], in_ball, cfg.max_iter)
+    steps[:, center] = cfg.max_iter
+    budget = np.zeros(len(starts), dtype=np.int64)
+    np.maximum.at(budget, start_of, steps)
 
     fwd_memo = np.full(a.geometry.n_voxels, -1, dtype=np.int64)
     back_memo = np.full(b.geometry.n_voxels, -1, dtype=np.int64)
     fixed_at = np.full(len(starts), -1, dtype=np.int64)
     n_conv = np.full(len(starts), cfg.max_iter, dtype=np.int64)
     cur = starts.copy()
-    alive = np.arange(len(starts))
+    alive = np.flatnonzero(budget)
     for it in range(cfg.max_iter):
         if alive.size == 0:
             break
@@ -326,25 +377,40 @@ def _converge_cubes(
         fixed_at[alive[conv]] = pos[conv]
         n_conv[alive[conv]] = it
         cur[alive] = nxt
-        alive = alive[~conv]
+        alive = alive[~conv & (budget[alive] > it + 1)]
 
-    out = []
+    # in a contained cube: the ball seeds that converged at step 0, each
+    # lattice point once (at its unclipped offset) and in cube order
+    own = in_ball & (n_conv[start_of] == 0) & (unclipped == seeds).all(axis=2)
+    groups = []
     for p in range(len(pts)):
-        flat = fixed_at[start_of[p]]
-        flat = np.unique(flat[flat >= 0])
-        fixed = _lattice_points(a, flat)
-        order = np.lexsort((fixed[:, 2], fixed[:, 1], fixed[:, 0]))
-        out.append(_CubeFixedPoints(
-            fixed[order], _lattice_points(b, fwd_memo[flat[order]]), int(n_conv[center_of[p]])
-        ))
-    return out
+        if contained[p]:
+            groups.append(starts[start_of[p, own[p]]])
+        else:
+            flat = fixed_at[start_of[p]]
+            flat = np.unique(flat[flat >= 0])
+            xyz = _lattice_points(a, flat)
+            groups.append(flat[np.lexsort((xyz[:, 2], xyz[:, 1], xyz[:, 0]))])
+    flat = np.concatenate(groups)
+    cuts = np.cumsum([len(g) for g in groups])[:-1]
+    return [
+        _CubeFixedPoints(fixed, forward, int(n))
+        for fixed, forward, n in zip(
+            np.split(_lattice_points(a, flat), cuts),
+            np.split(_lattice_points(b, fwd_memo[flat]), cuts),
+            n_conv[start_of[:, center]],
+        )
+    ]
 
 
 def _finish_fixpoint(
     matcher: _PairMatcher, pts: np.ndarray, cubes: list[_CubeFixedPoints], cfg: FixpointConfig
 ) -> list[MatchResult]:
     """Affine fits through the fixed points near each point, one similarity pass
-    for all fitted points, and a one-row NN lookup per point that cannot be fitted."""
+    for all fitted points, and a one-row NN lookup per point that cannot be fitted.
+
+    A fit is ``fit_affine``'s rank check and least-squares solve on the near
+    fixed points in (x, y, z) order, without its residual and report."""
     out: list[MatchResult | None] = [None] * len(pts)
     fit, fit_n, fit_q = [], [], []
     for i, (t, cube) in enumerate(zip(pts, cubes)):
@@ -352,7 +418,7 @@ def _finish_fixpoint(
         n_near = int(np.count_nonzero(near))
         if n_near >= cfg.min_points:
             try:
-                aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
+                aff = _solve_affine(cube.fixed[near], cube.forward[near])
             except DegenerateGeometry:
                 pass
             else:
@@ -378,13 +444,17 @@ def fixpoint_match(
 ) -> MatchResult:
     """Structural match of ``t`` through the fixed points of the forward-backward map.
 
-    Every voxel of the ``cube_side``-wide cube of embedding-grid points
-    around ``t`` (clipped to the grid) is iterated until it converges or the
-    iteration budget runs out.  Converged fixed points within ``tau_dis`` of
-    ``t``, sorted by (x, y, z), are paired with their forward matches; if at
-    least ``min_points`` non-coplanar pairs survive, a local affine fit maps
-    ``t`` into the query volume.  Otherwise the plain NN match is returned
-    with method ``fixpoint_fallback_nn``.
+    The seeds, the ``cube_side``-wide cube of embedding-grid points around
+    ``t`` (clipped to the grid), iterate until they converge or run out of
+    steps: ``max_iter`` for the centre seed, and, if every lattice point
+    within ``tau_dis`` of ``t`` lies in the cube, one for the seeds within
+    ``tau_dis`` and none for the others, else ``max_iter`` for all.  That is
+    exact: such a fixed point is a seed and converges from itself at step 0.
+    Converged fixed points within ``tau_dis`` of ``t``, sorted by (x, y, z),
+    are paired with their forward matches; if at least ``min_points``
+    non-coplanar pairs survive, a local affine fit maps ``t`` into the query
+    volume.  Otherwise the plain NN match is returned with method
+    ``fixpoint_fallback_nn``.
 
     This is the one-point case of ``grid_match(cfg=...)``; match many points
     with that, which shares one matcher and one lattice NN memo among them.
@@ -407,8 +477,8 @@ def grid_match(
     whole call.  With ``cfg=None`` the in-bounds points go through one
     batched NN lookup, ``_NN_CHUNK`` rows per similarity product.  Otherwise
     their seed cubes iterate together against one shared memo of lattice NN
-    maps (see ``_converge_cubes``): a seed that cycles or exhausts
-    ``cfg.max_iter`` yields no fixed point.  Each point then gets its own
+    maps (see ``_converge_cubes``): a seed that cycles or exhausts its step
+    budget yields no fixed point.  Each point then gets its own
     affine fit through the fixed points near it, and all fitted points share
     one similarity pass.  A point that cannot be fitted falls back to its own
     one-row NN lookup, so it equals ``nn_match`` bit for bit.
@@ -419,6 +489,8 @@ def grid_match(
     matcher = _PairMatcher(a, b, w)
     ok = np.flatnonzero(_in_bounds(a, pts))
     out: list[MatchResult | None] = [None] * len(pts)
+    if not ok.size:
+        return out
     if cfg is None:
         matched, sims = matcher.nn_a_to_b(pts[ok])
         res = [MatchResult(Point3.from_array(q), float(sim), "nn") for q, sim in zip(matched, sims)]

@@ -61,7 +61,6 @@ from .losses import (
 from .matching import EmbeddingSet
 from .volume import (
     EmbeddingVolume,
-    LabelVolume,
     ScalarVolume,
     VolumeGeometry,
     half_geometry,

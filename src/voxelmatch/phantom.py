@@ -9,8 +9,7 @@ and an optional field-of-view crop, so every suite has exact correspondence.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage

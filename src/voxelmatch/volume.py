@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -155,8 +155,8 @@ class EmbeddingVolume:
         if self.normalized:
             rows = self.data.reshape(-1, self.data.shape[3])
             norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-            keep = norms > _ZERO_NORM_EPS
-            if keep.any() and np.abs(norms[keep] - 1.0).max() > 1e-4:
+            # a NaN norm fails both tests
+            if not np.all((norms <= _ZERO_NORM_EPS) | (np.abs(norms - 1.0) <= 1e-4)):
                 raise NonUnitInput("normalized embedding volume has non-unit vectors")
 
     @property

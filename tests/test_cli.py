@@ -284,6 +284,49 @@ class TestCrossIterSettings:
         assert "k pair inliers residual_mm med_mm" in capsys.readouterr().out.splitlines()
 
 
+class TestAdaregSettings:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("adareg")
+        vol = resample(gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=64))[0], 2.0)
+        write_volume(vol, d / "fixed.evf")
+        write_volume(crop(vol, Box3((1, 1, 1), (22, 22, 22))), d / "moving.evf")
+        save_model(new_model(np.random.default_rng(3)), d / "model.uaem")
+        return d
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("align", "trim_fraction", "nan"),
+        ("align", "trim_fraction", "0.6"),
+        ("align", "trim_fraction", "-0.1"),
+        ("align", "similarity_floor", "nan"),
+        ("align", "body_threshold", "nan"),
+        ("fixpoint", "tau_dis", "nan"),
+        ("fixpoint", "tau_dis", "inf"),
+    ])
+    def test_bad_value_is_a_data_error(self, inputs, tmp_path, capsys, section, key, value):
+        # with valid values these settings register the pair with exit 0
+        sections = {
+            "align": {"grid_spacing": "3", "similarity_floor": "0.3", "body_threshold": "0.18",
+                      "matcher": "fixpoint"},
+            "fixpoint": {},
+        }
+        sections[section][key] = value
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for name, items in sections.items()
+        ))
+        code = cli.main([
+            "--config", str(conf), "adareg", str(inputs / "fixed.evf"), str(inputs / "moving.evf"),
+            str(inputs / "model.uaem"), str(tmp_path / "out"),
+        ])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"[{section}]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestAdaregInputs:
     @pytest.mark.parametrize("which", ["fixed", "moving"])
     def test_embedding_volume_as_input_is_a_data_error(self, tmp_path, capsys, which):

@@ -182,8 +182,13 @@ class TestForwardBackward:
     def test_identity_pair(self):
         rng = np.random.default_rng(8)
         a = make_set(rng)
-        (cube,) = engine_cubes(a, a, (4, 4, 6))
-        assert len(cube.fixed) == 125  # the whole 5^3 seed cube
+        t = np.array([4.0, 4.0, 6.0])
+        (cube,) = engine_cubes(a, a, t)
+        # every seed is a fixed point, but only the 81 lattice points within
+        # tau_dis = 5 of t, all inside its 5^3 cube, are stepped and reported
+        ball = [p for p in lattice_points((6, 6, 6)) if np.linalg.norm(np.subtract(p, t)) <= 5.0]
+        assert len(ball) == 81
+        np.testing.assert_array_equal(cube.fixed, sorted(ball))
         np.testing.assert_array_equal(cube.forward, cube.fixed)
 
     def test_translated_copy_returns_start(self):
@@ -466,11 +471,18 @@ class TestBatchedFixpointEngine:
         pts = lattice_points((6, 6, 6), 2) + [(10.0, 0.0, 10.0)]
         assert grid_match(pts, a, b, W, FixpointConfig()) == oracle_grid(pts, a, b, W, FixpointConfig())
 
-    @pytest.mark.parametrize("max_iter", (3, 20))
-    def test_wandering_and_cycling_seeds_equal_oracle(self, monkeypatch, max_iter):
+    @pytest.mark.parametrize("cfg,methods", [
+        (FixpointConfig(tau_dis=2.5, max_iter=3), {"fixpoint", "fixpoint_fallback_nn"}),
+        (FixpointConfig(tau_dis=2.5, max_iter=20), {"fixpoint", "fixpoint_fallback_nn"}),
+        (FixpointConfig(), {"fixpoint"}),  # 81-seed balls, about half of them fixed
+    ], ids=["3", "20", "default"])
+    def test_wandering_and_cycling_seeds_equal_oracle(self, monkeypatch, cfg, methods):
         # exact argmax over a symmetric similarity cannot cycle, so hand NN
         # tables stand in for the matcher: half the lattice maps back to
-        # itself, the rest follows random links that wander, cycle or exhaust
+        # itself, the rest follows random links that wander, cycle or exhaust.
+        # Every cube here contains its point's ball, so only the ball seeds
+        # and the centre are stepped; corner seeds whose paths end inside the
+        # ball must not add or lose a fixed point
         rng = np.random.default_rng(60)
         a = make_set(rng, dims=(6, 6, 6))
         b = make_set(rng, dims=(6, 6, 6))
@@ -487,12 +499,20 @@ class TestBatchedFixpointEngine:
             return flat, flat / n
 
         monkeypatch.setattr(_PairMatcher, "_nn", table_nn)
-        cfg = FixpointConfig(tau_dis=2.5, max_iter=max_iter)
         pts = lattice_points((6, 6, 6), 1)
         got = grid_match(pts, a, b, W, cfg)
         assert got == oracle_grid(pts, a, b, W, cfg)
-        assert {r.method for r in got} == {"fixpoint", "fixpoint_fallback_nn"}
-        assert max(r.n_fix for r in got) == max_iter
+        assert {r.method for r in got} == methods
+        assert max(r.n_fix for r in got) == cfg.max_iter
+
+    def test_off_lattice_points_equal_oracle(self):
+        # the first three points are off the lattice yet their balls lie in
+        # their cubes, so their one-step ball seeds sit at distances that are
+        # not whole numbers; the last point's ball leaves its cube
+        cfg = FixpointConfig()
+        pts = [(8.3, 7.6, 8.2), (7.1, 9.4, 6.0), (5.5, 8.0, 8.9), (1.0, 1.0, 1.0)]
+        for a, b, _ in equivalence_cases()[2:]:
+            assert grid_match(pts, a, b, W, cfg) == oracle_grid(pts, a, b, W, cfg)
 
     def test_tiny_tau_falls_back_to_nn_everywhere(self):
         cfg = FixpointConfig(tau_dis=1e-6)
@@ -516,6 +536,32 @@ class TestBatchedFixpointEngine:
         a, b, _ = equivalence_cases()[0]
         with pytest.raises(OutOfBounds):
             fixpoint_match((90.0, 0.0, 0.0), a, b, W, FixpointConfig())
+
+
+class TestTemplateVectors:
+    def test_lattice_gather_is_bitwise_the_trilinear_blend(self):
+        # stored rows with -0.0 entries and an all-zero row, sampled at every
+        # lattice point including the upper edges, where the blend's base
+        # voxel is one below the point
+        rng = np.random.default_rng(41)
+        dims = (6, 4, 5)
+        g = VolumeGeometry(dims)
+        heads = {}
+        for name in ("coarse", "fine"):
+            raw = rng.normal(size=(5, 4, 6, 4))
+            raw[..., 0][raw[..., 1] > 0.5] = -0.0
+            rows = unit_rows(raw.reshape(-1, 4))[0].reshape(raw.shape)
+            rows[2, 1, 3] = 0.0
+            heads[name] = EmbeddingVolume(g, rows.astype(np.float32), normalized=True)
+        a = EmbeddingSet(**heads)
+        matcher = _PairMatcher(a, a, SimilarityWeights(0.3, 0.7, 0.0))
+        pts = np.array(lattice_points(dims))
+        blend = np.concatenate(
+            [wt * trilinear_sample_many(getattr(a, h), pts / 2.0) for h, wt in matcher.heads], axis=1
+        )
+        assert matcher.template_vectors(a, pts).tobytes() == blend.tobytes()
+        stored = a.fine.data
+        assert np.signbit(stored[stored == 0.0]).any() and not np.signbit(blend[blend == 0.0]).any()
 
 
 class TestHeadWidths:
@@ -569,6 +615,31 @@ class TestMatcherWorkCount:
         # every lattice point is looked up forward at most once; each
         # fallback adds its own one-row lookup
         assert counts["fwd_rows"] <= distinct + n_fallback
+
+    def test_contained_ball_steps_no_other_cube_seed(self, monkeypatch):
+        # an interior lattice point under the default config: its 81-seed ball
+        # lies inside its 5^3 cube, so forward lookups touch the ball seeds and
+        # the centre's trajectory, and none of the cube's other 44 seeds
+        a, b, _ = equivalence_cases()[2]  # unrelated 8^3 pair: seeds wander
+        t = (8.0, 8.0, 8.0)
+        cfg = FixpointConfig()
+        path, p = {t}, Point3(*t)
+        for _ in range(cfg.max_iter):
+            back = nn_match(b, nn_match(a, p, b, W).point, a, W).point
+            if back == p:
+                break
+            p = back
+            path.add((p.x, p.y, p.z))
+        cube = {(t[0] + 2 * i, t[1] + 2 * j, t[2] + 2 * k)
+                for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)}
+        ball = {q for q in cube if np.linalg.norm(np.subtract(q, t)) <= cfg.tau_dis}
+        assert len(ball) == 81 and len(cube - ball - path) > 0
+        oracle = per_point_fixpoint(t, a, b, W, cfg)
+
+        counts = self.counting(monkeypatch)
+        assert grid_match([t], a, b, W, cfg) == [oracle]
+        assert ball <= counts["fwd_distinct"]
+        assert (cube - ball) & counts["fwd_distinct"] <= path
 
     def test_nn_grid_builds_one_matcher(self, monkeypatch):
         a, b, pts = equivalence_cases()[0]

@@ -12,6 +12,7 @@ from voxelmatch.errors import (
     DimensionOverflow,
     EmptyBox,
     EmptyMask,
+    NonUnitInput,
     OutOfBounds,
     TruncatedFile,
     UnsupportedVersion,
@@ -191,6 +192,19 @@ class TestTrilinear:
         emb = self.make_emb(np.zeros((2, 2, 2, 1)))
         with pytest.raises(OutOfBounds):
             trilinear_sample_many(emb, [[0.5, 0.5, 0.5], [np.nan, 1.0, 1.0]])
+
+
+class TestNormalizedEmbeddingVolume:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    def test_rows_neither_unit_nor_zero_are_rejected(self, bad):
+        data = np.zeros((2, 2, 2, 3))
+        data[..., 0] = 1.0
+        data[1, 0, 1, 2] = bad
+        data[0, 1, 1] = 0.0  # a zero row is allowed
+        with pytest.raises(NonUnitInput):
+            EmbeddingVolume(VolumeGeometry((2, 2, 2)), data, normalized=True)
+        data[1, 0, 1, 2] = 0.0
+        EmbeddingVolume(VolumeGeometry((2, 2, 2)), data, normalized=True)
 
 
 class TestNormalizeConcat:
