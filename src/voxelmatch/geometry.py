@@ -203,20 +203,14 @@ def fit_affine(src, dst) -> tuple[AffineTransform, FitReport]:
         raise MismatchedLengths(f"{len(s)} source vs {len(d)} destination points")
     if len(s) < 4:
         raise DegenerateGeometry("affine fit needs at least 4 point pairs")
-    aff = _solve_affine(s, d)
-    resid = float(((d - aff.apply_array(s)) ** 2).sum())
-    return aff, FitReport(resid, np.ones(len(s), dtype=bool), 1)
-
-
-def _solve_affine(s: np.ndarray, d: np.ndarray) -> AffineTransform:
-    """The map ``fit_affine`` fits, from checked (N, 3) float64 arrays with N >= 4:
-    its rank check and least-squares solve, without the residual."""
     sv = np.linalg.svd(s - s.mean(axis=0), compute_uv=False)
     if sv[2] <= _RANK_RTOL * max(sv[0], 1e-300):
         raise DegenerateGeometry("source points are coplanar or collinear")
     design = np.hstack([s, np.ones((len(s), 1))])
     m, _, _, _ = np.linalg.lstsq(design, d, rcond=None)
-    return AffineTransform(m[:3].T, m[3])
+    aff = AffineTransform(m[:3].T, m[3])
+    resid = float(((d - aff.apply_array(s)) ** 2).sum())
+    return aff, FitReport(resid, np.ones(len(s), dtype=bool), 1)
 
 
 def fit_rigid_trimmed(src, dst, trim_fraction: float) -> tuple[RigidTransform, FitReport]:

@@ -5,17 +5,16 @@ results are expressed in full-resolution voxel coordinates of the respective
 image grids (twice the embedding-grid index).  Nearest-neighbour argmaxes
 break ties toward the smallest (z, y, x) index, so results are deterministic.
 
-An NN lookup samples its template vectors once (at lattice points, a
-gather of the stored rows), then takes them ``_NN_CHUNK`` (128) rows at a
-time through one row-major similarity product, so memory stays at one chunk
-times the query grid plus one vector per point.  Fixed-point matching of a
-point list builds one pair matcher and iterates the seed cubes of all points
-together: every seed is a lattice point, so the forward and backward NN maps
-are memoized per lattice index and each lattice point is looked up at most
-once per direction, whichever cubes share it.  Each point gets its own
-affine fit; all fitted points share one similarity pass.  A point that
-cannot be fitted keeps a one-row NN lookup, because a one-row product
-rounds differently from a batched one.
+An NN lookup samples its template vectors once, then takes them
+``_NN_CHUNK`` (128) rows at a time through one row-major similarity product,
+so memory stays at one chunk times the query grid plus one vector per point.
+Fixed-point matching of a point list builds one pair matcher and iterates
+the seed cubes of all points together: every seed is a lattice point, so the
+forward and backward NN maps are memoized per lattice index and each lattice
+point is looked up at most once per direction, whichever cubes share it.
+Each point gets its own affine fit; all fitted points share one similarity
+pass.  A point that cannot be fitted keeps a one-row NN lookup, because a
+one-row product rounds differently from a batched one.
 
 One iteration policy, with a step budget per seed: a point's centre seed
 gets ``max_iter`` steps, as it sets ``n_fix``.  When every lattice point
@@ -40,10 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, OutOfBounds
-from .geometry import Point3, _solve_affine
-# kept for benchmarks/voxbench/layers.py, which wraps matching.fit_affine by name
-from .geometry import fit_affine  # noqa: F401
-from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many, unit_rows
+from .geometry import Point3, fit_affine
+from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many
 
 __all__ = [
     "EmbeddingSet",
@@ -195,28 +192,14 @@ class _PairMatcher:
         return out
 
     def template_vectors(self, s: EmbeddingSet, pts_fullres: np.ndarray) -> np.ndarray:
-        """Per-head samples at half coordinates, weighted and concatenated.
-
-        Points off the embedding lattice are sampled trilinearly.  When every
-        point is a lattice point the stored rows are gathered and put through
-        ``unit_rows``, bitwise what the trilinear blend gives there: one
-        weight is exactly 1, the others 0, and the blend sums from +0.0.
-        """
+        """Per-head trilinear samples at half coordinates, weighted and concatenated."""
         pts = np.asarray(pts_fullres, dtype=np.float64).reshape(-1, 3)
         if not _in_bounds(s, pts).all():
             raise OutOfBounds("template point outside the volume")
         half = np.clip(pts / 2.0, 0.0, np.array(s.geometry.dims, dtype=np.float64) - 1.0)
-        ijk = half.astype(np.int64)
-        flat = _lattice_flat(s, ijk) if np.array_equal(ijk, half) else None
         parts = []
         for name, weight in self.heads:
-            emb = getattr(s, name)
-            if flat is None:
-                v = trilinear_sample_many(emb, half)
-            else:
-                # adding 0.0 turns -0.0 into +0.0, as the blend's sum does
-                v = unit_rows(np.add(emb.data.reshape(-1, emb.channels)[flat], 0.0, dtype=np.float64))[0]
-            parts.append(weight * v)
+            parts.append(weight * trilinear_sample_many(getattr(s, name), half))
         return np.concatenate(parts, axis=1)
 
     def _nn(self, from_set: EmbeddingSet, q_to: np.ndarray, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +316,7 @@ def _converge_cubes(
     gx, gy, gz = np.meshgrid(offs, offs, offs, indexing="ij")
     cube = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)  # in (x, y, z) order
     centers = np.clip(np.round(pts / 2.0).astype(np.int64), 0, lim)
-    unclipped = centers[:, None, :] + cube[None, :, :]
-    seeds = np.clip(unclipped, 0, lim)
+    seeds = np.clip(centers[:, None, :] + cube[None, :, :], 0, lim)
     starts, start_of = np.unique(_lattice_flat(a, seeds), return_inverse=True)
     start_of = start_of.reshape(len(pts), len(cube))
     center = len(cube) // 2  # offset (0, 0, 0) sits mid-cube
@@ -379,18 +361,12 @@ def _converge_cubes(
         cur[alive] = nxt
         alive = alive[~conv & (budget[alive] > it + 1)]
 
-    # in a contained cube: the ball seeds that converged at step 0, each
-    # lattice point once (at its unclipped offset) and in cube order
-    own = in_ball & (n_conv[start_of] == 0) & (unclipped == seeds).all(axis=2)
     groups = []
     for p in range(len(pts)):
-        if contained[p]:
-            groups.append(starts[start_of[p, own[p]]])
-        else:
-            flat = fixed_at[start_of[p]]
-            flat = np.unique(flat[flat >= 0])
-            xyz = _lattice_points(a, flat)
-            groups.append(flat[np.lexsort((xyz[:, 2], xyz[:, 1], xyz[:, 0]))])
+        flat = fixed_at[start_of[p]]
+        flat = np.unique(flat[flat >= 0])
+        xyz = _lattice_points(a, flat)
+        groups.append(flat[np.lexsort((xyz[:, 2], xyz[:, 1], xyz[:, 0]))])
     flat = np.concatenate(groups)
     cuts = np.cumsum([len(g) for g in groups])[:-1]
     return [
@@ -407,10 +383,7 @@ def _finish_fixpoint(
     matcher: _PairMatcher, pts: np.ndarray, cubes: list[_CubeFixedPoints], cfg: FixpointConfig
 ) -> list[MatchResult]:
     """Affine fits through the fixed points near each point, one similarity pass
-    for all fitted points, and a one-row NN lookup per point that cannot be fitted.
-
-    A fit is ``fit_affine``'s rank check and least-squares solve on the near
-    fixed points in (x, y, z) order, without its residual and report."""
+    for all fitted points, and a one-row NN lookup per point that cannot be fitted."""
     out: list[MatchResult | None] = [None] * len(pts)
     fit, fit_n, fit_q = [], [], []
     for i, (t, cube) in enumerate(zip(pts, cubes)):
@@ -418,7 +391,7 @@ def _finish_fixpoint(
         n_near = int(np.count_nonzero(near))
         if n_near >= cfg.min_points:
             try:
-                aff = _solve_affine(cube.fixed[near], cube.forward[near])
+                aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
             except DegenerateGeometry:
                 pass
             else:

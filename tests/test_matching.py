@@ -538,32 +538,6 @@ class TestBatchedFixpointEngine:
             fixpoint_match((90.0, 0.0, 0.0), a, b, W, FixpointConfig())
 
 
-class TestTemplateVectors:
-    def test_lattice_gather_is_bitwise_the_trilinear_blend(self):
-        # stored rows with -0.0 entries and an all-zero row, sampled at every
-        # lattice point including the upper edges, where the blend's base
-        # voxel is one below the point
-        rng = np.random.default_rng(41)
-        dims = (6, 4, 5)
-        g = VolumeGeometry(dims)
-        heads = {}
-        for name in ("coarse", "fine"):
-            raw = rng.normal(size=(5, 4, 6, 4))
-            raw[..., 0][raw[..., 1] > 0.5] = -0.0
-            rows = unit_rows(raw.reshape(-1, 4))[0].reshape(raw.shape)
-            rows[2, 1, 3] = 0.0
-            heads[name] = EmbeddingVolume(g, rows.astype(np.float32), normalized=True)
-        a = EmbeddingSet(**heads)
-        matcher = _PairMatcher(a, a, SimilarityWeights(0.3, 0.7, 0.0))
-        pts = np.array(lattice_points(dims))
-        blend = np.concatenate(
-            [wt * trilinear_sample_many(getattr(a, h), pts / 2.0) for h, wt in matcher.heads], axis=1
-        )
-        assert matcher.template_vectors(a, pts).tobytes() == blend.tobytes()
-        stored = a.fine.data
-        assert np.signbit(stored[stored == 0.0]).any() and not np.signbit(blend[blend == 0.0]).any()
-
-
 class TestHeadWidths:
     def test_head_with_different_widths_in_template_and_query(self):
         # e.g. 11-wide frame vectors against 128-wide embeddings read from files
