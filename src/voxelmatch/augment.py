@@ -23,8 +23,6 @@ __all__ = [
     "PatchPair",
     "bezier_intensity",
     "intensity_reverse",
-    "geometric_augment",
-    "warp",
     "sample_patch_pair",
 ]
 
@@ -154,9 +152,9 @@ def intensity_reverse(vol: ScalarVolume) -> ScalarVolume:
 def _source_map(geometry: VolumeGeometry, transform: AffineTransform) -> tuple[np.ndarray, ...]:
     """Every voxel of ``geometry`` in mm, its pre-image T^-1 in mm, and that in voxel units.
 
-    (N, 3) rows in C order of the (z, y, x) data, unsnapped.  ``warp`` reads
-    the last; ``sample_patch_pair`` shares all three between a patch's warp
-    and its overlap mask.
+    (N, 3) rows in C order of the (z, y, x) data, unsnapped.  A warp reads
+    the last through ``_source_coords``; ``sample_patch_pair`` shares all
+    three between a patch's warp and its overlap mask.
     """
     phys = geometry.voxel_to_physical(geometry.voxel_points())
     source = transform.inverse().apply_array(phys)
@@ -180,22 +178,13 @@ def _source_coords(geometry: VolumeGeometry, src_vox: np.ndarray) -> list[np.nda
     return coords
 
 
-def _resample_at(vol: ScalarVolume, coords: list[np.ndarray], order: int = 1) -> ScalarVolume:
+def _resample_at(vol: ScalarVolume, coords: list[np.ndarray]) -> ScalarVolume:
+    """Trilinear lookup of ``vol`` at ``coords``; a source outside the grid reads the volume's minimum."""
     out = ndimage.map_coordinates(
-        vol.data.astype(np.float64), coords, order=order,
+        vol.data.astype(np.float64), coords, order=1,
         mode="constant", cval=float(vol.data.min()),
     )
     return ScalarVolume(vol.geometry, out.astype(np.float32))
-
-
-def warp(vol: ScalarVolume, transform: AffineTransform, order: int = 1) -> ScalarVolume:
-    """Resample a volume under a physical-space affine: out(y) = in(T^-1 y).
-
-    Voxels whose pre-image leaves the input grid are filled with the input
-    minimum.  ``order=0`` gives nearest-neighbour lookup for label data.
-    """
-    src_vox = _source_map(vol.geometry, transform)[2]
-    return _resample_at(vol, _source_coords(vol.geometry, src_vox), order)
 
 
 def _warp_labels(lab: LabelVolume, coords: list[np.ndarray]) -> LabelVolume:
@@ -203,19 +192,13 @@ def _warp_labels(lab: LabelVolume, coords: list[np.ndarray]) -> LabelVolume:
     return LabelVolume(lab.geometry, out)
 
 
-def geometric_augment(
-    vol: ScalarVolume, spec: AugmentSpec, seed: int
-) -> tuple[ScalarVolume, AffineTransform]:
+def _geometric_augment(vol: ScalarVolume, spec: AugmentSpec, seed: int):
     """Random rotation/scale about the volume center plus blur and noise.
 
-    Returns the augmented volume and the exact physical-space transform that
-    was applied, so landmark positions can be propagated.
+    Returns the augmented volume, the exact physical-space transform that was
+    applied (out(y) = in(T^-1 y), so landmark positions can be propagated),
+    and the transform's ``_source_map`` on the volume's grid.
     """
-    return _geometric_augment(vol, spec, seed)[:2]
-
-
-def _geometric_augment(vol: ScalarVolume, spec: AugmentSpec, seed: int):
-    """``geometric_augment`` plus the ``_source_map`` of the transform on the volume's grid."""
     rng = np.random.default_rng(seed)
     axis = rng.normal(size=3)
     axis /= max(np.linalg.norm(axis), 1e-12)

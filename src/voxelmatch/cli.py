@@ -16,8 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import alignment, matching, metrics, model as model_mod, phantom, volume
 from .config import RunConfig, load_config, resolved_lines
 from .errors import VoxelMatchError
@@ -159,24 +157,15 @@ def _cmd_phantom_gen(args, cfg: RunConfig) -> int:
 
 
 def _cmd_embed(args, cfg: RunConfig) -> int:
-    """Write each head's D-wide embeddings: its frame vectors times Q^T (see ``model.head_frame``)."""
+    """Write each head's embeddings as ``embed`` returns them: k-wide float32 unit vectors."""
     vol = _read_volume(args.volume, volume.ScalarVolume)
-    mdl = model_mod.load_model(args.model)
-    emb = model_mod.embed(vol, mdl)
+    emb = model_mod.embed(vol, model_mod.load_model(args.model))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, w in (("coarse", mdl.w_coarse), ("fine", mdl.w_fine), ("semantic", mdl.w_semantic)):
-        if w is None:
-            continue
-        frame = getattr(emb, name)
-        data = frame.data.reshape(-1, frame.channels) @ model_mod.head_frame(w)[1]
-        volume.write_volume(
-            volume.EmbeddingVolume(
-                frame.geometry, data.reshape(*frame.data.shape[:3], -1).astype(np.float32),
-                normalized=True, zero_substitutions=frame.zero_substitutions,
-            ),
-            out / f"{name}.evf",
-        )
+    for name in ("coarse", "fine", "semantic"):
+        head = getattr(emb, name)
+        if head is not None:
+            volume.write_volume(head, out / f"{name}.evf")
     print(f"wrote embeddings to {out}")
     return 0
 

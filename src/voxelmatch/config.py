@@ -6,7 +6,7 @@ every run can echo the fully resolved configuration.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .alignment import AlignConfig
 from .augment import AugmentSpec
@@ -55,13 +55,21 @@ def _parse_value(raw: str, annotation, key: str):
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if annotation is str or annotation == "str":
         return raw
-    # tuple-ish annotations: comma separated, element type from the annotation text
+    # tuple annotations: comma or space separated; element type and count from
+    # the annotation text, tuple[T, T] fixed and tuple[T, ...] at least one
     text = str(annotation)
-    if "tuple" in text:
+    if "tuple[" in text:
         if raw.lower() in ("none", ""):
-            return None
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        elem = float if "float" in text else int
+            if "None" in text:
+                return None
+            raise ConfigError(f"{key}: a value is required")
+        elems = [e.strip() for e in text[text.index("tuple[") + 6:text.index("]")].split(",")]
+        parts = raw.replace(",", " ").split()
+        if elems[-1] == "..." and not parts:
+            raise ConfigError(f"{key}: expected at least one value")
+        if elems[-1] != "..." and len(parts) != len(elems):
+            raise ConfigError(f"{key}: expected {len(elems)} values, got {len(parts)}")
+        elem = float if elems[0] == "float" else int
         return tuple(elem(p) for p in parts)
     raise ConfigError(f"{key}: unsupported value type {annotation!r}")
 
@@ -120,14 +128,10 @@ def load_config(path) -> RunConfig:
             continue
         attr, _ = _SECTIONS[section]
         setattr(cfg, attr, _apply_section(getattr(cfg, attr), items, section))
-    # a single seed drives every module unless a section overrides it
-    if cfg.train.seed != cfg.seed:
-        from dataclasses import replace
-
-        if cfg.train.seed == TrainConfig().seed:
-            cfg.train = replace(cfg.train, seed=cfg.seed)
-        if cfg.phantom.seed == PhantomSpec().seed:
-            cfg.phantom = replace(cfg.phantom, seed=cfg.seed)
+    # a single seed drives every module unless a section sets its own
+    for attr in ("train", "phantom"):
+        if not parser.has_option(attr, "seed"):
+            setattr(cfg, attr, replace(getattr(cfg, attr), seed=cfg.seed))
     return cfg
 
 

@@ -11,19 +11,23 @@ to end while training stays a minutes-scale deterministic computation.
 Because every bank channel scales linearly with contrast, embeddings do not
 change under v -> a * v + b with a > 0, even for an untrained model.
 
-The head frame.  A head is a bias-free (F, D) matrix W with F = 11 bank
-channels and D = 128, so its embeddings normalize(f W) span at most
-k = min(F, D) dimensions.  Take the thin QR W^T = Q R (``head_frame``).  Then
-f W = (f R^T) Q^T, and Q^T has orthonormal rows, so it keeps lengths and
-inner products: normalize(f W) = normalize(f R^T) Q^T.  The k-wide vector
-normalize(f R^T) is the voxel's frame vector, an exact isometric copy of its
-D-wide embedding.  Matching uses only inner products and linear blends of
-embeddings of one head, and so do the losses and their gradients, so
-``embed``, ``grid_match`` and ``train`` all run on frame vectors and give
-the same similarities.  Only files written for other tools (``voxelmatch
-embed``) carry the D-wide vectors, frame @ Q^T.  The one zero-vector rule
-(``volume.unit_rows``) maps a zero row to the frame's e1, which exports as
-Q's first column.
+Heads.  A head is a bias-free (F, k) map M over the F = 11 bank channels,
+and a voxel's embedding is normalize(f M).  ``new_model`` draws each head as
+an N(0, 1/sqrt(F)) (F, 128) matrix W and keeps M = R^T of the thin QR
+W^T = Q R, so k = min(F, 128) = 11.  Then f W = (f M) Q^T, and Q^T has
+orthonormal rows, so normalize(f M) is an exact isometric copy of
+normalize(f W): every inner product, and so every match and loss, is the
+same.  Training never leaves that k-dimensional space (each gradient of W
+is one of M times Q^T), so Q never trains and is not kept: ``embed``,
+``train`` and the model file all work on M.  The zero-vector rule
+(``volume.unit_rows``) maps a zero row to e1.
+
+The model file.  A UAEM file is the magic ``UAEM``, a little-endian header
+(version 2, a head bitmask, F, k, the round index), the coarse, fine and
+optional semantic maps as (F, k) float64 in C order, and a CRC32 of header
+and payload.  Version 1 files stored each head as its (F, D) W with three
+unused temperatures; ``load_model`` still reads them, keeping M = R^T of
+W's thin QR, which is the map they embedded with.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ __all__ = [
     "DescriptorBank",
     "ProjectionModel",
     "TrainConfig",
-    "head_frame",
     "embed",
     "sample_training_batch",
     "train",
@@ -237,14 +240,11 @@ _BANK = DescriptorBank()
 
 @dataclass
 class ProjectionModel:
-    """Bias-free linear heads over descriptor features; embeddings are L2-normalized."""
+    """Bias-free linear heads, each an (F, k) map over descriptor features; embeddings are L2-normalized."""
 
-    w_coarse: np.ndarray  # (F, D)
-    w_fine: np.ndarray    # (F, D)
+    w_coarse: np.ndarray  # (F, k)
+    w_fine: np.ndarray    # (F, k)
     w_semantic: np.ndarray | None = None
-    tau_appearance: float = 0.5
-    tau_semantic: float = 0.5
-    tau_cross: float = 0.5
     round_index: int = 0
 
     def __post_init__(self):
@@ -255,39 +255,38 @@ class ProjectionModel:
         for w in (self.w_coarse, self.w_fine, self.w_semantic):
             if w is not None and not np.all(np.isfinite(w)):
                 raise NonFiniteWeights("projection weights must be finite")
-        if self.w_coarse.shape != self.w_fine.shape:
-            raise DimensionMismatch("coarse and fine heads must share a shape")
+        if any(w is not None and w.shape != self.w_fine.shape for w in (self.w_coarse, self.w_semantic)):
+            raise DimensionMismatch("the heads must share a shape")
 
     @property
     def feature_dim(self) -> int:
         return int(self.w_fine.shape[0])
 
-    @property
-    def embedding_dim(self) -> int:
-        return int(self.w_fine.shape[1])
-
     def copy(self) -> "ProjectionModel":
         return ProjectionModel(
             self.w_coarse.copy(), self.w_fine.copy(),
             None if self.w_semantic is None else self.w_semantic.copy(),
-            self.tau_appearance, self.tau_semantic, self.tau_cross,
             self.round_index,
         )
 
 
-def new_model(
-    rng: np.random.Generator,
-    embedding_dim: int = 128,
-    with_semantic: bool = False,
-    **kwargs,
-) -> ProjectionModel:
-    """Fresh model with N(0, 1/sqrt(F)) heads drawn from ``rng``, F = ``FEATURE_DIM``."""
-    scale = 1.0 / math.sqrt(FEATURE_DIM)
-    shape = (FEATURE_DIM, embedding_dim)
-    w_c = rng.normal(0.0, scale, shape)
-    w_f = rng.normal(0.0, scale, shape)
-    w_s = rng.normal(0.0, scale, shape) if with_semantic else None
-    return ProjectionModel(w_c, w_f, w_s, **kwargs)
+_DRAW_WIDTH = 128  # columns of each random head draw; it fixes the random stream and so the map each seed gives
+
+
+def _head_map(w: np.ndarray) -> np.ndarray:
+    """The (F, k) map R^T of an (F, D) head W, from the thin QR W^T = Q R, k = min(F, D)."""
+    return np.linalg.qr(w.T)[1].T
+
+
+def _draw_head(rng: np.random.Generator) -> np.ndarray:
+    return _head_map(rng.normal(0.0, 1.0 / math.sqrt(FEATURE_DIM), (FEATURE_DIM, _DRAW_WIDTH)))
+
+
+def new_model(rng: np.random.Generator, with_semantic: bool = False) -> ProjectionModel:
+    """Fresh model: each head is the map of an N(0, 1/sqrt(F)) (F, 128) draw from ``rng``, F = ``FEATURE_DIM``."""
+    w_c = _draw_head(rng)
+    w_f = _draw_head(rng)
+    return ProjectionModel(w_c, w_f, _draw_head(rng) if with_semantic else None)
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +294,19 @@ def new_model(
 # ---------------------------------------------------------------------------
 
 _MODEL_MAGIC = b"UAEM"
-_MODEL_HEADER = struct.Struct("<HBBIIfffI")  # version, heads, pad, F, D, taus, round
-_MODEL_VERSION = 1
+# version, head bitmask, pad, F, k; then a version's tail: the round index
+# (version 2), or three unused temperatures and the round index (version 1,
+# whose heads are (F, D) matrices W, so its k field holds D)
+_MODEL_HEADER = struct.Struct("<HBBII")
+_MODEL_TAIL = {1: struct.Struct("<fffI"), 2: struct.Struct("<I")}
+_MODEL_VERSION = 2
 
 
 def save_model(model: ProjectionModel, dest) -> None:
-    """Serialize the projection model; header and payload are CRC-protected."""
+    """Serialize the projection model as UAEM version 2; header and payload are CRC-protected."""
     heads = 0b011 | (0b100 if model.w_semantic is not None else 0)
-    header = _MODEL_HEADER.pack(
-        _MODEL_VERSION, heads, 0,
-        model.feature_dim, model.embedding_dim,
-        model.tau_appearance, model.tau_semantic, model.tau_cross,
-        model.round_index,
-    )
+    header = _MODEL_HEADER.pack(_MODEL_VERSION, heads, 0, *model.w_fine.shape)
+    header += _MODEL_TAIL[_MODEL_VERSION].pack(model.round_index)
     payload = model.w_coarse.tobytes() + model.w_fine.tobytes()
     if model.w_semantic is not None:
         payload += model.w_semantic.tobytes()
@@ -328,6 +327,7 @@ def save_model(model: ProjectionModel, dest) -> None:
 
 
 def load_model(src) -> ProjectionModel:
+    """Read a UAEM file of version 2, or of version 1, whose (F, D) heads become their maps."""
     close = False
     f = src
     if not hasattr(src, "read"):
@@ -342,17 +342,20 @@ def load_model(src) -> ProjectionModel:
         header = f.read(_MODEL_HEADER.size)
         if len(header) != _MODEL_HEADER.size:
             raise TruncatedFile("model header truncated")
-        version, heads, pad, fdim, ddim, tau_a, tau_s, tau_c, round_index = (
-            _MODEL_HEADER.unpack(header)
-        )
-        if version != _MODEL_VERSION or pad != 0:
+        version, heads, pad, fdim, width = _MODEL_HEADER.unpack(header)
+        if version not in _MODEL_TAIL or pad != 0:
             raise UnsupportedVersion(f"unsupported model version {version}")
+        tail = f.read(_MODEL_TAIL[version].size)
+        if len(tail) != _MODEL_TAIL[version].size:
+            raise TruncatedFile("model header truncated")
+        header += tail
+        round_index = _MODEL_TAIL[version].unpack(tail)[-1]
         if heads & 0b011 != 0b011 or heads & ~0b111:
             raise UnsupportedVersion(f"invalid head bitmask {heads:#x}")
-        if fdim < 1 or ddim < 1 or fdim * ddim > 2**26:
-            raise UnsupportedVersion(f"implausible head shape ({fdim}, {ddim})")
+        if fdim < 1 or width < 1 or fdim * width > 2**26:
+            raise UnsupportedVersion(f"implausible head shape ({fdim}, {width})")
         n_heads = 3 if heads & 0b100 else 2
-        n_bytes = n_heads * fdim * ddim * 8
+        n_bytes = n_heads * fdim * width * 8
         payload = f.read(n_bytes)
         if len(payload) != n_bytes:
             raise TruncatedFile("model payload truncated")
@@ -362,12 +365,11 @@ def load_model(src) -> ProjectionModel:
         (crc_stored,) = struct.unpack("<I", crc_raw)
         if zlib.crc32(header + payload) & 0xFFFFFFFF != crc_stored:
             raise ChecksumMismatch("model CRC32 mismatch")
-        mats = np.frombuffer(payload, dtype="<f8").reshape(n_heads, fdim, ddim)
-        return ProjectionModel(
-            mats[0].copy(), mats[1].copy(),
-            mats[2].copy() if n_heads == 3 else None,
-            float(tau_a), float(tau_s), float(tau_c), int(round_index),
-        )
+        mats = [
+            _head_map(w) if version == 1 else w.copy()  # a NaN or inf in W leaves one in its map
+            for w in np.frombuffer(payload, dtype="<f8").reshape(n_heads, fdim, width)
+        ]
+        return ProjectionModel(mats[0], mats[1], mats[2] if n_heads == 3 else None, int(round_index))
     finally:
         if close:
             f.close()
@@ -376,17 +378,6 @@ def load_model(src) -> ProjectionModel:
 # ---------------------------------------------------------------------------
 # embedding
 # ---------------------------------------------------------------------------
-
-def head_frame(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The frame (R^T, Q^T) of a head ``w`` (F, D), from the thin QR W^T = Q R.
-
-    R^T is (F, k) and Q^T (k, D) with orthonormal rows, k = min(F, D), and
-    W = R^T Q^T.  A voxel's frame vector is normalize(f R^T); times Q^T it is
-    its embedding normalize(f W).
-    """
-    q, r = np.linalg.qr(w.T)
-    return r.T, q.T
-
 
 def _check_feature_dim(model: ProjectionModel) -> None:
     if model.feature_dim != FEATURE_DIM:
@@ -404,12 +395,11 @@ def _smooth_coarse(feats: np.ndarray, sigma: float = 4.0) -> np.ndarray:
 
 
 def embed(vol: ScalarVolume, model: ProjectionModel) -> EmbeddingSet:
-    """Per-voxel frame vectors on the half-resolution grid (coarse, fine, optional semantic).
+    """Per-voxel embeddings on the half-resolution grid (coarse, fine, optional semantic).
 
-    Each head's volume holds normalize(f R^T), k = min(F, D) channels wide
-    (see ``head_frame``): inner products, and so every match, equal those of
-    the D-wide embeddings normalize(f W), which are these vectors times Q^T.
-    Raises ``DimensionMismatch`` when the heads' F is not ``FEATURE_DIM``.
+    Each head's volume holds normalize(f M) as float32, k channels wide for
+    an (F, k) map M (11 for every drawn head).  Raises ``DimensionMismatch``
+    when the heads' F is not ``FEATURE_DIM``.
     """
     _check_feature_dim(model)
     feats, geom = _BANK.compute(vol)
@@ -417,8 +407,8 @@ def embed(vol: ScalarVolume, model: ProjectionModel) -> EmbeddingSet:
     flat_coarse = _smooth_coarse(feats).reshape(-1, FEATURE_DIM)
     shape = geom.shape_zyx
 
-    def head(w, source):
-        e, _, zero = unit_rows(source @ head_frame(w)[0])
+    def head(m, source):
+        e, _, zero = unit_rows(source @ m)
         count = int(zero.sum())
         if count:
             log.warning("embed substituted %d zero vectors", count)
@@ -455,7 +445,6 @@ class TrainConfig:
     neg_min_dist_coarse: float = 16.0
     hard_negative_fraction: float = 0.25
     semantic_per_class: int = 64
-    embedding_dim: int = 128
     with_semantic: bool = True
     seed: int = 0
 
@@ -645,7 +634,7 @@ def sample_training_batch(
     that keep this contract; the test suite holds the sampler to the
     per-anchor loop it replaced.
     """
-    def flat(vol):  # no copy of the float64 frame vectors that ``train`` passes
+    def flat(vol):  # no copy of the float64 embeddings that ``train`` passes
         return np.asarray(vol.data.reshape(-1, vol.channels), dtype=np.float64)
 
     tau = cfg.tau_cross if use_fov else cfg.tau_appearance
@@ -692,17 +681,17 @@ def _norm_backprop(g_e, e, norms, zero):
 
 
 class _SideState:
-    """Frame vectors plus normalization bookkeeping of one patch side under the current W.
+    """Embeddings plus normalization bookkeeping of one patch side under the current maps.
 
-    ``r_t`` maps each trained head name to its R^T (see ``head_frame``);
-    ``heads`` maps it to (features, frame vectors, norms, zero mask).
+    ``maps`` maps each trained head name to its (F, k) map M; ``heads`` maps
+    it to (features, embeddings, norms, zero mask).
     """
 
-    def __init__(self, feats_flat, feats_coarse_flat, r_t):
+    def __init__(self, feats_flat, feats_coarse_flat, maps):
         self.heads = {}
-        for h, r in r_t.items():
+        for h, m in maps.items():
             f = feats_coarse_flat if h == "coarse" else feats_flat
-            self.heads[h] = (f, *unit_rows(f @ r))
+            self.heads[h] = (f, *unit_rows(f @ m))
 
     def embedding_set(self, geom) -> EmbeddingSet:
         vols = {
@@ -712,7 +701,7 @@ class _SideState:
         return EmbeddingSet(coarse=vols["coarse"], fine=vols["fine"], semantic=vols.get("semantic"))
 
     def backprop(self, head: str, pieces) -> np.ndarray:
-        """dL/dR^T of ``head`` from (voxel indices, dL/d(frame vector) rows) pieces.
+        """dL/dM of ``head`` from (voxel indices, dL/d(embedding) rows) pieces.
 
         The rows are summed per voxel first, then each touched voxel is
         chained once through ``_norm_backprop``.
@@ -728,7 +717,7 @@ class _SideState:
 
 
 def _pair_batch_grad(head: str, side_a: _SideState, side_b: _SideState, batch: PairBatch, out) -> np.ndarray:
-    """dL/dR^T of ``head`` from one PairBatch, per anchor."""
+    """dL/dM of ``head`` from one PairBatch, per anchor."""
     pieces_b = [(batch.positive_indices, out.d_positives), (batch.negative_indices, out.d_negatives)]
     if out.d_fov is not None and batch.fov_indices is not None:
         pieces_b.append((batch.fov_indices, out.d_fov))
@@ -756,20 +745,21 @@ def train(
     returns (model, per-step loss log).  Raises ``DimensionMismatch`` when
     ``init``'s heads' F is not ``FEATURE_DIM``.
 
-    Each step works in the head frames of the current W (see ``head_frame``):
-    it embeds with R^T, samples and evaluates the losses on k-wide frame
-    vectors and backprops an (F, k) gradient G.  Every loss gradient with
-    respect to an embedding is a combination of embeddings, so it lies in
-    the row space of Q^T, and the D-wide gradient of W is exactly G Q^T.
-    The momentum update runs on W.
+    Each step embeds with each head's (F, k) map M, samples and evaluates
+    the losses on the k-wide embeddings, backprops an (F, k) gradient G and
+    runs the momentum update on M.  A model whose heads were (F, D) matrices
+    W = M Q^T would train to the same similarities: every loss gradient with
+    respect to an embedding is a combination of embeddings, so W's gradient
+    is G Q^T and W never leaves M's span.  When ``init`` has no semantic head
+    and one is trained, it is drawn as ``new_model`` draws one.
 
     Backprop runs per voxel, not per sampled row.  A voxel's hard-negative,
     FOV-negative and positive rows all pass through the same normalization
     Jacobian, J g = (g - (g . e) e) / |v| of that voxel, which is linear in
     g, and G sums f^T J g over the rows.  So the rows' gradients are first
     summed per voxel, and J and f^T run once per touched voxel: the same G
-    in exact arithmetic, summed in another order, so W may move in its last
-    bits.  A zero-substituted voxel's J is 0, so it gets exactly none.
+    in exact arithmetic, summed in another order.  A zero-substituted
+    voxel's J is 0, so it gets exactly none.
     """
     if mode not in ("standard", "aggressive", "paired"):
         raise ValueError(f"unknown training mode {mode!r}")
@@ -794,32 +784,23 @@ def train(
     if init is not None:
         model = init.copy()
         if with_semantic and model.w_semantic is None:
-            model.w_semantic = rng.normal(
-                0.0, 1.0 / math.sqrt(model.feature_dim),
-                (model.feature_dim, model.embedding_dim),
-            )
+            model = ProjectionModel(model.w_coarse, model.w_fine, _draw_head(rng), model.round_index)
     else:
-        model = new_model(
-            rng, cfg.embedding_dim, with_semantic,
-            tau_appearance=cfg.tau_appearance, tau_semantic=cfg.tau_semantic,
-            tau_cross=cfg.tau_cross,
-        )
+        model = new_model(rng, with_semantic=with_semantic)
 
     if augment_spec is None:
         augment_spec = AugmentSpec(aggressive=(mode != "standard"))
 
     heads = ["fine", "coarse"] + (["semantic"] if with_semantic else [])
-    weights = {"fine": model.w_fine, "coarse": model.w_coarse}
+    maps = {"fine": model.w_fine, "coarse": model.w_coarse}
     if with_semantic:
-        weights["semantic"] = model.w_semantic
-    velocity = {h: np.zeros_like(w) for h, w in weights.items()}
+        maps["semantic"] = model.w_semantic
+    velocity = {h: np.zeros_like(w) for h, w in maps.items()}
     reg_cache: dict[int, tuple] = {}
     log_rows = []
 
     for step_i in range(cfg.steps):
-        frames = {h: head_frame(w) for h, w in weights.items()}
-        r_t = {h: f[0] for h, f in frames.items()}
-        grads = {h: np.zeros_like(r) for h, r in r_t.items()}
+        grads = {h: np.zeros_like(m) for h, m in maps.items()}
         losses_acc = {"fine": 0.0, "coarse": 0.0, "semantic": float("nan")}
         for _ in range(cfg.batch_size):
             paired_step = mode == "paired" and step_i % 2 == 1
@@ -849,8 +830,8 @@ def train(
             fb_flat = feats_b.reshape(-1, FEATURE_DIM)
             fa_coarse = _smooth_coarse(feats_a).reshape(-1, FEATURE_DIM)
             fb_coarse = _smooth_coarse(feats_b).reshape(-1, FEATURE_DIM)
-            side_a = _SideState(fa_flat, fa_coarse, r_t)
-            side_b = _SideState(fb_flat, fb_coarse, r_t)
+            side_a = _SideState(fa_flat, fa_coarse, maps)
+            side_b = _SideState(fb_flat, fb_coarse, maps)
             set_a = side_a.embedding_set(half_geometry(pp.patch_a.geometry))
             set_b = side_b.embedding_set(half_geometry(pp.patch_b.geometry))
             try:
@@ -874,7 +855,6 @@ def train(
                 losses_acc["semantic"] += out_s.value / max(total, 1)
                 pieces = list(zip(labeled.class_indices, out_s.d_classes))
                 grads["semantic"] += side_a.backprop("semantic", pieces) / total
-        grads = {h: g @ frames[h][1] for h, g in grads.items()}
         if not all(np.all(np.isfinite(g)) for g in grads.values()):
             raise DivergedLoss(f"non-finite gradient at step {step_i}")
         if any(
@@ -884,7 +864,7 @@ def train(
             raise DivergedLoss(f"non-finite loss at step {step_i}")
         for h in heads:
             velocity[h] = cfg.momentum * velocity[h] - cfg.learning_rate * grads[h] / cfg.batch_size
-            weights[h] += velocity[h]
+            maps[h] += velocity[h]
         log_rows.append(
             {
                 "step": step_i,

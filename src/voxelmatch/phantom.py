@@ -42,6 +42,10 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.dims) != 3 or not all(int(d) == d >= 1 for d in self.dims):
+            raise ValueError("dims must be three positive integers")
+        if not 0.0 < self.spacing < float("inf"):
+            raise ValueError("spacing must be positive and finite")
         if self.n_organs < 0:
             raise ValueError("n_organs must be non-negative")
         if self.organ_axis_range[0] <= 0 or self.organ_axis_range[0] > self.organ_axis_range[1]:

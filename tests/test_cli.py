@@ -8,9 +8,10 @@ import pytest
 
 from voxelmatch import alignment, cli
 from voxelmatch.geometry import Point3
-from voxelmatch.matching import FixpointConfig
+from voxelmatch.matching import FixpointConfig, SimilarityWeights, grid_match
 from voxelmatch.metrics import write_landmarks
-from voxelmatch.model import DescriptorBank, ProjectionModel, head_frame, new_model, save_model
+from voxelmatch.config import load_config
+from voxelmatch.model import DescriptorBank, ProjectionModel, embed, new_model, save_model
 from voxelmatch.phantom import PhantomSpec, gen_phantom
 from voxelmatch.volume import (
     Box3,
@@ -75,7 +76,7 @@ class TestRunConfigExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "section,line", [("train", "feature_dim = 16"), ("augment", "seed = 3")]
+        "section,line", [("train", "feature_dim = 16"), ("augment", "seed = 3"), ("train", "embedding_dim = 32")]
     )
     def test_removed_key_is_a_data_error(self, tmp_path, capsys, section, line):
         conf = tmp_path / "run.conf"
@@ -88,6 +89,20 @@ class TestRunConfigExitCodes:
         err = capsys.readouterr().err
         assert f"unknown key [{section}]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("conf,train_seed,phantom_seed", [
+        ("[run]\nseed = 5\n", 5, 5),
+        ("[run]\nseed = 5\n[train]\nseed = 5\n", 5, 5),
+        ("[run]\nseed = 5\n[train]\nseed = 0\n", 0, 5),
+        ("[run]\nseed = 5\n[phantom]\nseed = 9\n", 5, 9),
+        ("[train]\nseed = 4\n", 4, 0),
+    ], ids=["run", "train-same", "train-zero", "phantom-own", "train-own"])
+    def test_each_section_inherits_the_run_seed_unless_it_sets_its_own(
+        self, tmp_path, conf, train_seed, phantom_seed
+    ):
+        (tmp_path / "run.conf").write_text(conf)
+        cfg = load_config(tmp_path / "run.conf")
+        assert (cfg.train.seed, cfg.phantom.seed) == (train_seed, phantom_seed)
 
 
 class TestMatchCommand:
@@ -156,7 +171,7 @@ class TestEmbedCommand:
         code = cli.main(["embed", str(tmp_path / "vol.evf"), str(tmp_path / "model.uaem"), str(tmp_path / "out")])
         return code, vol
 
-    def test_writes_each_head_as_normalized_full_width_embeddings(self, tmp_path, capsys):
+    def test_writes_each_head_as_normalized_map_vectors(self, tmp_path, capsys):
         mdl = new_model(np.random.default_rng(3), with_semantic=True)
         mdl.w_coarse = np.zeros_like(mdl.w_coarse)  # every coarse voxel is a zero vector
         code, vol = self.run(tmp_path, mdl)
@@ -166,22 +181,45 @@ class TestEmbedCommand:
         flat = feats.reshape(-1, feats.shape[-1])
         for head in ("coarse", "fine", "semantic"):
             out = read_volume(tmp_path / "out" / f"{head}.evf")
-            assert out.normalized and out.channels == mdl.embedding_dim
-            got = out.data.reshape(-1, mdl.embedding_dim)
-            w = getattr(mdl, f"w_{head}")
-            if head == "coarse":  # the zero-vector rule: the frame's e1, i.e. Q's first column
-                np.testing.assert_allclose(got, np.broadcast_to(head_frame(w)[1][0], got.shape), atol=1e-6)
+            m = getattr(mdl, f"w_{head}")
+            assert out.normalized and out.channels == m.shape[1] == 11
+            got = out.data.reshape(-1, m.shape[1])
+            if head == "coarse":  # the zero-vector rule: e1
+                np.testing.assert_array_equal(got, np.broadcast_to(np.eye(11)[0], got.shape))
                 continue
-            v = flat @ w
+            v = flat @ m
             norms = np.linalg.norm(v, axis=1)
             keep = norms > 1e-12
             np.testing.assert_allclose(got[keep], v[keep] / norms[keep, None], rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("cfg", [None, FixpointConfig()], ids=["nn", "fixpoint"])
+    def test_matches_on_written_embeddings_equal_those_on_embed_output(self, tmp_path, capsys, cfg):
+        mdl = new_model(np.random.default_rng(3), with_semantic=True)
+        save_model(mdl, tmp_path / "model.uaem")
+        sets = []
+        for seed in (62, 66):
+            vol = resample(gen_phantom(PhantomSpec(dims=(64, 64, 64), seed=seed))[0], 2.0)
+            write_volume(vol, tmp_path / f"{seed}.evf")
+            out = tmp_path / f"emb{seed}"
+            assert cli.main(["embed", str(tmp_path / f"{seed}.evf"), str(tmp_path / "model.uaem"), str(out)]) == 0
+            sets.append((embed(vol, mdl), cli._read_embedding_set(out)))
+        (template, template_read), (query, query_read) = sets
+        axes = [np.arange(0, n, 4) for n in template.fine.geometry.dims]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3) * 2.0
+        assert len(pts) == 64
+        w = SimilarityWeights(0.4, 0.4, 0.2)
+        got = grid_match(pts, template_read, query_read, w, cfg)
+        want = grid_match(pts, template, query, w, cfg)
+        for g, r in zip(got, want, strict=True):
+            assert (g.point, g.similarity, g.method, g.n_fix, g.n_fixed_points_used) == (
+                r.point, r.similarity, r.method, r.n_fix, r.n_fixed_points_used
+            )
 
     def test_non_finite_weights_are_a_data_error(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, new_model(np.random.default_rng(5)))
         assert code == 0
         raw = bytearray((tmp_path / "model.uaem").read_bytes())
-        raw[4 + 28:4 + 36] = struct.pack("<d", float("nan"))  # first coarse weight, after magic and header
+        raw[4 + 16:4 + 24] = struct.pack("<d", float("nan"))  # first coarse weight, after magic and header
         raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[4:-4])) & 0xFFFFFFFF)
         (tmp_path / "model.uaem").write_bytes(bytes(raw))
         capsys.readouterr()
@@ -468,6 +506,24 @@ class TestPhantomGenCommand:
         assert self.run(tmp_path, f"[phantom]\n{line}\n", str(tmp_path / "out")) == cli.DATA_ERROR
         err = capsys.readouterr().err
         assert "[phantom]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("augment", "scale_range", "0.8"),
+        ("augment", "patch_size", "none"),
+        ("phantom", "dims", "64"),
+        ("phantom", "dims", "32 32 32 32"),
+        ("phantom", "dims", "0 0 0"),
+        ("phantom", "organ_axis_range", "3"),
+        ("phantom", "spacing", "0"),
+        ("align", "margins", ""),
+    ])
+    def test_malformed_tuple_or_phantom_value_is_a_data_error(self, tmp_path, capsys, section, key, value):
+        code = self.run(tmp_path, f"[{section}]\n{key} = {value}\n", str(tmp_path / "out"))
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"[{section}]" in err and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -1,9 +1,11 @@
-"""The head frame: matching and training on k-wide frame vectors against D-wide oracles.
+"""The head map: matching and training on k-wide embeddings against D-wide oracles.
 
-The oracles here are the D-wide computation the frame replaces: embeddings
-normalize(f W) and gradients chained through them.  They follow the one
-zero-vector rule, under which a zero row's embedding is Q's first column
-(the frame's e1 mapped out), so frame and oracle agree everywhere.
+The oracles here are the D-wide computation that the map replaces: each head
+as an (F, D) matrix W = M Q^T for a random isometry Q^T (k orthonormal rows
+of length D = 128), embeddings normalize(f W) and gradients chained through
+them.  They follow the one zero-vector rule, under which a zero row's
+embedding is Q's first column (e1 mapped out), so map and oracle agree
+everywhere.
 """
 
 import math
@@ -23,9 +25,9 @@ from voxelmatch.model import (
     DescriptorBank,
     ProjectionModel,
     TrainConfig,
+    _head_map,
     _smooth_coarse,
     embed,
-    head_frame,
     new_model,
     sample_training_batch,
     train,
@@ -34,26 +36,27 @@ from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
 from voxelmatch.volume import EmbeddingVolume, half_geometry, resample
 
 BANK = DescriptorBank()
+# Q^T of the oracle heads W = M Q^T: a random (11, 128) isometry
+Q_T = np.linalg.qr(np.random.default_rng(0).normal(size=(128, FEATURE_DIM)))[0].T
 
 
-def reference_unit_rows(v, w):
+def reference_unit_rows(v):
     """normalize(v) with a zero row mapped to Q's first column; also the norms and zero mask."""
     norms = np.linalg.norm(v, axis=1)
     zero = norms <= 1e-12
     e = v / np.where(zero, 1.0, norms)[:, None]
-    e[zero] = head_frame(w)[1][0]
+    e[zero] = Q_T[0]
     return e, norms, zero
 
 
 def reference_heads(feats, mdl, heads):
-    """D-wide embeddings normalize(f W) of each head: name -> (feats, e, norms, zero)."""
+    """D-wide embeddings normalize(f W), W = M Q^T, of each head: name -> (feats, e, norms, zero)."""
     flat = feats.reshape(-1, FEATURE_DIM)
     flat_coarse = _smooth_coarse(feats).reshape(-1, FEATURE_DIM)
     out = {}
     for h in heads:
         f = flat_coarse if h == "coarse" else flat
-        w = getattr(mdl, f"w_{h}")
-        out[h] = (f, *reference_unit_rows(f @ w, w))
+        out[h] = (f, *reference_unit_rows(f @ (getattr(mdl, f"w_{h}") @ Q_T)))
     return out
 
 
@@ -66,7 +69,7 @@ def reference_set(heads, geom, dtype):
 
 
 def reference_embed(vol, mdl):
-    """What ``embed`` returned before the frame: float32 D-wide embeddings."""
+    """float32 D-wide embeddings normalize(f W) of each head."""
     feats, geom = BANK.compute(vol)
     names = ["coarse", "fine"] + (["semantic"] if mdl.w_semantic is not None else [])
     return reference_set(reference_heads(feats, mdl, names), geom, np.float32)
@@ -75,21 +78,23 @@ def reference_embed(vol, mdl):
 class TestHeadFrame:
     @pytest.mark.parametrize("d", [128, 32, 11, 8])
     def test_frame_factors_the_head(self, d):
+        # the map M of W keeps W's Gram matrix: W = M Q^T with orthonormal rows Q^T
         w = np.random.default_rng(d).normal(size=(FEATURE_DIM, d))
-        r_t, q_t = head_frame(w)
+        m = _head_map(w)
         k = min(FEATURE_DIM, d)
-        assert r_t.shape == (FEATURE_DIM, k) and q_t.shape == (k, d)
-        np.testing.assert_allclose(r_t @ q_t, w, rtol=0, atol=1e-12)
+        assert m.shape == (FEATURE_DIM, k)
+        q_t = np.linalg.lstsq(m, w, rcond=None)[0]
+        np.testing.assert_allclose(m @ q_t, w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(q_t @ q_t.T, np.eye(k), rtol=0, atol=1e-12)
 
     def test_embed_emits_frame_vectors_that_map_to_the_embeddings(self):
         vol = resample(gen_phantom(PhantomSpec(dims=(40, 40, 40), seed=5))[0], 2.0)
         mdl = new_model(np.random.default_rng(3), with_semantic=True)
-        frame, ref = embed(vol, mdl), reference_embed(vol, mdl)
+        out, ref = embed(vol, mdl), reference_embed(vol, mdl)
         for h in ("coarse", "fine", "semantic"):
-            got = getattr(frame, h).data
+            got = getattr(out, h).data
             assert got.shape[-1] == FEATURE_DIM
-            mapped = got.astype(np.float64) @ head_frame(getattr(mdl, f"w_{h}"))[1]
+            mapped = got.astype(np.float64) @ Q_T
             np.testing.assert_allclose(mapped, getattr(ref, h).data, rtol=0, atol=1e-6)
 
 
@@ -128,16 +133,16 @@ def norm_backprop(g_e, e, norms, zero):
 
 
 def reference_gradients(calls, mdl, cfg, heads):
-    """dL/dW of one step, chained through the D-wide embeddings of ``mdl``.
+    """dL/dW of one step, chained through the D-wide embeddings of ``mdl``'s W = M Q^T.
 
     ``calls`` holds what each ``sample_training_batch`` call of the step got:
-    the patch pair, the random state, the FOV flag, and the frame batches.
+    the patch pair, the random state, the FOV flag, and the k-wide batches.
     The oracle samples again from the same state on D-wide embeddings and
     checks that every index, hard negatives included, comes out the same.
     """
-    grads = {h: np.zeros_like(getattr(mdl, f"w_{h}")) for h in heads}
+    grads = {h: np.zeros((FEATURE_DIM, Q_T.shape[1])) for h in heads}
     losses = []
-    for pp, state, use_fov, frame_batches in calls:
+    for pp, state, use_fov, got_batches in calls:
         side_a = reference_heads(BANK.compute(pp.patch_a)[0], mdl, heads)
         side_b = reference_heads(BANK.compute(pp.patch_b)[0], mdl, heads)
         set_a = reference_set(side_a, half_geometry(pp.patch_a.geometry), np.float64)
@@ -145,7 +150,7 @@ def reference_gradients(calls, mdl, cfg, heads):
         rng = np.random.default_rng()
         rng.bit_generator.state = state
         fine_b, coarse_b, labeled = sample_training_batch(pp, set_a, set_b, cfg, rng, use_fov)
-        for ref_b, got_b in zip((fine_b, coarse_b), frame_batches[:2]):
+        for ref_b, got_b in zip((fine_b, coarse_b), got_batches[:2]):
             for attr in ("anchor_indices", "positive_indices", "negative_indices", "fov_indices"):
                 np.testing.assert_array_equal(getattr(ref_b, attr), getattr(got_b, attr))
 
@@ -168,7 +173,7 @@ def reference_gradients(calls, mdl, cfg, heads):
                 fov = batch.fov_indices.ravel()
                 push(h, side_b, fov, out.d_fov.reshape(len(fov), -1) * scale)
         if "semantic" in heads and labeled is not None:
-            got_l = frame_batches[2]
+            got_l = got_batches[2]
             for ref_i, got_i in zip(labeled.class_indices, got_l.class_indices):
                 np.testing.assert_array_equal(ref_i, got_i)
             out = proto_supcon(labeled)
@@ -220,7 +225,7 @@ class TestFrameTraining:
         grads, losses = reference_gradients(calls, init, cfg, heads)
         for h in heads:
             step = getattr(mdl, f"w_{h}") - getattr(init, f"w_{h}")
-            assert relative_error(step, -grads[h]) < 1e-12
+            assert relative_error(step @ Q_T, -grads[h]) < 1e-12
         assert abs(log[0]["loss_fine"] - losses[0]) <= 1e-12 * losses[0]
         assert abs(log[0]["loss_coarse"] - losses[1]) <= 1e-12 * losses[1]
 
@@ -241,7 +246,7 @@ class TestFrameTraining:
         grads, _ = reference_gradients(paired, before, cfg, ("fine", "coarse"))
         for h in ("fine", "coarse"):
             step = getattr(after, f"w_{h}") - getattr(before, f"w_{h}")
-            assert relative_error(step, -grads[h]) < 1e-12
+            assert relative_error(step @ Q_T, -grads[h]) < 1e-12
 
 
 class TestPerVoxelBackprop:
@@ -274,7 +279,7 @@ class TestPerVoxelBackprop:
         grads, _ = reference_gradients(paired, before, cfg, ("fine", "coarse"))
         for h in ("fine", "coarse"):
             step = getattr(after, f"w_{h}") - getattr(before, f"w_{h}")
-            assert relative_error(step, -grads[h]) <= 1e-12
+            assert relative_error(step @ Q_T, -grads[h]) <= 1e-12
 
     def test_zero_rows_get_exactly_zero_gradient(self, monkeypatch):
         # every row of an all-zero model is substituted by e1

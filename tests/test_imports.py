@@ -1,4 +1,5 @@
-"""Every import in ``src/voxelmatch`` is used: an ``ast`` scan, so no linter is needed."""
+"""Every import in ``src/voxelmatch`` is used and every ``__all__`` entry is bound:
+an ``ast`` scan, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -36,10 +37,35 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
 
 
+def unbound_exports(source: str) -> list[str]:
+    """``__all__`` entries that no top-level def, class, assignment or import binds.
+
+    ``from module import *`` raises ``AttributeError`` on each of them.
+    """
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return [name for name in exported if name not in bound]
+
+
 class TestUnusedImports:
     @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
     def test_module_reads_every_import(self, path):
         assert unused_imports(path.read_text()) == []
+
+    @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+    def test_module_binds_every_export(self, path):
+        assert unbound_exports(path.read_text()) == []
 
     def test_scan_finds_what_it_should(self):
         source = (
@@ -49,8 +75,11 @@ class TestUnusedImports:
             "from dataclasses import dataclass, field, replace as rep\n"
             "from json import dumps  # noqa: F401\n"
             "from json import loads\n"
-            "__all__ = ['loads']\n"
+            "LIMIT: int = 3\n"
+            "__all__ = ['loads', 'f', 'LIMIT', 'gone']\n"
             "def f(x) -> dataclass:\n"
+            "    gone = 1\n"
             "    return os.path.join(x, rep)\n"
         )
         assert unused_imports(source) == ["field (line 4)", "math (line 2)"]
+        assert unbound_exports(source) == ["gone"]

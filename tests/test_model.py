@@ -2,6 +2,8 @@
 
 import io
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from voxelmatch.errors import (
     DimensionMismatch,
     EmptyDataset,
     InsufficientOverlap,
+    NonFiniteWeights,
     TruncatedFile,
 )
 from voxelmatch.geometry import rigid_about, rotation_matrix
@@ -37,7 +40,6 @@ from voxelmatch.model import (
     _half_lattice_points,
     _sample_side,
     embed,
-    head_frame,
     load_model,
     new_model,
     sample_training_batch,
@@ -45,14 +47,9 @@ from voxelmatch.model import (
     train,
 )
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
-from voxelmatch.volume import ScalarVolume, VolumeGeometry, half_geometry, resample
+from voxelmatch.volume import ScalarVolume, VolumeGeometry, half_geometry, resample, unit_rows
 
 BANK = DescriptorBank()
-
-
-def embedding_space(frame_vol, w):
-    """A head's D-wide embeddings, (nz, ny, nx, D): its frame vectors times Q^T."""
-    return frame_vol.data.astype(np.float64) @ head_frame(w)[1]
 
 
 def full_resolution_bank(data):
@@ -262,9 +259,9 @@ class TestEmbed:
     def test_matches_per_voxel_matmul_oracle(self):
         rng = np.random.default_rng(3)
         vol = scalar(rng, (10, 10, 10))
-        model = new_model(rng, embedding_dim=32)
+        model = new_model(rng)
         out = embed(vol, model)
-        fine = embedding_space(out.fine, model.w_fine)
+        fine = out.fine.data
         feats, _ = BANK.compute(vol)
         for idx in [(0, 0, 0), (2, 3, 4), (4, 4, 4)]:
             v = feats[idx] @ model.w_fine
@@ -274,18 +271,20 @@ class TestEmbed:
     def test_invariant_to_positive_affine_intensity_maps(self):
         # a > 0 scales every bank channel by a, which the L2 normalization
         # cancels; the remapped volume is stored as float32, so its rounding
-        # (about ulp(a + |b|) / a relative) is all that may move embeddings
+        # (about ulp(a + |b|) / a relative) is all that may move embeddings.
+        # The bound holds each entry of the 128-wide embeddings of W = M Q^T,
+        # for an isometry Q^T (11 orthonormal rows of length 128)
         vol = resample(gen_phantom(PhantomSpec(dims=(64, 64, 64), seed=0))[0], 2.0)
         model = new_model(np.random.default_rng(3))
+        q_t = np.linalg.qr(np.random.default_rng(0).normal(size=(128, FEATURE_DIM)))[0].T
         base = embed(vol, model)
         for a, b in [(2.0, 0.0), (0.5, 0.25), (1.0, -0.5), (3.0, 1.0)]:
             remapped = ScalarVolume(vol.geometry, a * vol.data.astype(np.float64) + b)
             out = embed(remapped, model)
             for head in ("coarse", "fine"):
-                w = getattr(model, f"w_{head}")
                 np.testing.assert_allclose(
-                    embedding_space(getattr(out, head), w),
-                    embedding_space(getattr(base, head), w), rtol=0, atol=1e-5,
+                    getattr(out, head).data.astype(np.float64) @ q_t,
+                    getattr(base, head).data.astype(np.float64) @ q_t, rtol=0, atol=1e-5,
                 )
 
     def test_dimension_mismatch(self):
@@ -294,6 +293,13 @@ class TestEmbed:
         model = ProjectionModel(np.zeros((9, 8)), np.zeros((9, 8)))
         with pytest.raises(DimensionMismatch):
             embed(vol, model)
+
+    def test_heads_of_different_shapes_are_rejected(self):
+        # the model file stores one (F, k) for all heads
+        m = np.zeros((FEATURE_DIM, FEATURE_DIM))
+        for heads in [(m, m[:, :8]), (m, m, m[:, :8])]:
+            with pytest.raises(DimensionMismatch):
+                ProjectionModel(*heads)
 
     def test_semantic_head_only_when_present(self):
         rng = np.random.default_rng(5)
@@ -305,7 +311,8 @@ class TestEmbed:
 class TestModelFile:
     def test_round_trip_bit_identical(self):
         rng = np.random.default_rng(6)
-        model = new_model(rng, with_semantic=True, tau_appearance=0.25, round_index=3)
+        model = new_model(rng, with_semantic=True)
+        model.round_index = 3
         buf = io.BytesIO()
         save_model(model, buf)
         raw = buf.getvalue()
@@ -342,6 +349,60 @@ class TestModelFile:
         with pytest.raises(ChecksumMismatch):
             load_model(io.BytesIO(bytes(raw)))
 
+    def test_trained_model_round_trips_and_embeds_bit_for_bit(self):
+        vol, labels, _ = gen_phantom(PhantomSpec(dims=(32, 32, 32), spacing=2.0, seed=21))
+        model, _ = train(
+            [(vol, labels)], small_cfg(steps=3), mode="standard",
+            augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
+        )
+        assert model.w_semantic is not None
+        buf = io.BytesIO()
+        save_model(model, buf)
+        back = load_model(io.BytesIO(buf.getvalue()))
+        again = io.BytesIO()
+        save_model(back, again)
+        assert again.getvalue() == buf.getvalue()
+        got, want = embed(vol, back), embed(vol, model)
+        for head in ("coarse", "fine", "semantic"):
+            assert np.array_equal(getattr(got, head).data, getattr(want, head).data)
+
+    @staticmethod
+    def version_1_file(heads, round_index=2):
+        """A UAEM version 1 file: (F, D) heads W after a header with three temperatures."""
+        header = struct.pack(
+            "<HBBIIfffI", 1, 0b111 if len(heads) == 3 else 0b011, 0, *heads[0].shape,
+            0.5, 0.5, 0.5, round_index,
+        )
+        payload = b"".join(np.ascontiguousarray(w, dtype="<f8").tobytes() for w in heads)
+        return b"UAEM" + header + payload + struct.pack("<I", zlib.crc32(header + payload) & 0xFFFFFFFF)
+
+    @pytest.mark.parametrize("d", [128, 8])
+    def test_version_1_file_embeds_as_it_did(self, d):
+        # a version 1 head W embedded as normalize(f R^T), from the thin QR W^T = Q R
+        rng = np.random.default_rng(d)
+        heads = [rng.normal(0.0, 0.3, (FEATURE_DIM, d)) for _ in range(3)]
+        model = load_model(io.BytesIO(self.version_1_file(heads)))
+        assert model.round_index == 2
+        k = min(FEATURE_DIM, d)
+        assert all(m.shape == (FEATURE_DIM, k) for m in (model.w_coarse, model.w_fine, model.w_semantic))
+        vol = scalar(rng, (12, 12, 12))
+        feats, _ = BANK.compute(vol)
+        sources = {"coarse": model_mod._smooth_coarse(feats), "fine": feats, "semantic": feats}
+        out = embed(vol, model)
+        for head, w in zip(("coarse", "fine", "semantic"), heads):
+            r_t = np.linalg.qr(w.T)[1].T
+            want = unit_rows(sources[head].reshape(-1, FEATURE_DIM) @ r_t)[0].astype(np.float32)
+            assert np.array_equal(getattr(out, head).data.reshape(-1, k), want)
+        buf = io.BytesIO()
+        save_model(model, buf)
+        assert struct.unpack_from("<H", buf.getvalue(), 4)[0] == 2
+
+    def test_version_1_file_with_non_finite_weights(self):
+        heads = [np.ones((FEATURE_DIM, 128)), np.ones((FEATURE_DIM, 128))]
+        heads[1][3, 7] = np.inf
+        with pytest.raises(NonFiniteWeights):
+            load_model(io.BytesIO(self.version_1_file(heads)))
+
     def test_path_io(self, tmp_path):
         rng = np.random.default_rng(10)
         model = new_model(rng)
@@ -372,7 +433,7 @@ class TestSampleTrainingBatch:
         self.vol, _ = phantom_working(40)
         self.spec = AugmentSpec(patch_size=(20, 20, 20))
         self.pair = sample_patch_pair(self.vol, None, self.spec, seed=1)
-        self.model = new_model(rng, embedding_dim=32)
+        self.model = new_model(rng)
         self.emb_a = embed(self.pair.patch_a, self.model)
         self.emb_b = embed(self.pair.patch_b, self.model)
 
@@ -426,7 +487,7 @@ class TestSampleTrainingBatch:
             g, labels.data[src[:, 2], src[:, 1], src[:, 0]].reshape(g.shape_zyx)
         )
         rng = np.random.default_rng(14)
-        model = new_model(rng, with_semantic=True, embedding_dim=32)
+        model = new_model(rng, with_semantic=True)
         spec = AugmentSpec(patch_size=(20, 20, 20), rotation_degrees=0.0,
                            scale_range=(1.0, 1.0))
         pair = sample_patch_pair(vol, lab_working, spec, seed=3)
@@ -550,7 +611,7 @@ class TestSamplerOracle:
         ("coarse", (100, 200, 16.0, 0.25, 0.5)),
     ])
     def test_default_fine_and_coarse_settings(self, head, args):
-        pair, emb_a, emb_b = self.flat_pair(32, new_model(np.random.default_rng(6), embedding_dim=32))
+        pair, emb_a, emb_b = self.flat_pair(32, new_model(np.random.default_rng(6)))
         self.assert_same(*self.run_both(pair, emb_a, emb_b, head, *args))
 
     def test_voxels_exactly_on_the_gate_radius(self):
