@@ -6,8 +6,10 @@ image grids (twice the embedding-grid index).  Nearest-neighbour argmaxes
 break ties toward the smallest (z, y, x) index, so results are deterministic.
 
 An NN lookup samples its template vectors once, then takes them
-``_NN_CHUNK`` (128) rows at a time through one row-major similarity product,
-so memory stays at one chunk times the query grid plus one vector per point.
+``_NN_CHUNK`` (128) rows at a time through similarity products bounded by
+bytes: a large query grid goes through column blocks of at most ``_NN_BLOCK``
+float64 entries (4 MB) in one buffer, so memory stays at one block plus one
+vector per point, whatever the grid size.
 Fixed-point matching of a point list builds one pair matcher and iterates
 the seed cubes of all points together: every seed is a lattice point, so the
 forward and backward NN maps are memoized per lattice index and each lattice
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,9 +128,11 @@ class MatchResult:
     n_fixed_points_used: int = 0
 
 
-# template rows per similarity product in NN lookups; bounds the product's
-# memory at _NN_CHUNK x n_query_voxels whatever the batch size
+# template rows per similarity product in NN lookups
 _NN_CHUNK = 128
+# float64 entries (4 MB) per similarity product, the bound the training
+# sampler uses for its gather; wider products run over column blocks
+_NN_BLOCK = 2**19
 
 
 def _as_xyz(p) -> np.ndarray:
@@ -158,7 +163,8 @@ def _lattice_flat(s: EmbeddingSet, ijk: np.ndarray) -> np.ndarray:
 
 
 class _PairMatcher:
-    """Caches flattened query matrices for repeated NN lookups in both directions."""
+    """Flattened query matrices for NN lookups in both directions, each
+    stacked on the first lookup that reads it (an NN grid match never stacks A)."""
 
     def __init__(self, a: EmbeddingSet, b: EmbeddingSet, w: SimilarityWeights):
         self.a = a
@@ -178,8 +184,14 @@ class _PairMatcher:
             self.heads.append((name, weight))
         if not self.heads:
             raise ValueError("at least one head must have positive weight")
-        self.q_a = self._stack(a)
-        self.q_b = self._stack(b)
+
+    @cached_property
+    def q_a(self) -> np.ndarray:
+        return self._stack(self.a)
+
+    @cached_property
+    def q_b(self) -> np.ndarray:
+        return self._stack(self.b)
 
     def _stack(self, s: EmbeddingSet) -> np.ndarray:
         """Float64 (n_voxels, channels) matrix of the heads in use, filled in place."""
@@ -206,20 +218,29 @@ class _PairMatcher:
         """Flat query-voxel index and similarity of each template point's best match.
 
         Template vectors are sampled once for all points, then go through
-        the product ``_NN_CHUNK`` rows at a time, row-major so each row's
-        argmax is a contiguous scan.  All chunks share one product buffer, so
-        a large product is not mapped and page-faulted in afresh per chunk.
+        the product ``_NN_CHUNK`` rows at a time, over column blocks of
+        ``q_to`` that keep each product within ``_NN_BLOCK`` entries and share
+        one row-major buffer.  A block is a multiple of 8 columns wide, so
+        its edges fall on BLAS tile edges.  Each row's argmax in a block is
+        its first maximum, the smallest (z, y, x), and a later block replaces
+        the running best only on a strictly larger value.
         """
         v = self.template_vectors(from_set, pts)
-        flat = np.empty(len(v), dtype=np.int64)
-        best = np.empty(len(v), dtype=np.float64)
-        buf = np.empty((min(len(v), _NN_CHUNK), len(q_to)))
+        flat = np.zeros(len(v), dtype=np.int64)
+        best = np.full(len(v), -np.inf)
+        n_rows = max(1, min(len(v), _NN_CHUNK))
+        width = min(len(q_to), max(8, _NN_BLOCK // n_rows // 8 * 8))
+        buf = np.empty(n_rows * width)
         for lo in range(0, len(v), _NN_CHUNK):
             chunk = v[lo:lo + _NN_CHUNK]
-            sims = np.matmul(chunk, q_to.T, out=buf[:len(chunk)])  # (chunk, n_query_voxels)
-            idx = np.argmax(sims, axis=1)  # first max <=> smallest (z, y, x)
-            flat[lo:lo + len(idx)] = idx
-            best[lo:lo + len(idx)] = sims[np.arange(len(idx)), idx]
+            f, b = flat[lo:lo + len(chunk)], best[lo:lo + len(chunk)]
+            for c0 in range(0, len(q_to), width):
+                block = q_to[c0:c0 + width]
+                sims = np.matmul(chunk, block.T, out=buf[:len(chunk) * len(block)].reshape(len(chunk), -1))
+                idx = np.argmax(sims, axis=1)
+                val = sims[np.arange(len(idx)), idx]
+                up = val > b
+                f[up], b[up] = idx[up] + c0, val[up]
         return flat, best
 
     def nn_a_to_b(self, pts):
@@ -448,10 +469,10 @@ def grid_match(
     A point more than 0.75 embedding voxels outside ``a``'s grid is ``None``
     under either matcher, before any lookup.  One ``_PairMatcher`` serves the
     whole call.  With ``cfg=None`` the in-bounds points go through one
-    batched NN lookup, ``_NN_CHUNK`` rows per similarity product.  Otherwise
-    their seed cubes iterate together against one shared memo of lattice NN
-    maps (see ``_converge_cubes``): a seed that cycles or exhausts its step
-    budget yields no fixed point.  Each point then gets its own
+    batched NN lookup, at most ``_NN_BLOCK`` entries per similarity product.
+    Otherwise their seed cubes iterate together against one shared memo of
+    lattice NN maps (see ``_converge_cubes``): a seed that cycles or exhausts
+    its step budget yields no fixed point.  Each point then gets its own
     affine fit through the fixed points near it, and all fitted points share
     one similarity pass.  A point that cannot be fitted falls back to its own
     one-row NN lookup, so it equals ``nn_match`` bit for bit.

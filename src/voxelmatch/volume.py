@@ -152,6 +152,8 @@ class EmbeddingVolume:
             raise ValueError(
                 f"data shape {self.data.shape} does not match dims {self.geometry.dims}"
             )
+        if not 0 <= self.zero_substitutions <= self.geometry.n_voxels:
+            raise ValueError("zero_substitutions must lie between 0 and the voxel count")
         if self.normalized:
             rows = self.data.reshape(-1, self.data.shape[3])
             norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
@@ -189,7 +191,8 @@ class Box3:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"EVF1"
-_HEADER = struct.Struct("<4sBBHIIIIffffffB7x")
+# after the normalized flag: the zero-substitution count (0 in files that predate it), 3 pad bytes
+_HEADER = struct.Struct("<4sBBHIIIIffffffBI3x")
 _KIND_SCALAR, _KIND_LABEL, _KIND_EMBEDDING = 1, 2, 3
 _DTYPE_F32, _DTYPE_U16 = 1, 2
 _MAX_ELEMENTS = 2**31
@@ -232,7 +235,7 @@ def write_volume(vol, dest) -> None:
         g.dims[0], g.dims[1], g.dims[2], channels,
         g.spacing[0], g.spacing[1], g.spacing[2],
         g.origin[0], g.origin[1], g.origin[2],
-        normalized,
+        normalized, getattr(vol, "zero_substitutions", 0),
     )
     payload = np.ascontiguousarray(arr, dtype=payload_dtype).tobytes()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
@@ -260,7 +263,7 @@ def read_volume(src):
         raw = _read_exact(f, _HEADER.size, "header")
         (magic, kind, dtype_code, reserved,
          nx, ny, nz, channels,
-         sx, sy, sz, ox, oy, oz, normalized) = _HEADER.unpack(raw)
+         sx, sy, sz, ox, oy, oz, normalized, zero_substitutions) = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise BadMagic(f"bad magic {magic!r}")
         if reserved != 0 or normalized not in (0, 1):
@@ -287,6 +290,8 @@ def read_volume(src):
             raise MalformedFile(f"voxel spacing {(sx, sy, sz)} is not positive and finite")
         if not np.isfinite((ox, oy, oz)).all():
             raise MalformedFile(f"volume origin {(ox, oy, oz)} is not finite")
+        if zero_substitutions > (nx * ny * nz if kind == _KIND_EMBEDDING else 0):
+            raise MalformedFile(f"zero-substitution count {zero_substitutions} is out of range")
         geom = VolumeGeometry((nx, ny, nz), (sx, sy, sz), (ox, oy, oz))
         np_dtype = "<f4" if dtype_code == _DTYPE_F32 else "<u2"
         arr = np.frombuffer(payload, dtype=np_dtype)
@@ -297,7 +302,8 @@ def read_volume(src):
         if kind == _KIND_LABEL:
             return LabelVolume(geom, arr.reshape(nz, ny, nx).copy())
         return EmbeddingVolume(
-            geom, arr.reshape(nz, ny, nx, channels).copy(), normalized=bool(normalized)
+            geom, arr.reshape(nz, ny, nx, channels).copy(), normalized=bool(normalized),
+            zero_substitutions=zero_substitutions,
         )
     finally:
         if close:
@@ -405,7 +411,10 @@ def mapped_inside(geom: VolumeGeometry, transform, other: VolumeGeometry) -> np.
 
 
 def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:
-    """Binary mask: threshold, keep the largest 6-connected component, fill per-slice holes."""
+    """Binary mask: threshold, keep the largest 6-connected component, fill per-slice holes.
+
+    A hole is background that no in-plane path joins to an x or y face of its
+    z slice; one in-plane labelling of the background finds every slice's."""
     above = vol.data > threshold
     if not above.any():
         raise EmptyMask(f"no voxel exceeds threshold {threshold}")
@@ -415,11 +424,15 @@ def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:
         counts = np.bincount(labeled.ravel())
         counts[0] = 0
         above = labeled == int(np.argmax(counts))
-    # a structure with no z offsets fills each z slice on its own, in one call
+    # a structure with no z offsets labels each z slice on its own
     in_plane = np.zeros((3, 3, 3), dtype=bool)
     in_plane[1] = ndimage.generate_binary_structure(2, 1)
-    filled = ndimage.binary_fill_holes(above, structure=in_plane)
-    return LabelVolume(vol.geometry, filled.astype(np.uint16))
+    background, n = ndimage.label(~above, structure=in_plane)
+    open_to_face = np.zeros(n + 1, dtype=bool)
+    open_to_face[background[:, [0, -1]]] = True
+    open_to_face[background[:, :, [0, -1]]] = True
+    open_to_face[0] = False  # label 0 is the body itself
+    return LabelVolume(vol.geometry, (~open_to_face[background]).astype(np.uint16))
 
 
 def mask_bbox(mask) -> Box3:
@@ -461,9 +474,10 @@ def crop(vol, box: Box3):
         tuple(g.origin[i] + lo[i] * g.spacing[i] for i in range(3)),
     )
     if isinstance(vol, EmbeddingVolume):
+        # the crop cannot hold more substituted voxels than it has voxels
         return EmbeddingVolume(
             new_geom, vol.data[sl].copy(), normalized=vol.normalized,
-            zero_substitutions=vol.zero_substitutions,
+            zero_substitutions=min(vol.zero_substitutions, new_geom.n_voxels),
         )
     if isinstance(vol, LabelVolume):
         return LabelVolume(new_geom, vol.data[sl].copy())

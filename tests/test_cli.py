@@ -192,6 +192,14 @@ class TestEmbedCommand:
             keep = norms > 1e-12
             np.testing.assert_allclose(got[keep], v[keep] / norms[keep, None], rtol=0, atol=1e-5)
 
+    def test_written_embeddings_keep_their_zero_substitution_counts(self, tmp_path, capsys):
+        mdl = new_model(np.random.default_rng(3))
+        mdl.w_coarse = np.zeros_like(mdl.w_coarse)
+        code, _ = self.run(tmp_path, mdl)
+        assert code == 0
+        assert read_volume(tmp_path / "out" / "coarse.evf").zero_substitutions == 1000  # every 10^3 voxel
+        assert read_volume(tmp_path / "out" / "fine.evf").zero_substitutions == 0
+
     @pytest.mark.parametrize("cfg", [None, FixpointConfig()], ids=["nn", "fixpoint"])
     def test_matches_on_written_embeddings_equal_those_on_embed_output(self, tmp_path, capsys, cfg):
         mdl = new_model(np.random.default_rng(3), with_semantic=True)

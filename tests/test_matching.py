@@ -1,11 +1,14 @@
 """Tests for similarity maps, NN matching, and fixed-point structural matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from voxelmatch import matching
+from voxelmatch.alignment import AlignConfig, register_and_crop
 from voxelmatch.errors import DegenerateGeometry, DimensionMismatch, OutOfBounds, VoxelMatchError
-from voxelmatch.geometry import Point3, fit_affine
+from voxelmatch.geometry import Point3, fit_affine, rigid_about, rotation_matrix
 from voxelmatch.matching import (
     EmbeddingSet,
     FixpointConfig,
@@ -22,7 +25,9 @@ from voxelmatch.matching import (
     nn_match,
     similarity_map,
 )
-from voxelmatch.volume import EmbeddingVolume, VolumeGeometry, trilinear_sample_many, unit_rows
+from voxelmatch.model import new_model
+from voxelmatch.phantom import PhantomSpec, gen_pair
+from voxelmatch.volume import EmbeddingVolume, VolumeGeometry, resample, trilinear_sample_many, unit_rows
 
 
 def unit_volume(geom, data):
@@ -622,6 +627,20 @@ class TestMatcherWorkCount:
         assert counts["matchers"] == 1
         assert counts["fwd_rows"] == len(pts)
 
+    @pytest.mark.parametrize("cfg", [None, FixpointConfig()], ids=["nn", "fixpoint"])
+    def test_query_matrices_are_stacked_only_when_read(self, monkeypatch, cfg):
+        a, b, pts = equivalence_cases()[0]
+        stacked = []
+        stack = _PairMatcher._stack
+
+        def counted_stack(self, s):
+            stacked.append("a" if s is a else "b")
+            return stack(self, s)
+
+        monkeypatch.setattr(_PairMatcher, "_stack", counted_stack)
+        grid_match(pts, a, b, W, cfg)
+        assert stacked == (["b"] if cfg is None else ["b", "a"])
+
     @pytest.mark.parametrize("case,cfg,kind", [
         (0, FixpointConfig(), "fitted"),
         (1, FixpointConfig(cube_side=3, tau_dis=6.0), "mixed"),
@@ -734,3 +753,113 @@ class TestNNChunking:
         for k in (_NN_CHUNK - 1, _NN_CHUNK):  # last row of chunk 0, first of chunk 1
             assert got[k].point == Point3(0.0, 12.0, 4.0)  # (z, y, x) = (2, 6, 0) wins
             assert abs(got[k].similarity - 1.0) < 1e-6
+
+
+def single_product_nn(self, from_set, q_to, pts):
+    """Oracle: the NN lookup with one product per 128-row chunk over the whole query grid."""
+    v = self.template_vectors(from_set, pts)
+    flat = np.empty(len(v), dtype=np.int64)
+    best = np.empty(len(v), dtype=np.float64)
+    for lo in range(0, len(v), _NN_CHUNK):
+        sims = v[lo:lo + _NN_CHUNK] @ q_to.T
+        idx = np.argmax(sims, axis=1)
+        flat[lo:lo + len(idx)] = idx
+        best[lo:lo + len(idx)] = sims[np.arange(len(idx)), idx]
+    return flat, best
+
+
+class TestBlockedNN:
+    """The byte-bounded lookup against the single-product oracle, with the
+    block bound made small so that every product is split into column blocks."""
+
+    def test_equals_single_product_oracle(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        a = make_set(rng, dims=(8, 7, 7))  # 392 voxels
+        b = make_set(rng, dims=(8, 8, 5))  # 320 voxels
+        monkeypatch.setattr(matching, "_NN_BLOCK", 96 * _NN_CHUNK)
+        matcher = _PairMatcher(a, b, W)
+        # a full chunk takes 96-column blocks, 40 rows 304-column blocks and
+        # one row a single block; neither grid is a multiple of 96 or 304
+        for from_set, q_to, dims in ((a, matcher.q_b, (8, 7, 7)), (b, matcher.q_a, (8, 8, 5))):
+            pts = np.array(lattice_points(dims))
+            assert len(q_to) % 96 and len(q_to) % 304
+            for n in (len(pts), 40, 1):
+                got = matcher._nn(from_set, q_to, pts[:n])
+                want = single_product_nn(matcher, from_set, q_to, pts[:n])
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    def test_grid_not_a_multiple_of_8_voxels_rounds_in_the_last_bit(self, monkeypatch):
+        # BLAS computes a product's last (n mod 8) columns with an edge kernel,
+        # so there a blocked similarity may differ from the single product's in
+        # its last bit; the matches here do not move
+        rng = np.random.default_rng(45)
+        a = make_set(rng, dims=(7, 7, 7))
+        b = make_set(rng, dims=(7, 7, 7))
+        monkeypatch.setattr(matching, "_NN_BLOCK", 96 * _NN_CHUNK)
+        matcher = _PairMatcher(a, b, W)
+        pts = np.array(lattice_points((7, 7, 7)))
+        got = matcher._nn(a, matcher.q_b, pts)
+        want = single_product_nn(matcher, a, matcher.q_b, pts)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_points", [1, 3])
+    def test_tie_across_a_column_block_boundary_keeps_the_smaller_zyx(self, monkeypatch, n_points):
+        rng = np.random.default_rng(43)
+        a = make_set(rng, dims=(7, 7, 7))
+        b = make_set(rng, dims=(8, 8, 5))
+        # one row per product, 64 columns per block for one point, 16 for three:
+        # query voxels 63 (z, y, x) = (0, 7, 7) and 64 (1, 0, 0) sit in different blocks
+        monkeypatch.setattr(matching, "_NN_BLOCK", 64)
+        fine, coarse = b.fine.data.copy(), b.coarse.data.copy()
+        for iz, iy, ix in ((0, 7, 7), (1, 0, 0)):
+            fine[iz, iy, ix] = a.fine.data[3, 2, 1]
+            coarse[iz, iy, ix] = a.coarse.data[3, 2, 1]
+        b = EmbeddingSet(
+            coarse=EmbeddingVolume(b.coarse.geometry, coarse, normalized=True),
+            fine=EmbeddingVolume(b.fine.geometry, fine, normalized=True),
+        )
+        got = grid_match([(2.0, 4.0, 6.0)] * n_points, a, b, W)
+        for r in got:
+            assert r.point == Point3(14.0, 14.0, 0.0)
+            assert abs(r.similarity - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("matcher", ["nn", "fixpoint"])
+    def test_register_and_crop_equals_single_product_oracle(self, monkeypatch, matcher):
+        pair = gen_pair(
+            PhantomSpec(dims=(64, 64, 64), seed=66),
+            rigid_about(rotation_matrix((0.3, 1.0, -0.2), np.deg2rad(7.0)), (31.5,) * 3, (3.0, -5.0, 2.0)),
+            "inverted",
+        )
+        fixed, moving = resample(pair.volume_b, 2.0), resample(pair.volume_a, 2.0)
+        mdl = new_model(np.random.default_rng(3))
+        cfg = AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18, matcher=matcher)
+        with monkeypatch.context() as m:
+            m.setattr(_PairMatcher, "_nn", single_product_nn)
+            want = register_and_crop(fixed, moving, mdl, cfg, 5)
+        monkeypatch.setattr(matching, "_NN_BLOCK", 2**14)  # a 128-row chunk takes 128 columns
+        got = register_and_crop(fixed, moving, mdl, cfg, 5)
+        assert got.rigid.rotation.tobytes() == want.rigid.rotation.tobytes()
+        assert got.rigid.translation.tobytes() == want.rigid.translation.tobytes()
+        assert got.provenance == want.provenance
+        assert got.fixed_crop.geometry == want.fixed_crop.geometry
+        assert got.fixed_crop.data.tobytes() == want.fixed_crop.data.tobytes()
+
+
+class TestNNMemory:
+    def test_nn_grid_match_peak_stays_within_the_block_budget(self):
+        # 1331 points against a 32^3 x 22 query grid: one 128-row chunk over the
+        # whole grid was 33.5 MB, and stacking the unused template matrix 5.8 MB
+        rng = np.random.default_rng(44)
+        dims = (32, 32, 32)
+        a, b = make_set(rng, dims=dims, d=11), make_set(rng, dims=dims, d=11)
+        pts = [(x, y, z) for x in range(0, 64, 6) for y in range(0, 64, 6) for z in range(0, 64, 6)]
+        assert len(pts) == 1331
+        tracemalloc.start()
+        try:
+            grid_match(pts, a, b, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20

@@ -1,6 +1,8 @@
 """Tests for volume types, EVF I/O, resampling, sampling, masking, cropping."""
 
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from voxelmatch.errors import (
     DimensionOverflow,
     EmptyBox,
     EmptyMask,
+    MalformedFile,
     NonUnitInput,
     OutOfBounds,
     TruncatedFile,
     UnsupportedVersion,
 )
+from voxelmatch.geometry import rigid_about, rotation_matrix
+from voxelmatch.phantom import PhantomSpec, gen_pair
 from voxelmatch.volume import (
     Box3,
     EmbeddingVolume,
@@ -34,6 +39,9 @@ from voxelmatch.volume import (
     unit_rows,
     write_volume,
 )
+
+
+ZERO_SUBS_OFFSET = 49  # magic, kind, dtype, reserved, dims, channels, spacing, origin, normalized
 
 
 def roundtrip(vol):
@@ -76,6 +84,38 @@ class TestEvfIO:
         assert back.normalized is True
         assert back.geometry.spacing == emb.geometry.spacing
         assert back.data.tobytes() == emb.data.tobytes()
+
+    def test_embedding_roundtrip_keeps_zero_substitutions(self):
+        data = np.zeros((2, 3, 4, 3), np.float32)
+        data[..., 0] = 1.0
+        emb = EmbeddingVolume(VolumeGeometry((4, 3, 2)), data, normalized=True, zero_substitutions=24)
+        back, raw = roundtrip(emb)
+        assert back.zero_substitutions == 24
+        assert struct.unpack_from("<I", raw, ZERO_SUBS_OFFSET) == (24,)
+
+    def test_file_without_a_substitution_count_reads_zero(self):
+        # files written before the count was stored have zeros in all 7 pad bytes
+        g = VolumeGeometry((2, 2, 1), (1.0, 1.0, 2.0))
+        payload = np.full((1, 2, 2, 1), 1.0, "<f4").tobytes()
+        old_header = struct.pack("<4sBBHIIIIffffffB7x", b"EVF1", 3, 1, 0, 2, 2, 1, 1, *g.spacing, *g.origin, 1)
+        raw = old_header + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        back = read_volume(io.BytesIO(raw))
+        assert back.zero_substitutions == 0
+        assert back.data.tobytes() == payload
+
+    @pytest.mark.parametrize("kind,count", [("embedding", 9), ("scalar", 1), ("label", 1)])
+    def test_substitution_count_out_of_range_is_malformed(self, kind, count):
+        g = VolumeGeometry((2, 2, 2))
+        vol = {
+            "embedding": EmbeddingVolume(g, np.ones((2, 2, 2, 1), np.float32), normalized=True),
+            "scalar": ScalarVolume(g, np.zeros((2, 2, 2), np.float32)),
+            "label": LabelVolume(g, np.zeros((2, 2, 2), np.uint16)),
+        }[kind]
+        _, raw = roundtrip(vol)
+        broken = bytearray(raw)
+        struct.pack_into("<I", broken, ZERO_SUBS_OFFSET, count)  # 8 voxels
+        with pytest.raises(MalformedFile):
+            read_volume(io.BytesIO(bytes(broken)))
 
     def test_bad_magic(self):
         _, raw = roundtrip(ScalarVolume(VolumeGeometry((2, 2, 2)), np.zeros((2, 2, 2), np.float32)))
@@ -309,6 +349,50 @@ class TestBodyMaskSliceOracle:
         assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
         assert mask[tube, 5:7, 5:7].all()
 
+    @pytest.mark.parametrize("face", ["x0", "x1", "y0", "y1"])
+    def test_hole_open_to_an_x_or_y_face_stays_unfilled(self, face):
+        data = np.zeros((5, 12, 12), np.float32)
+        data[:, 2:10, 2:10] = 1.0
+        data[:, 5:7, 5:7] = 0.0  # an enclosed hole in every slice
+        channel = {"x0": np.s_[2, 5:7, :7], "x1": np.s_[2, 5:7, 5:], "y0": np.s_[2, :7, 5:7],
+                   "y1": np.s_[2, 5:, 5:7]}[face]
+        data[channel] = 0.0  # slice 2's hole opens to one face
+        vol = ScalarVolume(VolumeGeometry((12, 12, 5)), data)
+        mask = body_mask(vol, 0.5).data
+        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        assert not mask[channel].any()
+        assert mask[[0, 1, 3, 4], 5:7, 5:7].all()
+
+    @pytest.mark.parametrize("iz", [0, -1])
+    def test_hole_in_the_first_or_last_slice_is_filled(self, iz):
+        data = np.zeros((6, 10, 10), np.float32)
+        data[:, 1:9, 1:9] = 1.0
+        data[iz, 3:6, 4:7] = 0.0
+        vol = ScalarVolume(VolumeGeometry((10, 10, 6)), data)
+        mask = body_mask(vol, 0.5).data
+        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        assert mask[:, 1:9, 1:9].all()
+
+    def test_background_reaching_both_z_faces_only_is_filled(self):
+        # a tube of air through the whole stack touches both z faces and no x or y face
+        data = np.zeros((7, 11, 11), np.float32)
+        data[:, 1:10, 1:10] = 1.0
+        data[:, 4:7, 3:8] = 0.0
+        vol = ScalarVolume(VolumeGeometry((11, 11, 7)), data)
+        mask = body_mask(vol, 0.5).data
+        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        assert mask[:, 1:10, 1:10].all()
+
+    @pytest.mark.parametrize("remap", ["identity", "gamma"])
+    def test_benchmark_size_scans(self, remap):
+        # a 128^3 phantom pair resampled to the 64^3 working grid, as the align benchmark builds it
+        truth = rigid_about(rotation_matrix((0.2, 1.0, 0.1), np.deg2rad(6.0)), (63.5,) * 3, (4.0, -3.0, 2.0))
+        pair = gen_pair(PhantomSpec(dims=(128, 128, 128), seed=66), truth, remap)
+        for scan in (pair.volume_a, pair.volume_b):
+            vol = resample(scan, 2.0)
+            assert vol.data.shape == (64, 64, 64)
+            assert np.array_equal(body_mask(vol, 0.18).data, body_mask_by_slice(vol, 0.18))
+
     def test_one_slice_volume(self):
         data = np.zeros((1, 9, 9), np.float32)
         data[0, 1:8, 1:8] = 1.0
@@ -356,6 +440,14 @@ class TestBoxesAndCrop:
         src_phys = geom.voxel_to_physical(np.array([box.min], dtype=float))[0]
         crop_phys = out.geometry.voxel_to_physical(np.zeros((1, 3)))[0]
         np.testing.assert_allclose(crop_phys, src_phys, atol=1e-9)
+
+    def test_embedding_crop_holds_at_most_its_voxels_as_substitutions(self):
+        data = np.zeros((2, 3, 4, 2), np.float32)
+        data[..., 0] = 1.0
+        emb = EmbeddingVolume(VolumeGeometry((4, 3, 2)), data, normalized=True, zero_substitutions=24)
+        assert crop(emb, Box3((0, 0, 0), (1, 0, 0))).zero_substitutions == 2
+        with pytest.raises(ValueError):
+            EmbeddingVolume(emb.geometry, data, zero_substitutions=25)
 
     def test_half_geometry(self):
         g = VolumeGeometry((7, 8, 9), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0))
