@@ -248,16 +248,19 @@ def iterate_alignment(
 ):
     """Bootstrap + margin-scheduled retraining over cross-modality pairs.
 
-    Round 0 trains an intensity-agnostic model with aggressive augmentation
-    on all individual volumes.  Intensity-agnostic means: the descriptor
-    bank makes every model exactly invariant to v -> a * v + b with a > 0
-    and nearly invariant to smooth monotone remaps; contrast reversal is
-    left to the augmentation and the later rounds.  Each subsequent round
-    aligns every pair with the latest model and the round's margin, then
-    retrains on alternating self-supervised and registered-pair batches.  A
-    pair whose alignment fails is skipped with a warning, never aborting the
-    round.  Returns the model sequence (k = 0..len(margins)) and per-round
-    metrics rows.
+    Round 0 trains an intensity-agnostic model in ``aggressive`` mode on all
+    individual volumes.  Intensity-agnostic means: the descriptor bank makes
+    every model exactly invariant to v -> a * v + b with a > 0 and nearly
+    invariant to smooth monotone remaps; contrast reversal is left to the
+    augmentation and the later rounds.  Each subsequent round aligns every
+    pair with the latest model and the round's margin, then retrains in
+    ``paired`` mode on alternating self-supervised and registered-pair
+    batches.  Both modes draw every self-supervised patch pair with
+    aggressive Bezier and reversal augmentation: the mode decides that, and
+    ``augment_spec`` sets only the shared augmentation ranges.  A pair whose
+    alignment fails is skipped with a warning, never aborting the round.
+    Returns the model sequence (k = 0..len(margins)) and per-round metrics
+    rows.
     """
     if not pairs:
         raise EmptyMask("no cross-modality pairs given")

@@ -35,8 +35,10 @@ class AugmentSpec:
 
     ``bezier_control_points`` is (x1, y1, x2, y2) for the two interior
     control points of a unit-square cubic curve through (0,0) and (1,1);
-    ``None`` draws fresh controls per patch (sorted, hence monotone, unless
-    ``aggressive`` is set, which also enables intensity reversal).
+    ``None`` draws fresh sorted, hence monotone, controls per patch.  Whether
+    the augmentation is aggressive (unsorted controls plus reversal with
+    ``reverse_probability``) is no setting here: the training mode decides
+    it, and ``train`` passes it to ``sample_patch_pair``.
     """
 
     bezier_control_points: tuple[float, float, float, float] | None = None
@@ -45,7 +47,6 @@ class AugmentSpec:
     scale_range: tuple[float, float] = (0.8, 1.2)
     blur_sigma_range: tuple[float, float] = (0.0, 1.0)
     noise_sigma_range: tuple[float, float] = (0.0, 0.02)
-    aggressive: bool = False
     patch_size: tuple[int, int, int] = (32, 32, 32)
     min_overlap: float = 0.25
 
@@ -72,7 +73,6 @@ class PatchPair:
     map_ab: AffineTransform
     overlap_a: np.ndarray
     labels_a: LabelVolume | None = None
-    labels_b: LabelVolume | None = None
     overlap_b: np.ndarray | None = None
 
     def a_to_b_voxels(self, pts_a) -> np.ndarray:
@@ -224,8 +224,8 @@ def _geometric_augment(vol: ScalarVolume, spec: AugmentSpec, seed: int):
     return ScalarVolume(g, data.astype(np.float32)), transform, src_map
 
 
-def _intensity_augment(vol: ScalarVolume, spec: AugmentSpec, rng) -> ScalarVolume:
-    if spec.aggressive:
+def _intensity_augment(vol: ScalarVolume, spec: AugmentSpec, rng, aggressive: bool) -> ScalarVolume:
+    if aggressive:
         control = tuple(rng.uniform(0.0, 1.0, 4))
         out = bezier_intensity(vol, control)
         if rng.uniform() < spec.reverse_probability:
@@ -243,13 +243,16 @@ def sample_patch_pair(
     labels: LabelVolume | None,
     spec: AugmentSpec,
     seed: int,
+    aggressive: bool = False,
 ) -> PatchPair:
     """Extract two overlapping patches and augment them independently.
 
     The geometric transforms and window offsets are composed into one exact
-    physical correspondence; with ``aggressive`` augmentation the intensity
-    of each patch is additionally bent and possibly reversed, which leaves
-    the correspondence untouched.
+    physical correspondence.  Each patch's intensity is bent by a Bezier
+    curve, which leaves the correspondence untouched: a monotone one, or
+    with ``aggressive`` an arbitrary one, possibly followed by a reversal.
+    ``train`` sets ``aggressive`` from its mode.  ``labels`` are cropped and
+    warped onto patch A only, the side the semantic batch reads.
     """
     g = vol.geometry
     ps = spec.patch_size
@@ -273,26 +276,22 @@ def sample_patch_pair(
     if o_a is None:
         o_a = o_b = [m // 2 for m in max_off]  # fully overlapping fallback
 
-    def window(offset):
-        box = Box3(tuple(offset), tuple(offset[i] + ps[i] - 1 for i in range(3)))
-        return crop(vol, box), (crop(labels, box) if labels is not None else None)
-
-    win_a, lab_a = window(o_a)
-    win_b, lab_b = window(o_b)
+    box_a, box_b = (Box3(tuple(o), tuple(o[i] + ps[i] - 1 for i in range(3))) for o in (o_a, o_b))
+    win_a, win_b = crop(vol, box_a), crop(vol, box_b)
     aug_a, t_a, src_a = _geometric_augment(win_a, spec, int(rng.integers(2**63)))
     aug_b, t_b, src_b = _geometric_augment(win_b, spec, int(rng.integers(2**63)))
-    aug_a = _intensity_augment(aug_a, spec, rng)
-    aug_b = _intensity_augment(aug_b, spec, rng)
-    if lab_a is not None:
-        lab_a = _warp_labels(lab_a, _source_coords(win_a.geometry, src_a[2]))
-        lab_b = _warp_labels(lab_b, _source_coords(win_b.geometry, src_b[2]))
+    aug_a = _intensity_augment(aug_a, spec, rng, aggressive)
+    aug_b = _intensity_augment(aug_b, spec, rng, aggressive)
+    lab_a = None
+    if labels is not None:
+        lab_a = _warp_labels(crop(labels, box_a), _source_coords(win_a.geometry, src_a[2]))
     map_ab = t_b.compose(t_a.inverse())
 
     overlap_a = _overlap_mask(src_a, win_a.geometry, win_b.geometry, map_ab)
     if not overlap_a.any():
         raise InsufficientOverlap("augmented patches share no usable overlap")
     overlap_b = _overlap_mask(src_b, win_b.geometry, win_a.geometry, map_ab.inverse())
-    return PatchPair(aug_a, aug_b, map_ab, overlap_a, lab_a, lab_b, overlap_b)
+    return PatchPair(aug_a, aug_b, map_ab, overlap_a, lab_a, overlap_b)
 
 
 def _overlap_mask(

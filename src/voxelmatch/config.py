@@ -6,7 +6,9 @@ every run can echo the fully resolved configuration.
 from __future__ import annotations
 
 import configparser
+import types
 from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .alignment import AlignConfig
 from .augment import AugmentSpec
@@ -29,81 +31,61 @@ class RunConfig:
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
 
 
-_SECTIONS = {
-    "run": None,  # handled separately (seed)
-    "similarity": ("similarity", SimilarityWeights),
-    "fixpoint": ("fixpoint", FixpointConfig),
-    "train": ("train", TrainConfig),
-    "augment": ("augment", AugmentSpec),
-    "align": ("align", AlignConfig),
-    "phantom": ("phantom", PhantomSpec),
-}
+# each section sets the RunConfig field of its name; [run] holds only the seed
+_SECTIONS = ("similarity", "fixpoint", "train", "augment", "align", "phantom")
 
 
 def _parse_value(raw: str, annotation, key: str):
+    """``raw`` as a value of the resolved type ``annotation``.
+
+    An optional type (``T | None``) reads ``none`` or an empty value as None.
+    A tuple is comma or space separated: ``tuple[T, T]`` takes exactly that
+    many values, ``tuple[T, ...]`` at least one.
+    """
     raw = raw.strip()
-    if annotation is int or annotation == "int":
-        return int(raw)
-    if annotation is float or annotation == "float":
-        return float(raw)
-    if annotation is bool or annotation == "bool":
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is types.UnionType and type(None) in args:
+        if raw.lower() in ("none", ""):
+            return None
+        (annotation,) = (a for a in args if a is not type(None))
+        origin, args = get_origin(annotation), get_args(annotation)
+    if annotation is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if annotation is str or annotation == "str":
-        return raw
-    # tuple annotations: comma or space separated; element type and count from
-    # the annotation text, tuple[T, T] fixed and tuple[T, ...] at least one
-    text = str(annotation)
-    if "tuple[" in text:
+    if annotation in (int, float, str):
+        return annotation(raw)
+    if origin is tuple:
         if raw.lower() in ("none", ""):
-            if "None" in text:
-                return None
             raise ConfigError(f"{key}: a value is required")
-        elems = [e.strip() for e in text[text.index("tuple[") + 6:text.index("]")].split(",")]
         parts = raw.replace(",", " ").split()
-        if elems[-1] == "..." and not parts:
-            raise ConfigError(f"{key}: expected at least one value")
-        if elems[-1] != "..." and len(parts) != len(elems):
-            raise ConfigError(f"{key}: expected {len(elems)} values, got {len(parts)}")
-        elem = float if elems[0] == "float" else int
-        return tuple(elem(p) for p in parts)
+        if args[-1] is Ellipsis:
+            if not parts:
+                raise ConfigError(f"{key}: expected at least one value")
+            args = (args[0],) * len(parts)
+        if len(parts) != len(args):
+            raise ConfigError(f"{key}: expected {len(args)} values, got {len(parts)}")
+        return tuple(elem(p) for elem, p in zip(args, parts))
     raise ConfigError(f"{key}: unsupported value type {annotation!r}")
 
 
 def _apply_section(instance, items, section: str):
-    known = {f.name: f for f in fields(instance)}
+    hints = get_type_hints(type(instance))
     updates = {}
     for key, raw in items:
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"unknown key [{section}] {key}")
-        ann = known[key].type
         try:
-            updates[key] = _parse_value(raw, _resolve_type(instance, key, ann), f"[{section}] {key}")
+            updates[key] = _parse_value(raw, hints[key], f"[{section}] {key}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    kwargs = {f.name: getattr(instance, f.name) for f in fields(instance)}
-    kwargs.update(updates)
     try:
-        return type(instance)(**kwargs)
+        return replace(instance, **updates)
     except ValueError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
-
-
-def _resolve_type(instance, key: str, annotation):
-    if not isinstance(annotation, str):
-        return annotation
-    text = annotation
-    if "tuple" in text:
-        return text
-    for prim, name in ((int, "int"), (float, "float"), (bool, "bool"), (str, "str")):
-        if text == name or text.startswith(f"{name} "):
-            return prim
-    # fall back to the type of the default value
-    return type(getattr(instance, key))
 
 
 def load_config(path) -> RunConfig:
@@ -114,8 +96,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}")
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
         items = parser.items(section)
         if section == "run":
             for key, raw in items:
@@ -125,9 +105,10 @@ def load_config(path) -> RunConfig:
                     cfg.seed = int(raw)
                 except ValueError as exc:
                     raise ConfigError(f"[run] {key}: {exc}") from exc
-            continue
-        attr, _ = _SECTIONS[section]
-        setattr(cfg, attr, _apply_section(getattr(cfg, attr), items, section))
+        elif section in _SECTIONS:
+            setattr(cfg, section, _apply_section(getattr(cfg, section), items, section))
+        else:
+            raise ConfigError(f"unknown config section [{section}]")
     # a single seed drives every module unless a section sets its own
     for attr in ("train", "phantom"):
         if not parser.has_option(attr, "seed"):
@@ -138,11 +119,8 @@ def load_config(path) -> RunConfig:
 def resolved_lines(cfg: RunConfig) -> list[str]:
     """The fully resolved configuration, one 'section.key = value' line each."""
     out = [f"run.seed = {cfg.seed}"]
-    for section, spec in _SECTIONS.items():
-        if spec is None:
-            continue
-        attr, _ = spec
-        inst = getattr(cfg, attr)
+    for section in _SECTIONS:
+        inst = getattr(cfg, section)
         for f in fields(inst):
             out.append(f"{section}.{f.name} = {getattr(inst, f.name)}")
     return out

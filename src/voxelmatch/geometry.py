@@ -84,13 +84,6 @@ class RigidTransform:
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
 
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """Return self applied after ``inner``."""
-        return RigidTransform(
-            self.rotation @ inner.rotation,
-            self.rotation @ inner.translation + self.translation,
-        )
-
     def as_affine(self) -> "AffineTransform":
         return AffineTransform(self.rotation.copy(), self.translation.copy())
 

@@ -37,7 +37,7 @@ import logging
 import math
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +394,16 @@ def _smooth_coarse(feats: np.ndarray, sigma: float = 4.0) -> np.ndarray:
     return out
 
 
+def _features(vol: ScalarVolume) -> tuple[np.ndarray, np.ndarray, VolumeGeometry]:
+    """A volume's fine and coarse (n, F) feature rows and its half geometry.
+
+    The fine rows are the bank's responses; the coarse rows are those
+    smoothed at sigma = 4 on the half grid.
+    """
+    feats, geom = _BANK.compute(vol)
+    return feats.reshape(-1, FEATURE_DIM), _smooth_coarse(feats).reshape(-1, FEATURE_DIM), geom
+
+
 def embed(vol: ScalarVolume, model: ProjectionModel) -> EmbeddingSet:
     """Per-voxel embeddings on the half-resolution grid (coarse, fine, optional semantic).
 
@@ -402,25 +412,14 @@ def embed(vol: ScalarVolume, model: ProjectionModel) -> EmbeddingSet:
     when the heads' F is not ``FEATURE_DIM``.
     """
     _check_feature_dim(model)
-    feats, geom = _BANK.compute(vol)
-    flat = feats.reshape(-1, FEATURE_DIM)
-    flat_coarse = _smooth_coarse(feats).reshape(-1, FEATURE_DIM)
-    shape = geom.shape_zyx
-
-    def head(m, source):
-        e, _, zero = unit_rows(source @ m)
-        count = int(zero.sum())
-        if count:
-            log.warning("embed substituted %d zero vectors", count)
-        return EmbeddingVolume(
-            geom, e.reshape(*shape, -1).astype(np.float32),
-            normalized=True, zero_substitutions=count,
-        )
-
-    fine = head(model.w_fine, flat)
-    coarse = head(model.w_coarse, flat_coarse)
-    semantic = head(model.w_semantic, flat) if model.w_semantic is not None else None
-    return EmbeddingSet(coarse=coarse, fine=fine, semantic=semantic)
+    maps = {"fine": model.w_fine, "coarse": model.w_coarse}
+    if model.w_semantic is not None:
+        maps["semantic"] = model.w_semantic
+    side = _SideState(*_features(vol), maps)
+    for _, _, _, zero in side.heads.values():
+        if zero.any():
+            log.warning("embed substituted %d zero vectors", int(zero.sum()))
+    return side.embedding_set(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +636,17 @@ def sample_training_batch(
     def flat(vol):  # no copy of the float64 embeddings that ``train`` passes
         return np.asarray(vol.data.reshape(-1, vol.channels), dtype=np.float64)
 
-    tau = cfg.tau_cross if use_fov else cfg.tau_appearance
     fine = _sample_side(
         pair, flat(emb_a.fine), flat(emb_b.fine),
-        cfg.n_pos_fine, cfg.n_neg_fine, cfg.neg_min_dist_fine, cfg.hard_negative_fraction, tau, rng,
+        cfg.n_pos_fine, cfg.n_neg_fine, cfg.neg_min_dist_fine, cfg.hard_negative_fraction,
+        cfg.tau_cross if use_fov else cfg.tau_appearance, rng,
         n_fov=cfg.n_fov_fine if use_fov else 0,
         overlap_b=pair.overlap_b,
     )
-    coarse = _sample_side(
+    coarse = _sample_side(  # scored by appearance_infonce on every step
         pair, flat(emb_a.coarse), flat(emb_b.coarse),
-        cfg.n_pos_coarse, cfg.n_neg_coarse, cfg.neg_min_dist_coarse, cfg.hard_negative_fraction, tau, rng,
+        cfg.n_pos_coarse, cfg.n_neg_coarse, cfg.neg_min_dist_coarse, cfg.hard_negative_fraction,
+        cfg.tau_appearance, rng,
     )
     labeled = None
     if pair.labels_a is not None and emb_a.semantic is not None:
@@ -681,22 +681,28 @@ def _norm_backprop(g_e, e, norms, zero):
 
 
 class _SideState:
-    """Embeddings plus normalization bookkeeping of one patch side under the current maps.
+    """One volume's embeddings under the given head maps, with their normalization bookkeeping.
 
-    ``maps`` maps each trained head name to its (F, k) map M; ``heads`` maps
-    it to (features, embeddings, norms, zero mask).
+    The one place where a head's (F, k) map M turns feature rows f into
+    unit rows normalize(f M); the coarse head reads the coarse rows, the
+    others the fine ones.  ``heads`` maps each head name of ``maps`` to
+    (features, embeddings, norms, zero mask).
     """
 
-    def __init__(self, feats_flat, feats_coarse_flat, maps):
+    def __init__(self, feats_fine, feats_coarse, geom, maps):
+        self.geom = geom
         self.heads = {}
         for h, m in maps.items():
-            f = feats_coarse_flat if h == "coarse" else feats_flat
+            f = feats_coarse if h == "coarse" else feats_fine
             self.heads[h] = (f, *unit_rows(f @ m))
 
-    def embedding_set(self, geom) -> EmbeddingSet:
+    def embedding_set(self, dtype=np.float64) -> EmbeddingSet:
         vols = {
-            h: EmbeddingVolume(geom, e.reshape(*geom.shape_zyx, -1), normalized=True)
-            for h, (_, e, _, _) in self.heads.items()
+            h: EmbeddingVolume(
+                self.geom, e.reshape(*self.geom.shape_zyx, -1).astype(dtype, copy=False),
+                normalized=True, zero_substitutions=int(zero.sum()),
+            )
+            for h, (_, e, _, zero) in self.heads.items()
         }
         return EmbeddingSet(coarse=vols["coarse"], fine=vols["fine"], semantic=vols.get("semantic"))
 
@@ -741,7 +747,11 @@ def train(
     aggressive intensity augmentation, appearance heads only), ``paired``
     (alternates aggressive self-supervised batches with cross-modality
     batches drawn from the ``training_view`` of each of the
-    ``registered_pairs``).  Deterministic given the seed;
+    ``registered_pairs``).  The mode alone decides the augmentation: every
+    self-supervised patch pair of ``aggressive`` and ``paired`` is drawn
+    with aggressive intensity augmentation, and of ``standard`` with the
+    monotone one; ``augment_spec`` (default ``AugmentSpec()``) sets only the
+    shared geometric and intensity ranges.  Deterministic given the seed;
     returns (model, per-step loss log).  Raises ``DimensionMismatch`` when
     ``init``'s heads' F is not ``FEATURE_DIM``.
 
@@ -789,9 +799,8 @@ def train(
         model = new_model(rng, with_semantic=with_semantic)
 
     if augment_spec is None:
-        augment_spec = AugmentSpec(aggressive=(mode != "standard"))
+        augment_spec = AugmentSpec()
 
-    heads = ["fine", "coarse"] + (["semantic"] if with_semantic else [])
     maps = {"fine": model.w_fine, "coarse": model.w_coarse}
     if with_semantic:
         maps["semantic"] = model.w_semantic
@@ -809,9 +818,7 @@ def train(
                 key = id(reg)
                 if key not in reg_cache:
                     pp = reg.training_view
-                    fa, _ = _BANK.compute(pp.patch_a)
-                    fb, _ = _BANK.compute(pp.patch_b)
-                    reg_cache[key] = (pp, fa, fb)
+                    reg_cache[key] = (pp, _features(pp.patch_a), _features(pp.patch_b))
                 pp, feats_a, feats_b = reg_cache[key]
                 labels_here = False
             else:
@@ -819,30 +826,22 @@ def train(
                 try:
                     pp = sample_patch_pair(
                         vol, lab if with_semantic else None, augment_spec,
-                        int(rng.integers(2**63)),
+                        int(rng.integers(2**63)), mode != "standard",
                     )
                 except InsufficientOverlap:
                     continue  # skipped like a batch without enough overlap below
-                feats_a, _ = _BANK.compute(pp.patch_a)
-                feats_b, _ = _BANK.compute(pp.patch_b)
+                feats_a, feats_b = _features(pp.patch_a), _features(pp.patch_b)
                 labels_here = with_semantic and pp.labels_a is not None
-            fa_flat = feats_a.reshape(-1, FEATURE_DIM)
-            fb_flat = feats_b.reshape(-1, FEATURE_DIM)
-            fa_coarse = _smooth_coarse(feats_a).reshape(-1, FEATURE_DIM)
-            fb_coarse = _smooth_coarse(feats_b).reshape(-1, FEATURE_DIM)
-            side_a = _SideState(fa_flat, fa_coarse, maps)
-            side_b = _SideState(fb_flat, fb_coarse, maps)
-            set_a = side_a.embedding_set(half_geometry(pp.patch_a.geometry))
-            set_b = side_b.embedding_set(half_geometry(pp.patch_b.geometry))
+            side_a, side_b = _SideState(*feats_a, maps), _SideState(*feats_b, maps)
             try:
                 fine_b, coarse_b, labeled = sample_training_batch(
-                    pp, set_a, set_b, cfg, rng, use_fov=paired_step
+                    pp, side_a.embedding_set(), side_b.embedding_set(), cfg, rng, use_fov=paired_step
                 )
             except InsufficientOverlap:
                 continue  # skip pathological draws, the step still updates on other items
             loss_fn = crossmod_infonce if paired_step else appearance_infonce
             out_f = loss_fn(fine_b)
-            out_c = appearance_infonce(_strip_fov(coarse_b))
+            out_c = appearance_infonce(coarse_b)
             losses_acc["fine"] += out_f.value / len(fine_b.anchor_indices)
             losses_acc["coarse"] += out_c.value / len(coarse_b.anchor_indices)
             grads["fine"] += _pair_batch_grad("fine", side_a, side_b, fine_b, out_f)
@@ -862,7 +861,7 @@ def train(
             if k != "semantic" or not math.isnan(v)
         ):
             raise DivergedLoss(f"non-finite loss at step {step_i}")
-        for h in heads:
+        for h in maps:
             velocity[h] = cfg.momentum * velocity[h] - cfg.learning_rate * grads[h] / cfg.batch_size
             maps[h] += velocity[h]
         log_rows.append(
@@ -870,14 +869,7 @@ def train(
                 "step": step_i,
                 "loss_fine": losses_acc["fine"] / cfg.batch_size,
                 "loss_coarse": losses_acc["coarse"] / cfg.batch_size,
-                "loss_semantic": losses_acc["semantic"] / cfg.batch_size
-                if not math.isnan(losses_acc["semantic"]) else float("nan"),
+                "loss_semantic": losses_acc["semantic"] / cfg.batch_size,  # NaN when no semantic batch ran
             }
         )
     return model, log_rows
-
-
-def _strip_fov(batch: PairBatch) -> PairBatch:
-    if batch.fov_negatives is None:
-        return batch
-    return replace(batch, fov_negatives=None, fov_indices=None)

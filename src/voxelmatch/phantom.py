@@ -139,6 +139,38 @@ def _add_texture(data: np.ndarray, geom: VolumeGeometry, rng, scale_mm: float, a
         data[lo[2]:hi[2] + 1, lo[1]:hi[1] + 1, lo[0]:hi[0] + 1] += amp * np.exp(-0.5 * r2)
 
 
+def _place_organs(spec: PhantomSpec, rng, center, body_axes) -> list:
+    """(center, axes, rotation) of each organ, each pair apart by 1 mm more than their longest axes.
+
+    Each organ gets 1000 draws.  When one finds no place, placement starts
+    over with every organ's axes shrunk by 0.7, at most four times, so a
+    small body still holds its organs and a phantom that places at full size
+    is unchanged.  Raises ``PlacementFailure``.
+    """
+    for shrink_round in range(5):
+        organs = []
+        for _ in range(spec.n_organs):
+            for _ in range(1000):
+                u = rng.normal(size=3)
+                u /= max(np.linalg.norm(u), 1e-12)
+                radius = rng.uniform(0.15, 0.80)
+                c = center + u * radius * body_axes
+                axes = rng.uniform(spec.organ_axis_range[0], spec.organ_axis_range[1], size=3)
+                axes *= 0.7**shrink_round
+                rot = _random_rotation(rng)
+                if all(
+                    np.linalg.norm(c - oc) > np.max(axes) + np.max(oa) + 1.0
+                    for oc, oa, _ in organs
+                ):
+                    organs.append((c, axes, rot))
+                    break
+            else:
+                break
+        else:
+            return organs
+    raise PlacementFailure(f"could not place organ {len(organs) + 1} without overlap")
+
+
 def gen_phantom(spec: PhantomSpec, seed: int | None = None):
     """Generate one phantom: (ScalarVolume, LabelVolume, landmarks).
 
@@ -159,32 +191,14 @@ def gen_phantom(spec: PhantomSpec, seed: int | None = None):
     body_rot = np.eye(3)
     _fill_ellipsoid(data, geom, center, body_axes, body_rot, spec.body_intensity)
 
-    organs = []
+    organs = _place_organs(spec, rng, center, body_axes)
     landmarks = []
     lo_i, hi_i = spec.organ_intensity_range
-    for k in range(1, spec.n_organs + 1):
-        placed = False
-        for _ in range(1000):
-            u = rng.normal(size=3)
-            u /= max(np.linalg.norm(u), 1e-12)
-            radius = rng.uniform(0.15, 0.80)
-            c = center + u * radius * body_axes
-            axes = rng.uniform(spec.organ_axis_range[0], spec.organ_axis_range[1], size=3)
-            rot = _random_rotation(rng)
-            if all(
-                np.linalg.norm(c - oc) > np.max(axes) + np.max(oa) + 1.0
-                for oc, oa, _ in organs
-            ):
-                organs.append((c, axes, rot))
-                placed = True
-                break
-        if not placed:
-            raise PlacementFailure(f"could not place organ {k} without overlap")
+    for k, (c, axes, rot) in enumerate(organs, start=1):
         if spec.n_organs > 1:
             base = lo_i + (hi_i - lo_i) * (k - 1) / (spec.n_organs - 1)
         else:
             base = (lo_i + hi_i) / 2.0
-        c, axes, rot = organs[-1]
         _fill_ellipsoid(data, geom, c, axes, rot, base)
         _fill_ellipsoid(labels, geom, c, axes, rot, k)
         pole = rot[:, 0] * axes[0] * 0.7

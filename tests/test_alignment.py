@@ -221,7 +221,7 @@ class TestRegisteredPairOverlaps:
         monkeypatch.setattr(alignment, "mapped_inside", counting)
         vols = [v for p in pairs for v in (p.fixed, p.moving)]
         cfg = replace(tiny_train_cfg(), steps=2, batch_size=3)
-        spec = AugmentSpec(aggressive=True, patch_size=(20, 20, 20))
+        spec = AugmentSpec(patch_size=(20, 20, 20))
         views = []
         for _ in range(2):
             train(vols, cfg, mode="paired", augment_spec=spec, registered_pairs=registered, init=MODEL)
@@ -244,7 +244,7 @@ class TestRegisteredPairOverlaps:
         monkeypatch.setattr(PatchPair, "a_to_b_voxels", counting)
         vols = [v for p in pairs for v in (p.fixed, p.moving)]
         cfg = replace(tiny_train_cfg(), steps=4, batch_size=3)
-        spec = AugmentSpec(aggressive=True, patch_size=(20, 20, 20))
+        spec = AugmentSpec(patch_size=(20, 20, 20))
         for _ in range(2):
             train(vols, cfg, mode="paired", augment_spec=spec, registered_pairs=registered, init=MODEL)
         views = [vars(r)["training_view"] for r in registered if "training_view" in vars(r)]
@@ -288,7 +288,7 @@ class TestIterateAlignment:
         cfg = AlignConfig(grid_spacing=3, similarity_floor=0.3, margins=(), body_threshold=0.18)
         models, rows = iterate_alignment(
             pairs, tiny_train_cfg(), cfg,
-            augment_spec=AugmentSpec(aggressive=True, patch_size=(20, 20, 20)),
+            augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
         )
         assert len(models) == 1
         assert rows == []
@@ -299,7 +299,7 @@ class TestIterateAlignment:
         cfg = AlignConfig(grid_spacing=3, similarity_floor=0.3, margins=(6, 3), body_threshold=0.18)
         models, rows = iterate_alignment(
             pairs, tiny_train_cfg(), cfg,
-            augment_spec=AugmentSpec(aggressive=True, patch_size=(20, 20, 20)),
+            augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
         )
         assert len(models) == 3
         assert [m.round_index for m in models] == [0, 1, 2]
@@ -312,7 +312,7 @@ class TestIterateAlignment:
     def test_same_seed_identical_model_bytes(self):
         pairs = tiny_cross_pairs(1)
         cfg = AlignConfig(grid_spacing=3, similarity_floor=0.3, margins=(5,), body_threshold=0.18)
-        spec = AugmentSpec(aggressive=True, patch_size=(20, 20, 20))
+        spec = AugmentSpec(patch_size=(20, 20, 20))
         out = []
         for _ in range(2):
             models, _ = iterate_alignment(pairs, tiny_train_cfg(), cfg, augment_spec=spec)

@@ -182,8 +182,8 @@ class TestPatchPair:
     def test_aggressive_pair_round_trips_correspondence(self):
         rng = np.random.default_rng(10)
         vol = random_volume(rng, (24, 24, 24))
-        spec = AugmentSpec(aggressive=True, patch_size=(16, 16, 16), rotation_degrees=12.0)
-        pair = sample_patch_pair(vol, None, spec, seed=5)
+        spec = AugmentSpec(patch_size=(16, 16, 16), rotation_degrees=12.0)
+        pair = sample_patch_pair(vol, None, spec, seed=5, aggressive=True)
         pts_a = np.argwhere(pair.overlap_a)[:, ::-1].astype(float)
         sel = pts_a[rng.choice(len(pts_a), size=min(50, len(pts_a)), replace=False)]
         phys_b = pair.patch_b.geometry.voxel_to_physical(pair.a_to_b_voxels(sel))
@@ -199,9 +199,9 @@ class TestPatchPair:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(12)
         vol = random_volume(rng, (20, 20, 20))
-        spec = AugmentSpec(aggressive=True, patch_size=(12, 12, 12))
-        p1 = sample_patch_pair(vol, None, spec, seed=77)
-        p2 = sample_patch_pair(vol, None, spec, seed=77)
+        spec = AugmentSpec(patch_size=(12, 12, 12))
+        p1 = sample_patch_pair(vol, None, spec, seed=77, aggressive=True)
+        p2 = sample_patch_pair(vol, None, spec, seed=77, aggressive=True)
         assert p1.patch_a.data.tobytes() == p2.patch_a.data.tobytes()
         assert p1.patch_b.data.tobytes() == p2.patch_b.data.tobytes()
         np.testing.assert_array_equal(p1.overlap_a, p2.overlap_a)

@@ -1,12 +1,13 @@
 """Tests for the command-line surface: exit codes and the adareg weights."""
 
+import inspect
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from voxelmatch import alignment, cli
+from voxelmatch import alignment, cli, model as model_mod
 from voxelmatch.geometry import Point3
 from voxelmatch.matching import FixpointConfig, SimilarityWeights, grid_match
 from voxelmatch.metrics import write_landmarks
@@ -76,7 +77,10 @@ class TestRunConfigExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "section,line", [("train", "feature_dim = 16"), ("augment", "seed = 3"), ("train", "embedding_dim = 32")]
+        "section,line", [
+            ("train", "feature_dim = 16"), ("augment", "seed = 3"), ("train", "embedding_dim = 32"),
+            ("augment", "aggressive = true"),
+        ]
     )
     def test_removed_key_is_a_data_error(self, tmp_path, capsys, section, line):
         conf = tmp_path / "run.conf"
@@ -444,6 +448,32 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "model.uaem").exists()
 
+    @pytest.mark.parametrize("mode,aggressive", [("single", False), ("cross-init", True), ("cross-iter", True)])
+    def test_the_mode_decides_the_augmentation(self, tmp_path, monkeypatch, mode, aggressive):
+        vol = resample(gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=64))[0], 2.0)
+        write_volume(vol, tmp_path / "fixed.evf")
+        write_volume(crop(vol, Box3((1, 1, 1), (22, 22, 22))), tmp_path / "moving.evf")
+        (tmp_path / "manifest.txt").write_text("fixed.evf moving.evf\n" if mode == "cross-iter" else "fixed.evf\n")
+        (tmp_path / "run.conf").write_text(
+            self.CONF + "[align]\ngrid_spacing = 3\nsimilarity_floor = 0.3\nbody_threshold = 0.18\nmargins = 4\n"
+        )
+        drawn = []
+        real = model_mod.sample_patch_pair
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            drawn.append(bound.arguments.get("aggressive", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "sample_patch_pair", spy)
+        code = cli.main([
+            "--config", str(tmp_path / "run.conf"), "train", str(tmp_path / "manifest.txt"),
+            str(tmp_path / "model.uaem"), "--mode", mode,
+        ])
+        assert code == 0
+        assert drawn and drawn == [aggressive] * len(drawn)
+
     def test_unknown_mode_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run(tmp_path, "vol.evf", "--mode", "banana")
@@ -508,6 +538,17 @@ class TestPhantomGenCommand:
             assert vol.geometry.dims == (32, 32, 32)
             assert f"seed={5 + i}\n" in (case / "manifest.txt").read_text()
             assert len((case / "landmarks.txt").read_text().splitlines()) > 0
+
+    @pytest.mark.parametrize("conf,n_organs", [
+        ("[phantom]\ndims = 32 32 32\n", 6),
+        ("[phantom]\ndims = 24 24 24\nn_organs = 2\n", 2),
+        ("[phantom]\ndims = 24 24 24\n", 6),
+    ])
+    def test_small_phantoms_build(self, tmp_path, capsys, conf, n_organs):
+        assert self.run(tmp_path, conf, str(tmp_path / "out"), "--count", "3") == 0
+        for i in range(3):
+            labels = read_volume(tmp_path / "out" / f"case_{i:03d}" / "labels.evf")
+            assert set(np.unique(labels.data)) == set(range(n_organs + 1))
 
     @pytest.mark.parametrize("line", ["dims = 32,x,32", "n_organs = -1"])
     def test_malformed_phantom_config_is_a_data_error(self, tmp_path, capsys, line):

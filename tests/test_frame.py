@@ -237,7 +237,7 @@ class TestFrameTraining:
             AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18), 5,
         )
         cfg = small_cfg(steps=2)
-        spec = AugmentSpec(patch_size=(20, 20, 20), aggressive=True)
+        spec = AugmentSpec(patch_size=(20, 20, 20))
         before, _ = train([moving], small_cfg(steps=1), "paired", spec, [reg], init=init)
         calls = recording(monkeypatch)
         after, _ = train([moving], cfg, "paired", spec, [reg], init=init)
@@ -261,7 +261,7 @@ class TestPerVoxelBackprop:
             AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18), 5,
         )
         cfg = TrainConfig(steps=2, learning_rate=1.0, momentum=0.0, seed=5)
-        spec = AugmentSpec(patch_size=(20, 20, 20), aggressive=True)
+        spec = AugmentSpec(patch_size=(20, 20, 20))
         before, _ = train([moving], replace(cfg, steps=1), "paired", spec, [reg], init=init)
         calls = recording(monkeypatch)
         after, _ = train([moving], cfg, "paired", spec, [reg], init=init)
@@ -292,6 +292,6 @@ class TestPerVoxelBackprop:
         # be stopped by the zero mask
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(50, FEATURE_DIM))
-        side = model_mod._SideState(feats, feats, {"fine": np.zeros((FEATURE_DIM, FEATURE_DIM))})
+        side = model_mod._SideState(feats, feats, None, {"fine": np.zeros((FEATURE_DIM, FEATURE_DIM))})
         idx, g = rng.integers(0, 50, size=(20, 30)), rng.normal(size=(20, 30, FEATURE_DIM))
         assert not np.any(side.backprop("fine", [(idx, g)]))

@@ -1,5 +1,5 @@
-"""Every import in ``src/voxelmatch`` is used and every ``__all__`` entry is bound:
-an ``ast`` scan, so no linter is needed."""
+"""Every import in ``src/voxelmatch`` is used, every ``__all__`` entry is bound and
+every private top-level name is read: an ``ast`` scan, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -58,6 +58,40 @@ def unbound_exports(source: str) -> list[str]:
     return [name for name in exported if name not in bound]
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants that no module reads.
+
+    ``sources`` maps module names to their source.  A top-level def, class
+    or assignment whose name starts with one underscore is read when any
+    module loads the name, reads an attribute of that name or imports it.
+    """
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read |= {alias.name for alias in n.names}
+    unread = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{mod}: {name} (line {node.lineno})" for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return unread
+
+
 class TestUnusedImports:
     @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
     def test_module_reads_every_import(self, path):
@@ -83,3 +117,25 @@ class TestUnusedImports:
         )
         assert unused_imports(source) == ["field (line 4)", "math (line 2)"]
         assert unbound_exports(source) == ["gone"]
+
+    def test_every_private_top_level_name_is_read(self):
+        assert unread_private_names({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+    def test_private_name_scan_finds_what_it_should(self):
+        sources = {
+            "a.py": (
+                "import math\n"
+                "_USED, _DEAD = 1, 2\n"
+                "_SHARED: int = 3\n"
+                "def _helper():\n"
+                "    return math.pi + _USED\n"
+                "def _unused():\n"
+                "    return _helper()\n"
+                "class _Hidden:\n"
+                "    _attr = 1\n"
+                "def __getattr__(name):\n"
+                "    return name\n"
+            ),
+            "b.py": "from .a import _SHARED\nfrom . import a\nx = a._Hidden\n",
+        }
+        assert unread_private_names(sources) == ["a.py: _DEAD (line 2)", "a.py: _unused (line 6)"]

@@ -459,6 +459,17 @@ class TestSampleTrainingBatch:
         d = np.linalg.norm(neg_full - corr[:, None, :], axis=2)
         assert d.min() > cfg.neg_min_dist_fine
 
+    @pytest.mark.parametrize("use_fov", [False, True], ids=["self-supervised", "paired"])
+    def test_each_batch_takes_the_temperature_of_its_loss(self, use_fov):
+        # the coarse batch goes to appearance_infonce on every step; only a
+        # paired step's fine batch goes to crossmod_infonce
+        cfg = small_cfg(tau_cross=0.3)
+        fine, coarse, _ = sample_training_batch(
+            self.pair, self.emb_a, self.emb_b, cfg, np.random.default_rng(0), use_fov=use_fov
+        )
+        assert fine.temperature == (cfg.tau_cross if use_fov else cfg.tau_appearance)
+        assert coarse.temperature == cfg.tau_appearance == 0.5
+
     def test_requesting_too_many_positives(self):
         cfg = small_cfg(n_pos_fine=10_000)
         with pytest.raises(InsufficientOverlap):
@@ -765,7 +776,7 @@ class TestTrain:
         vol, _ = phantom_working(62, dims=(64, 64, 64))
         spec = AugmentSpec(
             patch_size=(16, 16, 16), min_overlap=0.05, rotation_degrees=90,
-            scale_range=(0.6, 1.6), aggressive=True,
+            scale_range=(0.6, 1.6),
         )
         raised = []
         real = model_mod.sample_patch_pair
@@ -797,7 +808,7 @@ class TestTrain:
         vol, _ = phantom_working(45)
         model, log = train(
             [vol], small_cfg(steps=3), mode="aggressive",
-            augment_spec=AugmentSpec(patch_size=(20, 20, 20), aggressive=True),
+            augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
         )
         assert [r["step"] for r in log] == [0, 1, 2]
         assert all(math.isfinite(r["loss_fine"]) for r in log)

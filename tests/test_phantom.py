@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from voxelmatch.errors import InsufficientOverlap
+from voxelmatch import phantom
+from voxelmatch.errors import InsufficientOverlap, PlacementFailure
 from voxelmatch.geometry import Point3, apply, rigid_about, rotation_matrix
 from voxelmatch.phantom import (
     Corruption,
@@ -68,6 +69,38 @@ class TestGenPhantom:
                 continue
             k = int(name[1:-1])
             assert labels.data[round(p.z), round(p.y), round(p.x)] == k
+
+
+class TestSmallPhantoms:
+    """A body too small for full-size organs holds them shrunk."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("size,n_organs", [(32, 6), (24, 2), (24, 6)])
+    def test_builds_with_disjoint_visible_organs(self, monkeypatch, size, n_organs, seed):
+        placed = []
+        real = phantom._place_organs
+
+        def spy(*args):
+            placed.append(real(*args))
+            return placed[-1]
+
+        monkeypatch.setattr(phantom, "_place_organs", spy)
+        spec = PhantomSpec(dims=(size,) * 3, n_organs=n_organs, seed=seed)
+        vol, labels, lms = gen_phantom(spec)
+        assert len(placed[0]) == n_organs and len(lms) == 3 * n_organs
+        masks = []
+        for c, axes, rot in placed[0]:
+            mask = np.zeros(vol.geometry.shape_zyx, dtype=np.uint8)
+            phantom._fill_ellipsoid(mask, vol.geometry, c, axes, rot, 1)
+            masks.append(mask.astype(bool))
+        assert sum(m.astype(int) for m in masks).max() == 1  # no voxel in two organs
+        for k, mask in enumerate(masks, start=1):
+            assert mask.any()
+            assert np.array_equal(labels.data == k, mask)
+
+    def test_impossible_request_still_raises(self):
+        with pytest.raises(PlacementFailure):
+            gen_phantom(PhantomSpec(dims=(16, 16, 16), n_organs=30, seed=0))
 
 
 class TestGenPair:
