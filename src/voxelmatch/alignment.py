@@ -258,9 +258,9 @@ def iterate_alignment(
     batches.  Both modes draw every self-supervised patch pair with
     aggressive Bezier and reversal augmentation: the mode decides that, and
     ``augment_spec`` sets only the shared augmentation ranges.  A pair whose
-    alignment fails is skipped with a warning, never aborting the round.
-    Returns the model sequence (k = 0..len(margins)) and per-round metrics
-    rows.
+    alignment fails is skipped with a warning, never aborting the round; a
+    round in which no pair registers raises ``TooFewMatches``.  Returns the
+    model sequence (k = 0..len(margins)) and per-round metrics rows.
     """
     if not pairs:
         raise EmptyMask("no cross-modality pairs given")
@@ -287,6 +287,8 @@ def iterate_alignment(
                     reg.provenance.mean_residual_mm, _pair_med(reg.rigid, pair),
                 )
             )
+        if not registered:
+            raise TooFewMatches(f"round {j}: no pair registered (margin {margin})")
         round_cfg = replace(train_cfg, seed=train_cfg.seed + 1000 * (j + 1))
         next_model, _ = train(
             vols, round_cfg, mode="paired", augment_spec=augment_spec,

@@ -16,7 +16,7 @@ from scipy import ndimage
 
 from .errors import InsufficientOverlap, PlacementFailure
 from .geometry import AffineTransform, Point3, RigidTransform, apply
-from .volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop
+from .volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, z_slabs
 
 __all__ = [
     "PhantomSpec",
@@ -48,8 +48,17 @@ class PhantomSpec:
             raise ValueError("spacing must be positive and finite")
         if self.n_organs < 0:
             raise ValueError("n_organs must be non-negative")
-        if self.organ_axis_range[0] <= 0 or self.organ_axis_range[0] > self.organ_axis_range[1]:
-            raise ValueError("organ_axis_range must be positive and ordered")
+        lo, hi = self.organ_axis_range
+        if not (0.0 < lo <= hi < float("inf")):
+            raise ValueError("organ_axis_range must be positive, finite and ordered")
+        if not 0.0 < self.texture_scale < float("inf"):
+            raise ValueError("texture_scale must be positive and finite")
+        if not 0.0 <= self.texture_amplitude < float("inf"):
+            raise ValueError("texture_amplitude must be non-negative and finite")
+        # the phantom is clipped to [0, 1], so an intensity outside it cannot show
+        for name in ("air_intensity", "body_intensity", "organ_intensity_range"):
+            if not all(0.0 <= v <= 1.0 for v in np.atleast_1d(getattr(self, name))):
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -95,25 +104,24 @@ def _random_rotation(rng) -> np.ndarray:
 
 
 def _fill_ellipsoid(target: np.ndarray, geom: VolumeGeometry, center_mm, axes_mm, rot, value):
-    """Assign ``value`` to voxels inside the ellipsoid; returns the membership mask window."""
+    """Assign ``value`` to the voxels inside the ellipsoid, one z-slab of its bounding window at a time."""
     spacing = np.asarray(geom.spacing)
     origin = np.asarray(geom.origin)
-    c_vox = (np.asarray(center_mm) - origin) / spacing
+    center_mm, axes_mm = np.asarray(center_mm), np.asarray(axes_mm)
+    c_vox = (center_mm - origin) / spacing
     reach = np.max(axes_mm) / spacing
     lo = np.maximum(np.floor(c_vox - reach).astype(int) - 1, 0)
     hi = np.minimum(np.ceil(c_vox + reach).astype(int) + 1, np.asarray(geom.dims) - 1)
     if np.any(lo > hi):
-        return None
-    xs = np.arange(lo[0], hi[0] + 1)
-    ys = np.arange(lo[1], hi[1] + 1)
-    zs = np.arange(lo[2], hi[2] + 1)
-    zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij")
-    pts = np.stack([xx, yy, zz], axis=-1) * spacing + origin - np.asarray(center_mm)
-    local = pts @ rot  # rotate into the ellipsoid frame
-    inside = ((local / np.asarray(axes_mm)) ** 2).sum(axis=-1) <= 1.0
-    window = (slice(lo[2], hi[2] + 1), slice(lo[1], hi[1] + 1), slice(lo[0], hi[0] + 1))
-    target[window][inside] = value
-    return window, inside
+        return
+    # the window's offsets from the centre along x, y and z, in mm
+    xs, ys, zs = (np.arange(lo[i], hi[i] + 1) * spacing[i] + origin[i] - center_mm[i] for i in range(3))
+    window = target[lo[2]:hi[2] + 1, lo[1]:hi[1] + 1, lo[0]:hi[0] + 1]
+    for planes in z_slabs(window.shape):
+        pts = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[planes, None, None]), axis=-1)
+        local = pts @ rot  # rotate into the ellipsoid frame
+        inside = ((local / axes_mm) ** 2).sum(axis=-1) <= 1.0
+        window[planes][inside] = value
 
 
 def _add_texture(data: np.ndarray, geom: VolumeGeometry, rng, scale_mm: float, amplitude: float, n_blobs: int = 60):
@@ -243,7 +251,9 @@ def gen_pair(
 
     Landmarks of B are exactly the transformed landmarks of A (mm), recorded
     before cropping; cropping only changes the stored grid, not physical
-    coordinates.
+    coordinates.  The warp, the remap and the corruption spheres run one
+    z-slab of at most ``volume._SLAB_VOXELS`` voxels at a time, so no
+    full-grid coordinate array exists.
     """
     if modality_remap not in MODALITY_REMAPS:
         raise ValueError(f"unknown modality remap {modality_remap!r}")
@@ -260,32 +270,33 @@ def gen_pair(
             raise InsufficientOverlap("transform pushes most organs out of view")
 
     inv = transform.inverse()
-    ax = [np.arange(g.dims[i], dtype=np.float64) for i in range(3)]
-    zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    src = g.physical_to_voxel(inv.apply_array(g.voxel_to_physical(pts)))
-    coords = [src[:, 2].reshape(zz.shape), src[:, 1].reshape(zz.shape), src[:, 0].reshape(zz.shape)]
-    data_b = ndimage.map_coordinates(
-        vol_a.data.astype(np.float64), coords, order=1,
-        mode="constant", cval=spec.air_intensity,
-    )
-    labels_b = ndimage.map_coordinates(lab_a.data, coords, order=0, mode="constant", cval=0)
-
-    data_b = MODALITY_REMAPS[modality_remap](data_b)
+    remap = MODALITY_REMAPS[modality_remap]
+    data_b = np.empty(g.shape_zyx)
+    labels_b = np.empty(g.shape_zyx, dtype=np.uint16)
+    for planes in z_slabs(g.shape_zyx):
+        src = g.physical_to_voxel(inv.apply_array(g.voxel_to_physical(g.voxel_points(planes))))
+        # (z, y, x) coordinate planes; map_coordinates interpolates in float64 from any input dtype
+        coords = src.T[::-1].reshape((3,) + data_b[planes].shape)
+        ndimage.map_coordinates(
+            vol_a.data, coords, output=data_b[planes], order=1,
+            mode="constant", cval=spec.air_intensity,
+        )
+        ndimage.map_coordinates(lab_a.data, coords, output=labels_b[planes], order=0, mode="constant", cval=0)
+        data_b[planes] = remap(data_b[planes])
 
     lo, hi = float(data_b.min()), float(data_b.max())
     for c in corruptions:
         cv = g.physical_to_voxel(c.center.to_array())
-        r2 = (
-            ((xx - cv[0]) * g.spacing[0]) ** 2
-            + ((yy - cv[1]) * g.spacing[1]) ** 2
-            + ((zz - cv[2]) * g.spacing[2]) ** 2
-        )
-        sphere = r2 <= c.radius**2
-        if c.kind == "invert":
-            data_b[sphere] = (lo + hi) - data_b[sphere]
-        else:
-            data_b[sphere] = 0.5 * (lo + hi)
+        # squared mm from the centre per axis, summed as (x + y) + z: the order decides the rim voxels
+        d2 = [((np.arange(g.dims[i], dtype=np.float64) - cv[i]) * g.spacing[i]) ** 2 for i in range(3)]
+        d2_xy = d2[0] + d2[1][:, None]
+        for planes in z_slabs(g.shape_zyx):
+            sphere = d2_xy + d2[2][planes, None, None] <= c.radius**2
+            block = data_b[planes]
+            if c.kind == "invert":
+                block[sphere] = (lo + hi) - block[sphere]
+            else:
+                block[sphere] = 0.5 * (lo + hi)
 
     vol_b = ScalarVolume(g, data_b.astype(np.float32))
     lab_b = LabelVolume(g, labels_b)

@@ -16,6 +16,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from scipy import ndimage
@@ -50,9 +51,21 @@ __all__ = [
     "dilate_box",
     "crop",
     "half_geometry",
+    "z_slabs",
 ]
 
 _ZERO_NORM_EPS = 1e-12  # at or below this a voxel vector counts as zero (see unit_rows)
+# voxels per z-slab for the mappings that visit every voxel of a grid (phantom
+# fills and warps, resample, mapped_inside): one slab's (N, 3) float64 rows are 3 MB
+_SLAB_VOXELS = 2**17
+
+
+def z_slabs(shape_zyx) -> Iterator[slice]:
+    """Consecutive z-plane ranges that cover a (nz, ny, nx) grid, each holding
+    at most ``_SLAB_VOXELS`` voxels, or one plane when a plane holds more."""
+    nz, ny, nx = shape_zyx
+    step = max(1, _SLAB_VOXELS // (ny * nx))
+    return (slice(z, min(z + step, nz)) for z in range(0, nz, step))
 
 
 @dataclass(frozen=True)
@@ -94,11 +107,12 @@ class VolumeGeometry:
         out /= np.asarray(self.spacing)
         return out
 
-    def voxel_points(self) -> np.ndarray:
-        """Every voxel index as (N, 3) float64 (x, y, z) rows, in C order of the (z, y, x) data."""
-        ax = [np.arange(self.dims[i], dtype=np.float64) for i in range(3)]
-        zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    def voxel_points(self, planes: slice = slice(None)) -> np.ndarray:
+        """The voxel indices of the z planes ``planes`` (all by default) as (N, 3)
+        float64 (x, y, z) rows, in C order of the (z, y, x) data."""
+        xs, ys, zs = (np.arange(d, dtype=np.float64) for d in self.dims)
+        grid = np.broadcast_arrays(xs, ys[:, None], zs[planes, None, None])
+        return np.stack(grid, axis=-1).reshape(-1, 3)
 
     def in_grid(self, pts) -> np.ndarray:
         """Per (x, y, z) voxel coordinate row: inside the grid, up to 1e-9 voxel."""
@@ -318,7 +332,8 @@ def resample(vol: ScalarVolume, new_spacing) -> ScalarVolume:
     """Trilinear resample onto an isotropic-or-not grid with the given spacing.
 
     Output dimensions are ``round(extent / new_spacing)`` (at least 1) per
-    axis, with the origin preserved.
+    axis, with the origin preserved.  The output is sampled one z-slab of at
+    most ``_SLAB_VOXELS`` voxels at a time, so no full-grid coordinates exist.
     """
     if np.isscalar(new_spacing):
         new_spacing = (float(new_spacing),) * 3
@@ -334,13 +349,13 @@ def resample(vol: ScalarVolume, new_spacing) -> ScalarVolume:
     axes = [
         np.arange(new_dims[i]) * new_spacing[i] / g.spacing[i] for i in range(3)
     ]
-    zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-    out = ndimage.map_coordinates(
-        vol.data.astype(np.float64), [zz, yy, xx], order=1, mode="nearest"
-    )
-    return ScalarVolume(
-        VolumeGeometry(new_dims, new_spacing, g.origin), out.astype(np.float32)
-    )
+    geom = VolumeGeometry(new_dims, new_spacing, g.origin)
+    out = np.empty(geom.shape_zyx, dtype=np.float32)
+    for planes in z_slabs(out.shape):
+        coords = np.broadcast_arrays(axes[2][planes, None, None], axes[1][:, None], axes[0])
+        # interpolates in float64 and rounds each sample once into the float32 output
+        ndimage.map_coordinates(vol.data, coords, output=out[planes], order=1, mode="nearest")
+    return ScalarVolume(geom, out)
 
 
 def unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,10 +419,15 @@ def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
 
 def mapped_inside(geom: VolumeGeometry, transform, other: VolumeGeometry) -> np.ndarray:
     """(nz, ny, nx) bool mask of the voxels of ``geom`` whose image under the
-    physical-mm ``transform`` (anything with ``apply_array``) lies inside ``other``."""
-    phys = geom.voxel_to_physical(geom.voxel_points())
-    inside = other.in_grid(other.physical_to_voxel(transform.apply_array(phys)))
-    return inside.reshape(geom.shape_zyx)
+    physical-mm ``transform`` (anything with ``apply_array``) lies inside ``other``.
+
+    Maps one z-slab of at most ``_SLAB_VOXELS`` voxels at a time."""
+    inside = np.empty(geom.shape_zyx, dtype=bool)
+    for planes in z_slabs(inside.shape):
+        phys = geom.voxel_to_physical(geom.voxel_points(planes))
+        mapped = other.physical_to_voxel(transform.apply_array(phys))
+        inside[planes] = other.in_grid(mapped).reshape(inside[planes].shape)
+    return inside
 
 
 def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:

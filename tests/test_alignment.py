@@ -171,14 +171,17 @@ def inline_overlaps(reg):
     return gb.in_grid(mapped).reshape(ga.shape_zyx), ga.in_grid(back).reshape(gb.shape_zyx)
 
 
-def rotated_registration():
+def rotated_scans():
+    """(fixed, moving) working-grid scans of phantom 68 turned 8 degrees."""
     spec = PhantomSpec(dims=(64, 64, 64), seed=68)
     rot = rotation_matrix((0.3, 0.2, 1.0), np.deg2rad(8.0))
     truth = rigid_about(rot, center=(31.5, 31.5, 31.5), shift=(5.0, -3.0, 4.0))
     pair = gen_pair(spec, truth, "identity")
-    fixed = resample(pair.volume_b, 2.0)
-    moving = resample(pair.volume_a, 2.0)
-    return register_and_crop(fixed, moving, MODEL, CFG, margin=3)
+    return resample(pair.volume_b, 2.0), resample(pair.volume_a, 2.0)
+
+
+def rotated_registration():
+    return register_and_crop(*rotated_scans(), MODEL, CFG, margin=3)
 
 
 class TestRegisteredPairOverlaps:
@@ -198,12 +201,13 @@ class TestRegisteredPairOverlaps:
         calls = []
         real = VolumeGeometry.voxel_points
 
-        def counting(geom):
+        def counting(geom, *planes):
             calls.append(geom)
-            return real(geom)
+            return real(geom, *planes)
 
+        fixed, moving = rotated_scans()
         monkeypatch.setattr(VolumeGeometry, "voxel_points", counting)
-        reg = rotated_registration()
+        reg = register_and_crop(fixed, moving, MODEL, CFG, margin=3)
         assert calls == []
         reg.overlap_mask  # computed when read
         assert calls == [reg.fixed_crop.geometry]
@@ -308,6 +312,16 @@ class TestIterateAlignment:
         table = format_metrics_table(rows)
         assert table.splitlines()[0].startswith("k pair")
         assert len(table.splitlines()) == len(rows) + 1
+
+    def test_round_with_no_registered_pair_raises_too_few_matches(self):
+        (pair,) = tiny_cross_pairs(1)
+        blank = ScalarVolume(pair.moving.geometry, np.zeros_like(pair.moving.data))
+        cfg = AlignConfig(grid_spacing=3, similarity_floor=0.3, margins=(4,), body_threshold=0.18)
+        with pytest.raises(TooFewMatches, match="round 0"):
+            iterate_alignment(
+                [replace(pair, moving=blank)], tiny_train_cfg(), cfg,
+                augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
+            )
 
     def test_same_seed_identical_model_bytes(self):
         pairs = tiny_cross_pairs(1)

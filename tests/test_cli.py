@@ -474,6 +474,24 @@ class TestTrainCommand:
         assert code == 0
         assert drawn and drawn == [aggressive] * len(drawn)
 
+    def test_cross_iter_round_with_no_registered_pair_is_a_data_error(self, tmp_path, capsys):
+        vol = resample(gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=64))[0], 2.0)
+        write_volume(vol, tmp_path / "fixed.evf")
+        write_volume(ScalarVolume(vol.geometry, np.zeros_like(vol.data)), tmp_path / "moving.evf")
+        (tmp_path / "manifest.txt").write_text("fixed.evf moving.evf\n")
+        (tmp_path / "run.conf").write_text(
+            self.CONF + "[align]\ngrid_spacing = 3\nsimilarity_floor = 0.3\nbody_threshold = 0.18\nmargins = 4\n"
+        )
+        code = cli.main([
+            "--config", str(tmp_path / "run.conf"), "train", str(tmp_path / "manifest.txt"),
+            str(tmp_path / "model.uaem"), "--mode", "cross-iter",
+        ])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "round 0" in err and "no pair registered" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.uaem").exists()
+
     def test_unknown_mode_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run(tmp_path, "vol.evf", "--mode", "banana")
@@ -566,6 +584,14 @@ class TestPhantomGenCommand:
         ("phantom", "dims", "0 0 0"),
         ("phantom", "organ_axis_range", "3"),
         ("phantom", "spacing", "0"),
+        ("phantom", "organ_axis_range", "3 inf"),
+        ("phantom", "texture_scale", "-3"),
+        ("phantom", "texture_scale", "0"),
+        ("phantom", "texture_scale", "inf"),
+        ("phantom", "texture_amplitude", "nan"),
+        ("phantom", "air_intensity", "nan"),
+        ("phantom", "body_intensity", "inf"),
+        ("phantom", "organ_intensity_range", "0.4,nan"),
         ("align", "margins", ""),
     ])
     def test_malformed_tuple_or_phantom_value_is_a_data_error(self, tmp_path, capsys, section, key, value):

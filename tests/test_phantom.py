@@ -1,17 +1,21 @@
 """Tests for the procedural phantom generator and pair construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from voxelmatch import phantom
 from voxelmatch.errors import InsufficientOverlap, PlacementFailure
-from voxelmatch.geometry import Point3, apply, rigid_about, rotation_matrix
+from voxelmatch.geometry import AffineTransform, Point3, apply, rigid_about, rotation_matrix
 from voxelmatch.phantom import (
     Corruption,
     PhantomSpec,
     gen_pair,
     gen_phantom,
 )
+from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, crop
 
 
 def center_of(spec):
@@ -231,3 +235,129 @@ class TestGenPair:
             organ = np.argwhere(pair.labels_b.data == k)[:, ::-1]
             nearest = np.min(np.linalg.norm(organ - vox, axis=1))
             assert nearest <= 0.5 * np.sqrt(3) + 1e-9
+
+
+def fill_ellipsoid_full_window(target, geom, center_mm, axes_mm, rot, value):
+    """Oracle: ``_fill_ellipsoid`` over its whole bounding window at once, from three meshgrids."""
+    spacing = np.asarray(geom.spacing)
+    origin = np.asarray(geom.origin)
+    c_vox = (np.asarray(center_mm) - origin) / spacing
+    reach = np.max(axes_mm) / spacing
+    lo = np.maximum(np.floor(c_vox - reach).astype(int) - 1, 0)
+    hi = np.minimum(np.ceil(c_vox + reach).astype(int) + 1, np.asarray(geom.dims) - 1)
+    if np.any(lo > hi):
+        return
+    zz, yy, xx = np.meshgrid(*(np.arange(lo[i], hi[i] + 1) for i in (2, 1, 0)), indexing="ij")
+    pts = np.stack([xx, yy, zz], axis=-1) * spacing + origin - np.asarray(center_mm)
+    inside = (((pts @ rot) / np.asarray(axes_mm)) ** 2).sum(axis=-1) <= 1.0
+    target[lo[2]:hi[2] + 1, lo[1]:hi[1] + 1, lo[0]:hi[0] + 1][inside] = value
+
+
+def gen_pair_full_grid(spec, transform, modality_remap, fov_box=None, corruptions=()):
+    """Oracle: ``gen_pair``'s (volume_b, labels_b) from full-grid meshgrids, one
+    ``map_coordinates`` call per volume on a float64 copy of A, and full-grid spheres."""
+    vol_a, lab_a, _ = gen_phantom(spec)
+    g = vol_a.geometry
+    ax = [np.arange(g.dims[i], dtype=np.float64) for i in range(3)]
+    zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
+    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    src = g.physical_to_voxel(transform.inverse().apply_array(g.voxel_to_physical(pts)))
+    coords = [src[:, 2].reshape(zz.shape), src[:, 1].reshape(zz.shape), src[:, 0].reshape(zz.shape)]
+    data_b = ndimage.map_coordinates(
+        vol_a.data.astype(np.float64), coords, order=1, mode="constant", cval=spec.air_intensity,
+    )
+    labels_b = ndimage.map_coordinates(lab_a.data, coords, order=0, mode="constant", cval=0)
+    data_b = phantom.MODALITY_REMAPS[modality_remap](data_b)
+    lo, hi = float(data_b.min()), float(data_b.max())
+    for c in corruptions:
+        cv = g.physical_to_voxel(c.center.to_array())
+        r2 = (
+            ((xx - cv[0]) * g.spacing[0]) ** 2
+            + ((yy - cv[1]) * g.spacing[1]) ** 2
+            + ((zz - cv[2]) * g.spacing[2]) ** 2
+        )
+        sphere = r2 <= c.radius**2
+        if c.kind == "invert":
+            data_b[sphere] = (lo + hi) - data_b[sphere]
+        else:
+            data_b[sphere] = 0.5 * (lo + hi)
+    vol_b, lab_b = ScalarVolume(g, data_b.astype(np.float32)), LabelVolume(g, labels_b)
+    if fov_box is not None:
+        vol_b, lab_b = crop(vol_b, fov_box), crop(lab_b, fov_box)
+    return vol_b, lab_b
+
+
+def oracle_transform(spec, kind):
+    """A 7 degree turn about the grid centre plus a shift; "affine" also scales each axis a little."""
+    rot = rotation_matrix((0.3, 1.0, 0.2), np.deg2rad(7.0))
+    rigid = rigid_about(rot, center_of(spec), (3.0, -2.0, 1.5))
+    if kind == "rigid":
+        return rigid
+    return AffineTransform(rot @ np.diag([1.05, 0.97, 1.02]), rigid.translation)
+
+
+# dims, spacing, remap, transform, corruptions and FOV box
+ORACLE_PAIRS = [
+    ((40, 40, 40), 1.0, "identity", "rigid", False, False),
+    ((37, 37, 37), 2.0, "inverted", "affine", True, True),
+    ((37, 30, 44), 2.0, "gamma", "rigid", True, False),
+    ((33, 45, 28), 1.0, "gamma", "affine", False, True),
+    ((44, 36, 40), 1.0, "inverted", "rigid", True, True),
+]
+
+
+class TestSlabOracles:
+    """The z-slab fills, warp, remap and spheres give the full-grid arrays bit for bit."""
+
+    @pytest.mark.parametrize("dims,spacing", [((40, 40, 40), 1.0), ((37, 30, 44), 2.0), ((33, 45, 28), 1.0)])
+    def test_fill_matches_the_full_window_oracle(self, monkeypatch, slab_voxels, dims, spacing):
+        spec = PhantomSpec(dims=dims, spacing=spacing, seed=21)
+        vol, labels, lms = gen_phantom(spec)
+        monkeypatch.setattr(phantom, "_fill_ellipsoid", fill_ellipsoid_full_window)
+        want_vol, want_labels, want_lms = gen_phantom(spec)
+        assert np.array_equal(vol.data, want_vol.data)
+        assert np.array_equal(labels.data, want_labels.data)
+        assert lms == want_lms
+
+    @pytest.mark.parametrize("dims,spacing,remap,kind,corrupt,fov", ORACLE_PAIRS)
+    def test_pair_matches_the_full_grid_oracle(self, slab_voxels, dims, spacing, remap, kind, corrupt, fov):
+        spec = PhantomSpec(dims=dims, spacing=spacing, seed=40 + dims[2])
+        transform = oracle_transform(spec, kind)
+        corruptions = ()
+        if corrupt:
+            lms = gen_phantom(spec)[2]
+            corruptions = (
+                Corruption(lms[0][1], 3.0 * spacing, "invert"),
+                Corruption(lms[3][1], 2.5 * spacing, "occlude"),
+                Corruption(Point3(0.0, 0.0, 0.0), 6.0 * spacing, "invert"),  # cut by the grid's faces
+            )
+        box = Box3((2, 3, 1), (dims[0] - 3, dims[1] - 2, dims[2] - 4)) if fov else None
+        pair = gen_pair(spec, transform, remap, fov_box=box, corruptions=corruptions)
+        want_vol, want_labels = gen_pair_full_grid(spec, transform, remap, box, corruptions)
+        assert pair.volume_b.geometry == want_vol.geometry
+        assert np.array_equal(pair.volume_b.data, want_vol.data)
+        assert np.array_equal(pair.labels_b.data, want_labels.data)
+        assert pair.labels_b.data.max() > 0
+
+    def test_benchmark_size_pair_matches_the_full_grid_oracle(self):
+        spec = PhantomSpec(dims=(128, 128, 128), seed=66)
+        transform = oracle_transform(spec, "rigid")
+        lms = gen_phantom(spec)[2]
+        corruptions = (Corruption(lms[0][1], 8.0, "invert"),)
+        pair = gen_pair(spec, transform, "gamma", corruptions=corruptions)
+        want_vol, want_labels = gen_pair_full_grid(spec, transform, "gamma", corruptions=corruptions)
+        assert np.array_equal(pair.volume_b.data, want_vol.data)
+        assert np.array_equal(pair.labels_b.data, want_labels.data)
+
+
+def test_gen_pair_peak_memory_stays_within_four_outputs():
+    spec = PhantomSpec(dims=(128, 128, 128), seed=62)
+    transform = oracle_transform(spec, "rigid")
+    tracemalloc.start()
+    try:
+        pair = gen_pair(spec, transform, "gamma")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = (pair.volume_a.data, pair.labels_a.data, pair.volume_b.data, pair.labels_b.data)
+    assert peak <= 4 * sum(a.nbytes for a in outputs)

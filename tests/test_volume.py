@@ -20,8 +20,8 @@ from voxelmatch.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from voxelmatch.geometry import rigid_about, rotation_matrix
-from voxelmatch.phantom import PhantomSpec, gen_pair
+from voxelmatch.geometry import AffineTransform, rigid_about, rotation_matrix
+from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
 from voxelmatch.volume import (
     Box3,
     EmbeddingVolume,
@@ -32,12 +32,14 @@ from voxelmatch.volume import (
     crop,
     dilate_box,
     half_geometry,
+    mapped_inside,
     mask_bbox,
     read_volume,
     resample,
     trilinear_sample_many,
     unit_rows,
     write_volume,
+    z_slabs,
 )
 
 
@@ -191,6 +193,76 @@ class TestResample:
         once = resample(vol, 1.5)
         twice = resample(once, 1.5)
         np.testing.assert_allclose(once.data, twice.data, atol=1e-6)
+
+
+def full_grid_points(geom):
+    """Oracle: every voxel index of ``geom`` as (x, y, z) rows from three full-grid meshgrids."""
+    zz, yy, xx = np.meshgrid(*(np.arange(geom.dims[i], dtype=np.float64) for i in (2, 1, 0)), indexing="ij")
+    return np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+
+
+def resample_full_grid(vol, new_spacing):
+    """Oracle: ``resample`` from full-grid meshgrids in one ``map_coordinates`` call on a float64 copy."""
+    g = vol.geometry
+    new_spacing = (float(new_spacing),) * 3 if np.isscalar(new_spacing) else new_spacing
+    new_dims = tuple(
+        max(1, int(np.floor(g.dims[i] * g.spacing[i] / new_spacing[i] + 0.5))) for i in range(3)
+    )
+    axes = [np.arange(new_dims[i]) * new_spacing[i] / g.spacing[i] for i in range(3)]
+    zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    out = ndimage.map_coordinates(vol.data.astype(np.float64), [zz, yy, xx], order=1, mode="nearest")
+    return new_dims, out.astype(np.float32)
+
+
+def mapped_inside_full_grid(geom, transform, other):
+    """Oracle: ``mapped_inside`` over the full-grid rows of ``geom`` at once."""
+    mapped = other.physical_to_voxel(transform.apply_array(geom.voxel_to_physical(full_grid_points(geom))))
+    return other.in_grid(mapped).reshape(geom.shape_zyx)
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 3, 5), (40, 33, 37), (3, 600, 700)])
+    def test_slabs_cover_the_grid_in_order_within_the_bound(self, slab_voxels, shape):
+        slabs = list(z_slabs(shape))
+        assert [s.start for s in slabs] == [0] + [s.stop for s in slabs[:-1]]
+        assert slabs[-1].stop == shape[0]
+        plane = shape[1] * shape[2]
+        bound = slab_voxels or 2**17
+        assert all((s.stop - s.start) * plane <= bound or s.stop - s.start == 1 for s in slabs)
+
+    @pytest.mark.parametrize("dims", [(5, 7, 6), (1, 4, 9), (13, 1, 2)])
+    def test_voxel_points_of_planes_are_rows_of_the_full_grid(self, dims):
+        geom = VolumeGeometry(dims)
+        full = full_grid_points(geom)
+        assert np.array_equal(geom.voxel_points(), full)
+        plane = dims[0] * dims[1]
+        for lo, hi in [(0, 1), (1, dims[2]), (dims[2] - 1, dims[2])]:
+            assert np.array_equal(geom.voxel_points(slice(lo, hi)), full[lo * plane:hi * plane])
+
+    @pytest.mark.parametrize("dims,spacing,new_spacing", [
+        ((40, 40, 40), 1.0, 2.0),
+        ((37, 30, 44), 2.0, 1.5),
+        ((33, 45, 28), 1.0, (0.7, 1.3, 2.0)),
+        ((24, 26, 22), 1.5, 2.5),
+    ])
+    def test_resample_matches_the_full_grid_oracle(self, slab_voxels, dims, spacing, new_spacing):
+        vol = gen_phantom(PhantomSpec(dims=dims, spacing=spacing, seed=33))[0]
+        out = resample(vol, new_spacing)
+        want_dims, want = resample_full_grid(vol, new_spacing)
+        assert out.geometry.dims == want_dims
+        assert np.array_equal(out.data, want)
+
+    @pytest.mark.parametrize("kind", ["rigid", "affine"])
+    def test_mapped_inside_matches_the_full_grid_oracle(self, slab_voxels, kind):
+        geom = VolumeGeometry((23, 17, 29), (2.0, 2.0, 2.0), (1.0, -3.0, 4.0))
+        other = VolumeGeometry((20, 25, 18), (2.5, 2.0, 2.5), (5.0, 2.0, -1.0))
+        rot = rotation_matrix((0.2, 0.4, 1.0), np.deg2rad(12.0))
+        transform = rigid_about(rot, (23.0, 14.0, 30.0), (4.0, 6.0, -3.0))
+        if kind == "affine":
+            transform = AffineTransform(rot @ np.diag([1.1, 0.9, 1.05]), transform.translation)
+        inside = mapped_inside(geom, transform, other)
+        assert 0 < inside.sum() < inside.size
+        assert np.array_equal(inside, mapped_inside_full_grid(geom, transform, other))
 
 
 class TestTrilinear:
