@@ -53,8 +53,16 @@ class AugmentSpec:
     def __post_init__(self):
         if not 0.0 <= self.reverse_probability <= 1.0:
             raise ValueError("reverse_probability must lie in [0, 1]")
-        if self.scale_range[0] <= 0 or self.scale_range[0] > self.scale_range[1]:
-            raise ValueError("scale_range must be positive and ordered")
+        if not math.isfinite(self.rotation_degrees):
+            raise ValueError("rotation_degrees must be finite")
+        if not 0.0 < self.scale_range[0] <= self.scale_range[1] < math.inf:
+            raise ValueError("scale_range must be positive, finite and ordered")
+        for name in ("blur_sigma_range", "noise_sigma_range"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi < math.inf:
+                raise ValueError(f"{name} must be non-negative, finite and ordered")
+        if min(self.patch_size) < 1:
+            raise ValueError("patch_size entries must be >= 1")
         if not 0.0 < self.min_overlap <= 1.0:
             raise ValueError("min_overlap must lie in (0, 1]")
 

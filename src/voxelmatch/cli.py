@@ -247,13 +247,7 @@ def _read_manifest(path):
     'fixed.evf moving.evf [fixed_lms.txt moving_lms.txt]'.  Paths are relative
     to the manifest file."""
     base = Path(path).parent
-    rows = []
-    with open(path, "r", encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([str(base / tok) for tok in line.split()])
+    rows = [[str(base / tok) for tok in tokens] for _, tokens in metrics.read_lines(path)]
     if not rows:
         raise VoxelMatchError(f"manifest {path} lists no volumes")
     return rows

@@ -89,14 +89,17 @@ def _apply_section(instance, items, section: str):
 
 
 def load_config(path) -> RunConfig:
-    """Parse a config file; unknown sections/keys raise ``ConfigError``."""
+    """Parse a config file; a file that configparser cannot parse, an unknown
+    section or key, or a bad value raises ``ConfigError``."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(str(path), encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     cfg = RunConfig()
-    for section in parser.sections():
-        items = parser.items(section)
+    for section, items in sections.items():
         if section == "run":
             for key, raw in items:
                 if key != "seed":

@@ -108,6 +108,10 @@ class MissingRadii(VoxelMatchError):
     pass
 
 
+class InvalidRadii(VoxelMatchError, ValueError):
+    """A per-landmark radius that is not finite and positive."""
+
+
 # configuration
 class ConfigError(VoxelMatchError):
     pass

@@ -3,16 +3,23 @@
 CPM uses a strict ``<`` at the threshold: a pair sitting exactly on the
 threshold counts as incorrect.  Standard deviations are population-style
 (divide by N), fixed for reproducibility.
+
+Every text input (landmark and radii files here, training manifests in
+``cli``) is read through the one line reader ``read_lines``, which skips blank
+and ``#`` comment lines and reports a line that is not ASCII as
+``MalformedFile`` naming ``path:line``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .errors import EmptySet, MalformedFile, MismatchedLengths, MissingRadii
+from .errors import EmptySet, InvalidRadii, MalformedFile, MismatchedLengths, MissingRadii
 from .geometry import Point3
 
 __all__ = [
@@ -22,6 +29,7 @@ __all__ = [
     "read_landmarks",
     "write_landmarks",
     "read_radii",
+    "read_lines",
 ]
 
 
@@ -39,8 +47,8 @@ class LandmarkPairSet:
         if self.radii is not None:
             if len(self.radii) != len(self.truth):
                 raise MismatchedLengths("radii count does not match landmark count")
-            if any(r <= 0 for r in self.radii):
-                raise ValueError("radii must be positive")
+            if not all(0.0 < r < math.inf for r in self.radii):
+                raise InvalidRadii("radii must be finite and positive")
 
 
 @dataclass
@@ -135,34 +143,38 @@ def write_landmarks(path, landmarks) -> None:
             f.write(f"{name} {p.x!r} {p.y!r} {p.z!r}\n")
 
 
+def read_lines(path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) for each line of ``path`` that is neither blank nor
+    a ``#`` comment; a line that is not ASCII raises ``MalformedFile``."""
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            tokens = raw.decode("ascii").split()
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}:{line_no}: not ASCII text") from exc
+        if tokens and not tokens[0].startswith("#"):
+            yield line_no, tokens
+
+
 def read_landmarks(path) -> list:
     out = []
-    with open(Path(path), "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                name, x, y, z = parts
-                out.append((name, Point3(float(x), float(y), float(z))))
-            except ValueError as exc:
-                raise MalformedFile(f"{path}:{line_no}: expected 'id x y z'") from exc
+    for line_no, parts in read_lines(path):
+        try:
+            name, x, y, z = parts
+            out.append((name, Point3(float(x), float(y), float(z))))
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{line_no}: expected 'id x y z'") from exc
     return out
 
 
 def read_radii(path) -> dict:
-    """Radii file: one "id radius_mm" line per landmark."""
+    """Radii file: one "id radius_mm" line per landmark, each radius finite and positive."""
     out = {}
-    with open(Path(path), "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                name, radius = parts
-                out[name] = float(radius)
-            except ValueError as exc:
-                raise MalformedFile(f"{path}:{line_no}: expected 'id radius'") from exc
+    for line_no, parts in read_lines(path):
+        try:
+            name, radius = parts
+            out[name] = float(radius)
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{line_no}: expected 'id radius'") from exc
+        if not 0.0 < out[name] < math.inf:
+            raise MalformedFile(f"{path}:{line_no}: radius {radius} is not finite and positive")
     return out

@@ -27,7 +27,9 @@ The model file.  A UAEM file is the magic ``UAEM``, a little-endian header
 optional semantic maps as (F, k) float64 in C order, and a CRC32 of header
 and payload.  Version 1 files stored each head as its (F, D) W with three
 unused temperatures; ``load_model`` still reads them, keeping M = R^T of
-W's thin QR, which is the map they embedded with.
+W's thin QR, which is the map they embedded with.  The framing (path or file
+object, exact reads, the trailing CRC) is the one ``volume`` keeps for EVF
+too; unlike EVF's, this CRC also covers the header.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ import functools
 import logging
 import math
 import struct
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -46,13 +46,11 @@ from scipy import sparse
 from .augment import AugmentSpec, PatchPair, _half_lattice_points, sample_patch_pair
 from .errors import (
     BadMagic,
-    ChecksumMismatch,
     DimensionMismatch,
     DivergedLoss,
     EmptyDataset,
     InsufficientOverlap,
     NonFiniteWeights,
-    TruncatedFile,
     UnsupportedVersion,
 )
 from .losses import (
@@ -67,6 +65,10 @@ from .volume import (
     EmbeddingVolume,
     ScalarVolume,
     VolumeGeometry,
+    _binary_file,
+    _read_checked,
+    _read_exact,
+    _write_framed,
     half_geometry,
     unit_rows,
 )
@@ -310,69 +312,32 @@ def save_model(model: ProjectionModel, dest) -> None:
     payload = model.w_coarse.tobytes() + model.w_fine.tobytes()
     if model.w_semantic is not None:
         payload += model.w_semantic.tobytes()
-    crc = zlib.crc32(header + payload) & 0xFFFFFFFF
-    close = False
-    f = dest
-    if not hasattr(dest, "write"):
-        f = open(Path(dest), "wb")
-        close = True
-    try:
-        f.write(_MODEL_MAGIC)
-        f.write(header)
-        f.write(payload)
-        f.write(struct.pack("<I", crc))
-    finally:
-        if close:
-            f.close()
+    _write_framed(dest, _MODEL_MAGIC, header, payload)
 
 
 def load_model(src) -> ProjectionModel:
     """Read a UAEM file of version 2, or of version 1, whose (F, D) heads become their maps."""
-    close = False
-    f = src
-    if not hasattr(src, "read"):
-        f = open(Path(src), "rb")
-        close = True
-    try:
-        magic = f.read(4)
-        if len(magic) != 4:
-            raise TruncatedFile("model file shorter than its magic")
+    with _binary_file(src, "rb") as f:
+        magic = _read_exact(f, 4, "model magic")
         if magic != _MODEL_MAGIC:
             raise BadMagic(f"bad model magic {magic!r}")
-        header = f.read(_MODEL_HEADER.size)
-        if len(header) != _MODEL_HEADER.size:
-            raise TruncatedFile("model header truncated")
+        header = _read_exact(f, _MODEL_HEADER.size, "model header")
         version, heads, pad, fdim, width = _MODEL_HEADER.unpack(header)
         if version not in _MODEL_TAIL or pad != 0:
             raise UnsupportedVersion(f"unsupported model version {version}")
-        tail = f.read(_MODEL_TAIL[version].size)
-        if len(tail) != _MODEL_TAIL[version].size:
-            raise TruncatedFile("model header truncated")
-        header += tail
-        round_index = _MODEL_TAIL[version].unpack(tail)[-1]
+        header += _read_exact(f, _MODEL_TAIL[version].size, "model header")
+        round_index = _MODEL_TAIL[version].unpack_from(header, _MODEL_HEADER.size)[-1]
         if heads & 0b011 != 0b011 or heads & ~0b111:
             raise UnsupportedVersion(f"invalid head bitmask {heads:#x}")
         if fdim < 1 or width < 1 or fdim * width > 2**26:
             raise UnsupportedVersion(f"implausible head shape ({fdim}, {width})")
         n_heads = 3 if heads & 0b100 else 2
-        n_bytes = n_heads * fdim * width * 8
-        payload = f.read(n_bytes)
-        if len(payload) != n_bytes:
-            raise TruncatedFile("model payload truncated")
-        crc_raw = f.read(4)
-        if len(crc_raw) != 4:
-            raise TruncatedFile("model checksum truncated")
-        (crc_stored,) = struct.unpack("<I", crc_raw)
-        if zlib.crc32(header + payload) & 0xFFFFFFFF != crc_stored:
-            raise ChecksumMismatch("model CRC32 mismatch")
-        mats = [
-            _head_map(w) if version == 1 else w.copy()  # a NaN or inf in W leaves one in its map
-            for w in np.frombuffer(payload, dtype="<f8").reshape(n_heads, fdim, width)
-        ]
-        return ProjectionModel(mats[0], mats[1], mats[2] if n_heads == 3 else None, int(round_index))
-    finally:
-        if close:
-            f.close()
+        payload = _read_checked(f, n_heads * fdim * width * 8, header, "model payload")
+    mats = [
+        _head_map(w) if version == 1 else w.copy()  # a NaN or inf in W leaves one in its map
+        for w in np.frombuffer(payload, dtype="<f8").reshape(n_heads, fdim, width)
+    ]
+    return ProjectionModel(mats[0], mats[1], mats[2] if n_heads == 3 else None, int(round_index))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +424,10 @@ class TrainConfig:
             raise ValueError("temperatures must be positive")
         if not 0.0 < self.hard_negative_fraction <= 1.0:
             raise ValueError("hard_negative_fraction must lie in (0, 1]")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
 
 
 def _flat_index(idx_xyz: np.ndarray, dims) -> np.ndarray:
@@ -862,8 +831,11 @@ def train(
         ):
             raise DivergedLoss(f"non-finite loss at step {step_i}")
         for h in maps:
-            velocity[h] = cfg.momentum * velocity[h] - cfg.learning_rate * grads[h] / cfg.batch_size
-            maps[h] += velocity[h]
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+                velocity[h] = cfg.momentum * velocity[h] - cfg.learning_rate * grads[h] / cfg.batch_size
+                maps[h] += velocity[h]
+            if not np.all(np.isfinite(maps[h])):
+                raise DivergedLoss(f"non-finite {h} weights after the update of step {step_i}")
         log_rows.append(
             {
                 "step": step_i,

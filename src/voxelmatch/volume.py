@@ -4,6 +4,13 @@ Covers the EVF binary container (bit-exact round trips, CRC-checked payloads),
 physical-space resampling, trilinear sampling of embedding grids, L2
 normalization, body masking, and box cropping.
 
+The binary framing that EVF shares with the UAEM model file (``model``) lives
+here: ``_binary_file`` opens a path or passes a file object through,
+``_read_exact`` raises ``TruncatedFile`` on a short read, and
+``_write_framed`` / ``_read_checked`` write and check the trailing CRC32.  Each
+format keeps its own layout, order of checks and CRC rule: EVF's CRC covers
+the payload only, UAEM's the header and the payload.
+
 Data layout is fixed: arrays are indexed ``[z, y, x]`` (``[z, y, x, channel]``
 for embeddings) in C order, which is also the on-disk payload order.
 Voxel index ``i`` along an axis sits at physical position
@@ -12,6 +19,8 @@ Voxel index ``i`` along an axis sits at physical position
 
 from __future__ import annotations
 
+import contextlib
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -201,66 +210,18 @@ class Box3:
 
 
 # ---------------------------------------------------------------------------
-# EVF container
+# framing shared by the EVF and UAEM containers
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"EVF1"
-# after the normalized flag: the zero-substitution count (0 in files that predate it), 3 pad bytes
-_HEADER = struct.Struct("<4sBBHIIIIffffffBI3x")
-_KIND_SCALAR, _KIND_LABEL, _KIND_EMBEDDING = 1, 2, 3
-_DTYPE_F32, _DTYPE_U16 = 1, 2
-_MAX_ELEMENTS = 2**31
-
-
-def _open_dest(dest):
-    if hasattr(dest, "write"):
-        return dest, False
-    return open(Path(dest), "wb"), True
-
-
-def _open_src(src):
-    if hasattr(src, "read"):
-        return src, False
-    return open(Path(src), "rb"), True
-
-
-def write_volume(vol, dest) -> None:
-    """Serialize a volume to the EVF container (path or binary file object)."""
-    if isinstance(vol, ScalarVolume):
-        kind, dtype_code, payload_dtype, channels, normalized = (
-            _KIND_SCALAR, _DTYPE_F32, "<f4", 1, 0,
-        )
-        arr = vol.data
-    elif isinstance(vol, LabelVolume):
-        kind, dtype_code, payload_dtype, channels, normalized = (
-            _KIND_LABEL, _DTYPE_U16, "<u2", 1, 0,
-        )
-        arr = vol.data
-    elif isinstance(vol, EmbeddingVolume):
-        kind, dtype_code, payload_dtype, channels, normalized = (
-            _KIND_EMBEDDING, _DTYPE_F32, "<f4", vol.channels, 1 if vol.normalized else 0,
-        )
-        arr = vol.data
+@contextlib.contextmanager
+def _binary_file(target, mode: str):
+    """``target`` opened in binary ``mode`` ("rb" or "wb") when it is a path, or
+    passed through when it is a file object; closes only what it opened."""
+    if hasattr(target, "read" if mode == "rb" else "write"):
+        yield target
     else:
-        raise TypeError(f"cannot serialize {type(vol).__name__}")
-    g = vol.geometry
-    header = _HEADER.pack(
-        _MAGIC, kind, dtype_code, 0,
-        g.dims[0], g.dims[1], g.dims[2], channels,
-        g.spacing[0], g.spacing[1], g.spacing[2],
-        g.origin[0], g.origin[1], g.origin[2],
-        normalized, getattr(vol, "zero_substitutions", 0),
-    )
-    payload = np.ascontiguousarray(arr, dtype=payload_dtype).tobytes()
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    f, close = _open_dest(dest)
-    try:
-        f.write(header)
-        f.write(payload)
-        f.write(struct.pack("<I", crc))
-    finally:
-        if close:
-            f.close()
+        with open(Path(target), mode) as f:
+            yield f
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -270,10 +231,59 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
+def _write_framed(dest, plain: bytes, covered: bytes, payload: bytes) -> None:
+    """Write ``plain``, ``covered`` and ``payload``, then a "<I" CRC32 of ``covered`` + ``payload``."""
+    crc = zlib.crc32(payload, zlib.crc32(covered)) & 0xFFFFFFFF
+    with _binary_file(dest, "wb") as f:
+        for part in (plain, covered, payload, struct.pack("<I", crc)):
+            f.write(part)
+
+
+def _read_checked(f, n: int, covered: bytes, what: str) -> bytes:
+    """The next ``n`` bytes, after checking the CRC32 that follows them against ``covered`` + them."""
+    payload = _read_exact(f, n, what)
+    (crc_stored,) = struct.unpack("<I", _read_exact(f, 4, f"{what} checksum"))
+    if zlib.crc32(payload, zlib.crc32(covered)) & 0xFFFFFFFF != crc_stored:
+        raise ChecksumMismatch(f"{what} CRC32 mismatch")
+    return payload
+
+
+# ---------------------------------------------------------------------------
+# EVF container
+# ---------------------------------------------------------------------------
+
+_MAGIC = b"EVF1"
+# after the normalized flag: the zero-substitution count (0 in files that predate it), 3 pad bytes
+_HEADER = struct.Struct("<4sBBHIIIIffffffBI3x")
+# kind code -> (volume class, dtype code, payload dtype); write and read both consult it
+_KINDS = {
+    1: (ScalarVolume, 1, "<f4"),
+    2: (LabelVolume, 2, "<u2"),
+    3: (EmbeddingVolume, 1, "<f4"),
+}
+_MAX_ELEMENTS = 2**31
+
+
+def write_volume(vol, dest) -> None:
+    """Serialize a volume to the EVF container (path or binary file object)."""
+    kind = next((k for k, (cls, _, _) in _KINDS.items() if isinstance(vol, cls)), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(vol).__name__}")
+    _, dtype_code, payload_dtype = _KINDS[kind]
+    g = vol.geometry
+    header = _HEADER.pack(
+        _MAGIC, kind, dtype_code, 0,
+        *g.dims, math.prod(vol.data.shape[3:]),  # channels: 1 unless an embedding
+        *g.spacing,
+        *g.origin,
+        int(getattr(vol, "normalized", False)), getattr(vol, "zero_substitutions", 0),
+    )
+    _write_framed(dest, header, b"", np.ascontiguousarray(vol.data, dtype=payload_dtype).tobytes())
+
+
 def read_volume(src):
     """Read an EVF container, verifying the payload CRC."""
-    f, close = _open_src(src)
-    try:
+    with _binary_file(src, "rb") as f:
         raw = _read_exact(f, _HEADER.size, "header")
         (magic, kind, dtype_code, reserved,
          nx, ny, nz, channels,
@@ -282,46 +292,30 @@ def read_volume(src):
             raise BadMagic(f"bad magic {magic!r}")
         if reserved != 0 or normalized not in (0, 1):
             raise UnsupportedVersion("reserved header fields are not zero")
-        if kind not in (_KIND_SCALAR, _KIND_LABEL, _KIND_EMBEDDING):
+        if kind not in _KINDS:
             raise UnsupportedVersion(f"unknown volume kind {kind}")
-        if dtype_code not in (_DTYPE_F32, _DTYPE_U16):
-            raise UnsupportedVersion(f"unknown dtype code {dtype_code}")
+        cls, kind_dtype, payload_dtype = _KINDS[kind]
+        if dtype_code != kind_dtype:
+            raise UnsupportedVersion(f"dtype code {dtype_code} does not fit volume kind {kind}")
         if min(nx, ny, nz, channels) < 1 or nx * ny * nz * channels > _MAX_ELEMENTS:
             raise DimensionOverflow(f"implausible dimensions {(nx, ny, nz, channels)}")
-        if kind in (_KIND_SCALAR, _KIND_LABEL) and channels != 1:
+        if cls is not EmbeddingVolume and channels != 1:
             raise UnsupportedVersion("scalar and label volumes must have 1 channel")
-        if kind in (_KIND_SCALAR, _KIND_EMBEDDING) and dtype_code != _DTYPE_F32:
-            raise UnsupportedVersion("scalar/embedding payload must be f32")
-        if kind == _KIND_LABEL and dtype_code != _DTYPE_U16:
-            raise UnsupportedVersion("label payload must be u16")
-        itemsize = 4 if dtype_code == _DTYPE_F32 else 2
-        n_bytes = nx * ny * nz * channels * itemsize
-        payload = _read_exact(f, n_bytes, "payload")
-        (crc_stored,) = struct.unpack("<I", _read_exact(f, 4, "checksum"))
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
-            raise ChecksumMismatch("payload CRC32 mismatch")
-        if not all(0.0 < s < np.inf for s in (sx, sy, sz)):
-            raise MalformedFile(f"voxel spacing {(sx, sy, sz)} is not positive and finite")
-        if not np.isfinite((ox, oy, oz)).all():
-            raise MalformedFile(f"volume origin {(ox, oy, oz)} is not finite")
-        if zero_substitutions > (nx * ny * nz if kind == _KIND_EMBEDDING else 0):
-            raise MalformedFile(f"zero-substitution count {zero_substitutions} is out of range")
-        geom = VolumeGeometry((nx, ny, nz), (sx, sy, sz), (ox, oy, oz))
-        np_dtype = "<f4" if dtype_code == _DTYPE_F32 else "<u2"
-        arr = np.frombuffer(payload, dtype=np_dtype)
-        if kind == _KIND_SCALAR:
-            if not np.isfinite(arr).all():
-                raise MalformedFile("scalar payload holds non-finite values")
-            return ScalarVolume(geom, arr.reshape(nz, ny, nx).copy())
-        if kind == _KIND_LABEL:
-            return LabelVolume(geom, arr.reshape(nz, ny, nx).copy())
-        return EmbeddingVolume(
-            geom, arr.reshape(nz, ny, nx, channels).copy(), normalized=bool(normalized),
-            zero_substitutions=zero_substitutions,
-        )
-    finally:
-        if close:
-            f.close()
+        n_bytes = nx * ny * nz * channels * np.dtype(payload_dtype).itemsize
+        payload = _read_checked(f, n_bytes, b"", "payload")
+    if not all(0.0 < s < np.inf for s in (sx, sy, sz)):
+        raise MalformedFile(f"voxel spacing {(sx, sy, sz)} is not positive and finite")
+    if not np.isfinite((ox, oy, oz)).all():
+        raise MalformedFile(f"volume origin {(ox, oy, oz)} is not finite")
+    if zero_substitutions > (nx * ny * nz if cls is EmbeddingVolume else 0):
+        raise MalformedFile(f"zero-substitution count {zero_substitutions} is out of range")
+    geom = VolumeGeometry((nx, ny, nz), (sx, sy, sz), (ox, oy, oz))
+    arr = np.frombuffer(payload, dtype=payload_dtype).reshape(nz, ny, nx, channels)
+    if cls is EmbeddingVolume:
+        return cls(geom, arr.copy(), normalized=bool(normalized), zero_substitutions=zero_substitutions)
+    if cls is ScalarVolume and not np.isfinite(arr).all():
+        raise MalformedFile("scalar payload holds non-finite values")
+    return cls(geom, arr[..., 0].copy())
 
 
 # ---------------------------------------------------------------------------

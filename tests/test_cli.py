@@ -39,21 +39,21 @@ class TestEvalExitCodes:
         assert cli.main(["eval", str(tmp_path / "pred.txt"), str(tmp_path / "true.txt")]) == 0
         assert "med" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("line", ["lm0 1 2", "lm0 1 2 3 4", "lm0 1 two 3"])
+    @pytest.mark.parametrize("line", [b"lm0 1 2", b"lm0 1 2 3 4", b"lm0 1 two 3", b"b 4 5 6 \xe9"])
     def test_malformed_landmark_line_is_a_data_error(self, tmp_path, capsys, line):
         write_lms(tmp_path / "true.txt")
-        (tmp_path / "pred.txt").write_text(f"{line}\n")
+        (tmp_path / "pred.txt").write_bytes(line + b"\n")
         code = cli.main(["eval", str(tmp_path / "pred.txt"), str(tmp_path / "true.txt")])
         assert code == cli.DATA_ERROR
         err = capsys.readouterr().err
         assert "pred.txt:1" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("line", ["lm0", "lm0 wide"])
+    @pytest.mark.parametrize("line", ["lm0", "lm0 wide", "lm0 -1", "lm0 0", "lm0 nan", "lm0 inf"])
     def test_malformed_radii_line_is_a_data_error(self, tmp_path, capsys, line):
         write_lms(tmp_path / "pred.txt")
         write_lms(tmp_path / "true.txt")
-        (tmp_path / "radii.txt").write_text(f"{line}\n")
+        (tmp_path / "radii.txt").write_text(f"{line}\nlm1 4\nlm2 4\n")
         code = cli.main([
             "eval", str(tmp_path / "pred.txt"), str(tmp_path / "true.txt"),
             "--radii", str(tmp_path / "radii.txt"),
@@ -74,6 +74,21 @@ class TestRunConfigExitCodes:
         assert code == cli.DATA_ERROR
         err = capsys.readouterr().err
         assert "[run]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", [
+        b"steps = 1\n", b"[train]\nsteps = 1\n[train]\nsteps = 2\n", b"[run]\nseed = 1 \xff\n",
+    ], ids=["no-section", "duplicate-section", "not-utf8"])
+    def test_file_configparser_cannot_parse_is_a_data_error(self, tmp_path, capsys, raw):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(raw)
+        write_lms(tmp_path / "lms.txt")
+        code = cli.main([
+            "--config", str(conf), "eval", str(tmp_path / "lms.txt"), str(tmp_path / "lms.txt"),
+        ])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"cannot parse config file {conf}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -428,6 +443,8 @@ class TestTrainCommand:
         ("vol.evf vol.evf", "single", "vol.evf: expected LabelVolume, found ScalarVolume"),
         ("emb.evf vol.evf", "cross-iter", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
         ("vol.evf emb.evf", "cross-iter", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
+        ("v\xe9.evf", "single", "manifest.txt:1: not ASCII text"),
+        ("vol.evf\nv\xe9.evf vol.evf", "cross-iter", "manifest.txt:2: not ASCII text"),
     ])
     def test_wrong_volume_kind_is_a_data_error(self, tmp_path, capsys, manifest, mode, message):
         assert self.run(tmp_path, manifest, "--mode", mode) == cli.DATA_ERROR
@@ -593,6 +610,21 @@ class TestPhantomGenCommand:
         ("phantom", "body_intensity", "inf"),
         ("phantom", "organ_intensity_range", "0.4,nan"),
         ("align", "margins", ""),
+        # values that passed validation and then failed or were ignored in training
+        ("augment", "rotation_degrees", "nan"),
+        ("augment", "rotation_degrees", "inf"),
+        ("augment", "scale_range", "1 inf"),
+        ("augment", "scale_range", "nan nan"),
+        ("augment", "blur_sigma_range", "nan nan"),
+        ("augment", "blur_sigma_range", "-1 0.5"),
+        ("augment", "blur_sigma_range", "1 0.5"),
+        ("augment", "noise_sigma_range", "-0.02 0"),
+        ("augment", "noise_sigma_range", "0 inf"),
+        ("augment", "patch_size", "0 0 0"),
+        ("train", "learning_rate", "nan"),
+        ("train", "learning_rate", "-0.1"),
+        ("train", "momentum", "inf"),
+        ("train", "momentum", "1"),
     ])
     def test_malformed_tuple_or_phantom_value_is_a_data_error(self, tmp_path, capsys, section, key, value):
         code = self.run(tmp_path, f"[{section}]\n{key} = {value}\n", str(tmp_path / "out"))
@@ -654,9 +686,10 @@ class TestFitRigidCommand:
         np.testing.assert_allclose(rows[:3], np.eye(3), atol=1e-9)
         np.testing.assert_allclose(rows[3], [1.0, -2.0, 3.5], atol=1e-9)
 
-    def test_malformed_landmark_line_is_a_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", [b"lm0 1 two 3", b"b 4 5 6 \xe9"])
+    def test_malformed_landmark_line_is_a_data_error(self, tmp_path, capsys, line):
         self.write(tmp_path, (0.0, 0.0, 0.0))
-        (tmp_path / "dst.txt").write_text("lm0 1 two 3\n")
+        (tmp_path / "dst.txt").write_bytes(line + b"\n")
         assert cli.main(["fit-rigid", str(tmp_path / "src.txt"), str(tmp_path / "dst.txt")]) == cli.DATA_ERROR
         err = capsys.readouterr().err
         assert "dst.txt:1" in err

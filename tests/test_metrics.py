@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from voxelmatch.errors import EmptySet, MismatchedLengths, MissingRadii
+from voxelmatch.errors import EmptySet, InvalidRadii, MalformedFile, MismatchedLengths, MissingRadii, VoxelMatchError
 from voxelmatch.geometry import Point3
 from voxelmatch.metrics import (
     LandmarkPairSet,
     evaluate,
     read_landmarks,
+    read_lines,
     read_radii,
     write_landmarks,
 )
@@ -76,6 +77,12 @@ class TestErrors:
         with pytest.raises(ValueError):
             LandmarkPairSet([p(0, 0, 0)], [p(1, 0, 0)], [0.0])
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+    def test_radius_not_finite_and_positive_is_a_data_error(self, radius):
+        with pytest.raises(InvalidRadii) as exc:
+            LandmarkPairSet([p(0, 0, 0), p(1, 0, 0)], [p(1, 0, 0), p(1, 0, 0)], [4.0, radius])
+        assert isinstance(exc.value, VoxelMatchError) and isinstance(exc.value, ValueError)
+
 
 class TestProperties:
     @pytest.mark.parametrize("seed", range(5))
@@ -126,6 +133,17 @@ class TestLandmarkFiles:
         path = tmp_path / "radii.txt"
         path.write_text("a 4.0\nb 2.5\n")
         assert read_radii(path) == {"a": 4.0, "b": 2.5}
+
+    def test_line_reader_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"# head\n\n  a 1  \r\n\t# indented\nb 2 3\rc\n")
+        assert list(read_lines(path)) == [(3, ["a", "1"]), (5, ["b", "2", "3"]), (6, ["c"])]
+
+    def test_line_reader_names_the_line_that_is_not_ascii(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"a 1\n" * 3000 + b"b 4 5 6 \xe9\n")
+        with pytest.raises(MalformedFile, match="lines.txt:3001: not ASCII text"):
+            list(read_lines(path))
 
     def test_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -16,6 +16,7 @@ from voxelmatch.errors import (
     BadMagic,
     ChecksumMismatch,
     DimensionMismatch,
+    DivergedLoss,
     EmptyDataset,
     InsufficientOverlap,
     NonFiniteWeights,
@@ -770,6 +771,22 @@ class TestTrain:
     def test_counts_the_sampler_cannot_honour_are_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be >= "):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+        ("momentum", float("inf")), ("momentum", 1.0), ("momentum", -0.1),
+    ])
+    def test_update_settings_out_of_range_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_an_update_that_leaves_non_finite_weights_diverges(self, monkeypatch):
+        # a finite gradient whose step overflows: the heads would hold inf
+        real = model_mod._pair_batch_grad
+        monkeypatch.setattr(model_mod, "_pair_batch_grad", lambda *a: np.full_like(real(*a), 1e308))
+        vol, _ = phantom_working(43)
+        with pytest.raises(DivergedLoss, match="non-finite fine weights"):
+            train([vol], small_cfg(steps=1, learning_rate=10.0), augment_spec=AugmentSpec(patch_size=(20, 20, 20)))
 
     def test_patch_draw_without_overlap_is_skipped(self, monkeypatch):
         # about 6% of these wide-motion draws leave the patches no overlap
