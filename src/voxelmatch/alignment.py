@@ -106,15 +106,15 @@ class RegisteredPair:
     @property
     def overlap_mask(self) -> LabelVolume:
         gc = self.fixed_crop.geometry
-        return LabelVolume(gc, mapped_inside(gc, self.rigid.inverse(), self.moving.geometry))
+        return LabelVolume(gc, mapped_inside(gc, (self.rigid.inverse(), self.moving.geometry)))
 
     @functools.cached_property
     def training_view(self) -> PatchPair:
         ga, gb = self.moving.geometry, self.fixed_crop.geometry
         return PatchPair(
             patch_a=self.moving, patch_b=self.fixed_crop, map_ab=self.rigid.as_affine(),
-            overlap_a=mapped_inside(ga, self.rigid, gb),
-            overlap_b=mapped_inside(gb, self.rigid.inverse(), ga),
+            overlap_a=mapped_inside(ga, (self.rigid, gb)),
+            overlap_b=mapped_inside(gb, (self.rigid.inverse(), ga)),
         )
 
 

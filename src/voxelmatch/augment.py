@@ -3,6 +3,8 @@
 Geometric transforms are recorded exactly, so corresponding voxels of the two
 patches of a pair can always be mapped onto each other; intensity transforms
 never move geometry.  Everything is deterministic given (input, spec, seed).
+Patches are warped by ``volume.pull_back`` and their overlaps come from
+``volume.mapped_inside``, under the grid-mapping rules of the ``volume`` docstring.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from scipy import ndimage
 
 from .errors import InsufficientOverlap, VolumeTooSmall
 from .geometry import AffineTransform, rotation_matrix
-from .volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, half_geometry
+from .volume import Box3, LabelVolume, ScalarVolume, crop, half_geometry, mapped_inside, pull_back
 
 __all__ = [
     "AugmentSpec",
@@ -157,55 +159,13 @@ def intensity_reverse(vol: ScalarVolume) -> ScalarVolume:
     return ScalarVolume(vol.geometry, ((lo + hi) - vol.data.astype(np.float64)).astype(np.float32))
 
 
-def _source_map(geometry: VolumeGeometry, transform: AffineTransform) -> tuple[np.ndarray, ...]:
-    """Every voxel of ``geometry`` in mm, its pre-image T^-1 in mm, and that in voxel units.
-
-    (N, 3) rows in C order of the (z, y, x) data, unsnapped.  A warp reads
-    the last through ``_source_coords``; ``sample_patch_pair`` shares all
-    three between a patch's warp and its overlap mask.
-    """
-    phys = geometry.voxel_to_physical(geometry.voxel_points())
-    source = transform.inverse().apply_array(phys)
-    return phys, source, geometry.physical_to_voxel(source)
-
-
-def _source_coords(geometry: VolumeGeometry, src_vox: np.ndarray) -> list[np.ndarray]:
-    """Per-axis (z, y, x) ``map_coordinates`` inputs from (N, 3) source voxel coordinates.
-
-    Coordinates within 1e-6 of the valid range are snapped onto it, so exact
-    grid-to-grid motions do not leak into the outside-fill path through
-    rounding in the matrix entries.
-    """
-    coords = []
-    for i in (2, 1, 0):
-        lim = geometry.dims[i] - 1.0
-        c = src_vox[:, i].copy()
-        near = (c > -1e-6) & (c < lim + 1e-6)
-        c[near] = np.clip(c[near], 0.0, lim)
-        coords.append(c.reshape(geometry.shape_zyx))
-    return coords
-
-
-def _resample_at(vol: ScalarVolume, coords: list[np.ndarray]) -> ScalarVolume:
-    """Trilinear lookup of ``vol`` at ``coords``; a source outside the grid reads the volume's minimum."""
-    out = ndimage.map_coordinates(
-        vol.data.astype(np.float64), coords, order=1,
-        mode="constant", cval=float(vol.data.min()),
-    )
-    return ScalarVolume(vol.geometry, out.astype(np.float32))
-
-
-def _warp_labels(lab: LabelVolume, coords: list[np.ndarray]) -> LabelVolume:
-    out = ndimage.map_coordinates(lab.data, coords, order=0, mode="constant", cval=0)
-    return LabelVolume(lab.geometry, out)
-
-
-def _geometric_augment(vol: ScalarVolume, spec: AugmentSpec, seed: int):
+def _geometric_augment(vol: ScalarVolume, spec: AugmentSpec, seed: int, labels: LabelVolume | None = None):
     """Random rotation/scale about the volume center plus blur and noise.
 
     Returns the augmented volume, the exact physical-space transform that was
     applied (out(y) = in(T^-1 y), so landmark positions can be propagated),
-    and the transform's ``_source_map`` on the volume's grid.
+    and ``labels`` (on the volume's grid) warped by the same transform, or
+    None.  A source outside the grid reads the volume's minimum, or label 0.
     """
     rng = np.random.default_rng(seed)
     axis = rng.normal(size=3)
@@ -219,17 +179,21 @@ def _geometric_augment(vol: ScalarVolume, spec: AugmentSpec, seed: int):
     center = np.asarray(g.origin) + (np.asarray(g.dims, dtype=np.float64) - 1.0) / 2.0 * np.asarray(g.spacing)
     linear = scale * rotation_matrix(axis, angle)
     transform = AffineTransform(linear, center - linear @ center)
-    src_map = _source_map(g, transform)
     identity = (
         abs(angle) < 1e-12 and abs(scale - 1.0) < 1e-12
     )
-    out = vol if identity else _resample_at(vol, _source_coords(g, src_map[2]))
-    data = out.data.astype(np.float64)
+    layers = [] if identity else [(vol.data, np.empty(g.shape_zyx, dtype=np.float32), float(vol.data.min()))]
+    if labels is not None:
+        layers.append((labels.data, np.empty(g.shape_zyx, dtype=np.uint16), 0))
+    pull_back(g, transform, layers)
+    warped = [out for _, out, _ in layers]
+    data = (vol.data if identity else warped[0]).astype(np.float64)  # rounded once to float32 by the warp
     if blur > 1e-6:
         data = ndimage.gaussian_filter(data, sigma=blur, mode="nearest")
     if noise > 1e-12:
         data = data + rng.normal(0.0, noise, size=data.shape)
-    return ScalarVolume(g, data.astype(np.float32)), transform, src_map
+    warped_labels = None if labels is None else LabelVolume(g, warped[-1])
+    return ScalarVolume(g, data.astype(np.float32)), transform, warped_labels
 
 
 def _intensity_augment(vol: ScalarVolume, spec: AugmentSpec, rng, aggressive: bool) -> ScalarVolume:
@@ -286,36 +250,19 @@ def sample_patch_pair(
 
     box_a, box_b = (Box3(tuple(o), tuple(o[i] + ps[i] - 1 for i in range(3))) for o in (o_a, o_b))
     win_a, win_b = crop(vol, box_a), crop(vol, box_b)
-    aug_a, t_a, src_a = _geometric_augment(win_a, spec, int(rng.integers(2**63)))
-    aug_b, t_b, src_b = _geometric_augment(win_b, spec, int(rng.integers(2**63)))
+    lab_win = None if labels is None else crop(labels, box_a)
+    aug_a, t_a, lab_a = _geometric_augment(win_a, spec, int(rng.integers(2**63)), lab_win)
+    aug_b, t_b, _ = _geometric_augment(win_b, spec, int(rng.integers(2**63)))
     aug_a = _intensity_augment(aug_a, spec, rng, aggressive)
     aug_b = _intensity_augment(aug_b, spec, rng, aggressive)
-    lab_a = None
-    if labels is not None:
-        lab_a = _warp_labels(crop(labels, box_a), _source_coords(win_a.geometry, src_a[2]))
-    map_ab = t_b.compose(t_a.inverse())
+    src_a, src_b = t_a.inverse(), t_b.inverse()
+    map_ab = t_b.compose(src_a)
 
-    overlap_a = _overlap_mask(src_a, win_a.geometry, win_b.geometry, map_ab)
+    # a patch voxel overlaps when its source lies in both windows and its image in the other patch
+    ga, gb = win_a.geometry, win_b.geometry  # each patch keeps its window's grid
+    overlap_a = mapped_inside(ga, (src_a, ga), (src_a, gb), (map_ab, gb))
     if not overlap_a.any():
         raise InsufficientOverlap("augmented patches share no usable overlap")
-    overlap_b = _overlap_mask(src_b, win_b.geometry, win_a.geometry, map_ab.inverse())
+    overlap_b = mapped_inside(gb, (src_b, gb), (src_b, ga), (map_ab.inverse(), ga))
     return PatchPair(aug_a, aug_b, map_ab, overlap_a, lab_a, overlap_b)
 
-
-def _overlap_mask(
-    source_self: tuple[np.ndarray, ...],
-    win_self: VolumeGeometry,
-    win_other: VolumeGeometry,
-    map_self_other: AffineTransform,
-) -> np.ndarray:
-    """Voxels of an augmented patch whose source is seen by both windows and
-    whose image lands inside the other patch grid.
-
-    ``source_self`` is the patch's ``_source_map``; each patch keeps its
-    window's grid, so ``win_other`` is also the other patch grid.
-    """
-    phys, source, src_vox = source_self
-    ok = win_self.in_grid(src_vox)
-    ok &= win_other.in_grid(win_other.physical_to_voxel(source))
-    ok &= win_other.in_grid(win_other.physical_to_voxel(map_self_other.apply_array(phys)))
-    return ok.reshape(win_self.shape_zyx)

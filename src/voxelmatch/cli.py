@@ -9,6 +9,7 @@ randomness is controlled by --seed (or the config file).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import logging
@@ -254,21 +255,29 @@ def _read_manifest(path):
 
 
 def _cmd_train(args, cfg: RunConfig) -> int:
+    # every input is read before the loss log is opened, so a data error leaves an old log as it was
     rows = _read_manifest(args.manifest)
-    loss_stream = open(args.loss_log, "w", newline="") if args.loss_log else sys.stdout
-    try:
+    if args.mode == "cross-iter":
+        pairs = []
+        for i, row in enumerate(rows):
+            if len(row) < 2:
+                raise VoxelMatchError("cross-iter manifest rows need fixed and moving paths")
+            fixed = _read_volume(row[0], volume.ScalarVolume)
+            moving = _read_volume(row[1], volume.ScalarVolume)
+            flm = metrics.read_landmarks(row[2]) if len(row) > 2 else None
+            mlm = metrics.read_landmarks(row[3]) if len(row) > 3 else None
+            pairs.append(alignment.CrossPair(fixed, moving, flm, mlm, pair_id=f"p{i}"))
+    else:
+        dataset = []
+        for row in rows:
+            vol = _read_volume(row[0], volume.ScalarVolume)
+            lab = _read_volume(row[1], volume.LabelVolume) if len(row) > 1 else None
+            dataset.append((vol, lab))
+    log_file = open(args.loss_log, "w", newline="") if args.loss_log else contextlib.nullcontext(sys.stdout)
+    with log_file as loss_stream:
         writer = csv.writer(loss_stream)
         writer.writerow(["step", "loss_fine", "loss_coarse", "loss_semantic"])
         if args.mode == "cross-iter":
-            pairs = []
-            for i, row in enumerate(rows):
-                if len(row) < 2:
-                    raise VoxelMatchError("cross-iter manifest rows need fixed and moving paths")
-                fixed = _read_volume(row[0], volume.ScalarVolume)
-                moving = _read_volume(row[1], volume.ScalarVolume)
-                flm = metrics.read_landmarks(row[2]) if len(row) > 2 else None
-                mlm = metrics.read_landmarks(row[3]) if len(row) > 3 else None
-                pairs.append(alignment.CrossPair(fixed, moving, flm, mlm, pair_id=f"p{i}"))
             # cross-iter models are trained without a semantic head
             models, metr = alignment.iterate_alignment(
                 pairs, cfg.train, cfg.align, augment_spec=cfg.augment,
@@ -281,11 +290,6 @@ def _cmd_train(args, cfg: RunConfig) -> int:
             model_mod.save_model(models[-1], out)
             print(alignment.format_metrics_table(metr))
             return 0
-        dataset = []
-        for row in rows:
-            vol = _read_volume(row[0], volume.ScalarVolume)
-            lab = _read_volume(row[1], volume.LabelVolume) if len(row) > 1 else None
-            dataset.append((vol, lab))
         mode = {"single": "standard", "cross-init": "aggressive"}[args.mode]
         mdl, loss_log = model_mod.train(
             dataset, cfg.train, mode=mode, augment_spec=cfg.augment
@@ -297,9 +301,6 @@ def _cmd_train(args, cfg: RunConfig) -> int:
                  repr(row["loss_semantic"])]
             )
         return 0
-    finally:
-        if args.loss_log:
-            loss_stream.close()
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:

@@ -156,13 +156,16 @@ def read_lines(path) -> Iterator[tuple[int, list[str]]]:
 
 
 def read_landmarks(path) -> list:
-    out = []
+    """(id, Point3) per "id x y z" line; an id given twice raises ``MalformedFile``."""
+    out, first_line = [], {}
     for line_no, parts in read_lines(path):
         try:
             name, x, y, z = parts
             out.append((name, Point3(float(x), float(y), float(z))))
         except ValueError as exc:
             raise MalformedFile(f"{path}:{line_no}: expected 'id x y z'") from exc
+        if first_line.setdefault(name, line_no) != line_no:
+            raise MalformedFile(f"{path}:{line_no}: landmark id {name!r} repeats {path}:{first_line[name]}")
     return out
 
 

@@ -332,10 +332,10 @@ def load_model(src) -> ProjectionModel:
         if fdim < 1 or width < 1 or fdim * width > 2**26:
             raise UnsupportedVersion(f"implausible head shape ({fdim}, {width})")
         n_heads = 3 if heads & 0b100 else 2
-        payload = _read_checked(f, n_heads * fdim * width * 8, header, "model payload")
+        payload = _read_checked(f, np.empty((n_heads, fdim, width), "<f8"), header, "model payload")
     mats = [
         _head_map(w) if version == 1 else w.copy()  # a NaN or inf in W leaves one in its map
-        for w in np.frombuffer(payload, dtype="<f8").reshape(n_heads, fdim, width)
+        for w in payload
     ]
     return ProjectionModel(mats[0], mats[1], mats[2] if n_heads == 3 else None, int(round_index))
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InsufficientOverlap, PlacementFailure
 from .geometry import AffineTransform, Point3, RigidTransform, apply
-from .volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, z_slabs
+from .volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, pull_back, z_slabs
 
 __all__ = [
     "PhantomSpec",
@@ -251,9 +250,9 @@ def gen_pair(
 
     Landmarks of B are exactly the transformed landmarks of A (mm), recorded
     before cropping; cropping only changes the stored grid, not physical
-    coordinates.  The warp, the remap and the corruption spheres run one
-    z-slab of at most ``volume._SLAB_VOXELS`` voxels at a time, so no
-    full-grid coordinate array exists.
+    coordinates.  B is warped by ``volume.pull_back``, under the grid-mapping
+    rules of the ``volume`` docstring; the warp, the remap and the corruption
+    spheres run one z-slab at a time.
     """
     if modality_remap not in MODALITY_REMAPS:
         raise ValueError(f"unknown modality remap {modality_remap!r}")
@@ -269,19 +268,11 @@ def gen_pair(
         if in_view.sum() < 0.5 * len(centers):
             raise InsufficientOverlap("transform pushes most organs out of view")
 
-    inv = transform.inverse()
-    remap = MODALITY_REMAPS[modality_remap]
     data_b = np.empty(g.shape_zyx)
     labels_b = np.empty(g.shape_zyx, dtype=np.uint16)
+    pull_back(g, transform, [(vol_a.data, data_b, spec.air_intensity), (lab_a.data, labels_b, 0)])
+    remap = MODALITY_REMAPS[modality_remap]
     for planes in z_slabs(g.shape_zyx):
-        src = g.physical_to_voxel(inv.apply_array(g.voxel_to_physical(g.voxel_points(planes))))
-        # (z, y, x) coordinate planes; map_coordinates interpolates in float64 from any input dtype
-        coords = src.T[::-1].reshape((3,) + data_b[planes].shape)
-        ndimage.map_coordinates(
-            vol_a.data, coords, output=data_b[planes], order=1,
-            mode="constant", cval=spec.air_intensity,
-        )
-        ndimage.map_coordinates(lab_a.data, coords, output=labels_b[planes], order=0, mode="constant", cval=0)
         data_b[planes] = remap(data_b[planes])
 
     lo, hi = float(data_b.min()), float(data_b.max())

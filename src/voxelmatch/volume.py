@@ -15,6 +15,20 @@ Data layout is fixed: arrays are indexed ``[z, y, x]`` (``[z, y, x, channel]``
 for embeddings) in C order, which is also the on-disk payload order.
 Voxel index ``i`` along an axis sits at physical position
 ``origin + i * spacing`` on that axis.
+
+Grid mappings.  ``pull_back``, ``resample`` and ``mapped_inside`` visit every
+voxel of a grid one z-slab of at most ``_SLAB_VOXELS`` voxels at a time (see
+``z_slabs``), so no full-grid coordinate array exists.  Two tolerances say
+what lies inside a grid, and they differ on purpose:
+
+- a warp (``pull_back``) snaps a pre-image coordinate within 1e-6 voxel of the
+  grid (``_SNAP_VOXELS``) onto its edge, so an exact grid motion such as a
+  quarter turn reads no fill through rounding in its matrix; the snap moves a
+  sample far less than the interpolation already does;
+- a mask (``mapped_inside``, through ``VolumeGeometry.in_grid``) admits a point
+  at most 1e-9 voxel outside, the bound ``trilinear_sample_many`` also holds.
+  A mask picks the voxels that count as correspondences, so it never admits a
+  point that cannot then be sampled.
 """
 
 from __future__ import annotations
@@ -52,6 +66,7 @@ __all__ = [
     "read_volume",
     "write_volume",
     "resample",
+    "pull_back",
     "trilinear_sample_many",
     "unit_rows",
     "mapped_inside",
@@ -65,8 +80,9 @@ __all__ = [
 
 _ZERO_NORM_EPS = 1e-12  # at or below this a voxel vector counts as zero (see unit_rows)
 # voxels per z-slab for the mappings that visit every voxel of a grid (phantom
-# fills and warps, resample, mapped_inside): one slab's (N, 3) float64 rows are 3 MB
+# fills, pull_back, resample, mapped_inside): one slab's (N, 3) float64 rows are 3 MB
 _SLAB_VOXELS = 2**17
+_SNAP_VOXELS = 1e-6  # a warp's pre-image this close to the grid snaps onto it
 
 
 def z_slabs(shape_zyx) -> Iterator[slice]:
@@ -130,6 +146,12 @@ class VolumeGeometry:
         return ok[:, 0] & ok[:, 1] & ok[:, 2]
 
 
+def _all_finite(data: np.ndarray) -> bool:
+    """No NaN and no infinity in ``data``, which then make its min or max non-finite;
+    unlike ``np.isfinite(data).all()`` this allocates no full-size mask."""
+    return bool(np.isfinite(data.min()) and np.isfinite(data.max()))
+
+
 @dataclass
 class ScalarVolume:
     geometry: VolumeGeometry
@@ -141,7 +163,7 @@ class ScalarVolume:
             raise ValueError(
                 f"data shape {self.data.shape} does not match dims {self.geometry.dims}"
             )
-        if not np.all(np.isfinite(self.data)):
+        if not _all_finite(self.data):
             raise ValueError("scalar volume contains non-finite values")
 
 
@@ -231,21 +253,25 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def _write_framed(dest, plain: bytes, covered: bytes, payload: bytes) -> None:
-    """Write ``plain``, ``covered`` and ``payload``, then a "<I" CRC32 of ``covered`` + ``payload``."""
+def _write_framed(dest, plain: bytes, covered: bytes, payload) -> None:
+    """Write ``plain``, ``covered`` and ``payload`` (any bytes-like object), then a "<I"
+    CRC32 of ``covered`` + ``payload``."""
     crc = zlib.crc32(payload, zlib.crc32(covered)) & 0xFFFFFFFF
     with _binary_file(dest, "wb") as f:
         for part in (plain, covered, payload, struct.pack("<I", crc)):
             f.write(part)
 
 
-def _read_checked(f, n: int, covered: bytes, what: str) -> bytes:
-    """The next ``n`` bytes, after checking the CRC32 that follows them against ``covered`` + them."""
-    payload = _read_exact(f, n, what)
+def _read_checked(f, out: np.ndarray, covered: bytes, what: str) -> np.ndarray:
+    """``out`` (C-contiguous) filled in place from the next bytes, after checking the
+    CRC32 that follows them against ``covered`` + them; no other copy is made."""
+    payload = out.reshape(-1).view(np.uint8)
+    if f.readinto(payload) != len(payload):
+        raise TruncatedFile(f"short read while loading {what}")
     (crc_stored,) = struct.unpack("<I", _read_exact(f, 4, f"{what} checksum"))
     if zlib.crc32(payload, zlib.crc32(covered)) & 0xFFFFFFFF != crc_stored:
         raise ChecksumMismatch(f"{what} CRC32 mismatch")
-    return payload
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +304,9 @@ def write_volume(vol, dest) -> None:
         *g.origin,
         int(getattr(vol, "normalized", False)), getattr(vol, "zero_substitutions", 0),
     )
-    _write_framed(dest, header, b"", np.ascontiguousarray(vol.data, dtype=payload_dtype).tobytes())
+    # written from the array's own buffer, which needs no copy when it already has the payload dtype
+    payload = np.ascontiguousarray(vol.data, dtype=payload_dtype)
+    _write_framed(dest, header, b"", payload.reshape(-1).view(np.uint8))
 
 
 def read_volume(src):
@@ -301,8 +329,7 @@ def read_volume(src):
             raise DimensionOverflow(f"implausible dimensions {(nx, ny, nz, channels)}")
         if cls is not EmbeddingVolume and channels != 1:
             raise UnsupportedVersion("scalar and label volumes must have 1 channel")
-        n_bytes = nx * ny * nz * channels * np.dtype(payload_dtype).itemsize
-        payload = _read_checked(f, n_bytes, b"", "payload")
+        payload = _read_checked(f, np.empty((nz, ny, nx, channels), payload_dtype), b"", "payload")
     if not all(0.0 < s < np.inf for s in (sx, sy, sz)):
         raise MalformedFile(f"voxel spacing {(sx, sy, sz)} is not positive and finite")
     if not np.isfinite((ox, oy, oz)).all():
@@ -310,12 +337,12 @@ def read_volume(src):
     if zero_substitutions > (nx * ny * nz if cls is EmbeddingVolume else 0):
         raise MalformedFile(f"zero-substitution count {zero_substitutions} is out of range")
     geom = VolumeGeometry((nx, ny, nz), (sx, sy, sz), (ox, oy, oz))
-    arr = np.frombuffer(payload, dtype=payload_dtype).reshape(nz, ny, nx, channels)
+    # the volume keeps the array the payload was read into
     if cls is EmbeddingVolume:
-        return cls(geom, arr.copy(), normalized=bool(normalized), zero_substitutions=zero_substitutions)
-    if cls is ScalarVolume and not np.isfinite(arr).all():
+        return cls(geom, payload, normalized=bool(normalized), zero_substitutions=zero_substitutions)
+    if cls is ScalarVolume and not _all_finite(payload):
         raise MalformedFile("scalar payload holds non-finite values")
-    return cls(geom, arr[..., 0].copy())
+    return cls(geom, payload.reshape(nz, ny, nx))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +377,27 @@ def resample(vol: ScalarVolume, new_spacing) -> ScalarVolume:
         # interpolates in float64 and rounds each sample once into the float32 output
         ndimage.map_coordinates(vol.data, coords, output=out[planes], order=1, mode="nearest")
     return ScalarVolume(geom, out)
+
+
+def pull_back(geom: VolumeGeometry, transform, layers) -> None:
+    """Fill each ``(source, out, fill)`` layer, two (nz, ny, nx) arrays on ``geom``, with
+    out(y) = source(T^-1 y) for the physical-mm ``transform`` T; a pre-image outside
+    reads ``fill``.  A float source interpolates trilinearly in float64 and rounds once
+    into ``out``, an integer (label) source reads its nearest voxel.  All layers read
+    the same snapped pre-images (see the module docstring), one z-slab at a time."""
+    inv = transform.inverse()
+    lim = np.asarray(geom.dims, dtype=np.float64) - 1.0
+    for planes in z_slabs(geom.shape_zyx):
+        src = geom.physical_to_voxel(inv.apply_array(geom.voxel_to_physical(geom.voxel_points(planes))))
+        # contiguous (z, y, x) coordinate rows, which map_coordinates reads faster than strided ones
+        coords = np.ascontiguousarray(src.T[::-1])
+        for row, hi in zip(coords, lim[::-1]):
+            np.clip(row, 0.0, hi, out=row, where=(row > -_SNAP_VOXELS) & (row < hi + _SNAP_VOXELS))
+        coords = coords.reshape((3, planes.stop - planes.start) + geom.shape_zyx[1:])
+        # map_coordinates interpolates in float64 from any input dtype
+        for source, out, fill in layers:
+            order = 1 if source.dtype.kind == "f" else 0
+            ndimage.map_coordinates(source, coords, output=out[planes], order=order, mode="constant", cval=fill)
 
 
 def unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,16 +459,20 @@ def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
 # masking and cropping
 # ---------------------------------------------------------------------------
 
-def mapped_inside(geom: VolumeGeometry, transform, other: VolumeGeometry) -> np.ndarray:
+def mapped_inside(geom: VolumeGeometry, *targets) -> np.ndarray:
     """(nz, ny, nx) bool mask of the voxels of ``geom`` whose image under the
-    physical-mm ``transform`` (anything with ``apply_array``) lies inside ``other``.
+    physical-mm ``transform`` (anything with ``apply_array``) lies inside
+    ``other``, for every ``(transform, other)`` target.
 
-    Maps one z-slab of at most ``_SLAB_VOXELS`` voxels at a time."""
+    Maps one z-slab at a time: each slab's physical rows once, and those rows
+    once through each distinct ``transform`` object."""
+    transforms = {id(t): t for t, _ in targets}
     inside = np.empty(geom.shape_zyx, dtype=bool)
     for planes in z_slabs(inside.shape):
         phys = geom.voxel_to_physical(geom.voxel_points(planes))
-        mapped = other.physical_to_voxel(transform.apply_array(phys))
-        inside[planes] = other.in_grid(mapped).reshape(inside[planes].shape)
+        moved = {key: t.apply_array(phys) for key, t in transforms.items()}
+        maps = [other.in_grid(other.physical_to_voxel(moved[id(t)])) for t, other in targets]
+        inside[planes] = np.logical_and.reduce(maps).reshape(inside[planes].shape)
     return inside
 
 

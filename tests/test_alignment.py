@@ -218,9 +218,9 @@ class TestRegisteredPairOverlaps:
         calls = []
         real = alignment.mapped_inside
 
-        def counting(geom, transform, other):
+        def counting(geom, *targets):
             calls.append(geom)
-            return real(geom, transform, other)
+            return real(geom, *targets)
 
         monkeypatch.setattr(alignment, "mapped_inside", counting)
         vols = [v for p in pairs for v in (p.fixed, p.moving)]

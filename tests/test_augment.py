@@ -1,22 +1,24 @@
 """Tests for intensity/geometric augmentation and patch-pair extraction."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from voxelmatch.augment import (
     IDENTITY_BEZIER,
     AugmentSpec,
+    PatchPair,
     _geometric_augment,
-    _resample_at,
-    _source_coords,
-    _source_map,
+    _intensity_augment,
     bezier_intensity,
     intensity_reverse,
     sample_patch_pair,
 )
 from voxelmatch.errors import VolumeTooSmall
 from voxelmatch.geometry import AffineTransform, rotation_matrix
-from voxelmatch.volume import ScalarVolume, VolumeGeometry
+from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, pull_back
 
 
 def random_volume(rng, dims=(12, 12, 12)):
@@ -116,7 +118,9 @@ class TestGeometric:
         linear = rotation_matrix((0, 0, 1), np.pi / 2)
         transform = AffineTransform(linear, center - linear @ center)
         g = vol.geometry
-        out = _resample_at(vol, _source_coords(g, _source_map(g, transform)[2]))
+        warped = np.empty(g.shape_zyx, dtype=np.float32)
+        pull_back(g, transform, [(vol.data, warped, float(vol.data.min()))])
+        out = ScalarVolume(g, warped)
         # out(y) = in(R^-1 (y - c) + c): voxel (x, y) receives (y, 8 - x)
         for x in range(9):
             for y in range(9):
@@ -216,3 +220,137 @@ class TestPatchPair:
             # the location of the maximum moves only between max<->min, never elsewhere
             src_max = np.argmax(vol.data)
             assert np.argmax(out.data) in (src_max, np.argmin(vol.data))
+
+
+# ---------------------------------------------------------------------------
+# Full-grid oracles: the warp and overlap mask ``sample_patch_pair`` used
+# before both moved to ``volume.pull_back`` and ``volume.mapped_inside``.
+# ---------------------------------------------------------------------------
+
+def source_map_full_grid(geometry, transform):
+    """Every voxel of ``geometry`` in mm, its pre-image T^-1 in mm, and that in voxel units."""
+    phys = geometry.voxel_to_physical(geometry.voxel_points())
+    source = transform.inverse().apply_array(phys)
+    return phys, source, geometry.physical_to_voxel(source)
+
+
+def source_coords_full_grid(geometry, src_vox):
+    """Per-axis (z, y, x) coordinates, snapped onto the grid within 1e-6."""
+    coords = []
+    for i in (2, 1, 0):
+        lim = geometry.dims[i] - 1.0
+        c = src_vox[:, i].copy()
+        near = (c > -1e-6) & (c < lim + 1e-6)
+        c[near] = np.clip(c[near], 0.0, lim)
+        coords.append(c.reshape(geometry.shape_zyx))
+    return coords
+
+
+def overlap_mask_full_grid(source_self, win_self, win_other, map_self_other):
+    phys, source, src_vox = source_self
+    ok = win_self.in_grid(src_vox)
+    ok &= win_other.in_grid(win_other.physical_to_voxel(source))
+    ok &= win_other.in_grid(win_other.physical_to_voxel(map_self_other.apply_array(phys)))
+    return ok.reshape(win_self.shape_zyx)
+
+
+def geometric_augment_full_grid(vol, spec, seed):
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=3)
+    axis /= max(np.linalg.norm(axis), 1e-12)
+    angle = math.radians(rng.uniform(-spec.rotation_degrees, spec.rotation_degrees))
+    scale = rng.uniform(spec.scale_range[0], spec.scale_range[1])
+    blur = rng.uniform(spec.blur_sigma_range[0], spec.blur_sigma_range[1])
+    noise = rng.uniform(spec.noise_sigma_range[0], spec.noise_sigma_range[1])
+    g = vol.geometry
+    center = np.asarray(g.origin) + (np.asarray(g.dims, dtype=np.float64) - 1.0) / 2.0 * np.asarray(g.spacing)
+    linear = scale * rotation_matrix(axis, angle)
+    transform = AffineTransform(linear, center - linear @ center)
+    src_map = source_map_full_grid(g, transform)
+    data = vol.data
+    if not (abs(angle) < 1e-12 and abs(scale - 1.0) < 1e-12):
+        data = ndimage.map_coordinates(
+            vol.data.astype(np.float64), source_coords_full_grid(g, src_map[2]), order=1,
+            mode="constant", cval=float(vol.data.min()),
+        ).astype(np.float32)
+    data = data.astype(np.float64)
+    if blur > 1e-6:
+        data = ndimage.gaussian_filter(data, sigma=blur, mode="nearest")
+    if noise > 1e-12:
+        data = data + rng.normal(0.0, noise, size=data.shape)
+    return ScalarVolume(g, data.astype(np.float32)), transform, src_map
+
+
+def sample_patch_pair_full_grid(vol, labels, spec, seed, aggressive=False):
+    g = vol.geometry
+    ps = spec.patch_size
+    rng = np.random.default_rng(seed)
+    max_off = [g.dims[i] - ps[i] for i in range(3)]
+    target = spec.min_overlap * ps[0] * ps[1] * ps[2]
+    o_a = o_b = None
+    for _ in range(200):
+        ca = [int(rng.integers(0, m + 1)) for m in max_off]
+        cb = [int(rng.integers(0, m + 1)) for m in max_off]
+        span = np.prod([max(0, min(ca[i], cb[i]) + ps[i] - max(ca[i], cb[i])) for i in range(3)])
+        if span >= target:
+            o_a, o_b = ca, cb
+            break
+    if o_a is None:
+        o_a = o_b = [m // 2 for m in max_off]
+    box_a, box_b = (Box3(tuple(o), tuple(o[i] + ps[i] - 1 for i in range(3))) for o in (o_a, o_b))
+    win_a, win_b = crop(vol, box_a), crop(vol, box_b)
+    aug_a, t_a, src_a = geometric_augment_full_grid(win_a, spec, int(rng.integers(2**63)))
+    aug_b, t_b, src_b = geometric_augment_full_grid(win_b, spec, int(rng.integers(2**63)))
+    aug_a = _intensity_augment(aug_a, spec, rng, aggressive)
+    aug_b = _intensity_augment(aug_b, spec, rng, aggressive)
+    lab_a = None
+    if labels is not None:
+        coords = source_coords_full_grid(win_a.geometry, src_a[2])
+        lab_a = LabelVolume(
+            win_a.geometry,
+            ndimage.map_coordinates(crop(labels, box_a).data, coords, order=0, mode="constant", cval=0),
+        )
+    map_ab = t_b.compose(t_a.inverse())
+    overlap_a = overlap_mask_full_grid(src_a, win_a.geometry, win_b.geometry, map_ab)
+    overlap_b = overlap_mask_full_grid(src_b, win_b.geometry, win_a.geometry, map_ab.inverse())
+    return PatchPair(aug_a, aug_b, map_ab, overlap_a, lab_a, overlap_b)
+
+
+# volume dims, AugmentSpec settings, aggressive, labelled
+ORACLE_PAIRS = [
+    ((24, 24, 24), dict(patch_size=(16, 16, 16)), False, True),
+    ((24, 24, 24), dict(patch_size=(16, 16, 16)), True, False),
+    ((26, 22, 30), dict(patch_size=(12, 9, 15), rotation_degrees=45.0), True, True),
+    ((20, 28, 24), dict(patch_size=(15, 20, 10), rotation_degrees=45.0), False, True),
+    ((30, 30, 30), dict(patch_size=(20, 20, 20), rotation_degrees=45.0, scale_range=(1.0, 1.0)), True, True),
+    ((20, 20, 20), dict(patch_size=(12, 14, 10), rotation_degrees=0.0, scale_range=(1.0, 1.0)), False, True),
+]
+
+
+class TestPatchPairOracle:
+    """``sample_patch_pair`` on z-slabs gives the full-grid warp and overlap masks bit for bit."""
+
+    @pytest.mark.parametrize("dims,settings,aggressive,labelled", ORACLE_PAIRS)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_pair_matches_the_full_grid_oracle(self, slab_voxels, dims, settings, aggressive, labelled, seed):
+        rng = np.random.default_rng(40 + seed)
+        vol = random_volume(rng, dims)
+        labels = None
+        if labelled:
+            labels = LabelVolume(vol.geometry, rng.integers(0, 6, size=vol.data.shape))
+        spec = AugmentSpec(**settings)
+        want = sample_patch_pair_full_grid(vol, labels, spec, seed, aggressive)
+        got = sample_patch_pair(vol, labels, spec, seed, aggressive)
+        for side in ("patch_a", "patch_b"):
+            assert getattr(got, side).geometry == getattr(want, side).geometry
+            assert np.array_equal(getattr(got, side).data, getattr(want, side).data)
+        assert np.array_equal(got.map_ab.linear, want.map_ab.linear)
+        assert np.array_equal(got.map_ab.translation, want.map_ab.translation)
+        assert np.array_equal(got.overlap_a, want.overlap_a)
+        assert np.array_equal(got.overlap_b, want.overlap_b)
+        assert 0 < got.overlap_a.sum() < got.overlap_a.size
+        if labelled:
+            assert got.labels_a.geometry == got.patch_a.geometry
+            assert np.array_equal(got.labels_a.data, want.labels_a.data)
+        else:
+            assert got.labels_a is None

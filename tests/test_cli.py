@@ -39,7 +39,9 @@ class TestEvalExitCodes:
         assert cli.main(["eval", str(tmp_path / "pred.txt"), str(tmp_path / "true.txt")]) == 0
         assert "med" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("line", [b"lm0 1 2", b"lm0 1 2 3 4", b"lm0 1 two 3", b"b 4 5 6 \xe9"])
+    @pytest.mark.parametrize(
+        "line", [b"lm0 1 2", b"lm0 1 2 3 4", b"lm0 1 two 3", b"b 4 5 6 \xe9", b"lm0 1 2 3\nlm0 4 5 6"],
+    )
     def test_malformed_landmark_line_is_a_data_error(self, tmp_path, capsys, line):
         write_lms(tmp_path / "true.txt")
         (tmp_path / "pred.txt").write_bytes(line + b"\n")
@@ -453,6 +455,14 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "model.uaem").exists()
 
+    @pytest.mark.parametrize("mode,manifest", [("single", "missing.evf"), ("cross-iter", "vol.evf missing.evf")])
+    def test_data_error_leaves_an_existing_loss_log_as_it_was(self, tmp_path, capsys, mode, manifest):
+        (tmp_path / "loss.csv").write_bytes(b"old log\n")
+        code = self.run(tmp_path, manifest, "--mode", mode, "--loss-log", str(tmp_path / "loss.csv"))
+        assert code == cli.DATA_ERROR
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "loss.csv").read_bytes() == b"old log\n"
+
     @pytest.mark.parametrize("key,value", [("n_neg_fine", "0"), ("batch_size", "0"), ("n_neg_coarse", "-5")])
     def test_counts_the_sampler_cannot_honour_are_a_data_error(self, tmp_path, capsys, key, value):
         lines = [ln for ln in self.CONF.splitlines() if not ln.startswith(f"{key} =")]
@@ -686,7 +696,7 @@ class TestFitRigidCommand:
         np.testing.assert_allclose(rows[:3], np.eye(3), atol=1e-9)
         np.testing.assert_allclose(rows[3], [1.0, -2.0, 3.5], atol=1e-9)
 
-    @pytest.mark.parametrize("line", [b"lm0 1 two 3", b"b 4 5 6 \xe9"])
+    @pytest.mark.parametrize("line", [b"lm0 1 two 3", b"b 4 5 6 \xe9", b"lm0 1 2 3\nlm0 4 5 6"])
     def test_malformed_landmark_line_is_a_data_error(self, tmp_path, capsys, line):
         self.write(tmp_path, (0.0, 0.0, 0.0))
         (tmp_path / "dst.txt").write_bytes(line + b"\n")

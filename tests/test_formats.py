@@ -11,6 +11,7 @@ BLAS or LAPACK.
 import hashlib
 import io
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -22,6 +23,7 @@ from voxelmatch.volume import (
     LabelVolume,
     ScalarVolume,
     VolumeGeometry,
+    read_volume,
     write_volume,
 )
 
@@ -90,3 +92,19 @@ def test_hand_built_version_1_file_loads_to_the_maps_of_its_heads(n_heads):
     assert model.round_index == 4 and (model.w_semantic is None) == (n_heads == 2)
     for m, w in zip(got, ws, strict=True):
         assert np.array_equal(m, np.linalg.qr(w.T)[1].T)
+
+
+def test_reading_a_volume_holds_one_copy_of_its_payload():
+    n = 128
+    data = np.arange(n**3, dtype=np.float32).reshape(n, n, n) / n**2
+    src = io.BytesIO()
+    write_volume(ScalarVolume(VolumeGeometry((n, n, n)), data), src)
+    src.seek(0)
+    tracemalloc.start()
+    try:
+        vol = read_volume(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vol.data, data)
+    assert peak <= 1.25 * data.nbytes

@@ -483,7 +483,6 @@ class TestSampleTrainingBatch:
         lab_working = None
         # labels were generated at 1 mm; regenerate at working grid by
         # nearest sampling through the label volume's own geometry
-        from voxelmatch.augment import _warp_labels
         from voxelmatch.geometry import AffineTransform
         from voxelmatch.volume import LabelVolume
 

@@ -206,6 +206,16 @@ class TestGenPair:
         for (na, pa), (nb, pb) in zip(pair.landmarks_a, pair.landmarks_b):
             np.testing.assert_allclose(pb.x - pa.x, 2.0, atol=1e-9)
 
+    def test_quarter_turn_about_the_centre_permutes_voxels_and_labels(self, slab_voxels):
+        spec = PhantomSpec(dims=(33, 33, 33), seed=4)
+        turn = rigid_about(rotation_matrix((0, 0, 1), np.pi / 2), center=center_of(spec))
+        pair = gen_pair(spec, turn, "identity")
+        # B(x, y, z) = A(R^-1 (p - c) + c) = A(y, 32 - x, z), and no face reads the fill value;
+        # cos(pi / 2) is 6e-17 in the matrix, so trilinear weights of 1e-15 are left
+        want = pair.volume_a.data.transpose(0, 2, 1)[:, :, ::-1]
+        np.testing.assert_allclose(pair.volume_b.data, want, rtol=0, atol=1e-12)
+        assert np.array_equal(pair.labels_b.data, pair.labels_a.data.transpose(0, 2, 1)[:, :, ::-1])
+
     def test_insufficient_overlap_rejected(self):
         spec = PhantomSpec(dims=(32, 32, 32), n_organs=2, seed=15)
         T = rigid_about(np.eye(3), center=(0, 0, 0), shift=(200.0, 0.0, 0.0))
@@ -254,14 +264,18 @@ def fill_ellipsoid_full_window(target, geom, center_mm, axes_mm, rot, value):
 
 
 def gen_pair_full_grid(spec, transform, modality_remap, fov_box=None, corruptions=()):
-    """Oracle: ``gen_pair``'s (volume_b, labels_b) from full-grid meshgrids, one
-    ``map_coordinates`` call per volume on a float64 copy of A, and full-grid spheres."""
+    """Oracle: ``gen_pair``'s (volume_b, labels_b) from full-grid meshgrids, source
+    coordinates within 1e-6 of the grid snapped onto it, one ``map_coordinates``
+    call per volume on a float64 copy of A, and full-grid spheres."""
     vol_a, lab_a, _ = gen_phantom(spec)
     g = vol_a.geometry
     ax = [np.arange(g.dims[i], dtype=np.float64) for i in range(3)]
     zz, yy, xx = np.meshgrid(ax[2], ax[1], ax[0], indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
     src = g.physical_to_voxel(transform.inverse().apply_array(g.voxel_to_physical(pts)))
+    lim = np.asarray(g.dims, dtype=np.float64) - 1.0
+    near = (src > -1e-6) & (src < lim + 1e-6)
+    src[near] = np.clip(src, 0.0, lim)[near]
     coords = [src[:, 2].reshape(zz.shape), src[:, 1].reshape(zz.shape), src[:, 0].reshape(zz.shape)]
     data_b = ndimage.map_coordinates(
         vol_a.data.astype(np.float64), coords, order=1, mode="constant", cval=spec.air_intensity,

@@ -260,7 +260,7 @@ class TestSlabs:
         transform = rigid_about(rot, (23.0, 14.0, 30.0), (4.0, 6.0, -3.0))
         if kind == "affine":
             transform = AffineTransform(rot @ np.diag([1.1, 0.9, 1.05]), transform.translation)
-        inside = mapped_inside(geom, transform, other)
+        inside = mapped_inside(geom, (transform, other))
         assert 0 < inside.sum() < inside.size
         assert np.array_equal(inside, mapped_inside_full_grid(geom, transform, other))
 
