@@ -53,6 +53,29 @@ class Point3:
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
+def _columns(pts: np.ndarray) -> np.ndarray:
+    """The (3, N) components of a point (3,) or of (N, 3) rows, as a view; it is
+    C-contiguous when the rows are component-major (see "Grid mappings" in ``volume``)."""
+    if pts.shape[-1:] != (3,):
+        raise ValueError(f"expected (x, y, z) points, got shape {pts.shape}")
+    return pts.reshape(-1, 3).T
+
+
+def _apply_linear(linear: np.ndarray, translation: np.ndarray, pts) -> np.ndarray:
+    """``linear @ p + translation`` for a point ``p`` (3,) or each of (N, 3) rows, in
+    float64, shaped like ``pts``.
+
+    Rows come back as an F-ordered (N, 3) view of (3, N) memory: the product is
+    ``linear @ rows.T``, and the translation is added in place per component, one
+    contiguous loop each.  Each entry is bitwise what ``pts @ linear.T + translation``
+    gives, which loops over 3-long rows (see "Grid mappings" in ``volume``).
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    out = linear @ _columns(pts)
+    out += translation[:, None]
+    return out.T.reshape(pts.shape)
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """Rotation plus translation.  ``rotation`` must be orthonormal with det +1."""
@@ -77,8 +100,8 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply_array(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
+        """The transform of a point (3,) or of (N, 3) rows; see ``_apply_linear``."""
+        return _apply_linear(self.rotation, self.translation, pts)
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
@@ -108,8 +131,8 @@ class AffineTransform:
         return cls(np.eye(3), np.zeros(3))
 
     def apply_array(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        return pts @ self.linear.T + self.translation
+        """The transform of a point (3,) or of (N, 3) rows; see ``_apply_linear``."""
+        return _apply_linear(self.linear, self.translation, pts)
 
     def inverse(self) -> "AffineTransform":
         if abs(np.linalg.det(self.linear)) <= 1e-12:
@@ -258,6 +281,8 @@ def apply(transform, points):
 def rotation_matrix(axis, angle_rad: float) -> np.ndarray:
     """Rotation matrix for a rotation of ``angle_rad`` about ``axis`` (Rodrigues form)."""
     a = np.asarray(axis, dtype=np.float64)
+    if not (np.isfinite(a).all() and math.isfinite(angle_rad)):
+        raise ValueError("rotation axis and angle must be finite")
     norm = np.linalg.norm(a)
     if norm == 0:
         raise ValueError("rotation axis must be non-zero")

@@ -117,10 +117,15 @@ def _fill_ellipsoid(target: np.ndarray, geom: VolumeGeometry, center_mm, axes_mm
     xs, ys, zs = (np.arange(lo[i], hi[i] + 1) * spacing[i] + origin[i] - center_mm[i] for i in range(3))
     window = target[lo[2]:hi[2] + 1, lo[1]:hi[1] + 1, lo[0]:hi[0] + 1]
     for planes in z_slabs(window.shape):
-        pts = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[planes, None, None]), axis=-1)
-        local = pts @ rot  # rotate into the ellipsoid frame
-        inside = ((local / axes_mm) ** 2).sum(axis=-1) <= 1.0
-        window[planes][inside] = value
+        block = window[planes]
+        cols = np.empty((3,) + block.shape)  # component-major offsets (see "Grid mappings" in volume)
+        cols[0], cols[1], cols[2] = xs, ys[:, None], zs[planes, None, None]
+        local = rot.T @ cols.reshape(3, -1)  # each row rotated into the ellipsoid frame: row @ rot
+        local /= axes_mm[:, None]
+        np.square(local, out=local)
+        local[0] += local[1]
+        local[0] += local[2]  # (q0 + q1) + q2, the order numpy sums a 3-long last axis in
+        block[(local[0] <= 1.0).reshape(block.shape)] = value
 
 
 def _add_texture(data: np.ndarray, geom: VolumeGeometry, rng, scale_mm: float, amplitude: float, n_blobs: int = 60):
@@ -134,16 +139,13 @@ def _add_texture(data: np.ndarray, geom: VolumeGeometry, rng, scale_mm: float, a
         reach = np.ceil(3 * sig_vox).astype(int)
         lo = np.maximum(np.floor(c_vox - reach).astype(int), 0)
         hi = np.minimum(np.ceil(c_vox + reach).astype(int), dims - 1)
-        xs = np.arange(lo[0], hi[0] + 1)
-        ys = np.arange(lo[1], hi[1] + 1)
-        zs = np.arange(lo[2], hi[2] + 1)
-        zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij")
-        r2 = (
-            ((xx - c_vox[0]) / sig_vox[0]) ** 2
-            + ((yy - c_vox[1]) / sig_vox[1]) ** 2
-            + ((zz - c_vox[2]) / sig_vox[2]) ** 2
-        )
-        data[lo[2]:hi[2] + 1, lo[1]:hi[1] + 1, lo[0]:hi[0] + 1] += amp * np.exp(-0.5 * r2)
+        # one squared term per axis, summed by broadcasting as (x + y) + z
+        tx, ty, tz = (((np.arange(lo[i], hi[i] + 1) - c_vox[i]) / sig_vox[i]) ** 2 for i in range(3))
+        r2 = (tx + ty[:, None]) + tz[:, None, None]
+        r2 *= -0.5
+        np.exp(r2, out=r2)
+        r2 *= amp
+        data[lo[2]:hi[2] + 1, lo[1]:hi[1] + 1, lo[0]:hi[0] + 1] += r2
 
 
 def _place_organs(spec: PhantomSpec, rng, center, body_axes) -> list:

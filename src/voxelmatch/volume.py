@@ -29,6 +29,20 @@ what lies inside a grid, and they differ on purpose:
   at most 1e-9 voxel outside, the bound ``trilinear_sample_many`` also holds.
   A mask picks the voxels that count as correspondences, so it never admits a
   point that cannot then be sampled.
+
+Coordinates are component-major.  ``VolumeGeometry.voxel_points``,
+``voxel_to_physical``, ``physical_to_voxel`` and the transforms'
+``apply_array`` return (N, 3) rows that are an F-ordered view of (3, N)
+memory, and read any (N, 3) rows through their (3, N) transpose.  So each
+per-axis scale, shift or bounds test is one contiguous loop over N, where
+row-major rows would make numpy loop over 3-long rows, and a transform is
+``linear @ rows.T`` plus an in-place translation per component.  The layout
+moves no value: each coordinate goes through the same elementwise operations,
+so it rounds the same way, and a sum of three terms keeps the association of
+the row-major code it replaced, ``(q0 + q1) + q2``: ``.sum(axis=-1)`` over
+3-long rows adds in that order in numpy 2.4 (``phantom._fill_ellipsoid``), and
+so does an explicit ``x + y + z`` of three axis terms (the phantom texture and
+corruption spheres).
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
+from .geometry import _columns
 
 __all__ = [
     "VolumeGeometry",
@@ -110,8 +125,10 @@ class VolumeGeometry:
         object.__setattr__(self, "origin", origin)
         if any(d < 1 for d in dims):
             raise ValueError("volume dims must be >= 1")
-        if any(s <= 0 for s in spacing):
-            raise ValueError("voxel spacing must be positive")
+        if not all(0.0 < s < math.inf for s in spacing):
+            raise ValueError(f"voxel spacing must be positive and finite, got {spacing}")
+        if not all(math.isfinite(o) for o in origin):
+            raise ValueError(f"volume origin must be finite, got {origin}")
 
     @property
     def shape_zyx(self) -> tuple[int, int, int]:
@@ -122,28 +139,44 @@ class VolumeGeometry:
         return self.dims[0] * self.dims[1] * self.dims[2]
 
     def voxel_to_physical(self, pts) -> np.ndarray:
-        """Voxel coordinates (x, y, z order) to physical millimeters."""
-        out = np.asarray(pts, dtype=np.float64) * np.asarray(self.spacing)
-        out += np.asarray(self.origin)
-        return out
+        """Voxel coordinates (x, y, z order) to physical millimeters, shaped like ``pts``;
+        rows come back component-major (see "Grid mappings")."""
+        pts = np.asarray(pts, dtype=np.float64)
+        out = np.empty((3, pts.size // 3))
+        for col, row, s, o in zip(_columns(pts), out, self.spacing, self.origin):
+            np.multiply(col, s, out=row)
+            row += o
+        return out.T.reshape(pts.shape)
 
     def physical_to_voxel(self, pts) -> np.ndarray:
-        out = np.asarray(pts, dtype=np.float64) - np.asarray(self.origin)
-        out /= np.asarray(self.spacing)
-        return out
+        """Physical millimeters to voxel coordinates (x, y, z order); the inverse of
+        ``voxel_to_physical``, with the same shape and layout rules."""
+        pts = np.asarray(pts, dtype=np.float64)
+        out = np.empty((3, pts.size // 3))
+        for col, row, s, o in zip(_columns(pts), out, self.spacing, self.origin):
+            np.subtract(col, o, out=row)
+            row /= s
+        return out.T.reshape(pts.shape)
 
     def voxel_points(self, planes: slice = slice(None)) -> np.ndarray:
         """The voxel indices of the z planes ``planes`` (all by default) as (N, 3)
-        float64 (x, y, z) rows, in C order of the (z, y, x) data."""
+        float64 (x, y, z) rows, in C order of the (z, y, x) data.  The rows are an
+        F-ordered view of (3, N) memory filled from the grid's 1-D axes, so each
+        component is one contiguous array (see "Grid mappings")."""
         xs, ys, zs = (np.arange(d, dtype=np.float64) for d in self.dims)
-        grid = np.broadcast_arrays(xs, ys[:, None], zs[planes, None, None])
-        return np.stack(grid, axis=-1).reshape(-1, 3)
+        zs = zs[planes]
+        cols = np.empty((3, len(zs), len(ys), len(xs)))
+        cols[0], cols[1], cols[2] = xs, ys[:, None], zs[:, None, None]
+        return cols.reshape(3, -1).T
 
     def in_grid(self, pts) -> np.ndarray:
         """Per (x, y, z) voxel coordinate row: inside the grid, up to 1e-9 voxel."""
-        lim = np.asarray(self.dims, dtype=np.float64) - 1.0
-        ok = (pts >= -1e-9) & (pts <= lim + 1e-9)
-        return ok[:, 0] & ok[:, 1] & ok[:, 2]
+        cols = _columns(np.asarray(pts))
+        inside = np.ones(cols.shape[1], dtype=bool)
+        for col, d in zip(cols, self.dims):
+            inside &= col >= -1e-9
+            inside &= col <= (d - 1.0) + 1e-9
+        return inside
 
 
 def _all_finite(data: np.ndarray) -> bool:
@@ -359,8 +392,8 @@ def resample(vol: ScalarVolume, new_spacing) -> ScalarVolume:
     if np.isscalar(new_spacing):
         new_spacing = (float(new_spacing),) * 3
     new_spacing = tuple(float(s) for s in new_spacing)
-    if any(s <= 0 for s in new_spacing):
-        raise ValueError("new spacing must be positive")
+    if not all(0.0 < s < math.inf for s in new_spacing):
+        raise ValueError(f"new spacing must be positive and finite, got {new_spacing}")
     g = vol.geometry
     new_dims = tuple(
         max(1, int(np.floor(g.dims[i] * g.spacing[i] / new_spacing[i] + 0.5)))
@@ -389,8 +422,8 @@ def pull_back(geom: VolumeGeometry, transform, layers) -> None:
     lim = np.asarray(geom.dims, dtype=np.float64) - 1.0
     for planes in z_slabs(geom.shape_zyx):
         src = geom.physical_to_voxel(inv.apply_array(geom.voxel_to_physical(geom.voxel_points(planes))))
-        # contiguous (z, y, x) coordinate rows, which map_coordinates reads faster than strided ones
-        coords = np.ascontiguousarray(src.T[::-1])
+        # the (z, y, x) coordinate rows: contiguous, which map_coordinates reads faster than strided ones
+        coords = src.T[::-1]
         for row, hi in zip(coords, lim[::-1]):
             np.clip(row, 0.0, hi, out=row, where=(row > -_SNAP_VOXELS) & (row < hi + _SNAP_VOXELS))
         coords = coords.reshape((3, planes.stop - planes.start) + geom.shape_zyx[1:])

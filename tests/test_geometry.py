@@ -260,6 +260,47 @@ class TestApply:
         np.testing.assert_allclose([out[1].x, out[1].y], [0, 0], atol=1e-12)
 
 
+def row_major_apply(linear, translation, pts):
+    """Oracle: ``apply_array`` as row-major arithmetic, one 3-long row at a time."""
+    return np.asarray(pts, dtype=np.float64) @ linear.T + translation
+
+
+def point_layouts(rng):
+    """A point (3,), C- and F-ordered (N, 3) rows, and no rows, as (name, points) pairs."""
+    rows = rng.uniform(-300.0, 300.0, (257, 3))
+    return [
+        ("point", rows[0].copy()),
+        ("one-row", rows[:1].copy()),
+        ("C-rows", rows),
+        ("F-rows", np.asfortranarray(rows)),
+        ("no-rows", np.zeros((0, 3))),
+    ]
+
+
+class TestApplyArrayOracle:
+    """``apply_array`` works component-major and gives the row-major oracle bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["rigid", "affine"])
+    def test_matches_the_row_major_oracle(self, seed, kind):
+        rng = np.random.default_rng(90 + seed)
+        rig = random_rigid(rng)
+        transform = rig if kind == "rigid" else AffineTransform(
+            rig.rotation @ np.diag(rng.uniform(0.8, 1.2, 3)), rng.uniform(-40.0, 40.0, 3)
+        )
+        linear = rig.rotation if kind == "rigid" else transform.linear
+        for name, pts in point_layouts(rng):
+            got = transform.apply_array(pts)
+            want = row_major_apply(linear, transform.translation, pts)
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("shape", [(4,), (5, 2), (2, 3, 1)])
+    def test_points_must_have_three_coordinates(self, shape):
+        with pytest.raises(ValueError, match="x, y, z"):
+            RigidTransform.identity().apply_array(np.zeros(shape))
+
+
 class TestValidation:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
@@ -277,3 +318,15 @@ class TestValidation:
         aff = AffineTransform(np.zeros((3, 3)), np.zeros(3))
         with pytest.raises(DegenerateGeometry):
             aff.inverse()
+
+    @pytest.mark.parametrize("axis,angle", [
+        ((0.0, 0.0, 0.0), 0.3),
+        ((np.nan, 0.0, 1.0), 0.3),
+        ((0.0, np.inf, 1.0), 0.3),
+        ((1.0, 0.0, 0.0), np.nan),
+        ((1.0, 0.0, 0.0), np.inf),
+        ((1.0, 0.0, 0.0), -np.inf),
+    ])
+    def test_rotation_needs_a_finite_non_zero_axis_and_a_finite_angle(self, axis, angle):
+        with pytest.raises(ValueError, match="rotation axis"):
+            rotation_matrix(axis, angle)

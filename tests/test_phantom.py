@@ -15,7 +15,7 @@ from voxelmatch.phantom import (
     gen_pair,
     gen_phantom,
 )
-from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, crop
+from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop
 
 
 def center_of(spec):
@@ -263,6 +263,27 @@ def fill_ellipsoid_full_window(target, geom, center_mm, axes_mm, rot, value):
     target[lo[2]:hi[2] + 1, lo[1]:hi[1] + 1, lo[0]:hi[0] + 1][inside] = value
 
 
+def add_texture_meshgrid(data, geom, rng, scale_mm, amplitude, n_blobs=60):
+    """Oracle: ``_add_texture`` with each blob's squared distance summed over three full meshgrids."""
+    spacing = np.asarray(geom.spacing)
+    dims = np.asarray(geom.dims)
+    for _ in range(n_blobs):
+        c_vox = rng.uniform(0, dims - 1)
+        sigma_mm = rng.uniform(0.5 * scale_mm, 1.5 * scale_mm)
+        amp = rng.uniform(-amplitude, amplitude)
+        sig_vox = sigma_mm / spacing
+        reach = np.ceil(3 * sig_vox).astype(int)
+        lo = np.maximum(np.floor(c_vox - reach).astype(int), 0)
+        hi = np.minimum(np.ceil(c_vox + reach).astype(int), dims - 1)
+        zz, yy, xx = np.meshgrid(*(np.arange(lo[i], hi[i] + 1) for i in (2, 1, 0)), indexing="ij")
+        r2 = (
+            ((xx - c_vox[0]) / sig_vox[0]) ** 2
+            + ((yy - c_vox[1]) / sig_vox[1]) ** 2
+            + ((zz - c_vox[2]) / sig_vox[2]) ** 2
+        )
+        data[lo[2]:hi[2] + 1, lo[1]:hi[1] + 1, lo[0]:hi[0] + 1] += amp * np.exp(-0.5 * r2)
+
+
 def gen_pair_full_grid(spec, transform, modality_remap, fov_box=None, corruptions=()):
     """Oracle: ``gen_pair``'s (volume_b, labels_b) from full-grid meshgrids, source
     coordinates within 1e-6 of the grid snapped onto it, one ``map_coordinates``
@@ -320,10 +341,23 @@ ORACLE_PAIRS = [
 ]
 
 
-class TestSlabOracles:
-    """The z-slab fills, warp, remap and spheres give the full-grid arrays bit for bit."""
+# cubic and non-cubic grids at 1 and 2 mm
+PHANTOM_GRIDS = [((40, 40, 40), 1.0), ((36, 36, 36), 2.0), ((37, 30, 44), 2.0), ((33, 45, 28), 1.0)]
 
-    @pytest.mark.parametrize("dims,spacing", [((40, 40, 40), 1.0), ((37, 30, 44), 2.0), ((33, 45, 28), 1.0)])
+
+# centre and axes (mm) of ellipsoids whose form at voxel (4, 4, 4) of a 1 mm grid is
+# within rounding of 1, so the order of its three terms decides if that voxel is inside
+BOUNDARY_ELLIPSOIDS = [
+    ((4.319907327301539, 4.688489682951995, 4.130874974396269), (0.7946352879193506, 1.600452165893403, 0.16197353621486396)),
+    ((3.3991356716121546, 3.7680616635929756, 2.584959013436389), (0.8231573097756237, 0.48349259374235076, 2.906382150587784)),
+]
+
+
+class TestSlabOracles:
+    """The z-slab fills, warp, remap and spheres give the full-grid arrays bit for bit,
+    and the per-axis texture terms give the meshgrid sums."""
+
+    @pytest.mark.parametrize("dims,spacing", PHANTOM_GRIDS)
     def test_fill_matches_the_full_window_oracle(self, monkeypatch, slab_voxels, dims, spacing):
         spec = PhantomSpec(dims=dims, spacing=spacing, seed=21)
         vol, labels, lms = gen_phantom(spec)
@@ -332,6 +366,25 @@ class TestSlabOracles:
         assert np.array_equal(vol.data, want_vol.data)
         assert np.array_equal(labels.data, want_labels.data)
         assert lms == want_lms
+
+    @pytest.mark.parametrize("center,axes", BOUNDARY_ELLIPSOIDS)
+    def test_fill_sums_the_form_in_the_oracle_order(self, slab_voxels, center, axes):
+        geom = VolumeGeometry((9, 9, 9))
+        q = ((4.0 - np.asarray(center)) / np.asarray(axes)) ** 2
+        assert ((q[0] + q[1]) + q[2] <= 1.0) != (q[0] + (q[1] + q[2]) <= 1.0)  # still on the edge
+        got, want = np.zeros(geom.shape_zyx, np.uint16), np.zeros(geom.shape_zyx, np.uint16)
+        phantom._fill_ellipsoid(got, geom, center, axes, np.eye(3), 1)
+        fill_ellipsoid_full_window(want, geom, center, axes, np.eye(3), 1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dims,spacing", PHANTOM_GRIDS)
+    def test_texture_matches_the_meshgrid_oracle(self, slab_voxels, dims, spacing):
+        geom = VolumeGeometry(dims, (spacing,) * 3)
+        # compared in float64, before the phantom's clip and float32 rounding could hide a difference
+        got, want = np.full(geom.shape_zyx, 0.3), np.full(geom.shape_zyx, 0.3)
+        phantom._add_texture(got, geom, np.random.default_rng(23), 6.0, 0.05)
+        add_texture_meshgrid(want, geom, np.random.default_rng(23), 6.0, 0.05)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dims,spacing,remap,kind,corrupt,fov", ORACLE_PAIRS)
     def test_pair_matches_the_full_grid_oracle(self, slab_voxels, dims, spacing, remap, kind, corrupt, fov):

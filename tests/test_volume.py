@@ -187,6 +187,12 @@ class TestResample:
         expected = xs[interior]
         np.testing.assert_allclose(out.data[1, 1, interior], expected, atol=1e-5)
 
+    @pytest.mark.parametrize("new_spacing", [0.0, -2.0, np.nan, np.inf, (2.0, np.nan, 2.0), (2.0, 2.0, np.inf)])
+    def test_new_spacing_must_be_positive_and_finite(self, new_spacing):
+        vol = ScalarVolume(VolumeGeometry((6, 5, 4)), np.zeros((4, 5, 6), np.float32))
+        with pytest.raises(ValueError, match="new spacing must be positive and finite"):
+            resample(vol, new_spacing)
+
     def test_resample_is_idempotent_at_same_spacing(self):
         rng = np.random.default_rng(4)
         vol = ScalarVolume(VolumeGeometry((6, 6, 6), (1.0, 1.0, 1.0)), rng.normal(size=(6, 6, 6)).astype(np.float32))
@@ -218,6 +224,91 @@ def mapped_inside_full_grid(geom, transform, other):
     """Oracle: ``mapped_inside`` over the full-grid rows of ``geom`` at once."""
     mapped = other.physical_to_voxel(transform.apply_array(geom.voxel_to_physical(full_grid_points(geom))))
     return other.in_grid(mapped).reshape(geom.shape_zyx)
+
+
+def voxel_to_physical_rows(geom, pts):
+    """Oracle: ``voxel_to_physical`` as row-major arithmetic on 3-long rows."""
+    out = np.asarray(pts, dtype=np.float64) * np.asarray(geom.spacing)
+    out += np.asarray(geom.origin)
+    return out
+
+
+def physical_to_voxel_rows(geom, pts):
+    """Oracle: ``physical_to_voxel`` as row-major arithmetic on 3-long rows."""
+    out = np.asarray(pts, dtype=np.float64) - np.asarray(geom.origin)
+    out /= np.asarray(geom.spacing)
+    return out
+
+
+def in_grid_rows(geom, pts):
+    """Oracle: ``in_grid`` as row-major comparisons on 3-long rows."""
+    lim = np.asarray(geom.dims, dtype=np.float64) - 1.0
+    ok = (pts >= -1e-9) & (pts <= lim + 1e-9)
+    return ok[:, 0] & ok[:, 1] & ok[:, 2]
+
+
+ORACLE_GEOMETRIES = [
+    VolumeGeometry((16, 16, 16)),
+    VolumeGeometry((23, 17, 29), (2.0, 2.0, 2.0), (1.0, -3.0, 4.0)),
+    VolumeGeometry((20, 25, 18), (0.7, 1.3, 2.9), (5.25, 2.1, -1.7)),
+]
+
+
+def coordinate_layouts(geom, rng):
+    """A point (3,), C- and F-ordered (N, 3) rows, and no rows, as (name, points) pairs.
+    The rows straddle the grid, and a tenth of them sit within 2e-9 of a face."""
+    lim = np.asarray(geom.dims, dtype=np.float64) - 1.0
+    rows = rng.uniform(-2.0, lim + 2.0, (300, 3))
+    near = rng.choice([-2e-9, -5e-10, 0.0, 5e-10, 2e-9], size=(30, 3))
+    rows[::10] = np.where(rng.random((30, 3)) < 0.5, near, lim + near)
+    return [
+        ("point", rows[0].copy()),
+        ("C-rows", rows),
+        ("F-rows", np.asfortranarray(rows)),
+        ("no-rows", np.zeros((0, 3))),
+    ]
+
+
+class TestGridMapOracles:
+    """The component-major grid maps give the row-major oracles bit for bit."""
+
+    @pytest.mark.parametrize("geom", ORACLE_GEOMETRIES, ids=["unit", "2mm", "anisotropic"])
+    def test_maps_match_the_row_major_oracles(self, geom):
+        rng = np.random.default_rng(sum(geom.dims))
+        for name, pts in coordinate_layouts(geom, rng):
+            for got, want in [
+                (geom.voxel_to_physical(pts), voxel_to_physical_rows(geom, pts)),
+                (geom.physical_to_voxel(pts), physical_to_voxel_rows(geom, pts)),
+            ]:
+                assert got.shape == want.shape, name
+                assert np.array_equal(got, want), name
+            if pts.ndim == 2:
+                inside = geom.in_grid(pts)
+                assert np.array_equal(inside, in_grid_rows(geom, pts)), name
+                assert len(pts) == 0 or 0 < inside.sum() < len(pts), name
+
+    def test_grid_rows_are_component_major(self):
+        geom = ORACLE_GEOMETRIES[2]
+        rows = geom.voxel_points(slice(3, 7))
+        assert rows.shape == (4 * 20 * 25, 3) and rows.flags.f_contiguous
+        rig = rigid_about(rotation_matrix((0.2, 0.4, 1.0), 0.3), (10.0, 10.0, 10.0), (1.0, 2.0, 3.0))
+        aff = AffineTransform(rig.rotation * 1.1, rig.translation)
+        for pts in (rows, np.ascontiguousarray(rows)):
+            assert geom.voxel_to_physical(pts).flags.f_contiguous
+            assert rig.apply_array(pts).flags.f_contiguous
+            assert aff.apply_array(pts).flags.f_contiguous
+
+    @pytest.mark.parametrize("spacing,origin", [
+        ((0.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((1.0, -1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((np.nan,) * 3, (0.0, 0.0, 0.0)),
+        ((1.0, 1.0, np.inf), (0.0, 0.0, 0.0)),
+        ((1.0, 1.0, 1.0), (np.nan, 0.0, 0.0)),
+        ((1.0, 1.0, 1.0), (0.0, -np.inf, 0.0)),
+    ])
+    def test_geometry_needs_positive_finite_spacing_and_a_finite_origin(self, spacing, origin):
+        with pytest.raises(ValueError, match="spacing must be positive and finite|origin must be finite"):
+            VolumeGeometry((8, 8, 8), spacing, origin)
 
 
 class TestSlabs:
