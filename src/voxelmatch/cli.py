@@ -122,10 +122,14 @@ def _read_embedding_set(dir_path) -> EmbeddingSet:
 
 def _weights_for(cfg: RunConfig, has_semantic: bool):
     """The [similarity] weights, renormalized over the coarse and fine heads
-    when there is no semantic head."""
+    when there is no semantic head; ``VoxelMatchError`` when those weigh 0."""
     w = cfg.similarity
     if not has_semantic and w.w_semantic > 0:
         total = w.w_coarse + w.w_fine
+        if total == 0:
+            raise VoxelMatchError(
+                "[similarity] w_coarse and w_fine are both 0, and there is no semantic head for w_semantic"
+            )
         w = matching.SimilarityWeights(w.w_coarse / total, w.w_fine / total, 0.0)
     return w
 

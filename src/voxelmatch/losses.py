@@ -1,12 +1,21 @@
-"""Contrastive objectives with exact analytic gradients with respect to the embeddings.
+"""Contrastive objectives with exact analytic gradients.
 
 Values and gradients accumulate in float64 with max-subtracted log-sum-exp,
 and no averaging happens here beyond what the loss definitions state; any
 batch-size normalization is the trainer's job.
+
+A pair batch holds its negatives as similarities, not as vectors.  The
+sampler ranks each anchor's negative candidates by their similarity to it
+and keeps, for each survivor, its voxel index on the query grid and exactly
+the similarity it was ranked by.  The InfoNCE losses are functions of those
+similarities and of the positive ones, and return their gradients with
+respect to the similarities; a trainer chains them back to the embeddings
+(``model.train``).  ``proto_supcon`` takes the embeddings themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +36,24 @@ _UNIT_TOL = 1e-3
 
 @dataclass
 class PairBatch:
-    """Anchor/positive pairs with per-anchor negative pools.
+    """Anchor/positive pairs with per-anchor negative similarities.
 
-    ``negatives`` is (n, m, d); ``fov_negatives`` (n, k, d) holds extra
-    negatives drawn outside the shared field of view for the cross-modality
-    loss.  The optional index arrays record where each vector was sampled
-    on its embedding grid so a trainer can push gradients back.
+    ``anchors`` and ``positives`` are (n, d) unit vectors; pair i's positive
+    similarity is ``(anchors * positives).sum(axis=1)[i]``.  ``negative_sims``
+    (n, m) holds anchor i's similarity to each of its m negatives, and
+    ``fov_sims`` (n, k) to each of k extra negatives drawn outside the shared
+    field of view for the cross-modality loss.  From the sampler, these are
+    bitwise the similarities it ranked the candidates by.  The index arrays
+    record where each vector lies on its flattened embedding grid: the
+    anchors on the anchor grid, the positives, negatives and FOV negatives
+    on the query grid, so a trainer can push gradients back.
     """
 
     anchors: np.ndarray
     positives: np.ndarray
-    negatives: np.ndarray
+    negative_sims: np.ndarray
     temperature: float = 0.5
-    fov_negatives: np.ndarray | None = None
+    fov_sims: np.ndarray | None = None
     anchor_indices: np.ndarray | None = None
     positive_indices: np.ndarray | None = None
     negative_indices: np.ndarray | None = None
@@ -58,12 +72,18 @@ class LabeledBatch:
 
 @dataclass
 class LossOutput:
+    """A loss value and its gradients.
+
+    The InfoNCE losses fill the similarity gradients: dL/ds of each positive
+    (n,), negative (n, m) and FOV (n, k) similarity of their ``PairBatch``.
+    ``proto_supcon`` fills ``d_classes``, one dL/d(embedding) block per class.
+    """
+
     value: float
-    d_anchors: np.ndarray | None = None
-    d_positives: np.ndarray | None = None
-    d_negatives: np.ndarray | None = None
-    d_fov: np.ndarray | None = None
-    d_classes: list | None = None  # proto_supcon: per-class gradient blocks
+    d_positive_sims: np.ndarray | None = None
+    d_negative_sims: np.ndarray | None = None
+    d_fov_sims: np.ndarray | None = None
+    d_classes: list | None = None
 
 
 def _check_unit(name: str, arr: np.ndarray) -> None:
@@ -71,38 +91,34 @@ def _check_unit(name: str, arr: np.ndarray) -> None:
         return
     rows = arr.reshape(-1, arr.shape[-1])
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    if np.abs(norms - 1.0).max() > _UNIT_TOL:
+    if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):  # a NaN norm fails too
         raise NonUnitInput(f"{name} vectors deviate from unit norm by more than {_UNIT_TOL}")
 
 
-def _infonce(anchors, positives, negatives, tau):
-    """Shared InfoNCE core: value plus gradients for anchors/positives/negatives."""
-    a = np.asarray(anchors, dtype=np.float64)
-    p = np.asarray(positives, dtype=np.float64)
-    ngs = np.asarray(negatives, dtype=np.float64)
-    n, d = a.shape
-    m = ngs.shape[1] if ngs.size else 0
-    pos = (a * p).sum(axis=1) / tau  # (n,)
-    if m:
-        neg = np.einsum("nd,nmd->nm", a, ngs) / tau
-        logits = np.concatenate([pos[:, None], neg], axis=1)
-    else:
-        logits = pos[:, None]
+def _check_sims(name: str, sims: np.ndarray) -> None:
+    if not np.all(np.abs(sims) <= 1.0 + _UNIT_TOL):  # NaN and inf fail too
+        raise NonUnitInput(f"{name} similarities must be finite and at most 1 + {_UNIT_TOL} in magnitude")
+
+
+def _check_temperature(tau: float) -> None:
+    if not 0.0 < tau < math.inf:
+        raise ValueError("temperature must be finite and positive")
+
+
+def _infonce(pos, pools, tau):
+    """InfoNCE over similarities: the value, dL/d(pos) (n,) and dL/d(pool) (n, m).
+
+    Each anchor's negative pool is the row of its ``pools`` blocks laid side
+    by side; the gradient keeps that column order.
+    """
+    logits = np.concatenate([pos[:, None], *pools], axis=1) / tau
     mx = logits.max(axis=1)
     lse = mx + np.log(np.exp(logits - mx[:, None]).sum(axis=1))
-    value = float((lse - pos).sum())
-    probs = np.exp(logits - lse[:, None])
-    p0 = probs[:, 0]
-    dpos = (p0 - 1.0) / tau  # (n,)
-    d_anchors = dpos[:, None] * p
-    d_positives = dpos[:, None] * a
-    if m:
-        pn = probs[:, 1:]
-        d_anchors = d_anchors + np.einsum("nm,nmd->nd", pn, ngs) / tau
-        d_negatives = pn[:, :, None] * a[:, None, :] / tau
-    else:
-        d_negatives = np.zeros_like(ngs)
-    return value, d_anchors, d_positives, d_negatives
+    value = float((lse - logits[:, 0]).sum())
+    grads = np.exp(logits - lse[:, None])
+    grads[:, 0] -= 1.0
+    grads /= tau
+    return value, grads[:, 0], grads[:, 1:]
 
 
 def _validate_pair_batch(batch: PairBatch):
@@ -112,43 +128,40 @@ def _validate_pair_batch(batch: PairBatch):
         raise EmptyBatch("batch has no anchor/positive pairs")
     if p.shape != a.shape:
         raise ValueError("anchors and positives must have matching shapes")
-    ngs = np.asarray(batch.negatives, dtype=np.float64)
-    if ngs.size == 0:
-        ngs = np.zeros((a.shape[0], 0, a.shape[1]))
-    if ngs.ndim != 3 or ngs.shape[0] != a.shape[0] or ngs.shape[2] != a.shape[1]:
-        raise ValueError("negatives must be (n, m, d)")
-    if batch.temperature <= 0:
-        raise ValueError("temperature must be positive")
+    neg = np.asarray(batch.negative_sims, dtype=np.float64)
+    if neg.size == 0:
+        neg = np.zeros((a.shape[0], 0))
+    if neg.ndim != 2 or neg.shape[0] != a.shape[0]:
+        raise ValueError("negative_sims must be (n, m)")
+    _check_temperature(batch.temperature)
     _check_unit("anchor", a)
     _check_unit("positive", p)
-    _check_unit("negative", ngs)
-    return a, p, ngs
+    _check_sims("negative", neg)
+    return (a * p).sum(axis=1), neg
 
 
 def appearance_infonce(batch: PairBatch) -> LossOutput:
     """Voxel-wise contrastive loss over anchor/positive pairs and spatial negatives."""
-    a, p, ngs = _validate_pair_batch(batch)
-    if batch.fov_negatives is not None and np.asarray(batch.fov_negatives).size > 0:
+    pos, neg = _validate_pair_batch(batch)
+    if batch.fov_sims is not None and np.asarray(batch.fov_sims).size > 0:
         raise ValueError("appearance loss takes no field-of-view negatives")
-    value, da, dp, dn = _infonce(a, p, ngs, batch.temperature)
-    return LossOutput(value, da, dp, dn)
+    value, d_pos, d_neg = _infonce(pos, [neg], batch.temperature)
+    return LossOutput(value, d_pos, d_neg)
 
 
 def crossmod_infonce(batch: PairBatch) -> LossOutput:
     """Same functional form with the negative pool extended by FOV negatives."""
-    a, p, ngs = _validate_pair_batch(batch)
-    fov = batch.fov_negatives
-    if fov is None or np.asarray(fov).size == 0:
-        value, da, dp, dn = _infonce(a, p, ngs, batch.temperature)
-        return LossOutput(value, da, dp, dn, d_fov=None)
-    fov = np.asarray(fov, dtype=np.float64)
-    if fov.ndim != 3 or fov.shape[0] != a.shape[0] or fov.shape[2] != a.shape[1]:
-        raise ValueError("fov_negatives must be (n, k, d)")
-    _check_unit("fov negative", fov)
-    pool = np.concatenate([ngs, fov], axis=1)
-    value, da, dp, dn = _infonce(a, p, pool, batch.temperature)
-    m = ngs.shape[1]
-    return LossOutput(value, da, dp, dn[:, :m, :], d_fov=dn[:, m:, :])
+    pos, neg = _validate_pair_batch(batch)
+    pools = [neg]
+    if batch.fov_sims is not None and np.asarray(batch.fov_sims).size > 0:
+        fov = np.asarray(batch.fov_sims, dtype=np.float64)
+        if fov.ndim != 2 or fov.shape[0] != len(pos):
+            raise ValueError("fov_sims must be (n, k)")
+        _check_sims("fov negative", fov)
+        pools.append(fov)
+    value, d_pos, d_pool = _infonce(pos, pools, batch.temperature)
+    m = neg.shape[1]
+    return LossOutput(value, d_pos, d_pool[:, :m], d_pool[:, m:] if len(pools) == 2 else None)
 
 
 def proto_supcon(batch: LabeledBatch) -> LossOutput:
@@ -166,8 +179,7 @@ def proto_supcon(batch: LabeledBatch) -> LossOutput:
         if b.ndim != 2 or b.shape[0] == 0:
             raise EmptyClass(f"class block {i} is empty")
         _check_unit("labeled", b)
-    if batch.temperature <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(batch.temperature)
     tau = batch.temperature
     counts = np.array([len(b) for b in blocks])
     x = np.vstack(blocks)  # (n, d)

@@ -88,8 +88,9 @@ class SimilarityWeights:
 
     def __post_init__(self):
         w = (self.w_coarse, self.w_fine, self.w_semantic)
-        if any(x < 0 for x in w):
-            raise ValueError("similarity weights must be non-negative")
+        for name, x in zip(("w_coarse", "w_fine", "w_semantic"), w):
+            if not 0.0 <= x < math.inf:
+                raise ValueError(f"similarity weight {name} must be finite and non-negative")
         if abs(sum(w) - 1.0) > 1e-6:
             raise ValueError("similarity weights must sum to 1")
 

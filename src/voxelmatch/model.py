@@ -56,6 +56,7 @@ from .errors import (
 from .losses import (
     LabeledBatch,
     PairBatch,
+    _check_unit,
     appearance_infonce,
     crossmod_infonce,
     proto_supcon,
@@ -420,8 +421,9 @@ class TrainConfig:
             raise ValueError("steps and n_fov_fine must be >= 0")
         if not (self.neg_min_dist_fine >= 0 and self.neg_min_dist_coarse >= 0):
             raise ValueError("negative minimum distances must be >= 0")
-        if min(self.tau_appearance, self.tau_semantic, self.tau_cross) <= 0:
-            raise ValueError("temperatures must be positive")
+        for name in ("tau_appearance", "tau_semantic", "tau_cross"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.hard_negative_fraction <= 1.0:
             raise ValueError("hard_negative_fraction must lie in (0, 1]")
         if not 0.0 < self.learning_rate < math.inf:
@@ -448,7 +450,13 @@ def _sample_side(
     n_fov: int = 0,
     overlap_b: np.ndarray | None = None,
 ) -> PairBatch:
-    """Sample one PairBatch from the pair's ``usable_anchors``."""
+    """Sample one PairBatch from the pair's ``usable_anchors``.
+
+    Any query row can be drawn as a negative, and only its similarity
+    reaches the loss, so the whole query table must be unit
+    (``NonUnitInput`` otherwise).
+    """
+    _check_unit("query", emb_b_flat)
     dims_a = half_geometry(pair.patch_a.geometry).dims
     dims_b = half_geometry(pair.patch_b.geometry).dims
     anchors_half, corr_full_b, rounded = pair.usable_anchors
@@ -505,22 +513,19 @@ def _sample_side(
     cand = xmajor_flat[cand]
 
     # -similarity of every candidate; the padding past a row's take is +inf,
-    # so it never ranks.  The stacked product runs one matrix-vector product
-    # per anchor, the one the per-anchor ranking ran, so the similarities are
-    # bitwise the same.  Only a row whose pool is below n_cand runs over the
-    # padded width, where BLAS may round its last few products differently
-    # in the last bit, which reorders nothing but such near-ties.  Candidate
-    # vectors are gathered 2**19 floats (4 MB) at a time.
-    neg_sims = np.empty((n_pos, n_cand))
-    chunk = max(1, 2**19 // (n_cand * emb_b_flat.shape[1]))
-    for lo in range(0, n_pos, chunk):
-        sl = slice(lo, lo + chunk)
-        neg_sims[sl] = -(np.take(emb_b_flat, cand[sl], axis=0) @ anchors_e[sl, :, None])[..., 0]
+    # so it never ranks.  Over the padded width BLAS may round a row's last
+    # few products differently in the last bit, so a row whose pool is below
+    # n_cand takes its own product over its take.
+    neg_sims = _gathered_sims(emb_b_flat, cand, anchors_e)
+    for i in np.flatnonzero(take < n_cand):
+        neg_sims[i, :take[i]] = emb_b_flat[cand[i, :take[i]]] @ anchors_e[i]
+    np.negative(neg_sims, out=neg_sims)
     neg_sims[np.arange(n_cand) >= take[:, None]] = np.inf
-    neg_idx = np.take_along_axis(cand, _hardest(neg_sims, n_neg), axis=1)
+    surv = _hardest(neg_sims, n_neg)
+    neg_idx = np.take_along_axis(cand, surv, axis=1)
 
     fov_idx = None
-    fov = None
+    fov_sims = None
     if n_fov > 0:
         if overlap_b is None:
             raise ValueError("fov negatives need the query-side overlap mask")
@@ -528,19 +533,34 @@ def _sample_side(
         if len(outside):
             flat_out = _flat_index(outside, dims_b)
             fov_idx = flat_out[rng.integers(0, len(flat_out), size=(n_pos, n_fov))]
-            fov = emb_b_flat[fov_idx]
+            fov_sims = _gathered_sims(emb_b_flat, fov_idx, anchors_e)
 
     return PairBatch(
         anchors=anchors_e,
         positives=emb_b_flat[p_idx],
-        negatives=np.take(emb_b_flat, neg_idx, axis=0),
+        negative_sims=-np.take_along_axis(neg_sims, surv, axis=1),
         temperature=tau,
-        fov_negatives=fov,
+        fov_sims=fov_sims,
         anchor_indices=a_idx,
         positive_indices=p_idx,
         negative_indices=neg_idx,
         fov_indices=fov_idx,
     )
+
+
+def _gathered_sims(table: np.ndarray, idx: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """(n, c) similarities table[idx[i, j]] . anchors[i].
+
+    The stacked product runs one matrix-vector product per row i, so row i
+    is bitwise ``table[idx[i]] @ anchors[i]``.  Rows of ``table`` are
+    gathered 2**19 floats (4 MB) at a time.
+    """
+    out = np.empty(idx.shape)
+    chunk = max(1, 2**19 // (idx.shape[1] * table.shape[1]))
+    for lo in range(0, len(idx), chunk):
+        sl = slice(lo, lo + chunk)
+        out[sl] = (np.take(table, idx[sl], axis=0) @ anchors[sl, :, None])[..., 0]
+    return out
 
 
 def _hardest(neg_sims: np.ndarray, n_neg: int) -> np.ndarray:
@@ -582,6 +602,9 @@ def sample_training_batch(
     rounded to its embedding grid); negatives keep a minimum distance to the
     anchor's true correspondent, after which only the hardest fraction by
     current similarity survives; FOV negatives come from outside the overlap.
+    Negatives enter a ``PairBatch`` as query voxel indices with their
+    similarities to the anchor, not as vectors.  Raises ``NonUnitInput``
+    when a query embedding row is not unit.
 
     The sampling contract, which fixes every draw from ``rng``.  The fine
     side samples first, then the coarse side, then the semantic classes.
@@ -596,7 +619,11 @@ def sample_training_batch(
       nothing else draws in between.
     - Ranking: the n_neg hardest candidates by similarity, hardest first,
       ties in candidate order, as a stable argsort of -similarity gives.
-    - FOV negatives (fine side, ``use_fov``): one ``rng.integers`` draw last.
+      Each negative carries into the batch the similarity it was ranked by:
+      its row's product with the anchor, one matrix-vector product per
+      anchor over its candidates.
+    - FOV negatives (fine side, ``use_fov``): one ``rng.integers`` draw last;
+      each carries its similarity to the anchor, computed the same way.
 
     The same seed therefore gives a byte-identical model across versions
     that keep this contract; the test suite holds the sampler to the
@@ -681,23 +708,40 @@ class _SideState:
         The rows are summed per voxel first, then each touched voxel is
         chained once through ``_norm_backprop``.
         """
-        feats, e, norms, zero = self.heads[head]
-        n, k = e.shape
+        n, k = self.heads[head][1].shape
         idx = np.concatenate([i.ravel() for i, _ in pieces])
         rows = np.concatenate([g.reshape(-1, k) for _, g in pieces])
         per_row = sparse.csc_matrix((np.ones(len(idx)), idx, np.arange(len(idx) + 1)), shape=(n, len(idx)))
         touched = np.flatnonzero(np.bincount(idx, minlength=n))
-        g_v = (per_row @ rows)[touched]
-        return feats[touched].T @ _norm_backprop(g_v, e[touched], norms[touched], zero[touched])
+        return self.chain(head, touched, (per_row @ rows)[touched])
+
+    def chain(self, head: str, voxels: np.ndarray, g_v: np.ndarray) -> np.ndarray:
+        """dL/dM of ``head`` from the dL/d(embedding) rows ``g_v`` of the distinct ``voxels``."""
+        feats, e, norms, zero = self.heads[head]
+        return feats[voxels].T @ _norm_backprop(g_v, e[voxels], norms[voxels], zero[voxels])
 
 
 def _pair_batch_grad(head: str, side_a: _SideState, side_b: _SideState, batch: PairBatch, out) -> np.ndarray:
-    """dL/dM of ``head`` from one PairBatch, per anchor."""
-    pieces_b = [(batch.positive_indices, out.d_positives), (batch.negative_indices, out.d_negatives)]
-    if out.d_fov is not None and batch.fov_indices is not None:
-        pieces_b.append((batch.fov_indices, out.d_fov))
-    grad = side_a.backprop(head, [(batch.anchor_indices, out.d_anchors)]) + side_b.backprop(head, pieces_b)
-    return grad / len(batch.anchor_indices)
+    """dL/dM of ``head`` from one PairBatch, per anchor.
+
+    W (n x n_B) holds dL/ds of each similarity s = a_i . e_j that the loss
+    saw, at anchor i's positive, negative and FOV voxels j of the query
+    table E_B; repeated voxels sum.  Then dL/dA = W E_B and dL/dE_B = W^T A.
+    The sampler draws the anchors without replacement, so they are distinct.
+    """
+    cols = [batch.positive_indices[:, None], batch.negative_indices]
+    vals = [out.d_positive_sims[:, None], out.d_negative_sims]
+    if out.d_fov_sims is not None:
+        cols.append(batch.fov_indices)
+        vals.append(out.d_fov_sims)
+    cols, vals = np.concatenate(cols, axis=1), np.concatenate(vals, axis=1)
+    (n, width), e_b = cols.shape, side_b.heads[head][1]
+    w = sparse.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, n * width + 1, width)), shape=(n, len(e_b)))
+    order = np.argsort(batch.anchor_indices)
+    grad = side_a.chain(head, batch.anchor_indices[order], (w @ e_b)[order])
+    touched = np.flatnonzero(np.bincount(cols.ravel(), minlength=len(e_b)))
+    grad += side_b.chain(head, touched, (w.T @ batch.anchors)[touched])
+    return grad / n
 
 
 def train(
@@ -732,13 +776,18 @@ def train(
     is G Q^T and W never leaves M's span.  When ``init`` has no semantic head
     and one is trained, it is drawn as ``new_model`` draws one.
 
-    Backprop runs per voxel, not per sampled row.  A voxel's hard-negative,
-    FOV-negative and positive rows all pass through the same normalization
-    Jacobian, J g = (g - (g . e) e) / |v| of that voxel, which is linear in
-    g, and G sums f^T J g over the rows.  So the rows' gradients are first
-    summed per voxel, and J and f^T run once per touched voxel: the same G
-    in exact arithmetic, summed in another order.  A zero-substituted
-    voxel's J is 0, so it gets exactly none.
+    Backprop runs per voxel, not per sampled row.  The InfoNCE losses see
+    only similarities s = a . e of an anchor a with a query voxel e, and
+    return dL/ds.  Per batch these fill one sparse (n x n_B) matrix W over
+    the n anchors and the n_B query voxels: dL/ds of anchor i's positive,
+    hard negatives and FOV negatives at their voxels, repeats summed.  Then
+    the anchors' gradient rows are W E_B and the query voxels' are W^T A, so
+    no per-negative vector is formed.  Each voxel's summed row passes once
+    through its normalization Jacobian J g = (g - (g . e) e) / |v|, which is
+    linear in g, and G sums f^T J g over the touched voxels: the same G in
+    exact arithmetic as chaining every sampled row on its own, summed in
+    another order.  A zero-substituted voxel's J is 0, so it gets exactly
+    none.  The semantic head's rows are summed per voxel the same way.
     """
     if mode not in ("standard", "aggressive", "paired"):
         raise ValueError(f"unknown training mode {mode!r}")

@@ -152,6 +152,19 @@ class TestMatchCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["match", "simmap"])
+    def test_semantic_weight_alone_without_semantic_head_is_a_data_error(self, tmp_path, capsys, command):
+        emb = tmp_path / "emb"
+        self.write_embeddings(emb)
+        conf = tmp_path / "run.conf"
+        conf.write_text("[similarity]\nw_coarse = 0\nw_fine = 0\nw_semantic = 1\n")
+        out = [str(tmp_path / "map.evf")] if command == "simmap" else []
+        assert cli.main(["--config", str(conf), command, str(emb), "4,6,2", str(emb), *out]) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "w_coarse and w_fine are both 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "map.evf").exists()
+
     def test_scalar_volumes_as_embeddings_are_a_data_error(self, tmp_path, capsys):
         emb = tmp_path / "emb"
         emb.mkdir()
@@ -635,6 +648,13 @@ class TestPhantomGenCommand:
         ("train", "learning_rate", "-0.1"),
         ("train", "momentum", "inf"),
         ("train", "momentum", "1"),
+        ("train", "tau_appearance", "nan"),
+        ("train", "tau_semantic", "inf"),
+        ("train", "tau_cross", "-inf"),
+        ("train", "tau_cross", "0"),
+        ("similarity", "w_coarse", "nan"),
+        ("similarity", "w_fine", "inf"),
+        ("similarity", "w_semantic", "-0.5"),
     ])
     def test_malformed_tuple_or_phantom_value_is_a_data_error(self, tmp_path, capsys, section, key, value):
         code = self.run(tmp_path, f"[{section}]\n{key} = {value}\n", str(tmp_path / "out"))

@@ -18,7 +18,7 @@ from voxelmatch import model as model_mod
 from voxelmatch.alignment import AlignConfig, register_and_crop
 from voxelmatch.augment import AugmentSpec
 from voxelmatch.geometry import rigid_about, rotation_matrix
-from voxelmatch.losses import appearance_infonce, crossmod_infonce, proto_supcon
+from voxelmatch.losses import proto_supcon
 from voxelmatch.matching import EmbeddingSet, FixpointConfig, SimilarityWeights, grid_match
 from voxelmatch.model import (
     FEATURE_DIM,
@@ -34,6 +34,7 @@ from voxelmatch.model import (
 )
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
 from voxelmatch.volume import EmbeddingVolume, half_geometry, resample
+from vector_infonce import _infonce as vector_infonce
 
 BANK = DescriptorBank()
 # Q^T of the oracle heads W = M Q^T: a random (11, 128) isometry
@@ -135,6 +136,10 @@ def norm_backprop(g_e, e, norms, zero):
 def reference_gradients(calls, mdl, cfg, heads):
     """dL/dW of one step, chained through the D-wide embeddings of ``mdl``'s W = M Q^T.
 
+    The InfoNCE terms take the vector-form loss on the D-wide vectors of the
+    sampled voxels, so the oracle builds every negative vector that the
+    similarity form never forms.
+
     ``calls`` holds what each ``sample_training_batch`` call of the step got:
     the patch pair, the random state, the FOV flag, and the k-wide batches.
     The oracle samples again from the same state on D-wide embeddings and
@@ -158,20 +163,19 @@ def reference_gradients(calls, mdl, cfg, heads):
             f, e, norms, zero = side[h]
             grads[h] += f[idx].T @ norm_backprop(g_e, e[idx], norms[idx], zero[idx])
 
-        for h, batch, loss in (
-            ("fine", fine_b, crossmod_infonce if use_fov else appearance_infonce),
-            ("coarse", coarse_b, appearance_infonce),
-        ):
-            out = loss(batch)
+        for h, batch in (("fine", fine_b), ("coarse", coarse_b)):
+            neg = batch.negative_indices
+            if batch.fov_indices is not None:  # a cross-modality batch: the pool takes them in
+                neg = np.concatenate([neg, batch.fov_indices], axis=1)
+            e_a, e_b = side_a[h][1], side_b[h][1]
+            value, d_a, d_p, d_n = vector_infonce(
+                e_a[batch.anchor_indices], e_b[batch.positive_indices], e_b[neg], batch.temperature
+            )
             scale = 1.0 / len(batch.anchor_indices)
-            losses.append(out.value * scale)
-            push(h, side_a, batch.anchor_indices, out.d_anchors * scale)
-            push(h, side_b, batch.positive_indices, out.d_positives * scale)
-            neg = batch.negative_indices.ravel()
-            push(h, side_b, neg, out.d_negatives.reshape(len(neg), -1) * scale)
-            if out.d_fov is not None:
-                fov = batch.fov_indices.ravel()
-                push(h, side_b, fov, out.d_fov.reshape(len(fov), -1) * scale)
+            losses.append(value * scale)
+            push(h, side_a, batch.anchor_indices, d_a * scale)
+            push(h, side_b, batch.positive_indices, d_p * scale)
+            push(h, side_b, neg.ravel(), d_n.reshape(neg.size, -1) * scale)
         if "semantic" in heads and labeled is not None:
             got_l = got_batches[2]
             for ref_i, got_i in zip(labeled.class_indices, got_l.class_indices):

@@ -13,6 +13,7 @@ from voxelmatch.losses import (
     crossmod_infonce,
     proto_supcon,
 )
+from vector_infonce import _infonce as vector_infonce
 
 
 def unit_rows(rng, shape):
@@ -70,6 +71,22 @@ def pairwise_supcon(x, labels, tau):
     return total
 
 
+def sims_batch(a, p, n, tau, fov=None):
+    """The PairBatch of negative vectors ``n`` (n, m, d) and ``fov`` (n, k, d), held as their similarities."""
+    fov_sims = None if fov is None else np.einsum("nd,nkd->nk", a, fov)
+    return PairBatch(a, p, np.einsum("nd,nmd->nm", a, n), tau, fov_sims)
+
+
+def vector_grads(out, a, p, n, fov=None):
+    """Similarity gradients chained to the vectors: d_anchors, d_positives, d_negatives[, d_fov]."""
+    d_a = out.d_positive_sims[:, None] * p + np.einsum("nm,nmd->nd", out.d_negative_sims, n)
+    grads = [d_a, out.d_positive_sims[:, None] * a, out.d_negative_sims[:, :, None] * a[:, None, :]]
+    if fov is not None:
+        grads[0] = d_a + np.einsum("nk,nkd->nd", out.d_fov_sims, fov)
+        grads.append(out.d_fov_sims[:, :, None] * a[:, None, :])
+    return grads
+
+
 def fd_gradient(fn, arr, coords, step=1e-4):
     """Central finite differences of ``fn`` at the given flat coordinates."""
     out = {}
@@ -85,85 +102,119 @@ def fd_gradient(fn, arr, coords, step=1e-4):
     return out
 
 
-def check_gradient(loss_fn, batch, arrays_and_grads, rng, n_coords=6, tol=1e-4):
-    for arr, grad_getter in arrays_and_grads:
-        if arr is None or arr.size == 0:
-            continue
+def check_vector_gradients(loss_fn, tau, arrays, rng, n_coords=6, tol=1e-4):
+    """Finite differences of the loss in each vector array against the chained similarity gradients.
+
+    ``arrays`` is (anchors, positives, negatives[, fov]); the batch is rebuilt
+    from them on every evaluation.
+    """
+    def value():
+        return loss_fn(sims_batch(*arrays[:3], tau, *arrays[3:])).value
+
+    analytic = vector_grads(loss_fn(sims_batch(*arrays[:3], tau, *arrays[3:])), *arrays)
+    for arr, grad in zip(arrays, analytic):
         coords = rng.choice(arr.size, size=min(n_coords, arr.size), replace=False)
-        fd = fd_gradient(lambda: loss_fn(batch).value, arr, coords)
-        analytic = grad_getter().reshape(-1)
-        for c, fd_val in fd.items():
-            denom = max(abs(fd_val), abs(analytic[c]), 1e-8)
-            assert abs(analytic[c] - fd_val) / denom < tol, (
-                f"coord {c}: analytic {analytic[c]} vs fd {fd_val}"
-            )
+        for c, fd_val in fd_gradient(value, arr, coords).items():
+            got = grad.reshape(-1)[c]
+            denom = max(abs(fd_val), abs(got), 1e-8)
+            assert abs(got - fd_val) / denom < tol, f"coord {c}: analytic {got} vs fd {fd_val}"
+
+
+def assert_matches_vector_form(out, a, p, n, tau, fov=None):
+    """Value and chained gradients within 1e-12 relative of the vector-form InfoNCE."""
+    pool = n if fov is None else np.concatenate([n, fov], axis=1)
+    value, *want = vector_infonce(a, p, pool, tau)
+    got = vector_grads(out, a, p, n, fov)
+    if fov is not None:
+        got[2] = np.concatenate(got[2:], axis=1)
+    assert abs(out.value - value) <= 1e-12 * abs(value)
+    for g, w in zip(got[:3], want):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
 class TestAppearanceInfonce:
     def test_no_negatives_gives_zero(self):
         rng = np.random.default_rng(0)
         a = unit_rows(rng, (4, 6))
-        batch = PairBatch(a, a.copy(), np.zeros((4, 0, 6)), 0.5)
-        out = appearance_infonce(batch)
+        out = appearance_infonce(PairBatch(a, a.copy(), np.zeros((4, 0)), 0.5))
         assert out.value == 0.0
-        assert np.all(out.d_anchors == 0)
-        assert np.all(out.d_positives == 0)
+        assert np.all(out.d_positive_sims == 0)
+        assert out.d_negative_sims.shape == (4, 0)
 
     def test_hand_evaluated_single_pair(self):
         # one anchor=positive=e1 against one negative e2 at tau = 0.5:
         # -log(e^2 / (e^2 + 1)) = log(1 + e^-2)
         e1 = np.array([[1.0, 0.0]])
-        e2 = np.array([[[0.0, 1.0]]])
-        out = appearance_infonce(PairBatch(e1, e1.copy(), e2, 0.5))
+        out = appearance_infonce(PairBatch(e1, e1.copy(), np.array([[0.0]]), 0.5))
         assert abs(out.value - math.log(1 + math.exp(-2))) < 1e-12
         assert abs(out.value - 0.12692801104297263) < 1e-12
+        # dL/ds_pos = (p_0 - 1) / tau, dL/ds_neg = p_1 / tau, p_1 = 1 / (e^2 + 1)
+        p1 = 1.0 / (math.exp(2) + 1.0)
+        assert abs(out.d_positive_sims[0] + p1 / 0.5) < 1e-15
+        assert abs(out.d_negative_sims[0, 0] - p1 / 0.5) < 1e-15
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(1)
         a = unit_rows(rng, (7, 5))
         p = unit_rows(rng, (7, 5))
         n = unit_rows(rng, (7, 9, 5))
-        out = appearance_infonce(PairBatch(a, p, n, 0.37))
+        out = appearance_infonce(sims_batch(a, p, n, 0.37))
         assert abs(out.value - naive_infonce(a, p, n, 0.37)) < 1e-10
+
+    def test_matches_vector_form(self):
+        rng = np.random.default_rng(19)
+        a, p, n = unit_rows(rng, (30, 11)), unit_rows(rng, (30, 11)), unit_rows(rng, (30, 40, 11))
+        assert_matches_vector_form(appearance_infonce(sims_batch(a, p, n, 0.5)), a, p, n, 0.5)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        a = unit_rows(rng, (5, 4))
-        p = unit_rows(rng, (5, 4))
-        n = unit_rows(rng, (5, 6, 4))
-        batch = PairBatch(a, p, n, 0.5)
-        check_gradient(
-            appearance_infonce, batch,
-            [
-                (a, lambda: appearance_infonce(batch).d_anchors),
-                (p, lambda: appearance_infonce(batch).d_positives),
-                (n, lambda: appearance_infonce(batch).d_negatives),
-            ],
-            rng,
-        )
+        arrays = unit_rows(rng, (5, 4)), unit_rows(rng, (5, 4)), unit_rows(rng, (5, 6, 4))
+        check_vector_gradients(appearance_infonce, 0.5, arrays, rng)
+
+    def test_similarity_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(20)
+        a, p = unit_rows(rng, (5, 4)), unit_rows(rng, (5, 4))
+        sims = rng.uniform(-1.0, 1.0, size=(5, 6))
+        batch = PairBatch(a, p, sims, 0.5)
+        coords = rng.choice(sims.size, size=8, replace=False)
+        analytic = appearance_infonce(batch).d_negative_sims.reshape(-1)
+        for c, fd_val in fd_gradient(lambda: appearance_infonce(batch).value, sims, coords).items():
+            assert abs(analytic[c] - fd_val) / max(abs(fd_val), 1e-8) < 1e-6
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            appearance_infonce(PairBatch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 0, 3))))
+            appearance_infonce(PairBatch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 0))))
 
-    def test_non_unit_input(self):
-        a = np.array([[2.0, 0.0]])
+    @pytest.mark.parametrize("row", [[2.0, 0.0], [math.nan, 0.0]], ids=["long", "nan"])
+    def test_non_unit_input(self, row):
+        a = np.array([row])
         with pytest.raises(NonUnitInput):
-            appearance_infonce(PairBatch(a, a.copy(), np.zeros((1, 0, 2))))
+            appearance_infonce(PairBatch(a, a.copy(), np.zeros((1, 0))))
+        with pytest.raises(NonUnitInput):
+            appearance_infonce(PairBatch(np.array([[1.0, 0.0]]), a, np.zeros((1, 0))))
+
+    @pytest.mark.parametrize("sim", [math.nan, math.inf, -math.inf, 1.0011, -1.0011])
+    def test_similarity_that_no_unit_vectors_give_is_rejected(self, sim):
+        rng = np.random.default_rng(21)
+        a = unit_rows(rng, (3, 4))
+        sims = rng.uniform(-1.0, 1.0, size=(3, 5))
+        sims[1, 2] = sim
+        with pytest.raises(NonUnitInput, match="negative similarities"):
+            appearance_infonce(PairBatch(a, a.copy(), sims))
+        with pytest.raises(NonUnitInput, match="fov negative similarities"):
+            crossmod_infonce(PairBatch(a, a.copy(), sims[:, :2], fov_sims=sims))
 
     def test_rejects_fov_negatives(self):
         rng = np.random.default_rng(3)
         a = unit_rows(rng, (2, 3))
         with pytest.raises(ValueError):
-            appearance_infonce(
-                PairBatch(a, a.copy(), np.zeros((2, 0, 3)), fov_negatives=unit_rows(rng, (2, 1, 3)))
-            )
+            appearance_infonce(PairBatch(a, a.copy(), np.zeros((2, 0)), fov_sims=np.zeros((2, 1))))
 
     def test_nonnegative_on_random_batches(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             n, m, d = rng.integers(1, 6), rng.integers(0, 6), rng.integers(2, 6)
-            batch = PairBatch(
+            batch = sims_batch(
                 unit_rows(rng, (n, d)), unit_rows(rng, (n, d)),
                 unit_rows(rng, (n, m, d)) if m else np.zeros((n, 0, d)),
                 float(rng.uniform(0.1, 2.0)),
@@ -177,7 +228,7 @@ class TestCrossmodInfonce:
         a = unit_rows(rng, (6, 4))
         p = unit_rows(rng, (6, 4))
         n = unit_rows(rng, (6, 7, 4))
-        batch = PairBatch(a, p, n, 0.5)
+        batch = sims_batch(a, p, n, 0.5)
         assert abs(crossmod_infonce(batch).value - appearance_infonce(batch).value) < 1e-12
 
     def test_pool_union_commutes(self):
@@ -185,8 +236,8 @@ class TestCrossmodInfonce:
         a = unit_rows(rng, (3, 4))
         p = unit_rows(rng, (3, 4))
         n = unit_rows(rng, (3, 5, 4))
-        all_in_spatial = PairBatch(a, p, n, 0.5)
-        moved = PairBatch(a, p, n[:, :4, :], 0.5, fov_negatives=n[:, 4:, :])
+        all_in_spatial = sims_batch(a, p, n, 0.5)
+        moved = sims_batch(a, p, n[:, :4, :], 0.5, fov=n[:, 4:, :])
         assert abs(crossmod_infonce(all_in_spatial).value - crossmod_infonce(moved).value) < 1e-12
 
     def test_production_counts_match_naive_oracle(self):
@@ -195,27 +246,16 @@ class TestCrossmodInfonce:
         p = unit_rows(rng, (200, 16))
         n = unit_rows(rng, (200, 500, 16))
         fov = unit_rows(rng, (200, 100, 16))
-        batch = PairBatch(a, p, n, 0.5, fov_negatives=fov)
-        out = crossmod_infonce(batch)
+        out = crossmod_infonce(sims_batch(a, p, n, 0.5, fov))
         assert abs(out.value - naive_infonce(a, p, n, 0.5, fov)) < 1e-10
+        assert_matches_vector_form(out, a, p, n, 0.5, fov)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
-        a = unit_rows(rng, (4, 4))
-        p = unit_rows(rng, (4, 4))
-        n = unit_rows(rng, (4, 5, 4))
-        fov = unit_rows(rng, (4, 3, 4))
-        batch = PairBatch(a, p, n, 0.5, fov_negatives=fov)
-        check_gradient(
-            crossmod_infonce, batch,
-            [
-                (a, lambda: crossmod_infonce(batch).d_anchors),
-                (p, lambda: crossmod_infonce(batch).d_positives),
-                (n, lambda: crossmod_infonce(batch).d_negatives),
-                (fov, lambda: crossmod_infonce(batch).d_fov),
-            ],
-            rng,
+        arrays = (
+            unit_rows(rng, (4, 4)), unit_rows(rng, (4, 4)), unit_rows(rng, (4, 5, 4)), unit_rows(rng, (4, 3, 4))
         )
+        check_vector_gradients(crossmod_infonce, 0.5, arrays, rng)
 
 
 class TestProtoSupcon:
@@ -270,6 +310,12 @@ class TestProtoSupcon:
         for _ in range(10):
             blocks = [unit_rows(rng, (int(rng.integers(1, 20)), 5)) for _ in range(int(rng.integers(1, 5)))]
             assert proto_supcon(LabeledBatch(blocks, float(rng.uniform(0.2, 1.5)))).value >= 0.0
+
+    @pytest.mark.parametrize("row", [[2.0, 0.0], [math.nan, 0.0]], ids=["long", "nan"])
+    def test_non_unit_input(self, row):
+        block = np.array([[1.0, 0.0], row])
+        with pytest.raises(NonUnitInput):
+            proto_supcon(LabeledBatch([block], 0.5))
 
     def test_empty_class(self):
         with pytest.raises(EmptyClass):

@@ -23,7 +23,7 @@ from voxelmatch.errors import (
     TruncatedFile,
 )
 from voxelmatch.geometry import rigid_about, rotation_matrix
-from voxelmatch.losses import PairBatch, appearance_infonce, proto_supcon
+from voxelmatch.losses import PairBatch, appearance_infonce, crossmod_infonce, proto_supcon
 from voxelmatch.matching import EmbeddingSet, FixpointConfig, SimilarityWeights, grid_match
 from voxelmatch.model import (
     BOX_WIDTHS,
@@ -516,7 +516,9 @@ def per_anchor_sample_side(
     pair, emb_a_flat, emb_b_flat, n_pos, n_neg, min_dist, hard_fraction, tau, rng,
     n_fov=0, overlap_b=None,
 ):
-    """Reference sampler: the per-anchor loop ``_sample_side`` replaced, kept verbatim."""
+    """Reference sampler: the per-anchor loop ``_sample_side`` replaced, kept verbatim
+    but for the similarities it now also returns: each negative's product with
+    its anchor, one per-anchor matrix-vector product."""
     dims_a = half_geometry(pair.patch_a.geometry).dims
     dims_b = half_geometry(pair.patch_b.geometry).dims
     anchors_half = _half_lattice_points(pair.overlap_a)
@@ -547,6 +549,7 @@ def per_anchor_sample_side(
 
     n_cand = max(n_neg, int(math.ceil(n_neg / hard_fraction)))
     neg_idx = np.empty((n_pos, n_neg), dtype=np.int64)
+    neg_sims = np.empty((n_pos, n_neg))
     anchors_e = emb_a_flat[a_idx]
     for i in range(n_pos):
         d2 = ((all_b_full - corr_sel[i]) ** 2).sum(axis=1)
@@ -560,9 +563,10 @@ def per_anchor_sample_side(
         sims = emb_b_flat[all_b_flat[cand]] @ anchors_e[i]
         order = np.argsort(-sims, kind="stable")[:n_neg]
         neg_idx[i] = all_b_flat[cand[order]]
+        neg_sims[i] = sims[order]
 
     fov_idx = None
-    fov = None
+    fov_sims = None
     if n_fov > 0:
         if overlap_b is None:
             raise ValueError("fov negatives need the query-side overlap mask")
@@ -570,14 +574,14 @@ def per_anchor_sample_side(
         if len(outside):
             flat_out = _flat_index(outside, dims_b)
             fov_idx = flat_out[rng.integers(0, len(flat_out), size=(n_pos, n_fov))]
-            fov = emb_b_flat[fov_idx]
+            fov_sims = np.stack([emb_b_flat[row] @ anchor for row, anchor in zip(fov_idx, anchors_e)])
 
     return PairBatch(
         anchors=anchors_e,
         positives=emb_b_flat[p_idx],
-        negatives=emb_b_flat[neg_idx],
+        negative_sims=neg_sims,
         temperature=tau,
-        fov_negatives=fov,
+        fov_sims=fov_sims,
         anchor_indices=a_idx,
         positive_indices=p_idx,
         negative_indices=neg_idx,
@@ -586,7 +590,8 @@ def per_anchor_sample_side(
 
 
 class TestSamplerOracle:
-    """``_sample_side`` draws the same random numbers and picks the same voxels as the loop."""
+    """``_sample_side`` draws the same random numbers, picks the same voxels and
+    carries bitwise the same similarities as the loop."""
 
     @staticmethod
     def flat_pair(patch, model, pair_seed=2, **spec):
@@ -608,7 +613,7 @@ class TestSamplerOracle:
     @staticmethod
     def assert_same(got, want):
         for name in (
-            "anchors", "positives", "negatives", "fov_negatives",
+            "anchors", "positives", "negative_sims", "fov_sims",
             "anchor_indices", "positive_indices", "negative_indices", "fov_indices",
         ):
             a, b = getattr(got, name), getattr(want, name)
@@ -831,6 +836,37 @@ class TestTrain:
         assert all(math.isnan(r["loss_semantic"]) for r in log)
 
 
+class TestPairBatchMemory:
+    @pytest.mark.parametrize("use_fov", [False, True], ids=["appearance", "cross-modality"])
+    def test_default_fine_batch_peaks_below_one_negative_vector_array(self, use_fov):
+        """The loss and gradient of one default-size fine batch stay below the
+        size of one (anchors x negatives x channels) float64 array: no
+        per-negative vector is ever formed."""
+        import tracemalloc
+
+        cfg = TrainConfig()
+        n, m, k, d = cfg.n_pos_fine, cfg.n_neg_fine, cfg.n_fov_fine, FEATURE_DIM
+        rng = np.random.default_rng(22)
+        maps = {"fine": new_model(rng).w_fine}
+        side_a, side_b = (model_mod._SideState(f, f, None, maps) for f in rng.normal(size=(2, 16**3, d)))
+        e_a, e_b = side_a.heads["fine"][1], side_b.heads["fine"][1]
+        a_idx = rng.choice(len(e_a), size=n, replace=False)
+        p_idx, n_idx, f_idx = (rng.integers(0, len(e_b), size=shape) for shape in (n, (n, m), (n, k)))
+        batch = PairBatch(
+            e_a[a_idx], e_b[p_idx], np.einsum("nd,nmd->nm", e_a[a_idx], e_b[n_idx]), cfg.tau_cross,
+            np.einsum("nd,nkd->nk", e_a[a_idx], e_b[f_idx]) if use_fov else None,
+            a_idx, p_idx, n_idx, f_idx if use_fov else None,
+        )
+        loss = crossmod_infonce if use_fov else appearance_infonce
+        tracemalloc.start()
+        try:
+            model_mod._pair_batch_grad("fine", side_a, side_b, batch, loss(batch))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * d * 8  # 8.8 MB
+
+
 class TestGradientThroughProjection:
     def test_loss_gradient_wrt_weights_matches_finite_differences(self):
         """End-to-end chain: features -> W -> normalize -> InfoNCE.
@@ -848,21 +884,21 @@ class TestGradientThroughProjection:
         def forward(weights):
             v = feats @ weights
             e = v / np.linalg.norm(v, axis=1, keepdims=True)
-            from voxelmatch.losses import PairBatch
-
-            batch = PairBatch(e[a_idx], e[p_idx], e[n_idx], 0.5)
+            batch = PairBatch(e[a_idx], e[p_idx], np.einsum("nd,nmd->nm", e[a_idx], e[n_idx]), 0.5)
             return appearance_infonce(batch)
 
         out = forward(w)
-        # analytic dL/dW assembled the same way the trainer does it
+        # analytic dL/dW assembled the same way the trainer does it: W holds
+        # dL/ds at each anchor's positive and negative voxels, the anchor
+        # rows get W E and every row gets W^T A
         v = feats @ w
         norms = np.linalg.norm(v, axis=1)
         e = v / norms[:, None]
-        grad_e = np.zeros_like(e)
-        grad_e[a_idx] += out.d_anchors
-        grad_e[p_idx] += out.d_positives
-        for row, idxs in enumerate(n_idx):
-            grad_e[idxs] += out.d_negatives[row]
+        sim_w = np.zeros((len(a_idx), len(e)))
+        sim_w[np.arange(len(a_idx)), p_idx] = out.d_positive_sims
+        np.put_along_axis(sim_w, n_idx, out.d_negative_sims, axis=1)
+        grad_e = sim_w.T @ e[a_idx]
+        grad_e[a_idx] += sim_w @ e
         gv = (grad_e - (grad_e * e).sum(axis=1, keepdims=True) * e) / norms[:, None]
         grad_w = feats.T @ gv
 
