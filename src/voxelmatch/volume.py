@@ -18,8 +18,12 @@ Voxel index ``i`` along an axis sits at physical position
 
 Grid mappings.  ``pull_back``, ``resample`` and ``mapped_inside`` visit every
 voxel of a grid one z-slab of at most ``_SLAB_VOXELS`` voxels at a time (see
-``z_slabs``), so no full-grid coordinate array exists.  Two tolerances say
-what lies inside a grid, and they differ on purpose:
+``z_slabs``), so no full-grid coordinate array exists.  One case needs no
+coordinates at all: when every output voxel of ``resample`` sits on a source
+voxel (each axis's positions ``i * new_spacing / spacing`` are integer indices
+inside the grid), its trilinear weights are exactly 0 and 1, so it copies the
+source voxels with one indexed read, bit for bit the interpolated output.  Two
+tolerances say what lies inside a grid, and they differ on purpose:
 
 - a warp (``pull_back``) snaps a pre-image coordinate within 1e-6 voxel of the
   grid (``_SNAP_VOXELS``) onto its edge, so an exact grid motion such as a
@@ -386,8 +390,14 @@ def resample(vol: ScalarVolume, new_spacing) -> ScalarVolume:
     """Trilinear resample onto an isotropic-or-not grid with the given spacing.
 
     Output dimensions are ``round(extent / new_spacing)`` (at least 1) per
-    axis, with the origin preserved.  The output is sampled one z-slab of at
-    most ``_SLAB_VOXELS`` voxels at a time, so no full-grid coordinates exist.
+    axis, with the origin preserved, and output index ``i`` samples the source
+    position ``i * new_spacing / spacing`` on each axis.  When every such
+    position on every axis is an integer index inside the grid, as for a
+    whole-number spacing ratio such as 1 mm to 2 mm, each trilinear weight is
+    exactly 0 or 1, and the output is one indexed read of the source voxels:
+    the float32 values interpolation would give, bit for bit.  Any other grid
+    is interpolated one z-slab of at most ``_SLAB_VOXELS`` voxels at a time,
+    so no full-grid coordinates exist.
     """
     if np.isscalar(new_spacing):
         new_spacing = (float(new_spacing),) * 3
@@ -404,6 +414,11 @@ def resample(vol: ScalarVolume, new_spacing) -> ScalarVolume:
         np.arange(new_dims[i]) * new_spacing[i] / g.spacing[i] for i in range(3)
     ]
     geom = VolumeGeometry(new_dims, new_spacing, g.origin)
+    index = [a.astype(np.intp) for a in axes]
+    if all(np.array_equal(i, a) and a[-1] <= d - 1 for i, a, d in zip(index, axes, g.dims)):
+        out = vol.data[np.ix_(index[2], index[1], index[0])]
+        out += 0.0  # interpolation sums from +0.0, so a -0.0 voxel comes out as +0.0
+        return ScalarVolume(geom, out)
     out = np.empty(geom.shape_zyx, dtype=np.float32)
     for planes in z_slabs(out.shape):
         coords = np.broadcast_arrays(axes[2][planes, None, None], axes[1][:, None], axes[0])

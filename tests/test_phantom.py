@@ -15,7 +15,7 @@ from voxelmatch.phantom import (
     gen_pair,
     gen_phantom,
 )
-from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop
+from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, z_slabs
 
 
 def center_of(spec):
@@ -417,12 +417,36 @@ class TestSlabOracles:
         assert np.array_equal(pair.labels_b.data, want_labels.data)
 
 
+@pytest.mark.parametrize("fov", [False, True])
+def test_labels_b_is_warped_once_on_first_read(monkeypatch, slab_voxels, fov):
+    spec = PhantomSpec(dims=(37, 30, 44), spacing=2.0, seed=84)
+    transform = oracle_transform(spec, "rigid")
+    box = Box3((2, 3, 1), (34, 27, 40)) if fov else None
+    sources = []  # the dtype kind of each map_coordinates pass's source
+    interpolate = ndimage.map_coordinates
+
+    def counting(source, *args, **kwargs):
+        sources.append(source.dtype.kind)
+        return interpolate(source, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "map_coordinates", counting)
+    n_slabs = len(list(z_slabs(VolumeGeometry(spec.dims).shape_zyx)))
+    pair = gen_pair(spec, transform, "inverted", fov_box=box)
+    assert sources == ["f"] * n_slabs
+    first = pair.labels_b
+    assert sources == ["f"] * n_slabs + ["u"] * n_slabs
+    assert pair.labels_b is first
+    assert len(sources) == 2 * n_slabs
+    assert first.geometry == pair.volume_b.geometry
+
+
 def test_gen_pair_peak_memory_stays_within_four_outputs():
     spec = PhantomSpec(dims=(128, 128, 128), seed=62)
     transform = oracle_transform(spec, "rigid")
     tracemalloc.start()
     try:
         pair = gen_pair(spec, transform, "gamma")
+        pair.labels_b  # warped on first read, so its peak counts as gen_pair's
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -197,8 +197,8 @@ class TestResample:
         rng = np.random.default_rng(4)
         vol = ScalarVolume(VolumeGeometry((6, 6, 6), (1.0, 1.0, 1.0)), rng.normal(size=(6, 6, 6)).astype(np.float32))
         once = resample(vol, 1.5)
-        twice = resample(once, 1.5)
-        np.testing.assert_allclose(once.data, twice.data, atol=1e-6)
+        twice = resample(once, 1.5)  # the same spacing copies every voxel
+        assert np.array_equal(once.data, twice.data)
 
 
 def full_grid_points(geom):
@@ -330,18 +330,34 @@ class TestSlabs:
         for lo, hi in [(0, 1), (1, dims[2]), (dims[2] - 1, dims[2])]:
             assert np.array_equal(geom.voxel_points(slice(lo, hi)), full[lo * plane:hi * plane])
 
-    @pytest.mark.parametrize("dims,spacing,new_spacing", [
-        ((40, 40, 40), 1.0, 2.0),
-        ((37, 30, 44), 2.0, 1.5),
-        ((33, 45, 28), 1.0, (0.7, 1.3, 2.0)),
-        ((24, 26, 22), 1.5, 2.5),
+    @pytest.mark.parametrize("dims,spacing,new_spacing,on_lattice", [
+        ((40, 40, 40), 1.0, 2.0, True),
+        ((41, 39, 35), 2.0, 4.0, True),
+        ((37, 30, 44), 1.0, 3.0, True),
+        ((33, 45, 28), 1.0, (2.0, 1.0, 3.0), True),
+        ((24, 26, 22), 1.5, 1.5, True),
+        ((37, 30, 44), 2.0, 1.5, False),
+        ((33, 45, 28), 1.0, (0.7, 1.3, 2.0), False),
+        ((24, 26, 22), 1.5, 2.5, False),
     ])
-    def test_resample_matches_the_full_grid_oracle(self, slab_voxels, dims, spacing, new_spacing):
+    def test_resample_matches_the_full_grid_oracle(
+        self, monkeypatch, slab_voxels, dims, spacing, new_spacing, on_lattice
+    ):
         vol = gen_phantom(PhantomSpec(dims=dims, spacing=spacing, seed=33))[0]
+        vol.data[::3, ::5, ::2] = -0.0  # interpolation gives +0.0 for these, so a copy must too
+        passes = []
+        interpolate = ndimage.map_coordinates
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return interpolate(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "map_coordinates", counting)
         out = resample(vol, new_spacing)
+        assert (not passes) == on_lattice
         want_dims, want = resample_full_grid(vol, new_spacing)
         assert out.geometry.dims == want_dims
-        assert np.array_equal(out.data, want)
+        assert out.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["rigid", "affine"])
     def test_mapped_inside_matches_the_full_grid_oracle(self, slab_voxels, kind):
