@@ -133,15 +133,14 @@ def _bezier_curve(control: tuple[float, float, float, float], n: int = 1025):
     return xs[order], ys[order]
 
 
-def bezier_intensity(vol: ScalarVolume, control=None, seed: int = 0) -> ScalarVolume:
+def bezier_intensity(vol: ScalarVolume, control) -> ScalarVolume:
     """Map intensities through a cubic curve pinned at (0,0) and (1,1).
 
-    The volume is min-max rescaled to [0, 1], pushed through the curve, and
+    ``control`` is the curve's inner control points (x1, y1, x2, y2).  The
+    volume is min-max rescaled to [0, 1], pushed through the curve, and
     rescaled back.  A constant volume maps to itself.  The curve is monotone
     when the control points are sorted along both axes.
     """
-    if control is None:
-        control = tuple(np.random.default_rng(seed).uniform(0.0, 1.0, 4))
     lo = float(vol.data.min())
     hi = float(vol.data.max())
     if hi - lo <= 0.0:

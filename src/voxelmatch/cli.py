@@ -221,12 +221,9 @@ def _cmd_adareg(args, cfg: RunConfig) -> int:
     moving = _read_volume(args.moving, volume.ScalarVolume)
     mdl = model_mod.load_model(args.model)
     margin = args.margin if args.margin is not None else cfg.align.margins[0]
-    fixed_set = model_mod.embed(fixed, mdl)
-    moving_set = model_mod.embed(moving, mdl)
     reg = alignment.register_and_crop(
         fixed, moving, mdl, cfg.align, margin,
-        fixed_set=fixed_set, moving_set=moving_set,
-        weights=_weights_for(cfg, moving_set.semantic is not None),
+        weights=_weights_for(cfg, mdl.w_semantic is not None),
         fixpoint_cfg=cfg.fixpoint,
     )
     out = Path(args.out_dir)

@@ -10,7 +10,8 @@ and keeps, for each survivor, its voxel index on the query grid and exactly
 the similarity it was ranked by.  The InfoNCE losses are functions of those
 similarities and of the positive ones, and return their gradients with
 respect to the similarities; a trainer chains them back to the embeddings
-(``model.train``).  ``proto_supcon`` takes the embeddings themselves.
+(``model.train``).  ``proto_supcon`` takes the embeddings themselves and
+returns its gradient as one row per embedding, in stacked class order.
 """
 
 from __future__ import annotations
@@ -62,11 +63,16 @@ class PairBatch:
 
 @dataclass
 class LabeledBatch:
-    """Embeddings grouped by semantic class, one (n_p, d) block per class."""
+    """Embeddings grouped by semantic class, one (n_p, d) block per class.
+
+    ``class_indices`` holds each block's voxel indices on the flattened
+    embedding grid.  From the sampler no voxel repeats: each class's members
+    are drawn without replacement and the classes are disjoint, so a
+    trainer can chain each row to its voxel as it is.
+    """
 
     class_embeddings: list
     temperature: float = 0.5
-    class_ids: list | None = None
     class_indices: list | None = None
 
 
@@ -76,14 +82,15 @@ class LossOutput:
 
     The InfoNCE losses fill the similarity gradients: dL/ds of each positive
     (n,), negative (n, m) and FOV (n, k) similarity of their ``PairBatch``.
-    ``proto_supcon`` fills ``d_classes``, one dL/d(embedding) block per class.
+    ``proto_supcon`` fills ``d_embeddings``, dL/d(embedding) (n, d) of its
+    ``LabeledBatch``'s rows, the class blocks stacked in order.
     """
 
     value: float
     d_positive_sims: np.ndarray | None = None
     d_negative_sims: np.ndarray | None = None
     d_fov_sims: np.ndarray | None = None
-    d_classes: list | None = None
+    d_embeddings: np.ndarray | None = None
 
 
 def _check_unit(name: str, arr: np.ndarray) -> None:
@@ -195,10 +202,4 @@ def proto_supcon(batch: LabeledBatch) -> LossOutput:
     weighted = softmax.T @ x  # (K, d)
     grad = softmax @ c / tau
     grad += (weighted[cls] - 2.0 * c[cls]) / (tau * counts[cls][:, None])
-
-    out_blocks = []
-    start = 0
-    for n_p in counts:
-        out_blocks.append(grad[start:start + n_p])
-        start += n_p
-    return LossOutput(value, d_classes=out_blocks)
+    return LossOutput(value, d_embeddings=grad)

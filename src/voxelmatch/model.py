@@ -649,32 +649,22 @@ def sample_training_batch(
         lab_half = pair.labels_a.data[::2, ::2, ::2].ravel()
         classes = np.unique(lab_half)
         classes = classes[classes > 0]
-        blocks, ids, idxs = [], [], []
+        blocks, idxs = [], []
         sem_flat = flat(emb_a.semantic)
         for cls in classes:
             members = np.nonzero(lab_half == cls)[0]
             if len(members) > cfg.semantic_per_class:
                 members = members[rng.choice(len(members), size=cfg.semantic_per_class, replace=False)]
             blocks.append(sem_flat[members])
-            ids.append(int(cls))
             idxs.append(members)
         if blocks:
-            labeled = LabeledBatch(blocks, cfg.tau_semantic, ids, idxs)
+            labeled = LabeledBatch(blocks, cfg.tau_semantic, idxs)
     return fine, coarse, labeled
 
 
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
-
-def _norm_backprop(g_e, e, norms, zero):
-    """Chain dL/d(embedding) through v -> v/|v|; zero-substituted rows get no gradient."""
-    gv = g_e - np.einsum("ij,ij->i", g_e, e)[:, None] * e
-    gv /= np.maximum(norms, 1e-30)[:, None]
-    if zero.any():
-        gv[zero] = 0.0
-    return gv
-
 
 class _SideState:
     """One volume's embeddings under the given head maps, with their normalization bookkeeping.
@@ -702,23 +692,19 @@ class _SideState:
         }
         return EmbeddingSet(coarse=vols["coarse"], fine=vols["fine"], semantic=vols.get("semantic"))
 
-    def backprop(self, head: str, pieces) -> np.ndarray:
-        """dL/dM of ``head`` from (voxel indices, dL/d(embedding) rows) pieces.
-
-        The rows are summed per voxel first, then each touched voxel is
-        chained once through ``_norm_backprop``.
-        """
-        n, k = self.heads[head][1].shape
-        idx = np.concatenate([i.ravel() for i, _ in pieces])
-        rows = np.concatenate([g.reshape(-1, k) for _, g in pieces])
-        per_row = sparse.csc_matrix((np.ones(len(idx)), idx, np.arange(len(idx) + 1)), shape=(n, len(idx)))
-        touched = np.flatnonzero(np.bincount(idx, minlength=n))
-        return self.chain(head, touched, (per_row @ rows)[touched])
-
     def chain(self, head: str, voxels: np.ndarray, g_v: np.ndarray) -> np.ndarray:
-        """dL/dM of ``head`` from the dL/d(embedding) rows ``g_v`` of the distinct ``voxels``."""
+        """dL/dM of ``head`` from the dL/d(embedding) rows ``g_v`` of the distinct ``voxels``.
+
+        Each row passes through the normalization Jacobian of v -> v/|v|,
+        J g = (g - (g . e) e) / |v|; a zero-substituted voxel's J is 0.
+        """
         feats, e, norms, zero = self.heads[head]
-        return feats[voxels].T @ _norm_backprop(g_v, e[voxels], norms[voxels], zero[voxels])
+        e, zero = e[voxels], zero[voxels]
+        gv = g_v - np.einsum("ij,ij->i", g_v, e)[:, None] * e
+        gv /= np.maximum(norms[voxels], 1e-30)[:, None]
+        if zero.any():
+            gv[zero] = 0.0
+        return feats[voxels].T @ gv
 
 
 def _pair_batch_grad(head: str, side_a: _SideState, side_b: _SideState, batch: PairBatch, out) -> np.ndarray:
@@ -787,7 +773,9 @@ def train(
     linear in g, and G sums f^T J g over the touched voxels: the same G in
     exact arithmetic as chaining every sampled row on its own, summed in
     another order.  A zero-substituted voxel's J is 0, so it gets exactly
-    none.  The semantic head's rows are summed per voxel the same way.
+    none.  The semantic head's voxels are distinct (the sampler draws each
+    class's members without replacement, and the classes are disjoint), so
+    its rows go to ``chain`` as they are, in ascending voxel order.
     """
     if mode not in ("standard", "aggressive", "paired"):
         raise ValueError(f"unknown training mode {mode!r}")
@@ -866,12 +854,12 @@ def train(
             grads["coarse"] += _pair_batch_grad("coarse", side_a, side_b, coarse_b, out_c)
             if labels_here and labeled is not None:
                 out_s = proto_supcon(labeled)
-                total = sum(len(b) for b in labeled.class_embeddings)
+                idx = np.concatenate(labeled.class_indices)
+                order = np.argsort(idx)
                 if math.isnan(losses_acc["semantic"]):
                     losses_acc["semantic"] = 0.0
-                losses_acc["semantic"] += out_s.value / max(total, 1)
-                pieces = list(zip(labeled.class_indices, out_s.d_classes))
-                grads["semantic"] += side_a.backprop("semantic", pieces) / total
+                losses_acc["semantic"] += out_s.value / len(idx)
+                grads["semantic"] += side_a.chain("semantic", idx[order], out_s.d_embeddings[order]) / len(idx)
         if not all(np.all(np.isfinite(g)) for g in grads.values()):
             raise DivergedLoss(f"non-finite gradient at step {step_i}")
         if any(

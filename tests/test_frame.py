@@ -181,9 +181,8 @@ def reference_gradients(calls, mdl, cfg, heads):
             for ref_i, got_i in zip(labeled.class_indices, got_l.class_indices):
                 np.testing.assert_array_equal(ref_i, got_i)
             out = proto_supcon(labeled)
-            total = sum(len(b) for b in labeled.class_embeddings)
-            for idx, g in zip(labeled.class_indices, out.d_classes):
-                push("semantic", side_a, idx, g / total)
+            idx = np.concatenate(labeled.class_indices)
+            push("semantic", side_a, idx, out.d_embeddings / len(idx))
     return grads, losses
 
 
@@ -297,5 +296,5 @@ class TestPerVoxelBackprop:
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(50, FEATURE_DIM))
         side = model_mod._SideState(feats, feats, None, {"fine": np.zeros((FEATURE_DIM, FEATURE_DIM))})
-        idx, g = rng.integers(0, 50, size=(20, 30)), rng.normal(size=(20, 30, FEATURE_DIM))
-        assert not np.any(side.backprop("fine", [(idx, g)]))
+        idx, g = rng.choice(50, size=30, replace=False), rng.normal(size=(30, FEATURE_DIM))
+        assert not np.any(side.chain("fine", idx, g))

@@ -292,7 +292,8 @@ class TestProtoSupcon:
             arr = blocks[b_idx]
             coords = rng.choice(arr.size, size=5, replace=False)
             fd = fd_gradient(lambda: proto_supcon(batch).value, arr, coords)
-            analytic = proto_supcon(batch).d_classes[b_idx].reshape(-1)
+            start = sum(len(b) for b in blocks[:b_idx])
+            analytic = proto_supcon(batch).d_embeddings[start:start + len(arr)].reshape(-1)
             for c, fd_val in fd.items():
                 denom = max(abs(fd_val), abs(analytic[c]), 1e-8)
                 assert abs(analytic[c] - fd_val) / denom < 1e-4

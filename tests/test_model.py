@@ -509,7 +509,11 @@ class TestSampleTrainingBatch:
         )
         assert labeled is not None
         assert all(len(b) > 0 for b in labeled.class_embeddings)
-        assert all(c > 0 for c in labeled.class_ids)
+        ids = np.concatenate(labeled.class_indices)
+        assert len(np.unique(ids)) == len(ids)  # no voxel repeats, within or across classes
+        lab_half = pair.labels_a.data[::2, ::2, ::2].ravel()
+        for idx in labeled.class_indices:
+            assert len(np.unique(lab_half[idx])) == 1 and lab_half[idx[0]] > 0
 
 
 def per_anchor_sample_side(
