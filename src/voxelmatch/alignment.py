@@ -20,8 +20,8 @@ import numpy as np
 from .augment import PatchPair
 from .errors import EmptyMask, TooFewMatches
 from .geometry import Point3, RigidTransform, fit_rigid_trimmed
-from .matching import EmbeddingSet, FixpointConfig, SimilarityWeights, grid_match
-from .metrics import LandmarkPairSet, evaluate
+from .matching import FixpointConfig, SimilarityWeights, grid_match
+from .metrics import LandmarkPairSet, evaluate, join_landmarks
 from .model import ProjectionModel, TrainConfig, embed, train
 from .volume import (
     Box3,
@@ -139,17 +139,11 @@ class RoundMetrics:
 
 
 def _grid_points(mask: LabelVolume, spacing_half: int) -> np.ndarray:
-    """Full-resolution voxel coordinates of an evenly spaced embedding-grid lattice
-    restricted to the mask."""
-    nx, ny, nz = mask.geometry.dims
-    hx = np.arange(0, (nx + 1) // 2, spacing_half)
-    hy = np.arange(0, (ny + 1) // 2, spacing_half)
-    hz = np.arange(0, (nz + 1) // 2, spacing_half)
-    gx, gy, gz = np.meshgrid(hx, hy, hz, indexing="ij")
-    # 2h <= n - 1 on every axis, so each lattice point indexes the mask directly
-    pts_full = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * 2
-    keep = mask.data[pts_full[:, 2], pts_full[:, 1], pts_full[:, 0]] != 0
-    return pts_full[keep].astype(np.float64)
+    """Full-resolution voxel coordinates (x, y, z), in x-major order, of an evenly
+    spaced embedding-grid lattice restricted to the mask."""
+    k = 2 * spacing_half
+    # the transposed view is indexed [x, y, z], so argwhere lists its voxels x-major
+    return np.argwhere(mask.data[::k, ::k, ::k].T) * float(k)
 
 
 def register_and_crop(
@@ -158,8 +152,6 @@ def register_and_crop(
     model: ProjectionModel,
     cfg: AlignConfig,
     margin: int,
-    fixed_set: EmbeddingSet | None = None,
-    moving_set: EmbeddingSet | None = None,
     weights: SimilarityWeights = SimilarityWeights(),
     fixpoint_cfg: FixpointConfig | None = None,
     round_index: int = 0,
@@ -170,10 +162,8 @@ def register_and_crop(
     when fewer than three grid matches clear the similarity floor.
     """
     mask = body_mask(moving, cfg.body_threshold)
-    if moving_set is None:
-        moving_set = embed(moving, model)
-    if fixed_set is None:
-        fixed_set = embed(fixed, model)
+    moving_set = embed(moving, model)
+    fixed_set = embed(fixed, model)
     pts = _grid_points(mask, cfg.grid_spacing)
     if len(pts) == 0:
         raise EmptyMask("body mask holds no grid points")
@@ -225,17 +215,11 @@ def register_and_crop(
 def _pair_med(rigid: RigidTransform, pair: CrossPair) -> float | None:
     if not pair.fixed_landmarks or not pair.moving_landmarks:
         return None
-    fixed_by_id = dict(pair.fixed_landmarks)
-    pred, true = [], []
-    for name, p in pair.moving_landmarks:
-        if name not in fixed_by_id:
-            continue
-        moved = rigid.apply_array(p.to_array())
-        pred.append(Point3.from_array(moved))
-        true.append(fixed_by_id[name])
-    if not pred:
+    _, moving_pts, fixed_pts = join_landmarks(pair.moving_landmarks, pair.fixed_landmarks)
+    if not moving_pts:
         return None
-    return evaluate(LandmarkPairSet(pred, true)).med
+    pred = [Point3.from_array(rigid.apply_array(p.to_array())) for p in moving_pts]
+    return evaluate(LandmarkPairSet(pred, fixed_pts)).med
 
 
 def iterate_alignment(

@@ -105,8 +105,7 @@ class PatchPair:
             raise InsufficientOverlap("no overlap voxels available for anchors")
         corr_full_b = self.a_to_b_voxels(anchors_half.astype(np.float64) * 2.0)
         rounded = np.round(corr_full_b / 2.0).astype(np.int64)
-        lim_b = np.asarray(half_geometry(self.patch_b.geometry).dims) - 1
-        ok = np.all((rounded >= 0) & (rounded <= lim_b), axis=1)
+        ok = half_geometry(self.patch_b.geometry).in_grid(rounded)
         kept = anchors_half[ok], corr_full_b[ok], rounded[ok]
         for arr in kept:
             arr.flags.writeable = False  # shared by every later read

@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("out_model")
     sp.add_argument("--mode", choices=("single", "cross-init", "cross-iter"),
                     default="single")
-    sp.add_argument("--loss-log", default=None, help="write the loss CSV here instead of stdout")
+    sp.add_argument("--loss-log", default=None,
+                    help="write the loss CSV here instead of stdout (single and cross-init only)")
 
     sp = sub.add_parser("eval", help="landmark metrics between predictions and truth")
     sp.add_argument("predicted")
@@ -122,7 +123,7 @@ def _read_embedding_set(dir_path) -> EmbeddingSet:
 
 def _weights_for(cfg: RunConfig, has_semantic: bool):
     """The [similarity] weights, renormalized over the coarse and fine heads
-    when there is no semantic head; ``VoxelMatchError`` when those weigh 0."""
+    when a side has no semantic head; ``VoxelMatchError`` when those weigh 0."""
     w = cfg.similarity
     if not has_semantic and w.w_semantic > 0:
         total = w.w_coarse + w.w_fine
@@ -175,11 +176,18 @@ def _cmd_embed(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_match(args, cfg: RunConfig) -> int:
+def _read_match_inputs(args, cfg: RunConfig):
+    """The template set, the template point, the query set, and the weights for
+    the heads that both sets hold."""
     template = _read_embedding_set(args.template_dir)
     query = _read_embedding_set(args.query_dir)
     t = _parse_point(args.point)
-    w = _weights_for(cfg, template.semantic is not None)
+    both_semantic = template.semantic is not None and query.semantic is not None
+    return template, t, query, _weights_for(cfg, both_semantic)
+
+
+def _cmd_match(args, cfg: RunConfig) -> int:
+    template, t, query, w = _read_match_inputs(args, cfg)
     if args.method == "fixpoint":
         res = matching.fixpoint_match(t, template, query, w, cfg.fixpoint)
     else:
@@ -190,11 +198,7 @@ def _cmd_match(args, cfg: RunConfig) -> int:
 
 
 def _cmd_simmap(args, cfg: RunConfig) -> int:
-    template = _read_embedding_set(args.template_dir)
-    query = _read_embedding_set(args.query_dir)
-    t = _parse_point(args.point)
-    w = _weights_for(cfg, template.semantic is not None)
-    smap = matching.similarity_map(template, t, query, w)
+    smap = matching.similarity_map(*_read_match_inputs(args, cfg))
     volume.write_volume(smap, args.out_volume)
     print(f"wrote similarity map to {args.out_volume}")
     return 0
@@ -203,11 +207,10 @@ def _cmd_simmap(args, cfg: RunConfig) -> int:
 def _cmd_fit_rigid(args, cfg: RunConfig) -> int:
     src = metrics.read_landmarks(args.src_landmarks)
     dst = metrics.read_landmarks(args.dst_landmarks)
-    dst_by_id = dict(dst)
-    pairs = [(p, dst_by_id[name]) for name, p in src if name in dst_by_id]
-    if not pairs:
+    ids, src_pts, dst_pts = metrics.join_landmarks(src, dst)
+    if not ids:
         raise VoxelMatchError("no landmark ids shared between the two files")
-    rig, report = fit_rigid([a for a, _ in pairs], [b for _, b in pairs])
+    rig, report = fit_rigid(src_pts, dst_pts)
     for row in rig.rotation:
         print(f"{row[0]:.9g} {row[1]:.9g} {row[2]:.9g}")
     t = rig.translation
@@ -268,29 +271,27 @@ def _cmd_train(args, cfg: RunConfig) -> int:
             flm = metrics.read_landmarks(row[2]) if len(row) > 2 else None
             mlm = metrics.read_landmarks(row[3]) if len(row) > 3 else None
             pairs.append(alignment.CrossPair(fixed, moving, flm, mlm, pair_id=f"p{i}"))
-    else:
-        dataset = []
-        for row in rows:
-            vol = _read_volume(row[0], volume.ScalarVolume)
-            lab = _read_volume(row[1], volume.LabelVolume) if len(row) > 1 else None
-            dataset.append((vol, lab))
+        # cross-iter models are trained without a semantic head
+        models, metr = alignment.iterate_alignment(
+            pairs, cfg.train, cfg.align, augment_spec=cfg.augment,
+            weights=_weights_for(cfg, False), fixpoint_cfg=cfg.fixpoint,
+        )
+        out = Path(args.out_model)
+        for k, mdl in enumerate(models):
+            path = out.with_name(f"{out.stem}_k{k}{out.suffix or '.uaem'}")
+            model_mod.save_model(mdl, path)
+        model_mod.save_model(models[-1], out)
+        print(alignment.format_metrics_table(metr))
+        return 0
+    dataset = []
+    for row in rows:
+        vol = _read_volume(row[0], volume.ScalarVolume)
+        lab = _read_volume(row[1], volume.LabelVolume) if len(row) > 1 else None
+        dataset.append((vol, lab))
     log_file = open(args.loss_log, "w", newline="") if args.loss_log else contextlib.nullcontext(sys.stdout)
     with log_file as loss_stream:
         writer = csv.writer(loss_stream)
         writer.writerow(["step", "loss_fine", "loss_coarse", "loss_semantic"])
-        if args.mode == "cross-iter":
-            # cross-iter models are trained without a semantic head
-            models, metr = alignment.iterate_alignment(
-                pairs, cfg.train, cfg.align, augment_spec=cfg.augment,
-                weights=_weights_for(cfg, False), fixpoint_cfg=cfg.fixpoint,
-            )
-            out = Path(args.out_model)
-            for k, mdl in enumerate(models):
-                path = out.with_name(f"{out.stem}_k{k}{out.suffix or '.uaem'}")
-                model_mod.save_model(mdl, path)
-            model_mod.save_model(models[-1], out)
-            print(alignment.format_metrics_table(metr))
-            return 0
         mode = {"single": "standard", "cross-init": "aggressive"}[args.mode]
         mdl, loss_log = model_mod.train(
             dataset, cfg.train, mode=mode, augment_spec=cfg.augment
@@ -301,20 +302,14 @@ def _cmd_train(args, cfg: RunConfig) -> int:
                 [row["step"], repr(row["loss_fine"]), repr(row["loss_coarse"]),
                  repr(row["loss_semantic"])]
             )
-        return 0
+    return 0
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
     pred = metrics.read_landmarks(args.predicted)
     true = metrics.read_landmarks(args.truth)
-    true_by_id = dict(true)
-    pred_pts, true_pts, ids = [], [], []
-    for name, p in pred:
-        if name in true_by_id:
-            pred_pts.append(p)
-            true_pts.append(true_by_id[name])
-            ids.append(name)
-    if not pred_pts:
+    ids, pred_pts, true_pts = metrics.join_landmarks(pred, true)
+    if not ids:
         raise VoxelMatchError("no landmark ids shared between prediction and truth")
     radii = None
     if args.radii:
@@ -347,7 +342,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "train" and args.mode == "cross-iter" and args.loss_log:
+        # iterate_alignment keeps no per-round loss log to write
+        parser.error("--loss-log cannot be used with --mode cross-iter")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.WARNING,

@@ -13,7 +13,10 @@ vector per point, whatever the grid size.
 Fixed-point matching of a point list builds one pair matcher and iterates
 the seed cubes of all points together: every seed is a lattice point, so the
 forward and backward NN maps are memoized per lattice index and each lattice
-point is looked up at most once per direction, whichever cubes share it.
+point is looked up at most once per direction, whichever cubes share it.  A
+lattice index is the point's row of the flattened embedding table; the one
+rule between the two is ``VolumeGeometry.flat_index`` and its inverse
+``index_points``.
 Each point gets its own affine fit; all fitted points share one similarity
 pass.  A point that cannot be fitted keeps a one-row NN lookup, because a
 one-row product rounds differently from a batched one.
@@ -41,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DimensionMismatch, OutOfBounds
+from .errors import DegenerateGeometry, DimensionMismatch, NonUnitInput, OutOfBounds
 from .geometry import Point3, fit_affine
 from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many
 
@@ -69,9 +72,9 @@ class EmbeddingSet:
         heads = [self.coarse, self.fine] + ([self.semantic] if self.semantic else [])
         for h in heads:
             if h.geometry != self.coarse.geometry:
-                raise ValueError("embedding heads must share one geometry")
+                raise DimensionMismatch("embedding heads must share one geometry")
             if not h.normalized:
-                raise ValueError("embedding heads must be normalized")
+                raise NonUnitInput("embedding heads must be normalized")
 
     @property
     def geometry(self):
@@ -151,16 +154,7 @@ def _in_bounds(s: EmbeddingSet, pts_fullres: np.ndarray) -> np.ndarray:
 
 def _lattice_points(s: EmbeddingSet, flat: np.ndarray) -> np.ndarray:
     """Full-resolution (x, y, z) coordinates of flat embedding-grid indices."""
-    nx, ny, _ = s.geometry.dims
-    iz, rem = np.divmod(flat, ny * nx)
-    iy, ix = np.divmod(rem, nx)
-    return np.stack([ix, iy, iz], axis=1).astype(np.float64) * 2.0
-
-
-def _lattice_flat(s: EmbeddingSet, ijk: np.ndarray) -> np.ndarray:
-    """Flat (z, y, x)-major indices of integer embedding-grid (x, y, z) coordinates."""
-    nx, ny, _ = s.geometry.dims
-    return (ijk[..., 2] * ny + ijk[..., 1]) * nx + ijk[..., 0]
+    return s.geometry.index_points(flat) * 2.0
 
 
 class _PairMatcher:
@@ -176,7 +170,7 @@ class _PairMatcher:
             if weight == 0.0:
                 continue
             if getattr(a, name) is None or getattr(b, name) is None:
-                raise ValueError(f"weight for missing head {name!r} must be zero")
+                raise DimensionMismatch(f"weight for missing head {name!r} must be zero")
             if getattr(a, name).channels != getattr(b, name).channels:
                 raise DimensionMismatch(
                     f"head {name!r} has {getattr(a, name).channels} channels in the template "
@@ -339,7 +333,7 @@ def _converge_cubes(
     cube = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)  # in (x, y, z) order
     centers = np.clip(np.round(pts / 2.0).astype(np.int64), 0, lim)
     seeds = np.clip(centers[:, None, :] + cube[None, :, :], 0, lim)
-    starts, start_of = np.unique(_lattice_flat(a, seeds), return_inverse=True)
+    starts, start_of = np.unique(a.geometry.flat_index(seeds), return_inverse=True)
     start_of = start_of.reshape(len(pts), len(cube))
     center = len(cube) // 2  # offset (0, 0, 0) sits mid-cube
 

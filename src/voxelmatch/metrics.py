@@ -27,6 +27,7 @@ __all__ = [
     "MetricsReport",
     "evaluate",
     "read_landmarks",
+    "join_landmarks",
     "write_landmarks",
     "read_radii",
     "read_lines",
@@ -167,6 +168,14 @@ def read_landmarks(path) -> list:
         if first_line.setdefault(name, line_no) != line_no:
             raise MalformedFile(f"{path}:{line_no}: landmark id {name!r} repeats {path}:{first_line[name]}")
     return out
+
+
+def join_landmarks(first, second) -> tuple[list, list, list]:
+    """(ids, points of ``first``, points of ``second``) of the landmark ids both
+    (id, Point3) lists hold, in the order of ``first``; all empty when none is shared."""
+    second_by_id = dict(second)
+    shared = [(name, p) for name, p in first if name in second_by_id]
+    return [n for n, _ in shared], [p for _, p in shared], [second_by_id[n] for n, _ in shared]
 
 
 def read_radii(path) -> dict:

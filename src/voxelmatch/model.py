@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .augment import AugmentSpec, PatchPair, _half_lattice_points, sample_patch_pair
+from .augment import AugmentSpec, PatchPair, sample_patch_pair
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -432,11 +432,6 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
 
 
-def _flat_index(idx_xyz: np.ndarray, dims) -> np.ndarray:
-    nx, ny, _ = dims
-    return (idx_xyz[:, 2] * ny + idx_xyz[:, 1]) * nx + idx_xyz[:, 0]
-
-
 def _sample_side(
     pair: PatchPair,
     emb_a_flat: np.ndarray,
@@ -457,22 +452,21 @@ def _sample_side(
     (``NonUnitInput`` otherwise).
     """
     _check_unit("query", emb_b_flat)
-    dims_a = half_geometry(pair.patch_a.geometry).dims
-    dims_b = half_geometry(pair.patch_b.geometry).dims
+    half_b = half_geometry(pair.patch_b.geometry)
     anchors_half, corr_full_b, rounded = pair.usable_anchors
     if len(anchors_half) < n_pos:
         raise InsufficientOverlap(
             f"only {len(anchors_half)} usable overlap voxels for {n_pos} positives"
         )
     pick = rng.choice(len(anchors_half), size=n_pos, replace=False)
-    a_idx = _flat_index(anchors_half[pick], dims_a)
-    p_idx = _flat_index(rounded[pick], dims_b)
+    a_idx = half_geometry(pair.patch_a.geometry).flat_index(anchors_half[pick])
+    p_idx = half_b.flat_index(rounded[pick])
     corr_sel = corr_full_b[pick]
     anchors_e = emb_a_flat[a_idx]
 
     # Negative candidates are the query lattice in x-major order, position
     # p = (x * nyb + y) * nzb + z, less the voxels within the gate.
-    nxb, nyb, nzb = dims_b
+    nxb, nyb, nzb = dims_b = half_b.dims
     n_b = nxb * nyb * nzb
     xmajor_flat = np.arange(n_b).reshape(nzb, nyb, nxb).transpose(2, 1, 0).ravel()
     # The gate's d2 = (dx2[x] + dy2[y]) + dz2[z] is the float that the row sum
@@ -529,9 +523,8 @@ def _sample_side(
     if n_fov > 0:
         if overlap_b is None:
             raise ValueError("fov negatives need the query-side overlap mask")
-        outside = _half_lattice_points(~overlap_b)
-        if len(outside):
-            flat_out = _flat_index(outside, dims_b)
+        flat_out = np.flatnonzero(~overlap_b[::2, ::2, ::2])  # the half grid's voxels outside
+        if len(flat_out):
             fov_idx = flat_out[rng.integers(0, len(flat_out), size=(n_pos, n_fov))]
             fov_sims = _gathered_sims(emb_b_flat, fov_idx, anchors_e)
 

@@ -14,7 +14,9 @@ the payload only, UAEM's the header and the payload.
 Data layout is fixed: arrays are indexed ``[z, y, x]`` (``[z, y, x, channel]``
 for embeddings) in C order, which is also the on-disk payload order.
 Voxel index ``i`` along an axis sits at physical position
-``origin + i * spacing`` on that axis.
+``origin + i * spacing`` on that axis.  ``VolumeGeometry.flat_index`` and its
+inverse ``index_points`` are the one rule between an integer (x, y, z) voxel
+and its row of the flattened ``(n_voxels, channels)`` table.
 
 Grid mappings.  ``pull_back``, ``resample`` and ``mapped_inside`` visit every
 voxel of a grid one z-slab of at most ``_SLAB_VOXELS`` voxels at a time (see
@@ -172,6 +174,21 @@ class VolumeGeometry:
         cols = np.empty((3, len(zs), len(ys), len(xs)))
         cols[0], cols[1], cols[2] = xs, ys[:, None], zs[:, None, None]
         return cols.reshape(3, -1).T
+
+    def flat_index(self, idx) -> np.ndarray:
+        """C-order flat index of integer (x, y, z) voxel indices, given as (..., 3)
+        rows of any layout; shaped like ``idx`` without its last axis."""
+        idx = np.asarray(idx)
+        nx, ny, _ = self.dims
+        return (idx[..., 2] * ny + idx[..., 1]) * nx + idx[..., 0]
+
+    def index_points(self, flat) -> np.ndarray:
+        """The inverse of ``flat_index``: integer (x, y, z) rows (..., 3) of flat
+        indices, an F-ordered view of (3, ...) memory (see "Grid mappings")."""
+        nx, ny, _ = self.dims
+        z, rem = np.divmod(flat, ny * nx)
+        y, x = np.divmod(rem, nx)
+        return np.moveaxis(np.stack([x, y, z]), 0, -1)
 
     def in_grid(self, pts) -> np.ndarray:
         """Per (x, y, z) voxel coordinate row: inside the grid, up to 1e-9 voxel."""
@@ -472,32 +489,28 @@ def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
     ``unit_rows``, so an all-zero blend becomes e1.
     """
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-    nx, ny, nz = emb.geometry.dims
-    d = emb.channels
-    lims = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
-    if not emb.geometry.in_grid(pts).all():
+    g = emb.geometry
+    dims = np.array(g.dims)
+    if not g.in_grid(pts).all():
         raise OutOfBounds("sample coordinate outside the embedding grid")
-    pts = np.clip(pts, 0.0, lims)
-    base = np.floor(pts).astype(np.int64)
-    base = np.minimum(base, np.maximum(np.array([nx, ny, nz]) - 2, 0))
+    pts = np.clip(pts, 0.0, dims - 1.0)
+    base = np.minimum(np.floor(pts).astype(np.int64), np.maximum(dims - 2, 0))
     frac = pts - base
-    data = emb.data.reshape(-1, d)
-    out = np.zeros((len(pts), d), dtype=np.float64)
-    steps = (min(1, nx - 1), min(1, ny - 1), min(1, nz - 1))
+    # the flat index is linear, so each corner's is the base's plus its offset's
+    base_flat = g.flat_index(base)
+    steps = np.minimum(1, dims - 1)
+    data = emb.data.reshape(-1, emb.channels)
+    out = np.zeros((len(pts), emb.channels), dtype=np.float64)
     for cx in (0, 1):
         wx = (1.0 - frac[:, 0]) if cx == 0 else frac[:, 0]
-        ix = base[:, 0] + cx * steps[0]
         for cy in (0, 1):
             wy = (1.0 - frac[:, 1]) if cy == 0 else frac[:, 1]
-            iy = base[:, 1] + cy * steps[1]
             for cz in (0, 1):
                 wz = (1.0 - frac[:, 2]) if cz == 0 else frac[:, 2]
-                iz = base[:, 2] + cz * steps[2]
                 w = wx * wy * wz
                 if not np.any(w):
                     continue
-                flat = (iz * ny + iy) * nx + ix
-                out += w[:, None] * data[flat]
+                out += w[:, None] * data[base_flat + g.flat_index(steps * (cx, cy, cz))]
     if emb.normalized:
         out = unit_rows(out)[0]
     return out

@@ -43,18 +43,22 @@ def crop_embedding_set(emb: EmbeddingSet, box: Box3) -> EmbeddingSet:
     )
 
 
+def embed_as(monkeypatch, sets):
+    """Make ``register_and_crop`` embed each volume of ``sets`` (volume, EmbeddingSet)
+    pairs as the set given for it."""
+    monkeypatch.setattr(alignment, "embed", lambda vol, model: next(e for v, e in sets if v is vol))
+
+
 class TestRegisterAndCrop:
-    def test_self_crop_recovers_identity(self):
+    def test_self_crop_recovers_identity(self, monkeypatch):
         fixed, _ = working_phantom(60)
         emb_fixed = embed(fixed, MODEL)
         box = Box3((4, 4, 4), (27, 27, 27))
         moving = crop(fixed, box)
         half_box = Box3((2, 2, 2), (13, 13, 13))
         emb_moving = crop_embedding_set(emb_fixed, half_box)
-        reg = register_and_crop(
-            fixed, moving, MODEL, CFG, margin=4,
-            fixed_set=emb_fixed, moving_set=emb_moving,
-        )
+        embed_as(monkeypatch, [(fixed, emb_fixed), (moving, emb_moving)])
+        reg = register_and_crop(fixed, moving, MODEL, CFG, margin=4)
         # cropping preserves physical coordinates, so the truth is identity
         np.testing.assert_allclose(reg.rigid.rotation, np.eye(3), atol=0.05)
         assert np.linalg.norm(reg.rigid.translation) < 2.0  # one working voxel
@@ -96,16 +100,14 @@ class TestRegisterAndCrop:
         )
         assert err.max() < 4.0  # 2 voxels
 
-    def test_inlier_points_land_inside_crop(self):
+    def test_inlier_points_land_inside_crop(self, monkeypatch):
         fixed, _ = working_phantom(63)
         emb_fixed = embed(fixed, MODEL)
         box = Box3((6, 6, 6), (29, 29, 29))
         moving = crop(fixed, box)
         half_box = Box3((3, 3, 3), (14, 14, 14))
-        reg = register_and_crop(
-            fixed, moving, MODEL, CFG, margin=3,
-            fixed_set=emb_fixed, moving_set=crop_embedding_set(emb_fixed, half_box),
-        )
+        embed_as(monkeypatch, [(fixed, emb_fixed), (moving, crop_embedding_set(emb_fixed, half_box))])
+        reg = register_and_crop(fixed, moving, MODEL, CFG, margin=3)
         from voxelmatch.alignment import _grid_points
         from voxelmatch.volume import body_mask
 
@@ -120,19 +122,16 @@ class TestRegisterAndCrop:
         # the fit is trimmed: only survivors are guaranteed inside
         assert inside.mean() >= 0.7
 
-    def test_margin_monotonicity(self):
+    def test_margin_monotonicity(self, monkeypatch):
         fixed, _ = working_phantom(64)
         emb_fixed = embed(fixed, MODEL)
         box = Box3((4, 4, 4), (27, 27, 27))
         moving = crop(fixed, box)
         half_box = Box3((2, 2, 2), (13, 13, 13))
-        emb_moving = crop_embedding_set(emb_fixed, half_box)
+        embed_as(monkeypatch, [(fixed, emb_fixed), (moving, crop_embedding_set(emb_fixed, half_box))])
         volumes = []
         for margin in (10, 5, 1):
-            reg = register_and_crop(
-                fixed, moving, MODEL, CFG, margin,
-                fixed_set=emb_fixed, moving_set=emb_moving,
-            )
+            reg = register_and_crop(fixed, moving, MODEL, CFG, margin)
             volumes.append(np.prod(reg.fixed_crop.geometry.dims))
         assert volumes[0] >= volumes[1] >= volumes[2]
 
@@ -159,6 +158,32 @@ class TestRegisterAndCrop:
         lms = landmark_array(pair.landmarks_a)
         gap = np.linalg.norm(rigids[0].apply_array(lms) - rigids[1].apply_array(lms), axis=1)
         assert gap.max() < 5.0
+
+
+def grid_points_meshgrid(mask, spacing_half):
+    """Oracle: ``_grid_points`` as three half-grid meshgrids, the lattice read back
+    from the mask at full resolution."""
+    nx, ny, nz = mask.geometry.dims
+    hx = np.arange(0, (nx + 1) // 2, spacing_half)
+    hy = np.arange(0, (ny + 1) // 2, spacing_half)
+    hz = np.arange(0, (nz + 1) // 2, spacing_half)
+    gx, gy, gz = np.meshgrid(hx, hy, hz, indexing="ij")
+    pts_full = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) * 2
+    keep = mask.data[pts_full[:, 2], pts_full[:, 1], pts_full[:, 0]] != 0
+    return pts_full[keep].astype(np.float64)
+
+
+@pytest.mark.parametrize("dims", [(9, 12, 7), (16, 10, 14), (1, 5, 2)])
+@pytest.mark.parametrize("spacing_half", [1, 2, 3, 4])
+def test_grid_points_equal_the_meshgrid_oracle(dims, spacing_half):
+    rng = np.random.default_rng(sum(dims) + spacing_half)
+    data = rng.random(dims[::-1]) < 0.4
+    data[0, 0, 0] = True  # so no lattice is empty
+    mask = LabelVolume(VolumeGeometry(dims), data)
+    got = alignment._grid_points(mask, spacing_half)
+    want = grid_points_meshgrid(mask, spacing_half)
+    assert len(want) > 0
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def inline_overlaps(reg):

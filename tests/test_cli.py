@@ -190,6 +190,68 @@ class TestMatchCommand:
         assert "Traceback" not in err
 
 
+class TestMatchInputSets:
+    """Embedding directories that ``EmbeddingSet`` or the matcher reject are data errors."""
+
+    @staticmethod
+    def write_head(path, head, geom=VolumeGeometry((6, 6, 6)), normalized=True, seed=0):
+        rng = np.random.default_rng(seed)
+        rows = unit_rows(rng.normal(size=(geom.n_voxels, 4)))[0]
+        data = rows.reshape(geom.shape_zyx + (4,)).astype(np.float32)
+        path.mkdir(exist_ok=True)
+        write_volume(EmbeddingVolume(geom, data, normalized=normalized), path / f"{head}.evf")
+
+    def run(self, tmp_path, command, template, query, conf=""):
+        (tmp_path / "run.conf").write_text(conf)
+        out = [str(tmp_path / "map.evf")] if command == "simmap" else []
+        return cli.main(["--config", str(tmp_path / "run.conf"), command, str(template), "4,6,2", str(query), *out])
+
+    @pytest.mark.parametrize("command", ["match", "simmap"])
+    def test_heads_of_different_geometry_are_a_data_error(self, tmp_path, capsys, command):
+        emb = tmp_path / "emb"
+        self.write_head(emb, "coarse")
+        self.write_head(emb, "fine", geom=VolumeGeometry((6, 6, 6), spacing=(2.0, 2.0, 2.0)))
+        assert self.run(tmp_path, command, emb, emb) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "embedding heads must share one geometry" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "map.evf").exists()
+
+    @pytest.mark.parametrize("command", ["match", "simmap"])
+    def test_head_not_flagged_normalized_is_a_data_error(self, tmp_path, capsys, command):
+        emb = tmp_path / "emb"
+        self.write_head(emb, "coarse")
+        self.write_head(emb, "fine", normalized=False)
+        assert self.run(tmp_path, command, emb, emb) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "embedding heads must be normalized" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "map.evf").exists()
+
+    @pytest.mark.parametrize("command", ["match", "simmap"])
+    def test_semantic_weight_with_a_query_lacking_the_head_is_renormalized(self, tmp_path, capsys, command):
+        # the weights renormalize when either side lacks the semantic head, so
+        # the run equals one whose template has no semantic head either
+        template, bare, query = tmp_path / "template", tmp_path / "bare", tmp_path / "query"
+        for d in (template, bare):
+            self.write_head(d, "coarse", seed=1)
+            self.write_head(d, "fine", seed=2)
+        self.write_head(template, "semantic", seed=3)
+        self.write_head(query, "coarse", seed=4)
+        self.write_head(query, "fine", seed=5)
+        conf = "[similarity]\nw_coarse = 0.3\nw_fine = 0.5\nw_semantic = 0.2\n"
+        results = []
+        for t in (template, bare):
+            assert self.run(tmp_path, command, t, query, conf) == 0
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err
+            results.append(read_volume(tmp_path / "map.evf").data if command == "simmap" else out)
+        if command == "simmap":
+            np.testing.assert_array_equal(*results)
+        else:
+            assert results[0] == results[1]
+
+
 def write_embedding_evf(path):
     """A 40^3 x 3 embedding volume: valid EVF, but not a scalar or label volume."""
     vol = EmbeddingVolume(VolumeGeometry((40, 40, 40)), np.random.default_rng(0).normal(size=(40, 40, 40, 3)))
@@ -304,14 +366,19 @@ class TestAdaregWeights:
             "[similarity]\nw_coarse = 0.3\nw_fine = 0.5\nw_semantic = 0.2\n"
             "[align]\ngrid_spacing = 3\nsimilarity_floor = 0.4\nbody_threshold = 0.18\n"
         )
-        seen = []
-        real = alignment.register_and_crop
+        seen, embedded = [], []
+        real, real_embed = alignment.register_and_crop, alignment.embed
 
         def spy(*args, **kwargs):
             seen.append(kwargs)
             return real(*args, **kwargs)
 
+        def embed_spy(*args, **kwargs):
+            embedded.append(args[0])
+            return real_embed(*args, **kwargs)
+
         monkeypatch.setattr(alignment, "register_and_crop", spy)
+        monkeypatch.setattr(alignment, "embed", embed_spy)
         code = cli.main([
             "--config", str(conf), "adareg", str(tmp_path / "fixed.evf"),
             str(tmp_path / "moving.evf"), str(tmp_path / "model.uaem"), str(tmp_path / "out"),
@@ -322,7 +389,8 @@ class TestAdaregWeights:
         w = kwargs["weights"]
         assert w.w_semantic == 0.0
         np.testing.assert_allclose([w.w_coarse, w.w_fine], [0.375, 0.625], rtol=1e-12)
-        assert "moving_set" not in kwargs and "fixed_set" not in kwargs  # embedded once, inside
+        # embedded once each, inside register_and_crop
+        assert [v.geometry.dims for v in embedded] == [moving.geometry.dims, fixed.geometry.dims]
         assert (tmp_path / "out" / "rigid.txt").exists()
         assert "aligned with" in capsys.readouterr().out
 
@@ -360,7 +428,8 @@ class TestCrossIterSettings:
         w = kwargs["weights"]
         assert w.w_semantic == 0.0
         np.testing.assert_allclose([w.w_coarse, w.w_fine], [0.25, 0.75], rtol=1e-12)
-        assert "k pair inliers residual_mm med_mm" in capsys.readouterr().out.splitlines()
+        # stdout holds the metrics table alone, no loss CSV header
+        assert capsys.readouterr().out.splitlines()[0] == "k pair inliers residual_mm med_mm"
 
 
 class TestAdaregSettings:
@@ -467,13 +536,26 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "model.uaem").exists()
 
-    @pytest.mark.parametrize("mode,manifest", [("single", "missing.evf"), ("cross-iter", "vol.evf missing.evf")])
+    @pytest.mark.parametrize("mode,manifest", [("single", "missing.evf")])
     def test_data_error_leaves_an_existing_loss_log_as_it_was(self, tmp_path, capsys, mode, manifest):
         (tmp_path / "loss.csv").write_bytes(b"old log\n")
         code = self.run(tmp_path, manifest, "--mode", mode, "--loss-log", str(tmp_path / "loss.csv"))
         assert code == cli.DATA_ERROR
         assert "Traceback" not in capsys.readouterr().err
         assert (tmp_path / "loss.csv").read_bytes() == b"old log\n"
+
+    def test_loss_log_with_cross_iter_is_a_usage_error(self, tmp_path, capsys):
+        # cross-iter keeps no loss log of its rounds, so it takes no --loss-log
+        (tmp_path / "loss.csv").write_bytes(b"old log\n")
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, "vol.evf vol.evf", "--mode", "cross-iter", "--loss-log", str(tmp_path / "loss.csv"))
+        assert exc.value.code == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--loss-log cannot be used with --mode cross-iter" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "loss.csv").read_bytes() == b"old log\n"
+        assert not (tmp_path / "model.uaem").exists()
 
     @pytest.mark.parametrize("key,value", [("n_neg_fine", "0"), ("batch_size", "0"), ("n_neg_coarse", "-5")])
     def test_counts_the_sampler_cannot_honour_are_a_data_error(self, tmp_path, capsys, key, value):

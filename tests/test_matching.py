@@ -7,7 +7,7 @@ import pytest
 
 from voxelmatch import matching
 from voxelmatch.alignment import AlignConfig, register_and_crop
-from voxelmatch.errors import DegenerateGeometry, DimensionMismatch, OutOfBounds, VoxelMatchError
+from voxelmatch.errors import DegenerateGeometry, DimensionMismatch, NonUnitInput, OutOfBounds, VoxelMatchError
 from voxelmatch.geometry import Point3, fit_affine, rigid_about, rotation_matrix
 from voxelmatch.matching import (
     EmbeddingSet,
@@ -18,8 +18,6 @@ from voxelmatch.matching import (
     _PairMatcher,
     _converge_cubes,
     _full_res_limits,
-    _lattice_flat,
-    _lattice_points,
     fixpoint_match,
     grid_match,
     nn_match,
@@ -368,7 +366,7 @@ def per_point_fixpoint(t, a, b, w, cfg):
             break
         pts = np.array([cur[i] for i in alive], dtype=np.float64)
         fwd, _ = matcher.nn_a_to_b(pts)
-        back = _lattice_points(a, matcher._nn(b, matcher.q_a, fwd)[0])
+        back = a.geometry.index_points(matcher._nn(b, matcher.q_a, fwd)[0]) * 2.0
         next_alive = []
         for row, i in enumerate(alive):
             nxt = tuple(back[row])
@@ -500,7 +498,7 @@ class TestBatchedFixpointEngine:
         def table_nn(self, from_set, q_to, pts):
             table = fwd if from_set is self.a else back
             ijk = np.rint(np.asarray(pts, dtype=np.float64).reshape(-1, 3) / 2.0).astype(np.int64)
-            flat = table[_lattice_flat(from_set, ijk)]
+            flat = table[from_set.geometry.flat_index(ijk)]
             return flat, flat / n
 
         monkeypatch.setattr(_PairMatcher, "_nn", table_nn)
@@ -550,6 +548,27 @@ class TestHeadWidths:
         a, b = make_set(rng, d=4), make_set(rng, d=6)
         with pytest.raises(DimensionMismatch, match="'coarse' has 4 channels"):
             grid_match([(2.0, 2.0, 2.0)], a, b, W)
+
+
+    def test_weighted_head_that_one_side_lacks(self):
+        rng = np.random.default_rng(41)
+        a, b = make_set(rng), make_set(rng)
+        a.semantic = a.fine
+        with pytest.raises(DimensionMismatch, match="missing head 'semantic'"):
+            grid_match([(2.0, 2.0, 2.0)], a, b, SimilarityWeights(0.4, 0.4, 0.2))
+
+
+class TestEmbeddingSetChecks:
+    def test_heads_of_different_geometry(self):
+        a = make_set(np.random.default_rng(42))
+        other = EmbeddingVolume(VolumeGeometry((6, 6, 6), spacing=(2.0, 2.0, 2.0)), a.fine.data, normalized=True)
+        with pytest.raises(DimensionMismatch, match="share one geometry"):
+            EmbeddingSet(coarse=a.coarse, fine=other)
+
+    def test_head_not_flagged_normalized(self):
+        a = make_set(np.random.default_rng(43))
+        with pytest.raises(NonUnitInput, match="must be normalized"):
+            EmbeddingSet(coarse=a.coarse, fine=EmbeddingVolume(a.geometry, a.fine.data))
 
 
 class TestMatcherWorkCount:

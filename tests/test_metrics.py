@@ -8,6 +8,7 @@ from voxelmatch.geometry import Point3
 from voxelmatch.metrics import (
     LandmarkPairSet,
     evaluate,
+    join_landmarks,
     read_landmarks,
     read_lines,
     read_radii,
@@ -128,6 +129,15 @@ class TestLandmarkFiles:
         write_landmarks(path, lms)
         back = read_landmarks(path)
         assert back == lms
+
+    def test_join_keeps_the_shared_ids_in_the_first_list_order(self):
+        first = [("c", p(3, 0, 0)), ("a", p(1, 0, 0)), ("x", p(9, 9, 9)), ("b", p(2, 0, 0))]
+        second = [("a", p(0, 1, 0)), ("b", p(0, 2, 0)), ("c", p(0, 3, 0)), ("y", p(0, 0, 9))]
+        ids, first_pts, second_pts = join_landmarks(first, second)
+        assert ids == ["c", "a", "b"]
+        assert first_pts == [p(3, 0, 0), p(1, 0, 0), p(2, 0, 0)]
+        assert second_pts == [p(0, 3, 0), p(0, 1, 0), p(0, 2, 0)]
+        assert join_landmarks(first, [("y", p(0, 0, 0))]) == ([], [], [])
 
     def test_radii_file(self, tmp_path):
         path = tmp_path / "radii.txt"

@@ -34,11 +34,9 @@ from voxelmatch.model import (
     ProjectionModel,
     TrainConfig,
     _band,
-    _flat_index,
     _gauss_deriv_kernel,
     _gauss_kernel,
     _gauss_second_kernel,
-    _half_lattice_points,
     _sample_side,
     embed,
     load_model,
@@ -445,18 +443,10 @@ class TestSampleTrainingBatch:
             self.pair, self.emb_a, self.emb_b, cfg, rng
         )
         assert labeled is None
-        dims_b = self.emb_b.fine.geometry.dims
-        nxb, nyb = dims_b[0], dims_b[1]
-        anchors_half_flat = fine.anchor_indices
         # reconstruct the correspondent of each anchor and audit distances
-        iz, rem = np.divmod(anchors_half_flat, nyb * nxb)
-        iy, ix = np.divmod(rem, nxb)
-        full_a = np.stack([ix, iy, iz], axis=1) * 2.0
+        full_a = self.emb_a.fine.geometry.index_points(fine.anchor_indices) * 2.0
         corr = self.pair.a_to_b_voxels(full_a)
-        niz, nrem = np.divmod(fine.negative_indices.ravel(), nyb * nxb)
-        niy, nix = np.divmod(nrem, nxb)
-        neg_full = np.stack([nix, niy, niz], axis=1) * 2.0
-        neg_full = neg_full.reshape(*fine.negative_indices.shape, 3)
+        neg_full = self.emb_b.fine.geometry.index_points(fine.negative_indices) * 2.0
         d = np.linalg.norm(neg_full - corr[:, None, :], axis=2)
         assert d.min() > cfg.neg_min_dist_fine
 
@@ -516,6 +506,12 @@ class TestSampleTrainingBatch:
             assert len(np.unique(lab_half[idx])) == 1 and lab_half[idx[0]] > 0
 
 
+def half_lattice_points(mask_full):
+    """Half-grid (x, y, z) indices of the mask's voxels at even (x, y, z), as C-ordered
+    (n, 3) rows in C order of the grid."""
+    return np.argwhere(mask_full[::2, ::2, ::2])[:, ::-1].copy()
+
+
 def per_anchor_sample_side(
     pair, emb_a_flat, emb_b_flat, n_pos, n_neg, min_dist, hard_fraction, tau, rng,
     n_fov=0, overlap_b=None,
@@ -523,9 +519,9 @@ def per_anchor_sample_side(
     """Reference sampler: the per-anchor loop ``_sample_side`` replaced, kept verbatim
     but for the similarities it now also returns: each negative's product with
     its anchor, one per-anchor matrix-vector product."""
-    dims_a = half_geometry(pair.patch_a.geometry).dims
-    dims_b = half_geometry(pair.patch_b.geometry).dims
-    anchors_half = _half_lattice_points(pair.overlap_a)
+    half_a, half_b = half_geometry(pair.patch_a.geometry), half_geometry(pair.patch_b.geometry)
+    dims_b = half_b.dims
+    anchors_half = half_lattice_points(pair.overlap_a)
     if len(anchors_half) == 0:
         raise InsufficientOverlap("no overlap voxels available for anchors")
     full_a = anchors_half.astype(np.float64) * 2.0
@@ -541,14 +537,14 @@ def per_anchor_sample_side(
             f"only {len(anchors_half)} usable overlap voxels for {n_pos} positives"
         )
     pick = rng.choice(len(anchors_half), size=n_pos, replace=False)
-    a_idx = _flat_index(anchors_half[pick], dims_a)
-    p_idx = _flat_index(rounded[pick], dims_b)
+    a_idx = half_a.flat_index(anchors_half[pick])
+    p_idx = half_b.flat_index(rounded[pick])
     corr_sel = corr_full_b[pick]
 
     nxb, nyb, nzb = dims_b
     bx, by, bz = np.meshgrid(np.arange(nxb), np.arange(nyb), np.arange(nzb), indexing="ij")
     all_b = np.stack([bx.ravel(), by.ravel(), bz.ravel()], axis=1)  # (Nb, 3) xyz
-    all_b_flat = _flat_index(all_b, dims_b)
+    all_b_flat = half_b.flat_index(all_b)
     all_b_full = all_b.astype(np.float64) * 2.0
 
     n_cand = max(n_neg, int(math.ceil(n_neg / hard_fraction)))
@@ -574,9 +570,9 @@ def per_anchor_sample_side(
     if n_fov > 0:
         if overlap_b is None:
             raise ValueError("fov negatives need the query-side overlap mask")
-        outside = _half_lattice_points(~overlap_b)
+        outside = half_lattice_points(~overlap_b)
         if len(outside):
-            flat_out = _flat_index(outside, dims_b)
+            flat_out = half_b.flat_index(outside)
             fov_idx = flat_out[rng.integers(0, len(flat_out), size=(n_pos, n_fov))]
             fov_sims = np.stack([emb_b_flat[row] @ anchor for row, anchor in zip(fov_idx, anchors_e)])
 
@@ -642,7 +638,7 @@ class TestSamplerOracle:
             32, new_model(np.random.default_rng(12)), pair_seed=27,
             rotation_degrees=0.0, scale_range=(1.0, 1.0),
         )
-        corr = pair.a_to_b_voxels(self.anchor_points(np.arange(10), emb_a.fine.geometry.dims))
+        corr = pair.a_to_b_voxels(emb_a.fine.geometry.index_points(np.arange(10)) * 2.0)
         assert np.array_equal(corr % 2.0, np.zeros_like(corr))
         self.assert_same(*self.run_both(pair, emb_a, emb_b, "fine", 200, 500, 8.0, 0.25, 0.5))
 
@@ -661,19 +657,12 @@ class TestSamplerOracle:
         pair, emb_a, emb_b = self.flat_pair(20, new_model(np.random.default_rng(8)))
         got, want = self.run_both(pair, emb_a, emb_b, "fine", 60, 200, 8.0, 0.25, 0.5, seed=3)
         n_b = int(np.prod(emb_b.fine.geometry.dims))
-        corr = pair.a_to_b_voxels(self.anchor_points(got.anchor_indices, emb_a.fine.geometry.dims))
+        corr = pair.a_to_b_voxels(emb_a.fine.geometry.index_points(got.anchor_indices) * 2.0)
         lattice = np.stack(np.meshgrid(*(np.arange(n) for n in emb_b.fine.geometry.dims),
                                        indexing="ij"), axis=-1).reshape(-1, 3) * 2.0
         pools = [(np.linalg.norm(lattice - c, axis=1) > 8.0).sum() for c in corr]
         assert min(pools) < 800 < max(pools) <= n_b
         self.assert_same(got, want)
-
-    @staticmethod
-    def anchor_points(flat, dims):
-        nx, ny, _ = dims
-        iz, rem = np.divmod(flat, nx * ny)
-        iy, ix = np.divmod(rem, nx)
-        return np.stack([ix, iy, iz], axis=1) * 2.0
 
     @pytest.mark.parametrize("patch", [20, 32])
     def test_exact_ties_rank_by_candidate_position(self, patch):
@@ -716,7 +705,7 @@ class TestSamplerOracle:
         assert got.fov_indices is not None
         self.assert_same(got, want)
         dims_b = emb_b.fine.geometry.dims
-        corr = pair.a_to_b_voxels(self.anchor_points(got.anchor_indices, emb_a.fine.geometry.dims))
+        corr = pair.a_to_b_voxels(emb_a.fine.geometry.index_points(got.anchor_indices) * 2.0)
         lattice = np.stack(np.meshgrid(*(np.arange(n) for n in dims_b), indexing="ij"), axis=-1).reshape(-1, 3) * 2.0
         pools = np.array([(np.linalg.norm(lattice - c, axis=1) > cfg.neg_min_dist_fine).sum() for c in corr])
         n_cand = math.ceil(cfg.n_neg_fine / cfg.hard_negative_fraction)

@@ -413,6 +413,68 @@ class TestTrilinear:
             trilinear_sample_many(emb, [[0.5, 0.5, 0.5], [np.nan, 1.0, 1.0]])
 
 
+def trilinear_inline_corners(emb, pts):
+    """Oracle: ``trilinear_sample_many`` with each corner's flat index written out
+    from its (x, y, z) index, as the sampler did before ``flat_index``."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    nx, ny, nz = emb.geometry.dims
+    pts = np.clip(pts, 0.0, np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64))
+    base = np.minimum(np.floor(pts).astype(np.int64), np.maximum(np.array([nx, ny, nz]) - 2, 0))
+    frac = pts - base
+    data = emb.data.reshape(-1, emb.channels)
+    out = np.zeros((len(pts), emb.channels))
+    steps = (min(1, nx - 1), min(1, ny - 1), min(1, nz - 1))
+    for cx in (0, 1):
+        wx = (1.0 - frac[:, 0]) if cx == 0 else frac[:, 0]
+        for cy in (0, 1):
+            wy = (1.0 - frac[:, 1]) if cy == 0 else frac[:, 1]
+            for cz in (0, 1):
+                wz = (1.0 - frac[:, 2]) if cz == 0 else frac[:, 2]
+                w = wx * wy * wz
+                if not np.any(w):
+                    continue
+                ix, iy, iz = (base[:, k] + c * steps[k] for k, c in enumerate((cx, cy, cz)))
+                out += w[:, None] * data[(iz * ny + iy) * nx + ix]
+    return unit_rows(out)[0] if emb.normalized else out
+
+
+class TestFlatIndex:
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (5, 4, 3), (33, 40, 31)])
+    def test_round_trip_equals_ravel_multi_index(self, dims):
+        geom = VolumeGeometry(dims)
+        flat = np.arange(geom.n_voxels)
+        xyz = geom.index_points(flat)
+        assert xyz.shape == (geom.n_voxels, 3)
+        want = np.ravel_multi_index((xyz[:, 2], xyz[:, 1], xyz[:, 0]), geom.shape_zyx)
+        np.testing.assert_array_equal(want, flat)
+        np.testing.assert_array_equal(geom.flat_index(xyz), flat)
+        np.testing.assert_array_equal(xyz, np.argwhere(np.ones(geom.shape_zyx))[:, ::-1])
+
+    def test_any_leading_shape_and_row_layout(self):
+        geom = VolumeGeometry((5, 4, 3))
+        flat = np.random.default_rng(2).integers(0, geom.n_voxels, size=(6, 7))
+        xyz = geom.index_points(flat)
+        assert xyz.shape == (6, 7, 3)
+        np.testing.assert_array_equal(geom.flat_index(xyz), flat)
+        np.testing.assert_array_equal(geom.flat_index(np.ascontiguousarray(xyz)), flat)
+        assert geom.flat_index((1, 2, 1)) == 1 + 2 * 5 + 1 * 5 * 4
+
+
+class TestTrilinearCorners:
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (1, 4, 3), (3, 1, 1), (1, 1, 1), (2, 7, 2)])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_samples_equal_the_inline_corner_oracle(self, dims, normalized):
+        rng = np.random.default_rng(sum(dims))
+        data = rng.normal(size=dims[::-1] + (5,))
+        if normalized:
+            data = unit_rows(data.reshape(-1, 5))[0].reshape(data.shape)
+        emb = EmbeddingVolume(VolumeGeometry(dims), data, normalized=normalized)
+        lattice = VolumeGeometry(dims).voxel_points()
+        pts = np.concatenate([rng.uniform(0.0, np.array(dims) - 1.0, size=(200, 3)), lattice])
+        got = trilinear_sample_many(emb, pts)
+        assert np.array_equal(got, trilinear_inline_corners(emb, pts))
+
+
 class TestNormalizedEmbeddingVolume:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
     def test_rows_neither_unit_nor_zero_are_rejected(self, bad):
