@@ -259,7 +259,8 @@ def _read_manifest(path):
 
 
 def _cmd_train(args, cfg: RunConfig) -> int:
-    # every input is read before the loss log is opened, so a data error leaves an old log as it was
+    # the inputs are read and the model trained before the loss log is opened,
+    # so a data error leaves an old log as it was
     rows = _read_manifest(args.manifest)
     if args.mode == "cross-iter":
         pairs = []
@@ -288,15 +289,13 @@ def _cmd_train(args, cfg: RunConfig) -> int:
         vol = _read_volume(row[0], volume.ScalarVolume)
         lab = _read_volume(row[1], volume.LabelVolume) if len(row) > 1 else None
         dataset.append((vol, lab))
+    mode = {"single": "standard", "cross-init": "aggressive"}[args.mode]
+    mdl, loss_log = model_mod.train(dataset, cfg.train, mode=mode, augment_spec=cfg.augment)
     log_file = open(args.loss_log, "w", newline="") if args.loss_log else contextlib.nullcontext(sys.stdout)
     with log_file as loss_stream:
+        model_mod.save_model(mdl, args.out_model)
         writer = csv.writer(loss_stream)
         writer.writerow(["step", "loss_fine", "loss_coarse", "loss_semantic"])
-        mode = {"single": "standard", "cross-init": "aggressive"}[args.mode]
-        mdl, loss_log = model_mod.train(
-            dataset, cfg.train, mode=mode, augment_spec=cfg.augment
-        )
-        model_mod.save_model(mdl, args.out_model)
         for row in loss_log:
             writer.writerow(
                 [row["step"], repr(row["loss_fine"]), repr(row["loss_coarse"]),

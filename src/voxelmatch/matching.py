@@ -2,24 +2,42 @@
 
 Matching runs on half-resolution embedding grids; template points and match
 results are expressed in full-resolution voxel coordinates of the respective
-image grids (twice the embedding-grid index).  Nearest-neighbour argmaxes
-break ties toward the smallest (z, y, x) index, so results are deterministic.
+image grids (twice the embedding-grid index).
 
-An NN lookup samples its template vectors once, then takes them
-``_NN_CHUNK`` (128) rows at a time through similarity products bounded by
-bytes: a large query grid goes through column blocks of at most ``_NN_BLOCK``
-float64 entries (4 MB) in one buffer, so memory stays at one block plus one
-vector per point, whatever the grid size.
+One canonical similarity: for a weighted, concatenated template vector v and
+a query vector q, sum_k v_k q_k, summed in float64 in channel order by
+elementwise products, never by BLAS (``_canonical``).  NN lookups,
+``similarity_map`` and the similarity of a fitted fixed point all use it, so
+no value depends on BLAS kernels, thread count or block sizes.  A query
+voxel's q is its row of the float32 table of the heads in use.
+
+One NN engine (``_PairMatcher._search``) returns the exact argmax of the
+canonical similarity over the query voxels, ties going to the smallest
+(z, y, x).  It screens in float32: ``_NN_CHUNK`` (128) template rows at a
+time take one float32 product per column block of at most ``_NN_BLOCK``
+entries (4 MB) in one buffer, and each row keeps its float32 best and
+runner-up.  With C channels in use, any float32 evaluation of the sum lies
+within E = g(C + 2, 2^-24) (1 + 2e-4) of its exact value, g(n, u) being
+n u / (1 - n u): the template heads are unit, the weights sum to 1, and the
+query rows are unit within the 1e-4 that ``EmbeddingVolume(normalized=True)``
+enforces (the 2e-4 covers that, the 1e-6 weight tolerance and the float32
+norm check).  The canonical sum lies within F = g(C + 2, 2^-53) (1 + 2e-4)
+of it, so only columns whose float32 product is within 2 (E + F) of the
+row's float32 best can win.  A row whose runner-up lies further down has
+one candidate, which wins.  Any other row is rescanned over narrower blocks,
+and all its candidates are re-ranked by the canonical sum, however many tie.
+Memory stays at one block plus one vector per point, whatever the grid size.
+
 Fixed-point matching of a point list builds one pair matcher and iterates
 the seed cubes of all points together: every seed is a lattice point, so the
 forward and backward NN maps are memoized per lattice index and each lattice
 point is looked up at most once per direction, whichever cubes share it.  A
 lattice index is the point's row of the flattened embedding table; the one
 rule between the two is ``VolumeGeometry.flat_index`` and its inverse
-``index_points``.
+``index_points``.  A lattice lookup gathers its template vector from the
+table (``_PairMatcher.lattice_vectors``).
 Each point gets its own affine fit; all fitted points share one similarity
-pass.  A point that cannot be fitted keeps a one-row NN lookup, because a
-one-row product rounds differently from a batched one.
+pass and all points that cannot be fitted one NN lookup.
 
 One iteration policy, with a step budget per seed: a point's centre seed
 gets ``max_iter`` steps, as it sets ``n_fix``.  When every lattice point
@@ -46,7 +64,7 @@ import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, NonUnitInput, OutOfBounds
 from .geometry import Point3, fit_affine
-from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many
+from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many, unit_rows
 
 __all__ = [
     "EmbeddingSet",
@@ -134,9 +152,10 @@ class MatchResult:
 
 # template rows per similarity product in NN lookups
 _NN_CHUNK = 128
-# float64 entries (4 MB) per similarity product, the bound the training
-# sampler uses for its gather; wider products run over column blocks
-_NN_BLOCK = 2**19
+# float32 entries (4 MB) per screen product, the byte bound the training
+# sampler uses for its gather; wider products run over column blocks, and
+# canonical sums over narrower ones (see _rerank_width)
+_NN_BLOCK = 2**20
 
 
 def _as_xyz(p) -> np.ndarray:
@@ -157,9 +176,74 @@ def _lattice_points(s: EmbeddingSet, flat: np.ndarray) -> np.ndarray:
     return s.geometry.index_points(flat) * 2.0
 
 
+def _canonical(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The canonical similarity of each row pair of float64 ``v`` and ``q`` (a
+    one-row ``v`` pairs with every row of ``q``): the products v_k q_k in
+    float64, summed left to right in channel order (``add.accumulate``, unlike
+    ``sum``, never reorders).  Both operands are arrays, so a float32 ``q``
+    is promoted (a NumPy < 2 float64 scalar would not promote it)."""
+    terms = v * q
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+
+
+def _rerank_width(channels: int) -> int:
+    """Query columns per block of canonical sums: each column costs ~12 bytes a
+    channel, so a block stays within ``_NN_BLOCK`` float32 entries' bytes."""
+    return max(1, _NN_BLOCK // (8 * channels))
+
+
+def _margin(channels: int) -> float:
+    """2 (E + F): how far below a row's float32 best the float32 product of
+    its canonical winner can lie (see the module docstring)."""
+    n = channels + 2
+    return 2.0 * sum(n * u / (1.0 - n * u) for u in (2.0**-24, 2.0**-53)) * (1.0 + 2e-4)
+
+
+def _products(v32: np.ndarray, q: np.ndarray, width: int, buf: np.ndarray | None = None):
+    """(first column, float32 product of ``v32`` with a block of ``q``'s rows)
+    per column block of ``width``, in ``buf`` when given."""
+    for c0 in range(0, len(q), width):
+        block = q[c0:c0 + width]
+        out = None if buf is None else buf[:len(v32) * len(block)].reshape(len(v32), -1)
+        yield c0, np.matmul(v32, block.T, out=out)
+
+
+def _screen(v32: np.ndarray, q: np.ndarray, width: int, buf: np.ndarray):
+    """Each row's float32 best, its first column and the runner-up, which
+    equals the best when two columns tie."""
+    r = np.arange(len(v32))
+    top = np.full(len(v32), -np.inf, dtype=np.float32)
+    second = top.copy()
+    arg = np.zeros(len(v32), dtype=np.int64)
+    for c0, sims in _products(v32, q, width, buf):
+        idx = np.argmax(sims, axis=1)
+        val = sims[r, idx]
+        sims[r, idx] = -np.inf
+        second = np.maximum(np.maximum(second, sims.max(axis=1)), np.minimum(top, val))
+        up = val > top
+        arg[up] = idx[up] + c0
+        top = np.maximum(top, val)
+    return top, second, arg
+
+
+def _rescan(v: np.ndarray, v32: np.ndarray, floor: np.ndarray, q: np.ndarray) -> tuple[int, float]:
+    """Column and canonical similarity of the best of one row's candidates,
+    the columns whose float32 product is at least ``floor``; ``v``, ``v32`` and
+    ``floor`` hold the one row."""
+    flat, best = 0, -np.inf
+    for c0, sims in _products(v32, q, _rerank_width(q.shape[1])):
+        cand = np.flatnonzero(sims[0] >= floor) + c0
+        if cand.size:
+            vals = _canonical(v, q[cand])
+            j = int(np.argmax(vals))  # the first maximum, the smallest (z, y, x)
+            if vals[j] > best:  # an earlier block keeps a tie
+                flat, best = int(cand[j]), float(vals[j])
+    return flat, best
+
+
 class _PairMatcher:
-    """Flattened query matrices for NN lookups in both directions, each
-    stacked on the first lookup that reads it (an NN grid match never stacks A)."""
+    """Float32 query tables for NN lookups in both directions, each stacked
+    on the first lookup that reads it (an NN grid match never stacks A)."""
 
     def __init__(self, a: EmbeddingSet, b: EmbeddingSet, w: SimilarityWeights):
         self.a = a
@@ -189,9 +273,9 @@ class _PairMatcher:
         return self._stack(self.b)
 
     def _stack(self, s: EmbeddingSet) -> np.ndarray:
-        """Float64 (n_voxels, channels) matrix of the heads in use, filled in place."""
+        """Float32 (n_voxels, channels) table of the heads in use, filled in place."""
         mats = [getattr(s, name).data.reshape(s.geometry.n_voxels, -1) for name, _ in self.heads]
-        out = np.empty((s.geometry.n_voxels, sum(m.shape[1] for m in mats)), dtype=np.float64)
+        out = np.empty((s.geometry.n_voxels, sum(m.shape[1] for m in mats)), dtype=np.float32)
         lo = 0
         for m in mats:
             out[:, lo:lo + m.shape[1]] = m
@@ -209,62 +293,80 @@ class _PairMatcher:
             parts.append(weight * trilinear_sample_many(getattr(s, name), half))
         return np.concatenate(parts, axis=1)
 
-    def _nn(self, from_set: EmbeddingSet, q_to: np.ndarray, pts) -> tuple[np.ndarray, np.ndarray]:
-        """Flat query-voxel index and similarity of each template point's best match.
+    def lattice_vectors(self, s: EmbeddingSet, flat: np.ndarray) -> np.ndarray:
+        """``template_vectors`` at the lattice points ``flat``, from their table
+        rows: at an integer point the trilinear sample is ``unit_rows`` of the
+        voxel's row plus 0.0, bit for bit (the 0.0 is the sample's zeroed
+        accumulator, which turns -0.0 into 0.0)."""
+        parts = []
+        for name, weight in self.heads:
+            head = getattr(s, name)
+            rows = np.add(head.data.reshape(-1, head.channels)[flat], 0.0, dtype=np.float64)
+            parts.append(weight * unit_rows(rows)[0])
+        return np.concatenate(parts, axis=1)
 
-        Template vectors are sampled once for all points, then go through
-        the product ``_NN_CHUNK`` rows at a time, over column blocks of
-        ``q_to`` that keep each product within ``_NN_BLOCK`` entries and share
-        one row-major buffer.  A block is a multiple of 8 columns wide, so
-        its edges fall on BLAS tile edges.  Each row's argmax in a block is
-        its first maximum, the smallest (z, y, x), and a later block replaces
-        the running best only on a strictly larger value.
+    def _search(self, from_set: EmbeddingSet, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat query-voxel index and canonical similarity of the best match of
+        each template vector of ``v`` (rows sampled from ``from_set``).
+
+        The float32 screen, then the canonical similarity of each row's one
+        candidate, or a rescan of the rows with more (see the module docstring).
         """
-        v = self.template_vectors(from_set, pts)
-        flat = np.zeros(len(v), dtype=np.int64)
-        best = np.full(len(v), -np.inf)
+        q = self.q_b if from_set is self.a else self.q_a
+        margin = _margin(q.shape[1])
+        v32 = v.astype(np.float32)
+        flat = np.empty(len(v), dtype=np.int64)
+        best = np.empty(len(v), dtype=np.float64)
         n_rows = max(1, min(len(v), _NN_CHUNK))
-        width = min(len(q_to), max(8, _NN_BLOCK // n_rows // 8 * 8))
-        buf = np.empty(n_rows * width)
+        width = min(len(q), max(1, _NN_BLOCK // n_rows))
+        buf = np.empty(n_rows * width, dtype=np.float32)
         for lo in range(0, len(v), _NN_CHUNK):
-            chunk = v[lo:lo + _NN_CHUNK]
-            f, b = flat[lo:lo + len(chunk)], best[lo:lo + len(chunk)]
-            for c0 in range(0, len(q_to), width):
-                block = q_to[c0:c0 + width]
-                sims = np.matmul(chunk, block.T, out=buf[:len(chunk) * len(block)].reshape(len(chunk), -1))
-                idx = np.argmax(sims, axis=1)
-                val = sims[np.arange(len(idx)), idx]
-                up = val > b
-                f[up], b[up] = idx[up] + c0, val[up]
+            rows = slice(lo, lo + _NN_CHUNK)
+            top, second, arg = _screen(v32[rows], q, width, buf)
+            # float64 arrays on both sides, so the comparisons are exact
+            floor = top.astype(np.float64) - margin
+            one = second < floor
+            f, b = flat[rows], best[rows]
+            f[one] = arg[one]
+            b[one] = _canonical(v[rows][one], q[arg[one]])
+            for i in np.flatnonzero(~one):
+                j = lo + i
+                f[i], b[i] = _rescan(v[j:j + 1], v32[j:j + 1], floor[i:i + 1], q)
         return flat, best
 
     def nn_a_to_b(self, pts):
-        flat, best = self._nn(self.a, self.q_b, pts)
+        """Best query voxel (full resolution) and similarity of each template point."""
+        flat, best = self._search(self.a, self.template_vectors(self.a, pts))
         return _lattice_points(self.b, flat), best
 
+    def lattice_nn(self, from_set: EmbeddingSet, flat: np.ndarray) -> np.ndarray:
+        """Flat index of the best voxel of the other set for each lattice point
+        ``flat`` of ``from_set``."""
+        return self._search(from_set, self.lattice_vectors(from_set, flat))[0]
+
     def similarity_between(self, pts_a, pts_b) -> np.ndarray:
-        """Weighted per-head similarity between sample points of A and of B."""
+        """Canonical similarity between sample points of A and of B."""
         la = np.array(self.a.geometry.dims, dtype=np.float64) - 1.0
         lb = np.array(self.b.geometry.dims, dtype=np.float64) - 1.0
         pa = np.clip(np.asarray(pts_a, dtype=np.float64).reshape(-1, 3) / 2.0, 0.0, la)
         pb = np.clip(np.asarray(pts_b, dtype=np.float64).reshape(-1, 3) / 2.0, 0.0, lb)
-        total = np.zeros(len(pa), dtype=np.float64)
-        for name, weight in self.heads:
-            va = trilinear_sample_many(getattr(self.a, name), pa)
-            vb = trilinear_sample_many(getattr(self.b, name), pb)
-            total += weight * (va * vb).sum(axis=1)
-        return total
+        va = np.concatenate([w * trilinear_sample_many(getattr(self.a, n), pa) for n, w in self.heads], axis=1)
+        vb = np.concatenate([trilinear_sample_many(getattr(self.b, n), pb) for n, _ in self.heads], axis=1)
+        return _canonical(va, vb)
 
 
 def similarity_map(
     template: EmbeddingSet, t, query: EmbeddingSet, w: SimilarityWeights
 ) -> ScalarVolume:
-    """Weighted inner-product map between the template vector at ``t`` and every query voxel."""
+    """Canonical similarity between the template vector at ``t`` and every query voxel."""
     matcher = _PairMatcher(template, query, w)
-    v = matcher.template_vectors(template, _as_xyz(t).reshape(1, 3))[0]
-    sims = matcher.q_b @ v
-    shape = query.geometry.shape_zyx
-    return ScalarVolume(query.geometry, sims.reshape(shape).astype(np.float32))
+    v = matcher.template_vectors(template, _as_xyz(t).reshape(1, 3))
+    q = matcher.q_b
+    sims = np.empty(len(q), dtype=np.float32)
+    width = _rerank_width(q.shape[1])
+    for c0 in range(0, len(q), width):
+        sims[c0:c0 + width] = _canonical(v, q[c0:c0 + width])
+    return ScalarVolume(query.geometry, sims.reshape(query.geometry.shape_zyx))
 
 
 def nn_match(
@@ -365,11 +467,11 @@ def _converge_cubes(
         pos = cur[alive]
         need = np.unique(pos[fwd_memo[pos] < 0])
         if need.size:
-            fwd_memo[need] = matcher._nn(a, matcher.q_b, _lattice_points(a, need))[0]
+            fwd_memo[need] = matcher.lattice_nn(a, need)
         fwd = fwd_memo[pos]
         need = np.unique(fwd[back_memo[fwd] < 0])
         if need.size:
-            back_memo[need] = matcher._nn(b, matcher.q_a, _lattice_points(b, need))[0]
+            back_memo[need] = matcher.lattice_nn(b, need)
         nxt = back_memo[fwd]
         conv = nxt == pos
         fixed_at[alive[conv]] = pos[conv]
@@ -377,14 +479,17 @@ def _converge_cubes(
         cur[alive] = nxt
         alive = alive[~conv & (budget[alive] > it + 1)]
 
-    groups = []
-    for p in range(len(pts)):
-        flat = fixed_at[start_of[p]]
-        flat = np.unique(flat[flat >= 0])
-        xyz = _lattice_points(a, flat)
-        groups.append(flat[np.lexsort((xyz[:, 2], xyz[:, 1], xyz[:, 0]))])
-    flat = np.concatenate(groups)
-    cuts = np.cumsum([len(g) for g in groups])[:-1]
+    # each point's distinct fixed points in (x, y, z) order, by one sort of
+    # (point, x, y, z) keys
+    nx, ny, nz = a.geometry.dims
+    owner, seed = np.nonzero(fixed_at[start_of] >= 0)
+    xyz = a.geometry.index_points(fixed_at[start_of[owner, seed]])
+    key = np.unique(((owner * nx + xyz[:, 0]) * ny + xyz[:, 1]) * nz + xyz[:, 2])
+    rest, z = np.divmod(key, nz)
+    rest, y = np.divmod(rest, ny)
+    owner, x = np.divmod(rest, nx)
+    flat = a.geometry.flat_index(np.stack([x, y, z], axis=1))
+    cuts = np.cumsum(np.bincount(owner, minlength=len(pts)))[:-1]
     return [
         _CubeFixedPoints(fixed, forward, int(n))
         for fixed, forward, n in zip(
@@ -399,28 +504,30 @@ def _finish_fixpoint(
     matcher: _PairMatcher, pts: np.ndarray, cubes: list[_CubeFixedPoints], cfg: FixpointConfig
 ) -> list[MatchResult]:
     """Affine fits through the fixed points near each point, one similarity pass
-    for all fitted points, and a one-row NN lookup per point that cannot be fitted."""
+    for all fitted points, and one NN lookup for all points that cannot be fitted."""
     out: list[MatchResult | None] = [None] * len(pts)
     fit, fit_n, fit_q = [], [], []
     for i, (t, cube) in enumerate(zip(pts, cubes)):
         near = np.linalg.norm(cube.fixed - t, axis=1) <= cfg.tau_dis
         n_near = int(np.count_nonzero(near))
-        if n_near >= cfg.min_points:
-            try:
-                aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
-            except DegenerateGeometry:
-                pass
-            else:
-                fit.append(i)
-                fit_n.append(n_near)
-                fit_q.append(aff.apply_array(t.reshape(1, 3))[0])
-                continue
-        (q,), (sim,) = matcher.nn_a_to_b(t.reshape(1, 3))
-        out[i] = MatchResult(Point3.from_array(q), float(sim), "fixpoint_fallback_nn", cube.n_fix)
+        if n_near < cfg.min_points:
+            continue
+        try:
+            aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
+        except DegenerateGeometry:
+            continue
+        fit.append(i)
+        fit_n.append(n_near)
+        fit_q.append(aff.apply_array(t.reshape(1, 3))[0])
     fitted = np.clip(np.array(fit_q).reshape(-1, 3), 0.0, _full_res_limits(matcher.b))
     sims = matcher.similarity_between(pts[fit], fitted)
     for i, n_near, qi, sim in zip(fit, fit_n, fitted, sims):
         out[i] = MatchResult(Point3.from_array(qi), float(sim), "fixpoint", cubes[i].n_fix, n_near)
+    rest = [i for i, r in enumerate(out) if r is None]
+    if rest:
+        matched, sims = matcher.nn_a_to_b(pts[rest])
+        for i, q, sim in zip(rest, matched, sims):
+            out[i] = MatchResult(Point3.from_array(q), float(sim), "fixpoint_fallback_nn", cubes[i].n_fix)
     return out
 
 
@@ -464,13 +571,14 @@ def grid_match(
     A point more than 0.75 embedding voxels outside ``a``'s grid is ``None``
     under either matcher, before any lookup.  One ``_PairMatcher`` serves the
     whole call.  With ``cfg=None`` the in-bounds points go through one
-    batched NN lookup, at most ``_NN_BLOCK`` entries per similarity product.
+    batched NN lookup, at most ``_NN_BLOCK`` entries per float32 product.
     Otherwise their seed cubes iterate together against one shared memo of
     lattice NN maps (see ``_converge_cubes``): a seed that cycles or exhausts
     its step budget yields no fixed point.  Each point then gets its own
     affine fit through the fixed points near it, and all fitted points share
-    one similarity pass.  A point that cannot be fitted falls back to its own
-    one-row NN lookup, so it equals ``nn_match`` bit for bit.
+    one similarity pass.  The points that cannot be fitted fall back to one NN
+    lookup; each equals ``nn_match`` bit for bit, as every lookup returns the
+    canonical argmax whatever its batch.
     """
     pts = np.array([_as_xyz(p) for p in points], dtype=np.float64).reshape(-1, 3)
     if not len(pts):

@@ -747,6 +747,13 @@ def train(
     returns (model, per-step loss log).  Raises ``DimensionMismatch`` when
     ``init``'s heads' F is not ``FEATURE_DIM``.
 
+    A batch whose patch pair or sample lacks overlap is skipped.  Each
+    step's ``loss_fine`` and ``loss_coarse`` average over the batches that
+    ran, and ``loss_semantic`` over those with a semantic loss (NaN when
+    none had one).  A step whose batches were all skipped logs 0.0 for both,
+    the row by which the benchmark counts skipped steps.  A call in which no
+    batch ran raises ``InsufficientOverlap``: its model never trained.
+
     Each step embeds with each head's (F, k) map M, samples and evaluates
     the losses on the k-wide embeddings, backprops an (F, k) gradient G and
     runs the momentum update on M.  A model whose heads were (F, D) matrices
@@ -806,10 +813,12 @@ def train(
     velocity = {h: np.zeros_like(w) for h, w in maps.items()}
     reg_cache: dict[int, tuple] = {}
     log_rows = []
+    n_ran_total = 0
 
     for step_i in range(cfg.steps):
         grads = {h: np.zeros_like(m) for h, m in maps.items()}
         losses_acc = {"fine": 0.0, "coarse": 0.0, "semantic": float("nan")}
+        n_ran = n_semantic = 0
         for _ in range(cfg.batch_size):
             paired_step = mode == "paired" and step_i % 2 == 1
             if paired_step:
@@ -838,6 +847,7 @@ def train(
                 )
             except InsufficientOverlap:
                 continue  # skip pathological draws, the step still updates on other items
+            n_ran += 1
             loss_fn = crossmod_infonce if paired_step else appearance_infonce
             out_f = loss_fn(fine_b)
             out_c = appearance_infonce(coarse_b)
@@ -852,6 +862,7 @@ def train(
                 if math.isnan(losses_acc["semantic"]):
                     losses_acc["semantic"] = 0.0
                 losses_acc["semantic"] += out_s.value / len(idx)
+                n_semantic += 1
                 grads["semantic"] += side_a.chain("semantic", idx[order], out_s.d_embeddings[order]) / len(idx)
         if not all(np.all(np.isfinite(g)) for g in grads.values()):
             raise DivergedLoss(f"non-finite gradient at step {step_i}")
@@ -869,9 +880,12 @@ def train(
         log_rows.append(
             {
                 "step": step_i,
-                "loss_fine": losses_acc["fine"] / cfg.batch_size,
-                "loss_coarse": losses_acc["coarse"] / cfg.batch_size,
-                "loss_semantic": losses_acc["semantic"] / cfg.batch_size,  # NaN when no semantic batch ran
+                "loss_fine": losses_acc["fine"] / max(n_ran, 1),
+                "loss_coarse": losses_acc["coarse"] / max(n_ran, 1),
+                "loss_semantic": losses_acc["semantic"] / max(n_semantic, 1),  # NaN when no semantic batch ran
             }
         )
+        n_ran_total += n_ran
+    if cfg.steps and not n_ran_total:
+        raise InsufficientOverlap(f"no training batch of the {cfg.steps} steps had enough overlap")
     return model, log_rows

@@ -544,6 +544,20 @@ class TestTrainCommand:
         assert "Traceback" not in capsys.readouterr().err
         assert (tmp_path / "loss.csv").read_bytes() == b"old log\n"
 
+    def test_training_in_which_no_batch_ran_is_a_data_error(self, tmp_path, capsys):
+        # no patch pair of the 24^3 working phantom holds 100000 positives, so
+        # every batch is skipped: no model, and an old loss log stays as it was
+        self.CONF = self.CONF.replace("n_pos_fine = 16", "n_pos_fine = 100000")
+        (tmp_path / "loss.csv").write_bytes(b"old log\n")
+        code = self.run(tmp_path, "vol.evf", "--loss-log", str(tmp_path / "loss.csv"))
+        out, err = capsys.readouterr()
+        assert code == cli.DATA_ERROR
+        assert "no training batch of the 1 steps had enough overlap" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "model.uaem").exists()
+        assert (tmp_path / "loss.csv").read_bytes() == b"old log\n"
+
     def test_loss_log_with_cross_iter_is_a_usage_error(self, tmp_path, capsys):
         # cross-iter keeps no loss log of its rounds, so it takes no --loss-log
         (tmp_path / "loss.csv").write_bytes(b"old log\n")

@@ -17,6 +17,7 @@ import pytest
 from voxelmatch import model as model_mod
 from voxelmatch.alignment import AlignConfig, register_and_crop
 from voxelmatch.augment import AugmentSpec
+from voxelmatch.errors import InsufficientOverlap
 from voxelmatch.geometry import rigid_about, rotation_matrix
 from voxelmatch.losses import proto_supcon
 from voxelmatch.matching import EmbeddingSet, FixpointConfig, SimilarityWeights, grid_match
@@ -265,7 +266,11 @@ class TestPerVoxelBackprop:
         )
         cfg = TrainConfig(steps=2, learning_rate=1.0, momentum=0.0, seed=5)
         spec = AugmentSpec(patch_size=(20, 20, 20))
-        before, _ = train([moving], replace(cfg, steps=1), "paired", spec, [reg], init=init)
+        # step 0 is self-supervised, and no 20^3 patch pair holds the default
+        # counts: it runs no batch, so the heads enter step 1 as init's
+        with pytest.raises(InsufficientOverlap):
+            train([moving], replace(cfg, steps=1), "paired", spec, [reg], init=init)
+        before = init
         calls = recording(monkeypatch)
         after, _ = train([moving], cfg, "paired", spec, [reg], init=init)
         paired = [c for c in calls if c[2]]

@@ -18,6 +18,7 @@ from voxelmatch.matching import (
     _PairMatcher,
     _converge_cubes,
     _full_res_limits,
+    _lattice_points,
     fixpoint_match,
     grid_match,
     nn_match,
@@ -366,7 +367,8 @@ def per_point_fixpoint(t, a, b, w, cfg):
             break
         pts = np.array([cur[i] for i in alive], dtype=np.float64)
         fwd, _ = matcher.nn_a_to_b(pts)
-        back = a.geometry.index_points(matcher._nn(b, matcher.q_a, fwd)[0]) * 2.0
+        back_flat = matcher.lattice_nn(b, b.geometry.flat_index((fwd / 2.0).astype(np.int64)))
+        back = a.geometry.index_points(back_flat) * 2.0
         next_alive = []
         for row, i in enumerate(alive):
             nxt = tuple(back[row])
@@ -495,13 +497,20 @@ class TestBatchedFixpointEngine:
         keep = rng.random(n) < 0.5
         back[fwd[keep]] = np.flatnonzero(keep)
 
-        def table_nn(self, from_set, q_to, pts):
-            table = fwd if from_set is self.a else back
+        def table_nn(self, pts):
             ijk = np.rint(np.asarray(pts, dtype=np.float64).reshape(-1, 3) / 2.0).astype(np.int64)
-            flat = table[from_set.geometry.flat_index(ijk)]
-            return flat, flat / n
+            flat = fwd[self.a.geometry.flat_index(ijk)]
+            return self.b.geometry.index_points(flat) * 2.0, flat / n
 
-        monkeypatch.setattr(_PairMatcher, "_nn", table_nn)
+        def table_lattice_nn(self, from_set, flat):
+            return (fwd if from_set is self.a else back)[flat]
+
+        def no_search(self, from_set, v):
+            raise AssertionError("an NN lookup went around the tables")
+
+        monkeypatch.setattr(_PairMatcher, "nn_a_to_b", table_nn)
+        monkeypatch.setattr(_PairMatcher, "lattice_nn", table_lattice_nn)
+        monkeypatch.setattr(_PairMatcher, "_search", no_search)
         pts = lattice_points((6, 6, 6), 1)
         got = grid_match(pts, a, b, W, cfg)
         assert got == oracle_grid(pts, a, b, W, cfg)
@@ -578,22 +587,41 @@ class TestMatcherWorkCount:
 
     @staticmethod
     def counting(monkeypatch):
-        counts = {"matchers": 0, "fwd_rows": 0, "fwd_distinct": set()}
-        init, nn = _PairMatcher.__init__, _PairMatcher._nn
+        """Counts matchers and forward rows; asserts that every engine search
+        comes from a point or a lattice lookup, so the counts see them all."""
+        counts = {"matchers": 0, "fwd_rows": 0, "fwd_distinct": set(), "lookups": 0}
+        init, point_nn, lattice_nn, search = (
+            _PairMatcher.__init__, _PairMatcher.nn_a_to_b, _PairMatcher.lattice_nn, _PairMatcher._search
+        )
 
         def counted_init(self, *args, **kwargs):
             counts["matchers"] += 1
             init(self, *args, **kwargs)
 
-        def counted_nn(self, from_set, q_to, pts):
+        def forward(rows):
+            counts["fwd_rows"] += len(rows)
+            counts["fwd_distinct"].update(map(tuple, rows))
+
+        def counted_point_nn(self, pts):
+            forward(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
+            counts["lookups"] += 1
+            return point_nn(self, pts)
+
+        def counted_lattice_nn(self, from_set, flat):
             if from_set is self.a:
-                rows = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-                counts["fwd_rows"] += len(rows)
-                counts["fwd_distinct"].update(map(tuple, rows))
-            return nn(self, from_set, q_to, pts)
+                forward(_lattice_points(self.a, flat))
+            counts["lookups"] += 1
+            return lattice_nn(self, from_set, flat)
+
+        def counted_search(self, from_set, v):
+            assert counts["lookups"] > 0
+            counts["lookups"] -= 1
+            return search(self, from_set, v)
 
         monkeypatch.setattr(_PairMatcher, "__init__", counted_init)
-        monkeypatch.setattr(_PairMatcher, "_nn", counted_nn)
+        monkeypatch.setattr(_PairMatcher, "nn_a_to_b", counted_point_nn)
+        monkeypatch.setattr(_PairMatcher, "lattice_nn", counted_lattice_nn)
+        monkeypatch.setattr(_PairMatcher, "_search", counted_search)
         return counts
 
     @pytest.mark.parametrize("case", range(5))
@@ -610,9 +638,10 @@ class TestMatcherWorkCount:
         assert got == oracle
         assert counts["matchers"] == 1
         n_fallback = sum(r.method == "fixpoint_fallback_nn" for r in got)
-        # every lattice point is looked up forward at most once; each
-        # fallback adds its own one-row lookup
+        # every lattice point is looked up forward at most once; the
+        # fallbacks add one row each, in one lookup
         assert counts["fwd_rows"] <= distinct + n_fallback
+        assert counts["lookups"] == 0
 
     def test_contained_ball_steps_no_other_cube_seed(self, monkeypatch):
         # an interior lattice point under the default config: its 81-seed ball
@@ -666,20 +695,26 @@ class TestMatcherWorkCount:
         (2, FixpointConfig(cube_side=3, tau_dis=6.0), "mixed"),
         (3, FixpointConfig(tau_dis=1e-6), "fallback"),
     ], ids=["all-fitted", "mixed-7x5x6", "mixed-8x8x8", "all-fallback"])
-    def test_one_similarity_pass_and_one_row_lookup_per_fallback(self, monkeypatch, case, cfg, kind):
+    def test_one_similarity_pass_and_one_lookup_for_the_fallbacks(self, monkeypatch, case, cfg, kind):
         a, b, pts = equivalence_cases()[case]
         sim_rows, finish_rows, converged = [], [], []
-        sim, nn, converge = _PairMatcher.similarity_between, _PairMatcher._nn, matching._converge_cubes
+        sim, point_nn, lattice_nn = (
+            _PairMatcher.similarity_between, _PairMatcher.nn_a_to_b, _PairMatcher.lattice_nn
+        )
+        converge = matching._converge_cubes
 
         def counted_sim(self, pts_a, pts_b):
             sim_rows.append(len(np.asarray(pts_a).reshape(-1, 3)))
             return sim(self, pts_a, pts_b)
 
-        def counted_nn(self, from_set, q_to, pts):
-            if converged:  # lookups after the cubes converged belong to the finish
-                assert from_set is self.a
-                finish_rows.append(len(np.asarray(pts).reshape(-1, 3)))
-            return nn(self, from_set, q_to, pts)
+        def counted_point_nn(self, pts):
+            assert converged  # the cubes look up lattice points only
+            finish_rows.append(len(np.asarray(pts).reshape(-1, 3)))
+            return point_nn(self, pts)
+
+        def counted_lattice_nn(self, from_set, flat):
+            assert not converged  # the finish looks up template points only
+            return lattice_nn(self, from_set, flat)
 
         def counted_converge(*args):
             out = converge(*args)
@@ -687,7 +722,8 @@ class TestMatcherWorkCount:
             return out
 
         monkeypatch.setattr(_PairMatcher, "similarity_between", counted_sim)
-        monkeypatch.setattr(_PairMatcher, "_nn", counted_nn)
+        monkeypatch.setattr(_PairMatcher, "nn_a_to_b", counted_point_nn)
+        monkeypatch.setattr(_PairMatcher, "lattice_nn", counted_lattice_nn)
         monkeypatch.setattr(matching, "_converge_cubes", counted_converge)
         got = grid_match(pts, a, b, W, cfg)
         n_fit = sum(r.method == "fixpoint" for r in got)
@@ -696,34 +732,40 @@ class TestMatcherWorkCount:
             "fitted": (True, False), "mixed": (True, True), "fallback": (False, True)
         }[kind]
         assert sim_rows == [n_fit]  # one pass, however many points were fitted
-        assert finish_rows == [1] * n_fallback
+        assert finish_rows == ([n_fallback] if n_fallback else [])
 
-    def test_nn_samples_template_vectors_once_per_lookup(self, monkeypatch):
+    def test_each_lookup_samples_or_gathers_its_vectors_once(self, monkeypatch):
+        # point lookups sample template vectors, lattice lookups gather them
+        # from the table, and either hands all its rows to one engine search
         rng = np.random.default_rng(40)
         a = make_set(rng, dims=(7, 7, 7))
         b = make_set(rng, dims=(7, 6, 5))
         pts = lattice_points((7, 7, 7))
         assert len(pts) > 2 * _NN_CHUNK
-        rows, samples = [], []
-        nn, tv = _PairMatcher._nn, _PairMatcher.template_vectors
+        calls = []
+        search, tv, lv = _PairMatcher._search, _PairMatcher.template_vectors, _PairMatcher.lattice_vectors
 
-        def counted_nn(self, from_set, q_to, pts):
-            rows.append(len(np.asarray(pts).reshape(-1, 3)))
-            return nn(self, from_set, q_to, pts)
+        def counted_search(self, from_set, v):
+            calls.append(("search", len(v)))
+            return search(self, from_set, v)
 
         def counted_tv(self, s, pts):
-            samples.append(len(np.asarray(pts).reshape(-1, 3)))
+            calls.append(("sample", len(np.asarray(pts).reshape(-1, 3))))
             return tv(self, s, pts)
 
-        monkeypatch.setattr(_PairMatcher, "_nn", counted_nn)
+        def counted_lv(self, s, flat):
+            calls.append(("gather", len(flat)))
+            return lv(self, s, flat)
+
+        monkeypatch.setattr(_PairMatcher, "_search", counted_search)
         monkeypatch.setattr(_PairMatcher, "template_vectors", counted_tv)
+        monkeypatch.setattr(_PairMatcher, "lattice_vectors", counted_lv)
         grid_match(pts, a, b, W)
-        assert rows == samples == [len(pts)]
-        rows.clear()
-        samples.clear()
+        assert calls == [("sample", len(pts)), ("search", len(pts))]
+        calls.clear()
         grid_match(pts, a, b, W, FixpointConfig())
-        assert max(rows) > _NN_CHUNK
-        assert samples == rows
+        assert calls[0::2] == [("gather", n) for _, n in calls[1::2]]
+        assert max(n for _, n in calls) > _NN_CHUNK
 
 
 class TestNNChunking:
@@ -774,62 +816,138 @@ class TestNNChunking:
             assert abs(got[k].similarity - 1.0) < 1e-6
 
 
-def single_product_nn(self, from_set, q_to, pts):
-    """Oracle: the NN lookup with one product per 128-row chunk over the whole query grid."""
-    v = self.template_vectors(from_set, pts)
+def dense_canonical_nn(self, from_set, v):
+    """Oracle for ``_PairMatcher._search``: the canonical similarity of each
+    template vector with every query voxel (float64 products added left to
+    right in channel order), and its first maximum."""
+    q = (self.q_b if from_set is self.a else self.q_a).astype(np.float64)
     flat = np.empty(len(v), dtype=np.int64)
     best = np.empty(len(v), dtype=np.float64)
-    for lo in range(0, len(v), _NN_CHUNK):
-        sims = v[lo:lo + _NN_CHUNK] @ q_to.T
+    for lo in range(0, len(v), 64):
+        rows = v[lo:lo + 64]
+        sims = rows[:, :1] * q[:, 0]
+        for k in range(1, q.shape[1]):
+            sims = sims + rows[:, k:k + 1] * q[:, k]
         idx = np.argmax(sims, axis=1)
         flat[lo:lo + len(idx)] = idx
         best[lo:lo + len(idx)] = sims[np.arange(len(idx)), idx]
     return flat, best
 
 
-class TestBlockedNN:
-    """The byte-bounded lookup against the single-product oracle, with the
-    block bound made small so that every product is split into column blocks."""
+def edge_set(rng, dims, basis, d):
+    """Normalized set whose voxel rows are ``basis`` rows at norms 1 +- 0.99e-4
+    (the edge of the unit check), half of them moved by one float32 ulp in
+    one channel: dense near-ties, in float32 and in the canonical sum."""
+    heads = {}
+    for name in ("coarse", "fine"):
+        n = int(np.prod(dims))
+        rows = basis[rng.integers(0, len(basis), n)] * np.where(rng.random(n) < 0.5, 1 + 0.99e-4, 1 - 0.99e-4)[:, None]
+        rows = rows.astype(np.float32)
+        moved = rng.random(n) < 0.5
+        ch = rng.integers(0, d, n)
+        rows[moved, ch[moved]] = np.nextafter(rows[moved, ch[moved]], np.float32(np.inf))
+        nx, ny, nz = dims
+        heads[name] = EmbeddingVolume(VolumeGeometry(dims), rows.reshape(nz, ny, nx, d), normalized=True)
+    return EmbeddingSet(**heads)
 
-    def test_equals_single_product_oracle(self, monkeypatch):
+
+class TestCanonicalEngine:
+    """The float32 screen with its exact re-rank against the dense canonical
+    oracle, bit for bit, at block and chunk sizes that split every product."""
+
+    @staticmethod
+    def cases():
         rng = np.random.default_rng(42)
-        a = make_set(rng, dims=(8, 7, 7))  # 392 voxels
-        b = make_set(rng, dims=(8, 8, 5))  # 320 voxels
-        monkeypatch.setattr(matching, "_NN_BLOCK", 96 * _NN_CHUNK)
-        matcher = _PairMatcher(a, b, W)
-        # a full chunk takes 96-column blocks, 40 rows 304-column blocks and
-        # one row a single block; neither grid is a multiple of 96 or 304
-        for from_set, q_to, dims in ((a, matcher.q_b, (8, 7, 7)), (b, matcher.q_a, (8, 8, 5))):
-            pts = np.array(lattice_points(dims))
-            assert len(q_to) % 96 and len(q_to) % 304
-            for n in (len(pts), 40, 1):
-                got = matcher._nn(from_set, q_to, pts[:n])
-                want = single_product_nn(matcher, from_set, q_to, pts[:n])
-                assert got[0].tobytes() == want[0].tobytes()
-                assert got[1].tobytes() == want[1].tobytes()
+        out = [(make_set(rng, dims=(8, 7, 7)), make_set(rng, dims=(8, 8, 5)))]  # 392 and 320 voxels
+        basis = rng.normal(size=(3, 4))  # exact ties everywhere
+        out.append((make_set(rng, data=basis[rng.integers(0, 3, size=(5, 7, 7))], dims=(7, 7, 5)),
+                    make_set(rng, data=basis[rng.integers(0, 3, size=(7, 3, 5))], dims=(5, 3, 7))))
+        basis = unit_rows(rng.normal(size=(6, 4)))[0]
+        out.append((edge_set(rng, (7, 7, 7), basis, 4), edge_set(rng, (5, 6, 7), basis, 4)))
+        return out
 
-    def test_grid_not_a_multiple_of_8_voxels_rounds_in_the_last_bit(self, monkeypatch):
-        # BLAS computes a product's last (n mod 8) columns with an edge kernel,
-        # so there a blocked similarity may differ from the single product's in
-        # its last bit; the matches here do not move
-        rng = np.random.default_rng(45)
-        a = make_set(rng, dims=(7, 7, 7))
-        b = make_set(rng, dims=(7, 7, 7))
-        monkeypatch.setattr(matching, "_NN_BLOCK", 96 * _NN_CHUNK)
-        matcher = _PairMatcher(a, b, W)
-        pts = np.array(lattice_points((7, 7, 7)))
-        got = matcher._nn(a, matcher.q_b, pts)
-        want = single_product_nn(matcher, a, matcher.q_b, pts)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-15)
+    def test_lattice_vectors_equal_trilinear_samples_bit_for_bit(self):
+        # every lattice point, the last one on each axis and a 1-wide axis
+        # included, and rows holding -0.0, which the sample's sum makes 0.0
+        rng = np.random.default_rng(49)
+        for nx, ny, nz in ((7, 5, 6), (4, 1, 3)):
+            data = rng.normal(size=(nz, ny, nx, 4))
+            data[..., 1][data[..., 1] < 0.2] = -0.0
+            s = make_set(rng, dims=(nx, ny, nz), data=data)
+            assert np.signbit(s.fine.data[..., 1]).any()
+            matcher = _PairMatcher(s, s, W)
+            flat = np.arange(s.geometry.n_voxels)
+            got = matcher.lattice_vectors(s, flat)
+            assert got.tobytes() == matcher.template_vectors(s, _lattice_points(s, flat)).tobytes()
+            assert not np.signbit(got[:, 4 + 1]).any()
 
-    @pytest.mark.parametrize("n_points", [1, 3])
+    @pytest.mark.parametrize("block,chunk", [(2**20, 128), (96 * 128, 128), (64, 128), (100, 7)])
+    def test_equals_dense_oracle_at_any_block_and_chunk(self, monkeypatch, block, chunk):
+        # none of the grids is a multiple of 8, 7 or a block width
+        monkeypatch.setattr(matching, "_NN_BLOCK", block)
+        monkeypatch.setattr(matching, "_NN_CHUNK", chunk)
+        rescans = []
+        rescan = matching._rescan
+        monkeypatch.setattr(matching, "_rescan", lambda *args: rescans.append(1) or rescan(*args))
+        for a, b in self.cases():
+            matcher = _PairMatcher(a, b, W)
+            for from_set in (a, b):
+                flat = np.arange(from_set.geometry.n_voxels)
+                for v in (matcher.lattice_vectors(from_set, flat),
+                          matcher.template_vectors(from_set, _lattice_points(from_set, flat) + 0.5)[:40]):
+                    got = matcher._search(from_set, v)
+                    want = dense_canonical_nn(matcher, from_set, v)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+        assert rescans  # the tied and edge cases reach the re-rank
+
+    @pytest.mark.parametrize("block", [2**20, 8, 1])
+    @pytest.mark.parametrize("later_wins", [True, False])
+    def test_planted_near_tie(self, monkeypatch, block, later_wins):
+        # channel values whose float32 products are exact: the two planted
+        # rows score the same in float32 in any summation order, while their
+        # canonical sums are one ulp apart (or equal, when the rows are)
+        monkeypatch.setattr(matching, "_NN_BLOCK", block)
+        alpha, beta = 0.6, np.nextafter(0.6, 1.0)
+        v = np.array([[alpha, beta, 0.0, 0.0]])
+        third = np.sqrt(1.0 - 0.5**2 - 0.25**2)
+        low, high = [0.5, 0.25, third, 0.0], [0.25, 0.5, third, 0.0]
+        assert np.float32(alpha) == np.float32(beta)
+        canon = [alpha * r[0] + beta * r[1] for r in (low, high)]
+        assert canon[1] == np.nextafter(canon[0], 2.0)
+        dims = (5, 4, 3)
+        rows = np.zeros((60, 4), dtype=np.float32)
+        rows[:, 3] = 1.0  # every other voxel scores 0
+        rows[17] = low
+        rows[42] = high if later_wins else low
+        fine = EmbeddingVolume(VolumeGeometry(dims), rows.reshape(3, 4, 5, 4), normalized=True)
+        a = make_set(np.random.default_rng(1), dims=dims)
+        b = EmbeddingSet(coarse=fine, fine=fine)
+        matcher = _PairMatcher(a, b, W_FINE)
+        flat, best = matcher._search(a, np.repeat(v, 3, axis=0))
+        assert list(flat) == [42 if later_wins else 17] * 3
+        assert list(best) == [canon[1] if later_wins else canon[0]] * 3
+        assert flat.tobytes() == dense_canonical_nn(matcher, a, np.repeat(v, 3, axis=0))[0].tobytes()
+
+    def test_similarity_map_argmax_equals_nn_match(self):
+        rng = np.random.default_rng(46)
+        a = make_set(rng, dims=(6, 5, 7))
+        b = make_set(rng, dims=(7, 6, 5))
+        for t in [(0.0, 0.0, 0.0), (4.0, 6.0, 2.0), (3.3, 5.1, 7.9), (10.0, 8.0, 12.0)]:
+            smap = similarity_map(a, t, b, W)
+            nn = nn_match(a, t, b, W)
+            iz, iy, ix = np.unravel_index(int(np.argmax(smap.data)), smap.data.shape)
+            assert (2.0 * ix, 2.0 * iy, 2.0 * iz) == (nn.point.x, nn.point.y, nn.point.z)
+            assert smap.data[iz, iy, ix] == np.float32(nn.similarity)
+
+    @pytest.mark.parametrize("n_points", [1, 2])
     def test_tie_across_a_column_block_boundary_keeps_the_smaller_zyx(self, monkeypatch, n_points):
         rng = np.random.default_rng(43)
         a = make_set(rng, dims=(7, 7, 7))
         b = make_set(rng, dims=(8, 8, 5))
-        # one row per product, 64 columns per block for one point, 16 for three:
-        # query voxels 63 (z, y, x) = (0, 7, 7) and 64 (1, 0, 0) sit in different blocks
+        # 64 screen columns per block for one point, 32 for two, and one per
+        # rescan block: query voxels 63 (z, y, x) = (0, 7, 7) and 64 (1, 0, 0)
+        # sit in different blocks
         monkeypatch.setattr(matching, "_NN_BLOCK", 64)
         fine, coarse = b.fine.data.copy(), b.coarse.data.copy()
         for iz, iy, ix in ((0, 7, 7), (1, 0, 0)):
@@ -845,7 +963,7 @@ class TestBlockedNN:
             assert abs(r.similarity - 1.0) < 1e-6
 
     @pytest.mark.parametrize("matcher", ["nn", "fixpoint"])
-    def test_register_and_crop_equals_single_product_oracle(self, monkeypatch, matcher):
+    def test_register_and_crop_equals_dense_oracle(self, monkeypatch, matcher):
         pair = gen_pair(
             PhantomSpec(dims=(64, 64, 64), seed=66),
             rigid_about(rotation_matrix((0.3, 1.0, -0.2), np.deg2rad(7.0)), (31.5,) * 3, (3.0, -5.0, 2.0)),
@@ -855,7 +973,7 @@ class TestBlockedNN:
         mdl = new_model(np.random.default_rng(3))
         cfg = AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18, matcher=matcher)
         with monkeypatch.context() as m:
-            m.setattr(_PairMatcher, "_nn", single_product_nn)
+            m.setattr(_PairMatcher, "_search", dense_canonical_nn)
             want = register_and_crop(fixed, moving, mdl, cfg, 5)
         monkeypatch.setattr(matching, "_NN_BLOCK", 2**14)  # a 128-row chunk takes 128 columns
         got = register_and_crop(fixed, moving, mdl, cfg, 5)
@@ -882,3 +1000,47 @@ class TestNNMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_all_equal_query_rescans_within_the_block_budget(self):
+        # every query voxel ties every other, in float32 and in the canonical
+        # sum, so every row is rescanned over all 32^3 candidates
+        rng = np.random.default_rng(47)
+        dims = (32, 32, 32)
+        a = make_set(rng, dims=dims, d=11)
+        e1 = np.zeros((32, 32, 32, 11), dtype=np.float32)
+        e1[..., 0] = 1.0
+        vol = EmbeddingVolume(VolumeGeometry(dims), e1, normalized=True)
+        b = EmbeddingSet(coarse=vol, fine=vol)
+        pts = [tuple(p) for p in rng.uniform(0.0, 62.0, size=(_NN_CHUNK + 3, 3))]
+        tracemalloc.start()
+        try:
+            got = grid_match(pts, a, b, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        matcher = _PairMatcher(a, b, W)
+        flat, best = dense_canonical_nn(matcher, a, matcher.template_vectors(a, pts))
+        assert not flat.any()
+        assert [r.point for r in got] == [Point3(0.0, 0.0, 0.0)] * len(pts)
+        assert [r.similarity for r in got] == list(best)
+
+    def test_similarity_map_peak_below_the_float64_query_matrix(self):
+        # the map once stacked the 32^3 x 22 query as a float64 matrix
+        rng = np.random.default_rng(48)
+        dims = (32, 32, 32)
+        a, b = make_set(rng, dims=(4, 4, 4), d=11), make_set(rng, dims=dims, d=11)
+        tracemalloc.start()
+        try:
+            smap = similarity_map(a, (3.0, 2.0, 5.0), b, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32**3 * 22 * 8
+        matcher = _PairMatcher(a, b, W)
+        v = matcher.template_vectors(a, [(3.0, 2.0, 5.0)])
+        q = matcher.q_b.astype(np.float64)
+        want = v[:, :1] * q[:, 0]
+        for k in range(1, q.shape[1]):
+            want = want + v[:, k:k + 1] * q[:, k]
+        assert smap.data.tobytes() == want[0].astype(np.float32).tobytes()

@@ -803,10 +803,64 @@ class TestTrain:
                 raise
 
         monkeypatch.setattr(model_mod, "sample_patch_pair", spy)
-        _, log = train([vol], TrainConfig(steps=40, seed=1), mode="aggressive", augment_spec=spec)
+        _, log = train([vol], small_cfg(steps=40, seed=2), mode="aggressive", augment_spec=spec)
         assert raised
         assert [r["step"] for r in log] == list(range(40))
         assert all(math.isfinite(r["loss_fine"]) for r in log)
+        assert sum(r["loss_fine"] > 0.0 for r in log) > 20  # most steps trained
+
+    @staticmethod
+    def skipping_batches(monkeypatch, skip):
+        """Makes ``sample_training_batch`` call k (from 0) raise
+        ``InsufficientOverlap`` when ``skip(k)``; returns the per-anchor fine
+        and coarse losses of the batches that ran, in order."""
+        real_sample, real_loss = model_mod.sample_training_batch, model_mod.appearance_infonce
+        calls, seen = [], []
+
+        def sample(*args, **kwargs):
+            calls.append(1)
+            if skip(len(calls) - 1):
+                raise InsufficientOverlap("skipped by the test")
+            return real_sample(*args, **kwargs)
+
+        def loss(batch):
+            out = real_loss(batch)
+            seen.append(out.value / len(batch.anchor_indices))
+            return out
+
+        monkeypatch.setattr(model_mod, "sample_training_batch", sample)
+        monkeypatch.setattr(model_mod, "appearance_infonce", loss)
+        return seen
+
+    def test_logged_losses_average_over_the_batches_that_ran(self, monkeypatch):
+        # half the batches are skipped; dividing by batch_size would halve the losses
+        vol, _ = phantom_working(45)
+        seen = self.skipping_batches(monkeypatch, lambda k: k % 2 == 0)
+        _, (row,) = train(
+            [vol], small_cfg(steps=1, batch_size=4), mode="aggressive",
+            augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
+        )
+        fine, coarse = seen[0::2], seen[1::2]
+        assert 1 <= len(fine) < 4
+        assert row["loss_fine"] == sum(fine) / len(fine)
+        assert row["loss_coarse"] == sum(coarse) / len(coarse)
+
+    def test_a_step_whose_batches_were_all_skipped_logs_zero(self, monkeypatch):
+        vol, _ = phantom_working(45)
+        self.skipping_batches(monkeypatch, lambda k: k < 2)
+        _, log = train(
+            [vol], small_cfg(steps=2, batch_size=2), mode="aggressive",
+            augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
+        )
+        assert (log[0]["loss_fine"], log[0]["loss_coarse"]) == (0.0, 0.0)
+        assert math.isnan(log[0]["loss_semantic"])
+        assert log[1]["loss_fine"] > 0.0
+
+    def test_training_in_which_no_batch_ran_raises(self, monkeypatch):
+        vol, _ = phantom_working(45)
+        self.skipping_batches(monkeypatch, lambda k: True)
+        with pytest.raises(InsufficientOverlap, match="no training batch"):
+            train([vol], small_cfg(steps=2, batch_size=2), augment_spec=AugmentSpec(patch_size=(20, 20, 20)))
 
     def test_same_seed_bit_identical_models(self):
         vol, _ = phantom_working(44)
