@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatch, EmptyClass, NonUnitInput
+from .volume import row_norms
 
 __all__ = [
     "PairBatch",
@@ -96,8 +97,7 @@ class LossOutput:
 def _check_unit(name: str, arr: np.ndarray) -> None:
     if arr.size == 0:
         return
-    rows = arr.reshape(-1, arr.shape[-1])
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms = row_norms(arr.reshape(-1, arr.shape[-1]))
     if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):  # a NaN norm fails too
         raise NonUnitInput(f"{name} vectors deviate from unit norm by more than {_UNIT_TOL}")
 

@@ -165,19 +165,24 @@ def _correlate(data: np.ndarray, kernel: tuple[float, ...], axis: int, step: int
     return out.reshape(shape[:axis] + (len(band),) + shape[axis + 1:])
 
 
-def _box_std_halved(data: np.ndarray, width: int) -> np.ndarray:
-    """Standard deviation over a ``width``-voxel box, on the stride-2 grid.
+def _box_stds_halved(data: np.ndarray) -> list[np.ndarray]:
+    """Standard deviation over a box of each of ``BOX_WIDTHS``, on the stride-2 grid.
 
-    The box means run on the data less their own mean.  That leaves the
-    variance as it is, but uncentred, E[v^2] - E[v]^2 cancels two large
-    means and keeps their rounding: ~4e-5 on a constant volume of value 100.
+    The box means run on the data less their own mean, centred and squared
+    once for both widths.  That leaves the variance as it is, but uncentred,
+    E[v^2] - E[v]^2 cancels two large means and keeps their rounding: ~4e-5
+    on a constant volume of value 100.
     """
-    box = (1.0 / width,) * width
-    mean = data - data.mean()
-    sq = mean * mean
-    for axis in (0, 1, 2):
-        mean, sq = _correlate(mean, box, axis), _correlate(sq, box, axis)
-    return np.sqrt(np.clip(sq - mean * mean, 0.0, None))
+    centred = data - data.mean()
+    centred_sq = centred * centred
+    stds = []
+    for width in BOX_WIDTHS:
+        box = (1.0 / width,) * width
+        mean, sq = centred, centred_sq
+        for axis in (0, 1, 2):
+            mean, sq = _correlate(mean, box, axis), _correlate(sq, box, axis)
+        stds.append(np.sqrt(np.clip(sq - mean * mean, 0.0, None)))
+    return stds
 
 
 class DescriptorBank:
@@ -200,9 +205,9 @@ class DescriptorBank:
     Each 1-D response is computed once, by one banded-matrix product that
     yields only its stride-2 samples (``_correlate``).  Per sigma, three x
     passes (Gaussian, derivative, second derivative) feed the gradient and
-    Laplacian terms, and the Gaussian x and x-y smoothings are shared.  The
-    box means run on centred data (``_box_std_halved``).  The products sum
-    in another order than full-resolution ``correlate1d`` and
+    Laplacian terms, and the Gaussian x and x-y smoothings are shared.  Both
+    widths' box means run on data centred and squared once (``_box_stds_halved``).
+    The products sum in another order than full-resolution ``correlate1d`` and
     ``uniform_filter`` sampled at [::2, ::2, ::2]: on unit-range volumes the
     scaled gradient and Laplacian channels agree with those within 1e-12 and
     the box channels within 1e-9.
@@ -227,7 +232,7 @@ class DescriptorBank:
                 + _correlate(_correlate(xg, d2, 1), g, 0)
                 + _correlate(xg_yg, d2, 0)
             )
-        boxes = [_box_std_halved(data, w) for w in BOX_WIDTHS]
+        boxes = _box_stds_halved(data)
         # channel-first, so the scaling runs per channel, then moved last in one copy
         feats = np.stack(grads + mags + laps + boxes)
         feats /= np.asarray(CHANNEL_SCALES)[:, None, None, None]

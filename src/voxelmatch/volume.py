@@ -90,6 +90,7 @@ __all__ = [
     "pull_back",
     "trilinear_sample_many",
     "unit_rows",
+    "row_norms",
     "mapped_inside",
     "body_mask",
     "mask_bbox",
@@ -254,8 +255,7 @@ class EmbeddingVolume:
         if not 0 <= self.zero_substitutions <= self.geometry.n_voxels:
             raise ValueError("zero_substitutions must lie between 0 and the voxel count")
         if self.normalized:
-            rows = self.data.reshape(-1, self.data.shape[3])
-            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            norms = row_norms(self.data.reshape(-1, self.data.shape[3]))
             # a NaN norm fails both tests
             if not np.all((norms <= _ZERO_NORM_EPS) | (np.abs(norms - 1.0) <= 1e-4)):
                 raise NonUnitInput("normalized embedding volume has non-unit vectors")
@@ -465,13 +465,20 @@ def pull_back(geom: VolumeGeometry, transform, layers) -> None:
             ndimage.map_coordinates(source, coords, output=out[planes], order=order, mode="constant", cval=fill)
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, the sqrt of its einsum dot with itself: the one norm rule of
+    ``unit_rows`` and both unit checks.  It can differ from ``np.linalg.norm``'s
+    in the last bit, and takes about a third of its time on 11-wide rows."""
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
 def unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of ``v`` scaled to unit length: returns (unit rows, norms, zero mask).
 
-    The one zero-vector rule: a row whose norm is at most 1e-12 becomes e1
-    of the space the rows live in.
+    Norms are ``row_norms``.  The one zero-vector rule: a row whose norm is
+    at most 1e-12 becomes e1 of the space the rows live in.
     """
-    norms = np.linalg.norm(v, axis=1)
+    norms = row_norms(v)
     zero = norms <= _ZERO_NORM_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         e = v / norms[:, None]
@@ -541,7 +548,11 @@ def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:
     """Binary mask: threshold, keep the largest 6-connected component, fill per-slice holes.
 
     A hole is background that no in-plane path joins to an x or y face of its
-    z slice; one in-plane labelling of the background finds every slice's."""
+    z slice.  One in-plane labelling inside the body's bounding box finds every
+    slice's, and every voxel outside the box is 0: from a background voxel on
+    the box's x or y edge, a straight line out of the box reaches a face
+    through background, so the components that touch the box's x or y edges
+    are exactly those that touch a face of the grid."""
     above = vol.data > threshold
     if not above.any():
         raise EmptyMask(f"no voxel exceeds threshold {threshold}")
@@ -551,27 +562,28 @@ def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:
         counts = np.bincount(labeled.ravel())
         counts[0] = 0
         above = labeled == int(np.argmax(counts))
+    box = mask_bbox(above)
+    region = tuple(slice(box.min[i], box.max[i] + 1) for i in (2, 1, 0))
     # a structure with no z offsets labels each z slice on its own
     in_plane = np.zeros((3, 3, 3), dtype=bool)
     in_plane[1] = ndimage.generate_binary_structure(2, 1)
-    background, n = ndimage.label(~above, structure=in_plane)
+    background, n = ndimage.label(~above[region], structure=in_plane)
     open_to_face = np.zeros(n + 1, dtype=bool)
     open_to_face[background[:, [0, -1]]] = True
     open_to_face[background[:, :, [0, -1]]] = True
     open_to_face[0] = False  # label 0 is the body itself
-    return LabelVolume(vol.geometry, (~open_to_face[background]).astype(np.uint16))
+    mask = np.zeros(vol.data.shape, dtype=np.uint16)
+    mask[region] = ~open_to_face[background]
+    return LabelVolume(vol.geometry, mask)
 
 
 def mask_bbox(mask) -> Box3:
-    """Tight bounding box of the non-zero voxels of a mask."""
+    """Tight bounding box of the non-zero voxels of a 3-D mask, from its axis projections."""
     data = mask.data if isinstance(mask, LabelVolume) else np.asarray(mask)
-    nz = np.nonzero(data)
-    if len(nz[0]) == 0:
+    hits = [np.flatnonzero(data.any(axis=axes)) for axes in ((0, 1), (0, 2), (1, 2))]  # x, y, z
+    if len(hits[0]) == 0:
         raise EmptyBox("mask has no foreground voxels")
-    return Box3(
-        (int(nz[2].min()), int(nz[1].min()), int(nz[0].min())),
-        (int(nz[2].max()), int(nz[1].max()), int(nz[0].max())),
-    )
+    return Box3(tuple(h[0] for h in hits), tuple(h[-1] for h in hits))
 
 
 def dilate_box(box: Box3, margin: int, bounds: tuple[int, int, int]) -> Box3:

@@ -16,6 +16,7 @@ from voxelmatch.matching import (
     SimilarityWeights,
     _NN_CHUNK,
     _PairMatcher,
+    _canonical,
     _converge_cubes,
     _full_res_limits,
     _lattice_points,
@@ -107,6 +108,31 @@ class TestSimilarityMap:
                         vf @ b.fine.data[iz, iy, ix]
                     )
                     assert abs(float(smap.data[iz, iy, ix]) - expected) < 1e-6
+
+    def test_equals_the_per_voxel_canonical_sum_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        a = make_set(rng, dims=(5, 6, 4), d=11)
+        b = make_set(rng, dims=(8, 8, 6), d=11)  # 384 query rows: summed by columns
+        matcher = _PairMatcher(a, b, W)
+        for t in [(2.0, 4.0, 6.0), (3.3, 5.1, 2.9)]:
+            smap = similarity_map(a, t, b, W).data.reshape(-1)
+            v = [float(x) for x in matcher.template_vectors(a, [t])[0]]
+            for got, q in zip(smap, matcher.q_b):
+                total = v[0] * float(q[0])
+                for vk, qk in zip(v[1:], q[1:]):
+                    total = total + vk * float(qk)
+                assert got.tobytes() == np.float32(total).tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2, 11, 22])
+    @pytest.mark.parametrize("rows", [1, 5, 255, 256, 300])
+    def test_canonical_sum_equals_the_accumulate_oracle(self, channels, rows):
+        # the sum's earlier form, one left-to-right add.accumulate along each
+        # row; from 256 rows it is summed by columns
+        rng = np.random.default_rng(channels)
+        q = rng.normal(size=(rows, channels)).astype(np.float32)
+        for v in (rng.normal(size=(1, channels)), rng.normal(size=(rows, channels))):
+            want = np.add.accumulate(v * q, axis=1)[:, -1]
+            assert _canonical(v, q).tobytes() == want.tobytes()
 
     def test_values_within_unit_interval(self):
         rng = np.random.default_rng(2)

@@ -34,6 +34,8 @@ from voxelmatch.model import (
     ProjectionModel,
     TrainConfig,
     _band,
+    _box_stds_halved,
+    _correlate,
     _gauss_deriv_kernel,
     _gauss_kernel,
     _gauss_second_kernel,
@@ -89,6 +91,19 @@ def assert_matches_oracle(feats, expected):
     assert err[..., 9:].max() <= 1e-9
 
 
+def box_std_halved_per_width(data, width):
+    """Oracle: one box width's spread, centring and squaring the data for that width alone."""
+    box = (1.0 / width,) * width
+    mean = data - data.mean()
+    sq = mean * mean
+    for axis in (0, 1, 2):
+        mean, sq = _correlate(mean, box, axis), _correlate(sq, box, axis)
+    return np.sqrt(np.clip(sq - mean * mean, 0.0, None))
+
+
+BANK_DIMS = [(1, 1, 1), (2, 3, 5), (7, 9, 11), (16, 10, 12), (17, 40, 23)]
+
+
 def scalar(rng, dims=(16, 16, 16), spacing=2.0):
     return ScalarVolume(
         VolumeGeometry(dims, (spacing,) * 3),
@@ -97,10 +112,7 @@ def scalar(rng, dims=(16, 16, 16), spacing=2.0):
 
 
 class TestDescriptorBank:
-    @pytest.mark.parametrize(
-        "dims", [(1, 1, 1), (2, 3, 5), (7, 9, 11), (16, 10, 12), (17, 40, 23)],
-        ids=lambda d: "x".join(map(str, d)),
-    )
+    @pytest.mark.parametrize("dims", BANK_DIMS, ids=lambda d: "x".join(map(str, d)))
     def test_bitwise_equal_to_full_resolution_oracle(self, dims):
         # equal up to the rounding of the banded products (see
         # assert_matches_oracle); the name predates those products
@@ -129,6 +141,15 @@ class TestDescriptorBank:
             # a border column sums its folded taps in another order: 1 ulp
             np.testing.assert_allclose(band, impulses[::step], rtol=0, atol=1e-15)
             assert not band.flags.writeable
+
+    @pytest.mark.parametrize("dims", BANK_DIMS + [(62, 62, 63)], ids=lambda d: "x".join(map(str, d)))
+    def test_box_spreads_centred_once_equal_the_per_width_oracle(self, dims):
+        # (62, 62, 63) is the shape of a training-view crop
+        data = scalar(np.random.default_rng(sum(dims)), dims).data.astype(np.float64) * 3.0 + 7.0
+        got = _box_stds_halved(data)
+        assert len(got) == len(BOX_WIDTHS)
+        for std, width in zip(got, BOX_WIDTHS):
+            assert std.tobytes() == box_std_halved_per_width(data, width).tobytes()
 
     def test_constant_volume_of_large_value_is_zero(self):
         # the box means run on centred data; uncentred, their rounding leaves

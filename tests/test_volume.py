@@ -21,6 +21,7 @@ from voxelmatch.errors import (
     UnsupportedVersion,
 )
 from voxelmatch.geometry import AffineTransform, rigid_about, rotation_matrix
+from voxelmatch.losses import _check_unit
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
 from voxelmatch.volume import (
     Box3,
@@ -36,6 +37,7 @@ from voxelmatch.volume import (
     mask_bbox,
     read_volume,
     resample,
+    row_norms,
     trilinear_sample_many,
     unit_rows,
     write_volume,
@@ -509,6 +511,55 @@ class TestNormalizeConcat:
         assert not zero.any()
 
 
+def edge_norm_rows(rng, d):
+    """Rows of width ``d`` whose norms sit on, and one or two ulps either side
+    of, the edges of both unit checks and of the zero-row rule, plus NaN and inf."""
+    edges = [0.0, 1e-12, 1e-13, 1.0 - 1e-4, 1.0 + 1e-4, 1.0 - 1e-3, 1.0 + 1e-3, 1.0, 0.5, 2.0]
+    norms = [x for e in edges for x in (e, *np.nextafter(e, [np.inf, -np.inf]), e + 2e-16, e - 2e-16)]
+    rows = rng.normal(size=(len(norms), d))
+    rows *= (np.asarray(norms) / np.linalg.norm(rows, axis=1))[:, None]
+    return np.concatenate([rows, np.full((1, d), np.nan), np.full((1, d), np.inf)])
+
+
+class TestRowNormRule:
+    """``row_norms``, the one norm rule of ``unit_rows`` and of both unit checks."""
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 11, 22])
+    def test_unit_rows_norms_are_the_rule_and_near_linalg_norm(self, d):
+        rng = np.random.default_rng(d)
+        v = rng.normal(size=(4000, d)) * np.exp(3.0 * rng.normal(size=(4000, 1)))
+        v[::97] = 0.0
+        e, norms, zero = unit_rows(v)
+        assert norms.tobytes() == np.sqrt(np.einsum("ij,ij->i", v, v)).tobytes()
+        assert norms.tobytes() == row_norms(v).tobytes()
+        ref = np.linalg.norm(v, axis=1)
+        assert np.abs(norms - ref).max() <= 4.5e-16 * ref.max(initial=0.0)
+        live = ref > 0
+        assert np.all(np.abs(norms[live] - ref[live]) <= 4.5e-16 * ref[live])
+        assert zero.tolist() == (norms <= 1e-12).tolist() and zero[::97].all()
+        assert np.array_equal(e[zero], np.eye(d)[np.zeros(zero.sum(), int)])
+
+    @pytest.mark.parametrize("d", [3, 11])
+    def test_unit_checks_reject_the_same_rows_as_before(self, d):
+        rows = edge_norm_rows(np.random.default_rng(d), d)
+        # the checks' rule before it moved into row_norms
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        volume_ok = (norms <= 1e-12) | (np.abs(norms - 1.0) <= 1e-4)
+        loss_ok = np.abs(norms - 1.0) <= 1e-3
+        assert volume_ok.any() and not volume_ok.all() and loss_ok.any() and not loss_ok.all()
+        for row, v_ok, l_ok in zip(rows, volume_ok, loss_ok):
+            try:
+                EmbeddingVolume(VolumeGeometry((1, 1, 1)), row.reshape(1, 1, 1, d), normalized=True)
+                assert v_ok
+            except NonUnitInput:
+                assert not v_ok
+            try:
+                _check_unit("row", row[None])
+                assert l_ok
+            except NonUnitInput:
+                assert not l_ok
+
+
 class TestBodyMask:
     def test_empty(self):
         vol = ScalarVolume(VolumeGeometry((4, 4, 4)), np.zeros((4, 4, 4), np.float32))
@@ -642,6 +693,158 @@ class TestBodyMaskSliceOracle:
         mask = body_mask(vol, 0.5).data
         assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
         assert mask[0, 1:8, 1:8].all()
+
+
+def body_mask_whole_grid(vol, threshold):
+    """Oracle: body_mask with the in-plane background of the whole grid labelled."""
+    above = vol.data > threshold
+    labeled, n = ndimage.label(above, structure=ndimage.generate_binary_structure(3, 1))
+    if n > 1:
+        counts = np.bincount(labeled.ravel())
+        counts[0] = 0
+        above = labeled == int(np.argmax(counts))
+    in_plane = np.zeros((3, 3, 3), dtype=bool)
+    in_plane[1] = ndimage.generate_binary_structure(2, 1)
+    background, n = ndimage.label(~above, structure=in_plane)
+    open_to_face = np.zeros(n + 1, dtype=bool)
+    open_to_face[background[:, [0, -1]]] = True
+    open_to_face[background[:, :, [0, -1]]] = True
+    open_to_face[0] = False
+    return (~open_to_face[background]).astype(np.uint16)
+
+
+def assert_body_mask_equals_whole_grid(vol, threshold):
+    got = body_mask(vol, threshold).data
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, body_mask_whole_grid(vol, threshold))
+    return got
+
+
+def block_with_holes(shape, body):
+    """A block body at the ``body`` slices of a ``shape`` grid with an enclosed hole
+    and a notch open to the block's edge in every slice."""
+    data = np.zeros(shape, np.float32)
+    data[body] = 1.0
+    z, y, x = (range(*s.indices(n)) for s, n in zip(body, shape))
+    data[z.start:z.stop, y.start + 2, x.start + 2] = 0.0  # enclosed
+    data[z.start:z.stop, y.start, x.start + 3] = 0.0  # notch in the box's first row
+    return ScalarVolume(VolumeGeometry(shape[::-1]), data)
+
+
+class TestBodyMaskInsideTheBodyBox:
+    """``body_mask`` labels holes only inside the body's box: the same mask as
+    labelling the whole grid."""
+
+    @pytest.mark.parametrize("seed", [62, 66, 70])
+    def test_benchmark_scans(self, seed):
+        # the 64^3, 2 mm working grids of the align benchmark: the phantom itself
+        # (identity) and its moved, gamma-remapped copy
+        truth = rigid_about(rotation_matrix((0.3, 1.0, -0.2), np.deg2rad(7.0)), (63.5,) * 3, (-3.0, 5.0, 1.0))
+        pair = gen_pair(PhantomSpec(dims=(128, 128, 128), seed=seed), truth, "gamma")
+        for scan in (pair.volume_a, pair.volume_b):
+            vol = resample(scan, 2.0)
+            assert vol.data.shape == (64, 64, 64)
+            assert_body_mask_equals_whole_grid(vol, 0.18)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_volumes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        nx, ny, nz = (int(d) for d in rng.integers(1, 16, 3))
+        data = ndimage.gaussian_filter(rng.random((nz, ny, nx)), rng.uniform(0.0, 1.5))
+        vol = ScalarVolume(VolumeGeometry((nx, ny, nz)), data.astype(np.float32))
+        assert_body_mask_equals_whole_grid(vol, float(np.quantile(vol.data, rng.uniform(0.2, 0.8))))
+
+    @pytest.mark.parametrize("body", [
+        np.s_[1:5, 2:9, 0:7], np.s_[1:5, 2:9, 4:11],   # an x face
+        np.s_[1:5, 0:6, 2:9], np.s_[1:5, 3:10, 2:9],   # a y face
+        np.s_[0:3, 2:9, 2:9], np.s_[3:6, 2:9, 2:9],    # a z face
+        np.s_[:, :, :],                                # every face
+    ], ids=["x0", "x1", "y0", "y1", "z0", "z1", "all"])
+    def test_body_touching_a_face(self, body):
+        vol = block_with_holes((6, 10, 11), body)
+        mask = assert_body_mask_equals_whole_grid(vol, 0.5)
+        z, y, x = (range(*s.indices(n)) for s, n in zip(body, vol.data.shape))
+        assert mask[z.start, y.start + 2, x.start + 2] == 1
+        assert mask[z.start, y.start, x.start + 3] == 0
+
+    def test_hole_whose_rim_lies_on_the_body_box(self):
+        # a one-voxel ring: the hole's whole rim is the edge of the body's box
+        data = np.zeros((3, 9, 9), np.float32)
+        data[1, 2:7, 2:7] = 1.0
+        data[1, 3:6, 3:6] = 0.0
+        vol = ScalarVolume(VolumeGeometry((9, 9, 3)), data)
+        mask = assert_body_mask_equals_whole_grid(vol, 0.5)
+        assert mask[1, 2:7, 2:7].all() and mask.sum() == 25
+
+    def test_body_in_one_slice(self):
+        data = np.zeros((5, 8, 9), np.float32)
+        data[3, 1:7, 2:8] = 1.0
+        data[3, 3:5, 4:6] = 0.0
+        vol = ScalarVolume(VolumeGeometry((9, 8, 5)), data)
+        mask = assert_body_mask_equals_whole_grid(vol, 0.5)
+        assert mask.sum() == 36 and mask[3].sum() == 36
+
+    def test_two_components(self):
+        # the smaller component, with its own hole, lies inside the larger's box
+        data = np.zeros((4, 14, 14), np.float32)
+        data[:, 1:13, 1:13] = 1.0
+        data[:, 3:11, 3:11] = 0.0
+        data[1:3, 5:9, 5:9] = 1.0
+        data[1:3, 6:8, 6:8] = 0.0
+        vol = ScalarVolume(VolumeGeometry((14, 14, 4)), data)
+        mask = assert_body_mask_equals_whole_grid(vol, 0.5)
+        assert mask[:, 1:13, 1:13].all()
+
+
+def mask_bbox_by_nonzero(data):
+    """Oracle: the box of every non-zero voxel's indices, or None for an empty mask."""
+    nz = np.nonzero(data)
+    if len(nz[0]) == 0:
+        return None
+    return Box3(
+        (int(nz[2].min()), int(nz[1].min()), int(nz[0].min())),
+        (int(nz[2].max()), int(nz[1].max()), int(nz[0].max())),
+    )
+
+
+class TestMaskBoxFromProjections:
+    def check(self, data):
+        want = mask_bbox_by_nonzero(data)
+        for mask in (data, LabelVolume(VolumeGeometry(data.shape[::-1]), data)):
+            if want is None:
+                with pytest.raises(EmptyBox):
+                    mask_bbox(mask)
+            else:
+                assert mask_bbox(mask) == want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(d) for d in rng.integers(1, 12, 3))
+        self.check((rng.random(shape) < rng.uniform(0.0, 0.05)).astype(np.uint16))
+
+    def test_single_voxels(self):
+        shape = (4, 5, 6)
+        for flat in range(np.prod(shape)):
+            data = np.zeros(shape, np.uint16)
+            data.flat[flat] = 3
+            self.check(data)
+
+    def test_full_and_empty_grids(self):
+        self.check(np.ones((3, 4, 5), np.uint16))
+        self.check(np.zeros((3, 4, 5), np.uint16))
+        self.check(np.zeros((1, 1, 1), np.uint16))
+
+    def test_boxes_touching_every_face(self):
+        for face in range(6):
+            data = np.zeros((7, 8, 9), np.uint16)
+            region = [slice(2, 5), slice(3, 6), slice(1, 4)]
+            axis, last = divmod(face, 2)
+            n = data.shape[axis]
+            region[axis] = slice(n - 2, n) if last else slice(0, 2)
+            data[tuple(region)] = 1
+            data[3, 4, 2] = 1
+            self.check(data)
 
 
 class TestBoxesAndCrop:
