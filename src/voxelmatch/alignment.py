@@ -31,7 +31,6 @@ from .volume import (
     crop,
     dilate_box,
     mapped_inside,
-    mask_bbox,
 )
 
 __all__ = [
@@ -161,7 +160,7 @@ def register_and_crop(
     Both volumes are taken at working resolution.  Raises ``TooFewMatches``
     when fewer than three grid matches clear the similarity floor.
     """
-    mask = body_mask(moving, cfg.body_threshold)
+    mask, bbox = body_mask(moving, cfg.body_threshold)
     moving_set = embed(moving, model)
     fixed_set = embed(fixed, model)
     pts = _grid_points(mask, cfg.grid_spacing)
@@ -187,7 +186,6 @@ def register_and_crop(
     inliers = int(report.inlier_mask.sum())
     mean_resid = float(np.sqrt(report.residual_sum_squares / max(inliers, 1)))
 
-    bbox = mask_bbox(mask)
     corners_vox = np.array(
         [[x, y, z] for x in (bbox.min[0], bbox.max[0])
          for y in (bbox.min[1], bbox.max[1])

@@ -156,7 +156,6 @@ _NN_CHUNK = 128
 # sampler uses for its gather; wider products run over column blocks, and
 # canonical sums over narrower ones (see _rerank_width)
 _NN_BLOCK = 2**20
-_COLUMN_SUM_ROWS = 256  # from this many rows a canonical sum adds whole columns (see _canonical)
 
 
 def _as_xyz(p) -> np.ndarray:
@@ -180,14 +179,10 @@ def _lattice_points(s: EmbeddingSet, flat: np.ndarray) -> np.ndarray:
 def _canonical(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The canonical similarity of each row pair of float64 ``v`` and ``q`` (a
     one-row ``v`` pairs with every row of ``q``): the products v_k q_k in
-    float64, summed left to right in channel order (``sum`` may reorder): by
-    one ``add.accumulate`` along the rows, or from ``_COLUMN_SUM_ROWS`` rows,
-    faster there, by adding each column into one vector: the same sums.
-    Both operands are arrays, so a float32 ``q`` is promoted (a NumPy < 2
-    float64 scalar would not promote it)."""
+    float64, summed left to right in channel order (``sum`` may reorder) by
+    adding each column into one vector.  Both operands are arrays, so a
+    float32 ``q`` is promoted (a NumPy < 2 float64 scalar would not promote it)."""
     terms = np.multiply(v, q, order="F")  # contiguous columns
-    if len(terms) < _COLUMN_SUM_ROWS:
-        return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
     total = terms[:, 0].copy()
     for k in range(1, terms.shape[1]):
         total += terms[:, k]

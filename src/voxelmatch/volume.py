@@ -544,8 +544,9 @@ def mapped_inside(geom: VolumeGeometry, *targets) -> np.ndarray:
     return inside
 
 
-def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:
+def body_mask(vol: ScalarVolume, threshold: float) -> tuple[LabelVolume, Box3]:
     """Binary mask: threshold, keep the largest 6-connected component, fill per-slice holes.
+    Returns the mask and its tight bounding box, the body's: holes lie inside it.
 
     A hole is background that no in-plane path joins to an x or y face of its
     z slice.  One in-plane labelling inside the body's bounding box finds every
@@ -574,7 +575,7 @@ def body_mask(vol: ScalarVolume, threshold: float) -> LabelVolume:
     open_to_face[0] = False  # label 0 is the body itself
     mask = np.zeros(vol.data.shape, dtype=np.uint16)
     mask[region] = ~open_to_face[background]
-    return LabelVolume(vol.geometry, mask)
+    return LabelVolume(vol.geometry, mask), box
 
 
 def mask_bbox(mask) -> Box3:

@@ -111,7 +111,7 @@ class TestRegisterAndCrop:
         from voxelmatch.alignment import _grid_points
         from voxelmatch.volume import body_mask
 
-        pts = _grid_points(body_mask(moving, CFG.body_threshold), CFG.grid_spacing)
+        pts = _grid_points(body_mask(moving, CFG.body_threshold)[0], CFG.grid_spacing)
         moved = fixed.geometry.physical_to_voxel(
             reg.rigid.apply_array(moving.geometry.voxel_to_physical(pts))
         )

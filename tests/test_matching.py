@@ -112,7 +112,7 @@ class TestSimilarityMap:
     def test_equals_the_per_voxel_canonical_sum_bit_for_bit(self):
         rng = np.random.default_rng(3)
         a = make_set(rng, dims=(5, 6, 4), d=11)
-        b = make_set(rng, dims=(8, 8, 6), d=11)  # 384 query rows: summed by columns
+        b = make_set(rng, dims=(8, 8, 6), d=11)
         matcher = _PairMatcher(a, b, W)
         for t in [(2.0, 4.0, 6.0), (3.3, 5.1, 2.9)]:
             smap = similarity_map(a, t, b, W).data.reshape(-1)
@@ -126,8 +126,7 @@ class TestSimilarityMap:
     @pytest.mark.parametrize("channels", [1, 2, 11, 22])
     @pytest.mark.parametrize("rows", [1, 5, 255, 256, 300])
     def test_canonical_sum_equals_the_accumulate_oracle(self, channels, rows):
-        # the sum's earlier form, one left-to-right add.accumulate along each
-        # row; from 256 rows it is summed by columns
+        # the sum's earlier form, one left-to-right add.accumulate along each row
         rng = np.random.default_rng(channels)
         q = rng.normal(size=(rows, channels)).astype(np.float32)
         for v in (rng.normal(size=(1, channels)), rng.normal(size=(rows, channels))):

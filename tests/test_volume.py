@@ -578,7 +578,7 @@ class TestBodyMask:
             + ((zz - c[2]) / axes[2]) ** 2
         ) <= 1.0
         vol = ScalarVolume(geom, np.where(inside, 1.0, 0.0).astype(np.float32))
-        mask = body_mask(vol, 0.5)
+        mask, _ = body_mask(vol, 0.5)
         np.testing.assert_array_equal(mask.data.astype(bool), inside)
 
     def test_hollow_ellipsoid_interior_filled(self):
@@ -588,7 +588,7 @@ class TestBodyMask:
         r2 = ((xx - 9.5) / 7) ** 2 + ((yy - 9.5) / 7) ** 2 + ((zz - 9.5) / 7) ** 2
         shell = (r2 <= 1.0) & (r2 >= 0.4)
         vol = ScalarVolume(geom, np.where(shell, 1.0, 0.0).astype(np.float32))
-        mask = body_mask(vol, 0.5)
+        mask, _ = body_mask(vol, 0.5)
         assert mask.data[10, 10, 10] == 1  # per-slice hole fill closes the cavity
 
     def test_two_blobs_keep_larger(self):
@@ -596,7 +596,7 @@ class TestBodyMask:
         data[3:7, 3:7, 2:8] = 1.0    # 4*4*6 = 96 voxels
         data[4:6, 4:6, 14:17] = 1.0  # 2*2*3 = 12 voxels
         vol = ScalarVolume(VolumeGeometry((20, 10, 10)), data)
-        mask = body_mask(vol, 0.5)
+        mask, _ = body_mask(vol, 0.5)
         assert mask.data[5, 5, 4] == 1
         assert mask.data[5, 5, 15] == 0
 
@@ -632,12 +632,12 @@ class TestBodyMaskSliceOracle:
         data = ndimage.gaussian_filter(rng.random((nz, ny, nx)), rng.uniform(0.0, 1.5))
         vol = ScalarVolume(VolumeGeometry((nx, ny, nz)), data.astype(np.float32))
         threshold = float(np.quantile(vol.data, rng.uniform(0.2, 0.6)))
-        assert np.array_equal(body_mask(vol, threshold).data, body_mask_by_slice(vol, threshold))
+        assert np.array_equal(body_mask(vol, threshold)[0].data, body_mask_by_slice(vol, threshold))
 
     @pytest.mark.parametrize("open_face", ["first", "last"])
     def test_cavity_open_to_a_z_face_is_filled_in_every_slice(self, open_face):
         vol, tube = tube_block(9, open_face)
-        mask = body_mask(vol, 0.5).data
+        mask = body_mask(vol, 0.5)[0].data
         assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
         assert mask[tube, 5:7, 5:7].all()
 
@@ -650,7 +650,7 @@ class TestBodyMaskSliceOracle:
                    "y1": np.s_[2, 5:, 5:7]}[face]
         data[channel] = 0.0  # slice 2's hole opens to one face
         vol = ScalarVolume(VolumeGeometry((12, 12, 5)), data)
-        mask = body_mask(vol, 0.5).data
+        mask = body_mask(vol, 0.5)[0].data
         assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
         assert not mask[channel].any()
         assert mask[[0, 1, 3, 4], 5:7, 5:7].all()
@@ -661,7 +661,7 @@ class TestBodyMaskSliceOracle:
         data[:, 1:9, 1:9] = 1.0
         data[iz, 3:6, 4:7] = 0.0
         vol = ScalarVolume(VolumeGeometry((10, 10, 6)), data)
-        mask = body_mask(vol, 0.5).data
+        mask = body_mask(vol, 0.5)[0].data
         assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
         assert mask[:, 1:9, 1:9].all()
 
@@ -671,7 +671,7 @@ class TestBodyMaskSliceOracle:
         data[:, 1:10, 1:10] = 1.0
         data[:, 4:7, 3:8] = 0.0
         vol = ScalarVolume(VolumeGeometry((11, 11, 7)), data)
-        mask = body_mask(vol, 0.5).data
+        mask = body_mask(vol, 0.5)[0].data
         assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
         assert mask[:, 1:10, 1:10].all()
 
@@ -683,14 +683,14 @@ class TestBodyMaskSliceOracle:
         for scan in (pair.volume_a, pair.volume_b):
             vol = resample(scan, 2.0)
             assert vol.data.shape == (64, 64, 64)
-            assert np.array_equal(body_mask(vol, 0.18).data, body_mask_by_slice(vol, 0.18))
+            assert np.array_equal(body_mask(vol, 0.18)[0].data, body_mask_by_slice(vol, 0.18))
 
     def test_one_slice_volume(self):
         data = np.zeros((1, 9, 9), np.float32)
         data[0, 1:8, 1:8] = 1.0
         data[0, 3:6, 3:6] = 0.0
         vol = ScalarVolume(VolumeGeometry((9, 9, 1)), data)
-        mask = body_mask(vol, 0.5).data
+        mask = body_mask(vol, 0.5)[0].data
         assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
         assert mask[0, 1:8, 1:8].all()
 
@@ -714,9 +714,11 @@ def body_mask_whole_grid(vol, threshold):
 
 
 def assert_body_mask_equals_whole_grid(vol, threshold):
-    got = body_mask(vol, threshold).data
+    mask, box = body_mask(vol, threshold)
+    got = mask.data
     assert got.dtype == np.uint16
     assert np.array_equal(got, body_mask_whole_grid(vol, threshold))
+    assert box == mask_bbox_by_nonzero(got)  # the box it returns is the mask's
     return got
 
 
