@@ -15,18 +15,22 @@ One NN engine (``_PairMatcher._search``) returns the exact argmax of the
 canonical similarity over the query voxels, ties going to the smallest
 (z, y, x).  It screens in float32: ``_NN_CHUNK`` (128) template rows at a
 time take one float32 product per column block of at most ``_NN_BLOCK``
-entries (4 MB) in one buffer, and each row keeps its float32 best and
-runner-up.  With C channels in use, any float32 evaluation of the sum lies
-within E = g(C + 2, 2^-24) (1 + 2e-4) of its exact value, g(n, u) being
+entries (4 MB) into one tile, whose rows run 16 columns of -inf past the
+block, so that a power-of-two block width gives no row stride that is a
+multiple of 4 KB (the leading-dimension conflict of Goto & van de Geijn,
+ACM TOMS 2008).  Each row keeps its float32 best and runner-up.  With C
+channels in use, any float32 evaluation of the sum lies within
+E = g(C + 2, 2^-24) (1 + 2e-4) of its exact value, g(n, u) being
 n u / (1 - n u): the template heads are unit, the weights sum to 1, and the
 query rows are unit within the 1e-4 that ``EmbeddingVolume(normalized=True)``
 enforces (the 2e-4 covers that, the 1e-6 weight tolerance and the float32
 norm check).  The canonical sum lies within F = g(C + 2, 2^-53) (1 + 2e-4)
 of it, so only columns whose float32 product is within 2 (E + F) of the
 row's float32 best can win.  A row whose runner-up lies further down has
-one candidate, which wins.  Any other row is rescanned over narrower blocks,
-and all its candidates are re-ranked by the canonical sum, however many tie.
-Memory stays at one block plus one vector per point, whatever the grid size.
+one candidate, which wins: one canonical pass takes all such rows of a
+lookup.  Any other row is rescanned over narrower blocks, and all its
+candidates are re-ranked by the canonical sum, however many tie.  Memory
+stays at one tile plus a few vectors per point, whatever the grid size.
 
 Fixed-point matching of a point list builds one pair matcher and iterates
 the seed cubes of all points together: every seed is a lattice point, so the
@@ -202,23 +206,33 @@ def _margin(channels: int) -> float:
     return 2.0 * sum(n * u / (1.0 - n * u) for u in (2.0**-24, 2.0**-53)) * (1.0 + 2e-4)
 
 
-def _products(v32: np.ndarray, q: np.ndarray, width: int, buf: np.ndarray | None = None):
+def _tile(rows: int, width: int) -> np.ndarray:
+    """Float32 product rows with 16 columns of -inf past ``width`` (see the
+    module docstring)."""
+    return np.full((rows, width + 16), -np.inf, dtype=np.float32)
+
+
+def _products(v32: np.ndarray, q: np.ndarray, width: int, tile: np.ndarray):
     """(first column, float32 product of ``v32`` with a block of ``q``'s rows)
-    per column block of ``width``, in ``buf`` when given."""
+    per column block of ``width``, in the leading columns of ``tile``'s first
+    ``len(v32)`` rows, which are yielded whole, with -inf past the block."""
     for c0 in range(0, len(q), width):
         block = q[c0:c0 + width]
-        out = None if buf is None else buf[:len(v32) * len(block)].reshape(len(v32), -1)
-        yield c0, np.matmul(v32, block.T, out=out)
+        sims = tile[:len(v32)]
+        np.matmul(v32, block.T, out=sims[:, :len(block)])
+        if len(block) < width:
+            sims[:, len(block):] = -np.inf
+        yield c0, sims
 
 
-def _screen(v32: np.ndarray, q: np.ndarray, width: int, buf: np.ndarray):
+def _screen(v32: np.ndarray, q: np.ndarray, width: int, tile: np.ndarray):
     """Each row's float32 best, its first column and the runner-up, which
-    equals the best when two columns tie."""
+    equals the best when two columns tie; the tile's -inf columns never win."""
     r = np.arange(len(v32))
     top = np.full(len(v32), -np.inf, dtype=np.float32)
     second = top.copy()
     arg = np.zeros(len(v32), dtype=np.int64)
-    for c0, sims in _products(v32, q, width, buf):
+    for c0, sims in _products(v32, q, width, tile):
         idx = np.argmax(sims, axis=1)
         val = sims[r, idx]
         sims[r, idx] = -np.inf
@@ -234,7 +248,8 @@ def _rescan(v: np.ndarray, v32: np.ndarray, floor: np.ndarray, q: np.ndarray) ->
     the columns whose float32 product is at least ``floor``; ``v``, ``v32`` and
     ``floor`` hold the one row."""
     flat, best = 0, -np.inf
-    for c0, sims in _products(v32, q, _rerank_width(q.shape[1])):
+    width = _rerank_width(q.shape[1])
+    for c0, sims in _products(v32, q, width, _tile(1, width)):
         cand = np.flatnonzero(sims[0] >= floor) + c0
         if cand.size:
             vals = _canonical(v, q[cand])
@@ -320,21 +335,20 @@ class _PairMatcher:
         v32 = v.astype(np.float32)
         flat = np.empty(len(v), dtype=np.int64)
         best = np.empty(len(v), dtype=np.float64)
+        floor = np.empty(len(v), dtype=np.float64)
+        one = np.empty(len(v), dtype=bool)
         n_rows = max(1, min(len(v), _NN_CHUNK))
         width = min(len(q), max(1, _NN_BLOCK // n_rows))
-        buf = np.empty(n_rows * width, dtype=np.float32)
+        tile = _tile(n_rows, width)
         for lo in range(0, len(v), _NN_CHUNK):
             rows = slice(lo, lo + _NN_CHUNK)
-            top, second, arg = _screen(v32[rows], q, width, buf)
+            top, second, flat[rows] = _screen(v32[rows], q, width, tile)
             # float64 arrays on both sides, so the comparisons are exact
-            floor = top.astype(np.float64) - margin
-            one = second < floor
-            f, b = flat[rows], best[rows]
-            f[one] = arg[one]
-            b[one] = _canonical(v[rows][one], q[arg[one]])
-            for i in np.flatnonzero(~one):
-                j = lo + i
-                f[i], b[i] = _rescan(v[j:j + 1], v32[j:j + 1], floor[i:i + 1], q)
+            floor[rows] = top.astype(np.float64) - margin
+            one[rows] = second < floor[rows]
+        best[one] = _canonical(v[one], q[flat[one]])
+        for j in np.flatnonzero(~one):
+            flat[j], best[j] = _rescan(v[j:j + 1], v32[j:j + 1], floor[j:j + 1], q)
         return flat, best
 
     def nn_a_to_b(self, pts):
@@ -395,20 +409,16 @@ def _full_res_limits(s: EmbeddingSet) -> np.ndarray:
     return 2.0 * (np.array([nx, ny, nz], dtype=np.float64) - 1.0)
 
 
-@dataclass
-class _CubeFixedPoints:
-    """What the seed cube around one template point converged to."""
-
-    fixed: np.ndarray    # (n, 3) full-res fixed points in A, sorted by (x, y, z), among
-                         # them every fixed point within tau_dis of the template point
-    forward: np.ndarray  # (n, 3) their forward matches in B
-    n_fix: int           # iteration at which the centre seed converged, else max_iter
-
-
 def _converge_cubes(
     matcher: _PairMatcher, pts: np.ndarray, cfg: FixpointConfig
-) -> list[_CubeFixedPoints]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Iterate the forward-backward map from the seeds of every point's cube.
+
+    Returns flat arrays of each point's distinct fixed points (among them
+    every one within ``tau_dis`` of it), sorted by point, then (x, y, z): the
+    point's index in ``pts``, the full-res fixed point in A, its forward match
+    in B; and each point's ``n_fix``, the iteration at which its centre seed
+    converged, else ``max_iter``.
 
     Seeds are embedding-grid lattice points, so the forward (A->B) and
     backward (B->A) NN maps are memoized per lattice index and shared by all
@@ -421,14 +431,9 @@ def _converge_cubes(
     seeds shared by overlapping cubes are iterated once, with the largest
     budget any cube gives them.
 
-    The step budget: a point's centre seed gets ``max_iter`` steps, because
-    it sets ``n_fix``.  When every lattice point within ``tau_dis`` of the
-    point (its ball) lies in its clipped cube, each ball seed gets one step
-    and every other seed none; otherwise every seed gets ``max_iter``.  This
-    is exact: a fixed point within ``tau_dis`` is then a ball seed, and a
-    fixed point converges from itself at step 0, so the one-step ball seeds
-    find every fixed point the local fit can use.  The default cube (side 5,
-    ``tau_dis`` 5) contains the ball of every lattice point.
+    Step budgets follow the module docstring's iteration policy.  The
+    default cube (side 5, ``tau_dis`` 5) contains the ball of every lattice
+    point.
     """
     a, b = matcher.a, matcher.b
     lim = np.array(a.geometry.dims) - 1
@@ -492,45 +497,39 @@ def _converge_cubes(
     rest, y = np.divmod(rest, ny)
     owner, x = np.divmod(rest, nx)
     flat = a.geometry.flat_index(np.stack([x, y, z], axis=1))
-    cuts = np.cumsum(np.bincount(owner, minlength=len(pts)))[:-1]
-    return [
-        _CubeFixedPoints(fixed, forward, int(n))
-        for fixed, forward, n in zip(
-            np.split(_lattice_points(a, flat), cuts),
-            np.split(_lattice_points(b, fwd_memo[flat]), cuts),
-            n_conv[start_of[:, center]],
-        )
-    ]
+    return owner, _lattice_points(a, flat), _lattice_points(b, fwd_memo[flat]), n_conv[start_of[:, center]]
 
 
 def _finish_fixpoint(
-    matcher: _PairMatcher, pts: np.ndarray, cubes: list[_CubeFixedPoints], cfg: FixpointConfig
+    matcher: _PairMatcher, pts: np.ndarray, cubes: tuple[np.ndarray, ...], cfg: FixpointConfig
 ) -> list[MatchResult]:
-    """Affine fits through the fixed points near each point, one similarity pass
-    for all fitted points, and one NN lookup for all points that cannot be fitted."""
-    out: list[MatchResult | None] = [None] * len(pts)
-    fit, fit_n, fit_q = [], [], []
-    for i, (t, cube) in enumerate(zip(pts, cubes)):
-        near = np.linalg.norm(cube.fixed - t, axis=1) <= cfg.tau_dis
-        n_near = int(np.count_nonzero(near))
-        if n_near < cfg.min_points:
-            continue
+    """Affine fits through the fixed points near each point (one ``tau_dis``
+    test for all of ``_converge_cubes``' flat arrays), one similarity pass for
+    all fitted points, and one NN lookup for all points that cannot be fitted."""
+    owner, fixed, forward, n_fix = cubes
+    near = np.linalg.norm(fixed - pts[owner], axis=1) <= cfg.tau_dis
+    n_near = np.bincount(owner[near], minlength=len(pts))
+    end = np.cumsum(n_near)
+    src, dst = fixed[near], forward[near]
+    fit, fit_q = [], []
+    for i in np.flatnonzero(n_near >= cfg.min_points):
+        span = slice(end[i] - n_near[i], end[i])
         try:
-            aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
+            aff, _ = fit_affine(src[span], dst[span])
         except DegenerateGeometry:
             continue
         fit.append(i)
-        fit_n.append(n_near)
-        fit_q.append(aff.apply_array(t.reshape(1, 3))[0])
+        fit_q.append(aff.apply_array(pts[i:i + 1])[0])
+    out: list[MatchResult | None] = [None] * len(pts)
     fitted = np.clip(np.array(fit_q).reshape(-1, 3), 0.0, _full_res_limits(matcher.b))
     sims = matcher.similarity_between(pts[fit], fitted)
-    for i, n_near, qi, sim in zip(fit, fit_n, fitted, sims):
-        out[i] = MatchResult(Point3.from_array(qi), float(sim), "fixpoint", cubes[i].n_fix, n_near)
+    for i, qi, sim in zip(fit, fitted, sims):
+        out[i] = MatchResult(Point3.from_array(qi), float(sim), "fixpoint", int(n_fix[i]), int(n_near[i]))
     rest = [i for i, r in enumerate(out) if r is None]
     if rest:
         matched, sims = matcher.nn_a_to_b(pts[rest])
         for i, q, sim in zip(rest, matched, sims):
-            out[i] = MatchResult(Point3.from_array(q), float(sim), "fixpoint_fallback_nn", cubes[i].n_fix)
+            out[i] = MatchResult(Point3.from_array(q), float(sim), "fixpoint_fallback_nn", int(n_fix[i]))
     return out
 
 
@@ -574,12 +573,13 @@ def grid_match(
     A point more than 0.75 embedding voxels outside ``a``'s grid is ``None``
     under either matcher, before any lookup.  One ``_PairMatcher`` serves the
     whole call.  With ``cfg=None`` the in-bounds points go through one
-    batched NN lookup, at most ``_NN_BLOCK`` entries per float32 product.
+    batched NN lookup: float32 products of at most ``_NN_BLOCK`` entries into
+    one padded tile, then one canonical pass for all rows with one candidate.
     Otherwise their seed cubes iterate together against one shared memo of
     lattice NN maps (see ``_converge_cubes``): a seed that cycles or exhausts
-    its step budget yields no fixed point.  Each point then gets its own
-    affine fit through the fixed points near it, and all fitted points share
-    one similarity pass.  The points that cannot be fitted fall back to one NN
+    its step budget yields no fixed point.  One ``tau_dis`` test over every
+    point's fixed points picks those near each point, each point gets its own
+    affine fit through them, and all fitted points share one similarity pass.  The points that cannot be fitted fall back to one NN
     lookup; each equals ``nn_match`` bit for bit, as every lookup returns the
     canonical argmax whatever its batch.
     """
