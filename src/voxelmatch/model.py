@@ -3,11 +3,12 @@
 A fixed multi-scale descriptor bank (Gaussian gradient and Laplacian
 responses plus local standard deviations, stride-2 sampled) feeds trainable
 linear projection heads.  The bank has no settings: its scales, box widths
-and channel scales are module constants.  Each 1-D filter pass is one BLAS
-product with a banded matrix that computes only the kept samples, so no
-full-resolution response exists.  Each head output is L2-normalized per
-voxel, so the contrastive losses and their exact gradients are exercised end
-to end while training stays a minutes-scale deterministic computation.
+and channel scales are module constants.  Each 1-D filter pass is a banded
+matrix that computes only the kept samples, so no full-resolution response
+exists, run as one BLAS product per fixed-width block of its rows.  Each
+head output is L2-normalized per voxel, so the contrastive losses and their
+exact gradients are exercised end to end while training stays a
+minutes-scale deterministic computation.
 Because every bank channel scales linearly with contrast, embeddings do not
 change under v -> a * v + b with a > 0, even for an untrained model.
 
@@ -132,14 +133,13 @@ def _gauss_second_kernel(sigma: float) -> np.ndarray:
     return k - k.sum() / len(k)  # truncation leaves a DC term; constants must vanish
 
 
-@functools.lru_cache(maxsize=None)
 def _band(kernel: tuple[float, ...], n: int, step: int) -> np.ndarray:
     """Read-only (ceil(n / step), n) B with B @ line = correlate1d(line, kernel, mode="nearest")[::step].
 
     Row i is the odd-length ``kernel`` centred on sample step * i; the taps
     past either end of the line clamp to its end sample, so they fold into
-    the first or last column.  The cache keeps one matrix per kernel, line
-    length and step in use, about 6.5 n^2 floats per line length n.
+    the first or last column.  ``_blocks`` cuts it into the pieces that
+    ``_correlate`` multiplies.
     """
     r = len(kernel) // 2
     centres = np.arange(0, n, step)
@@ -150,19 +150,46 @@ def _band(kernel: tuple[float, ...], n: int, step: int) -> np.ndarray:
     return band
 
 
+# outputs per block along (z, y, x): a z or y block multiplies long slabs, so
+# few outputs keep its columns near its taps; x blocks multiply short lines
+_BLOCK_WIDTHS = (4, 8, 16)
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks(kernel: tuple[float, ...], n: int, step: int, width: int) -> tuple:
+    """``_band`` in blocks of ``width`` rows: (first row, first column, read-only block) each.
+
+    A block keeps the smallest column range that holds its rows' nonzero taps, and none when
+    all are zero (the sigma-2 second derivative folded onto one sample).  The cache keeps at
+    most n (width + len(kernel) / step) floats per kernel, length, step and width in use.
+    """
+    band = _band(kernel, n, step)
+    blocks = []
+    for r0 in range(0, len(band), width):
+        rows = band[r0:r0 + width]
+        cols = np.flatnonzero(rows.any(axis=0))
+        c0, c1 = (cols[0], cols[-1] + 1) if len(cols) else (0, 0)
+        block = rows[:, c0:c1].copy()
+        block.flags.writeable = False
+        blocks.append((r0, c0, block))
+    return tuple(blocks)
+
+
 def _correlate(data: np.ndarray, kernel: tuple[float, ...], axis: int, step: int = 2) -> np.ndarray:
     """``correlate1d(mode="nearest")`` along ``axis`` with every ``step``-th sample kept, as one
-    BLAS product with ``_band``: lines @ B^T on the last axis, B @ slab on the others."""
+    BLAS product per block of ``_BLOCK_WIDTHS[axis]`` outputs (``_blocks``): lines @ block^T on
+    the last axis, block @ slab on the others.  A product over no columns writes zeros."""
     shape, n = data.shape, data.shape[axis]
-    band = _band(kernel, n, step)
     pre, post = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-    if post == 1:
-        out = data.reshape(pre, n) @ band.T
-    elif pre == 1:
-        out = band @ data.reshape(n, post)
-    else:
-        out = np.matmul(band, data.reshape(pre, n, post))
-    return out.reshape(shape[:axis] + (len(band),) + shape[axis + 1:])
+    src, m = data.reshape(pre, n, post), (n + step - 1) // step
+    out = np.empty((pre, m, post))
+    for r0, c0, block in _blocks(kernel, n, step, _BLOCK_WIDTHS[axis]):
+        dest, lines = out[:, r0:r0 + len(block)], src[:, c0:c0 + block.shape[1]]
+        if post == 1:
+            np.matmul(lines[..., 0], block.T, out=dest[..., 0])
+        else:
+            np.matmul(block, lines, out=dest)
+    return out.reshape(shape[:axis] + (m,) + shape[axis + 1:])
 
 
 def _box_stds_halved(data: np.ndarray) -> list[np.ndarray]:
@@ -202,15 +229,17 @@ class DescriptorBank:
     embedding.  Contrast reversal (a < 0) flips every channel but the
     magnitudes and spreads, so it is not covered.
 
-    Each 1-D response is computed once, by one banded-matrix product that
-    yields only its stride-2 samples (``_correlate``).  Per sigma, three x
-    passes (Gaussian, derivative, second derivative) feed the gradient and
-    Laplacian terms, and the Gaussian x and x-y smoothings are shared.  Both
-    widths' box means run on data centred and squared once (``_box_stds_halved``).
-    The products sum in another order than full-resolution ``correlate1d`` and
-    ``uniform_filter`` sampled at [::2, ::2, ::2]: on unit-range volumes the
-    scaled gradient and Laplacian channels agree with those within 1e-12 and
-    the box channels within 1e-9.
+    Each 1-D response is computed once, by banded-matrix products that yield
+    only its stride-2 samples, one per fixed-width block of outputs
+    (``_correlate``); unlike one product with the whole band, their bits were
+    the same under one and two OpenBLAS threads on every grid tried.  Per
+    sigma, three x passes (Gaussian, derivative, second derivative) feed the
+    gradient and Laplacian terms, and the Gaussian x and x-y smoothings are
+    shared.  Both widths' box means run on data centred and squared once
+    (``_box_stds_halved``).  The products sum in another order than
+    full-resolution ``correlate1d`` and ``uniform_filter`` sampled at [::2,
+    ::2, ::2]: on unit-range volumes the scaled gradient and Laplacian
+    channels agree with those within 1e-12 and the box channels within 1e-9.
     """
 
     def compute(self, vol: ScalarVolume) -> tuple[np.ndarray, VolumeGeometry]:

@@ -1,8 +1,12 @@
 """Tests for the descriptor bank, projection model, batch sampling, and training."""
 
 import io
+import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -33,7 +37,9 @@ from voxelmatch.model import (
     DescriptorBank,
     ProjectionModel,
     TrainConfig,
+    _BLOCK_WIDTHS,
     _band,
+    _blocks,
     _box_stds_halved,
     _correlate,
     _gauss_deriv_kernel,
@@ -102,6 +108,32 @@ def box_std_halved_per_width(data, width):
 
 
 BANK_DIMS = [(1, 1, 1), (2, 3, 5), (7, 9, 11), (16, 10, 12), (17, 40, 23)]
+BANK_KERNELS = [
+    tuple(f(s)) for s in SIGMAS for f in (_gauss_kernel, _gauss_deriv_kernel, _gauss_second_kernel)
+] + [(1.0 / w,) * w for w in BOX_WIDTHS]
+LINE_LENGTHS = [1, 2, 3, 7, 16, 31, 32, 61, 62, 63, 64, 88]
+
+
+def dense_band_correlate(data, kernel, axis, step):
+    """Reference ``_correlate``: one product with the whole ``_band`` matrix."""
+    band = _band(kernel, data.shape[axis], step)
+    return np.moveaxis(np.tensordot(band, data, axes=([1], [axis])), 0, axis)
+
+
+# hashes DescriptorBank.compute of a fixed random volume per (z, y, x) shape
+# given on the command line, in a fresh process whose BLAS thread count the
+# environment sets
+BANK_BYTES_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from voxelmatch.model import DescriptorBank
+from voxelmatch.volume import ScalarVolume, VolumeGeometry
+for arg in sys.argv[1:]:
+    shape = tuple(int(v) for v in arg.split("x"))
+    data = np.random.default_rng(sum(shape)).uniform(0, 1, shape).astype(np.float32)
+    feats = DescriptorBank().compute(ScalarVolume(VolumeGeometry(shape[::-1]), data))[0]
+    print(arg, hashlib.sha256(feats.tobytes()).hexdigest())
+"""
 
 
 def scalar(rng, dims=(16, 16, 16), spacing=2.0):
@@ -131,16 +163,71 @@ class TestDescriptorBank:
     def test_band_rows_are_strided_impulse_responses(self, n, step):
         # column j of the correlated identity is the response to the unit
         # impulse at j; B's row i is that response sampled at step * i
-        kernels = [
-            f(s) for s in SIGMAS for f in (_gauss_kernel, _gauss_deriv_kernel, _gauss_second_kernel)
-        ] + [np.full(w, 1.0 / w) for w in BOX_WIDTHS]
-        for k in kernels:
-            band = _band(tuple(k), n, step)
+        for k in BANK_KERNELS:
+            band = _band(k, n, step)
             impulses = ndimage.correlate1d(np.eye(n), k, axis=0, mode="nearest")
             assert band.shape == ((n + step - 1) // step, n)
             # a border column sums its folded taps in another order: 1 ulp
             np.testing.assert_allclose(band, impulses[::step], rtol=0, atol=1e-15)
             assert not band.flags.writeable
+
+    @pytest.mark.parametrize("n", LINE_LENGTHS)
+    def test_blocks_are_read_only_and_cover_every_band_nonzero(self, n):
+        for k, step, width in itertools.product(BANK_KERNELS, (1, 2), _BLOCK_WIDTHS):
+            band = _band(k, n, step)
+            covered = np.zeros(band.shape, bool)
+            next_row = 0
+            for r0, c0, block in _blocks(k, n, step, width):
+                assert not block.flags.writeable
+                assert r0 == next_row and 1 <= len(block) <= width
+                rows, cols = block.shape
+                covered[r0:r0 + rows, c0:c0 + cols] = True
+                assert block.tobytes() == band[r0:r0 + rows, c0:c0 + cols].tobytes()
+                next_row += rows
+            assert next_row == len(band)
+            assert not band[~covered].any()
+
+    @pytest.mark.parametrize("n", LINE_LENGTHS)
+    def test_correlate_equals_the_dense_band_product(self, n):
+        # every bank kernel, both steps, each axis of 3-D and 4-D inputs, so
+        # both product forms of _correlate (lines @ block^T, and block @ slab
+        # over one or many slabs) run
+        rng = np.random.default_rng(n)
+        zero_rows = 0
+        for axis, ndim in itertools.product((0, 1, 2), (3, 4)):
+            shape = [3, 4, 5, 6][:ndim]
+            shape[axis] = n
+            data = rng.uniform(-1.0, 1.0, shape)
+            for k, step in itertools.product(BANK_KERNELS, (1, 2)):
+                expected = dense_band_correlate(data, k, axis, step)
+                np.full(expected.shape, np.nan)  # freed, so that an output left unwritten shows
+                got = _correlate(data, k, axis, step)
+                assert got.shape == expected.shape
+                scale = np.abs(expected).max()
+                assert np.abs(got - expected).max() <= 1e-15 * scale
+                zero = ~_band(k, n, step).any(axis=1)
+                assert np.all(np.moveaxis(got, axis, 0)[zero] == 0.0)
+                zero_rows += int(zero.sum())
+        # the sigma-2 second derivative folds to an all-zero row on a 1-sample line
+        assert zero_rows > 0 or n > 1
+
+    def test_bank_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # (63, 62, 62) and (62, 62, 63) are (z, y, x) training-view crops whose
+        # dense banded products gave other bits under one and two threads
+        shapes = ["63x62x62", "62x62x63", "30x61x62", "88x88x88"]
+        src = os.path.dirname(os.path.dirname(model_mod.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", BANK_BYTES_SCRIPT, *shapes],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.split("\n"))
+        assert len(digests[0]) == len(shapes) + 1
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("dims", BANK_DIMS + [(62, 62, 63)], ids=lambda d: "x".join(map(str, d)))
     def test_box_spreads_centred_once_equal_the_per_width_oracle(self, dims):
