@@ -61,6 +61,8 @@ class AlignConfig:
             raise ValueError("grid_spacing must be >= 2")
         if any(a < b for a, b in zip(self.margins, self.margins[1:])):
             raise ValueError("margins must be non-increasing")
+        if any(m < 0 for m in self.margins):
+            raise ValueError("margins must be >= 0")
         if self.matcher not in ("nn", "fixpoint"):
             raise ValueError(f"unknown matcher {self.matcher!r}")
         if not 0.0 <= self.trim_fraction <= 0.5:
@@ -152,13 +154,14 @@ def register_and_crop(
     cfg: AlignConfig,
     margin: int,
     weights: SimilarityWeights = SimilarityWeights(),
-    fixpoint_cfg: FixpointConfig | None = None,
+    fixpoint_cfg: FixpointConfig = FixpointConfig(),
     round_index: int = 0,
 ) -> RegisteredPair:
     """One alignment step: grid match, trimmed rigid fit, margin-dilated crop.
 
-    Both volumes are taken at working resolution.  Raises ``TooFewMatches``
-    when fewer than three grid matches clear the similarity floor.
+    Both volumes are taken at working resolution; ``fixpoint_cfg`` is read
+    only when ``cfg.matcher == "fixpoint"``.  Raises ``TooFewMatches`` when
+    fewer than three grid matches clear the similarity floor.
     """
     mask, bbox = body_mask(moving, cfg.body_threshold)
     moving_set = embed(moving, model)
@@ -167,8 +170,6 @@ def register_and_crop(
     if len(pts) == 0:
         raise EmptyMask("body mask holds no grid points")
     fp_cfg = fixpoint_cfg if cfg.matcher == "fixpoint" else None
-    if cfg.matcher == "fixpoint" and fp_cfg is None:
-        fp_cfg = FixpointConfig()
     results = grid_match(pts, moving_set, fixed_set, weights, fp_cfg)
     src, dst = [], []
     for p, r in zip(pts, results):
@@ -226,7 +227,7 @@ def iterate_alignment(
     align_cfg: AlignConfig = AlignConfig(),
     augment_spec=None,
     weights: SimilarityWeights = SimilarityWeights(),
-    fixpoint_cfg: FixpointConfig | None = None,
+    fixpoint_cfg: FixpointConfig = FixpointConfig(),
 ):
     """Bootstrap + margin-scheduled retraining over cross-modality pairs.
 

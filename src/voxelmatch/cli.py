@@ -20,7 +20,7 @@ from pathlib import Path
 from . import alignment, matching, metrics, model as model_mod, phantom, volume
 from .config import RunConfig, load_config, resolved_lines
 from .errors import VoxelMatchError
-from .geometry import Point3, fit_rigid
+from .geometry import Point3, fit_rigid_trimmed
 from .matching import EmbeddingSet
 
 log = logging.getLogger("voxelmatch")
@@ -136,10 +136,11 @@ def _weights_for(cfg: RunConfig, has_semantic: bool):
 
 
 def _parse_point(text: str) -> Point3:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise VoxelMatchError(f"expected 'x,y,z', got {text!r}")
-    return Point3(float(parts[0]), float(parts[1]), float(parts[2]))
+    try:  # ValueError from the unpacking, from float() or from Point3's finiteness check
+        x, y, z = map(float, text.replace(",", " ").split())
+        return Point3(x, y, z)
+    except ValueError:
+        raise VoxelMatchError(f"expected three finite numbers 'x,y,z', got {text!r}") from None
 
 
 def _cmd_phantom_gen(args, cfg: RunConfig) -> int:
@@ -151,7 +152,7 @@ def _cmd_phantom_gen(args, cfg: RunConfig) -> int:
         case = out / f"case_{i:03d}"
         case.mkdir(exist_ok=True)
         seed = spec.seed + i
-        vol, labels, lms = phantom.gen_phantom(spec, seed)
+        vol, labels, lms = phantom.gen_phantom(replace(spec, seed=seed))
         volume.write_volume(vol, case / "volume.evf")
         volume.write_volume(labels, case / "labels.evf")
         metrics.write_landmarks(case / "landmarks.txt", lms)
@@ -210,7 +211,7 @@ def _cmd_fit_rigid(args, cfg: RunConfig) -> int:
     ids, src_pts, dst_pts = metrics.join_landmarks(src, dst)
     if not ids:
         raise VoxelMatchError("no landmark ids shared between the two files")
-    rig, report = fit_rigid(src_pts, dst_pts)
+    rig, report = fit_rigid_trimmed(src_pts, dst_pts, 0.0)
     for row in rig.rotation:
         print(f"{row[0]:.9g} {row[1]:.9g} {row[2]:.9g}")
     t = rig.translation
@@ -346,6 +347,10 @@ def main(argv=None) -> int:
     if args.command == "train" and args.mode == "cross-iter" and args.loss_log:
         # iterate_alignment keeps no per-round loss log to write
         parser.error("--loss-log cannot be used with --mode cross-iter")
+    if args.command == "adareg" and args.margin is not None and args.margin < 0:
+        parser.error("--margin must be >= 0")
+    if args.command == "phantom-gen" and args.count < 1:
+        parser.error("--count must be >= 1")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.WARNING,

@@ -1,5 +1,6 @@
 """3-D points, rigid and affine transforms, and least-squares fits to matched point sets.
 
+``fit_rigid`` and ``fit_affine`` return the transform; only ``fit_rigid_trimmed`` reports a ``FitReport``.
 All fits run in 64-bit floating point regardless of the precision of the
 volumes the points came from, so that small residuals remain meaningful.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "fit_rigid",
     "fit_affine",
     "fit_rigid_trimmed",
-    "apply",
     "rotation_matrix",
     "rigid_about",
 ]
@@ -150,22 +150,16 @@ class AffineTransform:
 
 @dataclass
 class FitReport:
-    """Outcome of a point-set fit: total squared residual, surviving pairs, rounds used."""
+    """Outcome of ``fit_rigid_trimmed``: total squared residual of the inliers, and the inlier mask."""
 
     residual_sum_squares: float
     inlier_mask: np.ndarray
-    iterations: int
 
 
 def _as_points_array(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=np.float64)
-    else:
-        pts = list(points)
-        if pts and isinstance(pts[0], Point3):
-            arr = np.array([[p.x, p.y, p.z] for p in pts], dtype=np.float64)
-        else:
-            arr = np.asarray(pts, dtype=np.float64)
+    if not isinstance(points, np.ndarray):
+        points = [p.to_array() if isinstance(p, Point3) else p for p in points]
+    arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("expected an (N, 3) point array")
     if not np.all(np.isfinite(arr)):
@@ -173,7 +167,18 @@ def _as_points_array(points) -> np.ndarray:
     return arr
 
 
-def fit_rigid(src, dst) -> tuple[RigidTransform, FitReport]:
+def _point_pairs(src, dst, minimum: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``src`` and ``dst`` as (N, 3) float64 arrays of equal length N >= ``minimum``."""
+    s = _as_points_array(src)
+    d = _as_points_array(dst)
+    if len(s) != len(d):
+        raise MismatchedLengths(f"{len(s)} source vs {len(d)} destination points")
+    if len(s) < minimum:
+        raise DegenerateGeometry(f"{what} needs at least {minimum} point pairs")
+    return s, d
+
+
+def fit_rigid(src, dst) -> RigidTransform:
     """Least-squares rigid fit mapping ``src`` onto ``dst``.
 
     Solves for the rotation/translation minimising the summed squared
@@ -182,12 +187,7 @@ def fit_rigid(src, dst) -> tuple[RigidTransform, FitReport]:
     with the smallest singular value has its sign flipped so the result is
     a proper rotation.
     """
-    s = _as_points_array(src)
-    d = _as_points_array(dst)
-    if len(s) != len(d):
-        raise MismatchedLengths(f"{len(s)} source vs {len(d)} destination points")
-    if len(s) < 3:
-        raise DegenerateGeometry("rigid fit needs at least 3 point pairs")
+    s, d = _point_pairs(src, dst, 3, "rigid fit")
     cs = s.mean(axis=0)
     cd = d.mean(axis=0)
     ps = s - cs
@@ -203,30 +203,21 @@ def fit_rigid(src, dst) -> tuple[RigidTransform, FitReport]:
         v = v.copy()
         v[:, -1] *= -1.0  # flip the smallest singular direction to get det +1
         r = v @ u.T
-    rig = RigidTransform(r, cd - r @ cs)
-    resid = float(((d - rig.apply_array(s)) ** 2).sum())
-    return rig, FitReport(resid, np.ones(len(s), dtype=bool), 1)
+    return RigidTransform(r, cd - r @ cs)
 
 
-def fit_affine(src, dst) -> tuple[AffineTransform, FitReport]:
+def fit_affine(src, dst) -> AffineTransform:
     """Least-squares affine fit mapping ``src`` onto ``dst``.
 
     Requires at least four non-coplanar source points.
     """
-    s = _as_points_array(src)
-    d = _as_points_array(dst)
-    if len(s) != len(d):
-        raise MismatchedLengths(f"{len(s)} source vs {len(d)} destination points")
-    if len(s) < 4:
-        raise DegenerateGeometry("affine fit needs at least 4 point pairs")
+    s, d = _point_pairs(src, dst, 4, "affine fit")
     sv = np.linalg.svd(s - s.mean(axis=0), compute_uv=False)
     if sv[2] <= _RANK_RTOL * max(sv[0], 1e-300):
         raise DegenerateGeometry("source points are coplanar or collinear")
     design = np.hstack([s, np.ones((len(s), 1))])
     m, _, _, _ = np.linalg.lstsq(design, d, rcond=None)
-    aff = AffineTransform(m[:3].T, m[3])
-    resid = float(((d - aff.apply_array(s)) ** 2).sum())
-    return aff, FitReport(resid, np.ones(len(s), dtype=bool), 1)
+    return AffineTransform(m[:3].T, m[3])
 
 
 def fit_rigid_trimmed(src, dst, trim_fraction: float) -> tuple[RigidTransform, FitReport]:
@@ -234,48 +225,33 @@ def fit_rigid_trimmed(src, dst, trim_fraction: float) -> tuple[RigidTransform, F
 
     Each round fits the current inliers, ranks every input pair by residual
     under that fit, and keeps the best ``N - ceil(trim_fraction * N)``.
-    Stops when the inlier set repeats or after 10 rounds.
+    Stops when the inlier set repeats or after 10 rounds, fitting each set once;
+    with ``trim_fraction`` 0 it equals ``fit_rigid`` on all pairs, bit for bit.
     """
     if not 0.0 <= trim_fraction <= 0.5:
         raise ValueError("trim_fraction must lie in [0, 0.5]")
-    s = _as_points_array(src)
-    d = _as_points_array(dst)
-    if len(s) != len(d):
-        raise MismatchedLengths(f"{len(s)} source vs {len(d)} destination points")
+    s, d = _point_pairs(src, dst, 3, "rigid fit")
     n = len(s)
     n_drop = math.ceil(trim_fraction * n)
     keep = n - n_drop
     if keep < 3:
         raise DegenerateGeometry("fewer than 3 pairs would remain after trimming")
     current = np.arange(n)
-    rounds = 0
-    for rounds in range(1, 11):
-        rig, _ = fit_rigid(s[current], d[current])
+    for _ in range(10):
+        rig = fit_rigid(s[current], d[current])
         if n_drop == 0:
             break
         res_all = ((d - rig.apply_array(s)) ** 2).sum(axis=1)
         selected = np.sort(np.argsort(res_all, kind="stable")[:keep])
-        if selected.size == current.size and np.array_equal(selected, current):
+        if np.array_equal(selected, current):
             break
         current = selected
-    rig, _ = fit_rigid(s[current], d[current])
+    else:  # the tenth round changed the set
+        rig = fit_rigid(s[current], d[current])
     resid = float(((d[current] - rig.apply_array(s[current])) ** 2).sum())
     mask = np.zeros(n, dtype=bool)
     mask[current] = True
-    return rig, FitReport(resid, mask, rounds)
-
-
-def apply(transform, points):
-    """Apply a rigid or affine transform to a Point3, a list of Point3, or an (N, 3) array."""
-    if isinstance(points, Point3):
-        return Point3.from_array(transform.apply_array(points.to_array()))
-    if isinstance(points, np.ndarray):
-        return transform.apply_array(points)
-    pts = list(points)
-    if pts and isinstance(pts[0], Point3):
-        out = transform.apply_array(np.array([[p.x, p.y, p.z] for p in pts]))
-        return [Point3.from_array(row) for row in out]
-    return transform.apply_array(np.asarray(pts, dtype=np.float64))
+    return rig, FitReport(resid, mask)
 
 
 def rotation_matrix(axis, angle_rad: float) -> np.ndarray:

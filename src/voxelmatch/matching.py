@@ -515,7 +515,7 @@ def _finish_fixpoint(
     for i in np.flatnonzero(n_near >= cfg.min_points):
         span = slice(end[i] - n_near[i], end[i])
         try:
-            aff, _ = fit_affine(src[span], dst[span])
+            aff = fit_affine(src[span], dst[span])
         except DegenerateGeometry:
             continue
         fit.append(i)
@@ -579,9 +579,10 @@ def grid_match(
     lattice NN maps (see ``_converge_cubes``): a seed that cycles or exhausts
     its step budget yields no fixed point.  One ``tau_dis`` test over every
     point's fixed points picks those near each point, each point gets its own
-    affine fit through them, and all fitted points share one similarity pass.  The points that cannot be fitted fall back to one NN
-    lookup; each equals ``nn_match`` bit for bit, as every lookup returns the
-    canonical argmax whatever its batch.
+    affine fit through them, and all fitted points share one similarity
+    pass.  The points that cannot be fitted fall back to one NN lookup; each
+    equals ``nn_match`` bit for bit, as every lookup returns the canonical
+    argmax whatever its batch.
     """
     pts = np.array([_as_xyz(p) for p in points], dtype=np.float64).reshape(-1, 3)
     if not len(pts):

@@ -477,9 +477,9 @@ def _sample_side(
     tau: float,
     rng: np.random.Generator,
     n_fov: int = 0,
-    overlap_b: np.ndarray | None = None,
 ) -> PairBatch:
-    """Sample one PairBatch from the pair's ``usable_anchors``.
+    """Sample one PairBatch from the pair's ``usable_anchors``; FOV negatives
+    (``n_fov`` > 0) come from outside the pair's ``overlap_b``.
 
     Any query row can be drawn as a negative, and only its similarity
     reaches the loss, so the whole query table must be unit
@@ -555,9 +555,9 @@ def _sample_side(
     fov_idx = None
     fov_sims = None
     if n_fov > 0:
-        if overlap_b is None:
+        if pair.overlap_b is None:
             raise ValueError("fov negatives need the query-side overlap mask")
-        flat_out = np.flatnonzero(~overlap_b[::2, ::2, ::2])  # the half grid's voxels outside
+        flat_out = np.flatnonzero(~pair.overlap_b[::2, ::2, ::2])  # the half grid's voxels outside
         if len(flat_out):
             fov_idx = flat_out[rng.integers(0, len(flat_out), size=(n_pos, n_fov))]
             fov_sims = _gathered_sims(emb_b_flat, fov_idx, anchors_e)
@@ -664,7 +664,6 @@ def sample_training_batch(
         cfg.n_pos_fine, cfg.n_neg_fine, cfg.neg_min_dist_fine, cfg.hard_negative_fraction,
         cfg.tau_cross if use_fov else cfg.tau_appearance, rng,
         n_fov=cfg.n_fov_fine if use_fov else 0,
-        overlap_b=pair.overlap_b,
     )
     coarse = _sample_side(  # scored by appearance_infonce on every step
         pair, flat(emb_a.coarse), flat(emb_b.coarse),

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientOverlap, PlacementFailure
-from .geometry import AffineTransform, Point3, RigidTransform, apply
+from .geometry import AffineTransform, Point3, RigidTransform
 from .volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, pull_back, z_slabs
 
 __all__ = [
@@ -196,13 +196,13 @@ def _place_organs(spec: PhantomSpec, rng, center, body_axes) -> list:
     raise PlacementFailure(f"could not place organ {len(organs) + 1} without overlap")
 
 
-def gen_phantom(spec: PhantomSpec, seed: int | None = None):
+def gen_phantom(spec: PhantomSpec):
     """Generate one phantom: (ScalarVolume, LabelVolume, landmarks).
 
     Landmarks are (id, Point3-in-mm) tuples: one center plus two axis poles
-    per organ.  Deterministic given (spec, seed).
+    per organ.  Deterministic given ``spec``, whose ``seed`` seeds it.
     """
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(spec.seed)
     geom = VolumeGeometry(spec.dims, (spec.spacing,) * 3, (0.0, 0.0, 0.0))
     dims = np.asarray(spec.dims, dtype=np.float64)
     spacing = np.asarray(geom.spacing)
@@ -261,7 +261,6 @@ def gen_pair(
     modality_remap: str = "identity",
     fov_box: Box3 | None = None,
     corruptions=(),
-    seed: int | None = None,
 ) -> PhantomPair:
     """Generate a phantom pair: B is A pushed through ``transform`` (physical mm),
     remapped to a second pseudo-modality, locally corrupted, then FOV-cropped.
@@ -275,7 +274,7 @@ def gen_pair(
     """
     if modality_remap not in MODALITY_REMAPS:
         raise ValueError(f"unknown modality remap {modality_remap!r}")
-    vol_a, lab_a, lms_a = gen_phantom(spec, seed)
+    vol_a, lab_a, lms_a = gen_phantom(spec)
     g = vol_a.geometry
 
     centers = np.array([[p.x, p.y, p.z] for name, p in lms_a if name.endswith("c")])
@@ -308,7 +307,7 @@ def gen_pair(
                 block[sphere] = 0.5 * (lo + hi)
 
     vol_b = ScalarVolume(g, data_b.astype(np.float32))
-    lms_b = [(name, apply(transform, p)) for name, p in lms_a]
+    lms_b = [(name, Point3.from_array(transform.apply_array(p.to_array()))) for name, p in lms_a]
     if fov_box is not None:
         vol_b = crop(vol_b, fov_box)
     return PhantomPair(

@@ -588,7 +588,9 @@ def mask_bbox(mask) -> Box3:
 
 
 def dilate_box(box: Box3, margin: int, bounds: tuple[int, int, int]) -> Box3:
-    """Grow a box by ``margin`` voxels per side, clamped to ``bounds`` (nx, ny, nz)."""
+    """Grow a box by ``margin`` >= 0 voxels per side, clamped to ``bounds`` (nx, ny, nz)."""
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     lo = tuple(max(0, box.min[i] - margin) for i in range(3))
     hi = tuple(min(bounds[i] - 1, box.max[i] + margin) for i in range(3))
     if any(a > b for a, b in zip(lo, hi)):

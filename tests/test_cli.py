@@ -153,6 +153,18 @@ class TestMatchCommand:
 
 
     @pytest.mark.parametrize("command", ["match", "simmap"])
+    @pytest.mark.parametrize("point", ["1,2", "a,b,c", "nan,1,1", "inf,1,1"])
+    def test_malformed_point_is_a_data_error(self, tmp_path, capsys, command, point):
+        emb = tmp_path / "emb"
+        self.write_embeddings(emb)
+        out = [str(tmp_path / "map.evf")] if command == "simmap" else []
+        assert cli.main([command, str(emb), point, str(emb), *out]) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"voxelmatch: expected three finite numbers 'x,y,z', got {point!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "map.evf").exists()
+
+    @pytest.mark.parametrize("command", ["match", "simmap"])
     def test_semantic_weight_alone_without_semantic_head_is_a_data_error(self, tmp_path, capsys, command):
         emb = tmp_path / "emb"
         self.write_embeddings(emb)
@@ -494,6 +506,14 @@ class TestAdaregInputs:
         assert "Traceback" not in err
 
 
+    def test_negative_margin_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["adareg", "fixed.evf", "moving.evf", "model.uaem", str(tmp_path / "out"), "--margin", "-3"])
+        assert exc.value.code == cli.USAGE_ERROR
+        assert "--margin must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrainCommand:
     CONF = (
         "[train]\nsteps = 1\nn_pos_fine = 16\nn_neg_fine = 16\nn_pos_coarse = 8\n"
@@ -728,6 +748,7 @@ class TestPhantomGenCommand:
         ("phantom", "body_intensity", "inf"),
         ("phantom", "organ_intensity_range", "0.4,nan"),
         ("align", "margins", ""),
+        ("align", "margins", "-1"),
         # values that passed validation and then failed or were ignored in training
         ("augment", "rotation_degrees", "nan"),
         ("augment", "rotation_degrees", "inf"),
@@ -764,6 +785,16 @@ class TestPhantomGenCommand:
             self.run(tmp_path, "", str(tmp_path / "out"), "--count", "two")
         assert exc.value.code == cli.USAGE_ERROR
         assert "invalid int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_a_usage_error(self, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, "", str(tmp_path / "out"), "--count", count)
+        assert exc.value.code == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert "--count must be >= 1" in err
+        assert "wrote" not in out
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimmapCommand:
@@ -810,6 +841,14 @@ class TestFitRigidCommand:
         rows = np.array([line.split() for line in capsys.readouterr().out.splitlines()[:4]], dtype=float)
         np.testing.assert_allclose(rows[:3], np.eye(3), atol=1e-9)
         np.testing.assert_allclose(rows[3], [1.0, -2.0, 3.5], atol=1e-9)
+
+    def test_prints_the_residual_of_a_noisy_pair(self, tmp_path, capsys):
+        self.write(tmp_path, (1.0, -2.0, 3.5))
+        noise = np.random.default_rng(3).normal(0.0, 0.3, (len(self.SRC), 3))
+        moved = np.asarray(self.SRC) + (1.0, -2.0, 3.5) + noise
+        write_landmarks(tmp_path / "dst.txt", [(f"lm{i}", Point3(*p)) for i, p in enumerate(moved)])
+        assert cli.main(["fit-rigid", str(tmp_path / "src.txt"), str(tmp_path / "dst.txt")]) == 0
+        assert capsys.readouterr().out.splitlines()[4] == "1.26089354"
 
     @pytest.mark.parametrize("line", [b"lm0 1 two 3", b"b 4 5 6 \xe9", b"lm0 1 2 3\nlm0 4 5 6"])
     def test_malformed_landmark_line_is_a_data_error(self, tmp_path, capsys, line):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from voxelmatch import geometry
 from voxelmatch.errors import DegenerateGeometry, MismatchedLengths
 from voxelmatch.geometry import (
     AffineTransform,
     Point3,
     RigidTransform,
-    apply,
     fit_affine,
     fit_rigid,
     fit_rigid_trimmed,
@@ -61,22 +61,27 @@ def random_rigid(rng) -> RigidTransform:
     return RigidTransform(rotation_matrix(axis, angle), rng.uniform(-10, 10, 3))
 
 
+def sum_squares(transform, src, dst) -> float:
+    """Total squared residual of ``transform`` mapping ``src`` onto ``dst``."""
+    return float(((np.asarray(dst, dtype=np.float64) - transform.apply_array(src)) ** 2).sum())
+
+
 class TestFitRigid:
     def test_identity(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-        rig, report = fit_rigid(pts, pts)
+        rig = fit_rigid(pts, pts)
         np.testing.assert_allclose(rig.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(rig.translation, 0, atol=1e-12)
-        assert report.residual_sum_squares < 1e-24
+        assert sum_squares(rig, pts, pts) < 1e-24
 
     def test_exact_rotation_translation(self):
         src = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
         r90 = rotation_matrix((0, 0, 1), np.pi / 2)
         dst = src @ r90.T + np.array([1.0, 2.0, 3.0])
-        rig, report = fit_rigid(src, dst)
+        rig = fit_rigid(src, dst)
         np.testing.assert_allclose(rig.rotation, r90, atol=1e-12)
         np.testing.assert_allclose(rig.translation, [1, 2, 3], atol=1e-12)
-        assert report.residual_sum_squares < 1e-18
+        assert sum_squares(rig, src, dst) < 1e-18
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_quaternion_oracle_under_noise(self, seed):
@@ -84,7 +89,7 @@ class TestFitRigid:
         src = rng.uniform(-20, 20, (100, 3))
         truth = random_rigid(rng)
         dst = truth.apply_array(src) + rng.normal(0, 0.01, (100, 3))
-        rig, _ = fit_rigid(src, dst)
+        rig = fit_rigid(src, dst)
         r_o, t_o = quaternion_rigid_fit(src, dst)
         np.testing.assert_allclose(rig.rotation, r_o, atol=1e-9)
         np.testing.assert_allclose(rig.translation, t_o, atol=1e-9)
@@ -104,7 +109,7 @@ class TestFitRigid:
 
     def test_point3_inputs(self):
         src = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0), Point3(0, 0, 1)]
-        rig, _ = fit_rigid(src, src)
+        rig = fit_rigid(src, src)
         np.testing.assert_allclose(rig.rotation, np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -113,8 +118,8 @@ class TestFitRigid:
         src = rng.uniform(-10, 10, (40, 3))
         truth = random_rigid(rng)
         dst = truth.apply_array(src) + rng.normal(0, 0.05, src.shape)
-        rig, report = fit_rigid(src, dst)
-        base = report.residual_sum_squares
+        rig = fit_rigid(src, dst)
+        base = sum_squares(rig, src, dst)
         for _ in range(20):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
@@ -131,7 +136,7 @@ class TestFitRigid:
         src[:, 2] *= 1e-6  # almost flat: reflection-prone
         truth = random_rigid(rng)
         dst = truth.apply_array(src) + rng.normal(0, 0.1, src.shape)
-        rig, _ = fit_rigid(src, dst)
+        rig = fit_rigid(src, dst)
         np.testing.assert_allclose(rig.rotation.T @ rig.rotation, np.eye(3), atol=1e-9)
         assert abs(np.linalg.det(rig.rotation) - 1.0) < 1e-9
 
@@ -142,8 +147,8 @@ class TestFitRigid:
         truth = random_rigid(rng)
         dst = truth.apply_array(src) + rng.normal(0, 0.02, src.shape)
         q = random_rigid(rng)
-        rig, _ = fit_rigid(src, dst)
-        rig_q, _ = fit_rigid(q.apply_array(src), q.apply_array(dst))
+        rig = fit_rigid(src, dst)
+        rig_q = fit_rigid(q.apply_array(src), q.apply_array(dst))
         conjugated = q.rotation @ rig.rotation @ q.rotation.T
         np.testing.assert_allclose(rig_q.rotation, conjugated, atol=1e-9)
 
@@ -152,7 +157,7 @@ class TestFitAffine:
     def test_identity(self):
         rng = np.random.default_rng(0)
         src = rng.uniform(-5, 5, (5, 3))
-        aff, report = fit_affine(src, src)
+        aff = fit_affine(src, src)
         np.testing.assert_allclose(aff.linear, np.eye(3), atol=1e-9)
         np.testing.assert_allclose(aff.translation, 0, atol=1e-9)
 
@@ -161,10 +166,10 @@ class TestFitAffine:
         src = rng.uniform(-5, 5, (6, 3))
         linear = np.diag([2.0, 1.0, 1.0])
         dst = src @ linear.T + np.array([0.0, 0.0, 1.0])
-        aff, report = fit_affine(src, dst)
+        aff = fit_affine(src, dst)
         np.testing.assert_allclose(aff.linear, linear, atol=1e-9)
         np.testing.assert_allclose(aff.translation, [0, 0, 1], atol=1e-9)
-        assert report.residual_sum_squares < 1e-18
+        assert sum_squares(aff, src, dst) < 1e-18
 
     def test_residual_not_worse_than_generator(self):
         rng = np.random.default_rng(2)
@@ -172,9 +177,9 @@ class TestFitAffine:
         linear = np.eye(3) + rng.normal(0, 0.1, (3, 3))
         shift = rng.uniform(-2, 2, 3)
         dst = src @ linear.T + shift + rng.normal(0, 0.05, src.shape)
-        aff, report = fit_affine(src, dst)
+        aff = fit_affine(src, dst)
         generator_resid = ((dst - (src @ linear.T + shift)) ** 2).sum()
-        assert report.residual_sum_squares <= generator_resid + 1e-12
+        assert sum_squares(aff, src, dst) <= generator_resid + 1e-12
 
     def test_coplanar_source_rejected(self):
         src = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0]], dtype=float)
@@ -186,7 +191,7 @@ class TestFitAffine:
         src = rng.uniform(-10, 10, (30, 3))
         truth = random_rigid(rng)
         dst = truth.apply_array(src)
-        aff, _ = fit_affine(src, dst)
+        aff = fit_affine(src, dst)
         np.testing.assert_allclose(aff.linear.T @ aff.linear, np.eye(3), atol=1e-9)
         np.testing.assert_allclose(aff.linear, truth.rotation, atol=1e-9)
 
@@ -197,7 +202,7 @@ class TestFitRigidTrimmed:
         src = rng.uniform(-10, 10, (20, 3))
         truth = random_rigid(rng)
         dst = truth.apply_array(src) + rng.normal(0, 0.1, src.shape)
-        rig_a, rep_a = fit_rigid(src, dst)
+        rig_a = fit_rigid(src, dst)
         rig_b, rep_b = fit_rigid_trimmed(src, dst, 0.0)
         np.testing.assert_allclose(rig_a.rotation, rig_b.rotation, atol=1e-12)
         np.testing.assert_allclose(rig_a.translation, rig_b.translation, atol=1e-12)
@@ -227,18 +232,53 @@ class TestFitRigidTrimmed:
         with pytest.raises(DegenerateGeometry):
             fit_rigid_trimmed(np.zeros((4, 3)), np.zeros((4, 3)), 0.5)
 
+    @staticmethod
+    def fitted_sets(monkeypatch, fake=None):
+        """Record the source rows of each ``fit_rigid`` call ``fit_rigid_trimmed`` makes."""
+        seen, real = [], geometry.fit_rigid
+
+        def watched_fit(src, dst):
+            seen.append(src.copy())
+            return (fake or real)(src, dst)
+
+        monkeypatch.setattr(geometry, "fit_rigid", watched_fit)
+        return seen
+
+    @pytest.mark.parametrize("trim,n_calls", [(0.0, 1), (0.2, 2)])
+    def test_fits_each_inlier_set_once(self, monkeypatch, trim, n_calls):
+        # the pairs of test_outliers_excluded_and_generator_recovered
+        rng = np.random.default_rng(5)
+        src = rng.uniform(-10, 10, (22, 3))
+        dst = random_rigid(rng).apply_array(src)
+        dst[5] += 40.0
+        dst[17] -= 35.0
+        seen = self.fitted_sets(monkeypatch)
+        rig, report = fit_rigid_trimmed(src, dst, trim)
+        assert len({rows.tobytes() for rows in seen}) == len(seen) == n_calls
+        monkeypatch.undo()
+        mask = report.inlier_mask
+        want = fit_rigid(src[mask], dst[mask])
+        assert np.array_equal(rig.rotation, want.rotation)
+        assert np.array_equal(rig.translation, want.translation)
+        assert report.residual_sum_squares == sum_squares(want, src[mask], dst[mask])
+
+    def test_refits_when_the_tenth_round_changes_the_set(self, monkeypatch):
+        # a fit that shifts by +x on odd and -x on even calls keeps the two
+        # halves of the pairs in turn, so every round changes the set
+        src = np.random.default_rng(9).uniform(-10, 10, (6, 3))
+        dst = src + np.repeat([[1.0, 0, 0], [-1.0, 0, 0]], 3, axis=0)
+        def alternating_fit(s, d):
+            return RigidTransform(np.eye(3), [1.0 if len(seen) % 2 else -1.0, 0.0, 0.0])
+
+        seen = self.fitted_sets(monkeypatch, alternating_fit)
+        rig, report = fit_rigid_trimmed(src, dst, 0.5)
+        assert len(seen) == 11
+        assert np.array_equal(seen[-1], src[report.inlier_mask])
+        assert np.array_equal(report.inlier_mask, [False] * 3 + [True] * 3)
+        assert rig.translation[0] == 1.0  # the eleventh fit, on the tenth round's set
+
 
 class TestApply:
-    def test_identity_on_point(self):
-        p = Point3(1.5, -2.0, 3.0)
-        out = apply(RigidTransform.identity(), p)
-        assert out == p
-
-    def test_rotation_90z(self):
-        rig = RigidTransform(rotation_matrix((0, 0, 1), np.pi / 2), np.zeros(3))
-        out = apply(rig, Point3(1, 0, 0))
-        np.testing.assert_allclose([out.x, out.y, out.z], [0, 1, 0], atol=1e-12)
-
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(7)
         rig = random_rigid(rng)
@@ -251,13 +291,6 @@ class TestApply:
         aff = AffineTransform(np.eye(3) + rng.normal(0, 0.2, (3, 3)), rng.uniform(-3, 3, 3))
         pts = rng.uniform(-10, 10, (10, 3))
         np.testing.assert_allclose(aff.inverse().apply_array(aff.apply_array(pts)), pts, atol=1e-9)
-
-    def test_list_of_points(self):
-        rig = rigid_about(rotation_matrix((0, 0, 1), np.pi), center=(1, 1, 0))
-        pts = [Point3(0, 0, 0), Point3(2, 2, 0)]
-        out = apply(rig, pts)
-        np.testing.assert_allclose([out[0].x, out[0].y], [2, 2], atol=1e-12)
-        np.testing.assert_allclose([out[1].x, out[1].y], [0, 0], atol=1e-12)
 
 
 def row_major_apply(linear, translation, pts):

@@ -433,7 +433,7 @@ def per_point_fixpoint(t, a, b, w, cfg):
         src = np.array([k[0] for k in kept])
         dst = np.array([k[1] for k in kept])
         try:
-            aff, _ = fit_affine(src, dst)
+            aff = fit_affine(src, dst)
         except DegenerateGeometry:
             aff = None
         if aff is not None:
@@ -560,7 +560,7 @@ def cube_list_finish(
         if n_near < cfg.min_points:
             continue
         try:
-            aff, _ = fit_affine(cube.fixed[near], cube.forward[near])
+            aff = fit_affine(cube.fixed[near], cube.forward[near])
         except DegenerateGeometry:
             continue
         fit.append(i)

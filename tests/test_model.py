@@ -714,7 +714,7 @@ class TestSamplerOracle:
                 for e in (emb_a, emb_b)]
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _sample_side(pair, *flat, *args, rng=rng_new, **kwargs)
-        want = per_anchor_sample_side(pair, *flat, *args, rng=rng_ref, **kwargs)
+        want = per_anchor_sample_side(pair, *flat, *args, rng=rng_ref, overlap_b=pair.overlap_b, **kwargs)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         return got, want
 
@@ -754,7 +754,7 @@ class TestSamplerOracle:
         pair, emb_a, emb_b = self.flat_pair(32, new_model(np.random.default_rng(7)))
         got, want = self.run_both(
             pair, emb_a, emb_b, "fine", 120, 300, 8.0, 0.25, 0.3,
-            n_fov=100, overlap_b=pair.overlap_b,
+            n_fov=100,
         )
         assert got.fov_indices is not None
         self.assert_same(got, want)
@@ -808,7 +808,7 @@ class TestSamplerOracle:
         cfg = TrainConfig()
         got, want = self.run_both(
             pair, emb_a, emb_b, "fine", cfg.n_pos_fine, cfg.n_neg_fine, cfg.neg_min_dist_fine,
-            cfg.hard_negative_fraction, cfg.tau_cross, n_fov=cfg.n_fov_fine, overlap_b=pair.overlap_b,
+            cfg.hard_negative_fraction, cfg.tau_cross, n_fov=cfg.n_fov_fine,
         )
         assert got.fov_indices is not None
         self.assert_same(got, want)

@@ -8,7 +8,7 @@ from scipy import ndimage
 
 from voxelmatch import phantom
 from voxelmatch.errors import InsufficientOverlap, PlacementFailure
-from voxelmatch.geometry import AffineTransform, Point3, apply, rigid_about, rotation_matrix
+from voxelmatch.geometry import AffineTransform, Point3, rigid_about, rotation_matrix
 from voxelmatch.phantom import (
     Corruption,
     PhantomSpec,

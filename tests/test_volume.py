@@ -865,6 +865,10 @@ class TestBoxesAndCrop:
         box = Box3((1, 2, 3), (4, 5, 6))
         assert dilate_box(box, 0, (10, 10, 10)) == box
 
+    def test_dilate_by_a_negative_margin_is_rejected(self):
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            dilate_box(Box3((1, 2, 3), (8, 8, 8)), -3, (10, 10, 10))
+
     def test_dilate_clamps(self):
         box = Box3((1, 1, 1), (2, 2, 2))
         out = dilate_box(box, 5, (4, 5, 6))
