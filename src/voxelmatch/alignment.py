@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augment import PatchPair
+from .augment import AugmentSpec, PatchPair
 from .errors import EmptyMask, TooFewMatches
 from .geometry import Point3, RigidTransform, fit_rigid_trimmed
 from .matching import FixpointConfig, SimilarityWeights, grid_match
@@ -225,7 +225,7 @@ def iterate_alignment(
     pairs: list,
     train_cfg: TrainConfig,
     align_cfg: AlignConfig = AlignConfig(),
-    augment_spec=None,
+    augment_spec: AugmentSpec = AugmentSpec(),
     weights: SimilarityWeights = SimilarityWeights(),
     fixpoint_cfg: FixpointConfig = FixpointConfig(),
 ):

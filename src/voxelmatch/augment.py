@@ -28,19 +28,16 @@ __all__ = [
     "sample_patch_pair",
 ]
 
-IDENTITY_BEZIER = (1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)
-
-
 @dataclass(frozen=True)
 class AugmentSpec:
     """Augmentation parameters.
 
-    ``bezier_control_points`` is (x1, y1, x2, y2) for the two interior
-    control points of a unit-square cubic curve through (0,0) and (1,1);
-    ``None`` draws fresh sorted, hence monotone, controls per patch.  Whether
-    the augmentation is aggressive (unsorted controls plus reversal with
-    ``reverse_probability``) is no setting here: the training mode decides
-    it, and ``train`` passes it to ``sample_patch_pair``.
+    ``bezier_control_points`` is (x1, y1, x2, y2), each in [0, 1], for the
+    two interior control points of a unit-square cubic curve through (0,0)
+    and (1,1); ``None`` draws fresh sorted, hence monotone, controls per
+    patch.  Whether the augmentation is aggressive (unsorted controls plus
+    reversal with ``reverse_probability``) is no setting here: the training
+    mode decides it, and ``train`` passes it to ``sample_patch_pair``.
     """
 
     bezier_control_points: tuple[float, float, float, float] | None = None
@@ -53,6 +50,9 @@ class AugmentSpec:
     min_overlap: float = 0.25
 
     def __post_init__(self):
+        controls = self.bezier_control_points
+        if controls is not None and not (len(controls) == 4 and all(0.0 <= c <= 1.0 for c in controls)):
+            raise ValueError("bezier_control_points must be four values in [0, 1]")
         if not 0.0 <= self.reverse_probability <= 1.0:
             raise ValueError("reverse_probability must lie in [0, 1]")
         if not math.isfinite(self.rotation_degrees):
@@ -75,15 +75,17 @@ class PatchPair:
 
     ``map_ab`` sends physical coordinates of patch A onto patch B;
     ``overlap_a`` marks the patch-A voxels whose source location is seen by
-    both patches and lands inside patch B.
+    both patches and lands inside patch B, and ``overlap_b`` the patch-B
+    voxels that are seen by both and land inside patch A (the sampler draws
+    FOV negatives outside it).  ``labels_a`` are patch A's labels, or None.
     """
 
     patch_a: ScalarVolume
     patch_b: ScalarVolume
     map_ab: AffineTransform
     overlap_a: np.ndarray
+    overlap_b: np.ndarray
     labels_a: LabelVolume | None = None
-    overlap_b: np.ndarray | None = None
 
     def a_to_b_voxels(self, pts_a) -> np.ndarray:
         """Map (N, 3) patch-A voxel coordinates to patch-B voxel coordinates."""
@@ -262,5 +264,5 @@ def sample_patch_pair(
     if not overlap_a.any():
         raise InsufficientOverlap("augmented patches share no usable overlap")
     overlap_b = mapped_inside(gb, (src_b, gb), (src_b, ga), (map_ab.inverse(), ga))
-    return PatchPair(aug_a, aug_b, map_ab, overlap_a, lab_a, overlap_b)
+    return PatchPair(aug_a, aug_b, map_ab, overlap_a, overlap_b, lab_a)
 

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import hashlib
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -248,31 +249,34 @@ def _cmd_adareg(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _read_manifest(path):
+def _read_manifest(path, mode):
     """Manifest lines: 'volume.evf [labels.evf]' or, for cross-iter,
     'fixed.evf moving.evf [fixed_lms.txt moving_lms.txt]'.  Paths are relative
-    to the manifest file."""
-    base = Path(path).parent
-    rows = [[str(base / tok) for tok in tokens] for _, tokens in metrics.read_lines(path)]
-    if not rows:
+    to the manifest file; a line with another number of paths is a data error."""
+    counts = (2, 4) if mode == "cross-iter" else (1, 2)
+    lines = list(metrics.read_lines(path))
+    if not lines:
         raise VoxelMatchError(f"manifest {path} lists no volumes")
-    return rows
+    for line_no, tokens in lines:
+        if len(tokens) not in counts:
+            raise VoxelMatchError(
+                f"{path}:{line_no}: a {mode} line holds {counts[0]} or {counts[1]} paths, got {len(tokens)}"
+            )
+    base = Path(path).parent
+    return [[str(base / tok) for tok in tokens] for _, tokens in lines]
 
 
 def _cmd_train(args, cfg: RunConfig) -> int:
     # the inputs are read and the model trained before the loss log is opened,
     # so a data error leaves an old log as it was
-    rows = _read_manifest(args.manifest)
+    rows = _read_manifest(args.manifest, args.mode)
     if args.mode == "cross-iter":
         pairs = []
         for i, row in enumerate(rows):
-            if len(row) < 2:
-                raise VoxelMatchError("cross-iter manifest rows need fixed and moving paths")
             fixed = _read_volume(row[0], volume.ScalarVolume)
             moving = _read_volume(row[1], volume.ScalarVolume)
-            flm = metrics.read_landmarks(row[2]) if len(row) > 2 else None
-            mlm = metrics.read_landmarks(row[3]) if len(row) > 3 else None
-            pairs.append(alignment.CrossPair(fixed, moving, flm, mlm, pair_id=f"p{i}"))
+            lms = [metrics.read_landmarks(p) for p in row[2:]] or [None, None]
+            pairs.append(alignment.CrossPair(fixed, moving, *lms, pair_id=f"p{i}"))
         # cross-iter models are trained without a semantic head
         models, metr = alignment.iterate_alignment(
             pairs, cfg.train, cfg.align, augment_spec=cfg.augment,
@@ -317,10 +321,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         radii = [table[name] for name in ids if name in table]
         if len(radii) != len(ids):
             raise VoxelMatchError("radii file does not cover every evaluated landmark")
-    report = metrics.evaluate(
-        metrics.LandmarkPairSet(pred_pts, true_pts, radii), args.threshold,
-        require_radius=bool(args.radii),
-    )
+    report = metrics.evaluate(metrics.LandmarkPairSet(pred_pts, true_pts, radii), args.threshold)
     for line in report.lines():
         print(line)
     if args.out:
@@ -351,6 +352,10 @@ def main(argv=None) -> int:
         parser.error("--margin must be >= 0")
     if args.command == "phantom-gen" and args.count < 1:
         parser.error("--count must be >= 1")
+    if args.command == "eval" and not 0.0 < args.threshold < math.inf:
+        parser.error("--threshold must be finite and positive")
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be >= 0")
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.WARNING,

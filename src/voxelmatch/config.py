@@ -106,6 +106,8 @@ def load_config(path) -> RunConfig:
                     raise ConfigError(f"unknown key [run] {key}")
                 try:
                     cfg.seed = int(raw)
+                    if cfg.seed < 0:
+                        raise ValueError("seed must be >= 0")
                 except ValueError as exc:
                     raise ConfigError(f"[run] {key}: {exc}") from exc
         elif section in _SECTIONS:

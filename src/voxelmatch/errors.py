@@ -104,10 +104,6 @@ class MalformedFile(VoxelMatchError, ValueError):
     """A landmark or radii line that does not parse, or an EVF value out of range."""
 
 
-class MissingRadii(VoxelMatchError):
-    pass
-
-
 class InvalidRadii(VoxelMatchError, ValueError):
     """A per-landmark radius that is not finite and positive."""
 

@@ -95,10 +95,6 @@ class RigidTransform:
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ValueError("rotation matrix must have determinant +1")
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply_array(self, pts) -> np.ndarray:
         """The transform of a point (3,) or of (N, 3) rows; see ``_apply_linear``."""
         return _apply_linear(self.rotation, self.translation, pts)
@@ -125,10 +121,6 @@ class AffineTransform:
         object.__setattr__(self, "translation", t)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(t))):
             raise ValueError("affine transform entries must be finite")
-
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(np.eye(3), np.zeros(3))
 
     def apply_array(self, pts) -> np.ndarray:
         """The transform of a point (3,) or of (N, 3) rows; see ``_apply_linear``."""

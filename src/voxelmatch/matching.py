@@ -291,14 +291,9 @@ class _PairMatcher:
         return self._stack(self.b)
 
     def _stack(self, s: EmbeddingSet) -> np.ndarray:
-        """Float32 (n_voxels, channels) table of the heads in use, filled in place."""
+        """Float32 (n_voxels, channels) table of the heads in use."""
         mats = [getattr(s, name).data.reshape(s.geometry.n_voxels, -1) for name, _ in self.heads]
-        out = np.empty((s.geometry.n_voxels, sum(m.shape[1] for m in mats)), dtype=np.float32)
-        lo = 0
-        for m in mats:
-            out[:, lo:lo + m.shape[1]] = m
-            lo += m.shape[1]
-        return out
+        return np.concatenate(mats, axis=1, dtype=np.float32)
 
     def template_vectors(self, s: EmbeddingSet, pts_fullres: np.ndarray) -> np.ndarray:
         """Per-head trilinear samples at half coordinates, weighted and concatenated."""

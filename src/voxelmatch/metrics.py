@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EmptySet, InvalidRadii, MalformedFile, MismatchedLengths, MissingRadii
+from .errors import EmptySet, InvalidRadii, MalformedFile, MismatchedLengths
 from .geometry import Point3
 
 __all__ = [
@@ -96,14 +96,13 @@ class MetricsReport:
         return kv
 
 
-def evaluate(
-    pairs: LandmarkPairSet, threshold_mm: float = 10.0, require_radius: bool = False
-) -> MetricsReport:
+def evaluate(pairs: LandmarkPairSet, threshold_mm: float = 10.0) -> MetricsReport:
     """Distances between predicted and true landmark positions.
 
     CPM@threshold counts pairs with Euclidean distance strictly below
     ``threshold_mm``; CPM@Radius replaces the fixed threshold by each
-    landmark's own radius and is only reported when radii are available.
+    landmark's own radius and is reported when ``pairs.radii`` is set (None
+    otherwise).
     """
     if len(pairs.predicted) == 0:
         raise EmptySet("no landmark pairs to evaluate")
@@ -116,8 +115,6 @@ def evaluate(
     cpm_radius = None
     if pairs.radii is not None:
         cpm_radius = float((dists < np.asarray(pairs.radii, dtype=np.float64)).mean() * 100.0)
-    elif require_radius:
-        raise MissingRadii("CPM@Radius requested but the pair set has no radii")
     return MetricsReport(
         med=float(dists.mean()),
         med_std=float(dists.std()),

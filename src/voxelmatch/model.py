@@ -451,8 +451,8 @@ class TrainConfig:
         counts = (self.n_pos_fine, self.n_pos_coarse, self.n_neg_fine, self.n_neg_coarse, self.semantic_per_class)
         if min(self.batch_size, *counts) < 1:
             raise ValueError("batch_size and the positive, negative and per-class sample counts must be >= 1")
-        if min(self.steps, self.n_fov_fine) < 0:
-            raise ValueError("steps and n_fov_fine must be >= 0")
+        if min(self.steps, self.n_fov_fine, self.seed) < 0:
+            raise ValueError("steps, n_fov_fine and seed must be >= 0")
         if not (self.neg_min_dist_fine >= 0 and self.neg_min_dist_coarse >= 0):
             raise ValueError("negative minimum distances must be >= 0")
         for name in ("tau_appearance", "tau_semantic", "tau_cross"):
@@ -555,8 +555,6 @@ def _sample_side(
     fov_idx = None
     fov_sims = None
     if n_fov > 0:
-        if pair.overlap_b is None:
-            raise ValueError("fov negatives need the query-side overlap mask")
         flat_out = np.flatnonzero(~pair.overlap_b[::2, ::2, ::2])  # the half grid's voxels outside
         if len(flat_out):
             fov_idx = flat_out[rng.integers(0, len(flat_out), size=(n_pos, n_fov))]
@@ -760,7 +758,7 @@ def train(
     dataset,
     cfg: TrainConfig,
     mode: str = "standard",
-    augment_spec: AugmentSpec | None = None,
+    augment_spec: AugmentSpec = AugmentSpec(),
     registered_pairs=None,
     init: ProjectionModel | None = None,
 ):
@@ -775,10 +773,10 @@ def train(
     ``registered_pairs``).  The mode alone decides the augmentation: every
     self-supervised patch pair of ``aggressive`` and ``paired`` is drawn
     with aggressive intensity augmentation, and of ``standard`` with the
-    monotone one; ``augment_spec`` (default ``AugmentSpec()``) sets only the
-    shared geometric and intensity ranges.  Deterministic given the seed;
-    returns (model, per-step loss log).  Raises ``DimensionMismatch`` when
-    ``init``'s heads' F is not ``FEATURE_DIM``.
+    monotone one; ``augment_spec`` sets only the shared geometric and
+    intensity ranges.  Deterministic given the seed; returns (model,
+    per-step loss log).  Raises ``DimensionMismatch`` when ``init``'s heads'
+    F is not ``FEATURE_DIM``.
 
     A batch whose patch pair or sample lacks overlap is skipped.  Each
     step's ``loss_fine`` and ``loss_coarse`` average over the batches that
@@ -837,9 +835,6 @@ def train(
     else:
         model = new_model(rng, with_semantic=with_semantic)
 
-    if augment_spec is None:
-        augment_spec = AugmentSpec()
-
     maps = {"fine": model.w_fine, "coarse": model.w_coarse}
     if with_semantic:
         maps["semantic"] = model.w_semantic
@@ -861,7 +856,6 @@ def train(
                     pp = reg.training_view
                     reg_cache[key] = (pp, _features(pp.patch_a), _features(pp.patch_b))
                 pp, feats_a, feats_b = reg_cache[key]
-                labels_here = False
             else:
                 vol, lab = items[int(rng.integers(len(items)))]
                 try:
@@ -872,7 +866,6 @@ def train(
                 except InsufficientOverlap:
                     continue  # skipped like a batch without enough overlap below
                 feats_a, feats_b = _features(pp.patch_a), _features(pp.patch_b)
-                labels_here = with_semantic and pp.labels_a is not None
             side_a, side_b = _SideState(*feats_a, maps), _SideState(*feats_b, maps)
             try:
                 fine_b, coarse_b, labeled = sample_training_batch(
@@ -888,7 +881,7 @@ def train(
             losses_acc["coarse"] += out_c.value / len(coarse_b.anchor_indices)
             grads["fine"] += _pair_batch_grad("fine", side_a, side_b, fine_b, out_f)
             grads["coarse"] += _pair_batch_grad("coarse", side_a, side_b, coarse_b, out_c)
-            if labels_here and labeled is not None:
+            if labeled is not None:
                 out_s = proto_supcon(labeled)
                 idx = np.concatenate(labeled.class_indices)
                 order = np.argsort(idx)

@@ -46,8 +46,8 @@ class PhantomSpec:
             raise ValueError("dims must be three positive integers")
         if not 0.0 < self.spacing < float("inf"):
             raise ValueError("spacing must be positive and finite")
-        if self.n_organs < 0:
-            raise ValueError("n_organs must be non-negative")
+        if min(self.n_organs, self.seed) < 0:
+            raise ValueError("n_organs and seed must be non-negative")
         lo, hi = self.organ_axis_range
         if not (0.0 < lo <= hi < float("inf")):
             raise ValueError("organ_axis_range must be positive, finite and ordered")
@@ -92,9 +92,7 @@ class PhantomPair:
     volume_b: ScalarVolume
     landmarks_b: list
     transform: RigidTransform | AffineTransform  # physical mm, A -> B
-    modality_remap: str = "identity"
     fov_box: Box3 | None = None
-    corruptions: tuple = ()
 
     @cached_property
     def labels_b(self) -> LabelVolume:
@@ -310,7 +308,4 @@ def gen_pair(
     lms_b = [(name, Point3.from_array(transform.apply_array(p.to_array()))) for name, p in lms_a]
     if fov_box is not None:
         vol_b = crop(vol_b, fov_box)
-    return PhantomPair(
-        vol_a, lab_a, lms_a, vol_b, lms_b,
-        transform, modality_remap, fov_box, tuple(corruptions),
-    )
+    return PhantomPair(vol_a, lab_a, lms_a, vol_b, lms_b, transform, fov_box)

@@ -280,10 +280,6 @@ class Box3:
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError(f"box min {lo} exceeds max {hi}")
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(b - a + 1 for a, b in zip(self.min, self.max))
-
 
 # ---------------------------------------------------------------------------
 # framing shared by the EVF and UAEM containers
@@ -578,10 +574,9 @@ def body_mask(vol: ScalarVolume, threshold: float) -> tuple[LabelVolume, Box3]:
     return LabelVolume(vol.geometry, mask), box
 
 
-def mask_bbox(mask) -> Box3:
-    """Tight bounding box of the non-zero voxels of a 3-D mask, from its axis projections."""
-    data = mask.data if isinstance(mask, LabelVolume) else np.asarray(mask)
-    hits = [np.flatnonzero(data.any(axis=axes)) for axes in ((0, 1), (0, 2), (1, 2))]  # x, y, z
+def mask_bbox(mask: np.ndarray) -> Box3:
+    """Tight bounding box of the non-zero voxels of a 3-D (z, y, x) array, from its axis projections."""
+    hits = [np.flatnonzero(mask.any(axis=axes)) for axes in ((0, 1), (0, 2), (1, 2))]  # x, y, z
     if len(hits[0]) == 0:
         raise EmptyBox("mask has no foreground voxels")
     return Box3(tuple(h[0] for h in hits), tuple(h[-1] for h in hits))

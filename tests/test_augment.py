@@ -7,7 +7,6 @@ import pytest
 from scipy import ndimage
 
 from voxelmatch.augment import (
-    IDENTITY_BEZIER,
     AugmentSpec,
     PatchPair,
     _geometric_augment,
@@ -19,6 +18,8 @@ from voxelmatch.augment import (
 from voxelmatch.errors import VolumeTooSmall
 from voxelmatch.geometry import AffineTransform, rotation_matrix
 from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, pull_back
+
+IDENTITY_BEZIER = (1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)  # collinear controls: the identity curve
 
 
 def random_volume(rng, dims=(12, 12, 12)):
@@ -313,7 +314,9 @@ def sample_patch_pair_full_grid(vol, labels, spec, seed, aggressive=False):
     map_ab = t_b.compose(t_a.inverse())
     overlap_a = overlap_mask_full_grid(src_a, win_a.geometry, win_b.geometry, map_ab)
     overlap_b = overlap_mask_full_grid(src_b, win_b.geometry, win_a.geometry, map_ab.inverse())
-    return PatchPair(aug_a, aug_b, map_ab, overlap_a, lab_a, overlap_b)
+    return PatchPair(
+        patch_a=aug_a, patch_b=aug_b, map_ab=map_ab, overlap_a=overlap_a, overlap_b=overlap_b, labels_a=lab_a
+    )
 
 
 # volume dims, AugmentSpec settings, aggressive, labelled

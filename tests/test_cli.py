@@ -51,6 +51,17 @@ class TestEvalExitCodes:
         assert "pred.txt:1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+    def test_threshold_that_is_not_finite_and_positive_is_a_usage_error(self, tmp_path, capsys, threshold):
+        # CPM counts distances strictly below the threshold, so no run can mean these
+        write_lms(tmp_path / "lms.txt")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", str(tmp_path / "lms.txt"), str(tmp_path / "lms.txt"), "--threshold", threshold])
+        assert exc.value.code == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert "--threshold must be finite and positive" in err
+        assert out == ""
+
     @pytest.mark.parametrize("line", ["lm0", "lm0 wide", "lm0 -1", "lm0 0", "lm0 nan", "lm0 inf"])
     def test_malformed_radii_line_is_a_data_error(self, tmp_path, capsys, line):
         write_lms(tmp_path / "pred.txt")
@@ -65,6 +76,19 @@ class TestEvalExitCodes:
 
 
 class TestRunConfigExitCodes:
+    @pytest.mark.parametrize(
+        "command", [["eval", "lms.txt", "lms.txt"], ["phantom-gen", "out"]], ids=["eval", "phantom-gen"]
+    )
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        write_lms(tmp_path / "lms.txt")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--seed", "-1", command[0], *(str(tmp_path / arg) for arg in command[1:])])
+        assert exc.value.code == cli.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert "--seed must be >= 0" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", ["seed = abc", "threads = 1.5"])
     def test_non_integer_run_value_is_a_data_error(self, tmp_path, capsys, line):
         conf = tmp_path / "run.conf"
@@ -548,6 +572,14 @@ class TestTrainCommand:
         ("vol.evf emb.evf", "cross-iter", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
         ("v\xe9.evf", "single", "manifest.txt:1: not ASCII text"),
         ("vol.evf\nv\xe9.evf vol.evf", "cross-iter", "manifest.txt:2: not ASCII text"),
+        # a line with a path too many or too few is not cut to fit
+        ("vol.evf labels.evf vol.evf", "single", "manifest.txt:1: a single line holds 1 or 2 paths, got 3"),
+        ("vol.evf\nvol.evf labels.evf vol.evf", "cross-init",
+         "manifest.txt:2: a cross-init line holds 1 or 2 paths, got 3"),
+        ("vol.evf", "cross-iter", "manifest.txt:1: a cross-iter line holds 2 or 4 paths, got 1"),
+        ("vol.evf vol.evf lms.txt", "cross-iter", "manifest.txt:1: a cross-iter line holds 2 or 4 paths, got 3"),
+        ("vol.evf vol.evf lms.txt lms.txt lms.txt", "cross-iter",
+         "manifest.txt:1: a cross-iter line holds 2 or 4 paths, got 5"),
     ])
     def test_wrong_volume_kind_is_a_data_error(self, tmp_path, capsys, manifest, mode, message):
         assert self.run(tmp_path, manifest, "--mode", mode) == cli.DATA_ERROR
@@ -749,6 +781,11 @@ class TestPhantomGenCommand:
         ("phantom", "organ_intensity_range", "0.4,nan"),
         ("align", "margins", ""),
         ("align", "margins", "-1"),
+        ("run", "seed", "-5"),
+        ("phantom", "seed", "-1"),
+        ("train", "seed", "-3"),
+        ("augment", "bezier_control_points", "nan 0.2 0.8 0.9"),
+        ("augment", "bezier_control_points", "2.0 0.2 0.8 0.9"),
         # values that passed validation and then failed or were ignored in training
         ("augment", "rotation_degrees", "nan"),
         ("augment", "rotation_degrees", "inf"),

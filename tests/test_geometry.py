@@ -331,7 +331,7 @@ class TestApplyArrayOracle:
     @pytest.mark.parametrize("shape", [(4,), (5, 2), (2, 3, 1)])
     def test_points_must_have_three_coordinates(self, shape):
         with pytest.raises(ValueError, match="x, y, z"):
-            RigidTransform.identity().apply_array(np.zeros(shape))
+            RigidTransform(np.eye(3), np.zeros(3)).apply_array(np.zeros(shape))
 
 
 class TestValidation:

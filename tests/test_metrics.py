@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voxelmatch.errors import EmptySet, InvalidRadii, MalformedFile, MismatchedLengths, MissingRadii, VoxelMatchError
+from voxelmatch.errors import EmptySet, InvalidRadii, MalformedFile, MismatchedLengths, VoxelMatchError
 from voxelmatch.geometry import Point3
 from voxelmatch.metrics import (
     LandmarkPairSet,
@@ -65,10 +65,6 @@ class TestErrors:
     def test_mismatched_lengths(self):
         with pytest.raises(MismatchedLengths):
             LandmarkPairSet([p(0, 0, 0)], [])
-
-    def test_missing_radii(self):
-        with pytest.raises(MissingRadii):
-            evaluate(LandmarkPairSet([p(0, 0, 0)], [p(1, 0, 0)]), 10.0, require_radius=True)
 
     def test_radius_cpm_absent_without_radii(self):
         report = evaluate(LandmarkPairSet([p(0, 0, 0)], [p(1, 0, 0)]), 10.0)

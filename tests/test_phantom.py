@@ -112,7 +112,7 @@ class TestGenPair:
         spec = PhantomSpec(dims=(32, 32, 32), n_organs=2, seed=8)
         from voxelmatch.geometry import RigidTransform
 
-        pair = gen_pair(spec, RigidTransform.identity(), "identity")
+        pair = gen_pair(spec, RigidTransform(np.eye(3), np.zeros(3)), "identity")
         np.testing.assert_allclose(pair.volume_b.data, pair.volume_a.data, atol=1e-5)
         np.testing.assert_array_equal(pair.labels_b.data, pair.labels_a.data)
 
@@ -146,8 +146,8 @@ class TestGenPair:
         spec = PhantomSpec(dims=(48, 48, 48), n_organs=5, seed=11)
         from voxelmatch.geometry import RigidTransform
 
-        plain = gen_pair(spec, RigidTransform.identity(), "identity")
-        remapped = gen_pair(spec, RigidTransform.identity(), "inverted")
+        plain = gen_pair(spec, RigidTransform(np.eye(3), np.zeros(3)), "identity")
+        remapped = gen_pair(spec, RigidTransform(np.eye(3), np.zeros(3)), "inverted")
         np.testing.assert_array_equal(plain.labels_b.data, remapped.labels_b.data)
         means_plain, means_remap = [], []
         for k in range(1, 6):
@@ -164,9 +164,9 @@ class TestGenPair:
 
         _, _, lms = gen_phantom(spec)
         target = lms[0][1]
-        clean = gen_pair(spec, RigidTransform.identity(), "identity")
+        clean = gen_pair(spec, RigidTransform(np.eye(3), np.zeros(3)), "identity")
         corrupted = gen_pair(
-            spec, RigidTransform.identity(), "identity",
+            spec, RigidTransform(np.eye(3), np.zeros(3)), "identity",
             corruptions=(Corruption(target, 5.0, "invert"),),
         )
         np.testing.assert_array_equal(clean.labels_b.data, corrupted.labels_b.data)
@@ -185,7 +185,7 @@ class TestGenPair:
         _, _, lms = gen_phantom(spec)
         target = lms[0][1]
         pair = gen_pair(
-            spec, RigidTransform.identity(), "identity",
+            spec, RigidTransform(np.eye(3), np.zeros(3)), "identity",
             corruptions=(Corruption(target, 4.0, "occlude"),),
         )
         vox = pair.volume_b.geometry.physical_to_voxel(target.to_array())
@@ -227,7 +227,7 @@ class TestGenPair:
         from voxelmatch.geometry import RigidTransform
 
         with pytest.raises(ValueError):
-            gen_pair(spec, RigidTransform.identity(), "sepia")
+            gen_pair(spec, RigidTransform(np.eye(3), np.zeros(3)), "sepia")
 
     def test_propagated_landmarks_match_discretized_structures(self):
         """Transformed landmark positions line up with organ voxels in B

@@ -812,12 +812,11 @@ def mask_bbox_by_nonzero(data):
 class TestMaskBoxFromProjections:
     def check(self, data):
         want = mask_bbox_by_nonzero(data)
-        for mask in (data, LabelVolume(VolumeGeometry(data.shape[::-1]), data)):
-            if want is None:
-                with pytest.raises(EmptyBox):
-                    mask_bbox(mask)
-            else:
-                assert mask_bbox(mask) == want
+        if want is None:
+            with pytest.raises(EmptyBox):
+                mask_bbox(data)
+        else:
+            assert mask_bbox(data) == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_masks(self, seed):
@@ -853,7 +852,7 @@ class TestBoxesAndCrop:
     def test_mask_bbox(self):
         data = np.zeros((5, 6, 7), np.uint16)
         data[1:3, 2:5, 3:6] = 1
-        box = mask_bbox(LabelVolume(VolumeGeometry((7, 6, 5)), data))
+        box = mask_bbox(data)
         assert box.min == (3, 2, 1)
         assert box.max == (5, 4, 2)
 
