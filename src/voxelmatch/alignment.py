@@ -22,7 +22,7 @@ from .errors import EmptyMask, TooFewMatches
 from .geometry import Point3, RigidTransform, fit_rigid_trimmed
 from .matching import FixpointConfig, SimilarityWeights, grid_match
 from .metrics import LandmarkPairSet, evaluate, join_landmarks
-from .model import ProjectionModel, TrainConfig, embed, train
+from .model import ProjectionModel, TrainConfig, _features, embed, train
 from .volume import (
     Box3,
     LabelVolume,
@@ -97,6 +97,13 @@ class RegisteredPair:
     - ``training_view.usable_anchors``, the moving-side anchors whose
       correspondent rounds onto the crop's embedding grid; kept beside the
       view once its first paired batch reads them, across ``train`` calls.
+    - ``training_features``, one (fine rows, coarse rows, half geometry)
+      triple per side of the view, moving first: the bank's responses and
+      their sigma = 4 smoothing, as ``train`` embeds them.  The bank never
+      trains, so they hold for every model.  Built on the first paired step
+      that draws the pair and kept, read-only, for the pair's lifetime:
+      about 11 MB at a 64^3 working grid.  Registration alone never builds
+      them.
     """
 
     fixed_crop: ScalarVolume
@@ -117,6 +124,14 @@ class RegisteredPair:
             overlap_a=mapped_inside(ga, (self.rigid, gb)),
             overlap_b=mapped_inside(gb, (self.rigid.inverse(), ga)),
         )
+
+    @functools.cached_property
+    def training_features(self) -> tuple[tuple, tuple]:
+        view = self.training_view
+        feats = _features(view.patch_a), _features(view.patch_b)
+        for fine, coarse, _ in feats:
+            fine.flags.writeable = coarse.flags.writeable = False  # shared by every later read
+        return feats
 
 
 @dataclass

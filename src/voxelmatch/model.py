@@ -453,8 +453,9 @@ class TrainConfig:
             raise ValueError("batch_size and the positive, negative and per-class sample counts must be >= 1")
         if min(self.steps, self.n_fov_fine, self.seed) < 0:
             raise ValueError("steps, n_fov_fine and seed must be >= 0")
-        if not (self.neg_min_dist_fine >= 0 and self.neg_min_dist_coarse >= 0):
-            raise ValueError("negative minimum distances must be >= 0")
+        for name in ("neg_min_dist_fine", "neg_min_dist_coarse"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         for name in ("tau_appearance", "tau_semantic", "tau_cross"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -530,9 +531,13 @@ def _sample_side(
     valid_before = run_start - n_before[:, :-1]
     shift_reps = np.diff(np.concatenate([np.zeros((n_pos, 1), np.int64), valid_before, pools[:, None]], axis=1))
 
-    n_cand = max(n_neg, int(math.ceil(n_neg / hard_fraction)))
-    cand = np.zeros((n_pos, n_cand), dtype=np.int64)
+    # Each anchor draws min(pool, n_cand) candidates, so the tables are as
+    # wide as the largest take.  No pool exceeds n_b, so capping the ratio
+    # there changes no take and keeps a tiny fraction from overflowing it.
+    n_cand = max(n_neg, math.ceil(min(n_neg / hard_fraction, n_b)))
     take = np.minimum(pools, n_cand)
+    width = int(take.max())
+    cand = np.zeros((n_pos, width), dtype=np.int64)
     for i in range(n_pos):
         if pools[i] < n_neg:
             raise InsufficientOverlap(f"negative pool of {pools[i]} below requested {n_neg}")
@@ -542,13 +547,13 @@ def _sample_side(
 
     # -similarity of every candidate; the padding past a row's take is +inf,
     # so it never ranks.  Over the padded width BLAS may round a row's last
-    # few products differently in the last bit, so a row whose pool is below
-    # n_cand takes its own product over its take.
+    # few products differently in the last bit, so a row whose take is below
+    # the width takes its own product over its take.
     neg_sims = _gathered_sims(emb_b_flat, cand, anchors_e)
-    for i in np.flatnonzero(take < n_cand):
+    for i in np.flatnonzero(take < width):
         neg_sims[i, :take[i]] = emb_b_flat[cand[i, :take[i]]] @ anchors_e[i]
     np.negative(neg_sims, out=neg_sims)
-    neg_sims[np.arange(n_cand) >= take[:, None]] = np.inf
+    neg_sims[np.arange(width) >= take[:, None]] = np.inf
     surv = _hardest(neg_sims, n_neg)
     neg_idx = np.take_along_axis(cand, surv, axis=1)
 
@@ -770,7 +775,8 @@ def train(
     aggressive intensity augmentation, appearance heads only), ``paired``
     (alternates aggressive self-supervised batches with cross-modality
     batches drawn from the ``training_view`` of each of the
-    ``registered_pairs``).  The mode alone decides the augmentation: every
+    ``registered_pairs``, embedded from the pair's kept
+    ``training_features``).  The mode alone decides the augmentation: every
     self-supervised patch pair of ``aggressive`` and ``paired`` is drawn
     with aggressive intensity augmentation, and of ``standard`` with the
     monotone one; ``augment_spec`` sets only the shared geometric and
@@ -784,6 +790,13 @@ def train(
     none had one).  A step whose batches were all skipped logs 0.0 for both,
     the row by which the benchmark counts skipped steps.  A call in which no
     batch ran raises ``InsufficientOverlap``: its model never trained.
+
+    A paired step reads the drawn pair's kept ``training_view`` and
+    ``training_features``, so the bank runs on a registered pair once in
+    the pair's lifetime, not once per call.  That saves its passes when
+    ``train`` is called again on the same pairs; ``iterate_alignment``
+    registers new pairs each round, so each of its calls still runs the
+    bank once per drawn pair.
 
     Each step embeds with each head's (F, k) map M, samples and evaluates
     the losses on the k-wide embeddings, backprops an (F, k) gradient G and
@@ -839,7 +852,6 @@ def train(
     if with_semantic:
         maps["semantic"] = model.w_semantic
     velocity = {h: np.zeros_like(w) for h, w in maps.items()}
-    reg_cache: dict[int, tuple] = {}
     log_rows = []
     n_ran_total = 0
 
@@ -851,11 +863,7 @@ def train(
             paired_step = mode == "paired" and step_i % 2 == 1
             if paired_step:
                 reg = registered_pairs[int(rng.integers(len(registered_pairs)))]
-                key = id(reg)
-                if key not in reg_cache:
-                    pp = reg.training_view
-                    reg_cache[key] = (pp, _features(pp.patch_a), _features(pp.patch_b))
-                pp, feats_a, feats_b = reg_cache[key]
+                pp, (feats_a, feats_b) = reg.training_view, reg.training_features
             else:
                 vol, lab = items[int(rng.integers(len(items)))]
                 try:

@@ -17,10 +17,10 @@ from voxelmatch.alignment import (
 from voxelmatch.errors import EmptyMask, TooFewMatches
 from voxelmatch.geometry import rigid_about, rotation_matrix
 from voxelmatch.matching import EmbeddingSet, SimilarityWeights
-from voxelmatch.model import TrainConfig, embed, new_model, save_model, train
+from voxelmatch.model import DescriptorBank, TrainConfig, embed, new_model, save_model, train
 from voxelmatch.augment import AugmentSpec, PatchPair
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
-from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, resample
+from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, half_geometry, resample
 
 MODEL = new_model(np.random.default_rng(3))
 CFG = AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18)
@@ -259,6 +259,56 @@ class TestRegisteredPairOverlaps:
         assert built and len(calls) == 2 * len(built)
         assert all(a is b for a, b in zip(views[0], views[1]))
 
+    @staticmethod
+    def paired_train(registered, pairs):
+        vols = [v for p in pairs for v in (p.fixed, p.moving)]
+        cfg = replace(tiny_train_cfg(), steps=4, batch_size=3)
+        spec = AugmentSpec(patch_size=(20, 20, 20))
+        return train(vols, cfg, mode="paired", augment_spec=spec, registered_pairs=registered, init=MODEL)
+
+    def test_paired_training_runs_the_bank_once_per_side_across_calls(self, monkeypatch):
+        pairs = tiny_cross_pairs(2)
+        registered = [register_and_crop(p.fixed, p.moving, MODEL, CFG, margin=5) for p in pairs]
+        seen = []
+        real = DescriptorBank.compute
+
+        def counting(bank, vol):
+            seen.append(vol)
+            return real(bank, vol)
+
+        monkeypatch.setattr(DescriptorBank, "compute", counting)
+        for _ in range(2):
+            self.paired_train(registered, pairs)
+        views = [vars(r)["training_view"] for r in registered if "training_view" in vars(r)]
+        sides = [side for view in views for side in (view.patch_a, view.patch_b)]
+        assert sides
+        assert [sum(vol is side for vol in seen) for side in sides] == [1] * len(sides)
+
+    def test_kept_features_train_as_fresh_ones(self):
+        pairs = tiny_cross_pairs(2)
+        registered = [register_and_crop(p.fixed, p.moving, MODEL, CFG, margin=5) for p in pairs]
+        self.paired_train(registered, pairs)
+        kept_model, kept_log = self.paired_train(registered, pairs)
+        fresh = [register_and_crop(p.fixed, p.moving, MODEL, CFG, margin=5) for p in pairs]
+        fresh_model, fresh_log = self.paired_train(fresh, pairs)
+        got, want = io.BytesIO(), io.BytesIO()
+        save_model(kept_model, got)
+        save_model(fresh_model, want)
+        assert got.getvalue() == want.getvalue()
+        assert repr(kept_log) == repr(fresh_log)  # float reprs round-trip, and a NaN matches a NaN
+
+    def test_kept_features_refuse_writes(self):
+        reg = rotated_registration()
+        view = reg.training_view
+        for (fine, coarse, geom), side in zip(reg.training_features, (view.patch_a, view.patch_b)):
+            assert geom == half_geometry(side.geometry)
+            for arr in (fine, coarse):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 1.0
+
+    def test_registration_alone_builds_no_training_data(self):
+        reg = rotated_registration()
+        assert "training_view" not in vars(reg) and "training_features" not in vars(reg)
 
     def test_paired_training_maps_each_pair_anchors_once(self, monkeypatch):
         pairs = tiny_cross_pairs(2)

@@ -805,6 +805,8 @@ class TestPhantomGenCommand:
         ("train", "tau_semantic", "inf"),
         ("train", "tau_cross", "-inf"),
         ("train", "tau_cross", "0"),
+        ("train", "neg_min_dist_fine", "inf"),
+        ("train", "neg_min_dist_coarse", "inf"),
         ("similarity", "w_coarse", "nan"),
         ("similarity", "w_fine", "inf"),
         ("similarity", "w_semantic", "-0.5"),

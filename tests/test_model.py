@@ -772,6 +772,28 @@ class TestSamplerOracle:
         assert min(pools) < 800 < max(pools) <= n_b
         self.assert_same(got, want)
 
+    def test_tables_as_wide_as_the_largest_pool_when_every_pool_is_below_n_cand(self, monkeypatch):
+        # n_cand = 200 / 0.1 = 2000 tops every pool of the 10^3 half
+        # lattice, so each anchor draws its whole pool and the candidate
+        # table needs only the largest
+        pair, emb_a, emb_b = self.flat_pair(20, new_model(np.random.default_rng(8)))
+        widths = []
+        real = model_mod._gathered_sims
+
+        def recording(table, idx, anchors):
+            widths.append(idx.shape[1])
+            return real(table, idx, anchors)
+
+        monkeypatch.setattr(model_mod, "_gathered_sims", recording)
+        got, want = self.run_both(pair, emb_a, emb_b, "fine", 60, 200, 8.0, 0.1, 0.5, seed=3)
+        self.assert_same(got, want)
+        corr = pair.a_to_b_voxels(emb_a.fine.geometry.index_points(got.anchor_indices) * 2.0)
+        lattice = np.stack(np.meshgrid(*(np.arange(n) for n in emb_b.fine.geometry.dims),
+                                       indexing="ij"), axis=-1).reshape(-1, 3) * 2.0
+        pools = [(((lattice - c) ** 2).sum(axis=1) > 64.0).sum() for c in corr]
+        assert min(pools) < max(pools) < 2000
+        assert widths == [max(pools)]
+
     @pytest.mark.parametrize("patch", [20, 32])
     def test_exact_ties_rank_by_candidate_position(self, patch):
         zero = ProjectionModel(np.zeros((FEATURE_DIM, 8)), np.zeros((FEATURE_DIM, 8)))
@@ -876,6 +898,25 @@ class TestTrain:
     def test_counts_the_sampler_cannot_honour_are_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be >= "):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["neg_min_dist_fine", "neg_min_dist_coarse"])
+    def test_an_infinite_negative_distance_is_rejected(self, field):
+        # it would gate out every candidate, and the call would blame overlap
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: math.inf})
+
+    @pytest.mark.parametrize("fraction", [1e-9, 5e-324])
+    def test_a_tiny_hard_negative_fraction_ranks_each_whole_pool(self, fraction):
+        # 1e-9 asks for 2.4e10 candidates an anchor, and 24 / 5e-324 is inf;
+        # a 20^3 patch's half lattice has 1000 voxels, and 12 / 1000 already
+        # draws every pool whole
+        vol, _ = phantom_working(43)
+        spec = AugmentSpec(patch_size=(20, 20, 20))
+        tiny = train([vol], small_cfg(steps=2, hard_negative_fraction=fraction), augment_spec=spec)
+        whole = train([vol], small_cfg(steps=2, hard_negative_fraction=12 / 1000), augment_spec=spec)
+        assert np.array_equal(tiny[0].w_fine, whole[0].w_fine)
+        assert np.array_equal(tiny[0].w_coarse, whole[0].w_coarse)
+        assert repr(tiny[1]) == repr(whole[1])
 
     @pytest.mark.parametrize("field,value", [
         ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
