@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .augment import AugmentSpec, PatchPair
-from .errors import EmptyMask, TooFewMatches
+from .errors import DegenerateGeometry, EmptyMask, TooFewMatches
 from .geometry import Point3, RigidTransform, fit_rigid_trimmed
 from .matching import FixpointConfig, SimilarityWeights, grid_match
 from .metrics import LandmarkPairSet, evaluate, join_landmarks
@@ -175,8 +175,15 @@ def register_and_crop(
     """One alignment step: grid match, trimmed rigid fit, margin-dilated crop.
 
     Both volumes are taken at working resolution; ``fixpoint_cfg`` is read
-    only when ``cfg.matcher == "fixpoint"``.  Raises ``TooFewMatches`` when
-    fewer than three grid matches clear the similarity floor.
+    only when ``cfg.matcher == "fixpoint"``.  Raises:
+
+    - ``EmptyMask`` when the moving scan has no body, or its body mask holds
+      no grid point;
+    - ``TooFewMatches`` when fewer than three of the grid matches that clear
+      the similarity floor would remain after trimming, n - ceil(t * n) < 3
+      for n matches at ``cfg.trim_fraction`` t (``fit_rigid_trimmed``'s rule);
+    - ``DegenerateGeometry`` when the matches the trimmed fit keeps lie on
+      one line in the moving scan.
     """
     mask, bbox = body_mask(moving, cfg.body_threshold)
     moving_set = embed(moving, model)
@@ -192,9 +199,10 @@ def register_and_crop(
             continue
         src.append(p)
         dst.append([r.point.x, r.point.y, r.point.z])
-    if len(src) < 3:
+    if len(src) - math.ceil(cfg.trim_fraction * len(src)) < 3:
         raise TooFewMatches(
-            f"{len(src)} of {len(pts)} grid matches cleared the floor {cfg.similarity_floor}"
+            f"{len(src)} of {len(pts)} grid matches cleared the floor {cfg.similarity_floor}, "
+            f"too few to keep 3 after trimming {cfg.trim_fraction}"
         )
     src_mm = moving.geometry.voxel_to_physical(np.asarray(src))
     dst_mm = fixed.geometry.voxel_to_physical(np.asarray(dst))
@@ -256,9 +264,12 @@ def iterate_alignment(
     batches.  Both modes draw every self-supervised patch pair with
     aggressive Bezier and reversal augmentation: the mode decides that, and
     ``augment_spec`` sets only the shared augmentation ranges.  A pair whose
-    alignment fails is skipped with a warning, never aborting the round; a
-    round in which no pair registers raises ``TooFewMatches``.  Returns the
-    model sequence (k = 0..len(margins)) and per-round metrics rows.
+    ``register_and_crop`` raises ``TooFewMatches`` (fewer than three matches
+    left after trimming), ``EmptyMask`` (no body or no grid point in it) or
+    ``DegenerateGeometry`` (collinear inliers) is skipped with a warning
+    naming it, never aborting the round; a round in which no pair registers
+    raises ``TooFewMatches``.  Returns the model sequence
+    (k = 0..len(margins)) and per-round metrics rows.
     """
     if not pairs:
         raise EmptyMask("no cross-modality pairs given")
@@ -275,7 +286,7 @@ def iterate_alignment(
                     pair.fixed, pair.moving, models[-1], align_cfg, margin,
                     weights=weights, fixpoint_cfg=fixpoint_cfg, round_index=j,
                 )
-            except (TooFewMatches, EmptyMask) as exc:
+            except (TooFewMatches, EmptyMask, DegenerateGeometry) as exc:
                 log.warning("alignment skipped pair %s in round %d: %s", pair.pair_id, j, exc)
                 continue
             registered.append(reg)

@@ -1,6 +1,8 @@
 """Tests for the grid-match + rigid-fit + crop alignment step and its outer loop."""
 
+import collections
 import io
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from voxelmatch.alignment import (
     iterate_alignment,
     register_and_crop,
 )
-from voxelmatch.errors import EmptyMask, TooFewMatches
+from voxelmatch.errors import DegenerateGeometry, EmptyMask, TooFewMatches
 from voxelmatch.geometry import rigid_about, rotation_matrix
 from voxelmatch.matching import EmbeddingSet, SimilarityWeights
 from voxelmatch.model import DescriptorBank, TrainConfig, embed, new_model, save_model, train
@@ -49,6 +51,40 @@ def embed_as(monkeypatch, sets):
     monkeypatch.setattr(alignment, "embed", lambda vol, model: next(e for v, e in sets if v is vol))
 
 
+def keep_matches(monkeypatch, keep, moving=None):
+    """Make ``register_and_crop`` drop every grid match but those at the indices
+    ``keep(pts)`` returns: in every registration, or in those of the scan ``moving``."""
+    real_embed, real_match, marked = alignment.embed, alignment.grid_match, []
+
+    def embed(vol, model):
+        out = real_embed(vol, model)
+        if moving is None or vol is moving:
+            marked.append(out)
+        return out
+
+    def grid_match(pts, moving_set, *rest):
+        out = real_match(pts, moving_set, *rest)
+        if not any(moving_set is m for m in marked):
+            return out
+        kept = set(keep(pts).tolist())
+        return [r if i in kept else None for i, r in enumerate(out)]
+
+    monkeypatch.setattr(alignment, "embed", embed)
+    monkeypatch.setattr(alignment, "grid_match", grid_match)
+
+
+def spread(n):
+    """``n`` grid points evenly spread in x-major order, from the first to the
+    last: off one line on the scans here."""
+    return lambda pts: np.linspace(0, len(pts) - 1, n).round().astype(int)
+
+
+def one_row(pts):
+    """The grid points of the fullest x row: all on one line."""
+    (y, z), _ = collections.Counter(map(tuple, pts[:, 1:].tolist())).most_common(1)[0]
+    return np.flatnonzero((pts[:, 1] == y) & (pts[:, 2] == z))
+
+
 class TestRegisterAndCrop:
     def test_self_crop_recovers_identity(self, monkeypatch):
         fixed, _ = working_phantom(60)
@@ -71,6 +107,31 @@ class TestRegisterAndCrop:
         cfg = AlignConfig(grid_spacing=3, similarity_floor=1.1, body_threshold=0.18)
         with pytest.raises(TooFewMatches):
             register_and_crop(fixed, moving, MODEL, cfg, margin=4)
+
+    @pytest.mark.parametrize("n,trim", [(3, 0.2), (2, 0.0), (5, 0.5)])
+    def test_too_few_matches_left_after_trimming(self, monkeypatch, n, trim):
+        # n - ceil(trim * n) < 3: the trimmed fit would keep fewer than three pairs
+        fixed, _ = working_phantom(62)
+        moving = crop(fixed, Box3((4, 4, 4), (27, 27, 27)))
+        keep_matches(monkeypatch, spread(n))
+        with pytest.raises(TooFewMatches, match=f"{n} of .* after trimming"):
+            register_and_crop(fixed, moving, MODEL, replace(CFG, trim_fraction=trim), margin=4)
+
+    @pytest.mark.parametrize("n,trim", [(4, 0.2), (3, 0.0), (6, 0.5)])
+    def test_three_matches_left_after_trimming_register(self, monkeypatch, n, trim):
+        fixed, _ = working_phantom(62)
+        moving = crop(fixed, Box3((4, 4, 4), (27, 27, 27)))
+        keep_matches(monkeypatch, spread(n))
+        reg = register_and_crop(fixed, moving, MODEL, replace(CFG, trim_fraction=trim), margin=4)
+        assert reg.provenance.n_accepted == n
+        assert reg.provenance.inlier_count == 3
+
+    def test_collinear_matches_are_degenerate(self, monkeypatch):
+        fixed, _ = working_phantom(62)
+        moving = crop(fixed, Box3((4, 4, 4), (27, 27, 27)))
+        keep_matches(monkeypatch, one_row)
+        with pytest.raises(DegenerateGeometry, match="collinear"):
+            register_and_crop(fixed, moving, MODEL, CFG, margin=4)
 
     def test_body_between_grid_points_is_empty_mask(self):
         # a one-voxel body at odd full-res coordinates holds no grid point
@@ -397,6 +458,29 @@ class TestIterateAlignment:
                 [replace(pair, moving=blank)], tiny_train_cfg(), cfg,
                 augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
             )
+
+    @pytest.mark.parametrize("keep", [spread(3), one_row], ids=["three-matches", "collinear"])
+    def test_pair_left_with_too_few_or_collinear_matches_is_skipped(self, monkeypatch, caplog, keep):
+        bad, good = tiny_cross_pairs(2)
+        keep_matches(monkeypatch, keep, moving=bad.moving)
+        real_train, trained = alignment.train, []
+
+        def train(vols, cfg, **kw):
+            trained.append([reg.moving for reg in kw.get("registered_pairs") or ()])
+            return real_train(vols, cfg, **kw)
+
+        monkeypatch.setattr(alignment, "train", train)
+        cfg = AlignConfig(grid_spacing=3, similarity_floor=0.3, margins=(4,), body_threshold=0.18)
+        with caplog.at_level(logging.WARNING, logger="voxelmatch.alignment"):
+            models, rows = iterate_alignment(
+                [bad, good], tiny_train_cfg(), cfg,
+                augment_spec=AugmentSpec(patch_size=(20, 20, 20)),
+            )
+        assert [m.round_index for m in models] == [0, 1]
+        assert [r.pair_id for r in rows] == [good.pair_id]
+        assert len(trained) == 2 and trained[0] == []
+        assert len(trained[1]) == 1 and trained[1][0] is good.moving
+        assert f"alignment skipped pair {bad.pair_id} in round 0" in caplog.text
 
     def test_same_seed_identical_model_bytes(self):
         pairs = tiny_cross_pairs(1)

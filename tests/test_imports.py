@@ -1,6 +1,6 @@
 """Every import in ``src/voxelmatch`` is used, every ``__all__`` entry is bound and
-read, and every private top-level name is read: an ``ast`` scan, so no linter is
-needed."""
+read, every private top-level name is read, and every top-level helper of the
+tests is read: an ``ast`` scan, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "voxelmatch"
+TESTS = ROOT / "tests"
 # the benchmark harness's own modules; its tests, like these, are no readers
 BENCH = [ROOT / "benchmarks" / "run.py", *sorted((ROOT / "benchmarks" / "voxbench").glob("*.py"))]
 
@@ -84,21 +85,57 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.add(n.attr)
             elif isinstance(n, ast.ImportFrom):
                 read |= {alias.name for alias in n.names}
-    unread = []
-    for mod, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            unread += [
-                f"{mod}: {name} (line {node.lineno})" for name in names
-                if name.startswith("_") and not name.startswith("__") and name not in read
-            ]
-    return unread
+    return [
+        f"{mod}: {name} (line {node.lineno})"
+        for mod, tree in trees.items() for node in tree.body for name in top_level_names(node)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def top_level_names(node: ast.stmt) -> list[str]:
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def unread_test_helpers(sources: dict[str, str]) -> list[str]:
+    """Top-level functions, classes and constants of the test modules that no
+    test module reads.
+
+    ``sources`` maps file names (``test_a.py``) to their source.  pytest itself
+    collects ``test_*`` functions and ``Test*`` classes and calls ``pytest_*``
+    hooks and ``pytestmark``, so they are no helpers.  A helper is read when,
+    outside its own top-level definition, its module loads it, another module
+    imports it from that module (``from test_a import name`` or ``test_a.name``),
+    or a function names it as a parameter: a fixture of its module, or of
+    ``conftest.py`` in any module.
+    """
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+
+    def reads(mod: str, node: ast.stmt) -> set[tuple[str, str]]:
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add((mod, n.id))
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                out.add((f"{n.value.id}.py", n.attr))
+            elif isinstance(n, ast.ImportFrom) and n.module:
+                out |= {(f"{n.module}.py", alias.name) for alias in n.names}
+            elif isinstance(n, ast.arg):
+                out |= {(mod, n.arg), ("conftest.py", n.arg)}
+        return out
+
+    read = {(mod, node): reads(mod, node) for mod, tree in trees.items() for node in tree.body}
+    return [
+        f"{mod}: {name} (line {node.lineno})"
+        for mod, tree in trees.items() for node in tree.body for name in top_level_names(node)
+        if not name.startswith(("test_", "Test", "pytest"))
+        and not any((mod, name) in r for key, r in read.items() if key != (mod, node))
+    ]
 
 
 def unread_exports(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
@@ -190,6 +227,61 @@ class TestUnusedImports:
         assert unread_exports(modules, {}) == ["a.py: Alone", "a.py: bench_only", "a.py: recursive"]
         readers = {"bench.py": "from a import bench_only\nbench_only()\n"}
         assert unread_exports(modules, readers) == ["a.py: Alone", "a.py: recursive"]
+
+    def test_every_test_helper_is_read(self):
+        assert unread_test_helpers({p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}) == []
+
+    def test_test_helper_scan_finds_what_it_should(self):
+        sources = {
+            "conftest.py": (
+                "import pytest\n"
+                "@pytest.fixture\n"
+                "def shared():\n"
+                "    return 1\n"
+                "@pytest.fixture\n"
+                "def idle():\n"
+                "    return 2\n"
+                "def pytest_configure(config):\n"
+                "    pass\n"
+            ),
+            "helpers.py": (
+                "def imported():\n"
+                "    return 1\n"
+                "def dotted():\n"
+                "    return 2\n"
+                "def dead():\n"
+                "    return 3\n"
+            ),
+            "test_a.py": (
+                "import pytest\n"
+                "import helpers\n"
+                "from helpers import imported\n"
+                "pytestmark = pytest.mark.slow\n"
+                "LIMIT, UNUSED = 3, 4\n"
+                "def recursive(n):\n"
+                "    return recursive(n - 1) if n else 0\n"
+                "class Alone:\n"
+                "    def copy(self):\n"
+                "        return Alone()\n"
+                "@pytest.fixture\n"
+                "def local():\n"
+                "    return LIMIT\n"
+                "def test_one(shared, local):\n"
+                "    assert imported() + helpers.dotted()\n"
+                "class TestThing:\n"
+                "    pass\n"
+            ),
+            # a fixture of another test module is not this module's
+            "test_b.py": "import pytest\n@pytest.fixture\ndef local():\n    return 5\n",
+        }
+        assert unread_test_helpers(sources) == [
+            "conftest.py: idle (line 6)",
+            "helpers.py: dead (line 5)",
+            "test_a.py: UNUSED (line 5)",
+            "test_a.py: recursive (line 6)",
+            "test_a.py: Alone (line 8)",
+            "test_b.py: local (line 3)",
+        ]
 
     def test_private_name_scan_finds_what_it_should(self):
         sources = {

@@ -615,6 +615,16 @@ def body_mask_by_slice(vol, threshold):
     return filled.astype(np.uint16)
 
 
+def assert_body_mask_equals_by_slice(vol, threshold):
+    """``body_mask`` against ``body_mask_by_slice``; returns the uint16 mask."""
+    mask, box = body_mask(vol, threshold)
+    got = mask.data
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, body_mask_by_slice(vol, threshold))
+    assert box == mask_bbox_by_nonzero(got)  # the box it returns is the mask's
+    return got
+
+
 def tube_block(nz, open_face):
     """A solid block with a square tube of air from one z face to the middle."""
     data = np.zeros((nz, 12, 12), np.float32)
@@ -632,13 +642,12 @@ class TestBodyMaskSliceOracle:
         data = ndimage.gaussian_filter(rng.random((nz, ny, nx)), rng.uniform(0.0, 1.5))
         vol = ScalarVolume(VolumeGeometry((nx, ny, nz)), data.astype(np.float32))
         threshold = float(np.quantile(vol.data, rng.uniform(0.2, 0.6)))
-        assert np.array_equal(body_mask(vol, threshold)[0].data, body_mask_by_slice(vol, threshold))
+        assert_body_mask_equals_by_slice(vol, threshold)
 
     @pytest.mark.parametrize("open_face", ["first", "last"])
     def test_cavity_open_to_a_z_face_is_filled_in_every_slice(self, open_face):
         vol, tube = tube_block(9, open_face)
-        mask = body_mask(vol, 0.5)[0].data
-        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         assert mask[tube, 5:7, 5:7].all()
 
     @pytest.mark.parametrize("face", ["x0", "x1", "y0", "y1"])
@@ -650,8 +659,7 @@ class TestBodyMaskSliceOracle:
                    "y1": np.s_[2, 5:, 5:7]}[face]
         data[channel] = 0.0  # slice 2's hole opens to one face
         vol = ScalarVolume(VolumeGeometry((12, 12, 5)), data)
-        mask = body_mask(vol, 0.5)[0].data
-        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         assert not mask[channel].any()
         assert mask[[0, 1, 3, 4], 5:7, 5:7].all()
 
@@ -661,8 +669,7 @@ class TestBodyMaskSliceOracle:
         data[:, 1:9, 1:9] = 1.0
         data[iz, 3:6, 4:7] = 0.0
         vol = ScalarVolume(VolumeGeometry((10, 10, 6)), data)
-        mask = body_mask(vol, 0.5)[0].data
-        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         assert mask[:, 1:9, 1:9].all()
 
     def test_background_reaching_both_z_faces_only_is_filled(self):
@@ -671,8 +678,7 @@ class TestBodyMaskSliceOracle:
         data[:, 1:10, 1:10] = 1.0
         data[:, 4:7, 3:8] = 0.0
         vol = ScalarVolume(VolumeGeometry((11, 11, 7)), data)
-        mask = body_mask(vol, 0.5)[0].data
-        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         assert mask[:, 1:10, 1:10].all()
 
     @pytest.mark.parametrize("remap", ["identity", "gamma"])
@@ -683,43 +689,15 @@ class TestBodyMaskSliceOracle:
         for scan in (pair.volume_a, pair.volume_b):
             vol = resample(scan, 2.0)
             assert vol.data.shape == (64, 64, 64)
-            assert np.array_equal(body_mask(vol, 0.18)[0].data, body_mask_by_slice(vol, 0.18))
+            assert_body_mask_equals_by_slice(vol, 0.18)
 
     def test_one_slice_volume(self):
         data = np.zeros((1, 9, 9), np.float32)
         data[0, 1:8, 1:8] = 1.0
         data[0, 3:6, 3:6] = 0.0
         vol = ScalarVolume(VolumeGeometry((9, 9, 1)), data)
-        mask = body_mask(vol, 0.5)[0].data
-        assert np.array_equal(mask, body_mask_by_slice(vol, 0.5))
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         assert mask[0, 1:8, 1:8].all()
-
-
-def body_mask_whole_grid(vol, threshold):
-    """Oracle: body_mask with the in-plane background of the whole grid labelled."""
-    above = vol.data > threshold
-    labeled, n = ndimage.label(above, structure=ndimage.generate_binary_structure(3, 1))
-    if n > 1:
-        counts = np.bincount(labeled.ravel())
-        counts[0] = 0
-        above = labeled == int(np.argmax(counts))
-    in_plane = np.zeros((3, 3, 3), dtype=bool)
-    in_plane[1] = ndimage.generate_binary_structure(2, 1)
-    background, n = ndimage.label(~above, structure=in_plane)
-    open_to_face = np.zeros(n + 1, dtype=bool)
-    open_to_face[background[:, [0, -1]]] = True
-    open_to_face[background[:, :, [0, -1]]] = True
-    open_to_face[0] = False
-    return (~open_to_face[background]).astype(np.uint16)
-
-
-def assert_body_mask_equals_whole_grid(vol, threshold):
-    mask, box = body_mask(vol, threshold)
-    got = mask.data
-    assert got.dtype == np.uint16
-    assert np.array_equal(got, body_mask_whole_grid(vol, threshold))
-    assert box == mask_bbox_by_nonzero(got)  # the box it returns is the mask's
-    return got
 
 
 def block_with_holes(shape, body):
@@ -735,7 +713,7 @@ def block_with_holes(shape, body):
 
 class TestBodyMaskInsideTheBodyBox:
     """``body_mask`` labels holes only inside the body's box: the same mask as
-    labelling the whole grid."""
+    filling the holes of every whole slice."""
 
     @pytest.mark.parametrize("seed", [62, 66, 70])
     def test_benchmark_scans(self, seed):
@@ -746,7 +724,7 @@ class TestBodyMaskInsideTheBodyBox:
         for scan in (pair.volume_a, pair.volume_b):
             vol = resample(scan, 2.0)
             assert vol.data.shape == (64, 64, 64)
-            assert_body_mask_equals_whole_grid(vol, 0.18)
+            assert_body_mask_equals_by_slice(vol, 0.18)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_volumes(self, seed):
@@ -754,7 +732,7 @@ class TestBodyMaskInsideTheBodyBox:
         nx, ny, nz = (int(d) for d in rng.integers(1, 16, 3))
         data = ndimage.gaussian_filter(rng.random((nz, ny, nx)), rng.uniform(0.0, 1.5))
         vol = ScalarVolume(VolumeGeometry((nx, ny, nz)), data.astype(np.float32))
-        assert_body_mask_equals_whole_grid(vol, float(np.quantile(vol.data, rng.uniform(0.2, 0.8))))
+        assert_body_mask_equals_by_slice(vol, float(np.quantile(vol.data, rng.uniform(0.2, 0.8))))
 
     @pytest.mark.parametrize("body", [
         np.s_[1:5, 2:9, 0:7], np.s_[1:5, 2:9, 4:11],   # an x face
@@ -764,7 +742,7 @@ class TestBodyMaskInsideTheBodyBox:
     ], ids=["x0", "x1", "y0", "y1", "z0", "z1", "all"])
     def test_body_touching_a_face(self, body):
         vol = block_with_holes((6, 10, 11), body)
-        mask = assert_body_mask_equals_whole_grid(vol, 0.5)
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         z, y, x = (range(*s.indices(n)) for s, n in zip(body, vol.data.shape))
         assert mask[z.start, y.start + 2, x.start + 2] == 1
         assert mask[z.start, y.start, x.start + 3] == 0
@@ -775,7 +753,7 @@ class TestBodyMaskInsideTheBodyBox:
         data[1, 2:7, 2:7] = 1.0
         data[1, 3:6, 3:6] = 0.0
         vol = ScalarVolume(VolumeGeometry((9, 9, 3)), data)
-        mask = assert_body_mask_equals_whole_grid(vol, 0.5)
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         assert mask[1, 2:7, 2:7].all() and mask.sum() == 25
 
     def test_body_in_one_slice(self):
@@ -783,7 +761,7 @@ class TestBodyMaskInsideTheBodyBox:
         data[3, 1:7, 2:8] = 1.0
         data[3, 3:5, 4:6] = 0.0
         vol = ScalarVolume(VolumeGeometry((9, 8, 5)), data)
-        mask = assert_body_mask_equals_whole_grid(vol, 0.5)
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         assert mask.sum() == 36 and mask[3].sum() == 36
 
     def test_two_components(self):
@@ -794,7 +772,7 @@ class TestBodyMaskInsideTheBodyBox:
         data[1:3, 5:9, 5:9] = 1.0
         data[1:3, 6:8, 6:8] = 0.0
         vol = ScalarVolume(VolumeGeometry((14, 14, 4)), data)
-        mask = assert_body_mask_equals_whole_grid(vol, 0.5)
+        mask = assert_body_mask_equals_by_slice(vol, 0.5)
         assert mask[:, 1:13, 1:13].all()
 
 
