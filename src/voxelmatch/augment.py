@@ -121,9 +121,9 @@ def _half_lattice_points(mask_full: np.ndarray) -> np.ndarray:
     return idx[:, ::-1].copy()
 
 
-def _bezier_curve(control: tuple[float, float, float, float], n: int = 1025):
+def _bezier_curve(control: tuple[float, float, float, float]):
     x1, y1, x2, y2 = control
-    t = np.linspace(0.0, 1.0, n)
+    t = np.linspace(0.0, 1.0, 1025)
     omt = 1.0 - t
     b1 = 3.0 * t * omt * omt
     b2 = 3.0 * t * t * omt

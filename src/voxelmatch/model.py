@@ -192,15 +192,14 @@ def _correlate(data: np.ndarray, kernel: tuple[float, ...], axis: int, step: int
     return out.reshape(shape[:axis] + (m,) + shape[axis + 1:])
 
 
-def _box_stds_halved(data: np.ndarray) -> list[np.ndarray]:
+def _box_stds_halved(centred: np.ndarray) -> list[np.ndarray]:
     """Standard deviation over a box of each of ``BOX_WIDTHS``, on the stride-2 grid.
 
-    The box means run on the data less their own mean, centred and squared
-    once for both widths.  That leaves the variance as it is, but uncentred,
-    E[v^2] - E[v]^2 cancels two large means and keeps their rounding: ~4e-5
-    on a constant volume of value 100.
+    ``centred`` is the data less its own mean, squared once for both widths.
+    Centring leaves the variance as it is, but uncentred, E[v^2] - E[v]^2
+    cancels two large means and keeps their rounding: ~4e-5 on a constant
+    volume of value 100.
     """
-    centred = data - data.mean()
     centred_sq = centred * centred
     stds = []
     for width in BOX_WIDTHS:
@@ -217,8 +216,8 @@ class DescriptorBank:
 
     Channel layout: gradient components (x, y, z) at sigma 2; gradient
     magnitudes at ``SIGMAS``; Laplacians at ``SIGMAS``; box standard
-    deviations at ``BOX_WIDTHS``.  Every response is divided by its
-    ``CHANNEL_SCALES`` entry.
+    deviations at ``BOX_WIDTHS``, each response divided by its
+    ``CHANNEL_SCALES`` entry straight into its slot of one channel-last array.
 
     Every channel is a derivative or a spread of the intensities, so it
     vanishes on constant volumes and scales linearly with contrast: under
@@ -233,9 +232,9 @@ class DescriptorBank:
     only its stride-2 samples, one per fixed-width block of outputs
     (``_correlate``); unlike one product with the whole band, their bits were
     the same under one and two OpenBLAS threads on every grid tried.  Per
-    sigma, three x passes (Gaussian, derivative, second derivative) feed the
-    gradient and Laplacian terms, and the Gaussian x and x-y smoothings are
-    shared.  Both widths' box means run on data centred and squared once
+    sigma, the gradient and Laplacian terms share the Gaussian x and x-y
+    smoothings.  The box stage centres the bank's own float64 copy in place
+    and runs both widths' box means on it, squared once
     (``_box_stds_halved``).  The products sum in another order than
     full-resolution ``correlate1d`` and ``uniform_filter`` sampled at [::2,
     ::2, ::2]: on unit-range volumes the scaled gradient and Laplacian
@@ -245,27 +244,27 @@ class DescriptorBank:
     def compute(self, vol: ScalarVolume) -> tuple[np.ndarray, VolumeGeometry]:
         """Filter responses stride-2 sampled: returns ((nz2, ny2, nx2, F) float64, half geometry)."""
         data = vol.data.astype(np.float64)
-        mags, laps = [], []
-        for sigma in SIGMAS:
+        geom = half_geometry(vol.geometry)
+        feats = np.empty(geom.shape_zyx + (FEATURE_DIM,))
+        for i, sigma in enumerate(SIGMAS):
             g, d, d2 = (tuple(f(sigma)) for f in (_gauss_kernel, _gauss_deriv_kernel, _gauss_second_kernel))
-            xg, xd, xl = (_correlate(data, k, 2) for k in (g, d, d2))
+            xg = _correlate(data, g, 2)
             xg_yg = _correlate(xg, g, 1)
-            cx = _correlate(_correlate(xd, g, 1), g, 0)
+            cx = _correlate(_correlate(_correlate(data, d, 2), g, 1), g, 0)
             cy = _correlate(_correlate(xg, d, 1), g, 0)
             cz = _correlate(xg_yg, d, 0)
             if sigma == 2.0:
-                grads = [cx, cy, cz]
-            mags.append(np.sqrt(cx * cx + cy * cy + cz * cz))
-            laps.append(
-                _correlate(_correlate(xl, g, 1), g, 0)
-                + _correlate(_correlate(xg, d2, 1), g, 0)
-                + _correlate(xg_yg, d2, 0)
-            )
-        boxes = _box_stds_halved(data)
-        # channel-first, so the scaling runs per channel, then moved last in one copy
-        feats = np.stack(grads + mags + laps + boxes)
-        feats /= np.asarray(CHANNEL_SCALES)[:, None, None, None]
-        return np.moveaxis(feats, 0, -1).copy(), half_geometry(vol.geometry)
+                for k, c in enumerate((cx, cy, cz)):
+                    np.divide(c, CHANNEL_SCALES[k], out=feats[..., k])
+            np.divide(np.sqrt(cx * cx + cy * cy + cz * cz), CHANNEL_SCALES[3 + i], out=feats[..., 3 + i])
+            lap = _correlate(_correlate(_correlate(data, d2, 2), g, 1), g, 0)
+            lap += _correlate(_correlate(xg, d2, 1), g, 0)
+            lap += _correlate(xg_yg, d2, 0)
+            np.divide(lap, CHANNEL_SCALES[6 + i], out=feats[..., 6 + i])
+        data -= data.mean()
+        for k, std in enumerate(_box_stds_halved(data), 9):
+            np.divide(std, CHANNEL_SCALES[k], out=feats[..., k])
+        return feats, geom
 
 
 _BANK = DescriptorBank()
@@ -386,8 +385,8 @@ def _check_feature_dim(model: ProjectionModel) -> None:
         )
 
 
-def _smooth_coarse(feats: np.ndarray, sigma: float = 4.0) -> np.ndarray:
-    k = tuple(_gauss_kernel(sigma))
+def _smooth_coarse(feats: np.ndarray) -> np.ndarray:
+    k = tuple(_gauss_kernel(4.0))
     out = feats
     for axis in (0, 1, 2):
         out = _correlate(out, k, axis, step=1)
@@ -782,7 +781,8 @@ def train(
     monotone one; ``augment_spec`` sets only the shared geometric and
     intensity ranges.  Deterministic given the seed; returns (model,
     per-step loss log).  Raises ``DimensionMismatch`` when ``init``'s heads'
-    F is not ``FEATURE_DIM``.
+    F is not ``FEATURE_DIM`` or an entry's labels lie on another grid than
+    its volume, before the first step.
 
     A batch whose patch pair or sample lacks overlap is skipped.  Each
     step's ``loss_fine`` and ``loss_coarse`` average over the batches that
@@ -826,12 +826,11 @@ def train(
     if init is not None:
         _check_feature_dim(init)
     items = []
-    for entry in dataset:
-        if isinstance(entry, ScalarVolume):
-            items.append((entry, None))
-        else:
-            vol, lab = entry
-            items.append((vol, lab))
+    for i, entry in enumerate(dataset):
+        vol, lab = (entry, None) if isinstance(entry, ScalarVolume) else entry
+        if lab is not None and lab.geometry != vol.geometry:
+            raise DimensionMismatch(f"dataset entry {i}: labels on {lab.geometry}, volume on {vol.geometry}")
+        items.append((vol, lab))
     if not items:
         raise EmptyDataset("training dataset is empty")
     if mode == "paired" and not registered_pairs:

@@ -142,10 +142,10 @@ def _fill_ellipsoid(target: np.ndarray, geom: VolumeGeometry, center_mm, axes_mm
         block[(local[0] <= 1.0).reshape(block.shape)] = value
 
 
-def _add_texture(data: np.ndarray, geom: VolumeGeometry, rng, scale_mm: float, amplitude: float, n_blobs: int = 60):
+def _add_texture(data: np.ndarray, geom: VolumeGeometry, rng, scale_mm: float, amplitude: float):
     spacing = np.asarray(geom.spacing)
     dims = np.asarray(geom.dims)
-    for _ in range(n_blobs):
+    for _ in range(60):
         c_vox = rng.uniform(0, dims - 1)
         sigma_mm = rng.uniform(0.5 * scale_mm, 1.5 * scale_mm)
         amp = rng.uniform(-amplitude, amplitude)

@@ -594,7 +594,11 @@ def dilate_box(box: Box3, margin: int, bounds: tuple[int, int, int]) -> Box3:
 
 
 def crop(vol, box: Box3):
-    """Copy the subvolume in ``box`` (clamped to bounds); origin moves with the box."""
+    """Copy the subvolume of a ``ScalarVolume`` or ``LabelVolume`` in ``box``
+    (clamped to bounds); origin moves with the box.  Raises ``TypeError`` for
+    any other volume."""
+    if not isinstance(vol, (ScalarVolume, LabelVolume)):
+        raise TypeError(f"cannot crop {type(vol).__name__}")
     g = vol.geometry
     lo = tuple(max(0, min(box.min[i], g.dims[i] - 1)) for i in range(3))
     hi = tuple(max(0, min(box.max[i], g.dims[i] - 1)) for i in range(3))
@@ -610,15 +614,7 @@ def crop(vol, box: Box3):
         g.spacing,
         tuple(g.origin[i] + lo[i] * g.spacing[i] for i in range(3)),
     )
-    if isinstance(vol, EmbeddingVolume):
-        # the crop cannot hold more substituted voxels than it has voxels
-        return EmbeddingVolume(
-            new_geom, vol.data[sl].copy(), normalized=vol.normalized,
-            zero_substitutions=min(vol.zero_substitutions, new_geom.n_voxels),
-        )
-    if isinstance(vol, LabelVolume):
-        return LabelVolume(new_geom, vol.data[sl].copy())
-    return ScalarVolume(new_geom, vol.data[sl].copy())
+    return type(vol)(new_geom, vol.data[sl].copy())
 
 
 def half_geometry(g: VolumeGeometry) -> VolumeGeometry:

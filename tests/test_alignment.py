@@ -22,7 +22,9 @@ from voxelmatch.matching import EmbeddingSet, SimilarityWeights
 from voxelmatch.model import DescriptorBank, TrainConfig, embed, new_model, save_model, train
 from voxelmatch.augment import AugmentSpec, PatchPair
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
-from voxelmatch.volume import Box3, LabelVolume, ScalarVolume, VolumeGeometry, crop, half_geometry, resample
+from voxelmatch.volume import (
+    Box3, EmbeddingVolume, LabelVolume, ScalarVolume, VolumeGeometry, crop, half_geometry, resample,
+)
 
 MODEL = new_model(np.random.default_rng(3))
 CFG = AlignConfig(grid_spacing=3, similarity_floor=0.4, body_threshold=0.18)
@@ -39,10 +41,16 @@ def landmark_array(landmarks) -> np.ndarray:
 
 
 def crop_embedding_set(emb: EmbeddingSet, box: Box3) -> EmbeddingSet:
-    return EmbeddingSet(
-        coarse=crop(emb.coarse, box),
-        fine=crop(emb.fine, box),
+    """The coarse and fine heads of ``emb`` in ``box``, which lies within their
+    grid, as ``crop`` cuts a scalar volume: the origin moves with the box."""
+    g = emb.fine.geometry
+    geom = VolumeGeometry(
+        tuple(hi - lo + 1 for lo, hi in zip(box.min, box.max)),
+        g.spacing, tuple(o + lo * s for o, lo, s in zip(g.origin, box.min, g.spacing)),
     )
+    sl = tuple(slice(lo, hi + 1) for lo, hi in zip(box.min[::-1], box.max[::-1]))
+    heads = (EmbeddingVolume(geom, v.data[sl], normalized=v.normalized) for v in (emb.coarse, emb.fine))
+    return EmbeddingSet(*heads)
 
 
 def embed_as(monkeypatch, sets):

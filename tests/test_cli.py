@@ -549,6 +549,9 @@ class TestTrainCommand:
         vol = resample(gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=63))[0], 2.0)
         write_volume(vol, tmp_path / "vol.evf")
         write_volume(LabelVolume(vol.geometry, (vol.data > 0.3).astype(np.uint16)), tmp_path / "labels.evf")
+        # the same voxels at the phantom's own 1 mm, half the working grid's extent
+        one_mm = VolumeGeometry(vol.geometry.dims, (1.0, 1.0, 1.0), vol.geometry.origin)
+        write_volume(LabelVolume(one_mm, (vol.data > 0.3).astype(np.uint16)), tmp_path / "labels_1mm.evf")
         write_embedding_evf(tmp_path / "emb.evf")
         (tmp_path / "manifest.txt").write_text(manifest + "\n")
         (tmp_path / "run.conf").write_text(self.CONF)
@@ -568,6 +571,7 @@ class TestTrainCommand:
         ("emb.evf", "single", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
         ("vol.evf emb.evf", "single", "emb.evf: expected LabelVolume, found EmbeddingVolume"),
         ("vol.evf vol.evf", "single", "vol.evf: expected LabelVolume, found ScalarVolume"),
+        ("vol.evf\nvol.evf labels_1mm.evf", "single", "dataset entry 1: labels on"),
         ("emb.evf vol.evf", "cross-iter", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
         ("vol.evf emb.evf", "cross-iter", "emb.evf: expected ScalarVolume, found EmbeddingVolume"),
         ("v\xe9.evf", "single", "manifest.txt:1: not ASCII text"),

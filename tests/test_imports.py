@@ -1,6 +1,7 @@
 """Every import in ``src/voxelmatch`` is used, every ``__all__`` entry is bound and
-read, every private top-level name is read, and every top-level helper of the
-tests is read: an ``ast`` scan, so no linter is needed."""
+read, every private top-level name is read, every defaulted parameter of a private
+function is set by some call, and every top-level helper of the tests is read: an
+``ast`` scan, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -172,6 +173,58 @@ def unread_exports(modules: dict[str, str], readers: dict[str, str]) -> list[str
     return sorted(entry for entry in unread if not read_outside_own_definition(entry))
 
 
+def unset_private_defaults(modules: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Defaulted parameters of the private functions of ``modules`` that no call sets.
+
+    Both map module names to their source.  A parameter with a default, of a
+    function or method named with one leading underscore, is set when a call
+    of that name in either map passes it by keyword or an argument at its
+    position; ``*args`` and ``**kwargs`` set every parameter they could.  A
+    method is taken as called on an instance: its first argument is at
+    position 1.  A function whose name is read other than as the callee may
+    be called with anything, so it has no unset parameter.  A default no
+    call sets is a constant, not a knob.
+    """
+    trees = {mod: ast.parse(source) for mod, source in {**callers, **modules}.items()}
+    calls, passed, methods = {}, set(), set()
+    for tree in trees.values():
+        callees = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(n.func, "id", None) or n.func.attr, []).append(n)
+                callees.add(n.func)
+            elif isinstance(n, ast.ClassDef):
+                methods |= {f for f in n.body if isinstance(f, ast.FunctionDef)}
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load) and n not in callees:
+                passed.add(getattr(n, "id", None) or n.attr)
+
+    def sets(call: ast.Call, name: str, position: int | None) -> bool:
+        if any(kw.arg in (None, name) for kw in call.keywords):
+            return True
+        return position is not None and (
+            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    unset = []
+    for mod in modules:
+        for fn in ast.walk(trees[mod]):
+            private = isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__")
+            if not private or fn.name in passed:
+                continue
+            shift = 1 if fn in methods else 0
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            unset += [
+                f"{mod}: {fn.name}({name}) (line {fn.lineno})"
+                for name, position in defaulted
+                if not any(sets(c, name, position) for c in calls.get(fn.name, []))
+            ]
+    return unset
+
+
 class TestUnusedImports:
     @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
     def test_module_reads_every_import(self, path):
@@ -227,6 +280,42 @@ class TestUnusedImports:
         assert unread_exports(modules, {}) == ["a.py: Alone", "a.py: bench_only", "a.py: recursive"]
         readers = {"bench.py": "from a import bench_only\nbench_only()\n"}
         assert unread_exports(modules, readers) == ["a.py: Alone", "a.py: recursive"]
+
+    def test_every_private_default_is_set_outside_the_tests(self):
+        modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+        callers = {str(p.relative_to(ROOT)): p.read_text() for p in BENCH}
+        assert unset_private_defaults(modules, callers) == []
+
+    def test_unset_default_scan_finds_what_it_should(self):
+        modules = {
+            "a.py": (
+                "def _knob(x, n=3, *, m=4):\n"
+                "    return x + n + m\n"
+                "def _by_position(x, n=3):\n"
+                "    return x + n\n"
+                "def _by_keyword(x, n=3, *, m=4):\n"
+                "    return x + n + m\n"
+                "def _by_unpacking(x, n=3, *, m=4):\n"
+                "    return x + n + m\n"
+                "def _passed_on(x, n=3):\n"
+                "    return x + n\n"
+                "def public(x, n=3):\n"
+                "    return x + n\n"
+                "class _Thing:\n"
+                "    def _method(self, x, n=3):\n"
+                "        return x + n\n"
+                "    def _unset(self, x, n=3):\n"
+                "        return x + n\n"
+                "    def run(self):\n"
+                "        return self._method(1, 2) + self._unset(1)\n"
+                "y = _knob(1, m=2) + _by_position(1, 2) + _by_keyword(1, n=2, m=3) + public(1)\n"
+                "z = _by_unpacking(*[1, 2], **{'m': 3}) + sum(map(_passed_on, [1]))\n"
+            ),
+        }
+        assert unset_private_defaults(modules, {}) == ["a.py: _knob(n) (line 1)", "a.py: _unset(n) (line 16)"]
+        # a call from the benchmark harness sets a parameter too
+        callers = {"bench.py": "from a import _knob\n_knob(1, 2)\n"}
+        assert unset_private_defaults(modules, callers) == ["a.py: _unset(n) (line 16)"]
 
     def test_every_test_helper_is_read(self):
         assert unread_test_helpers({p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}) == []

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -54,7 +55,7 @@ from voxelmatch.model import (
     train,
 )
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
-from voxelmatch.volume import ScalarVolume, VolumeGeometry, half_geometry, resample, unit_rows
+from voxelmatch.volume import LabelVolume, ScalarVolume, VolumeGeometry, half_geometry, resample, unit_rows
 
 BANK = DescriptorBank()
 
@@ -233,10 +234,24 @@ class TestDescriptorBank:
     def test_box_spreads_centred_once_equal_the_per_width_oracle(self, dims):
         # (62, 62, 63) is the shape of a training-view crop
         data = scalar(np.random.default_rng(sum(dims)), dims).data.astype(np.float64) * 3.0 + 7.0
-        got = _box_stds_halved(data)
+        got = _box_stds_halved(data - data.mean())
         assert len(got) == len(BOX_WIDTHS)
         for std, width in zip(got, BOX_WIDTHS):
             assert std.tobytes() == box_std_halved_per_width(data, width).tobytes()
+
+    @pytest.mark.parametrize("dims", [(32, 32, 32), (62, 62, 63)], ids=lambda d: "x".join(map(str, d)))
+    def test_peak_memory_is_at_most_seven_float64_copies_of_the_input(self, dims):
+        # one channel-last output, each channel scaled into its slot, reads
+        # ~6.4x; a channel-first stack moved last in one copy read ~7.9x
+        vol = scalar(np.random.default_rng(sum(dims)), dims)
+        BANK.compute(vol)  # fills the band-block cache, which outlives the call
+        tracemalloc.start()
+        try:
+            BANK.compute(vol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * math.prod(dims)
 
     def test_constant_volume_of_large_value_is_zero(self):
         # the box means run on centred data; uncentred, their rounding leaves
@@ -582,7 +597,6 @@ class TestSampleTrainingBatch:
         # labels were generated at 1 mm; regenerate at working grid by
         # nearest sampling through the label volume's own geometry
         from voxelmatch.geometry import AffineTransform
-        from voxelmatch.volume import LabelVolume
 
         # build a working-resolution label volume via nearest lookup
         g = vol.geometry
@@ -879,6 +893,20 @@ class TestTrain:
                 [vol], small_cfg(steps=1), mode="standard",
                 augment_spec=AugmentSpec(patch_size=(20, 20, 20)), init=init,
             )
+
+    @pytest.mark.parametrize("grid", [
+        ((20, 28, 24), (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)),
+        ((24, 24, 24), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((24, 24, 24), (2.0, 2.0, 2.0), (4.0, 0.0, 0.0)),
+    ], ids=["dims", "spacing", "origin"])
+    def test_labels_on_another_grid_than_their_volume(self, monkeypatch, grid):
+        # cropped and warped by voxel index, they would label voxels they do not describe
+        vol = scalar(np.random.default_rng(6), (24, 24, 24))
+        labels = LabelVolume(VolumeGeometry(*grid), np.ones(grid[0][::-1], np.uint16))
+        monkeypatch.setattr(model_mod, "sample_patch_pair", None)  # no step may start
+        for mode in ("standard", "aggressive"):
+            with pytest.raises(DimensionMismatch, match="dataset entry 1: labels on"):
+                train([vol, (vol, labels)], small_cfg(steps=1), mode=mode)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):

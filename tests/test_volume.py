@@ -489,6 +489,14 @@ class TestNormalizedEmbeddingVolume:
         data[1, 0, 1, 2] = 0.0
         EmbeddingVolume(VolumeGeometry((2, 2, 2)), data, normalized=True)
 
+    def test_substitutions_lie_between_zero_and_the_voxel_count(self):
+        data = np.zeros((2, 3, 4, 2), np.float32)
+        data[..., 0] = 1.0
+        assert EmbeddingVolume(VolumeGeometry((4, 3, 2)), data, zero_substitutions=24).zero_substitutions == 24
+        for count in (25, -1):
+            with pytest.raises(ValueError, match="zero_substitutions"):
+                EmbeddingVolume(VolumeGeometry((4, 3, 2)), data, zero_substitutions=count)
+
 
 class TestNormalizeConcat:
     """``unit_rows``, the one normalization and zero-vector rule."""
@@ -868,13 +876,10 @@ class TestBoxesAndCrop:
         crop_phys = out.geometry.voxel_to_physical(np.zeros((1, 3)))[0]
         np.testing.assert_allclose(crop_phys, src_phys, atol=1e-9)
 
-    def test_embedding_crop_holds_at_most_its_voxels_as_substitutions(self):
-        data = np.zeros((2, 3, 4, 2), np.float32)
-        data[..., 0] = 1.0
-        emb = EmbeddingVolume(VolumeGeometry((4, 3, 2)), data, normalized=True, zero_substitutions=24)
-        assert crop(emb, Box3((0, 0, 0), (1, 0, 0))).zero_substitutions == 2
-        with pytest.raises(ValueError):
-            EmbeddingVolume(emb.geometry, data, zero_substitutions=25)
+    def test_crop_of_an_embedding_volume_is_a_type_error(self):
+        emb = EmbeddingVolume(VolumeGeometry((4, 3, 2)), np.zeros((2, 3, 4, 2), np.float32))
+        with pytest.raises(TypeError, match="cannot crop EmbeddingVolume"):
+            crop(emb, Box3((0, 0, 0), (1, 0, 0)))
 
     def test_half_geometry(self):
         g = VolumeGeometry((7, 8, 9), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0))
