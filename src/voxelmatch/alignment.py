@@ -177,8 +177,8 @@ def register_and_crop(
     Both volumes are taken at working resolution; ``fixpoint_cfg`` is read
     only when ``cfg.matcher == "fixpoint"``.  Raises:
 
-    - ``EmptyMask`` when the moving scan has no body, or its body mask holds
-      no grid point;
+    - ``EmptyMask`` when the moving scan has no body or no background, or its
+      body mask holds no grid point;
     - ``TooFewMatches`` when fewer than three of the grid matches that clear
       the similarity floor would remain after trimming, n - ceil(t * n) < 3
       for n matches at ``cfg.trim_fraction`` t (``fit_rigid_trimmed``'s rule);
@@ -265,11 +265,11 @@ def iterate_alignment(
     aggressive Bezier and reversal augmentation: the mode decides that, and
     ``augment_spec`` sets only the shared augmentation ranges.  A pair whose
     ``register_and_crop`` raises ``TooFewMatches`` (fewer than three matches
-    left after trimming), ``EmptyMask`` (no body or no grid point in it) or
-    ``DegenerateGeometry`` (collinear inliers) is skipped with a warning
-    naming it, never aborting the round; a round in which no pair registers
-    raises ``TooFewMatches``.  Returns the model sequence
-    (k = 0..len(margins)) and per-round metrics rows.
+    left after trimming), ``EmptyMask`` (no body, no background or no grid
+    point in the body) or ``DegenerateGeometry`` (collinear inliers) is
+    skipped with a warning naming it, never aborting the round; a round in
+    which no pair registers raises ``TooFewMatches``.  Returns the model
+    sequence (k = 0..len(margins)) and per-round metrics rows.
     """
     if not pairs:
         raise EmptyMask("no cross-modality pairs given")

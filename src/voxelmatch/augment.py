@@ -32,15 +32,12 @@ __all__ = [
 class AugmentSpec:
     """Augmentation parameters.
 
-    ``bezier_control_points`` is (x1, y1, x2, y2), each in [0, 1], for the
-    two interior control points of a unit-square cubic curve through (0,0)
-    and (1,1); ``None`` draws fresh sorted, hence monotone, controls per
-    patch.  Whether the augmentation is aggressive (unsorted controls plus
-    reversal with ``reverse_probability``) is no setting here: the training
+    Each patch draws fresh Bezier controls.  Whether they are sorted, hence
+    the curve monotone, or arbitrary plus reversal with
+    ``reverse_probability`` (aggressive) is no setting here: the training
     mode decides it, and ``train`` passes it to ``sample_patch_pair``.
     """
 
-    bezier_control_points: tuple[float, float, float, float] | None = None
     reverse_probability: float = 0.5
     rotation_degrees: float = 10.0
     scale_range: tuple[float, float] = (0.8, 1.2)
@@ -50,9 +47,6 @@ class AugmentSpec:
     min_overlap: float = 0.25
 
     def __post_init__(self):
-        controls = self.bezier_control_points
-        if controls is not None and not (len(controls) == 4 and all(0.0 <= c <= 1.0 for c in controls)):
-            raise ValueError("bezier_control_points must be four values in [0, 1]")
         if not 0.0 <= self.reverse_probability <= 1.0:
             raise ValueError("reverse_probability must lie in [0, 1]")
         if not math.isfinite(self.rotation_degrees):
@@ -203,8 +197,6 @@ def _intensity_augment(vol: ScalarVolume, spec: AugmentSpec, rng, aggressive: bo
         if rng.uniform() < spec.reverse_probability:
             out = intensity_reverse(out)
         return out
-    if spec.bezier_control_points is not None:
-        return bezier_intensity(vol, spec.bezier_control_points)
     raw = rng.uniform(0.0, 1.0, 4)
     control = (min(raw[0], raw[2]), min(raw[1], raw[3]), max(raw[0], raw[2]), max(raw[1], raw[3]))
     return bezier_intensity(vol, control)

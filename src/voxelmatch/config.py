@@ -6,7 +6,6 @@ every run can echo the fully resolved configuration.
 from __future__ import annotations
 
 import configparser
-import types
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -38,17 +37,11 @@ _SECTIONS = ("similarity", "fixpoint", "train", "augment", "align", "phantom")
 def _parse_value(raw: str, annotation, key: str):
     """``raw`` as a value of the resolved type ``annotation``.
 
-    An optional type (``T | None``) reads ``none`` or an empty value as None.
     A tuple is comma or space separated: ``tuple[T, T]`` takes exactly that
     many values, ``tuple[T, ...]`` at least one.
     """
     raw = raw.strip()
     origin, args = get_origin(annotation), get_args(annotation)
-    if origin is types.UnionType and type(None) in args:
-        if raw.lower() in ("none", ""):
-            return None
-        (annotation,) = (a for a in args if a is not type(None))
-        origin, args = get_origin(annotation), get_args(annotation)
     if annotation is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
@@ -59,8 +52,6 @@ def _parse_value(raw: str, annotation, key: str):
     if annotation in (int, float, str):
         return annotation(raw)
     if origin is tuple:
-        if raw.lower() in ("none", ""):
-            raise ConfigError(f"{key}: a value is required")
         parts = raw.replace(",", " ").split()
         if args[-1] is Ellipsis:
             if not parts:

@@ -156,9 +156,8 @@ class MatchResult:
 
 # template rows per similarity product in NN lookups
 _NN_CHUNK = 128
-# float32 entries (4 MB) per screen product, the byte bound the training
-# sampler uses for its gather; wider products run over column blocks, and
-# canonical sums over narrower ones (see _rerank_width)
+# float32 entries (4 MB) per screen product; wider products run over column
+# blocks, and canonical sums over narrower ones (see _rerank_width)
 _NN_BLOCK = 2**20
 
 

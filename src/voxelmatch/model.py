@@ -36,7 +36,6 @@ too; unlike EVF's, this CRC also covers the header.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import struct
 from dataclasses import dataclass
@@ -86,9 +85,6 @@ __all__ = [
     "load_model",
     "new_model",
 ]
-
-log = logging.getLogger(__name__)
-
 
 # ---------------------------------------------------------------------------
 # descriptor bank
@@ -407,18 +403,15 @@ def embed(vol: ScalarVolume, model: ProjectionModel) -> EmbeddingSet:
     """Per-voxel embeddings on the half-resolution grid (coarse, fine, optional semantic).
 
     Each head's volume holds normalize(f M) as float32, k channels wide for
-    an (F, k) map M (11 for every drawn head).  Raises ``DimensionMismatch``
-    when the heads' F is not ``FEATURE_DIM``.
+    an (F, k) map M (11 for every drawn head), and counts the rows
+    ``unit_rows`` substituted in ``zero_substitutions``.  Raises
+    ``DimensionMismatch`` when the heads' F is not ``FEATURE_DIM``.
     """
     _check_feature_dim(model)
     maps = {"fine": model.w_fine, "coarse": model.w_coarse}
     if model.w_semantic is not None:
         maps["semantic"] = model.w_semantic
-    side = _SideState(*_features(vol), maps)
-    for _, _, _, zero in side.heads.values():
-        if zero.any():
-            log.warning("embed substituted %d zero vectors", int(zero.sum()))
-    return side.embedding_set(np.float32)
+    return _SideState(*_features(vol), maps).embedding_set(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +575,10 @@ def _gathered_sims(table: np.ndarray, idx: np.ndarray, anchors: np.ndarray) -> n
 
     The stacked product runs one matrix-vector product per row i, so row i
     is bitwise ``table[idx[i]] @ anchors[i]``.  Rows of ``table`` are
-    gathered 2**19 floats (4 MB) at a time.
+    gathered 2**16 floats (512 KB) at a time.
     """
     out = np.empty(idx.shape)
-    chunk = max(1, 2**19 // (idx.shape[1] * table.shape[1]))
+    chunk = max(1, 2**16 // (idx.shape[1] * table.shape[1]))
     for lo in range(0, len(idx), chunk):
         sl = slice(lo, lo + chunk)
         out[sl] = (np.take(table, idx[sl], axis=0) @ anchors[sl, :, None])[..., 0]

@@ -549,10 +549,12 @@ def body_mask(vol: ScalarVolume, threshold: float) -> tuple[LabelVolume, Box3]:
     slice's, and every voxel outside the box is 0: from a background voxel on
     the box's x or y edge, a straight line out of the box reaches a face
     through background, so the components that touch the box's x or y edges
-    are exactly those that touch a face of the grid."""
+    are exactly those that touch a face of the grid.  Raises ``EmptyMask``
+    when no voxel, or every voxel, exceeds ``threshold``."""
     above = vol.data > threshold
-    if not above.any():
-        raise EmptyMask(f"no voxel exceeds threshold {threshold}")
+    n_above = np.count_nonzero(above)
+    if n_above in (0, above.size):
+        raise EmptyMask(f"{'every' if n_above else 'no'} voxel exceeds threshold {threshold}")
     structure = ndimage.generate_binary_structure(3, 1)
     labeled, n = ndimage.label(above, structure=structure)
     if n > 1:

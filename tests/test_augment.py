@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from voxelmatch import augment
 from voxelmatch.augment import (
     AugmentSpec,
     PatchPair,
@@ -151,14 +152,24 @@ class TestGeometric:
         assert np.linalg.norm(predicted - observed) <= 0.5
 
 
+@pytest.fixture
+def identity_intensity(monkeypatch):
+    """Make ``sample_patch_pair``'s intensity step the identity; its draws still happen."""
+    monkeypatch.setattr(augment, "_intensity_augment", lambda vol, spec, rng, aggressive: vol)
+
+
 class TestPatchPair:
-    def test_identity_spec_full_overlap(self):
+    def test_fixed_bezier_controls_are_no_setting(self):
+        # the training mode alone picks the curve
+        with pytest.raises(TypeError):
+            AugmentSpec(bezier_control_points=IDENTITY_BEZIER)
+
+    def test_identity_spec_full_overlap(self, identity_intensity):
         rng = np.random.default_rng(8)
         vol = random_volume(rng, (16, 16, 16))
         spec = AugmentSpec(
             rotation_degrees=0.0, scale_range=(1.0, 1.0), blur_sigma_range=(0.0, 0.0),
-            noise_sigma_range=(0.0, 0.0), bezier_control_points=IDENTITY_BEZIER,
-            patch_size=(16, 16, 16),
+            noise_sigma_range=(0.0, 0.0), patch_size=(16, 16, 16),
         )
         pair = sample_patch_pair(vol, None, spec, seed=0)
         np.testing.assert_allclose(pair.patch_a.data, pair.patch_b.data, atol=1e-6)
@@ -166,13 +177,12 @@ class TestPatchPair:
         np.testing.assert_allclose(pair.map_ab.translation, 0.0, atol=1e-9)
         assert pair.overlap_a.all()
 
-    def test_translated_windows_map_by_offset(self):
+    def test_translated_windows_map_by_offset(self, identity_intensity):
         rng = np.random.default_rng(9)
         vol = random_volume(rng, (20, 20, 20))
         spec = AugmentSpec(
             rotation_degrees=0.0, scale_range=(1.0, 1.0), blur_sigma_range=(0.0, 0.0),
-            noise_sigma_range=(0.0, 0.0), bezier_control_points=IDENTITY_BEZIER,
-            patch_size=(12, 12, 12),
+            noise_sigma_range=(0.0, 0.0), patch_size=(12, 12, 12),
         )
         pair = sample_patch_pair(vol, None, spec, seed=1)
         # geometry is pure translation: the physical map must be the identity

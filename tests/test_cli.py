@@ -120,7 +120,8 @@ class TestRunConfigExitCodes:
     @pytest.mark.parametrize(
         "section,line", [
             ("train", "feature_dim = 16"), ("augment", "seed = 3"), ("train", "embedding_dim = 32"),
-            ("augment", "aggressive = true"),
+            ("augment", "aggressive = true"), ("augment", "bezier_control_points = 0.2 0.3 0.7 0.8"),
+            ("augment", "bezier_control_points = none"),
         ]
     )
     def test_removed_key_is_a_data_error(self, tmp_path, capsys, section, line):
@@ -510,6 +511,19 @@ class TestAdaregSettings:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_threshold_below_every_voxel_is_a_data_error(self, inputs, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[align]\ngrid_spacing = 3\nsimilarity_floor = 0.3\nbody_threshold = -1\n")
+        code = cli.main([
+            "--config", str(conf), "adareg", str(inputs / "fixed.evf"), str(inputs / "moving.evf"),
+            str(inputs / "model.uaem"), str(tmp_path / "out"),
+        ])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert "every voxel exceeds threshold -1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAdaregInputs:
     @pytest.mark.parametrize("which", ["fixed", "moving"])
@@ -665,19 +679,27 @@ class TestTrainCommand:
         assert code == 0
         assert drawn and drawn == [aggressive] * len(drawn)
 
-    def test_cross_iter_round_with_no_registered_pair_is_a_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threshold,skipped", [
+        ("0.18", "no voxel exceeds threshold 0.18"), ("-1", "every voxel exceeds threshold -1"),
+    ], ids=["no-body", "no-background"])
+    def test_cross_iter_round_with_no_registered_pair_is_a_data_error(
+        self, tmp_path, capsys, caplog, threshold, skipped
+    ):
         vol = resample(gen_phantom(PhantomSpec(dims=(48, 48, 48), seed=64))[0], 2.0)
+        moving = vol if threshold == "-1" else ScalarVolume(vol.geometry, np.zeros_like(vol.data))
         write_volume(vol, tmp_path / "fixed.evf")
-        write_volume(ScalarVolume(vol.geometry, np.zeros_like(vol.data)), tmp_path / "moving.evf")
+        write_volume(moving, tmp_path / "moving.evf")
         (tmp_path / "manifest.txt").write_text("fixed.evf moving.evf\n")
         (tmp_path / "run.conf").write_text(
-            self.CONF + "[align]\ngrid_spacing = 3\nsimilarity_floor = 0.3\nbody_threshold = 0.18\nmargins = 4\n"
+            self.CONF + "[align]\ngrid_spacing = 3\nsimilarity_floor = 0.3\n"
+            f"body_threshold = {threshold}\nmargins = 4\n"
         )
         code = cli.main([
             "--config", str(tmp_path / "run.conf"), "train", str(tmp_path / "manifest.txt"),
             str(tmp_path / "model.uaem"), "--mode", "cross-iter",
         ])
         assert code == cli.DATA_ERROR
+        assert skipped in caplog.text
         err = capsys.readouterr().err
         assert "round 0" in err and "no pair registered" in err
         assert "Traceback" not in err
@@ -788,8 +810,6 @@ class TestPhantomGenCommand:
         ("run", "seed", "-5"),
         ("phantom", "seed", "-1"),
         ("train", "seed", "-3"),
-        ("augment", "bezier_control_points", "nan 0.2 0.8 0.9"),
-        ("augment", "bezier_control_points", "2.0 0.2 0.8 0.9"),
         # values that passed validation and then failed or were ignored in training
         ("augment", "rotation_degrees", "nan"),
         ("augment", "rotation_degrees", "inf"),

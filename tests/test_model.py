@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import logging
 import math
 import os
 import struct
@@ -55,7 +56,9 @@ from voxelmatch.model import (
     train,
 )
 from voxelmatch.phantom import PhantomSpec, gen_pair, gen_phantom
-from voxelmatch.volume import LabelVolume, ScalarVolume, VolumeGeometry, half_geometry, resample, unit_rows
+from voxelmatch.volume import (
+    LabelVolume, ScalarVolume, VolumeGeometry, half_geometry, read_volume, resample, unit_rows, write_volume,
+)
 
 BANK = DescriptorBank()
 
@@ -368,6 +371,20 @@ class TestEmbed:
         assert out.fine.zero_substitutions == n_vox
         np.testing.assert_allclose(out.fine.data[..., 0], 1.0)
         np.testing.assert_allclose(out.fine.data[..., 1:], 0.0)
+
+    def test_substitutions_on_a_benchmark_scan_are_recorded_not_logged(self, caplog, tmp_path):
+        # align-nn-128's moving scan of phantom 71: its air holds voxels
+        # whose fine projection vanishes, an ordinary event that is only counted
+        vol = resample(gen_phantom(PhantomSpec(dims=(128, 128, 128), seed=71))[0], 2.0)
+        with caplog.at_level(logging.DEBUG):
+            out = embed(vol, new_model(np.random.default_rng(3)))
+        assert caplog.records == []
+        e1 = np.eye(out.fine.channels, dtype=np.float32)[0]
+        for head in (out.coarse, out.fine):
+            assert head.zero_substitutions == np.all(head.data == e1, axis=-1).sum()
+        assert out.fine.zero_substitutions > 0
+        write_volume(out.fine, tmp_path / "fine.evf")
+        assert read_volume(tmp_path / "fine.evf").zero_substitutions == out.fine.zero_substitutions
 
     def test_embeddings_unit_norm(self):
         rng = np.random.default_rng(2)

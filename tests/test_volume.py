@@ -574,6 +574,13 @@ class TestBodyMask:
         with pytest.raises(EmptyMask):
             body_mask(vol, 0.5)
 
+    @pytest.mark.parametrize("threshold", [-1.0, -np.inf])
+    def test_no_background(self, threshold):
+        # a threshold every voxel exceeds leaves no body boundary to find
+        vol = ScalarVolume(VolumeGeometry((4, 4, 4)), np.zeros((4, 4, 4), np.float32))
+        with pytest.raises(EmptyMask, match=f"every voxel exceeds threshold {threshold}"):
+            body_mask(vol, threshold)
+
     def test_solid_ellipsoid_matches_analytic_membership(self):
         dims = (20, 18, 16)
         geom = VolumeGeometry(dims)
