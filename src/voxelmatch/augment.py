@@ -173,15 +173,12 @@ def _geometric_augment(vol: ScalarVolume, spec: AugmentSpec, seed: int, labels: 
     center = np.asarray(g.origin) + (np.asarray(g.dims, dtype=np.float64) - 1.0) / 2.0 * np.asarray(g.spacing)
     linear = scale * rotation_matrix(axis, angle)
     transform = AffineTransform(linear, center - linear @ center)
-    identity = (
-        abs(angle) < 1e-12 and abs(scale - 1.0) < 1e-12
-    )
-    layers = [] if identity else [(vol.data, np.empty(g.shape_zyx, dtype=np.float32), float(vol.data.min()))]
+    layers = [(vol.data, np.empty(g.shape_zyx, dtype=np.float32), float(vol.data.min()))]
     if labels is not None:
         layers.append((labels.data, np.empty(g.shape_zyx, dtype=np.uint16), 0))
     pull_back(g, transform, layers)
     warped = [out for _, out, _ in layers]
-    data = (vol.data if identity else warped[0]).astype(np.float64)  # rounded once to float32 by the warp
+    data = warped[0].astype(np.float64)  # rounded once to float32 by the warp
     if blur > 1e-6:
         data = ndimage.gaussian_filter(data, sigma=blur, mode="nearest")
     if noise > 1e-12:

@@ -1,9 +1,9 @@
 """Command-line surface: phantom generation, embedding, matching, alignment,
 training, and evaluation.
 
-Machine-readable results go to stdout; logs and the resolved configuration go
-to stderr.  Exit codes: 0 success, 1 usage error, 2 data error.  All
-randomness is controlled by --seed (or the config file).
+Machine-readable results go to stdout; warnings and the resolved
+configuration go to stderr.  Exit codes: 0 success, 1 usage error, 2 data
+error.  All randomness is controlled by --seed (or the config file).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import hashlib
 import logging
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import alignment, matching, metrics, model as model_mod, phantom, volume
@@ -23,8 +23,6 @@ from .config import RunConfig, load_config, resolved_lines
 from .errors import VoxelMatchError
 from .geometry import Point3, fit_rigid_trimmed
 from .matching import EmbeddingSet
-
-log = logging.getLogger("voxelmatch")
 
 USAGE_ERROR, DATA_ERROR = 1, 2
 
@@ -39,7 +37,6 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="voxelmatch", description=__doc__)
     p.add_argument("--config", help="run configuration file (key = value sections)")
     p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("phantom-gen", help="generate a phantom suite")
@@ -243,8 +240,8 @@ def _cmd_adareg(args, cfg: RunConfig) -> int:
         f.write(f"{t[0]!r} {t[1]!r} {t[2]!r}\n")
     prov = reg.provenance
     with open(out / "provenance.txt", "w", encoding="ascii") as f:
-        for key in ("round_index", "margin", "n_grid", "n_accepted", "inlier_count", "mean_residual_mm"):
-            f.write(f"{key}={getattr(prov, key)}\n")
+        for field in fields(prov):
+            f.write(f"{field.name}={getattr(prov, field.name)}\n")
     print(f"aligned with {prov.inlier_count} inliers, mean residual {prov.mean_residual_mm:.3g} mm")
     return 0
 
@@ -356,11 +353,7 @@ def main(argv=None) -> int:
         parser.error("--threshold must be finite and positive")
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be >= 0")
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = _load_run_config(args)
         return _COMMANDS[args.command](args, cfg)

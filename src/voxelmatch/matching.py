@@ -22,9 +22,9 @@ ACM TOMS 2008).  Each row keeps its float32 best and runner-up.  With C
 channels in use, any float32 evaluation of the sum lies within
 E = g(C + 2, 2^-24) (1 + 2e-4) of its exact value, g(n, u) being
 n u / (1 - n u): the template heads are unit, the weights sum to 1, and the
-query rows are unit within the 1e-4 that ``EmbeddingVolume(normalized=True)``
-enforces (the 2e-4 covers that, the 1e-6 weight tolerance and the float32
-norm check).  The canonical sum lies within F = g(C + 2, 2^-53) (1 + 2e-4)
+query rows are unit within the 1e-4 that every ``EmbeddingVolume`` enforces
+(the 2e-4 covers that, the 1e-6 weight tolerance and the float32 norm
+check).  The canonical sum lies within F = g(C + 2, 2^-53) (1 + 2e-4)
 of it, so only columns whose float32 product is within 2 (E + F) of the
 row's float32 best can win.  A row whose runner-up lies further down has
 one candidate, which wins: one canonical pass takes all such rows of a
@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DimensionMismatch, NonUnitInput, OutOfBounds
+from .errors import DegenerateGeometry, DimensionMismatch, OutOfBounds
 from .geometry import Point3, fit_affine
 from .volume import EmbeddingVolume, ScalarVolume, trilinear_sample_many, unit_rows
 
@@ -95,8 +95,6 @@ class EmbeddingSet:
         for h in heads:
             if h.geometry != self.coarse.geometry:
                 raise DimensionMismatch("embedding heads must share one geometry")
-            if not h.normalized:
-                raise NonUnitInput("embedding heads must be normalized")
 
     @property
     def geometry(self):

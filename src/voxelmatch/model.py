@@ -707,7 +707,7 @@ class _SideState:
         vols = {
             h: EmbeddingVolume(
                 self.geom, e.reshape(*self.geom.shape_zyx, -1).astype(dtype, copy=False),
-                normalized=True, zero_substitutions=int(zero.sum()),
+                zero_substitutions=int(zero.sum()),
             )
             for h, (_, e, _, zero) in self.heads.items()
         }
@@ -849,7 +849,7 @@ def train(
 
     for step_i in range(cfg.steps):
         grads = {h: np.zeros_like(m) for h, m in maps.items()}
-        losses_acc = {"fine": 0.0, "coarse": 0.0, "semantic": float("nan")}
+        losses_acc = {"fine": 0.0, "coarse": 0.0, "semantic": 0.0}
         n_ran = n_semantic = 0
         for _ in range(cfg.batch_size):
             paired_step = mode == "paired" and step_i % 2 == 1
@@ -885,17 +885,12 @@ def train(
                 out_s = proto_supcon(labeled)
                 idx = np.concatenate(labeled.class_indices)
                 order = np.argsort(idx)
-                if math.isnan(losses_acc["semantic"]):
-                    losses_acc["semantic"] = 0.0
                 losses_acc["semantic"] += out_s.value / len(idx)
                 n_semantic += 1
                 grads["semantic"] += side_a.chain("semantic", idx[order], out_s.d_embeddings[order]) / len(idx)
         if not all(np.all(np.isfinite(g)) for g in grads.values()):
             raise DivergedLoss(f"non-finite gradient at step {step_i}")
-        if any(
-            not math.isfinite(v) for k, v in losses_acc.items()
-            if k != "semantic" or not math.isnan(v)
-        ):
+        if not all(math.isfinite(v) for v in losses_acc.values()):
             raise DivergedLoss(f"non-finite loss at step {step_i}")
         for h in maps:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
@@ -908,7 +903,7 @@ def train(
                 "step": step_i,
                 "loss_fine": losses_acc["fine"] / max(n_ran, 1),
                 "loss_coarse": losses_acc["coarse"] / max(n_ran, 1),
-                "loss_semantic": losses_acc["semantic"] / max(n_semantic, 1),  # NaN when no semantic batch ran
+                "loss_semantic": losses_acc["semantic"] / n_semantic if n_semantic else math.nan,
             }
         )
         n_ran_total += n_ran

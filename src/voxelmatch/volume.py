@@ -237,11 +237,14 @@ class LabelVolume:
 
 @dataclass
 class EmbeddingVolume:
-    """Dense grid of D-dimensional vectors, typically at half the image resolution."""
+    """Dense grid of D-dimensional unit vectors, typically at half the image resolution.
+
+    Every row is unit within 1e-4, or zero (``NonUnitInput`` otherwise):
+    the cosine similarities of matching need no other check of the rows.
+    """
 
     geometry: VolumeGeometry
     data: np.ndarray  # (nz, ny, nx, D)
-    normalized: bool = False
     zero_substitutions: int = 0
 
     def __post_init__(self):
@@ -254,11 +257,10 @@ class EmbeddingVolume:
             )
         if not 0 <= self.zero_substitutions <= self.geometry.n_voxels:
             raise ValueError("zero_substitutions must lie between 0 and the voxel count")
-        if self.normalized:
-            norms = row_norms(self.data.reshape(-1, self.data.shape[3]))
-            # a NaN norm fails both tests
-            if not np.all((norms <= _ZERO_NORM_EPS) | (np.abs(norms - 1.0) <= 1e-4)):
-                raise NonUnitInput("normalized embedding volume has non-unit vectors")
+        norms = row_norms(self.data.reshape(-1, self.data.shape[3]))
+        # a NaN norm fails both tests
+        if not np.all((norms <= _ZERO_NORM_EPS) | (np.abs(norms - 1.0) <= 1e-4)):
+            raise NonUnitInput("embedding volume has non-unit vectors")
 
     @property
     def channels(self) -> int:
@@ -329,30 +331,30 @@ def _read_checked(f, out: np.ndarray, covered: bytes, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"EVF1"
-# after the normalized flag: the zero-substitution count (0 in files that predate it), 3 pad bytes
+# after the unit-rows flag: the zero-substitution count (0 in files that predate it), 3 pad bytes
 _HEADER = struct.Struct("<4sBBHIIIIffffffBI3x")
-# kind code -> (volume class, dtype code, payload dtype); write and read both consult it
+# kind code -> (volume class, dtype code, payload dtype, unit-rows flag); write and read both consult it
 _KINDS = {
-    1: (ScalarVolume, 1, "<f4"),
-    2: (LabelVolume, 2, "<u2"),
-    3: (EmbeddingVolume, 1, "<f4"),
+    1: (ScalarVolume, 1, "<f4", 0),
+    2: (LabelVolume, 2, "<u2", 0),
+    3: (EmbeddingVolume, 1, "<f4", 1),
 }
 _MAX_ELEMENTS = 2**31
 
 
 def write_volume(vol, dest) -> None:
     """Serialize a volume to the EVF container (path or binary file object)."""
-    kind = next((k for k, (cls, _, _) in _KINDS.items() if isinstance(vol, cls)), None)
+    kind = next((k for k, (cls, *_) in _KINDS.items() if isinstance(vol, cls)), None)
     if kind is None:
         raise TypeError(f"cannot serialize {type(vol).__name__}")
-    _, dtype_code, payload_dtype = _KINDS[kind]
+    _, dtype_code, payload_dtype, unit_flag = _KINDS[kind]
     g = vol.geometry
     header = _HEADER.pack(
         _MAGIC, kind, dtype_code, 0,
         *g.dims, math.prod(vol.data.shape[3:]),  # channels: 1 unless an embedding
         *g.spacing,
         *g.origin,
-        int(getattr(vol, "normalized", False)), getattr(vol, "zero_substitutions", 0),
+        unit_flag, getattr(vol, "zero_substitutions", 0),
     )
     # written from the array's own buffer, which needs no copy when it already has the payload dtype
     payload = np.ascontiguousarray(vol.data, dtype=payload_dtype)
@@ -360,39 +362,43 @@ def write_volume(vol, dest) -> None:
 
 
 def read_volume(src):
-    """Read an EVF container, verifying the payload CRC."""
+    """Read an EVF container, verifying the payload CRC.
+
+    The volume kind fixes the header's unit-rows flag: 1 for an embedding,
+    0 for a scalar or label volume.  A flag, spacing, origin, substitution
+    count or scalar value the volume cannot hold is ``MalformedFile``; an
+    embedding row that is neither unit nor zero is ``NonUnitInput``."""
     with _binary_file(src, "rb") as f:
         raw = _read_exact(f, _HEADER.size, "header")
         (magic, kind, dtype_code, reserved,
          nx, ny, nz, channels,
-         sx, sy, sz, ox, oy, oz, normalized, zero_substitutions) = _HEADER.unpack(raw)
+         sx, sy, sz, ox, oy, oz, unit_flag, zero_substitutions) = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise BadMagic(f"bad magic {magic!r}")
-        if reserved != 0 or normalized not in (0, 1):
-            raise UnsupportedVersion("reserved header fields are not zero")
+        if reserved != 0:
+            raise UnsupportedVersion("reserved header field is not zero")
         if kind not in _KINDS:
             raise UnsupportedVersion(f"unknown volume kind {kind}")
-        cls, kind_dtype, payload_dtype = _KINDS[kind]
+        cls, kind_dtype, payload_dtype, kind_flag = _KINDS[kind]
         if dtype_code != kind_dtype:
             raise UnsupportedVersion(f"dtype code {dtype_code} does not fit volume kind {kind}")
+        if unit_flag != kind_flag:
+            raise MalformedFile(f"unit-rows flag {unit_flag} does not fit volume kind {kind}")
         if min(nx, ny, nz, channels) < 1 or nx * ny * nz * channels > _MAX_ELEMENTS:
             raise DimensionOverflow(f"implausible dimensions {(nx, ny, nz, channels)}")
         if cls is not EmbeddingVolume and channels != 1:
             raise UnsupportedVersion("scalar and label volumes must have 1 channel")
         payload = _read_checked(f, np.empty((nz, ny, nx, channels), payload_dtype), b"", "payload")
-    if not all(0.0 < s < np.inf for s in (sx, sy, sz)):
-        raise MalformedFile(f"voxel spacing {(sx, sy, sz)} is not positive and finite")
-    if not np.isfinite((ox, oy, oz)).all():
-        raise MalformedFile(f"volume origin {(ox, oy, oz)} is not finite")
-    if zero_substitutions > (nx * ny * nz if cls is EmbeddingVolume else 0):
+    if cls is not EmbeddingVolume and zero_substitutions != 0:
         raise MalformedFile(f"zero-substitution count {zero_substitutions} is out of range")
-    geom = VolumeGeometry((nx, ny, nz), (sx, sy, sz), (ox, oy, oz))
     # the volume keeps the array the payload was read into
-    if cls is EmbeddingVolume:
-        return cls(geom, payload, normalized=bool(normalized), zero_substitutions=zero_substitutions)
-    if cls is ScalarVolume and not _all_finite(payload):
-        raise MalformedFile("scalar payload holds non-finite values")
-    return cls(geom, payload.reshape(nz, ny, nx))
+    try:
+        geom = VolumeGeometry((nx, ny, nz), (sx, sy, sz), (ox, oy, oz))
+        if cls is EmbeddingVolume:
+            return cls(geom, payload, zero_substitutions=zero_substitutions)
+        return cls(geom, payload.reshape(nz, ny, nx))
+    except ValueError as exc:
+        raise MalformedFile(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +493,9 @@ def unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
     """Trilinear samples of an embedding grid at continuous voxel coordinates.
 
-    ``pts`` is (N, 3) in (x, y, z) voxel units of the embedding grid.  When
-    the volume is normalized the blended vectors are re-normalized by
-    ``unit_rows``, so an all-zero blend becomes e1.
+    ``pts`` is (N, 3) in (x, y, z) voxel units of the embedding grid.  The
+    blended vectors are re-normalized by ``unit_rows``, so an all-zero blend
+    becomes e1.
     """
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
     g = emb.geometry
@@ -514,9 +520,7 @@ def trilinear_sample_many(emb: EmbeddingVolume, pts) -> np.ndarray:
                 if not np.any(w):
                     continue
                 out += w[:, None] * data[base_flat + g.flat_index(steps * (cx, cy, cz))]
-    if emb.normalized:
-        out = unit_rows(out)[0]
-    return out
+    return unit_rows(out)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def crop_embedding_set(emb: EmbeddingSet, box: Box3) -> EmbeddingSet:
         g.spacing, tuple(o + lo * s for o, lo, s in zip(g.origin, box.min, g.spacing)),
     )
     sl = tuple(slice(lo, hi + 1) for lo, hi in zip(box.min[::-1], box.max[::-1]))
-    heads = (EmbeddingVolume(geom, v.data[sl], normalized=v.normalized) for v in (emb.coarse, emb.fine))
+    heads = (EmbeddingVolume(geom, v.data[sl]) for v in (emb.coarse, emb.fine))
     return EmbeddingSet(*heads)
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: exit codes and the adareg weights."""
 
+import dataclasses
 import inspect
 import struct
 import zlib
@@ -158,7 +159,7 @@ class TestMatchCommand:
         path.mkdir()
         for head in ("coarse", "fine"):
             rows = unit_rows(rng.normal(size=(216, 4)))[0].reshape(6, 6, 6, 4).astype(np.float32)
-            vol = EmbeddingVolume(VolumeGeometry((6, 6, 6)), rows, normalized=True)
+            vol = EmbeddingVolume(VolumeGeometry((6, 6, 6)), rows)
             write_volume(vol, path / f"{head}.evf")
 
     @pytest.mark.parametrize("method", ["nn", "fixpoint"])
@@ -213,14 +214,11 @@ class TestMatchCommand:
         assert "coarse.evf: expected EmbeddingVolume, found ScalarVolume" in err
         assert "Traceback" not in err
 
-    def test_normalized_flag_on_non_unit_vectors_is_a_data_error(self, tmp_path, capsys):
+    def test_non_unit_vectors_are_a_data_error(self, tmp_path, capsys):
         emb = tmp_path / "emb"
-        emb.mkdir()
+        self.write_embeddings(emb)
         for head in ("coarse", "fine"):
-            write_volume(EmbeddingVolume(VolumeGeometry((4, 4, 4)), np.full((4, 4, 4, 3), 2.0)), emb / f"{head}.evf")
-            raw = bytearray((emb / f"{head}.evf").read_bytes())
-            raw[48] = 1  # the header's normalized flag; the CRC covers the payload only
-            (emb / f"{head}.evf").write_bytes(bytes(raw))
+            rewrite_evf(emb / f"{head}.evf", 56, 2.0)  # the first row's first channel
         assert cli.main(["match", str(emb), "2,2,2", str(emb)]) == cli.DATA_ERROR
         err = capsys.readouterr().err
         assert "non-unit vectors" in err
@@ -231,12 +229,12 @@ class TestMatchInputSets:
     """Embedding directories that ``EmbeddingSet`` or the matcher reject are data errors."""
 
     @staticmethod
-    def write_head(path, head, geom=VolumeGeometry((6, 6, 6)), normalized=True, seed=0):
+    def write_head(path, head, geom=VolumeGeometry((6, 6, 6)), seed=0):
         rng = np.random.default_rng(seed)
         rows = unit_rows(rng.normal(size=(geom.n_voxels, 4)))[0]
         data = rows.reshape(geom.shape_zyx + (4,)).astype(np.float32)
         path.mkdir(exist_ok=True)
-        write_volume(EmbeddingVolume(geom, data, normalized=normalized), path / f"{head}.evf")
+        write_volume(EmbeddingVolume(geom, data), path / f"{head}.evf")
 
     def run(self, tmp_path, command, template, query, conf=""):
         (tmp_path / "run.conf").write_text(conf)
@@ -255,13 +253,14 @@ class TestMatchInputSets:
         assert not (tmp_path / "map.evf").exists()
 
     @pytest.mark.parametrize("command", ["match", "simmap"])
-    def test_head_not_flagged_normalized_is_a_data_error(self, tmp_path, capsys, command):
+    def test_head_without_the_unit_rows_flag_is_a_data_error(self, tmp_path, capsys, command):
         emb = tmp_path / "emb"
         self.write_head(emb, "coarse")
-        self.write_head(emb, "fine", normalized=False)
+        self.write_head(emb, "fine")
+        set_unit_rows_flag(emb / "fine.evf", 0)
         assert self.run(tmp_path, command, emb, emb) == cli.DATA_ERROR
         err = capsys.readouterr().err
-        assert "embedding heads must be normalized" in err
+        assert "unit-rows flag 0 does not fit volume kind 3" in err
         assert "Traceback" not in err
         assert not (tmp_path / "map.evf").exists()
 
@@ -291,7 +290,8 @@ class TestMatchInputSets:
 
 def write_embedding_evf(path):
     """A 40^3 x 3 embedding volume: valid EVF, but not a scalar or label volume."""
-    vol = EmbeddingVolume(VolumeGeometry((40, 40, 40)), np.random.default_rng(0).normal(size=(40, 40, 40, 3)))
+    rows = unit_rows(np.random.default_rng(0).normal(size=(40**3, 3)))[0]
+    vol = EmbeddingVolume(VolumeGeometry((40, 40, 40)), rows.reshape(40, 40, 40, 3))
     write_volume(vol, path)
 
 
@@ -315,7 +315,7 @@ class TestEmbedCommand:
         for head in ("coarse", "fine", "semantic"):
             out = read_volume(tmp_path / "out" / f"{head}.evf")
             m = getattr(mdl, f"w_{head}")
-            assert out.normalized and out.channels == m.shape[1] == 11
+            assert out.channels == m.shape[1] == 11
             got = out.data.reshape(-1, m.shape[1])
             if head == "coarse":  # the zero-vector rule: e1
                 np.testing.assert_array_equal(got, np.broadcast_to(np.eye(11)[0], got.shape))
@@ -510,6 +510,27 @@ class TestAdaregSettings:
         assert f"[{section}]" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_provenance_file_holds_every_field_in_order(self, inputs, tmp_path, monkeypatch, capsys):
+        registered = []
+        real = alignment.register_and_crop
+
+        def spy(*args, **kwargs):
+            registered.append(real(*args, **kwargs))
+            return registered[-1]
+
+        monkeypatch.setattr(alignment, "register_and_crop", spy)
+        conf = tmp_path / "run.conf"
+        conf.write_text("[align]\ngrid_spacing = 3\nsimilarity_floor = 0.3\nbody_threshold = 0.18\n")
+        code = cli.main([
+            "--config", str(conf), "adareg", str(inputs / "fixed.evf"), str(inputs / "moving.evf"),
+            str(inputs / "model.uaem"), str(tmp_path / "out"),
+        ])
+        assert code == 0
+        lines = (tmp_path / "out" / "provenance.txt").read_text().splitlines()
+        assert [line.split("=")[0] for line in lines] == [f.name for f in dataclasses.fields(alignment.AlignProvenance)]
+        (reg,) = registered
+        assert lines == [f"{name}={value}" for name, value in dataclasses.asdict(reg.provenance).items()]
 
     def test_threshold_below_every_voxel_is_a_data_error(self, inputs, tmp_path, capsys):
         conf = tmp_path / "run.conf"
@@ -720,6 +741,13 @@ def rewrite_evf(path, at, value):
     path.write_bytes(bytes(raw))
 
 
+def set_unit_rows_flag(path, flag):
+    """Overwrite an EVF header's unit-rows flag, which the payload CRC does not cover."""
+    raw = bytearray(path.read_bytes())
+    raw[48] = flag
+    path.write_bytes(bytes(raw))
+
+
 class TestBadVolumeData:
     """A CRC-valid EVF whose values are out of range is a data error."""
 
@@ -734,8 +762,22 @@ class TestBadVolumeData:
     def test_non_finite_scalar_payload_is_a_data_error(self, tmp_path, capsys, value):
         assert self.embed(tmp_path, 56, value) == cli.DATA_ERROR  # first voxel of the payload
         err = capsys.readouterr().err
-        assert "scalar payload holds non-finite values" in err
+        assert "scalar volume contains non-finite values" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,name", [(1, "vol.evf"), (2, "labels.evf")])
+    def test_scalar_or_label_volume_flagged_as_unit_rows_is_a_data_error(self, tmp_path, capsys, kind, name):
+        g = VolumeGeometry((8, 8, 8))
+        write_volume(ScalarVolume(g, np.zeros((8, 8, 8))), tmp_path / "vol.evf")
+        write_volume(LabelVolume(g, np.ones((8, 8, 8))), tmp_path / "labels.evf")
+        set_unit_rows_flag(tmp_path / name, 1)
+        (tmp_path / "manifest.txt").write_text("vol.evf labels.evf\n")
+        code = cli.main(["train", str(tmp_path / "manifest.txt"), str(tmp_path / "model.uaem")])
+        assert code == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"unit-rows flag 1 does not fit volume kind {kind}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.uaem").exists()
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_header_spacing_is_a_data_error(self, tmp_path, capsys, value):
@@ -757,6 +799,14 @@ class TestPhantomGenCommand:
     def run(tmp_path, conf, *args):
         (tmp_path / "run.conf").write_text(conf)
         return cli.main(["--config", str(tmp_path / "run.conf"), "--seed", "5", "phantom-gen", *args])
+
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_verbose_is_a_usage_error(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([flag, "phantom-gen", str(tmp_path / "out")])
+        assert exc.value.code == cli.USAGE_ERROR
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_writes_each_case(self, tmp_path, capsys):
         conf = "[phantom]\ndims = 32,32,32\nn_organs = 2\n"

@@ -37,7 +37,7 @@ def volumes():
         "scalar": ScalarVolume(GEOM, np.arange(12, dtype=np.float32).reshape(2, 2, 3) / 8 - 0.5),
         "label": LabelVolume(GEOM, (np.arange(12).reshape(2, 2, 3) % 5) * 1000),
         "embedding": EmbeddingVolume(
-            GEOM, np.array(ROWS, dtype=np.float32).reshape(2, 2, 3, 2), normalized=True, zero_substitutions=2,
+            GEOM, np.array(ROWS, dtype=np.float32).reshape(2, 2, 3, 2), zero_substitutions=2,
         ),
     }
 

@@ -64,7 +64,7 @@ def reference_heads(feats, mdl, heads):
 
 def reference_set(heads, geom, dtype):
     vols = {
-        h: EmbeddingVolume(geom, e.reshape(*geom.shape_zyx, -1).astype(dtype), normalized=True)
+        h: EmbeddingVolume(geom, e.reshape(*geom.shape_zyx, -1).astype(dtype))
         for h, (_, e, _, _) in heads.items()
     }
     return EmbeddingSet(coarse=vols["coarse"], fine=vols["fine"], semantic=vols.get("semantic"))

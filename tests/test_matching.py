@@ -8,7 +8,7 @@ import pytest
 
 from voxelmatch import matching
 from voxelmatch.alignment import AlignConfig, register_and_crop
-from voxelmatch.errors import DegenerateGeometry, DimensionMismatch, NonUnitInput, OutOfBounds, VoxelMatchError
+from voxelmatch.errors import DegenerateGeometry, DimensionMismatch, OutOfBounds, VoxelMatchError
 from voxelmatch.geometry import Point3, fit_affine, rigid_about, rotation_matrix
 from voxelmatch.matching import (
     EmbeddingSet,
@@ -34,7 +34,7 @@ from voxelmatch.volume import EmbeddingVolume, VolumeGeometry, resample, triline
 def unit_volume(geom, data):
     """Float32 normalized embedding volume of ``data``'s rows, through ``unit_rows``."""
     rows = unit_rows(np.asarray(data, dtype=np.float64).reshape(-1, data.shape[-1]))[0]
-    return EmbeddingVolume(geom, rows.reshape(data.shape).astype(np.float32), normalized=True)
+    return EmbeddingVolume(geom, rows.reshape(data.shape).astype(np.float32))
 
 
 def make_set(rng, dims=(6, 6, 6), d=4, data=None):
@@ -67,7 +67,7 @@ def shifted_copy(src: EmbeddingSet, shift_half, rng):
         dst_y = slice(max(0, dy), min(ny, ny + dy))
         dst_x = slice(max(0, dx), min(nx, nx + dx))
         data[dst_z, dst_y, dst_x] = vol.data[src_z, src_y, src_x]
-        out_heads[name] = EmbeddingVolume(vol.geometry, data, normalized=True)
+        out_heads[name] = EmbeddingVolume(vol.geometry, data)
     return EmbeddingSet(**out_heads)
 
 
@@ -88,7 +88,7 @@ class TestSimilarityMap:
         g = VolumeGeometry((4, 4, 4))
         v = np.zeros((4, 4, 4, 3))
         v[..., 0] = 1.0
-        vol = EmbeddingVolume(g, v, normalized=True)
+        vol = EmbeddingVolume(g, v)
         s = EmbeddingSet(coarse=vol, fine=vol)
         smap = similarity_map(s, (2, 2, 2), s, W)
         np.testing.assert_allclose(smap.data, 1.0, atol=1e-6)
@@ -151,7 +151,7 @@ class TestNNMatch:
         tv = a.fine.data[2, 1, 3].copy()
         data = b.fine.data.copy()
         data[4, 5, 1] = tv
-        b = EmbeddingSet(coarse=b.coarse, fine=EmbeddingVolume(b.fine.geometry, data, normalized=True))
+        b = EmbeddingSet(coarse=b.coarse, fine=EmbeddingVolume(b.fine.geometry, data))
         res = nn_match(a, (6.0, 2.0, 4.0), b, W_FINE)
         assert (res.point.x, res.point.y, res.point.z) == (2.0, 10.0, 8.0)
         assert abs(res.similarity - 1.0) < 1e-5
@@ -633,14 +633,9 @@ class TestHeadWidths:
 class TestEmbeddingSetChecks:
     def test_heads_of_different_geometry(self):
         a = make_set(np.random.default_rng(42))
-        other = EmbeddingVolume(VolumeGeometry((6, 6, 6), spacing=(2.0, 2.0, 2.0)), a.fine.data, normalized=True)
+        other = EmbeddingVolume(VolumeGeometry((6, 6, 6), spacing=(2.0, 2.0, 2.0)), a.fine.data)
         with pytest.raises(DimensionMismatch, match="share one geometry"):
             EmbeddingSet(coarse=a.coarse, fine=other)
-
-    def test_head_not_flagged_normalized(self):
-        a = make_set(np.random.default_rng(43))
-        with pytest.raises(NonUnitInput, match="must be normalized"):
-            EmbeddingSet(coarse=a.coarse, fine=EmbeddingVolume(a.geometry, a.fine.data))
 
 
 class TestMatcherWorkCount:
@@ -849,7 +844,7 @@ class TestNNChunking:
         g = VolumeGeometry((7, 7, 7))
         v = np.zeros((7, 7, 7, 3))
         v[..., 1] = 1.0
-        vol = EmbeddingVolume(g, v, normalized=True)
+        vol = EmbeddingVolume(g, v)
         s = EmbeddingSet(coarse=vol, fine=vol)
         pts = lattice_points((7, 7, 7))
         assert len(pts) > _NN_CHUNK
@@ -868,8 +863,8 @@ class TestNNChunking:
             fine[iz, iy, ix] = tv_f
             coarse[iz, iy, ix] = tv_c
         b = EmbeddingSet(
-            coarse=EmbeddingVolume(b.coarse.geometry, coarse, normalized=True),
-            fine=EmbeddingVolume(b.fine.geometry, fine, normalized=True),
+            coarse=EmbeddingVolume(b.coarse.geometry, coarse),
+            fine=EmbeddingVolume(b.fine.geometry, fine),
         )
         t = (2.0, 4.0, 6.0)
         pts = [(0.0, 0.0, 0.0)] * (_NN_CHUNK - 1) + [t, t] + [(2.0, 2.0, 2.0)] * 3
@@ -910,7 +905,7 @@ def edge_set(rng, dims, basis, d):
         ch = rng.integers(0, d, n)
         rows[moved, ch[moved]] = np.nextafter(rows[moved, ch[moved]], np.float32(np.inf))
         nx, ny, nz = dims
-        heads[name] = EmbeddingVolume(VolumeGeometry(dims), rows.reshape(nz, ny, nx, d), normalized=True)
+        heads[name] = EmbeddingVolume(VolumeGeometry(dims), rows.reshape(nz, ny, nx, d))
     return EmbeddingSet(**heads)
 
 
@@ -1018,7 +1013,7 @@ class TestCanonicalEngine:
         rows[:, 3] = 1.0  # every other voxel scores 0
         rows[17] = low
         rows[42] = high if later_wins else low
-        fine = EmbeddingVolume(VolumeGeometry(dims), rows.reshape(3, 4, 5, 4), normalized=True)
+        fine = EmbeddingVolume(VolumeGeometry(dims), rows.reshape(3, 4, 5, 4))
         a = make_set(np.random.default_rng(1), dims=dims)
         b = EmbeddingSet(coarse=fine, fine=fine)
         matcher = _PairMatcher(a, b, W_FINE)
@@ -1052,8 +1047,8 @@ class TestCanonicalEngine:
             fine[iz, iy, ix] = a.fine.data[3, 2, 1]
             coarse[iz, iy, ix] = a.coarse.data[3, 2, 1]
         b = EmbeddingSet(
-            coarse=EmbeddingVolume(b.coarse.geometry, coarse, normalized=True),
-            fine=EmbeddingVolume(b.fine.geometry, fine, normalized=True),
+            coarse=EmbeddingVolume(b.coarse.geometry, coarse),
+            fine=EmbeddingVolume(b.fine.geometry, fine),
         )
         got = grid_match([(2.0, 4.0, 6.0)] * n_points, a, b, W)
         for r in got:
@@ -1107,7 +1102,7 @@ class TestNNMemory:
         a = make_set(rng, dims=dims, d=11)
         e1 = np.zeros((32, 32, 32, 11), dtype=np.float32)
         e1[..., 0] = 1.0
-        vol = EmbeddingVolume(VolumeGeometry(dims), e1, normalized=True)
+        vol = EmbeddingVolume(VolumeGeometry(dims), e1)
         b = EmbeddingSet(coarse=vol, fine=vol)
         pts = [tuple(p) for p in rng.uniform(0.0, 62.0, size=(_NN_CHUNK + 3, 3))]
         tracemalloc.start()

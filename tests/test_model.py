@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -978,6 +979,14 @@ class TestTrain:
         vol, _ = phantom_working(43)
         with pytest.raises(DivergedLoss, match="non-finite fine weights"):
             train([vol], small_cfg(steps=1, learning_rate=10.0), augment_spec=AugmentSpec(patch_size=(20, 20, 20)))
+
+    def test_a_nan_semantic_loss_diverges(self, monkeypatch):
+        # NaN is also the log's value for a step without a semantic batch, but no batch's loss
+        real = model_mod.proto_supcon
+        monkeypatch.setattr(model_mod, "proto_supcon", lambda batch: replace(real(batch), value=math.nan))
+        vol, labels, _ = gen_phantom(PhantomSpec(dims=(32, 32, 32), spacing=2.0, seed=43))
+        with pytest.raises(DivergedLoss, match="non-finite loss at step 0"):
+            train([(vol, labels)], small_cfg(steps=1), augment_spec=AugmentSpec(patch_size=(20, 20, 20)))
 
     def test_patch_draw_without_overlap_is_skipped(self, monkeypatch):
         # about 6% of these wide-motion draws leave the patches no overlap

@@ -1,6 +1,7 @@
 """Tests for volume types, EVF I/O, resampling, sampling, masking, cropping."""
 
 import io
+import math
 import struct
 import zlib
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from voxelmatch import volume
 from voxelmatch.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -45,7 +47,18 @@ from voxelmatch.volume import (
 )
 
 
-ZERO_SUBS_OFFSET = 49  # magic, kind, dtype, reserved, dims, channels, spacing, origin, normalized
+UNIT_FLAG_OFFSET = 48  # magic, kind, dtype, reserved, dims, channels, spacing, origin
+ZERO_SUBS_OFFSET = 49  # after the unit-rows flag
+
+
+def small_volume(kind):
+    """A 2x2x2 volume of one EVF kind: "scalar", "label" or "embedding"."""
+    g = VolumeGeometry((2, 2, 2))
+    return {
+        "embedding": EmbeddingVolume(g, np.ones((2, 2, 2, 1), np.float32)),
+        "scalar": ScalarVolume(g, np.zeros((2, 2, 2), np.float32)),
+        "label": LabelVolume(g, np.zeros((2, 2, 2), np.uint16)),
+    }[kind]
 
 
 def roundtrip(vol):
@@ -81,18 +94,18 @@ class TestEvfIO:
         rng = np.random.default_rng(1)
         data = unit_rows(rng.normal(size=(27, 2)))[0].reshape(3, 3, 3, 2).astype(np.float32)
         emb = EmbeddingVolume(
-            VolumeGeometry((3, 3, 3), (0.5, 0.5, 2.0), (0.0, 0.0, -7.0)), data, normalized=True
+            VolumeGeometry((3, 3, 3), (0.5, 0.5, 2.0), (0.0, 0.0, -7.0)), data
         )
-        back, _ = roundtrip(emb)
+        back, raw = roundtrip(emb)
         assert isinstance(back, EmbeddingVolume)
-        assert back.normalized is True
+        assert raw[UNIT_FLAG_OFFSET] == 1
         assert back.geometry.spacing == emb.geometry.spacing
         assert back.data.tobytes() == emb.data.tobytes()
 
     def test_embedding_roundtrip_keeps_zero_substitutions(self):
         data = np.zeros((2, 3, 4, 3), np.float32)
         data[..., 0] = 1.0
-        emb = EmbeddingVolume(VolumeGeometry((4, 3, 2)), data, normalized=True, zero_substitutions=24)
+        emb = EmbeddingVolume(VolumeGeometry((4, 3, 2)), data, zero_substitutions=24)
         back, raw = roundtrip(emb)
         assert back.zero_substitutions == 24
         assert struct.unpack_from("<I", raw, ZERO_SUBS_OFFSET) == (24,)
@@ -109,17 +122,29 @@ class TestEvfIO:
 
     @pytest.mark.parametrize("kind,count", [("embedding", 9), ("scalar", 1), ("label", 1)])
     def test_substitution_count_out_of_range_is_malformed(self, kind, count):
-        g = VolumeGeometry((2, 2, 2))
-        vol = {
-            "embedding": EmbeddingVolume(g, np.ones((2, 2, 2, 1), np.float32), normalized=True),
-            "scalar": ScalarVolume(g, np.zeros((2, 2, 2), np.float32)),
-            "label": LabelVolume(g, np.zeros((2, 2, 2), np.uint16)),
-        }[kind]
-        _, raw = roundtrip(vol)
+        _, raw = roundtrip(small_volume(kind))
         broken = bytearray(raw)
         struct.pack_into("<I", broken, ZERO_SUBS_OFFSET, count)  # 8 voxels
         with pytest.raises(MalformedFile):
             read_volume(io.BytesIO(bytes(broken)))
+
+    @pytest.mark.parametrize("kind,flag", [("embedding", 1), ("scalar", 0), ("label", 0)])
+    def test_the_kind_fixes_the_unit_rows_flag(self, kind, flag):
+        _, raw = roundtrip(small_volume(kind))
+        assert raw[UNIT_FLAG_OFFSET] == flag
+        for other in (1 - flag, 2):
+            broken = bytearray(raw)
+            broken[UNIT_FLAG_OFFSET] = other  # the CRC covers the payload only
+            with pytest.raises(MalformedFile, match=f"unit-rows flag {other} does not fit"):
+                read_volume(io.BytesIO(bytes(broken)))
+
+    def test_scalar_payload_is_checked_for_finiteness_once(self, monkeypatch):
+        _, raw = roundtrip(ScalarVolume(VolumeGeometry((3, 2, 2)), np.zeros((2, 2, 3), np.float32)))
+        calls = []
+        all_finite = volume._all_finite
+        monkeypatch.setattr(volume, "_all_finite", lambda data: calls.append(data.shape) or all_finite(data))
+        read_volume(io.BytesIO(raw))
+        assert len(calls) == 1
 
     def test_bad_magic(self):
         _, raw = roundtrip(ScalarVolume(VolumeGeometry((2, 2, 2)), np.zeros((2, 2, 2), np.float32)))
@@ -375,15 +400,15 @@ class TestSlabs:
 
 
 class TestTrilinear:
-    def make_emb(self, data, normalized=False):
+    def make_emb(self, data):
         nz, ny, nx, d = data.shape
-        return EmbeddingVolume(VolumeGeometry((nx, ny, nz)), data, normalized=normalized)
+        return EmbeddingVolume(VolumeGeometry((nx, ny, nz)), data)
 
     def test_exact_at_voxel_centers(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(4, 4, 4, 3))
         norm = data / np.linalg.norm(data, axis=3, keepdims=True)
-        emb = self.make_emb(norm.astype(np.float32), normalized=True)
+        emb = self.make_emb(norm.astype(np.float32))
         for p in [(0, 0, 0), (3, 3, 3), (2, 1, 3)]:
             out = trilinear_sample_many(emb, p)[0]
             np.testing.assert_allclose(out, emb.data[p[2], p[1], p[0]], atol=1e-6)
@@ -391,7 +416,7 @@ class TestTrilinear:
     def test_midpoint_of_identical_vectors(self):
         data = np.zeros((1, 1, 2, 3))
         data[..., 1] = 1.0
-        emb = self.make_emb(data, normalized=True)
+        emb = self.make_emb(data)
         out = trilinear_sample_many(emb, (0.5, 0, 0))[0]
         np.testing.assert_allclose(out, [0, 1, 0], atol=1e-12)
 
@@ -400,7 +425,7 @@ class TestTrilinear:
         data = np.zeros((1, 1, 2, 3))
         data[0, 0, 0, 0] = 1.0
         data[0, 0, 1, 1] = 1.0
-        emb = self.make_emb(data, normalized=True)
+        emb = self.make_emb(data)
         out = trilinear_sample_many(emb, (0.5, 0, 0))[0]
         np.testing.assert_allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-12)
 
@@ -437,7 +462,7 @@ def trilinear_inline_corners(emb, pts):
                     continue
                 ix, iy, iz = (base[:, k] + c * steps[k] for k, c in enumerate((cx, cy, cz)))
                 out += w[:, None] * data[(iz * ny + iy) * nx + ix]
-    return unit_rows(out)[0] if emb.normalized else out
+    return unit_rows(out)[0]
 
 
 class TestFlatIndex:
@@ -464,13 +489,10 @@ class TestFlatIndex:
 
 class TestTrilinearCorners:
     @pytest.mark.parametrize("dims", [(6, 5, 4), (1, 4, 3), (3, 1, 1), (1, 1, 1), (2, 7, 2)])
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_samples_equal_the_inline_corner_oracle(self, dims, normalized):
+    def test_samples_equal_the_inline_corner_oracle(self, dims):
         rng = np.random.default_rng(sum(dims))
-        data = rng.normal(size=dims[::-1] + (5,))
-        if normalized:
-            data = unit_rows(data.reshape(-1, 5))[0].reshape(data.shape)
-        emb = EmbeddingVolume(VolumeGeometry(dims), data, normalized=normalized)
+        data = unit_rows(rng.normal(size=(math.prod(dims), 5)))[0].reshape(dims[::-1] + (5,))
+        emb = EmbeddingVolume(VolumeGeometry(dims), data)
         lattice = VolumeGeometry(dims).voxel_points()
         pts = np.concatenate([rng.uniform(0.0, np.array(dims) - 1.0, size=(200, 3)), lattice])
         got = trilinear_sample_many(emb, pts)
@@ -485,9 +507,15 @@ class TestNormalizedEmbeddingVolume:
         data[1, 0, 1, 2] = bad
         data[0, 1, 1] = 0.0  # a zero row is allowed
         with pytest.raises(NonUnitInput):
-            EmbeddingVolume(VolumeGeometry((2, 2, 2)), data, normalized=True)
+            EmbeddingVolume(VolumeGeometry((2, 2, 2)), data)
         data[1, 0, 1, 2] = 0.0
-        EmbeddingVolume(VolumeGeometry((2, 2, 2)), data, normalized=True)
+        EmbeddingVolume(VolumeGeometry((2, 2, 2)), data)
+
+    def test_normalized_is_no_setting(self):
+        data = np.zeros((1, 1, 1, 2))
+        data[..., 0] = 1.0
+        with pytest.raises(TypeError, match="normalized"):
+            EmbeddingVolume(VolumeGeometry((1, 1, 1)), data, normalized=True)
 
     def test_substitutions_lie_between_zero_and_the_voxel_count(self):
         data = np.zeros((2, 3, 4, 2), np.float32)
@@ -557,7 +585,7 @@ class TestRowNormRule:
         assert volume_ok.any() and not volume_ok.all() and loss_ok.any() and not loss_ok.all()
         for row, v_ok, l_ok in zip(rows, volume_ok, loss_ok):
             try:
-                EmbeddingVolume(VolumeGeometry((1, 1, 1)), row.reshape(1, 1, 1, d), normalized=True)
+                EmbeddingVolume(VolumeGeometry((1, 1, 1)), row.reshape(1, 1, 1, d))
                 assert v_ok
             except NonUnitInput:
                 assert not v_ok
@@ -914,7 +942,8 @@ class TestRoundTripFuzz:
                 vol = LabelVolume(geom, rng.integers(0, 9, size=shape).astype(np.uint16))
             else:
                 d = int(rng.integers(1, 5))
-                vol = EmbeddingVolume(geom, rng.normal(size=(*shape, d)).astype(np.float32))
+                rows = unit_rows(rng.normal(size=(math.prod(shape), d)))[0]
+                vol = EmbeddingVolume(geom, rows.reshape(*shape, d).astype(np.float32))
             back, raw = roundtrip(vol)
             buf = io.BytesIO()
             write_volume(back, buf)
