@@ -101,8 +101,12 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _read_volume(path, kind):
-    """Read an EVF file that must hold a ``kind`` volume (scalar, label or embedding)."""
-    vol = volume.read_volume(path)
+    """Read an EVF file that must hold a ``kind`` volume (scalar, label or embedding);
+    each of its data errors names the file, keeping its class."""
+    try:
+        vol = volume.read_volume(path)
+    except VoxelMatchError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     if not isinstance(vol, kind):
         raise VoxelMatchError(f"{path}: expected {kind.__name__}, found {type(vol).__name__}")
     return vol
@@ -234,10 +238,8 @@ def _cmd_adareg(args, cfg: RunConfig) -> int:
     volume.write_volume(reg.moving, out / "moving.evf")
     volume.write_volume(reg.overlap_mask, out / "overlap_mask.evf")
     with open(out / "rigid.txt", "w", encoding="ascii") as f:
-        for row in reg.rigid.rotation:
-            f.write(f"{row[0]!r} {row[1]!r} {row[2]!r}\n")
-        t = reg.rigid.translation
-        f.write(f"{t[0]!r} {t[1]!r} {t[2]!r}\n")
+        for row in (*reg.rigid.rotation, reg.rigid.translation):
+            f.write(" ".join(repr(float(v)) for v in row) + "\n")
     prov = reg.provenance
     with open(out / "provenance.txt", "w", encoding="ascii") as f:
         for field in fields(prov):

@@ -56,7 +56,6 @@ from .errors import (
 from .losses import (
     LabeledBatch,
     PairBatch,
-    _check_unit,
     appearance_infonce,
     crossmod_infonce,
     proto_supcon,
@@ -411,7 +410,7 @@ def embed(vol: ScalarVolume, model: ProjectionModel) -> EmbeddingSet:
     maps = {"fine": model.w_fine, "coarse": model.w_coarse}
     if model.w_semantic is not None:
         maps["semantic"] = model.w_semantic
-    return _SideState(*_features(vol), maps).embedding_set(np.float32)
+    return _SideState(*_features(vol), maps).embedding_set()
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +473,9 @@ def _sample_side(
     """Sample one PairBatch from the pair's ``usable_anchors``; FOV negatives
     (``n_fov`` > 0) come from outside the pair's ``overlap_b``.
 
-    Any query row can be drawn as a negative, and only its similarity
-    reaches the loss, so the whole query table must be unit
-    (``NonUnitInput`` otherwise).
+    ``emb_a_flat`` and ``emb_b_flat`` are one head's ``unit_rows`` of the
+    two sides, so no row is checked here.
     """
-    _check_unit("query", emb_b_flat)
     half_b = half_geometry(pair.patch_b.geometry)
     anchors_half, corr_full_b, rounded = pair.usable_anchors
     if len(anchors_half) < n_pos:
@@ -612,21 +609,22 @@ def _hardest(neg_sims: np.ndarray, n_neg: int) -> np.ndarray:
 
 def sample_training_batch(
     pair: PatchPair,
-    emb_a: EmbeddingSet,
-    emb_b: EmbeddingSet,
+    side_a: _SideState,
+    side_b: _SideState,
     cfg: TrainConfig,
     rng: np.random.Generator,
     use_fov: bool = False,
 ):
     """Sample fine and coarse PairBatches (and a LabeledBatch when labels exist).
 
-    Positives come uniformly from the overlap correspondence (query side
-    rounded to its embedding grid); negatives keep a minimum distance to the
-    anchor's true correspondent, after which only the hardest fraction by
-    current similarity survives; FOV negatives come from outside the overlap.
-    Negatives enter a ``PairBatch`` as query voxel indices with their
-    similarities to the anchor, not as vectors.  Raises ``NonUnitInput``
-    when a query embedding row is not unit.
+    ``side_a`` and ``side_b`` are the ``_SideState``s of the template and
+    query patches that ``_pair_batch_grad`` then reads; labels need a
+    semantic head in ``side_a``.  Positives come uniformly from the overlap
+    correspondence (query side rounded to its embedding grid); negatives
+    keep a minimum distance to the anchor's true correspondent, after which
+    only the hardest fraction by current similarity survives; FOV negatives
+    come from outside the overlap.  Negatives enter a ``PairBatch`` as query
+    voxel indices with their similarities to the anchor, not as vectors.
 
     The sampling contract, which fixes every draw from ``rng``.  The fine
     side samples first, then the coarse side, then the semantic classes.
@@ -651,27 +649,24 @@ def sample_training_batch(
     that keep this contract; the test suite holds the sampler to the
     per-anchor loop it replaced.
     """
-    def flat(vol):  # no copy of the float64 embeddings that ``train`` passes
-        return np.asarray(vol.data.reshape(-1, vol.channels), dtype=np.float64)
-
     fine = _sample_side(
-        pair, flat(emb_a.fine), flat(emb_b.fine),
+        pair, side_a.heads["fine"][1], side_b.heads["fine"][1],
         cfg.n_pos_fine, cfg.n_neg_fine, cfg.neg_min_dist_fine, cfg.hard_negative_fraction,
         cfg.tau_cross if use_fov else cfg.tau_appearance, rng,
         n_fov=cfg.n_fov_fine if use_fov else 0,
     )
     coarse = _sample_side(  # scored by appearance_infonce on every step
-        pair, flat(emb_a.coarse), flat(emb_b.coarse),
+        pair, side_a.heads["coarse"][1], side_b.heads["coarse"][1],
         cfg.n_pos_coarse, cfg.n_neg_coarse, cfg.neg_min_dist_coarse, cfg.hard_negative_fraction,
         cfg.tau_appearance, rng,
     )
     labeled = None
-    if pair.labels_a is not None and emb_a.semantic is not None:
+    if pair.labels_a is not None and "semantic" in side_a.heads:
         lab_half = pair.labels_a.data[::2, ::2, ::2].ravel()
         classes = np.unique(lab_half)
         classes = classes[classes > 0]
         blocks, idxs = [], []
-        sem_flat = flat(emb_a.semantic)
+        sem_flat = side_a.heads["semantic"][1]
         for cls in classes:
             members = np.nonzero(lab_half == cls)[0]
             if len(members) > cfg.semantic_per_class:
@@ -693,7 +688,8 @@ class _SideState:
     The one place where a head's (F, k) map M turns feature rows f into
     unit rows normalize(f M); the coarse head reads the coarse rows, the
     others the fine ones.  ``heads`` maps each head name of ``maps`` to
-    (features, embeddings, norms, zero mask).
+    (features, float64 unit rows, norms, zero mask).  ``train`` hands its
+    two per batch to the sampler and backprop; ``embed`` wraps one as volumes.
     """
 
     def __init__(self, feats_fine, feats_coarse, geom, maps):
@@ -703,11 +699,10 @@ class _SideState:
             f = feats_coarse if h == "coarse" else feats_fine
             self.heads[h] = (f, *unit_rows(f @ m))
 
-    def embedding_set(self, dtype=np.float64) -> EmbeddingSet:
+    def embedding_set(self) -> EmbeddingSet:
         vols = {
             h: EmbeddingVolume(
-                self.geom, e.reshape(*self.geom.shape_zyx, -1).astype(dtype, copy=False),
-                zero_substitutions=int(zero.sum()),
+                self.geom, e.reshape(*self.geom.shape_zyx, -1), zero_substitutions=int(zero.sum())
             )
             for h, (_, e, _, zero) in self.heads.items()
         }
@@ -791,13 +786,14 @@ def train(
     registers new pairs each round, so each of its calls still runs the
     bank once per drawn pair.
 
-    Each step embeds with each head's (F, k) map M, samples and evaluates
-    the losses on the k-wide embeddings, backprops an (F, k) gradient G and
-    runs the momentum update on M.  A model whose heads were (F, D) matrices
-    W = M Q^T would train to the same similarities: every loss gradient with
-    respect to an embedding is a combination of embeddings, so W's gradient
-    is G Q^T and W never leaves M's span.  When ``init`` has no semantic head
-    and one is trained, it is drawn as ``new_model`` draws one.
+    Each step embeds with each head's (F, k) map M into one ``_SideState``
+    per batch side, samples and evaluates the losses on its k-wide rows,
+    backprops an (F, k) gradient G and runs the momentum update on M.  A
+    model whose heads were (F, D) matrices W = M Q^T would train to the same
+    similarities: every loss gradient with respect to an embedding is a
+    combination of embeddings, so W's gradient is G Q^T and W never leaves
+    M's span.  When ``init`` has no semantic head and one is trained, it is
+    drawn as ``new_model`` draws one.
 
     Backprop runs per voxel, not per sampled row.  The InfoNCE losses see
     only similarities s = a . e of an anchor a with a query voxel e, and
@@ -868,9 +864,7 @@ def train(
                 feats_a, feats_b = _features(pp.patch_a), _features(pp.patch_b)
             side_a, side_b = _SideState(*feats_a, maps), _SideState(*feats_b, maps)
             try:
-                fine_b, coarse_b, labeled = sample_training_batch(
-                    pp, side_a.embedding_set(), side_b.embedding_set(), cfg, rng, use_fov=paired_step
-                )
+                fine_b, coarse_b, labeled = sample_training_batch(pp, side_a, side_b, cfg, rng, use_fov=paired_step)
             except InsufficientOverlap:
                 continue  # skip pathological draws, the step still updates on other items
             n_ran += 1

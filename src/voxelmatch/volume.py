@@ -239,18 +239,17 @@ class LabelVolume:
 class EmbeddingVolume:
     """Dense grid of D-dimensional unit vectors, typically at half the image resolution.
 
-    Every row is unit within 1e-4, or zero (``NonUnitInput`` otherwise):
-    the cosine similarities of matching need no other check of the rows.
+    Stored as float32, the EVF payload type.  Every stored row is unit
+    within 1e-4, or zero (``NonUnitInput`` otherwise): the cosine
+    similarities of matching need no other check of the rows.
     """
 
     geometry: VolumeGeometry
-    data: np.ndarray  # (nz, ny, nx, D)
+    data: np.ndarray  # (nz, ny, nx, D) float32
     zero_substitutions: int = 0
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data)
-        if self.data.dtype not in (np.float32, np.float64):
-            self.data = self.data.astype(np.float32)
+        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         if self.data.ndim != 4 or self.data.shape[:3] != self.geometry.shape_zyx:
             raise ValueError(
                 f"data shape {self.data.shape} does not match dims {self.geometry.dims}"

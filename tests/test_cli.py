@@ -13,6 +13,7 @@ from voxelmatch.geometry import Point3
 from voxelmatch.matching import FixpointConfig, SimilarityWeights, grid_match
 from voxelmatch.metrics import write_landmarks
 from voxelmatch.config import load_config
+from voxelmatch.errors import MalformedFile
 from voxelmatch.model import DescriptorBank, ProjectionModel, embed, new_model, save_model
 from voxelmatch.phantom import PhantomSpec, gen_phantom
 from voxelmatch.volume import (
@@ -264,6 +265,17 @@ class TestMatchInputSets:
         assert "Traceback" not in err
         assert not (tmp_path / "map.evf").exists()
 
+    def test_an_evf_data_error_names_its_file(self, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        self.write_head(emb, "coarse")
+        self.write_head(emb, "fine")
+        set_unit_rows_flag(emb / "fine.evf", 0)
+        assert self.run(tmp_path, "match", emb, emb) == cli.DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"voxelmatch: {emb / 'fine.evf'}: unit-rows flag 0 does not fit volume kind 3\n" in err
+        with pytest.raises(MalformedFile):  # the error keeps its class
+            cli._read_volume(emb / "fine.evf", EmbeddingVolume)
+
     @pytest.mark.parametrize("command", ["match", "simmap"])
     def test_semantic_weight_with_a_query_lacking_the_head_is_renormalized(self, tmp_path, capsys, command):
         # the weights renormalize when either side lacks the semantic head, so
@@ -511,7 +523,9 @@ class TestAdaregSettings:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_provenance_file_holds_every_field_in_order(self, inputs, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def registered(inputs, tmp_path, monkeypatch):
+        """Run ``adareg`` into tmp_path/out, which must exit 0; returns the pair it registered."""
         registered = []
         real = alignment.register_and_crop
 
@@ -527,10 +541,20 @@ class TestAdaregSettings:
             str(inputs / "model.uaem"), str(tmp_path / "out"),
         ])
         assert code == 0
+        (reg,) = registered
+        return reg
+
+    def test_provenance_file_holds_every_field_in_order(self, inputs, tmp_path, monkeypatch, capsys):
+        reg = self.registered(inputs, tmp_path, monkeypatch)
         lines = (tmp_path / "out" / "provenance.txt").read_text().splitlines()
         assert [line.split("=")[0] for line in lines] == [f.name for f in dataclasses.fields(alignment.AlignProvenance)]
-        (reg,) = registered
         assert lines == [f"{name}={value}" for name, value in dataclasses.asdict(reg.provenance).items()]
+
+    def test_rigid_file_reads_back_as_the_registered_transform(self, inputs, tmp_path, monkeypatch, capsys):
+        reg = self.registered(inputs, tmp_path, monkeypatch)
+        lines = (tmp_path / "out" / "rigid.txt").read_text().splitlines()
+        back = np.array([[float(v) for v in line.split()] for line in lines])
+        assert back.tobytes() == np.vstack([reg.rigid.rotation, reg.rigid.translation]).tobytes()
 
     def test_threshold_below_every_voxel_is_a_data_error(self, inputs, tmp_path, capsys):
         conf = tmp_path / "run.conf"

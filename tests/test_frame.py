@@ -10,6 +10,7 @@ everywhere.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,19 +63,15 @@ def reference_heads(feats, mdl, heads):
     return out
 
 
-def reference_set(heads, geom, dtype):
-    vols = {
-        h: EmbeddingVolume(geom, e.reshape(*geom.shape_zyx, -1).astype(dtype))
-        for h, (_, e, _, _) in heads.items()
-    }
-    return EmbeddingSet(coarse=vols["coarse"], fine=vols["fine"], semantic=vols.get("semantic"))
-
-
 def reference_embed(vol, mdl):
     """float32 D-wide embeddings normalize(f W) of each head."""
     feats, geom = BANK.compute(vol)
     names = ["coarse", "fine"] + (["semantic"] if mdl.w_semantic is not None else [])
-    return reference_set(reference_heads(feats, mdl, names), geom, np.float32)
+    vols = {
+        h: EmbeddingVolume(geom, e.reshape(*geom.shape_zyx, -1))
+        for h, (_, e, _, _) in reference_heads(feats, mdl, names).items()
+    }
+    return EmbeddingSet(coarse=vols["coarse"], fine=vols["fine"], semantic=vols.get("semantic"))
 
 
 class TestHeadFrame:
@@ -151,11 +148,12 @@ def reference_gradients(calls, mdl, cfg, heads):
     for pp, state, use_fov, got_batches in calls:
         side_a = reference_heads(BANK.compute(pp.patch_a)[0], mdl, heads)
         side_b = reference_heads(BANK.compute(pp.patch_b)[0], mdl, heads)
-        set_a = reference_set(side_a, half_geometry(pp.patch_a.geometry), np.float64)
-        set_b = reference_set(side_b, half_geometry(pp.patch_b.geometry), np.float64)
         rng = np.random.default_rng()
         rng.bit_generator.state = state
-        fine_b, coarse_b, labeled = sample_training_batch(pp, set_a, set_b, cfg, rng, use_fov)
+        # the sampler reads only a side's heads, so the D-wide ones stand in
+        fine_b, coarse_b, labeled = sample_training_batch(
+            pp, SimpleNamespace(heads=side_a), SimpleNamespace(heads=side_b), cfg, rng, use_fov
+        )
         for ref_b, got_b in zip((fine_b, coarse_b), got_batches[:2]):
             for attr in ("anchor_indices", "positive_indices", "negative_indices", "fov_indices"):
                 np.testing.assert_array_equal(getattr(ref_b, attr), getattr(got_b, attr))
@@ -192,9 +190,9 @@ def recording(monkeypatch):
     calls = []
     real = model_mod.sample_training_batch
 
-    def spy(pair, emb_a, emb_b, cfg, rng, use_fov=False):
+    def spy(pair, side_a, side_b, cfg, rng, use_fov=False):
         state = rng.bit_generator.state
-        out = real(pair, emb_a, emb_b, cfg, rng, use_fov)
+        out = real(pair, side_a, side_b, cfg, rng, use_fov)
         calls.append((pair, state, use_fov, out))
         return out
 

@@ -567,6 +567,14 @@ def phantom_working(seed, dims=(48, 48, 48)):
     return resample(vol, 2.0), labels
 
 
+def side_states(pair, mdl):
+    """The ``_SideState``s of ``pair``'s two patches under each of ``mdl``'s heads."""
+    maps = {"fine": mdl.w_fine, "coarse": mdl.w_coarse}
+    if mdl.w_semantic is not None:
+        maps["semantic"] = mdl.w_semantic
+    return tuple(model_mod._SideState(*model_mod._features(p), maps) for p in (pair.patch_a, pair.patch_b))
+
+
 class TestSampleTrainingBatch:
     def setup_method(self):
         rng = np.random.default_rng(12)
@@ -574,20 +582,19 @@ class TestSampleTrainingBatch:
         self.spec = AugmentSpec(patch_size=(20, 20, 20))
         self.pair = sample_patch_pair(self.vol, None, self.spec, seed=1)
         self.model = new_model(rng)
-        self.emb_a = embed(self.pair.patch_a, self.model)
-        self.emb_b = embed(self.pair.patch_b, self.model)
+        self.side_a, self.side_b = side_states(self.pair, self.model)
 
     def test_negative_distance_rule_holds(self):
         cfg = small_cfg(n_pos_fine=32, n_neg_fine=64)
         rng = np.random.default_rng(13)
         fine, coarse, labeled = sample_training_batch(
-            self.pair, self.emb_a, self.emb_b, cfg, rng
+            self.pair, self.side_a, self.side_b, cfg, rng
         )
         assert labeled is None
         # reconstruct the correspondent of each anchor and audit distances
-        full_a = self.emb_a.fine.geometry.index_points(fine.anchor_indices) * 2.0
+        full_a = self.side_a.geom.index_points(fine.anchor_indices) * 2.0
         corr = self.pair.a_to_b_voxels(full_a)
-        neg_full = self.emb_b.fine.geometry.index_points(fine.negative_indices) * 2.0
+        neg_full = self.side_b.geom.index_points(fine.negative_indices) * 2.0
         d = np.linalg.norm(neg_full - corr[:, None, :], axis=2)
         assert d.min() > cfg.neg_min_dist_fine
 
@@ -597,7 +604,7 @@ class TestSampleTrainingBatch:
         # paired step's fine batch goes to crossmod_infonce
         cfg = small_cfg(tau_cross=0.3)
         fine, coarse, _ = sample_training_batch(
-            self.pair, self.emb_a, self.emb_b, cfg, np.random.default_rng(0), use_fov=use_fov
+            self.pair, self.side_a, self.side_b, cfg, np.random.default_rng(0), use_fov=use_fov
         )
         assert fine.temperature == (cfg.tau_cross if use_fov else cfg.tau_appearance)
         assert coarse.temperature == cfg.tau_appearance == 0.5
@@ -606,7 +613,7 @@ class TestSampleTrainingBatch:
         cfg = small_cfg(n_pos_fine=10_000)
         with pytest.raises(InsufficientOverlap):
             sample_training_batch(
-                self.pair, self.emb_a, self.emb_b, cfg, np.random.default_rng(0)
+                self.pair, self.side_a, self.side_b, cfg, np.random.default_rng(0)
             )
 
     def test_labeled_batch_classes_nonempty(self):
@@ -632,10 +639,9 @@ class TestSampleTrainingBatch:
         spec = AugmentSpec(patch_size=(20, 20, 20), rotation_degrees=0.0,
                            scale_range=(1.0, 1.0))
         pair = sample_patch_pair(vol, lab_working, spec, seed=3)
-        emb_a = embed(pair.patch_a, model)
-        emb_b = embed(pair.patch_b, model)
+        side_a, side_b = side_states(pair, model)
         fine, coarse, labeled = sample_training_batch(
-            pair, emb_a, emb_b, small_cfg(), rng
+            pair, side_a, side_b, small_cfg(), rng
         )
         assert labeled is not None
         assert all(len(b) > 0 for b in labeled.class_embeddings)
@@ -1074,6 +1080,23 @@ class TestTrain:
         save_model(m1, b1)
         save_model(m2, b2)
         assert b1.getvalue() == b2.getvalue()
+
+    def test_builds_no_embedding_volume(self, monkeypatch):
+        # the sampler reads the unit rows of the sides that backprop reads
+        built = []
+        real = model_mod.EmbeddingVolume
+
+        def counting(*args, **kwargs):
+            built.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "EmbeddingVolume", counting)
+        vol, _ = phantom_working(45)
+        _, log = train([vol], small_cfg(steps=2), mode="aggressive", augment_spec=AugmentSpec(patch_size=(20, 20, 20)))
+        assert all(r["loss_fine"] > 0 for r in log)  # no step was skipped
+        assert built == []
+        embed(vol, new_model(np.random.default_rng(0)))  # the count sees every head ``embed`` wraps
+        assert len(built) == 2
 
     def test_loss_log_rows(self):
         vol, _ = phantom_working(45)

@@ -511,6 +511,12 @@ class TestNormalizedEmbeddingVolume:
         data[1, 0, 1, 2] = 0.0
         EmbeddingVolume(VolumeGeometry((2, 2, 2)), data)
 
+    def test_float64_rows_are_stored_as_float32(self):
+        rows = unit_rows(np.random.default_rng(2).normal(size=(8, 5)))[0]
+        vol = EmbeddingVolume(VolumeGeometry((2, 2, 2)), rows.reshape(2, 2, 2, 5))
+        assert vol.data.dtype == np.float32 and vol.data.flags.c_contiguous
+        assert vol.data.tobytes() == rows.astype(np.float32).reshape(2, 2, 2, 5).tobytes()
+
     def test_normalized_is_no_setting(self):
         data = np.zeros((1, 1, 1, 2))
         data[..., 0] = 1.0
@@ -557,6 +563,28 @@ def edge_norm_rows(rng, d):
     return np.concatenate([rows, np.full((1, d), np.nan), np.full((1, d), np.inf)])
 
 
+def float32_edge_norm_rows(rng, d):
+    """float32 rows of width ``d`` whose ``row_norms`` sit on, and one float32 ulp
+    either side of, the edges of the volume's unit check and of the zero-row
+    rule, plus NaN and inf: the rows an ``EmbeddingVolume`` stores."""
+    edges = np.float32([1e-12, 1.0 - 1e-4, 1.0 + 1e-4, 1.0, 0.5, 2.0])
+    norms = [x for e in edges for x in (e, *np.nextafter(e, np.float32([np.inf, -np.inf])))]
+    rows = []
+    for t in norms:
+        r = rng.normal(size=d)
+        row = (r * (float(t) / np.linalg.norm(r))).astype(np.float32)
+        j = np.argmax(np.abs(row))
+        for _ in range(64):  # walk the largest entry one ulp at a time onto the norm
+            n = row_norms(row[None])[0]
+            if n == t:
+                break
+            row[j] = np.nextafter(row[j], np.float32(np.copysign(np.inf, row[j]) if n < t else 0.0))
+        rows.append(row)
+    rows = np.array(rows)
+    assert row_norms(rows).tolist() == norms
+    return np.concatenate([rows, np.full((2, d), [[np.nan], [np.inf]], np.float32)])
+
+
 class TestRowNormRule:
     """``row_norms``, the one norm rule of ``unit_rows`` and of both unit checks."""
 
@@ -577,18 +605,21 @@ class TestRowNormRule:
 
     @pytest.mark.parametrize("d", [3, 11])
     def test_unit_checks_reject_the_same_rows_as_before(self, d):
+        # the volume stores float32 rows, so its rule is row_norms of those
+        rows32 = float32_edge_norm_rows(np.random.default_rng(d), d)
+        norms32 = row_norms(rows32)
+        volume_ok = (norms32 <= 1e-12) | (np.abs(norms32 - 1.0) <= 1e-4)
+        # the loss check's rule, on float64 rows, before it moved into row_norms
         rows = edge_norm_rows(np.random.default_rng(d), d)
-        # the checks' rule before it moved into row_norms
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        volume_ok = (norms <= 1e-12) | (np.abs(norms - 1.0) <= 1e-4)
-        loss_ok = np.abs(norms - 1.0) <= 1e-3
+        loss_ok = np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1.0) <= 1e-3
         assert volume_ok.any() and not volume_ok.all() and loss_ok.any() and not loss_ok.all()
-        for row, v_ok, l_ok in zip(rows, volume_ok, loss_ok):
+        for row, v_ok in zip(rows32, volume_ok):
             try:
                 EmbeddingVolume(VolumeGeometry((1, 1, 1)), row.reshape(1, 1, 1, d))
                 assert v_ok
             except NonUnitInput:
                 assert not v_ok
+        for row, l_ok in zip(rows, loss_ok):
             try:
                 _check_unit("row", row[None])
                 assert l_ok
